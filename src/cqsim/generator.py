@@ -13,6 +13,17 @@ back-reaction; for p-independent V_I it reduces to the anticommutator
 (1/2){dV_I/dq, d varrho/dp}.  The n = 2 diffusion term carries the 1/n!
 normalization, so a classical increment has variance D2 * dt.
 
+The kernel is stencil transport plus a per-cell superoperator.  With the
+cells viewed as fvec of shape (nq, np, d^2) (row-major vec of each cell),
+
+    rate = fvec @ L(q)^T + (d fvec/dp) @ B(q)^T - (p/m) d fvec/dq
+           + (1/2) D2(q) d^2 fvec/dp^2,
+
+where the d^2 x d^2 Liouvillian L(q) holds the commutator and dissipator
+and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.  These
+operators are built once per (model, grid) -- on the first call for that
+pair -- and reused by every later RK4 stage.
+
 `branch_generator` provides an independent evolution route for models
 diagonal in a fixed basis: each matrix element varrho_ab is transported by
 the (a,b)-averaged force, rotated by the energy gap, and damped at the
@@ -22,7 +33,11 @@ oracle: where applicable, it must agree with `apply_generator` cellwise.
 `measurement_generator` evaluates the linear master equation of an ideal
 continuous measurement on a one-axis signal grid, with couplings
 D0 = 2k(z), D2 = 1/(8k(z)) -- the saturated special case used for
-cross-validation against stochastic unraveling.
+cross-validation against stochastic unraveling.  It has the same shape: a
+per-cell superoperator -k(z)[Z,[Z,.]] - (i/hbar)[H,.], the conservative
+drift -d(fvec @ A(z)^T)/dz with A(z) = (1/2)(Z kron I + I kron Z^T), and
+the diffusion (1/2) d^2(D2 varrho)/dz^2, with operators built once per
+(model, grid).
 """
 
 from __future__ import annotations
@@ -129,40 +144,86 @@ def apply_generator(model: CQModel, state: HybridState, validated=False) -> np.n
     """Evaluate d varrho/dt on the grid; returns a cells-shaped rate array.
 
     The model must pass `validate_model` (done here unless ``validated``).
+    The per-q operators are built on the first call for a (model, grid)
+    pair and reused while the same model and grid keep coming back.
     """
     grid = state.grid
     if grid.ndim != 2:
         raise ValueError("apply_generator needs a (q, p) grid with two axes")
-    qs = grid.axes[0].points
     if not validated:
-        validate_model(model, qs)
+        validate_model(model, grid.axes[0].points)
+    liou_t, back_t, p_over_m, half_d2 = _operators(model, grid, _cq_operators)
 
     f = state.cells
+    fvec = f.reshape(grid.shape + (-1,))
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
     bdry = grid.boundary
 
-    df_dq = d_dx(f, 0, hq_ax, bdry)
-    df_dp = d_dx(f, 1, hp_ax, bdry)
-    d2f_dp2 = d2_dx2(f, 1, hp_ax, bdry)
+    # a one-level (purely classical) model acts alike on every matrix
+    # element, so it applies elementwise to cells of any dimension
+    product = np.matmul if model.hilbert_dim > 1 else np.multiply
+    rate = product(fvec, liou_t)
+    rate += product(d_dx(fvec, 1, hp_ax, bdry), back_t)
+    transport = d_dx(fvec, 0, hq_ax, bdry)
+    transport *= p_over_m
+    rate -= transport
+    diffusion = d2_dx2(fvec, 1, hp_ax, bdry)
+    diffusion *= half_d2
+    rate += diffusion
+    return rate.reshape(f.shape)
 
-    vprime = np.asarray(classical_force(model, qs), dtype=float)[:, None, None, None]
-    p_over_m = (grid.axes[1].points / model.mass)[None, :, None, None]
-    rate = vprime * df_dp - p_over_m * df_dq
 
+def _cq_operators(model: CQModel, grid: PhaseGrid):
+    """Per-q operators of `apply_generator` in the row-major vec basis.
+
+    Returns (L(q)^T, B(q)^T, p/m, D2(q)/2), broadcastable against cells
+    viewed as (nq, np, d^2), where vec(A X C) = (A kron C^T) vec(X) and
+
+      L(q) = -(i/hbar)(H kron I - I kron H^T)
+             + D0(q)(L kron L^T - (1/2)(L^2 kron I + I kron (L^2)^T)),
+      B(q) = V'(q) I + (1/2)(L kron I + I kron L^T),   L = dV_I/dq.
+    """
+    qs = grid.axes[0].points
+    eye = np.eye(model.hilbert_dim)
+    lop = np.asarray(model.dv_i(qs), dtype=complex)
+    l2 = lop @ lop
+    d0_of_q = np.asarray(model.d0(qs), dtype=float)[:, None, None]
+    vprime = np.asarray(classical_force(model, qs), dtype=float)[:, None, None]
     h = model.h_q
-    if np.abs(h).max() > 0.0:
-        rate = rate - (1j / model.hbar) * (h @ f - f @ h)
 
-    d2_of_q = np.asarray(model.d2(qs), dtype=float)[:, None, None, None]
-    rate = rate + 0.5 * d2_of_q * d2f_dp2
+    liou = (-1j / model.hbar) * (_kron(h, eye) - _kron(eye, h.T)) + d0_of_q * (
+        _kron(lop, _t(lop)) - 0.5 * (_kron(l2, eye) + _kron(eye, _t(l2)))
+    )
+    back = vprime * np.eye(eye.size) + 0.5 * (_kron(lop, eye) + _kron(eye, _t(lop)))
+    p_over_m = (grid.axes[1].points / model.mass)[None, :, None]
+    half_d2 = 0.5 * np.asarray(model.d2(qs), dtype=float)[:, None, None]
+    return _t(liou).copy(), _t(back).copy(), p_over_m, half_d2
 
-    lop = np.asarray(model.dv_i(qs), dtype=complex)[:, None, :, :]
-    if np.abs(lop).max() > 0.0:
-        rate = rate + 0.5 * (lop @ df_dp + df_dp @ lop)
-        d0_of_q = np.asarray(model.d0(qs), dtype=float)[:, None, None, None]
-        l2 = lop @ lop
-        rate = rate + d0_of_q * (lop @ f @ lop - 0.5 * (l2 @ f + f @ l2))
-    return rate
+
+def _t(a):
+    """Transpose of the trailing matrix axes (no conjugation)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _kron(a, b):
+    """Kronecker product over the trailing matrix axes, broadcasting the rest."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    n, m = a.shape[-1], b.shape[-1]
+    return out.reshape(out.shape[:-4] + (n * m, n * m))
+
+
+# One entry: every RK4 stage of a run asks for the same (model, grid), and
+# models are frozen with read-only matrices, so identity is a sound key.
+_memo = (None, None, None)
+
+
+def _operators(model, grid, build):
+    global _memo
+    cached_model, cached_grid, ops = _memo
+    if cached_model is not model or cached_grid != grid:
+        ops = build(model, grid)
+        _memo = (model, grid, ops)
+    return ops
 
 
 def branch_generator(
@@ -227,25 +288,36 @@ def measurement_generator(m: MeasurementModel, state: HybridState) -> np.ndarray
     grid = state.grid
     if grid.ndim != 1:
         raise ValueError("measurement_generator needs a single-axis signal grid")
-    zs = grid.axes[0].points
+    sup_t, flux_t, d2_of_z = _operators(m, grid, _measurement_operators)
     h_ax = grid.axes[0].spacing
     bdry = grid.boundary
     f = state.cells
+    fvec = f.reshape(grid.shape + (1, -1))
 
+    rate = fvec @ sup_t
+    rate -= d_dx(fvec @ flux_t, 0, h_ax, bdry)
+    rate += 0.5 * d2_dx2(d2_of_z * fvec, 0, h_ax, bdry)
+    return rate.reshape(f.shape)
+
+
+def _measurement_operators(m: MeasurementModel, grid: PhaseGrid):
+    """Per-z operators of `measurement_generator` in the row-major vec basis.
+
+    Returns (M(z)^T, A(z)^T, D2(z)) broadcastable against cells viewed as
+    (nz, 1, d^2), with the superoperator M(z) = -k(z)[Z,[Z,.]] - (i/hbar)[H,.]
+    and the signal-flux matrix A(z) = (1/2)(Z kron I + I kron Z^T).
+    """
+    zs = grid.axes[0].points
+    eye = np.eye(m.hilbert_dim)
     z_op = np.asarray(m.z_op(zs), dtype=complex)
-    flow = 0.5 * (z_op @ f + f @ z_op)
-    rate = -d_dx(flow, 0, h_ax, bdry)
-
-    d2_of_z = np.asarray(m.d2(zs), dtype=float)[:, None, None]
-    rate = rate + 0.5 * d2_dx2(d2_of_z * f, 0, h_ax, bdry)
-
+    z2 = z_op @ z_op
     k_of_z = np.asarray(m.k(zs), dtype=float)[:, None, None]
-    comm = z_op @ f - f @ z_op
-    rate = rate - k_of_z * (z_op @ comm - comm @ z_op)
-
-    if m.h is not None and np.abs(m.h).max() > 0.0:
-        rate = rate - (1j / m.hbar) * (m.h @ f - f @ m.h)
-    return rate
+    sup = -k_of_z * (_kron(z2, eye) - 2.0 * _kron(z_op, _t(z_op)) + _kron(eye, _t(z2)))
+    if m.h is not None:
+        sup = sup - (1j / m.hbar) * (_kron(m.h, eye) - _kron(eye, m.h.T))
+    flux = 0.5 * (_kron(z_op, eye) + _kron(eye, _t(z_op)))
+    d2_of_z = np.asarray(m.d2(zs), dtype=float)[:, None, None]
+    return _t(sup).copy(), _t(flux).copy(), d2_of_z
 
 
 # -- time stepping -----------------------------------------------------------

@@ -80,7 +80,10 @@ class CQModel:
             raise ModelValidationError(f"mass must be positive, got {self.mass}")
         if not (self.hbar > 0):
             raise ModelValidationError(f"hbar must be positive, got {self.hbar}")
-        object.__setattr__(self, "h_q", require_hermitian(self.h_q, name="h_q"))
+        h_q = require_hermitian(self.h_q, name="h_q")
+        # read-only: the generator caches operators built from it per model
+        h_q.setflags(write=False)
+        object.__setattr__(self, "h_q", h_q)
 
     @property
     def hilbert_dim(self) -> int:
@@ -287,7 +290,9 @@ class MeasurementModel:
 
     def __post_init__(self):
         if self.h is not None:
-            object.__setattr__(self, "h", require_hermitian(self.h, name="h"))
+            h = require_hermitian(self.h, name="h")
+            h.setflags(write=False)
+            object.__setattr__(self, "h", h)
         if self.hilbert_dim <= 0:
             probe = np.asarray(self.z_op(np.zeros(1)), dtype=complex)
             object.__setattr__(self, "hilbert_dim", probe.shape[-1])

@@ -124,9 +124,8 @@ def _run_cp_check(scenario, out_dir, seed, n_workers):
 
 def _pick_dt(scenario, limit):
     dt = scenario.numerics.get("dt")
-    safety = scenario.numerics.get("safety") or 0.4
     if dt is None:
-        dt = safety * limit
+        dt = scenario.numerics["safety"] * limit
     t_final = scenario.numerics.get("t_final")
     if t_final is None:
         raise ScenarioError("numerics.t_final is required for this run type")

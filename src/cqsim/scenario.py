@@ -256,6 +256,11 @@ def parse_scenario(text) -> Scenario:
         else:
             val = numerics.number(key, default=default)
         resolved_numerics[key] = val if val is not None else default
+    if not 0.0 < resolved_numerics["safety"] <= 1.0:
+        problems.append(
+            "key 'safety' in section 'numerics' must lie in (0, 1], got "
+            f"{resolved_numerics['safety']!r}{_line_of(numerics.data, 'safety')}"
+        )
     numerics.finish()
 
     output = _Section("output", doc.get("output"), problems)
@@ -348,10 +353,13 @@ def _build_toy(block, problems):
     sec.finish()
     if problems:
         return None, None
-    obs = tuple(int(x) for x in observable)
-    if len(obs) != 3 or any(x < 0 for x in obs):
-        problems.append("key 'observable' in section 'model' must be three nonnegative powers")
+    if len(observable) != 3 or any(x < 0 or not x.is_integer() for x in observable):
+        problems.append(
+            "key 'observable' in section 'model' must be three nonnegative integer powers, "
+            f"got {observable!r}{_line_of(sec.data, 'observable')}"
+        )
         return None, None
+    obs = tuple(int(x) for x in observable)
     try:
         params = ToyParams(m_phi=m_phi, m_q=m_q, lam=lam, hbar=hbar, d2=d2)
     except ValueError as exc:

@@ -3,6 +3,7 @@ import pytest
 
 from cqsim.generator import (
     EvolutionError,
+    _cq_operators,
     apply_generator,
     branch_generator,
     cfl_limit,
@@ -12,9 +13,10 @@ from cqsim.generator import (
     measurement_generator,
     step_rk4,
 )
-from cqsim.grids import GridAxis, PhaseGrid
+from cqsim.grids import GridAxis, PhaseGrid, d_dx, d2_dx2
 from cqsim.models import (
     ModelValidationError,
+    classical_force,
     constant_measurement_model,
     diagonalize_model,
     polynomial_cq_model,
@@ -46,6 +48,152 @@ def scalar_fp_oracle(dens, grid, model):
     d2_p[:, -1] = (2.0 * dens[:, -1] - 5.0 * dens[:, -2] + 4.0 * dens[:, -3] - dens[:, -4]) / hp**2
     vprime = model.dpotential(qs)[:, None]
     return vprime * d_p - (ps[None, :] / model.mass) * d_q + 0.5 * model.d2(qs)[:, None] * d2_p
+
+
+def batched_matmul_rate(model, state):
+    """Reference rate: the cellwise batched d x d matrix form of the generator."""
+    grid = state.grid
+    qs = grid.axes[0].points
+    f = state.cells
+    hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
+    bdry = grid.boundary
+
+    df_dq = d_dx(f, 0, hq_ax, bdry)
+    df_dp = d_dx(f, 1, hp_ax, bdry)
+    d2f_dp2 = d2_dx2(f, 1, hp_ax, bdry)
+
+    vprime = np.asarray(classical_force(model, qs), dtype=float)[:, None, None, None]
+    p_over_m = (grid.axes[1].points / model.mass)[None, :, None, None]
+    rate = vprime * df_dp - p_over_m * df_dq
+
+    h = model.h_q
+    if np.abs(h).max() > 0.0:
+        rate = rate - (1j / model.hbar) * (h @ f - f @ h)
+
+    d2_of_q = np.asarray(model.d2(qs), dtype=float)[:, None, None, None]
+    rate = rate + 0.5 * d2_of_q * d2f_dp2
+
+    lop = np.asarray(model.dv_i(qs), dtype=complex)[:, None, :, :]
+    if np.abs(lop).max() > 0.0:
+        rate = rate + 0.5 * (lop @ df_dp + df_dp @ lop)
+        d0_of_q = np.asarray(model.d0(qs), dtype=float)[:, None, None, None]
+        l2 = lop @ lop
+        rate = rate + d0_of_q * (lop @ f @ lop - 0.5 * (l2 @ f + f @ l2))
+    return rate
+
+
+def batched_matmul_measurement_rate(m, state):
+    """Reference rate of the measurement master equation in d x d matrix form."""
+    grid = state.grid
+    zs = grid.axes[0].points
+    h_ax = grid.axes[0].spacing
+    bdry = grid.boundary
+    f = state.cells
+
+    z_op = np.asarray(m.z_op(zs), dtype=complex)
+    flow = 0.5 * (z_op @ f + f @ z_op)
+    rate = -d_dx(flow, 0, h_ax, bdry)
+
+    d2_of_z = np.asarray(m.d2(zs), dtype=float)[:, None, None]
+    rate = rate + 0.5 * d2_dx2(d2_of_z * f, 0, h_ax, bdry)
+
+    k_of_z = np.asarray(m.k(zs), dtype=float)[:, None, None]
+    comm = z_op @ f - f @ z_op
+    rate = rate - k_of_z * (z_op @ comm - comm @ z_op)
+
+    if m.h is not None and np.abs(m.h).max() > 0.0:
+        rate = rate - (1j / m.hbar) * (m.h @ f - f @ m.h)
+    return rate
+
+
+def random_hermitian(rng, shape):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return a + np.conj(np.swapaxes(a, -1, -2))
+
+
+def random_cq_model(rng, d, h_zero=False, dv_zero=False):
+    return polynomial_cq_model(
+        mass=0.7 + rng.random(),
+        potential_coeffs=[0.0, 0.3 * rng.normal(), 0.5 * rng.random()],
+        h_q=np.zeros((d, d)) if h_zero else random_hermitian(rng, (d, d)),
+        v_i_matrix=random_hermitian(rng, (d, d)),
+        v_i_profile=[0.0] if dv_zero else [0.1, 0.4 * rng.normal(), 0.2 * rng.normal()],
+        d2_coeffs=[0.5 + rng.random(), 0.0, 0.05],
+        d0_coeffs=[1.0 + rng.random(), 0.1 * rng.normal(), 0.1],
+        hbar=0.5 + rng.random(),
+    )
+
+
+class TestSuperoperatorKernel:
+    @pytest.mark.parametrize("case", ["full", "h_zero", "dv_zero"])
+    @pytest.mark.parametrize("boundary", ["truncate", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_matches_batched_matmul_reference(self, d, boundary, case):
+        rng = np.random.default_rng(d)
+        grid = PhaseGrid(
+            (GridAxis("q", -3.0, 2.5, 13), GridAxis("p", -2.0, 3.0, 11)), boundary=boundary
+        )
+        model = random_cq_model(rng, d, h_zero=case == "h_zero", dv_zero=case == "dv_zero")
+        state = HybridState(grid, random_hermitian(rng, grid.shape + (d, d)))
+        want = batched_matmul_rate(model, state)
+        got = apply_generator(model, state)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("boundary", ["truncate", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_measurement_matches_batched_matmul_reference(self, d, boundary):
+        rng = np.random.default_rng(d)
+        grid = PhaseGrid((GridAxis("z", -2.0, 2.0, 17),), boundary=boundary)
+        m = constant_measurement_model(
+            random_hermitian(rng, (d, d)),
+            1.0,
+            h=random_hermitian(rng, (d, d)),
+            z_feedback=0.2 * random_hermitian(rng, (d, d)),
+            k_slope=0.1,
+        )
+        state = HybridState(grid, random_hermitian(rng, grid.shape + (d, d)))
+        want = batched_matmul_measurement_rate(m, state)
+        got = measurement_generator(m, state)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_operators_follow_model_and_grid(self):
+        # alternating models and grids must never reuse another pair's operators
+        rng = np.random.default_rng(5)
+        grids = [
+            PhaseGrid((GridAxis("q", -3, 3, 9), GridAxis("p", -3, 3, 9))),
+            PhaseGrid((GridAxis("q", -2, 4, 9), GridAxis("p", -3, 3, 9))),
+        ]
+        models = [random_cq_model(rng, 2), random_cq_model(rng, 2)]
+        cells = random_hermitian(rng, (9, 9, 2, 2))
+        for model, grid in [(models[0], grids[0]), (models[1], grids[0]),
+                            (models[1], grids[1]), (models[0], grids[0])]:
+            state = HybridState(grid, cells)
+            want = batched_matmul_rate(model, state)
+            got = apply_generator(model, state)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_liouvillian_block_is_trace_annihilating_and_hermiticity_preserving(self, d):
+        rng = np.random.default_rng(d)
+        grid = PhaseGrid((GridAxis("q", -3.0, 3.0, 7), GridAxis("p", -3.0, 3.0, 5)))
+        model = random_cq_model(rng, d)
+        liou = np.swapaxes(_cq_operators(model, grid)[0], -1, -2)  # (nq, d^2, d^2)
+        scale = np.abs(liou).max()
+        vec_eye = np.eye(d).reshape(-1)
+        assert np.abs(vec_eye @ liou).max() <= 1e-13 * scale
+        x = random_hermitian(rng, (grid.shape[0], d, d))
+        image = (liou @ x.reshape(grid.shape[0], -1, 1)).reshape(x.shape)
+        defect = np.abs(image - np.conj(np.swapaxes(image, -1, -2))).max()
+        assert defect <= 1e-13 * scale * np.abs(x).max()
+
+    def test_model_matrices_are_read_only(self):
+        model = qubit_decoherence_model()
+        with pytest.raises(ValueError, match="read-only"):
+            model.h_q[0, 1] = 0.5
+        m = constant_measurement_model(SIGMA_Z, 1.0, h=SIGMA_X)
+        with pytest.raises(ValueError, match="read-only"):
+            m.h[0, 0] = 1.0
 
 
 class TestApplyGenerator:

@@ -72,6 +72,30 @@ class TestParsing:
         joined = "\n".join(err.value.problems)
         assert "mass" in joined and "q_max" in joined and "h_q" in joined
 
+    @pytest.mark.parametrize("value", ["0.0", "-0.2", "1.5", ".nan"])
+    def test_safety_outside_unit_interval_rejected(self, value):
+        text = (SCENARIO_DIR / "evolve_free_diffusion.yaml").read_text()
+        text = text.replace("safety: 0.4", f"safety: {value}")
+        with pytest.raises(ScenarioError, match="'safety'.*\\(0, 1\\].*line 20"):
+            parse_scenario(text)
+
+    def test_safety_of_one_accepted(self):
+        text = (SCENARIO_DIR / "evolve_free_diffusion.yaml").read_text()
+        scenario = parse_scenario(text.replace("safety: 0.4", "safety: 1"))
+        assert scenario.numerics["safety"] == 1.0
+
+    @pytest.mark.parametrize("obs", ["[1.5, 0, 0]", "[2, 0, 0.25]", "[-1, 0, 0]", "[2, 0]"])
+    def test_observable_needs_three_nonnegative_integer_powers(self, obs):
+        text = (SCENARIO_DIR / "zerodim_free.yaml").read_text()
+        text = text.replace("observable: [2, 0, 0]", f"observable: {obs}")
+        with pytest.raises(ScenarioError, match="'observable'.*integer powers"):
+            parse_scenario(text)
+
+    def test_integral_float_observable_accepted(self):
+        text = (SCENARIO_DIR / "zerodim_free.yaml").read_text()
+        scenario = parse_scenario(text.replace("[2, 0, 0]", "[2.0, 0, 0]"))
+        assert scenario.model["observable"] == (2, 0, 0)
+
 
 class TestShippedScenarios:
     @pytest.mark.parametrize("path", ALL_SCENARIOS, ids=lambda p: p.stem)
