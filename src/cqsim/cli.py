@@ -1,20 +1,21 @@
 """Command line interface: run scenarios, audit couplings, compare artifacts.
 
-    cqsim run <scenario.yaml> --out DIR [--seed N] [--threads K]
+    cqsim run <scenario.yaml> --out DIR [--seed N]
     cqsim check <scenario.yaml>
     cqsim compare <a> <b> --metric l1
 
-One scenario per invocation; scenarios are files, never prompts.  The exit
-status is nonzero whenever parsing fails or a run breaches an invariant
-(trace drift, negativity, CP violation).  The thread count may also be set
-through the CQSIM_THREADS environment variable; --threads wins.
+One scenario per invocation; scenarios are files, never prompts.  ``run``
+passes the scenario through the same audit as ``check`` before it starts,
+so both reject a model with the same exit status and message, and a
+rejected run creates no output directory.  The exit status is nonzero
+whenever parsing fails or a run breaches an invariant (trace drift,
+negativity, CP violation).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .runner import RunFailure, check_scenario, compare_artifacts, run_scenario
@@ -29,18 +30,6 @@ def _fmt_float(x: float) -> str:
     return "{:.17g}".format(x)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("CQSIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring non-integer CQSIM_THREADS={env!r}", file=sys.stderr)
-    return 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="cqsim", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -49,7 +38,6 @@ def main(argv=None) -> int:
     p_run.add_argument("scenario")
     p_run.add_argument("--out", required=True, help="output directory for artifacts")
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p_run.add_argument("--threads", type=int, default=None)
 
     p_check = sub.add_parser("check", help="parse a scenario and audit its couplings")
     p_check.add_argument("scenario")
@@ -64,7 +52,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             scenario = parse_scenario_file(args.scenario)
-            summary = run_scenario(scenario, args.out, seed=args.seed, n_workers=_threads(args))
+            summary = run_scenario(scenario, args.out, seed=args.seed)
             print(json.dumps(summary, sort_keys=True, default=str))
             return EXIT_OK
         if args.command == "check":

@@ -51,6 +51,10 @@ BACKREACTION_COUPLING = 0.5
 
 COMMUTATION_TOL = 1e-10
 
+# Fixed q values whose V_I and dV_I, with H_q, build the combination that
+# fixes the branch basis and its order, so labels depend on the model alone.
+_BASIS_QS = np.array([-1.37, 0.41, 2.23])
+
 
 class ModelValidationError(ValueError):
     """The model fails an invariant (non-Hermitian V_I, CP violation, ...)."""
@@ -212,8 +216,10 @@ class DiagonalizedModel:
 def diagonalize_model(model: CQModel, qs, tol=COMMUTATION_TOL) -> DiagonalizedModel:
     """Extract the fixed common eigenbasis of H_q and V_I(q), or refuse.
 
-    Raises ModelValidationError when no q-independent common eigenbasis
-    exists (the branch-decomposed evolution then does not apply).
+    The basis and the order of its branches depend on the model alone; the
+    commutation and diagonality audits run on the caller's ``qs``.  Raises
+    ModelValidationError when no q-independent common eigenbasis exists
+    (the branch-decomposed evolution then does not apply).
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     d = model.hilbert_dim
@@ -234,10 +240,16 @@ def diagonalize_model(model: CQModel, qs, tol=COMMUTATION_TOL) -> DiagonalizedMo
                     f"commutator defect {np.abs(comm).max():.3e}"
                 )
 
-    # A generic fixed-weight combination splits shared eigenspaces.
+    # A generic fixed-weight combination splits shared eigenspaces; taken at
+    # fixed q values, it orders the branches the same for every caller.
+    fixed = (
+        [model.h_q]
+        + list(_matrix_field(model.v_i, _BASIS_QS, d, "v_i"))
+        + list(_matrix_field(model.dv_i, _BASIS_QS, d, "dv_i"))
+    )
     rng = np.random.default_rng(20230817)
     combo = np.zeros((d, d), dtype=complex)
-    for s in samples:
+    for s in fixed:
         combo = combo + rng.normal() * s
     _, u = np.linalg.eigh(combo)
 
@@ -308,7 +320,10 @@ class MeasurementModel:
         _matrix_field(self.z_op, zs, self.hilbert_dim, "z_op")
         k = np.asarray(self.k(zs), dtype=float)
         if np.any(k <= 0):
-            raise ModelValidationError("measurement strength k(z) must be positive")
+            bad = int(np.argmin(k))
+            raise ModelValidationError(
+                f"measurement strength k(z) must be positive, got k({zs[bad]:g}) = {k[bad]:g}"
+            )
 
 
 def constant_measurement_model(z_matrix, k, h=None, hbar=1.0, z_feedback=None,

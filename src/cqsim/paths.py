@@ -18,8 +18,10 @@ exp(-OM - FV - anomalous), where for a (q, p) path with steps dt:
 All q-dependent coefficients are evaluated at the pre-point (Ito), matching
 the Euler-Maruyama sampler `sample_path`; the weight/transition-density
 duality is exact step by step, which is the module's core consistency
-check.  Branch pairs index the fixed eigenbasis of dV_I/dq and stay
-constant along a path (diagonal models).
+check.  Branch pairs index the fixed eigenbasis of dV_I/dq, whose labels
+depend on the model alone, and stay constant along a path (diagonal
+models).  Functions taking ``diag`` accept a `diagonalize_model` result so
+that a caller evaluating many paths diagonalizes once.
 
 Configuration-space weights replace the residual by the Euler-Lagrange
 defect m qddot + dV/dq + averaged force, with qddot the central second
@@ -34,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import PhaseGrid
-from .models import CQModel, diagonalize_model
+from .models import CQModel, DiagonalizedModel, diagonalize_model
 
 __all__ = [
     "ClassicalPath",
@@ -98,9 +100,10 @@ class BranchPair:
             raise ValueError("branch indices must be nonnegative")
 
 
-def _branch_levels(model: CQModel, qs, pair: BranchPair):
+def _branch_levels(model: CQModel, qs, pair: BranchPair, diag: Optional[DiagonalizedModel] = None):
     """Eigenvalues l_a(q), l_b(q) of dV_I/dq along the path."""
-    diag = diagonalize_model(model, np.unique(qs))
+    if diag is None:
+        diag = diagonalize_model(model, np.unique(qs))
     d = model.hilbert_dim
     if pair.a >= d or pair.b >= d:
         raise ValueError(f"branch pair {pair} out of range for Hilbert dimension {d}")
@@ -108,11 +111,13 @@ def _branch_levels(model: CQModel, qs, pair: BranchPair):
     return levels[..., pair.a], levels[..., pair.b]
 
 
-def _drift_force(model: CQModel, qs, pair: Optional[BranchPair]):
+def _drift_force(
+    model: CQModel, qs, pair: Optional[BranchPair], diag: Optional[DiagonalizedModel] = None
+):
     """dH_c/dq plus the branch-averaged interaction force."""
     force = np.asarray(model.dpotential(qs), dtype=float)
     if pair is not None:
-        la, lb = _branch_levels(model, qs, pair)
+        la, lb = _branch_levels(model, qs, pair, diag)
         force = force + 0.5 * (la + lb)
     return force
 
@@ -140,12 +145,17 @@ def _positive_d2(model: CQModel, qs):
     return d2
 
 
-def om_action(path: ClassicalPath, model: CQModel, pair: Optional[BranchPair] = None) -> float:
+def om_action(
+    path: ClassicalPath,
+    model: CQModel,
+    pair: Optional[BranchPair] = None,
+    diag: Optional[DiagonalizedModel] = None,
+) -> float:
     """Onsager-Machlup suppression exponent of a constraint-satisfying path."""
     _check_constraint(path, model)
     q_pre = path.q[:-1]
     d2 = _positive_d2(model, q_pre)
-    r = (path.p[1:] - path.p[:-1]) / path.dt + _drift_force(model, q_pre, pair)
+    r = (path.p[1:] - path.p[:-1]) / path.dt + _drift_force(model, q_pre, pair, diag)
     return float(np.sum(0.5 * path.dt * r * r / d2))
 
 
@@ -156,10 +166,15 @@ def anomalous_term(path: ClassicalPath, model: CQModel) -> float:
     return float(np.sum(0.5 * np.log(d2)))
 
 
-def fv_action(path: ClassicalPath, model: CQModel, pair: BranchPair) -> float:
+def fv_action(
+    path: ClassicalPath,
+    model: CQModel,
+    pair: BranchPair,
+    diag: Optional[DiagonalizedModel] = None,
+) -> float:
     """Feynman-Vernon damping exponent sum dt (D0/2)(l_a - l_b)^2 >= 0."""
     q_pre = path.q[:-1]
-    la, lb = _branch_levels(model, q_pre, pair)
+    la, lb = _branch_levels(model, q_pre, pair, diag)
     d0 = np.asarray(model.d0(q_pre), dtype=float)
     return float(np.sum(path.dt * 0.5 * d0 * (la - lb) ** 2))
 
@@ -178,7 +193,7 @@ def sample_path(
     p_{k+1} = p_k - force(q_k) dt + sqrt(D2(q_k) dt) xi_k and
     q_{k+1} = q_k + (p_k/m) dt; deterministic per seed.
     """
-    qs, ps = _sample_arrays(model, q0, p0, n_steps, dt, pair, seed, 0, 1)
+    qs, ps = sample_path_ensemble(model, q0, p0, n_steps, dt, 1, pair, seed)
     return ClassicalPath(dt=dt, q=qs[0], p=ps[0])
 
 
@@ -191,40 +206,18 @@ def sample_path_ensemble(
     n_paths: int,
     pair: Optional[BranchPair] = None,
     seed: int = 0,
-    n_workers: int = 1,
 ):
     """Ensemble of sampled paths; returns (q, p) arrays of shape (n, steps+1).
 
-    Paths draw from per-index streams derived from ``seed`` and land in
-    index order, so the result is identical for any worker count.
+    Path i draws its noise from the stream keyed (seed, i); ``q0`` and
+    ``p0`` are scalars or per-path arrays.
     """
-    if n_workers <= 1 or n_paths < 2:
-        return _sample_arrays(model, q0, p0, n_steps, dt, pair, seed, 0, n_paths)
-    from concurrent.futures import ThreadPoolExecutor
-
-    qs = np.empty((n_paths, n_steps + 1))
-    ps = np.empty((n_paths, n_steps + 1))
-    chunk = 1024  # fixed: never derived from the worker count
-    bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-
-    def run(lo, hi):
-        q0s = q0 if np.ndim(q0) == 0 else np.asarray(q0)[lo:hi]
-        p0s = p0 if np.ndim(p0) == 0 else np.asarray(p0)[lo:hi]
-        qs[lo:hi], ps[lo:hi] = _sample_arrays(
-            model, q0s, p0s, n_steps, dt, pair, seed, lo, hi - lo
-        )
-
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        list(pool.map(lambda b: run(*b), bounds))
-    return qs, ps
-
-
-def _sample_arrays(model, q0, p0, n_steps, dt, pair, seed, first_index, n_paths):
     from .unravel import trajectory_rng
 
+    diag = None if pair is None else diagonalize_model(model, np.unique(q0))
     xis = np.empty((n_paths, n_steps))
     for i in range(n_paths):
-        xis[i] = trajectory_rng(seed, first_index + i).standard_normal(n_steps)
+        xis[i] = trajectory_rng(seed, i).standard_normal(n_steps)
     qs = np.empty((n_paths, n_steps + 1))
     ps = np.empty((n_paths, n_steps + 1))
     qs[:, 0] = q0  # scalar or per-path array, broadcast either way
@@ -235,7 +228,7 @@ def _sample_arrays(model, q0, p0, n_steps, dt, pair, seed, first_index, n_paths)
         d2 = np.asarray(model.d2(qk), dtype=float)
         if np.any(d2 <= 0.0):
             raise PathRejectedError(f"D2(q) <= 0 visited at step {k}", index=k)
-        force = _drift_force(model, qk, pair)
+        force = _drift_force(model, qk, pair, diag)
         ps[:, k + 1] = pk - force * dt + np.sqrt(d2 * dt) * xis[:, k]
         qs[:, k + 1] = qk + (pk / model.mass) * dt
     return qs, ps

@@ -27,7 +27,7 @@ from .generator import (
     evolve_measurement,
     measurement_cfl_limit,
 )
-from .models import ModelValidationError
+from .models import ModelValidationError, diagonalize_model, validate_model
 from .paths import BranchPair, anomalous_term, fv_action, om_action, sample_path_ensemble, ClassicalPath
 from .psd import schur_cp_check, tradeoff_verdict
 from .scenario import Scenario, ScenarioError
@@ -69,15 +69,20 @@ def _provenance(scenario: Scenario, seed) -> str:
 
 
 def check_scenario(scenario: Scenario) -> dict:
-    """Parse-plus-audit entry point: CP report for the scenario's couplings."""
+    """The gate every run type passes before it starts: audit the model.
+
+    cp_check returns its CP report (a Violated verdict is a result, not a
+    failure); evolve and sample_paths audit the CQ model on the grid's q
+    points, or on 41 points of [-5, 5] without a grid; unravel audits the
+    measurement model on the z points.  Raises ModelValidationError when
+    the model fails.
+    """
     if scenario.run_type == "cp_check":
         report = schur_cp_check(scenario.model)
         out = report.to_dict()
         out["tradeoff_verdict"] = tradeoff_verdict(scenario.model).value
         return out
     if scenario.run_type in ("evolve", "sample_paths"):
-        from .models import validate_model
-
         qs = (
             scenario.grid.axes[0].points
             if scenario.grid is not None
@@ -92,30 +97,30 @@ def check_scenario(scenario: Scenario) -> dict:
     return {"model": "valid"}
 
 
-def run_scenario(scenario: Scenario, out_dir, seed=None, n_workers=1) -> dict:
-    """Execute a scenario, writing artifacts into ``out_dir``.
+def run_scenario(scenario: Scenario, out_dir, seed=None) -> dict:
+    """Gate a scenario through `check_scenario`, then execute it into ``out_dir``.
 
-    Returns a small summary dict.  Raises RunFailure on invariant breaches
-    (after dumping whatever diagnostics exist).
+    Returns a small summary dict.  A model the gate rejects raises
+    ModelValidationError before ``out_dir`` is created.  Raises RunFailure
+    on invariant breaches (after dumping whatever diagnostics exist).
     """
+    audit = check_scenario(scenario)
     os.makedirs(out_dir, exist_ok=True)
+    if scenario.run_type == "cp_check":
+        return _run_cp_check(scenario, out_dir, audit)
     if seed is None:
         seed = scenario.numerics.get("seed", 0)
     runner = {
-        "cp_check": _run_cp_check,
         "evolve": _run_evolve,
         "unravel": _run_unravel,
         "sample_paths": _run_sample_paths,
         "zerodim": _run_zerodim,
     }[scenario.run_type]
-    return runner(scenario, out_dir, seed, n_workers)
+    return runner(scenario, out_dir, seed)
 
 
-def _run_cp_check(scenario, out_dir, seed, n_workers):
-    report = schur_cp_check(scenario.model)
-    payload = report.to_dict()
-    payload["tradeoff_verdict"] = tradeoff_verdict(scenario.model).value
-    payload["scenario"] = dict(scenario.resolved)
+def _run_cp_check(scenario, out_dir, audit):
+    payload = dict(audit, scenario=dict(scenario.resolved))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -133,7 +138,7 @@ def _pick_dt(scenario, limit):
     return t_final / n, t_final
 
 
-def _run_evolve(scenario, out_dir, seed, n_workers):
+def _run_evolve(scenario, out_dir, seed):
     init = scenario.initial
     state = gaussian_product_state(
         scenario.grid,
@@ -166,7 +171,7 @@ def _run_evolve(scenario, out_dir, seed, n_workers):
     return {"trace": diags.trace[-1], "min_eig": min(diags.min_eig)}
 
 
-def _run_unravel(scenario, out_dir, seed, n_workers):
+def _run_unravel(scenario, out_dir, seed):
     m = scenario.model
     grid = scenario.grid
     init = scenario.initial
@@ -178,8 +183,6 @@ def _run_unravel(scenario, out_dir, seed, n_workers):
     z0_sigma = scenario.numerics.get("z0_sigma", 0.0)
     prov = _provenance(scenario, seed)
 
-    # chunk size is fixed (never derived from n_workers) so the artifacts
-    # are byte-identical for any thread count
     result = run_ensemble(
         m,
         init["psi"],
@@ -189,8 +192,6 @@ def _run_unravel(scenario, out_dir, seed, n_workers):
         seed,
         n_traj,
         z0_sigma=z0_sigma,
-        chunk=1024,
-        n_workers=n_workers,
     )
     try:
         binned = bin_ensemble(result.z, result.psi, grid)
@@ -232,7 +233,7 @@ def _run_unravel(scenario, out_dir, seed, n_workers):
     return {"trace": total_trace(binned)}
 
 
-def _run_sample_paths(scenario, out_dir, seed, n_workers):
+def _run_sample_paths(scenario, out_dir, seed):
     model = scenario.model
     init = scenario.initial
     numerics = scenario.numerics
@@ -248,15 +249,15 @@ def _run_sample_paths(scenario, out_dir, seed, n_workers):
     prov = _provenance(scenario, seed)
 
     qs, ps = sample_path_ensemble(
-        model, init["q0"], init["p0"], n_steps, dt,
-        n_paths=n_paths, pair=pair, seed=seed, n_workers=n_workers,
+        model, init["q0"], init["p0"], n_steps, dt, n_paths=n_paths, pair=pair, seed=seed,
     )
+    diag = None if pair is None else diagonalize_model(model, np.unique(qs[:, :-1]))
     rows = []
     for i in range(n_paths):
         path = ClassicalPath(dt=dt, q=qs[i], p=ps[i])
-        weight_exponent = om_action(path, model, pair) + anomalous_term(path, model)
+        weight_exponent = om_action(path, model, pair, diag=diag) + anomalous_term(path, model)
         if pair is not None:
-            weight_exponent += fv_action(path, model, pair)
+            weight_exponent += fv_action(path, model, pair, diag=diag)
         # the raw weight can under/overflow for long paths; the exponent
         # column carries the lossless value
         rows.append((np.exp(-weight_exponent), qs[i, -1], ps[i, -1], weight_exponent))
@@ -269,7 +270,7 @@ def _run_sample_paths(scenario, out_dir, seed, n_workers):
     return {"n_paths": n_paths}
 
 
-def _run_zerodim(scenario, out_dir, seed, n_workers):
+def _run_zerodim(scenario, out_dir, seed):
     params = scenario.model["params"]
     obs = scenario.model["observable"]
     engine = scenario.model["engine"]

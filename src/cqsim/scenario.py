@@ -113,7 +113,14 @@ class _Section:
                 f"{type(val).__name__}{_line_of(self.data, key)}"
             )
             return default
-        return float(val)
+        try:
+            return float(val)
+        except OverflowError:
+            self.problems.append(
+                f"key {key!r} in section {self.name!r} is too large for a float"
+                f"{_line_of(self.data, key)}"
+            )
+            return default
 
     def integer(self, key, required=False, default=None):
         val = self._fetch(key, required, default)
@@ -228,6 +235,31 @@ _DEFAULT_NUMERICS = {
 }
 
 
+# key -> (test, what the value must be); checked on the resolved values
+_NUMERIC_BOUNDS = {
+    "dt": (lambda v: 0.0 < v < np.inf, "be a finite number > 0"),
+    "t_final": (lambda v: 0.0 < v < np.inf, "be a finite number > 0"),
+    "trace_abort": (lambda v: 0.0 < v < np.inf, "be a finite number > 0"),
+    "n_steps": (lambda v: v >= 1, "be >= 1"),
+    "n_trajectories": (lambda v: v >= 1, "be >= 1"),
+    "n_paths": (lambda v: v >= 1, "be >= 1"),
+    "stride": (lambda v: v >= 1, "be >= 1"),
+    "safety": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "z0_sigma": (lambda v: 0.0 <= v < np.inf, "be a finite number >= 0"),
+}
+
+
+def _check_bounds(section, resolved, problems):
+    for key, val in resolved.items():
+        if key in _NUMERIC_BOUNDS and val is not None:
+            ok, need = _NUMERIC_BOUNDS[key]
+            if not ok(val):
+                problems.append(
+                    f"key {key!r} in section {section.name!r} must {need}, got "
+                    f"{val!r}{_line_of(section.data, key)}"
+                )
+
+
 def parse_scenario_file(path) -> Scenario:
     with open(path) as fh:
         return parse_scenario(fh.read())
@@ -256,15 +288,13 @@ def parse_scenario(text) -> Scenario:
         else:
             val = numerics.number(key, default=default)
         resolved_numerics[key] = val if val is not None else default
-    if not 0.0 < resolved_numerics["safety"] <= 1.0:
-        problems.append(
-            "key 'safety' in section 'numerics' must lie in (0, 1], got "
-            f"{resolved_numerics['safety']!r}{_line_of(numerics.data, 'safety')}"
-        )
+    _check_bounds(numerics, resolved_numerics, problems)
     numerics.finish()
 
     output = _Section("output", doc.get("output"), problems)
     resolved_output = {"stride": output.integer("stride", default=resolved_numerics["stride"])}
+    if "stride" in output.data:
+        _check_bounds(output, resolved_output, problems)
     output.finish()
 
     model = None

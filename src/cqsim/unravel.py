@@ -15,9 +15,9 @@ is how trajectories are cross-validated against the grid evolution.
 
 Integration is Euler-Maruyama with per-step renormalization of the state.
 Randomness comes from counter-based Philox streams keyed on
-(master_seed, trajectory_index), so ensembles are order-independent,
-parallel-safe and bitwise reproducible; ensemble reductions always run in
-trajectory-index order.
+(master_seed, trajectory_index), so ensembles are order-independent and
+bitwise reproducible; ensemble reductions always run in trajectory-index
+order.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# Trajectories integrated together; bounds the (chunk, n_steps) noise buffer.
+# Outputs do not depend on it: each trajectory draws from its own stream.
+_CHUNK = 1024
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -156,17 +160,14 @@ def run_ensemble(
     master_seed,
     n_trajectories,
     signal_stride=0,
-    chunk=4096,
     z0_sigma=0.0,
-    n_workers=1,
 ) -> EnsembleResult:
     """Integrate an ensemble with per-trajectory Philox streams.
 
     ``signal_stride`` > 0 records the signal every that many steps (plus the
     endpoints) for moment estimation.  ``z0_sigma`` > 0 draws each initial
-    signal from N(z0, z0_sigma^2).  Trajectories are processed in chunks;
-    each chunk writes a disjoint slice of the preallocated result arrays,
-    so the output is identical for any worker count.
+    signal from N(z0, z0_sigma^2).  Trajectories are integrated in chunks
+    of fixed size, each writing its slice of the preallocated results.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
@@ -180,7 +181,8 @@ def run_ensemble(
         record_idx = np.unique(np.r_[0, np.arange(signal_stride, n_steps, signal_stride), n_steps])
         z_series = np.empty((n, record_idx.size))
 
-    def run_chunk(lo, hi):
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
         m_chunk = hi - lo
         xis = np.empty((m_chunk, n_steps))
         z = np.full(m_chunk, float(z0))
@@ -201,16 +203,6 @@ def run_ensemble(
                 col += 1
         z_final[lo:hi] = z
         psi_final[lo:hi] = psi
-
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    if n_workers > 1 and len(bounds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        for lo, hi in bounds:
-            run_chunk(lo, hi)
 
     times = record_idx * dt if record_idx is not None else None
     return EnsembleResult(

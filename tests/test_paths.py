@@ -6,7 +6,7 @@ from scipy import stats
 
 from cqsim.generator import cfl_limit, evolve
 from cqsim.grids import GridAxis, PhaseGrid
-from cqsim.models import polynomial_cq_model
+from cqsim.models import diagonalize_model, polynomial_cq_model
 from cqsim.paths import (
     BranchPair,
     ClassicalPath,
@@ -242,16 +242,6 @@ class TestFeynmanVernon:
         diag0 = _drift_force(model, qs, BranchPair(0, 0))
         assert np.allclose(np.abs(diag0 - model.dpotential(qs)), 0.9, atol=1e-12)
 
-    def test_sampler_thread_count_is_invisible(self):
-        model = polynomial_cq_model(
-            mass=1.0, potential_coeffs=[0.0, 0.0, 0.5], h_q=[[0.0]], d2_coeffs=[0.4]
-        )
-        from cqsim.paths import sample_path_ensemble as spe
-
-        q1, p1 = spe(model, 0.1, 0.0, 20, 0.01, n_paths=50, seed=21, n_workers=1)
-        q3, p3 = spe(model, 0.1, 0.0, 20, 0.01, n_paths=50, seed=21, n_workers=3)
-        assert np.array_equal(q1, q3) and np.array_equal(p1, p3)
-
     def test_linear_coupling_rate(self):
         # V_I = lam q sigma_z: constant damping 2 D0 lam^2 per unit time
         lam, d0 = 0.7, 1.2
@@ -294,6 +284,45 @@ class TestFeynmanVernon:
         final, diags = evolve(model, state, t_final, t_final / ng, stride=ng)
         decay_grid = diags.coh_01[-1] / diags.coh_01[0]
         assert weights.mean() == pytest.approx(decay_grid, rel=0.05)
+
+
+class TestBranchLabels:
+    # V_I = 0.9 q sigma_z: a basis ordered by the caller's q values labelled
+    # the two branches differently on either side of q = -1.56
+    def linear_qubit_model(self):
+        return polynomial_cq_model(
+            mass=1.0, potential_coeffs=[0.0, 0.0, 0.5], h_q=np.zeros((2, 2)),
+            v_i_matrix=SIGMA_Z, v_i_profile=[0.0, 0.9],
+            d2_coeffs=[0.3], d0_coeffs=[1.0],
+        )
+
+    def test_labels_do_not_depend_on_probe_points(self):
+        from cqsim.paths import _drift_force
+
+        model = self.linear_qubit_model()
+        qs = np.linspace(-4.0, 4.0, 17)
+        probes = ([-3.0], [-1.0], [0.0], [2.5], np.linspace(-5.0, 5.0, 41))
+        eigs = [diagonalize_model(model, probe).dv_eigs(qs) for probe in probes]
+        for other in eigs[1:]:
+            assert np.array_equal(other, eigs[0])
+        pair = BranchPair(0, 0)
+        forces = [_drift_force(model, np.array([q]), pair)[0] for q in (-3.0, -1.0)]
+        assert forces[0] - forces[1] == pytest.approx(-2.0, abs=1e-12)
+
+    def test_pair_00_path_across_old_flip_point_keeps_duality(self):
+        # the whole-path weight (one diagonalization over the path) equals
+        # the product of per-step transition densities (one per step)
+        model = self.linear_qubit_model()
+        pair = BranchPair(0, 0)
+        dt, n_steps = 0.01, 100
+        path = sample_path(model, -2.5, 2.5, n_steps, dt, pair=pair, seed=4)
+        assert path.q[0] < -1.6 and path.q[-1] > -1.5
+        weight_exp = -(om_action(path, model, pair) + anomalous_term(path, model))
+        oracle = sum(
+            em_step_logpdf(model, path.q[k], path.p[k], path.p[k + 1], dt, pair)
+            for k in range(n_steps)
+        )
+        assert abs(weight_exp - n_steps * 0.5 * np.log(2.0 * np.pi * dt) - oracle) < 1e-10
 
 
 class TestConfigAction:

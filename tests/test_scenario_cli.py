@@ -4,6 +4,9 @@ import os
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqsim.cli import main
 from cqsim.runner import compare_artifacts, run_scenario
@@ -11,6 +14,19 @@ from cqsim.scenario import ScenarioError, parse_scenario, parse_scenario_file
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_SCENARIOS = sorted(SCENARIO_DIR.glob("*.yaml"))
+
+# what a parsed value of each bounded numerics key (or output.stride) obeys
+NUMERIC_BOUNDS = {
+    "dt": lambda v: 0.0 < v < float("inf"),
+    "t_final": lambda v: 0.0 < v < float("inf"),
+    "trace_abort": lambda v: 0.0 < v < float("inf"),
+    "n_steps": lambda v: v >= 1,
+    "n_trajectories": lambda v: v >= 1,
+    "n_paths": lambda v: v >= 1,
+    "stride": lambda v: v >= 1,
+    "safety": lambda v: 0.0 < v <= 1.0,
+    "z0_sigma": lambda v: 0.0 <= v < float("inf"),
+}
 
 MINIMAL_CP_CHECK = """\
 run: cp_check
@@ -96,6 +112,54 @@ class TestParsing:
         scenario = parse_scenario(text.replace("[2, 0, 0]", "[2.0, 0, 0]"))
         assert scenario.model["observable"] == (2, 0, 0)
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("numerics", "dt", "0.0"),
+            ("numerics", "dt", ".nan"),
+            ("numerics", "t_final", "-1.0"),
+            ("numerics", "t_final", ".inf"),
+            ("numerics", "trace_abort", "0"),
+            ("numerics", "n_steps", "0"),
+            ("numerics", "n_paths", "0"),
+            ("numerics", "n_trajectories", "-3"),
+            ("numerics", "stride", "0"),
+            ("output", "stride", "0"),
+            ("numerics", "z0_sigma", "-0.25"),
+        ],
+    )
+    def test_out_of_range_numerics_rejected(self, section, key, value):
+        text = MINIMAL_CP_CHECK + f"{section}:\n  {key}: {value}\n"
+        with pytest.raises(ScenarioError, match=f"'{key}' in section '{section}'.*line 7"):
+            parse_scenario(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(
+            [("numerics", key) for key in NUMERIC_BOUNDS] + [("numerics", "seed"),
+             ("numerics", "order"), ("output", "stride")]
+        ),
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(),
+            st.integers(-(10**400), 10**400),
+            st.floats(),
+            st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+            st.lists(st.integers(), max_size=3),
+        ),
+    )
+    def test_any_numerics_value_parses_within_bounds_or_is_rejected(self, where, value):
+        section, key = where
+        text = MINIMAL_CP_CHECK + yaml.safe_dump({section: {key: value}})
+        try:
+            scenario = parse_scenario(text)
+        except ScenarioError:
+            return
+        resolved = scenario.output if section == "output" else scenario.numerics
+        if key in NUMERIC_BOUNDS:
+            assert NUMERIC_BOUNDS[key](resolved[key]), (key, value)
+
 
 class TestShippedScenarios:
     @pytest.mark.parametrize("path", ALL_SCENARIOS, ids=lambda p: p.stem)
@@ -122,12 +186,40 @@ class TestShippedScenarios:
         b = (tmp_path / "b" / "ensemble_summary.txt").read_text()
         assert a != b
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        path = SCENARIO_DIR / "unravel_qubit.yaml"
-        run_scenario(parse_scenario_file(path), tmp_path / "a", n_workers=1)
-        run_scenario(parse_scenario_file(path), tmp_path / "b", n_workers=3)
-        for name in sorted(os.listdir(tmp_path / "a")):
-            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
+
+GATE_REJECTS = {
+    # 4 D2 D0 = 0.08 < 1 everywhere: the CP trade-off fails
+    "sample_paths_cp_violated": (
+        "sample_paths_qdep.yaml", ("d2: [0.4, 0.05]", "d2: [0.01]"), "violates complete positivity",
+    ),
+    # k(z) = 1 + z vanishes at z = -1, inside the z grid
+    "unravel_k_vanishes": (
+        "unravel_feedback.yaml", ("k_slope: 0.3", "k_slope: 1.0"), "k(z) must be positive",
+    ),
+}
+
+
+class TestGate:
+    @pytest.mark.parametrize("path", ALL_SCENARIOS, ids=lambda p: p.stem)
+    def test_run_and_check_agree_on_shipped_scenarios(self, path, tmp_path):
+        run_status = main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert main(["check", str(path)]) == run_status == 0
+
+    @pytest.mark.parametrize("name", sorted(GATE_REJECTS))
+    def test_run_fails_like_check_and_writes_nothing(self, name, tmp_path, capsys):
+        base, (old, new), cause = GATE_REJECTS[name]
+        text = (SCENARIO_DIR / base).read_text()
+        assert old in text
+        path = tmp_path / "variant.yaml"
+        path.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["check", str(path)]) == 1
+        check_err = capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        run_err = capsys.readouterr().err
+        assert cause in check_err
+        assert run_err == check_err
+        assert not out.exists()
 
 
 class TestCli:
