@@ -37,7 +37,10 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("scenario")
     p_run.add_argument("--out", required=True, help="output directory for artifacts")
-    p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
+    p_run.add_argument(
+        "--seed", type=int, default=None,
+        help="override the master seed (unravel and sample_paths; other run types have none)",
+    )
 
     p_check = sub.add_parser("check", help="parse a scenario and audit its couplings")
     p_check.add_argument("scenario")

@@ -15,6 +15,7 @@ Artifacts per run type:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -30,7 +31,7 @@ from .generator import (
 from .models import ModelValidationError, diagonalize_model, validate_model
 from .paths import BranchPair, anomalous_term, fv_action, om_action, sample_path_ensemble, ClassicalPath
 from .psd import schur_cp_check, tradeoff_verdict
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario
 from .state import (
     FLOAT_FMT,
     classical_marginal,
@@ -62,20 +63,50 @@ def _write_csv(path, header_lines, columns, rows):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _provenance(scenario: Scenario, seed) -> str:
-    resolved = dict(scenario.resolved)
-    resolved["numerics"] = dict(resolved["numerics"], seed=seed)
-    return "scenario " + json.dumps(resolved, sort_keys=True)
+def _provenance(scenario: Scenario) -> str:
+    return "scenario " + json.dumps(scenario.resolved, sort_keys=True)
+
+
+def _steps(t_final, dt):
+    """(dt, n_steps): ``dt`` shrunk so that n_steps whole steps reach t_final."""
+    n = t_final / dt
+    if not np.isfinite(n):
+        raise ValueError(f"t_final {t_final:g} is not a finite number of steps of {dt:g}")
+    n = max(1, int(round(n)))
+    return t_final / n, n
+
+
+def _pick_dt(numerics, limit):
+    """`_steps` of the given dt, or else of safety x the stability limit."""
+    dt = numerics["dt"]
+    return _steps(numerics["t_final"], numerics["safety"] * limit if dt is None else dt)
+
+
+def _within(steps, limit):
+    """A grid integration's `_steps`, which must not exceed its stability limit."""
+    if steps[0] > limit:
+        raise ValueError(
+            f"grid step {steps[0]:g} (from numerics dt or safety, and t_final) exceeds "
+            f"the CFL-style limit {limit:g}"
+        )
+    return steps
+
+
+def _reference_steps(scenario):
+    """Steps of unravel's grid reference: safety x the measurement CFL limit."""
+    limit = measurement_cfl_limit(scenario.model, scenario.grid)
+    return _within(_steps(scenario.numerics["t_final"], scenario.numerics["safety"] * limit), limit)
 
 
 def check_scenario(scenario: Scenario) -> dict:
-    """The gate every run type passes before it starts: audit the model.
+    """The gate every run type passes before it starts: audit the model and steps.
 
     cp_check returns its CP report (a Violated verdict is a result, not a
     failure); evolve and sample_paths audit the CQ model on the grid's q
     points, or on 41 points of [-5, 5] without a grid; unravel audits the
     measurement model on the z points.  Raises ModelValidationError when
-    the model fails.
+    the model fails, and ValueError when t_final is not a finite number of
+    steps or a grid integration's step would exceed its CFL-style limit.
     """
     if scenario.run_type == "cp_check":
         report = schur_cp_check(scenario.model)
@@ -89,34 +120,41 @@ def check_scenario(scenario: Scenario) -> dict:
             else np.linspace(-5.0, 5.0, 41)
         )
         validate_model(scenario.model, qs)
-        return {"model": "valid"}
+    if scenario.run_type == "evolve":
+        limit = cfl_limit(scenario.model, scenario.grid)
+        _within(_pick_dt(scenario.numerics, limit), limit)
     if scenario.run_type == "unravel":
-        zs = scenario.grid.axes[0].points
-        scenario.model.validate(zs)
-        return {"model": "valid"}
+        scenario.model.validate(scenario.grid.axes[0].points)
+        _pick_dt(scenario.numerics, measurement_cfl_limit(scenario.model, scenario.grid))
+        if scenario.numerics["z0_sigma"] > 0.0:
+            _reference_steps(scenario)
     return {"model": "valid"}
 
 
 def run_scenario(scenario: Scenario, out_dir, seed=None) -> dict:
     """Gate a scenario through `check_scenario`, then execute it into ``out_dir``.
 
-    Returns a small summary dict.  A model the gate rejects raises
-    ModelValidationError before ``out_dir`` is created.  Raises RunFailure
-    on invariant breaches (after dumping whatever diagnostics exist).
+    ``seed`` replaces the master seed of the run types that have one
+    (unravel, sample_paths); the others ignore it.  Returns a small summary
+    dict.  A scenario the gate rejects raises ModelValidationError or
+    ValueError before ``out_dir`` is created.  Raises RunFailure on
+    invariant breaches (after dumping whatever diagnostics exist).
     """
     audit = check_scenario(scenario)
+    if seed is not None and "seed" in scenario.numerics:
+        numerics = dict(scenario.numerics, seed=seed)
+        resolved = dict(scenario.resolved, numerics=numerics)
+        scenario = dataclasses.replace(scenario, numerics=numerics, resolved=resolved)
     os.makedirs(out_dir, exist_ok=True)
     if scenario.run_type == "cp_check":
         return _run_cp_check(scenario, out_dir, audit)
-    if seed is None:
-        seed = scenario.numerics.get("seed", 0)
     runner = {
         "evolve": _run_evolve,
         "unravel": _run_unravel,
         "sample_paths": _run_sample_paths,
         "zerodim": _run_zerodim,
     }[scenario.run_type]
-    return runner(scenario, out_dir, seed)
+    return runner(scenario, out_dir)
 
 
 def _run_cp_check(scenario, out_dir, audit):
@@ -127,36 +165,25 @@ def _run_cp_check(scenario, out_dir, audit):
     return {"verdict": payload["verdict"]}
 
 
-def _pick_dt(scenario, limit):
-    dt = scenario.numerics.get("dt")
-    if dt is None:
-        dt = scenario.numerics["safety"] * limit
-    t_final = scenario.numerics.get("t_final")
-    if t_final is None:
-        raise ScenarioError("numerics.t_final is required for this run type")
-    n = max(1, int(round(t_final / dt)))
-    return t_final / n, t_final
-
-
-def _run_evolve(scenario, out_dir, seed):
+def _run_evolve(scenario, out_dir):
     init = scenario.initial
+    numerics = scenario.numerics
     state = gaussian_product_state(
         scenario.grid,
         centers=(init["q0"], init["p0"]),
         sigmas=(init["sigma_q"], init["sigma_p"]),
         rho_q=init["rho_q"],
     )
-    dt, t_final = _pick_dt(scenario, cfl_limit(scenario.model, scenario.grid))
-    stride = scenario.output["stride"]
-    prov = _provenance(scenario, seed)
+    dt, _ = _pick_dt(numerics, cfl_limit(scenario.model, scenario.grid))
+    prov = _provenance(scenario)
     try:
         final, diags = evolve(
             scenario.model,
             state,
-            t_final,
+            numerics["t_final"],
             dt,
-            stride=stride,
-            trace_abort=scenario.numerics.get("trace_abort", 1e-6),
+            stride=scenario.output["stride"],
+            trace_abort=numerics["trace_abort"],
         )
     except (EvolutionError, ModelValidationError) as exc:
         diags = getattr(exc, "diagnostics", None)
@@ -171,23 +198,23 @@ def _run_evolve(scenario, out_dir, seed):
     return {"trace": diags.trace[-1], "min_eig": min(diags.min_eig)}
 
 
-def _run_unravel(scenario, out_dir, seed):
+def _run_unravel(scenario, out_dir):
     m = scenario.model
     grid = scenario.grid
     init = scenario.initial
-    dt, t_final = _pick_dt(scenario, measurement_cfl_limit(m, grid))
-    dt_traj = scenario.numerics.get("dt") or dt
-    n_steps = max(1, int(round(t_final / dt_traj)))
-    dt_traj = t_final / n_steps
-    n_traj = scenario.numerics["n_trajectories"]
-    z0_sigma = scenario.numerics.get("z0_sigma", 0.0)
-    prov = _provenance(scenario, seed)
+    numerics = scenario.numerics
+    t_final = numerics["t_final"]
+    dt, n_steps = _pick_dt(numerics, measurement_cfl_limit(m, grid))
+    n_traj = numerics["n_trajectories"]
+    z0_sigma = numerics["z0_sigma"]
+    seed = numerics["seed"]
+    prov = _provenance(scenario)
 
     result = run_ensemble(
         m,
         init["psi"],
         init["z0"],
-        dt_traj,
+        dt,
         n_steps,
         seed,
         n_traj,
@@ -204,10 +231,9 @@ def _run_unravel(scenario, out_dir, seed):
     rho0 = rho0 / np.trace(rho0).real
     if z0_sigma > 0.0:
         ref0 = gaussian_product_state(grid, centers=(init["z0"],), sigmas=(z0_sigma,), rho_q=rho0)
-        dt_grid = 0.4 * measurement_cfl_limit(m, grid)
-        ngrid = max(1, int(round(t_final / dt_grid)))
+        dt_grid, ngrid = _reference_steps(scenario)
         try:
-            ref, _ = evolve_measurement(m, ref0, t_final, t_final / ngrid, stride=ngrid)
+            ref, _ = evolve_measurement(m, ref0, t_final, dt_grid, stride=ngrid)
         except EvolutionError as exc:
             raise RunFailure(str(exc)) from exc
         ref_density = classical_marginal(ref)
@@ -220,7 +246,7 @@ def _run_unravel(scenario, out_dir, seed):
             n *= 10
         _write_csv(os.path.join(out_dir, "convergence.csv"), [prov], ("n", "l1"), rows)
 
-    traj = run_trajectory(m, init["psi"], init["z0"], dt_traj, n_steps, seed, z0_sigma=z0_sigma)
+    traj = run_trajectory(m, init["psi"], init["z0"], dt, n_steps, seed, z0_sigma=z0_sigma)
     d = traj.psi.shape[1]
     cols = ["t", "z"] + [f"{part}_psi{i}" for i in range(d) for part in ("re", "im")]
     rows = []
@@ -233,23 +259,19 @@ def _run_unravel(scenario, out_dir, seed):
     return {"trace": total_trace(binned)}
 
 
-def _run_sample_paths(scenario, out_dir, seed):
+def _run_sample_paths(scenario, out_dir):
     model = scenario.model
     init = scenario.initial
     numerics = scenario.numerics
-    dt = numerics.get("dt")
-    t_final = numerics.get("t_final")
-    n_steps = numerics.get("n_steps")
-    if dt is None or (t_final is None and n_steps is None):
-        raise ScenarioError("sample_paths needs numerics.dt and t_final or n_steps")
-    if n_steps is None:
-        n_steps = max(1, int(round(t_final / dt)))
+    dt = numerics["dt"]
+    n_steps = numerics["n_steps"]
     n_paths = numerics["n_paths"]
-    pair = BranchPair(*init["pair"]) if init.get("pair") else None
-    prov = _provenance(scenario, seed)
+    pair = BranchPair(*init["pair"]) if init["pair"] else None
+    prov = _provenance(scenario)
 
     qs, ps = sample_path_ensemble(
-        model, init["q0"], init["p0"], n_steps, dt, n_paths=n_paths, pair=pair, seed=seed,
+        model, init["q0"], init["p0"], n_steps, dt, n_paths=n_paths, pair=pair,
+        seed=numerics["seed"],
     )
     diag = None if pair is None else diagonalize_model(model, np.unique(qs[:, :-1]))
     rows = []
@@ -270,11 +292,11 @@ def _run_sample_paths(scenario, out_dir, seed):
     return {"n_paths": n_paths}
 
 
-def _run_zerodim(scenario, out_dir, seed):
+def _run_zerodim(scenario, out_dir):
     params = scenario.model["params"]
     obs = scenario.model["observable"]
     engine = scenario.model["engine"]
-    order = scenario.numerics.get("order", 2)
+    order = scenario.numerics["order"]
     payload = {
         "parameters": {
             "m_phi": params.m_phi,

@@ -1,27 +1,42 @@
 """Declarative run configurations: parsing, validation, model building.
 
-A scenario is a YAML document with nested sections: a ``run`` type, one
-model block matching it, and optional ``grid``, ``initial``, ``numerics``
-and ``output`` blocks.  Parsing is strict: duplicate keys, unknown keys,
-missing keys and type mismatches are all reported with the offending key
-and line number.  Matrices are nested lists of reals; a parallel ``*_im``
-key supplies an imaginary part when needed.  Scalar q- or z-dependent
+A scenario is a YAML document with nested sections: a ``run`` type and the
+sections that run type reads, listed in `_SCHEMA`:
+
+* evolve:       model, grid, initial, numerics, output
+* unravel:      model, grid, initial, numerics
+* sample_paths: model, grid (optional), initial, numerics
+* zerodim:      model, numerics
+* cp_check:     model
+
+`_SCHEMA` also names each run type's numerics keys with their defaults (or
+marks them required), and `_NUMERIC_BOUNDS` what each value must satisfy,
+so a scenario is rejected here, before any run starts, for every numerics
+reason.  Parsing is strict: duplicate keys, unknown keys (including a
+section or key another run type reads), missing keys, type mismatches and
+out-of-range values are all reported with the offending key and line
+number.  Matrices are nested lists of reals; a parallel ``*_im`` key
+supplies an imaginary part when needed.  Scalar q- or z-dependent
 coefficients are polynomial coefficient lists, low order first.
 
-The resolved scenario (defaults filled in) is embedded verbatim in every
-output artifact for provenance.
+The resolved scenario (defaults filled in, sample_paths ``n_steps``
+derived from ``t_final`` and ``dt``) is embedded verbatim in every output
+artifact for provenance; the runner reads nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import yaml
 
+from .generator import TRACE_DRIFT_ABORT
 from .grids import GridAxis, PhaseGrid, PERIODIC, TRUNCATE
 from .models import ToyParams, constant_measurement_model, polynomial_cq_model
 from .psd import CouplingTriple
+from .zerodim import PERTURBATIVE_ORDER_CAP
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_file", "RUN_TYPES"]
 
@@ -103,6 +118,16 @@ class _Section:
             return default
         return self.data[key]
 
+    def _floats(self, key, convert, default):
+        try:
+            return convert()
+        except OverflowError:
+            self.problems.append(
+                f"key {key!r} in section {self.name!r} is too large for a float"
+                f"{_line_of(self.data, key)}"
+            )
+            return default
+
     def number(self, key, required=False, default=None):
         val = self._fetch(key, required, default)
         if val is default and key not in self.data:
@@ -113,14 +138,7 @@ class _Section:
                 f"{type(val).__name__}{_line_of(self.data, key)}"
             )
             return default
-        try:
-            return float(val)
-        except OverflowError:
-            self.problems.append(
-                f"key {key!r} in section {self.name!r} is too large for a float"
-                f"{_line_of(self.data, key)}"
-            )
-            return default
+        return self._floats(key, lambda: float(val), default)
 
     def integer(self, key, required=False, default=None):
         val = self._fetch(key, required, default)
@@ -163,7 +181,7 @@ class _Section:
                 f"{_line_of(self.data, key)}"
             )
             return default
-        return [float(x) for x in val]
+        return self._floats(key, lambda: [float(x) for x in val], default)
 
     def matrix(self, key, required=False, default=None):
         val = self._fetch(key, required, default)
@@ -181,7 +199,7 @@ class _Section:
                 f"(list of equal-length number lists){_line_of(self.data, key)}"
             )
             return default
-        return np.array(val, dtype=float)
+        return self._floats(key, lambda: np.array(val, dtype=float), default)
 
     def complex_matrix(self, key, required=False, default=None):
         re = self.matrix(key, required=required, default=None)
@@ -220,22 +238,11 @@ class Scenario:
     resolved: dict
 
 
-_DEFAULT_NUMERICS = {
-    "dt": None,
-    "t_final": None,
-    "n_steps": None,
-    "n_trajectories": 1000,
-    "n_paths": 1000,
-    "seed": 0,
-    "stride": 10,
-    "safety": 0.4,
-    "order": 2,
-    "z0_sigma": 0.0,
-    "trace_abort": 1e-6,
-}
+# Marks a numerics key a run type cannot do without.
+_REQUIRED = object()
 
-
-# key -> (test, what the value must be); checked on the resolved values
+# key -> (test, what the value must be); every numerics and output value a
+# scenario gives is checked against its entry here
 _NUMERIC_BOUNDS = {
     "dt": (lambda v: 0.0 < v < np.inf, "be a finite number > 0"),
     "t_final": (lambda v: 0.0 < v < np.inf, "be a finite number > 0"),
@@ -246,18 +253,52 @@ _NUMERIC_BOUNDS = {
     "stride": (lambda v: v >= 1, "be >= 1"),
     "safety": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
     "z0_sigma": (lambda v: 0.0 <= v < np.inf, "be a finite number >= 0"),
+    "order": (
+        lambda v: 0 <= v <= PERTURBATIVE_ORDER_CAP,
+        f"lie in [0, {PERTURBATIVE_ORDER_CAP}] (the perturbative order cap)",
+    ),
 }
 
+_INTEGER_KEYS = {"n_steps", "n_trajectories", "n_paths", "stride", "seed", "order"}
 
-def _check_bounds(section, resolved, problems):
-    for key, val in resolved.items():
-        if key in _NUMERIC_BOUNDS and val is not None:
-            ok, need = _NUMERIC_BOUNDS[key]
-            if not ok(val):
-                problems.append(
-                    f"key {key!r} in section {section.name!r} must {need}, got "
-                    f"{val!r}{_line_of(section.data, key)}"
-                )
+
+def _read_values(name, block, defaults, problems):
+    """Read a numerics or output block: exactly the keys of ``defaults``."""
+    sec = _Section(name, block, problems)
+    values = {}
+    for key, default in defaults.items():
+        read = sec.integer if key in _INTEGER_KEYS else sec.number
+        required = default is _REQUIRED
+        val = read(key, required=required, default=None if required else default)
+        if val is not None and key in _NUMERIC_BOUNDS and not _NUMERIC_BOUNDS[key][0](val):
+            problems.append(
+                f"key {key!r} in section {name!r} must {_NUMERIC_BOUNDS[key][1]}, got "
+                f"{val!r}{_line_of(sec.data, key)}"
+            )
+        values[key] = val
+    sec.finish()
+    return values
+
+
+def _resolve_path_steps(block, numerics, problems):
+    """sample_paths takes exactly one of t_final and n_steps; n_steps = t_final / dt."""
+    given = [key for key in ("t_final", "n_steps") if numerics[key] is not None]
+    if len(given) == 2:
+        problems.append(
+            f"key 't_final'{_line_of(block, 't_final')} and key 'n_steps'"
+            f"{_line_of(block, 'n_steps')} in section 'numerics' exclude each other; give one"
+        )
+    elif not given:
+        problems.append("section 'numerics' needs one of 't_final' and 'n_steps'")
+    elif given == ["t_final"] and numerics["dt"] is not None:
+        steps = numerics["t_final"] / numerics["dt"]
+        if not np.isfinite(steps):
+            problems.append(
+                f"keys 't_final' and 'dt' in section 'numerics' ask for {steps} steps"
+                f"{_line_of(block, 't_final')}"
+            )
+        else:
+            numerics["n_steps"] = max(1, int(round(steps)))
 
 
 def parse_scenario_file(path) -> Scenario:
@@ -272,71 +313,33 @@ def parse_scenario(text) -> Scenario:
 
     top = _Section("<top>", doc, problems)
     run_type = top.string("run", required=True, choices=set(RUN_TYPES))
-    top.seen.update({"model", "grid", "initial", "numerics", "output"})
+    if problems:
+        raise ScenarioError(problems)
+    schema = _SCHEMA[run_type]
+    top.seen.update(schema)
     top.finish()
-    if problems:
-        raise ScenarioError(problems)
 
-    model_block = doc.get("model")
-    grid_block = doc.get("grid")
-    initial_block = doc.get("initial")
-    numerics = _Section("numerics", doc.get("numerics"), problems)
-    resolved_numerics = {}
-    for key, default in _DEFAULT_NUMERICS.items():
-        if key in ("n_steps", "n_trajectories", "n_paths", "stride", "seed", "order"):
-            val = numerics.integer(key, default=default)
+    built = {}
+    resolved = {"run": run_type}
+    for section, read in schema.items():
+        if callable(read):
+            built[section], resolved[section] = read(doc.get(section), problems)
         else:
-            val = numerics.number(key, default=default)
-        resolved_numerics[key] = val if val is not None else default
-    _check_bounds(numerics, resolved_numerics, problems)
-    numerics.finish()
-
-    output = _Section("output", doc.get("output"), problems)
-    resolved_output = {"stride": output.integer("stride", default=resolved_numerics["stride"])}
-    if "stride" in output.data:
-        _check_bounds(output, resolved_output, problems)
-    output.finish()
-
-    model = None
-    grid = None
-    initial = {}
-    model_resolved = grid_resolved = initial_resolved = None
-
-    if run_type == "cp_check":
-        model, model_resolved = _build_triple(model_block, problems)
-    elif run_type == "zerodim":
-        model, model_resolved = _build_toy(model_block, problems)
-    elif run_type == "unravel":
-        model, model_resolved = _build_measurement(model_block, problems)
-        grid, grid_resolved = _build_grid(grid_block, problems, want_axes=1)
-        initial, initial_resolved = _build_unravel_initial(initial_block, problems)
-    elif run_type == "evolve":
-        model, model_resolved = _build_cq(model_block, problems)
-        grid, grid_resolved = _build_grid(grid_block, problems, want_axes=2)
-        initial, initial_resolved = _build_evolve_initial(initial_block, problems)
-    elif run_type == "sample_paths":
-        model, model_resolved = _build_cq(model_block, problems)
-        grid, grid_resolved = _build_grid(grid_block, problems, want_axes=2, required=False)
-        initial, initial_resolved = _build_paths_initial(initial_block, problems)
+            built[section] = resolved[section] = _read_values(
+                section, doc.get(section), read, problems
+            )
+    if run_type == "sample_paths":
+        _resolve_path_steps(doc.get("numerics"), built["numerics"], problems)
 
     if problems:
         raise ScenarioError(problems)
-
-    resolved = {
-        "run": run_type,
-        "model": model_resolved,
-        "grid": grid_resolved,
-        "initial": initial_resolved,
-        "numerics": resolved_numerics,
-        "output": resolved_output,
-    }
     return Scenario(
         run_type=run_type,
-        model=model,
-        grid=grid,
-        initial=initial,
-        numerics=resolved_numerics,
-        output=resolved_output,
+        model=built["model"],
+        grid=built.get("grid"),
+        initial=built.get("initial", {}),
+        numerics=built.get("numerics", {}),
+        output=built.get("output", {}),
         resolved=resolved,
     )
 
@@ -542,3 +545,52 @@ def _build_paths_initial(block, problems):
         pair = (a, b)
     resolved = {"q0": q0, "p0": p0, "branch_a": a, "branch_b": b}
     return {"q0": q0, "p0": p0, "pair": pair}, resolved
+
+
+_PHASE_GRID = partial(_build_grid, want_axes=2)
+
+# run type -> the sections it reads.  model, grid and initial name their
+# builder; numerics and output map each key to its default, or to
+# _REQUIRED.  A section or key missing here is an unknown key.
+_SCHEMA = {
+    "evolve": {
+        "model": _build_cq,
+        "grid": _PHASE_GRID,
+        "initial": _build_evolve_initial,
+        "numerics": {
+            "t_final": _REQUIRED,
+            "dt": None,
+            "safety": 0.4,
+            "trace_abort": TRACE_DRIFT_ABORT,
+        },
+        "output": {"stride": 10},
+    },
+    "unravel": {
+        "model": _build_measurement,
+        "grid": partial(_build_grid, want_axes=1),
+        "initial": _build_unravel_initial,
+        "numerics": {
+            "t_final": _REQUIRED,
+            "dt": None,
+            "safety": 0.4,
+            "n_trajectories": 1000,
+            "z0_sigma": 0.0,
+            "seed": 0,
+        },
+    },
+    "sample_paths": {
+        "model": _build_cq,
+        "grid": partial(_PHASE_GRID, required=False),
+        "initial": _build_paths_initial,
+        # exactly one of t_final and n_steps: see _resolve_path_steps
+        "numerics": {
+            "dt": _REQUIRED,
+            "t_final": None,
+            "n_steps": None,
+            "n_paths": 1000,
+            "seed": 0,
+        },
+    },
+    "zerodim": {"model": _build_toy, "numerics": {"order": 2}},
+    "cp_check": {"model": _build_triple},
+}

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,79 @@ NUMERIC_BOUNDS = {
     "stride": lambda v: v >= 1,
     "safety": lambda v: 0.0 < v <= 1.0,
     "z0_sigma": lambda v: 0.0 <= v < float("inf"),
+    "order": lambda v: 0 <= v <= 3,
 }
+
+# the sections and numerics keys each run type reads, and nothing else
+SECTIONS = {
+    "evolve": {"model", "grid", "initial", "numerics", "output"},
+    "unravel": {"model", "grid", "initial", "numerics"},
+    "sample_paths": {"model", "grid", "initial", "numerics"},
+    "zerodim": {"model", "numerics"},
+    "cp_check": {"model"},
+}
+NUMERICS_KEYS = {
+    "evolve": {"t_final", "dt", "safety", "trace_abort"},
+    "unravel": {"t_final", "dt", "safety", "n_trajectories", "z0_sigma", "seed"},
+    "sample_paths": {"dt", "t_final", "n_steps", "n_paths", "seed"},
+    "zerodim": {"order"},
+    "cp_check": set(),
+}
+ANY_NUMERICS_KEY = sorted(set().union(*NUMERICS_KEYS.values()) | {"stride"})
+
+# one shipped scenario per run type
+SHIPPED = {
+    "evolve": "evolve_free_diffusion.yaml",
+    "unravel": "unravel_qubit.yaml",
+    "sample_paths": "sample_paths.yaml",
+    "zerodim": "zerodim_perturbative.yaml",
+    "cp_check": "cp_check_saturated.yaml",
+}
+
+# a shipped scenario whose run type reads the key
+BOUND_SCENARIO = {
+    "dt": "evolve_free_diffusion.yaml",
+    "t_final": "evolve_free_diffusion.yaml",
+    "trace_abort": "evolve_free_diffusion.yaml",
+    "stride": "evolve_free_diffusion.yaml",
+    "n_steps": "sample_paths.yaml",
+    "n_paths": "sample_paths.yaml",
+    "n_trajectories": "unravel_qubit.yaml",
+    "z0_sigma": "unravel_qubit.yaml",
+    "order": "zerodim_perturbative.yaml",
+}
+
+NUMBERS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.lists(st.integers(), max_size=3),
+)
+
+
+def with_key(name, section, key, value):
+    """Shipped scenario ``name`` with ``key: value`` set in ``section`` (a
+    section it lacks is appended).  Returns the text and the key's line."""
+    lines = (SCENARIO_DIR / name).read_text().splitlines()
+    if f"{section}:" not in lines:
+        lines.append(f"{section}:")
+    start = lines.index(f"{section}:")
+    end = start + 1
+    while end < len(lines) and lines[end].startswith("  "):
+        end += 1
+    at = next((i for i in range(start + 1, end) if lines[i].split(":")[0].strip() == key), None)
+    if at is None:
+        at = start + 1
+        lines.insert(at, "")
+    lines[at] = f"  {key}: {value}"
+    return "\n".join(lines) + "\n", at + 1
+
+
+def shipped_doc(run_type):
+    return yaml.safe_load((SCENARIO_DIR / SHIPPED[run_type]).read_text())
 
 MINIMAL_CP_CHECK = """\
 run: cp_check
@@ -123,42 +196,115 @@ class TestParsing:
             ("numerics", "n_steps", "0"),
             ("numerics", "n_paths", "0"),
             ("numerics", "n_trajectories", "-3"),
-            ("numerics", "stride", "0"),
             ("output", "stride", "0"),
             ("numerics", "z0_sigma", "-0.25"),
+            ("numerics", "order", "-1"),
+            ("numerics", "order", "7"),
         ],
     )
     def test_out_of_range_numerics_rejected(self, section, key, value):
-        text = MINIMAL_CP_CHECK + f"{section}:\n  {key}: {value}\n"
-        with pytest.raises(ScenarioError, match=f"'{key}' in section '{section}'.*line 7"):
+        text, line = with_key(BOUND_SCENARIO[key], section, key, value)
+        with pytest.raises(
+            ScenarioError, match=rf"key '{key}' in section '{section}' must .*\(line {line}\)"
+        ):
             parse_scenario(text)
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from(
-            [("numerics", key) for key in NUMERIC_BOUNDS] + [("numerics", "seed"),
-             ("numerics", "order"), ("output", "stride")]
+            [(run, "numerics", key) for run in NUMERICS_KEYS for key in sorted(NUMERICS_KEYS[run])]
+            + [("evolve", "output", "stride")]
         ),
-        st.one_of(
-            st.none(),
-            st.booleans(),
-            st.integers(),
-            st.integers(-(10**400), 10**400),
-            st.floats(),
-            st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
-            st.lists(st.integers(), max_size=3),
-        ),
+        NUMBERS,
     )
     def test_any_numerics_value_parses_within_bounds_or_is_rejected(self, where, value):
-        section, key = where
-        text = MINIMAL_CP_CHECK + yaml.safe_dump({section: {key: value}})
+        run_type, section, key = where
+        doc = shipped_doc(run_type)
+        doc[section][key] = value
+        if run_type == "sample_paths" and key == "t_final":
+            del doc["numerics"]["n_steps"]  # the two exclude each other
         try:
-            scenario = parse_scenario(text)
+            scenario = parse_scenario(yaml.safe_dump(doc))
         except ScenarioError:
             return
         resolved = scenario.output if section == "output" else scenario.numerics
         if key in NUMERIC_BOUNDS:
             assert NUMERIC_BOUNDS[key](resolved[key]), (key, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(SHIPPED)),
+        st.booleans(),
+        st.dictionaries(
+            st.one_of(st.sampled_from(ANY_NUMERICS_KEY), st.text(max_size=6)), NUMBERS, max_size=6
+        ),
+    )
+    def test_any_numerics_mapping_parses_to_the_schema_or_is_rejected(
+        self, run_type, on_shipped, mapping
+    ):
+        doc = shipped_doc(run_type)
+        doc["numerics"] = dict(doc.get("numerics") or {}, **mapping) if on_shipped else mapping
+        try:
+            scenario = parse_scenario(yaml.safe_dump(doc))
+        except ScenarioError:
+            return
+        assert set(doc["numerics"]) <= NUMERICS_KEYS[run_type]
+        assert set(scenario.numerics) == NUMERICS_KEYS[run_type]
+        assert set(scenario.resolved) == {"run"} | SECTIONS[run_type]
+        for key, value in scenario.numerics.items():
+            if key in NUMERIC_BOUNDS and value is not None:
+                assert NUMERIC_BOUNDS[key](value), (key, value)
+        if run_type == "sample_paths":
+            assert scenario.numerics["n_steps"] >= 1
+
+    @pytest.mark.parametrize("path", ALL_SCENARIOS, ids=lambda p: p.stem)
+    def test_shipped_scenarios_resolve_exactly_their_schema(self, path):
+        scenario = parse_scenario_file(path)
+        assert set(scenario.resolved) == {"run"} | SECTIONS[scenario.run_type]
+        assert set(scenario.numerics) == NUMERICS_KEYS[scenario.run_type]
+        assert scenario.resolved.get("numerics", {}) == scenario.numerics
+
+    @pytest.mark.parametrize("run_type", ["evolve", "unravel", "sample_paths", "zerodim"])
+    def test_keys_of_other_run_types_rejected(self, run_type):
+        for key in sorted(set(ANY_NUMERICS_KEY) - NUMERICS_KEYS[run_type]):
+            text, line = with_key(SHIPPED[run_type], "numerics", key, "1")
+            with pytest.raises(
+                ScenarioError, match=rf"unknown key '{key}' in section 'numerics' \(line {line}\)"
+            ):
+                parse_scenario(text)
+
+    # cp_check's extra sections: TestGate::test_run_rejects_like_check_before_out
+    @pytest.mark.parametrize("run_type", ["sample_paths", "unravel", "zerodim"])
+    def test_sections_of_other_run_types_rejected(self, run_type):
+        shipped = (SCENARIO_DIR / SHIPPED[run_type]).read_text()
+        line = len(shipped.splitlines()) + 1
+        for section in sorted(SECTIONS["evolve"] - SECTIONS[run_type]):
+            text = shipped + f"{section}:\n  t_final: 1.0\n"
+            with pytest.raises(
+                ScenarioError, match=rf"unknown key '{section}' in section '<top>' \(line {line}\)"
+            ):
+                parse_scenario(text)
+
+    def test_sample_paths_resolves_n_steps_from_t_final(self):
+        text = (SCENARIO_DIR / "sample_paths.yaml").read_text()
+        scenario = parse_scenario(text.replace("n_steps: 100", "t_final: 0.996"))
+        assert scenario.numerics["t_final"] == 0.996
+        assert scenario.numerics["n_steps"] == 100
+
+    @pytest.mark.parametrize(
+        "name,old,new,line",
+        [
+            ("evolve_free_diffusion.yaml", "d2: [0.5]", "d2: [1" + "0" * 400 + "]", 7),
+            ("cp_check_saturated.yaml", "d2: [[0.125]]", "d2: [[1" + "0" * 400 + "]]", 5),
+        ],
+        ids=["vector", "matrix"],
+    )
+    def test_list_entry_too_large_for_a_float_rejected(self, name, old, new, line):
+        text = (SCENARIO_DIR / name).read_text()
+        assert old in text
+        too_large = rf"key 'd2' in section 'model' is too large for a float \(line {line}\)"
+        with pytest.raises(ScenarioError, match=too_large):
+            parse_scenario(text.replace(old, new))
 
 
 class TestShippedScenarios:
@@ -178,6 +324,14 @@ class TestShippedScenarios:
             content = (out_a / name).read_text()
             assert "scenario" in content
 
+    def test_seed_override_is_recorded_in_every_artifact(self, tmp_path):
+        run_scenario(parse_scenario_file(SCENARIO_DIR / "unravel_qubit.yaml"), tmp_path, seed=8)
+        for name in sorted(os.listdir(tmp_path)):
+            lines = (tmp_path / name).read_text().splitlines()
+            provenance = [line for line in lines if line.startswith("# scenario ")]
+            assert len(provenance) == 1, name
+            assert json.loads(provenance[0][len("# scenario "):])["numerics"]["seed"] == 8, name
+
     def test_seed_changes_unravel_output(self, tmp_path):
         path = SCENARIO_DIR / "unravel_qubit.yaml"
         run_scenario(parse_scenario_file(path), tmp_path / "a", seed=7)
@@ -196,6 +350,57 @@ GATE_REJECTS = {
     "unravel_k_vanishes": (
         "unravel_feedback.yaml", ("k_slope: 0.3", "k_slope: 1.0"), "k(z) must be positive",
     ),
+    # one step of 0.3 where the CFL-style limit is 0.0128
+    "evolve_dt_above_cfl": (
+        "evolve_free_diffusion.yaml", ("safety: 0.4", "dt: 0.5"),
+        "grid step 0.3 (from numerics dt or safety, and t_final) exceeds the CFL-style limit",
+    ),
+    "evolve_infinitely_many_steps": (
+        "evolve_free_diffusion.yaml",
+        ("t_final: 0.3\n  safety: 0.4", "t_final: 1.0e+300\n  dt: 1.0e-300"),
+        "t_final 1e+300 is not a finite number of steps of 1e-300",
+    ),
+    # the grid reference takes one step of 0.0179 where the limit is 0.0128
+    "unravel_reference_above_cfl": (
+        "unravel_qubit.yaml", ("t_final: 0.2", "t_final: 0.0179\n  safety: 1.0"),
+        "grid step 0.0179 (from numerics dt or safety, and t_final) exceeds the CFL-style limit",
+    ),
+}
+
+# numerics a run type does not read, or lacks, or may not have: rejected by
+# the parser (exit 2) for check and run alike
+PARSE_REJECTS = {
+    "evolve_without_t_final": (
+        "evolve_free_diffusion.yaml", ("  t_final: 0.3\n", ""),
+        r"missing required key 't_final' in section 'numerics'",
+    ),
+    "evolve_with_n_paths": (
+        "evolve_free_diffusion.yaml", ("safety: 0.4\n", "safety: 0.4\n  n_paths: 10\n"),
+        r"unknown key 'n_paths' in section 'numerics' \(line 21\)",
+    ),
+    "sample_paths_without_dt": (
+        "sample_paths.yaml", ("  dt: 1.0e-2\n", ""),
+        r"missing required key 'dt' in section 'numerics'",
+    ),
+    "sample_paths_t_final_and_n_steps": (
+        "sample_paths.yaml", ("n_steps: 100\n", "n_steps: 100\n  t_final: 1.0\n"),
+        r"key 't_final' \(line 15\) and key 'n_steps' \(line 14\) in section 'numerics'",
+    ),
+    "zerodim_order_negative": (
+        "zerodim_perturbative.yaml", ("order: 2", "order: -1"),
+        r"key 'order' in section 'numerics' must lie in \[0, 3\].* \(line 13\)",
+    ),
+    "zerodim_order_above_cap": (
+        "zerodim_perturbative.yaml", ("order: 2", "order: 7"),
+        r"key 'order' in section 'numerics' must lie in \[0, 3\].* \(line 13\)",
+    ),
+    **{
+        f"cp_check_with_{section}": (
+            "cp_check_saturated.yaml", ("[[2.0]]\n", f"[[2.0]]\n{section}:\n  banana: 1\n"),
+            rf"unknown key '{section}' in section '<top>' \(line 8\)",
+        )
+        for section in ("grid", "initial", "numerics", "output")
+    },
 }
 
 
@@ -218,6 +423,22 @@ class TestGate:
         assert main(["run", str(path), "--out", str(out)]) == 1
         run_err = capsys.readouterr().err
         assert cause in check_err
+        assert run_err == check_err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(PARSE_REJECTS))
+    def test_run_rejects_like_check_before_out(self, name, tmp_path, capsys):
+        base, (old, new), cause = PARSE_REJECTS[name]
+        text = (SCENARIO_DIR / base).read_text()
+        assert old in text
+        path = tmp_path / "variant.yaml"
+        path.write_text(text.replace(old, new, 1))
+        out = tmp_path / "o"
+        assert main(["check", str(path)]) == 2
+        check_err = capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        run_err = capsys.readouterr().err
+        assert re.search(cause, check_err), check_err
         assert run_err == check_err
         assert not out.exists()
 
