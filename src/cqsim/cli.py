@@ -20,14 +20,11 @@ import sys
 
 from .runner import RunFailure, check_scenario, compare_artifacts, run_scenario
 from .scenario import ScenarioError, parse_scenario_file
+from .state import FLOAT_FMT
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _fmt_float(x: float) -> str:
-    return "{:.17g}".format(x)
 
 
 def main(argv=None) -> int:
@@ -63,7 +60,7 @@ def main(argv=None) -> int:
             print(json.dumps(check_scenario(scenario), sort_keys=True, default=str))
             return EXIT_OK
         if args.command == "compare":
-            print(_fmt_float(compare_artifacts(args.a, args.b, metric=args.metric)))
+            print(FLOAT_FMT % compare_artifacts(args.a, args.b, metric=args.metric))
             return EXIT_OK
     except ScenarioError as exc:
         for problem in exc.problems:

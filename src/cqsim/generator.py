@@ -134,8 +134,8 @@ class EvolutionDiagnostics:
         self.var_p.append(var_p)
         self.coh_01.append(coh)
 
-    def rows(self):
-        return zip(self.t, self.trace, self.min_eig, self.purity, self.mean_p, self.var_p, self.coh_01)
+    def table(self):
+        return np.column_stack([getattr(self, name) for name in self.COLUMNS])
 
     COLUMNS = ("t", "trace", "min_eig", "purity", "mean_p", "var_p", "coh_01")
 

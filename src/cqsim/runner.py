@@ -33,12 +33,12 @@ from .paths import BranchPair, anomalous_term, fv_action, om_action, sample_path
 from .psd import schur_cp_check, tradeoff_verdict
 from .scenario import Scenario
 from .state import (
-    FLOAT_FMT,
     classical_marginal,
     gaussian_product_state,
+    load_state,
     save_state,
-    state_from_text,
     total_trace,
+    write_table,
 )
 from .unravel import bin_ensemble, run_ensemble, run_trajectory
 from .zerodim import QuadratureError, moment_perturbative, moment_quadrature
@@ -50,17 +50,14 @@ class RunFailure(RuntimeError):
     """An invariant was breached mid-run; the process should exit nonzero."""
 
 
-def _fmt(x) -> str:
-    return FLOAT_FMT.format(float(x))
+def _write_csv(path, header_lines, columns, table):
+    write_table(path, ["# " + line for line in header_lines] + [",".join(columns)], table)
 
 
-def _write_csv(path, header_lines, columns, rows):
+def _write_json(path, payload):
     with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write("# " + line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _provenance(scenario: Scenario) -> str:
@@ -159,9 +156,7 @@ def run_scenario(scenario: Scenario, out_dir, seed=None) -> dict:
 
 def _run_cp_check(scenario, out_dir, audit):
     payload = dict(audit, scenario=dict(scenario.resolved))
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "report.json"), payload)
     return {"verdict": payload["verdict"]}
 
 
@@ -190,10 +185,10 @@ def _run_evolve(scenario, out_dir):
         if diags is not None:
             _write_csv(
                 os.path.join(out_dir, "diagnostics.csv"), [prov, f"aborted: {exc}"],
-                diags.COLUMNS, diags.rows(),
+                diags.COLUMNS, diags.table(),
             )
         raise RunFailure(str(exc)) from exc
-    _write_csv(os.path.join(out_dir, "diagnostics.csv"), [prov], diags.COLUMNS, diags.rows())
+    _write_csv(os.path.join(out_dir, "diagnostics.csv"), [prov], diags.COLUMNS, diags.table())
     save_state(final, os.path.join(out_dir, "final_state.txt"), scenario=scenario.resolved)
     return {"trace": diags.trace[-1], "min_eig": min(diags.min_eig)}
 
@@ -249,13 +244,8 @@ def _run_unravel(scenario, out_dir):
     traj = run_trajectory(m, init["psi"], init["z0"], dt, n_steps, seed, z0_sigma=z0_sigma)
     d = traj.psi.shape[1]
     cols = ["t", "z"] + [f"{part}_psi{i}" for i in range(d) for part in ("re", "im")]
-    rows = []
-    for idx in range(traj.times.size):
-        row = [traj.times[idx], traj.z[idx]]
-        for i in range(d):
-            row.extend([traj.psi[idx, i].real, traj.psi[idx, i].imag])
-        rows.append(row)
-    _write_csv(os.path.join(out_dir, "trajectory0.csv"), [prov], cols, rows)
+    table = np.column_stack((traj.times, traj.z, traj.psi.view(float)))
+    _write_csv(os.path.join(out_dir, "trajectory0.csv"), [prov], cols, table)
     return {"trace": total_trace(binned)}
 
 
@@ -274,21 +264,21 @@ def _run_sample_paths(scenario, out_dir):
         seed=numerics["seed"],
     )
     diag = None if pair is None else diagonalize_model(model, np.unique(qs[:, :-1]))
-    rows = []
+    exponents = np.empty(n_paths)
     for i in range(n_paths):
         path = ClassicalPath(dt=dt, q=qs[i], p=ps[i])
-        weight_exponent = om_action(path, model, pair, diag=diag) + anomalous_term(path, model)
+        exponents[i] = om_action(path, model, pair, diag=diag) + anomalous_term(path, model)
         if pair is not None:
-            weight_exponent += fv_action(path, model, pair, diag=diag)
-        # the raw weight can under/overflow for long paths; the exponent
-        # column carries the lossless value
-        rows.append((np.exp(-weight_exponent), qs[i, -1], ps[i, -1], weight_exponent))
+            exponents[i] += fv_action(path, model, pair, diag=diag)
+    # the raw weight can under/overflow for long paths; the exponent column
+    # carries the lossless value
     _write_csv(
         os.path.join(out_dir, "ensemble.csv"), [prov],
-        ("weight", "q_end", "p_end", "weight_exponent"), rows,
+        ("weight", "q_end", "p_end", "weight_exponent"),
+        np.column_stack((np.exp(-exponents), qs[:, -1], ps[:, -1], exponents)),
     )
-    path_rows = [(k * dt, qs[0, k], ps[0, k]) for k in range(n_steps + 1)]
-    _write_csv(os.path.join(out_dir, "path0.csv"), [prov], ("t", "q", "p"), path_rows)
+    path0 = np.column_stack((np.arange(n_steps + 1) * dt, qs[0], ps[0]))
+    _write_csv(os.path.join(out_dir, "path0.csv"), [prov], ("t", "q", "p"), path0)
     return {"n_paths": n_paths}
 
 
@@ -324,24 +314,20 @@ def _run_zerodim(scenario, out_dir):
             }
     except (QuadratureError, ValueError) as exc:
         raise RunFailure(str(exc)) from exc
-    with open(os.path.join(out_dir, "moments.json"), "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "moments.json"), payload)
     return {"results": payload["results"]}
 
 
 def compare_artifacts(path_a, path_b, metric="l1") -> float:
     """Distance between the classical marginals of two state artifacts.
 
-    Both files must be state dumps on the same grid; the metric is over the
-    classical probability densities (l1 is volume-weighted).
+    Both files must be state dumps on identical grids (axes, extents, point
+    counts and boundary); the metric is over the classical probability
+    densities (l1 is volume-weighted).
     """
-    with open(path_a) as fh:
-        a = state_from_text(fh.read())
-    with open(path_b) as fh:
-        b = state_from_text(fh.read())
-    if a.grid.shape != b.grid.shape:
-        raise ValueError(f"grids differ: {a.grid.shape} vs {b.grid.shape}")
+    a, b = load_state(path_a), load_state(path_b)
+    if a.grid != b.grid:
+        raise ValueError(f"grids differ: {a.grid} vs {b.grid}")
     pa, pb = classical_marginal(a), classical_marginal(b)
     if metric == "l1":
         return float(np.abs(pa - pb).sum() * a.grid.cell_volume)

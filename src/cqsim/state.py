@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,20 +179,32 @@ def gaussian_product_state(
 
 # -- columnar text serialization -------------------------------------------
 #
-# One row per cell: the cell coordinates, then the d*d matrix entries in
-# row-major order as (re, im) pairs.  Header lines carry the grid metadata
+# Every artifact table is one float array written by `write_table`: '#'
+# header lines, then one row per line in FLOAT_FMT, which reads back as the
+# same float64.  A state dump has one row per cell: the cell coordinates,
+# then the d*d matrix entries in row-major order as (re, im) pairs (the
+# complex cells viewed as floats).  Its header carries the grid metadata
 # and, for provenance, an optional resolved-scenario JSON blob.
 
-FLOAT_FMT = "{:.17g}"
+FLOAT_FMT = "%.17g"
+
+
+def write_table(fh, header_lines, table):
+    """Write ``header_lines``, then one FLOAT_FMT row per table row, to a file name or stream."""
+    np.savetxt(fh, table, fmt=FLOAT_FMT, delimiter=",", header="\n".join(header_lines), comments="")
 
 
 def save_state(state: HybridState, path, scenario=None):
-    with open(path, "w") as fh:
-        fh.write(state_to_text(state, scenario=scenario))
+    _write_state(path, state, scenario)
 
 
 def state_to_text(state: HybridState, scenario=None) -> str:
     buf = io.StringIO()
+    _write_state(buf, state, scenario)
+    return buf.getvalue()
+
+
+def _write_state(fh, state, scenario):
     meta = {
         "axes": [
             {"name": ax.name, "lo": ax.lo, "hi": ax.hi, "n": ax.n} for ax in state.grid.axes
@@ -199,24 +212,16 @@ def state_to_text(state: HybridState, scenario=None) -> str:
         "boundary": state.grid.boundary,
         "hilbert_dim": state.hilbert_dim,
     }
-    buf.write("# cqsim-state " + json.dumps(meta, sort_keys=True) + "\n")
+    header = ["# cqsim-state " + json.dumps(meta, sort_keys=True)]
     if scenario is not None:
-        buf.write("# scenario " + json.dumps(scenario, sort_keys=True) + "\n")
+        header.append("# scenario " + json.dumps(scenario, sort_keys=True))
     d = state.hilbert_dim
     names = [ax.name for ax in state.grid.axes]
     cols = names + [f"{part}_{i}{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
-    buf.write("# columns: " + ",".join(cols) + "\n")
-    meshes = state.grid.meshes()
-    flat_coords = [m.reshape(-1) for m in meshes]
-    flat_cells = state.cells.reshape(-1, d, d)
-    for idx in range(flat_cells.shape[0]):
-        row = [FLOAT_FMT.format(c[idx]) for c in flat_coords]
-        for i in range(d):
-            for j in range(d):
-                row.append(FLOAT_FMT.format(flat_cells[idx, i, j].real))
-                row.append(FLOAT_FMT.format(flat_cells[idx, i, j].imag))
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    header.append("# columns: " + ",".join(cols))
+    coords = [m.reshape(-1) for m in state.grid.meshes()]
+    entries = state.cells.reshape(coords[0].size, d * d).view(float)
+    write_table(fh, header, np.column_stack(coords + [entries]))
 
 
 def load_state(path) -> HybridState:
@@ -226,23 +231,33 @@ def load_state(path) -> HybridState:
 
 
 def state_from_text(text: str) -> HybridState:
+    # loadtxt reads the list of lines; an io.StringIO(text) copy would hold
+    # four bytes per character of a dump that can run to tens of megabytes
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# cqsim-state "):
         raise ValueError("not a cqsim state file (missing header)")
     meta = json.loads(lines[0][len("# cqsim-state ") :])
-    axes = tuple(GridAxis(a["name"], a["lo"], a["hi"], a["n"]) for a in meta["axes"])
-    grid = PhaseGrid(axes, boundary=meta["boundary"])
-    d = meta["hilbert_dim"]
+    try:
+        axes = tuple(GridAxis(a["name"], a["lo"], a["hi"], a["n"]) for a in meta["axes"])
+        grid = PhaseGrid(axes, boundary=meta["boundary"])
+        d = operator.index(meta["hilbert_dim"])
+    except KeyError as exc:
+        raise ValueError(f"state header lacks key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed state header: {exc}") from None
     ncoord = len(axes)
-    data = []
-    for line in lines:
-        if line.startswith("#") or not line.strip():
-            continue
-        parts = [float(x) for x in line.split(",")]
-        data.append(parts)
-    arr = np.array(data)
-    if arr.shape[0] != int(np.prod(grid.shape)):
-        raise ValueError("row count does not match grid shape")
-    entries = arr[:, ncoord:]
-    cells = (entries[:, 0::2] + 1j * entries[:, 1::2]).reshape(grid.shape + (d, d))
+    width = ncoord + 2 * d * d
+    # loadtxt warns on input without data rows; those fail the row count
+    if any(line.strip() and not line.startswith("#") for line in lines):
+        table = np.loadtxt(lines, delimiter=",", ndmin=2)
+    else:
+        table = np.empty((0, width))
+    if table.shape[1] != width:
+        raise ValueError(
+            f"state rows have {table.shape[1]} columns, expected {width} "
+            f"({ncoord} coordinates + 2 x {d}^2 entries for hilbert_dim {d})"
+        )
+    if table.shape[0] != int(np.prod(grid.shape)):
+        raise ValueError(f"row count {table.shape[0]} does not match grid shape {grid.shape}")
+    cells = table[:, ncoord:].view(complex).reshape(grid.shape + (d, d))
     return HybridState(grid, cells)

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqsim.cli import main
+from cqsim.grids import GridAxis, PhaseGrid
 from cqsim.runner import compare_artifacts, run_scenario
 from cqsim.scenario import ScenarioError, parse_scenario, parse_scenario_file
+from cqsim.state import gaussian_product_state, save_state
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_SCENARIOS = sorted(SCENARIO_DIR.glob("*.yaml"))
@@ -509,6 +511,27 @@ class TestCli:
         ])
         assert code == 1
         assert "grids differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lo_b, boundary_b",
+    [(-4.0, "periodic"), (-4.0, "truncate"), (-1.0, "periodic")],
+    ids=["extents-and-boundary", "extents", "boundary"],
+)
+def test_compare_rejects_different_grids_of_one_shape(tmp_path, capsys, lo_b, boundary_b):
+    def dump(name, lo, boundary):
+        grid = PhaseGrid((GridAxis("q", lo, -lo, 9), GridAxis("p", lo, -lo, 9)), boundary=boundary)
+        path = tmp_path / name
+        save_state(gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5)), path)
+        return str(path)
+
+    a = dump("a.txt", -1.0, "truncate")
+    b = dump("b.txt", lo_b, boundary_b)
+    assert main(["compare", a, b]) == 1
+    err = capsys.readouterr().err
+    assert "grids differ" in err and f"boundary='{boundary_b}'" in err
+    with pytest.raises(ValueError, match="grids differ"):
+        compare_artifacts(a, b)
 
 
 def test_compare_artifacts_l1_linf(tmp_path):

@@ -1,6 +1,10 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
+from cqsim.cli import main
 from cqsim.grids import GridAxis, PhaseGrid
 from cqsim.state import (
     HybridState,
@@ -138,6 +142,103 @@ def test_serialization_single_axis_grid():
     loaded = state_from_text(text)
     assert loaded.grid.ndim == 1
     assert total_trace(loaded) == pytest.approx(1.0)
+
+
+def reference_state_text(state, scenario=None):
+    """The per-entry "{:.17g}" writer `state_to_text` replaced: the format reference."""
+    buf = io.StringIO()
+    meta = {
+        "axes": [
+            {"name": ax.name, "lo": ax.lo, "hi": ax.hi, "n": ax.n} for ax in state.grid.axes
+        ],
+        "boundary": state.grid.boundary,
+        "hilbert_dim": state.hilbert_dim,
+    }
+    buf.write("# cqsim-state " + json.dumps(meta, sort_keys=True) + "\n")
+    if scenario is not None:
+        buf.write("# scenario " + json.dumps(scenario, sort_keys=True) + "\n")
+    d = state.hilbert_dim
+    names = [ax.name for ax in state.grid.axes]
+    cols = names + [f"{part}_{i}{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
+    buf.write("# columns: " + ",".join(cols) + "\n")
+    meshes = state.grid.meshes()
+    flat_coords = [m.reshape(-1) for m in meshes]
+    flat_cells = state.cells.reshape(-1, d, d)
+    for idx in range(flat_cells.shape[0]):
+        row = ["{:.17g}".format(c[idx]) for c in flat_coords]
+        for i in range(d):
+            for j in range(d):
+                row.append("{:.17g}".format(flat_cells[idx, i, j].real))
+                row.append("{:.17g}".format(flat_cells[idx, i, j].imag))
+        buf.write(",".join(row) + "\n")
+    return buf.getvalue()
+
+
+# signed zero, the smallest subnormal, the largest finite float, a decimal
+# that has no exact binary form, integer-valued floats, and generic values
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, -2.0, 1e16, 0.0,
+               -1.2345678901234567e-7, 2.0 / 3.0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "axes",
+    [
+        (GridAxis("z", -1.0, 1.0, 7),),
+        (GridAxis("q", -1.5, 0.25, 3), GridAxis("p", -2.0, 2.0, 4)),
+    ],
+    ids=["1-axis", "2-axis"],
+)
+def test_state_text_matches_per_entry_reference(axes, d):
+    grid = PhaseGrid(axes, boundary="periodic")
+    n = int(np.prod(grid.shape)) * d * d
+    values = np.resize(EDGE_VALUES, 2 * n)
+    cells = (values[:n] + 1j * 0.0).reshape(grid.shape + (d, d))
+    cells.imag = np.roll(values, 3)[:n].reshape(grid.shape + (d, d))
+    state = HybridState(grid, cells)
+    scenario = {"run": "evolve", "numerics": {"dt": 0.1}}
+    for prov in (None, scenario):
+        text = state_to_text(state, scenario=prov)
+        assert text == reference_state_text(state, scenario=prov)
+    loaded = state_from_text(text)
+    assert loaded.grid == grid
+    # bit for bit, so -0.0 keeps its sign
+    assert loaded.cells.tobytes() == state.cells.tobytes()
+
+
+def _edit_header(text, **changes):
+    """``text`` with its cqsim-state header keys replaced, or dropped where None."""
+    head, rest = text.split("\n", 1)
+    meta = dict(json.loads(head[len("# cqsim-state "):]), **changes)
+    meta = {key: value for key, value in meta.items() if value is not None}
+    return "# cqsim-state " + json.dumps(meta) + "\n" + rest
+
+
+@pytest.mark.parametrize(
+    "edit, cause",
+    [
+        (lambda t: _edit_header(t, axes=None), "lacks key 'axes'"),
+        (lambda t: _edit_header(t, boundary=None), "lacks key 'boundary'"),
+        (lambda t: _edit_header(t, hilbert_dim=None), "lacks key 'hilbert_dim'"),
+        (lambda t: _edit_header(t, hilbert_dim=2), "4 columns, expected 10"),
+        (lambda t: _edit_header(t, hilbert_dim=1.0), "malformed state header: 'float'"),
+        (lambda t: _edit_header(t, axes="qp"), "malformed state header: string indices"),
+        (lambda t: "".join(t.splitlines(keepends=True)[:2]), "row count 0 "),
+    ],
+    ids=["no-axes", "no-boundary", "no-hilbert-dim", "hilbert-dim-mismatch",
+         "hilbert-dim-float", "axes-not-a-list", "header-only"],
+)
+def test_malformed_state_file_names_the_cause(tmp_path, capsys, edit, cause):
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 9), GridAxis("p", -1.0, 1.0, 9)))
+    text = edit(state_to_text(gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5))))
+    with pytest.raises(ValueError, match=cause):
+        state_from_text(text)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["compare", str(path), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err
+    assert "Traceback" not in err
 
 
 def test_grid_invariants():
