@@ -13,6 +13,7 @@ edges (probability reaching the boundary is monitored by callers); under
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,12 @@ class GridAxis:
     n: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(
+                f"axis {self.name!r} needs an integer point count, got {self.n!r}"
+            ) from None
         if self.n < MIN_POINTS:
             raise ValueError(f"axis {self.name!r} needs at least {MIN_POINTS} points, got {self.n}")
         if not self.hi > self.lo:

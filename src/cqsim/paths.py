@@ -16,12 +16,17 @@ exp(-OM - FV - anomalous), where for a (q, p) path with steps dt:
     cross-branch components.
 
 All q-dependent coefficients are evaluated at the pre-point (Ito), matching
-the Euler-Maruyama sampler `sample_path`; the weight/transition-density
-duality is exact step by step, which is the module's core consistency
-check.  Branch pairs index the fixed eigenbasis of dV_I/dq, whose labels
+the Euler-Maruyama sampler `sample_path_ensemble` (one step for all paths
+at once, path i's noise from the stream keyed (seed, i)); the
+weight/transition-density duality is exact step by step, which is the
+module's core consistency check.  Branch pairs index the fixed eigenbasis of dV_I/dq, whose labels
 depend on the model alone, and stay constant along a path (diagonal
 models).  Functions taking ``diag`` accept a `diagonalize_model` result so
 that a caller evaluating many paths diagonalizes once.
+
+A `ClassicalPath` is one path (q, p of shape (n_steps + 1,)) or a batch
+(shape (n_paths, n_steps + 1)); the exponents sum over the last axis, one
+value per row, each bit-equal to scoring that row alone.
 
 Configuration-space weights replace the residual by the Euler-Lagrange
 defect m qddot + dV/dq + averaged force, with qddot the central second
@@ -37,6 +42,7 @@ import numpy as np
 
 from .grids import PhaseGrid
 from .models import CQModel, DiagonalizedModel, diagonalize_model
+from .unravel import trajectory_normals
 
 __all__ = [
     "ClassicalPath",
@@ -64,7 +70,7 @@ class PathRejectedError(ValueError):
 
 @dataclass(frozen=True)
 class ClassicalPath:
-    """Uniformly sampled classical path; p is optional for q-space use."""
+    """Uniformly sampled classical path or batch of rows; p is optional for q-space use."""
 
     dt: float
     q: np.ndarray
@@ -72,8 +78,8 @@ class ClassicalPath:
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        if q.ndim != 1 or q.size < 2:
-            raise ValueError("q must be a 1-d array with at least 2 samples")
+        if q.ndim not in (1, 2) or q.shape[-1] < 2:
+            raise ValueError("q must be a 1-d or 2-d array with at least 2 samples per path")
         object.__setattr__(self, "q", q)
         if self.p is not None:
             p = np.asarray(self.p, dtype=float)
@@ -85,7 +91,7 @@ class ClassicalPath:
 
     @property
     def n_steps(self) -> int:
-        return self.q.size - 1
+        return self.q.shape[-1] - 1
 
 
 @dataclass(frozen=True)
@@ -122,25 +128,33 @@ def _drift_force(
     return force
 
 
+def _first_bad(bad):
+    """(index tuple, step, " of path i" for a batch) of the first True entry."""
+    where = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    step = int(where[-1])
+    return where, step, (f" of path {int(where[0])}" if bad.ndim == 2 else "")
+
+
 def _check_constraint(path: ClassicalPath, model: CQModel):
     if path.p is None:
         raise PathRejectedError("phase-space action needs a path with a p array")
-    gap = path.q[1:] - path.q[:-1] - (path.p[:-1] / model.mass) * path.dt
+    gap = path.q[..., 1:] - path.q[..., :-1] - (path.p[..., :-1] / model.mass) * path.dt
     bad = np.abs(gap) > CONSTRAINT_TOL
     if np.any(bad):
-        idx = int(np.argmax(bad))
+        where, step, row = _first_bad(bad)
         raise PathRejectedError(
-            f"q-constraint violated at step {idx}: |gap| = {np.abs(gap[idx]):.3e}", index=idx
+            f"q-constraint violated at step {step}{row}: |gap| = {np.abs(gap[where]):.3e}",
+            index=step,
         )
 
 
 def _positive_d2(model: CQModel, qs):
     d2 = np.asarray(model.d2(qs), dtype=float)
     if np.any(d2 <= 0.0):
-        idx = int(np.argmax(d2 <= 0.0))
+        where, step, row = _first_bad(d2 <= 0.0)
         raise PathRejectedError(
-            f"D2(q) <= 0 at step {idx} (q={qs[idx]:g}); positive-eigenvalue branch only",
-            index=idx,
+            f"D2(q) <= 0 at step {step}{row} (q={qs[where]:g}); positive-eigenvalue branch only",
+            index=step,
         )
     return d2
 
@@ -153,17 +167,16 @@ def om_action(
 ) -> float:
     """Onsager-Machlup suppression exponent of a constraint-satisfying path."""
     _check_constraint(path, model)
-    q_pre = path.q[:-1]
+    q_pre = path.q[..., :-1]
     d2 = _positive_d2(model, q_pre)
-    r = (path.p[1:] - path.p[:-1]) / path.dt + _drift_force(model, q_pre, pair, diag)
-    return float(np.sum(0.5 * path.dt * r * r / d2))
+    r = (path.p[..., 1:] - path.p[..., :-1]) / path.dt + _drift_force(model, q_pre, pair, diag)
+    return np.sum(0.5 * path.dt * r * r / d2, axis=-1)
 
 
 def anomalous_term(path: ClassicalPath, model: CQModel) -> float:
     """Per-step (1/2) log D2(q_k); the state-dependent measure contribution."""
-    q_pre = path.q[:-1]
-    d2 = _positive_d2(model, q_pre)
-    return float(np.sum(0.5 * np.log(d2)))
+    d2 = _positive_d2(model, path.q[..., :-1])
+    return np.sum(0.5 * np.log(d2), axis=-1)
 
 
 def fv_action(
@@ -173,10 +186,10 @@ def fv_action(
     diag: Optional[DiagonalizedModel] = None,
 ) -> float:
     """Feynman-Vernon damping exponent sum dt (D0/2)(l_a - l_b)^2 >= 0."""
-    q_pre = path.q[:-1]
+    q_pre = path.q[..., :-1]
     la, lb = _branch_levels(model, q_pre, pair, diag)
     d0 = np.asarray(model.d0(q_pre), dtype=float)
-    return float(np.sum(path.dt * 0.5 * d0 * (la - lb) ** 2))
+    return np.sum(path.dt * 0.5 * d0 * (la - lb) ** 2, axis=-1)
 
 
 def sample_path(
@@ -212,12 +225,8 @@ def sample_path_ensemble(
     Path i draws its noise from the stream keyed (seed, i); ``q0`` and
     ``p0`` are scalars or per-path arrays.
     """
-    from .unravel import trajectory_rng
-
     diag = None if pair is None else diagonalize_model(model, np.unique(q0))
-    xis = np.empty((n_paths, n_steps))
-    for i in range(n_paths):
-        xis[i] = trajectory_rng(seed, i).standard_normal(n_steps)
+    xis = trajectory_normals(seed, 0, n_paths, n_steps)
     qs = np.empty((n_paths, n_steps + 1))
     ps = np.empty((n_paths, n_steps + 1))
     qs[:, 0] = q0  # scalar or per-path array, broadcast either way

@@ -3,6 +3,8 @@
 Every artifact embeds the fully resolved scenario (defaults filled) in its
 header for provenance, and all floats are written with 17 significant
 digits so that a rerun with the same master seed is byte-identical.
+unravel integrates its ensemble once and takes trajectory 0 from it;
+sample_paths scores its sampled paths as `ClassicalPath` batches.
 
 Artifacts per run type:
 
@@ -40,7 +42,7 @@ from .state import (
     total_trace,
     write_table,
 )
-from .unravel import bin_ensemble, run_ensemble, run_trajectory
+from .unravel import bin_ensemble, run_ensemble
 from .zerodim import QuadratureError, moment_perturbative, moment_quadrature
 
 __all__ = ["run_scenario", "check_scenario", "compare_artifacts", "RunFailure"]
@@ -241,7 +243,7 @@ def _run_unravel(scenario, out_dir):
             n *= 10
         _write_csv(os.path.join(out_dir, "convergence.csv"), [prov], ("n", "l1"), rows)
 
-    traj = run_trajectory(m, init["psi"], init["z0"], dt, n_steps, seed, z0_sigma=z0_sigma)
+    traj = result.first
     d = traj.psi.shape[1]
     cols = ["t", "z"] + [f"{part}_psi{i}" for i in range(d) for part in ("re", "im")]
     table = np.column_stack((traj.times, traj.z, traj.psi.view(float)))
@@ -264,12 +266,15 @@ def _run_sample_paths(scenario, out_dir):
         seed=numerics["seed"],
     )
     diag = None if pair is None else diagonalize_model(model, np.unique(qs[:, :-1]))
+    # blocks of ~64k path steps keep the scoring temporaries small
+    rows = max(1, (1 << 16) // n_steps)
     exponents = np.empty(n_paths)
-    for i in range(n_paths):
-        path = ClassicalPath(dt=dt, q=qs[i], p=ps[i])
-        exponents[i] = om_action(path, model, pair, diag=diag) + anomalous_term(path, model)
+    for lo in range(0, n_paths, rows):
+        block = ClassicalPath(dt=dt, q=qs[lo : lo + rows], p=ps[lo : lo + rows])
+        block_exp = om_action(block, model, pair, diag=diag) + anomalous_term(block, model)
         if pair is not None:
-            exponents[i] += fv_action(path, model, pair, diag=diag)
+            block_exp += fv_action(block, model, pair, diag=diag)
+        exponents[lo : lo + rows] = block_exp
     # the raw weight can under/overflow for long paths; the exponent column
     # carries the lossless value
     _write_csv(

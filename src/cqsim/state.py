@@ -245,6 +245,8 @@ def state_from_text(text: str) -> HybridState:
         raise ValueError(f"state header lacks key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed state header: {exc}") from None
+    if d < 1:
+        raise ValueError(f"state header hilbert_dim must be positive, got {d}")
     ncoord = len(axes)
     width = ncoord + 2 * d * d
     # loadtxt warns on input without data rows; those fail the row count

@@ -13,11 +13,12 @@ ensemble average over signals reconstructs the hybrid state solving the
 linear measurement master equation (couplings D0 = 2k, D2 = 1/(8k)), which
 is how trajectories are cross-validated against the grid evolution.
 
-Integration is Euler-Maruyama with per-step renormalization of the state.
-Randomness comes from counter-based Philox streams keyed on
-(master_seed, trajectory_index), so ensembles are order-independent and
-bitwise reproducible; ensemble reductions always run in trajectory-index
-order.
+Integration is Euler-Maruyama with per-step renormalization of the state,
+one vectorized pass over an ensemble's rows that also keeps row 0's full
+history; a single trajectory is a one-row ensemble.  Randomness comes from
+counter-based Philox streams keyed on (master_seed, trajectory_index), so
+ensembles are order-independent and bitwise reproducible; ensemble
+reductions always run in trajectory-index order.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "Trajectory",
     "EnsembleResult",
     "trajectory_rng",
+    "trajectory_normals",
     "unravel_step",
     "run_trajectory",
     "run_ensemble",
@@ -45,8 +47,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# Trajectories integrated together; bounds the (chunk, n_steps) noise buffer.
-# Outputs do not depend on it: each trajectory draws from its own stream.
+# Trajectories integrated together; bounds the (chunk, n_steps + 1) noise
+# buffer, which is drawn per chunk (1e5 rows of 151 draws at once would take
+# 120 MB).  Outputs do not depend on it: each row draws from its own stream.
 _CHUNK = 1024
 
 
@@ -54,6 +57,23 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent counter-based stream for one trajectory."""
     key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def trajectory_normals(master_seed: int, start: int, n_rows: int, n_draws: int) -> np.ndarray:
+    """(n_rows, n_draws) normals; row i is the start of trajectory_rng(master_seed, start + i).
+
+    One generator replays every row: its Philox state is reset to a fresh one with the row's key.
+    """
+    rng = trajectory_rng(master_seed, start)
+    bits = rng.bit_generator
+    fresh = bits.state
+    key = fresh["state"]["key"]
+    out = np.empty((n_rows, n_draws))
+    for i in range(n_rows):
+        key[1] = (start + i) & _MASK64
+        bits.state = fresh
+        out[i] = rng.standard_normal(n_draws)
+    return out
 
 
 @dataclass(frozen=True)
@@ -64,7 +84,7 @@ class Trajectory:
     times: np.ndarray
     z: np.ndarray
     psi: np.ndarray  # (n_steps + 1, d), unit rows
-    norm_defect: Optional[np.ndarray] = None  # per-step |  ||psi_raw|| - 1 |
+    norm_defect: np.ndarray  # (n_steps,), per-step |  ||psi_raw|| - 1 |
 
     def at_time(self, t: float):
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -75,12 +95,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Final-time snapshot of an ensemble, plus optional signal history."""
+    """Final-time snapshot of an ensemble, row 0's history, optional signal history."""
 
     master_seed: int
     t_final: float
     z: np.ndarray  # (n,)
     psi: np.ndarray  # (n, d)
+    first: Trajectory  # row 0, every step
     z_series: Optional[np.ndarray] = None  # (n, n_recorded) signal history
     series_times: Optional[np.ndarray] = None
 
@@ -119,36 +140,13 @@ def unravel_step(m: MeasurementModel, psi, z, dt, xi):
     return psi_new[0], float(z_new[0])
 
 
-def run_trajectory(
-    m: MeasurementModel, psi0, z0, dt, n_steps, seed, record_norm_defect=False, z0_sigma=0.0
-) -> Trajectory:
-    """Integrate one trajectory; deterministic for a fixed seed.
+def run_trajectory(m: MeasurementModel, psi0, z0, dt, n_steps, seed, z0_sigma=0.0) -> Trajectory:
+    """Integrate one trajectory: row 0 of a one-row `run_ensemble`.
 
     ``z0_sigma`` > 0 draws the initial signal from N(z0, z0_sigma^2) using
     the trajectory's own stream (initial classical uncertainty).
     """
-    rng = trajectory_rng(seed, 0)
-    if z0_sigma > 0.0:
-        z0 = z0 + z0_sigma * rng.standard_normal()
-    xis = rng.standard_normal(n_steps)
-    psi = np.asarray(psi0, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    d = psi.shape[0]
-    zs = np.empty(n_steps + 1)
-    psis = np.empty((n_steps + 1, d), dtype=complex)
-    defects = np.empty(n_steps) if record_norm_defect else None
-    zs[0] = z0
-    psis[0] = psi
-    z_arr = np.atleast_1d(float(z0))
-    psi_arr = psi[None, :]
-    for step in range(n_steps):
-        psi_arr, z_arr, norms = _step_arrays(m, psi_arr, z_arr, dt, xis[step : step + 1])
-        if record_norm_defect:
-            defects[step] = abs(norms[0] - 1.0)
-        zs[step + 1] = z_arr[0]
-        psis[step + 1] = psi_arr[0]
-    times = np.arange(n_steps + 1) * dt
-    return Trajectory(seed=seed, times=times, z=zs, psi=psis, norm_defect=defects)
+    return run_ensemble(m, psi0, z0, dt, n_steps, seed, 1, z0_sigma=z0_sigma).first
 
 
 def run_ensemble(
@@ -166,15 +164,22 @@ def run_ensemble(
 
     ``signal_stride`` > 0 records the signal every that many steps (plus the
     endpoints) for moment estimation.  ``z0_sigma`` > 0 draws each initial
-    signal from N(z0, z0_sigma^2).  Trajectories are integrated in chunks
-    of fixed size, each writing its slice of the preallocated results.
+    signal from N(z0, z0_sigma^2) with the first draw of its row's stream.
+    Trajectories are integrated in chunks of fixed size, each writing its
+    slice of the preallocated results; row 0's signal, state and norm
+    defect are recorded at every step as ``first``.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     d = psi0.shape[0]
     n = int(n_trajectories)
+    if n < 1:
+        raise ValueError(f"an ensemble needs at least one trajectory, got {n}")
     z_final = np.empty(n)
     psi_final = np.empty((n, d), dtype=complex)
+    first_z = np.empty(n_steps + 1)
+    first_psi = np.empty((n_steps + 1, d), dtype=complex)
+    defects = np.empty(n_steps)
     record_idx = None
     z_series = None
     if signal_stride > 0:
@@ -183,21 +188,23 @@ def run_ensemble(
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        m_chunk = hi - lo
-        xis = np.empty((m_chunk, n_steps))
-        z = np.full(m_chunk, float(z0))
-        for i in range(m_chunk):
-            rng = trajectory_rng(master_seed, lo + i)
-            if z0_sigma > 0.0:
-                z[i] += z0_sigma * rng.standard_normal()
-            xis[i] = rng.standard_normal(n_steps)
-        psi = np.broadcast_to(psi0, (m_chunk, d)).copy()
+        xis = trajectory_normals(master_seed, lo, hi - lo, n_steps + (z0_sigma > 0.0))
+        z = np.full(hi - lo, float(z0))
+        if z0_sigma > 0.0:
+            z += z0_sigma * xis[:, 0]
+            xis = xis[:, 1:]
+        psi = np.broadcast_to(psi0, (hi - lo, d)).copy()
+        if lo == 0:
+            first_z[0], first_psi[0] = z[0], psi[0]
         col = 0
         if record_idx is not None and record_idx[0] == 0:
             z_series[lo:hi, 0] = z
             col = 1
         for step in range(n_steps):
-            psi, z, _ = _step_arrays(m, psi, z, dt, xis[:, step])
+            psi, z, norms = _step_arrays(m, psi, z, dt, xis[:, step])
+            if lo == 0:
+                first_z[step + 1], first_psi[step + 1] = z[0], psi[0]
+                defects[step] = abs(norms[0] - 1.0)
             if record_idx is not None and col < record_idx.size and record_idx[col] == step + 1:
                 z_series[lo:hi, col] = z
                 col += 1
@@ -210,6 +217,7 @@ def run_ensemble(
         t_final=n_steps * dt,
         z=z_final,
         psi=psi_final,
+        first=Trajectory(master_seed, np.arange(n_steps + 1) * dt, first_z, first_psi, defects),
         z_series=z_series,
         series_times=times,
     )

@@ -200,9 +200,7 @@ def test_criterion_07_conditional_purity():
     drifts = []
     for dt in dts:
         per_traj = [
-            run_trajectory(
-                m_weak, psi0, 0.0, dt, int(0.1 / dt), seed=1000 + s, record_norm_defect=True
-            ).norm_defect.mean()
+            run_trajectory(m_weak, psi0, 0.0, dt, int(0.1 / dt), seed=1000 + s).norm_defect.mean()
             for s in range(30)
         ]
         drifts.append(np.mean(per_traj))

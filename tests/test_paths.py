@@ -421,3 +421,63 @@ def test_fv_nonnegative(seed):
     pair = BranchPair(0, 1)
     path = sample_path(model, 0.2, 0.0, 30, 0.01, pair=pair, seed=seed)
     assert fv_action(path, model, pair) >= 0.0
+
+
+class TestPathBatches:
+    # a qubit with a nonlinear coupling profile and q-dependent D2, D0, so
+    # every term of every exponent varies along the path
+    def model(self):
+        return polynomial_cq_model(
+            mass=1.3, potential_coeffs=[0.0, 0.1, 0.4], h_q=np.zeros((2, 2)),
+            v_i_matrix=SIGMA_Z, v_i_profile=[0.0, 0.7, 0.2],
+            d2_coeffs=[0.6, 0.05], d0_coeffs=[0.8, 0.0, 0.1],
+        )
+
+    def batch(self, n_paths=9, n_steps=30):
+        model = self.model()
+        pair = BranchPair(0, 1)
+        q0 = np.linspace(-0.5, 0.5, n_paths)
+        qs, ps = sample_path_ensemble(model, q0, 0.2, n_steps, 0.01, n_paths=n_paths, pair=pair, seed=5)
+        return model, pair, qs, ps
+
+    def test_batched_exponents_equal_per_row_calls_bitwise(self):
+        model, pair, qs, ps = self.batch()
+        diag = diagonalize_model(model, np.unique(qs[:, :-1]))
+        batch = ClassicalPath(dt=0.01, q=qs, p=ps)
+        assert batch.n_steps == 30
+        om = om_action(batch, model, pair, diag=diag)
+        an = anomalous_term(batch, model)
+        fv = fv_action(batch, model, pair, diag=diag)
+        for values in (om, an, fv):
+            assert values.shape == (qs.shape[0],)
+        for i in range(qs.shape[0]):
+            path = ClassicalPath(dt=0.01, q=qs[i], p=ps[i])
+            assert om[i] == om_action(path, model, pair, diag=diag)
+            assert an[i] == anomalous_term(path, model)
+            assert fv[i] == fv_action(path, model, pair, diag=diag)
+            assert isinstance(om_action(path, model, pair, diag=diag), float)
+
+    def test_one_bad_step_rejects_the_batch_and_names_it(self):
+        model, pair, qs, ps = self.batch()
+        qs = qs.copy()
+        qs[4, 7] += 1e-6  # breaks the steps into and out of sample 7 of path 4
+        batch = ClassicalPath(dt=0.01, q=qs, p=ps)
+        with pytest.raises(PathRejectedError, match="at step 6 of path 4") as err:
+            om_action(batch, model, pair)
+        assert err.value.index == 6
+
+    def test_nonpositive_diffusion_in_a_batch_names_the_step(self):
+        _, _, qs, ps = self.batch()
+        # D2(q) = 0.6 - q crosses zero where path 2 first reaches q = 0.6
+        model = polynomial_cq_model(mass=1.3, potential_coeffs=[0.0], h_q=[[0.0]], d2_coeffs=[0.6, -1.0])
+        qs = np.zeros_like(qs)
+        qs[2, 11:] = 0.6
+        with pytest.raises(PathRejectedError, match="D2\\(q\\) <= 0 at step 11 of path 2") as err:
+            anomalous_term(ClassicalPath(dt=0.01, q=qs, p=ps), model)
+        assert err.value.index == 11
+
+    def test_batch_shape_is_checked(self):
+        with pytest.raises(ValueError, match="1-d or 2-d"):
+            ClassicalPath(dt=0.01, q=np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="p must match"):
+            ClassicalPath(dt=0.01, q=np.zeros((2, 4)), p=np.zeros(4))

@@ -224,9 +224,14 @@ def _edit_header(text, **changes):
         (lambda t: _edit_header(t, hilbert_dim=1.0), "malformed state header: 'float'"),
         (lambda t: _edit_header(t, axes="qp"), "malformed state header: string indices"),
         (lambda t: "".join(t.splitlines(keepends=True)[:2]), "row count 0 "),
+        (lambda t: _edit_header(t, axes=[dict(name="q", lo=-1.0, hi=1.0, n=9.5),
+                                         dict(name="p", lo=-1.0, hi=1.0, n=9)]),
+         "axis 'q' needs an integer point count, got 9.5"),
+        (lambda t: _edit_header(t, hilbert_dim=-1), "hilbert_dim must be positive, got -1"),
     ],
     ids=["no-axes", "no-boundary", "no-hilbert-dim", "hilbert-dim-mismatch",
-         "hilbert-dim-float", "axes-not-a-list", "header-only"],
+         "hilbert-dim-float", "axes-not-a-list", "header-only", "axis-n-float",
+         "hilbert-dim-negative"],
 )
 def test_malformed_state_file_names_the_cause(tmp_path, capsys, edit, cause):
     grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 9), GridAxis("p", -1.0, 1.0, 9)))

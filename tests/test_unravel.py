@@ -5,11 +5,13 @@ from cqsim.grids import GridAxis, PhaseGrid
 from cqsim.models import MeasurementModel, constant_measurement_model
 from cqsim.state import classical_marginal, total_trace
 from cqsim.unravel import (
+    _CHUNK,
     bin_ensemble,
     ensemble_to_hybrid,
     estimate_km_moments,
     run_ensemble,
     run_trajectory,
+    trajectory_normals,
     trajectory_rng,
     unravel_step,
 )
@@ -108,7 +110,7 @@ def test_norm_drift_is_order_dt():
     psi0 = np.array([0.8, 0.6])
     drifts = []
     for dt in (2e-3, 1e-3, 5e-4):
-        traj = run_trajectory(m, psi0, 0.0, dt, int(0.2 / dt), seed=17, record_norm_defect=True)
+        traj = run_trajectory(m, psi0, 0.0, dt, int(0.2 / dt), seed=17)
         drifts.append(np.mean(traj.norm_defect))
     slope = np.polyfit(np.log([2e-3, 1e-3, 5e-4]), np.log(drifts), 1)[0]
     assert 0.7 < slope < 1.3
@@ -239,3 +241,41 @@ class TestKramersMoyal:
         pooled = np.nansum(d1 * counts) / counts.sum()
         sigma = 1.0 / np.sqrt(8.0 * k * dt * counts.sum())
         assert pooled == pytest.approx(c, abs=3.0 * sigma)
+
+
+@pytest.mark.parametrize("start", [0, 5, 2**63 + 7])
+def test_trajectory_normals_replay_per_index_streams(start):
+    xis = trajectory_normals(31, start, 6, 17)
+    assert xis.shape == (6, 17)
+    for i, row in enumerate(xis):
+        assert np.array_equal(row, trajectory_rng(31, start + i).standard_normal(17))
+        # the z0_sigma layout: column 0 is the initial-signal draw, then the steps
+        rng = trajectory_rng(31, start + i)
+        assert np.array_equal(row[:1], [rng.standard_normal()])
+        assert np.array_equal(row[1:], rng.standard_normal(16))
+
+
+@pytest.mark.parametrize("z0_sigma", [0.0, 0.3])
+def test_ensemble_first_is_row_zero_of_a_long_ensemble(z0_sigma):
+    # more rows than one chunk, with a z-dependent strength and a Hamiltonian
+    m = constant_measurement_model(SIGMA_Z, 1.0, h=0.5 * np.array([[0, 1], [1, 0]]), k_slope=0.2)
+    n_steps, dt = 40, 1e-3
+    res = run_ensemble(m, PLUS, 0.1, dt, n_steps, master_seed=21, n_trajectories=_CHUNK + 3,
+                       signal_stride=1, z0_sigma=z0_sigma)
+    first = res.first
+    assert np.array_equal(first.times, np.arange(n_steps + 1) * dt)
+    assert np.array_equal(first.z, res.z_series[0])
+    assert first.z[-1] == res.z[0] and np.array_equal(first.psi[-1], res.psi[0])
+    # bit for bit the single-row steps on the (master_seed, 0) stream
+    rng = trajectory_rng(21, 0)
+    z = 0.1 + (z0_sigma * rng.standard_normal() if z0_sigma > 0.0 else 0.0)
+    xis = rng.standard_normal(n_steps)
+    psi = PLUS / np.linalg.norm(PLUS) + 0j
+    assert first.z[0] == z and np.array_equal(first.psi[0], psi)
+    for k in range(n_steps):
+        psi, z = unravel_step(m, psi, z, dt, xis[k])
+        assert first.z[k + 1] == z and np.array_equal(first.psi[k + 1], psi)
+    assert first.norm_defect.shape == (n_steps,) and np.all(first.norm_defect < 10 * dt)
+    single = run_trajectory(m, PLUS, 0.1, dt, n_steps, seed=21, z0_sigma=z0_sigma)
+    assert np.array_equal(single.z, first.z) and np.array_equal(single.psi, first.psi)
+    assert np.array_equal(single.norm_defect, first.norm_defect)
