@@ -22,7 +22,9 @@ cells viewed as fvec of shape (nq, np, d^2) (row-major vec of each cell),
 where the d^2 x d^2 Liouvillian L(q) holds the commutator and dissipator
 and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.  These
 operators are built once per (model, grid) -- on the first call for that
-pair -- and reused by every later RK4 stage.
+pair -- and reused by every later RK4 stage.  The build first audits the
+model on the grid's points, so each (model, grid) is audited once; a
+failure is never cached.
 
 `branch_generator` provides an independent evolution route for models
 diagonal in a fixed basis: each matrix element varrho_ab is transported by
@@ -36,8 +38,8 @@ D0 = 2k(z), D2 = 1/(8k(z)) -- the saturated special case used for
 cross-validation against stochastic unraveling.  It has the same shape: a
 per-cell superoperator -k(z)[Z,[Z,.]] - (i/hbar)[H,.], the conservative
 drift -d(fvec @ A(z)^T)/dz with A(z) = (1/2)(Z kron I + I kron Z^T), and
-the diffusion (1/2) d^2(D2 varrho)/dz^2, with operators built once per
-(model, grid).
+the diffusion (1/2) d^2(D2 varrho)/dz^2, with operators built (and the
+model audited) once per (model, grid).
 """
 
 from __future__ import annotations
@@ -140,18 +142,14 @@ class EvolutionDiagnostics:
     COLUMNS = ("t", "trace", "min_eig", "purity", "mean_p", "var_p", "coh_01")
 
 
-def apply_generator(model: CQModel, state: HybridState, validated=False) -> np.ndarray:
+def apply_generator(model: CQModel, state: HybridState) -> np.ndarray:
     """Evaluate d varrho/dt on the grid; returns a cells-shaped rate array.
 
-    The model must pass `validate_model` (done here unless ``validated``).
-    The per-q operators are built on the first call for a (model, grid)
-    pair and reused while the same model and grid keep coming back.
+    The per-q operators are built (and `validate_model` run on the q
+    points) on the first call for a (model, grid) pair and reused while
+    the same model and grid keep coming back.
     """
     grid = state.grid
-    if grid.ndim != 2:
-        raise ValueError("apply_generator needs a (q, p) grid with two axes")
-    if not validated:
-        validate_model(model, grid.axes[0].points)
     liou_t, back_t, p_over_m, half_d2 = _operators(model, grid, _cq_operators)
 
     f = state.cells
@@ -183,7 +181,10 @@ def _cq_operators(model: CQModel, grid: PhaseGrid):
              + D0(q)(L kron L^T - (1/2)(L^2 kron I + I kron (L^2)^T)),
       B(q) = V'(q) I + (1/2)(L kron I + I kron L^T),   L = dV_I/dq.
     """
+    if grid.ndim != 2:
+        raise ValueError("apply_generator needs a (q, p) grid with two axes")
     qs = grid.axes[0].points
+    validate_model(model, qs)
     eye = np.eye(model.hilbert_dim)
     lop = np.asarray(model.dv_i(qs), dtype=complex)
     l2 = lop @ lop
@@ -286,8 +287,6 @@ def measurement_generator(m: MeasurementModel, state: HybridState) -> np.ndarray
     the couplings D0 = 2k, D2 = 1/(8k) saturate the trade-off.
     """
     grid = state.grid
-    if grid.ndim != 1:
-        raise ValueError("measurement_generator needs a single-axis signal grid")
     sup_t, flux_t, d2_of_z = _operators(m, grid, _measurement_operators)
     h_ax = grid.axes[0].spacing
     bdry = grid.boundary
@@ -307,7 +306,10 @@ def _measurement_operators(m: MeasurementModel, grid: PhaseGrid):
     (nz, 1, d^2), with the superoperator M(z) = -k(z)[Z,[Z,.]] - (i/hbar)[H,.]
     and the signal-flux matrix A(z) = (1/2)(Z kron I + I kron Z^T).
     """
+    if grid.ndim != 1:
+        raise ValueError("measurement_generator needs a single-axis signal grid")
     zs = grid.axes[0].points
+    m.validate(zs)
     eye = np.eye(m.hilbert_dim)
     z_op = np.asarray(m.z_op(zs), dtype=complex)
     z2 = z_op @ z_op
@@ -383,20 +385,35 @@ def _rk4(rate_fn, cells, dt):
     return cells + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step_rk4(model: CQModel, state: HybridState, dt: float, validated=False) -> HybridState:
-    """One classical 4th-order Runge-Kutta step of the full generator."""
+def _rate_function(model, state: HybridState, dt: float):
+    """RK4 rate function of ``model`` on ``state``'s grid, for an admissible dt.
+
+    Audits the model by building its operators, then requires 0 < dt <= the
+    CFL-style limit.  The kernel is looked up when the function is called.
+    """
+    grid = state.grid
+    if isinstance(model, MeasurementModel):
+        _operators(model, grid, _measurement_operators)
+        limit = measurement_cfl_limit(model, grid)
+        rate_fn = lambda cells: measurement_generator(model, HybridState(grid, cells))
+    else:
+        _operators(model, grid, _cq_operators)
+        limit = cfl_limit(model, grid)
+        rate_fn = lambda cells: apply_generator(model, HybridState(grid, cells))
     if not (dt > 0):
         raise ValueError("dt must be positive")
-    limit = cfl_limit(model, state.grid)
     if dt > limit:
         raise ValueError(f"dt={dt:g} exceeds the CFL-style limit {limit:g}")
-    if not validated:
-        validate_model(model, state.grid.axes[0].points)
-    rate_fn = lambda cells: apply_generator(model, HybridState(state.grid, cells), validated=True)
-    return HybridState(state.grid, _rk4(rate_fn, state.cells, dt))
+    return rate_fn
 
 
-def _evolve_loop(rate_fn, state, t_final, dt, stride, trace_abort, positivity_abort):
+def step_rk4(model: CQModel, state: HybridState, dt: float) -> HybridState:
+    """One classical 4th-order Runge-Kutta step of the full generator."""
+    return HybridState(state.grid, _rk4(_rate_function(model, state, dt), state.cells, dt))
+
+
+def _evolve_loop(model, state, t_final, dt, stride, trace_abort):
+    rate_fn = _rate_function(model, state, dt)
     diags = EvolutionDiagnostics.empty()
     diags.record(0.0, state)
     initial_trace = diags.trace[0]
@@ -419,9 +436,9 @@ def _evolve_loop(rate_fn, state, t_final, dt, stride, trace_abort, positivity_ab
                     f"at t={step * dt:g} (probability leaking past the grid boundary?)",
                     diags,
                 )
-            if diags.min_eig[-1] < -positivity_abort:
+            if diags.min_eig[-1] < -POSITIVITY_ABORT:
                 raise EvolutionError(
-                    f"negativity {diags.min_eig[-1]:.3e} beyond {positivity_abort:.1e} "
+                    f"negativity {diags.min_eig[-1]:.3e} beyond {POSITIVITY_ABORT:.1e} "
                     f"at t={step * dt:g}",
                     diags,
                 )
@@ -435,40 +452,17 @@ def evolve(
     dt: float,
     stride: int = 10,
     trace_abort: float = TRACE_DRIFT_ABORT,
-    positivity_abort: float = POSITIVITY_ABORT,
 ):
     """Repeated RK4 stepping with diagnostics; aborts on invariant breach.
 
     Returns (final_state, diagnostics).  Diagnostics are recorded every
     ``stride`` steps and at the final time.
     """
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    limit = cfl_limit(model, state.grid)
-    if dt > limit:
-        raise ValueError(f"dt={dt:g} exceeds the CFL-style limit {limit:g}")
-    validate_model(model, state.grid.axes[0].points)
-    grid = state.grid
-    rate_fn = lambda cells: apply_generator(model, HybridState(grid, cells), validated=True)
-    return _evolve_loop(rate_fn, state, t_final, dt, stride, trace_abort, positivity_abort)
+    return _evolve_loop(model, state, t_final, dt, stride, trace_abort)
 
 
 def evolve_measurement(
-    m: MeasurementModel,
-    state: HybridState,
-    t_final: float,
-    dt: float,
-    stride: int = 10,
-    trace_abort: float = TRACE_DRIFT_ABORT,
-    positivity_abort: float = POSITIVITY_ABORT,
+    m: MeasurementModel, state: HybridState, t_final: float, dt: float, stride: int = 10
 ):
     """RK4 evolution of the measurement master equation on a signal grid."""
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    limit = measurement_cfl_limit(m, state.grid)
-    if dt > limit:
-        raise ValueError(f"dt={dt:g} exceeds the CFL-style limit {limit:g}")
-    m.validate(state.grid.axes[0].points)
-    grid = state.grid
-    rate_fn = lambda cells: measurement_generator(m, HybridState(grid, cells))
-    return _evolve_loop(rate_fn, state, t_final, dt, stride, trace_abort, positivity_abort)
+    return _evolve_loop(m, state, t_final, dt, stride, TRACE_DRIFT_ABORT)

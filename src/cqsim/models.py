@@ -203,13 +203,12 @@ class DiagonalizedModel:
     """Common eigenbasis data for a model with [H_q, V_I(q)] = 0.
 
     ``basis`` U maps eigen-components to the original basis.  ``h`` holds
-    the eigenvalues of H_q; ``v_eigs``/``dv_eigs`` map q arrays to (..., d)
-    eigenvalue arrays of V_I and dV_I in the same fixed order.
+    the eigenvalues of H_q; ``dv_eigs`` maps q arrays to (..., d)
+    eigenvalue arrays of dV_I in the same fixed order.
     """
 
     basis: np.ndarray
     h: np.ndarray
-    v_eigs: Callable
     dv_eigs: Callable
 
 
@@ -262,10 +261,6 @@ def diagonalize_model(model: CQModel, qs, tol=COMMUTATION_TOL) -> DiagonalizedMo
 
     h = _diag_or_refuse(model.h_q)
 
-    def v_eigs(q):
-        m = np.asarray(model.v_i(np.asarray(q, dtype=float)), dtype=complex)
-        return np.einsum("ia,...ij,jb->...ab", u.conj(), m, u).real.diagonal(axis1=-2, axis2=-1)
-
     def dv_eigs(q):
         m = np.asarray(model.dv_i(np.asarray(q, dtype=float)), dtype=complex)
         return np.einsum("ia,...ij,jb->...ab", u.conj(), m, u).real.diagonal(axis1=-2, axis2=-1)
@@ -277,7 +272,7 @@ def diagonalize_model(model: CQModel, qs, tol=COMMUTATION_TOL) -> DiagonalizedMo
         if np.abs(off).max() > 1e-9 * (1.0 + np.abs(td).max()):
             raise ModelValidationError("V_I(q) is not diagonal in the common basis")
 
-    return DiagonalizedModel(basis=u, h=h, v_eigs=v_eigs, dv_eigs=dv_eigs)
+    return DiagonalizedModel(basis=u, h=h, dv_eigs=dv_eigs)
 
 
 # -- continuous measurement ---------------------------------------------------

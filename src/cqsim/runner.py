@@ -3,6 +3,7 @@
 Every artifact embeds the fully resolved scenario (defaults filled) in its
 header for provenance, and all floats are written with 17 significant
 digits so that a rerun with the same master seed is byte-identical.
+evolve and unravel step as `_plan` says, which the gate checked first.
 unravel integrates its ensemble once and takes trajectory 0 from it;
 sample_paths scores its sampled paths as `ClassicalPath` batches.
 
@@ -66,35 +67,39 @@ def _provenance(scenario: Scenario) -> str:
     return "scenario " + json.dumps(scenario.resolved, sort_keys=True)
 
 
-def _steps(t_final, dt):
-    """(dt, n_steps): ``dt`` shrunk so that n_steps whole steps reach t_final."""
+def _steps(t_final, dt, limit=None):
+    """(dt, n_steps): ``dt`` shrunk so that n_steps whole steps reach t_final.
+
+    A grid integration's step must stay within its CFL-style ``limit``.
+    """
     n = t_final / dt
     if not np.isfinite(n):
         raise ValueError(f"t_final {t_final:g} is not a finite number of steps of {dt:g}")
     n = max(1, int(round(n)))
-    return t_final / n, n
-
-
-def _pick_dt(numerics, limit):
-    """`_steps` of the given dt, or else of safety x the stability limit."""
-    dt = numerics["dt"]
-    return _steps(numerics["t_final"], numerics["safety"] * limit if dt is None else dt)
-
-
-def _within(steps, limit):
-    """A grid integration's `_steps`, which must not exceed its stability limit."""
-    if steps[0] > limit:
+    dt = t_final / n
+    if limit is not None and dt > limit:
         raise ValueError(
-            f"grid step {steps[0]:g} (from numerics dt or safety, and t_final) exceeds "
+            f"grid step {dt:g} (from numerics dt or safety, and t_final) exceeds "
             f"the CFL-style limit {limit:g}"
         )
-    return steps
+    return dt, n
 
 
-def _reference_steps(scenario):
-    """Steps of unravel's grid reference: safety x the measurement CFL limit."""
+def _plan(scenario):
+    """((dt, n_steps), reference steps or None) of an evolve or unravel run.
+
+    Both step at numerics dt, or else at safety x the CFL-style limit; only
+    evolve's grid is held to the limit.  unravel with z0_sigma > 0 adds a
+    grid reference at safety x the limit.
+    """
+    numerics = scenario.numerics
+    t_final, dt, safety = numerics["t_final"], numerics["dt"], numerics["safety"]
+    if scenario.run_type == "evolve":
+        limit = cfl_limit(scenario.model, scenario.grid)
+        return _steps(t_final, safety * limit if dt is None else dt, limit), None
     limit = measurement_cfl_limit(scenario.model, scenario.grid)
-    return _within(_steps(scenario.numerics["t_final"], scenario.numerics["safety"] * limit), limit)
+    steps = _steps(t_final, safety * limit if dt is None else dt)
+    return steps, _steps(t_final, safety * limit, limit) if numerics["z0_sigma"] > 0.0 else None
 
 
 def check_scenario(scenario: Scenario) -> dict:
@@ -102,10 +107,10 @@ def check_scenario(scenario: Scenario) -> dict:
 
     cp_check returns its CP report (a Violated verdict is a result, not a
     failure); evolve and sample_paths audit the CQ model on the grid's q
-    points, or on 41 points of [-5, 5] without a grid; unravel audits the
-    measurement model on the z points.  Raises ModelValidationError when
-    the model fails, and ValueError when t_final is not a finite number of
-    steps or a grid integration's step would exceed its CFL-style limit.
+    points, or on 41 points of [-5, 5] without a grid (with a branch pair,
+    diagonalized there too); unravel audits the measurement model on the z
+    points.  Raises ModelValidationError when the model fails, and
+    ValueError when `_plan` does.
     """
     if scenario.run_type == "cp_check":
         report = schur_cp_check(scenario.model)
@@ -119,14 +124,12 @@ def check_scenario(scenario: Scenario) -> dict:
             else np.linspace(-5.0, 5.0, 41)
         )
         validate_model(scenario.model, qs)
-    if scenario.run_type == "evolve":
-        limit = cfl_limit(scenario.model, scenario.grid)
-        _within(_pick_dt(scenario.numerics, limit), limit)
+        if scenario.initial.get("pair"):
+            diagonalize_model(scenario.model, qs)
     if scenario.run_type == "unravel":
         scenario.model.validate(scenario.grid.axes[0].points)
-        _pick_dt(scenario.numerics, measurement_cfl_limit(scenario.model, scenario.grid))
-        if scenario.numerics["z0_sigma"] > 0.0:
-            _reference_steps(scenario)
+    if scenario.run_type in ("evolve", "unravel"):
+        _plan(scenario)
     return {"model": "valid"}
 
 
@@ -171,7 +174,7 @@ def _run_evolve(scenario, out_dir):
         sigmas=(init["sigma_q"], init["sigma_p"]),
         rho_q=init["rho_q"],
     )
-    dt, _ = _pick_dt(numerics, cfl_limit(scenario.model, scenario.grid))
+    (dt, _), _ = _plan(scenario)
     prov = _provenance(scenario)
     try:
         final, diags = evolve(
@@ -201,7 +204,7 @@ def _run_unravel(scenario, out_dir):
     init = scenario.initial
     numerics = scenario.numerics
     t_final = numerics["t_final"]
-    dt, n_steps = _pick_dt(numerics, measurement_cfl_limit(m, grid))
+    (dt, n_steps), reference = _plan(scenario)
     n_traj = numerics["n_trajectories"]
     z0_sigma = numerics["z0_sigma"]
     seed = numerics["seed"]
@@ -226,9 +229,9 @@ def _run_unravel(scenario, out_dir):
     # grid solution of the same master equation, for the convergence table
     rho0 = np.outer(init["psi"], np.conj(init["psi"]))
     rho0 = rho0 / np.trace(rho0).real
-    if z0_sigma > 0.0:
+    if reference is not None:
         ref0 = gaussian_product_state(grid, centers=(init["z0"],), sigmas=(z0_sigma,), rho_q=rho0)
-        dt_grid, ngrid = _reference_steps(scenario)
+        dt_grid, ngrid = reference
         try:
             ref, _ = evolve_measurement(m, ref0, t_final, dt_grid, stride=ngrid)
         except EvolutionError as exc:

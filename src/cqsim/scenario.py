@@ -15,9 +15,12 @@ so a scenario is rejected here, before any run starts, for every numerics
 reason.  Parsing is strict: duplicate keys, unknown keys (including a
 section or key another run type reads), missing keys, type mismatches and
 out-of-range values are all reported with the offending key and line
-number.  Matrices are nested lists of reals; a parallel ``*_im`` key
-supplies an imaginary part when needed.  Scalar q- or z-dependent
-coefficients are polynomial coefficient lists, low order first.
+number.  Every number of the model, grid and initial sections is finite
+(an infinite mass excepted), and the initial quantum data must be a state
+of the model's levels (`_fit_initial`).  Matrices are nested lists of
+reals; a parallel ``*_im`` key supplies an imaginary part when needed.
+Scalar q- or z-dependent coefficients are polynomial coefficient lists,
+low order first.
 
 The resolved scenario (defaults filled in, sample_paths ``n_steps``
 derived from ``t_final`` and ``dt``) is embedded verbatim in every output
@@ -35,7 +38,7 @@ import yaml
 from .generator import TRACE_DRIFT_ABORT
 from .grids import GridAxis, PhaseGrid, PERIODIC, TRUNCATE
 from .models import ToyParams, constant_measurement_model, polynomial_cq_model
-from .psd import CouplingTriple
+from .psd import CouplingTriple, is_psd, require_hermitian
 from .zerodim import PERTURBATIVE_ORDER_CAP
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_file", "RUN_TYPES"]
@@ -101,8 +104,9 @@ def _line_of(block, key):
 class _Section:
     """Typed reader over one mapping block, accumulating precise errors."""
 
-    def __init__(self, name, data, problems):
+    def __init__(self, name, data, problems, finite=True):
         self.name = name
+        self.finite = finite
         self.data = data if data is not None else _LocatedDict()
         self.problems = problems
         self.seen = set()
@@ -118,17 +122,28 @@ class _Section:
             return default
         return self.data[key]
 
-    def _floats(self, key, convert, default):
+    def _floats(self, key, convert, default, inf=False):
+        """Convert a number, list or matrix; in a ``finite`` section every
+        entry must be finite (with ``inf``, at least not nan)."""
         try:
-            return convert()
+            val = convert()
         except OverflowError:
             self.problems.append(
                 f"key {key!r} in section {self.name!r} is too large for a float"
                 f"{_line_of(self.data, key)}"
             )
             return default
+        bad = np.ravel(np.isnan(val) if inf else ~np.isfinite(val))
+        if self.finite and bad.any():
+            must = "not be nan" if inf else "be finite"
+            self.problems.append(
+                f"key {key!r} in section {self.name!r} must {must}, "
+                f"got {float(np.ravel(val)[bad][0])!r}{_line_of(self.data, key)}"
+            )
+            return default
+        return val
 
-    def number(self, key, required=False, default=None):
+    def number(self, key, required=False, default=None, inf=False):
         val = self._fetch(key, required, default)
         if val is default and key not in self.data:
             return default
@@ -138,7 +153,7 @@ class _Section:
                 f"{type(val).__name__}{_line_of(self.data, key)}"
             )
             return default
-        return self._floats(key, lambda: float(val), default)
+        return self._floats(key, lambda: float(val), default, inf)
 
     def integer(self, key, required=False, default=None):
         val = self._fetch(key, required, default)
@@ -264,7 +279,8 @@ _INTEGER_KEYS = {"n_steps", "n_trajectories", "n_paths", "stride", "seed", "orde
 
 def _read_values(name, block, defaults, problems):
     """Read a numerics or output block: exactly the keys of ``defaults``."""
-    sec = _Section(name, block, problems)
+    # the values meet their _NUMERIC_BOUNDS, which name each one's own range
+    sec = _Section(name, block, problems, finite=False)
     values = {}
     for key, default in defaults.items():
         read = sec.integer if key in _INTEGER_KEYS else sec.number
@@ -301,6 +317,48 @@ def _resolve_path_steps(block, numerics, problems):
             numerics["n_steps"] = max(1, int(round(steps)))
 
 
+def _fit_initial(block, initial, d, problems):
+    """The initial quantum data must be a state of the model's ``d`` levels.
+
+    rho_q (whose default [[1.0]] fits d = 1 only) must be a d x d Hermitian,
+    positive semidefinite matrix with positive trace, psi a vector of d
+    entries with nonzero norm, and the branch indices must lie in [0, d).
+    """
+    why = {}
+    rho = initial.get("rho_q")
+    if "rho_q" in initial and rho is None and d != 1:
+        why["rho_q"] = f"be given: its default [[1.0]] does not fit a {d}-level model"
+    elif rho is not None:
+        if rho.shape != (d, d):
+            why["rho_q"] = f"be {d} x {d} to fit the model, got {rho.shape[0]} x {rho.shape[1]}"
+        elif not _hermitian(rho):
+            why["rho_q"] = "be Hermitian"
+        elif not is_psd(rho):
+            why["rho_q"] = "be positive semidefinite"
+        elif not np.trace(rho).real > 0.0:
+            why["rho_q"] = "have a positive trace"
+    psi = initial.get("psi")
+    if psi is not None and psi.size != d:
+        why["psi"] = f"have {d} entries to fit the model, got {psi.size}"
+    elif psi is not None and not np.linalg.norm(psi) > 0.0:
+        why["psi"] = "have a nonzero norm"
+    for key, index in zip(("branch_a", "branch_b"), initial.get("pair") or ()):
+        if not 0 <= index < d:
+            why[key] = f"lie in [0, {d}) to fit the model, got {index}"
+    problems.extend(
+        f"key {key!r} in section 'initial' must {reason}{_line_of(block, key)}"
+        for key, reason in why.items()
+    )
+
+
+def _hermitian(m):
+    try:
+        require_hermitian(m)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_scenario_file(path) -> Scenario:
     with open(path) as fh:
         return parse_scenario(fh.read())
@@ -330,6 +388,8 @@ def parse_scenario(text) -> Scenario:
             )
     if run_type == "sample_paths":
         _resolve_path_steps(doc.get("numerics"), built["numerics"], problems)
+    if not problems and "initial" in built:
+        _fit_initial(doc.get("initial"), built["initial"], built["model"].hilbert_dim, problems)
 
     if problems:
         raise ScenarioError(problems)
@@ -412,7 +472,7 @@ def _build_toy(block, problems):
 
 def _build_cq(block, problems):
     sec = _Section("model", block, problems)
-    mass = sec.number("mass", required=True)
+    mass = sec.number("mass", required=True, inf=True)  # an infinite mass freezes q
     hbar = sec.number("hbar", default=1.0)
     potential = sec.vector("potential", default=[0.0])
     h_q = sec.complex_matrix("h_q", required=True)
@@ -509,6 +569,12 @@ def _build_evolve_initial(block, problems):
     sigma_p = sec.number("sigma_p", required=True)
     rho_q = sec.complex_matrix("rho_q", default=None)
     sec.finish()
+    for key, width in (("sigma_q", sigma_q), ("sigma_p", sigma_p)):
+        if width is not None and not width > 0.0:
+            problems.append(
+                f"key {key!r} in section 'initial' must be > 0, got {width!r}"
+                f"{_line_of(sec.data, key)}"
+            )
     initial = {"q0": q0, "p0": p0, "sigma_q": sigma_q, "sigma_p": sigma_p, "rho_q": rho_q}
     resolved = {"q0": q0, "p0": p0, "sigma_q": sigma_q, "sigma_p": sigma_p}
     if rho_q is not None:

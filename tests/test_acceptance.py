@@ -125,7 +125,7 @@ def test_criterion_05_branch_decomposition_oracle():
         cells = cells + np.conj(np.swapaxes(cells, -1, -2))
         state = HybridState(grid, cells)
         gap = np.abs(
-            apply_generator(model, state, validated=True)
+            apply_generator(model, state)
             - branch_generator(model, state, diag=diag)
         ).max()
         worst = max(worst, gap)
@@ -135,7 +135,7 @@ def test_criterion_05_branch_decomposition_oracle():
 
     state = gaussian_product_state(grid, (0, 0), (0.6, 0.6), rho_q=np.full((d, d), 1.0 / d))
     dt = 0.4 * cfl_limit(model, grid)
-    full_fn = lambda c: apply_generator(model, HybridState(grid, c), validated=True)
+    full_fn = lambda c: apply_generator(model, HybridState(grid, c))
     branch_fn = lambda c: branch_generator(model, HybridState(grid, c), diag=diag)
     cf = cb = state.cells
     for _ in range(100):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cqsim import generator
 from cqsim.generator import (
     EvolutionError,
     _cq_operators,
@@ -196,6 +197,19 @@ class TestSuperoperatorKernel:
             m.h[0, 0] = 1.0
 
 
+@pytest.fixture
+def audits(monkeypatch):
+    """The argument tuples of every `validate_model` call the generator makes."""
+    calls = []
+
+    def audit(*args):
+        calls.append(args)
+        validate_model(*args)
+
+    monkeypatch.setattr(generator, "validate_model", audit)
+    return calls
+
+
 class TestApplyGenerator:
     def test_reduces_to_classical_fokker_planck(self, small_grid):
         model = polynomial_cq_model(
@@ -272,6 +286,22 @@ class TestApplyGenerator:
 
     def test_free_model_without_interaction_is_valid(self):
         validate_model(free_diffusion_model(), np.linspace(-3, 3, 7))
+
+    def test_audits_each_model_and_grid_once(self, small_grid, audits):
+        model = qubit_decoherence_model()  # a fresh model is never in the operator memo
+        state = gaussian_product_state(small_grid, (0, 0), (0.7, 0.7), rho_q=np.eye(2) / 2)
+        for _ in range(3):
+            apply_generator(model, state)
+        step_rk4(model, state, 0.4 * cfl_limit(model, small_grid))
+        assert len(audits) == 1
+
+    def test_failed_audit_is_not_cached(self, small_grid, audits):
+        bad = qubit_decoherence_model(d0=1.0, d2=0.1)  # 4 D2 D0 = 0.4 < 1
+        state = gaussian_product_state(small_grid, (0, 0), (0.7, 0.7), rho_q=np.eye(2) / 2)
+        for expected_calls in (1, 2):
+            with pytest.raises(ModelValidationError, match="complete positivity"):
+                apply_generator(bad, state)
+            assert len(audits) == expected_calls
 
 
 class TestBranchGenerator:
@@ -368,7 +398,7 @@ class TestStepping:
         dt = 0.4 * cfl_limit(model, small_grid)
         cells = state.cells
         for _ in range(20):
-            state = step_rk4(model, HybridState(small_grid, cells), dt, validated=True)
+            state = step_rk4(model, HybridState(small_grid, cells), dt)
             cells = state.cells
         assert hermiticity_defect(state) < 1e-10
 
@@ -429,6 +459,19 @@ class TestStepping:
 
 
 class TestMeasurementGenerator:
+    @pytest.mark.parametrize("kernel", ["measurement_generator", "evolve_measurement"])
+    def test_refuses_invalid_model(self, kernel):
+        # k(z) = 1 + z vanishes at z = -1, inside the grid: an invalid model,
+        # reported as such before any step-size check
+        grid = PhaseGrid((GridAxis("z", -2.0, 2.0, 41),))
+        m = constant_measurement_model(SIGMA_Z, 1.0, k_slope=1.0)
+        state = gaussian_product_state(grid, (0.0,), (0.3,), rho_q=np.eye(2) / 2)
+        with pytest.raises(ModelValidationError, match=r"k\(z\) must be positive"):
+            if kernel == "measurement_generator":
+                measurement_generator(m, state)
+            else:
+                evolve_measurement(m, state, 0.01, 1e-4)
+
     def test_trace_preserving(self):
         grid = PhaseGrid((GridAxis("z", -2.5, 2.5, 81),))
         m = constant_measurement_model(SIGMA_Z, 1.0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cqsim.cli import main
 from cqsim.grids import GridAxis, PhaseGrid
-from cqsim.runner import compare_artifacts, run_scenario
+from cqsim.runner import check_scenario, compare_artifacts, run_scenario
 from cqsim.scenario import ScenarioError, parse_scenario, parse_scenario_file
 from cqsim.state import gaussian_product_state, save_state
 
@@ -186,6 +186,13 @@ class TestParsing:
         text = (SCENARIO_DIR / "zerodim_free.yaml").read_text()
         scenario = parse_scenario(text.replace("[2, 0, 0]", "[2.0, 0, 0]"))
         assert scenario.model["observable"] == (2, 0, 0)
+
+    def test_infinite_mass_accepted(self):
+        # the one number of a model that may be infinite: it freezes q
+        text = (SCENARIO_DIR / "evolve_free_diffusion.yaml").read_text()
+        scenario = parse_scenario(text.replace("mass: 1.0", "mass: .inf"))
+        assert scenario.model.mass == float("inf")
+        assert check_scenario(scenario) == {"model": "valid"}
 
     @pytest.mark.parametrize(
         "section,key,value",
@@ -362,6 +369,12 @@ GATE_REJECTS = {
         ("t_final: 0.3\n  safety: 0.4", "t_final: 1.0e+300\n  dt: 1.0e-300"),
         "t_final 1e+300 is not a finite number of steps of 1e-300",
     ),
+    # H_q does not commute with V_I, so branch (0, 1) has no fixed eigenbasis
+    "sample_paths_pair_without_common_basis": (
+        "sample_paths_qdep.yaml",
+        ("h_q: [[0.0, 0.0], [0.0, 0.0]]", "h_q: [[0.0, 0.5], [0.5, 0.0]]"),
+        "model is not diagonal in a common q-independent basis",
+    ),
     # the grid reference takes one step of 0.0179 where the limit is 0.0128
     "unravel_reference_above_cfl": (
         "unravel_qubit.yaml", ("t_final: 0.2", "t_final: 0.0179\n  safety: 1.0"),
@@ -396,6 +409,65 @@ PARSE_REJECTS = {
         "zerodim_perturbative.yaml", ("order: 2", "order: 7"),
         r"key 'order' in section 'numerics' must lie in \[0, 3\].* \(line 13\)",
     ),
+    # model, grid and initial numbers are finite; widths are positive
+    "unravel_k_nan": (
+        "unravel_qubit.yaml", ("k: 1.0", "k: .nan"),
+        r"key 'k' in section 'model' must be finite, got nan \(line 6\)",
+    ),
+    "unravel_z0_nan": (
+        "unravel_qubit.yaml", ("z0: 0.0", "z0: .nan"),
+        r"key 'z0' in section 'initial' must be finite, got nan \(line 12\)",
+    ),
+    "evolve_h_q_infinite": (
+        "evolve_qubit_decoherence.yaml",
+        ("h_q: [[0.0, 0.0], [0.0, 0.0]]", "h_q: [[.inf, 0.0], [0.0, 0.0]]"),
+        r"key 'h_q' in section 'model' must be finite, got inf \(line 7\)",
+    ),
+    "evolve_mass_nan": (
+        "evolve_free_diffusion.yaml", ("mass: 1.0", "mass: .nan"),
+        r"key 'mass' in section 'model' must not be nan, got nan \(line 4\)",
+    ),
+    "evolve_sigma_q_zero": (
+        "evolve_free_diffusion.yaml", ("sigma_q: 0.5", "sigma_q: 0.0"),
+        r"key 'sigma_q' in section 'initial' must be > 0, got 0.0 \(line 16\)",
+    ),
+    # the initial quantum data must be a state of the model's levels
+    **{
+        f"evolve_rho_q_{name}": (
+            "evolve_qubit_decoherence.yaml", ("rho_q: [[0.5, 0.5], [0.5, 0.5]]", f"rho_q: {rho}"),
+            rf"key 'rho_q' in section 'initial' must {why} \(line 22\)",
+        )
+        for name, rho, why in (
+            ("not_hermitian", "[[0.5, 0.9], [0.1, 0.5]]", "be Hermitian"),
+            ("negative", "[[1.0, 0.0], [0.0, -0.5]]", "be positive semidefinite"),
+            ("3x3", "[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]",
+             "be 2 x 2 to fit the model, got 3 x 3"),
+            ("zero", "[[0.0, 0.0], [0.0, 0.0]]", "have a positive trace"),
+        )
+    },
+    "evolve_rho_q_missing": (
+        "evolve_qubit_decoherence.yaml", ("  rho_q: [[0.5, 0.5], [0.5, 0.5]]\n", ""),
+        r"key 'rho_q' in section 'initial' must be given: its default \[\[1.0\]\] does not fit "
+        r"a 2-level model",
+    ),
+    "unravel_psi_zero": (
+        "unravel_qubit.yaml",
+        ("psi: [[0.70710678118654746], [0.70710678118654746]]", "psi: [[0.0], [0.0]]"),
+        r"key 'psi' in section 'initial' must have a nonzero norm \(line 13\)",
+    ),
+    "unravel_psi_3_entries": (
+        "unravel_qubit.yaml",
+        ("psi: [[0.70710678118654746], [0.70710678118654746]]", "psi: [[0.6], [0.8], [0.0]]"),
+        r"key 'psi' in section 'initial' must have 2 entries to fit the model, got 3 \(line 13\)",
+    ),
+    **{
+        f"sample_paths_branch_b_{b}": (
+            "sample_paths_qdep.yaml", ("branch_b: 1", f"branch_b: {b}"),
+            rf"key 'branch_b' in section 'initial' must lie in \[0, 2\) to fit the model, "
+            rf"got {b} \(line 16\)",
+        )
+        for b in (5, -1)
+    },
     **{
         f"cp_check_with_{section}": (
             "cp_check_saturated.yaml", ("[[2.0]]\n", f"[[2.0]]\n{section}:\n  banana: 1\n"),
