@@ -24,7 +24,19 @@ and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.  These
 operators are built once per (model, grid) -- on the first call for that
 pair -- and reused by every later RK4 stage.  The build first audits the
 model on the grid's points, so each (model, grid) is audited once; a
-failure is never cached.
+failure is never cached.  Beside the operators, two grid-sized scratch
+buffers, kept while the cells' shape repeats, receive the stencils and
+the back-reaction product, and the real coefficients p/m and D2/2 scale
+their float views; each call allocates only the rate it returns.
+
+Time stepping is classical RK4.  `_rk4` forms the three stage states in
+one reused buffer and combines k1..k4 in place, in the operation order of
+cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4), so a step is bit-for-bit that
+expression; it never writes the input cells, and it needs a rate function
+that returns a new array on every call (the stage rates are overwritten).
+`evolve` and `evolve_measurement` take t_final as a whole number of dt
+steps and refuse any other; a trace-drift abort reports the probability
+found in the outermost grid cells.
 
 `branch_generator` provides an independent evolution route for models
 diagonal in a fixed basis: each matrix element varrho_ab is transported by
@@ -48,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import PhaseGrid, d_dx, d2_dx2
+from .grids import PhaseGrid, d_dx, d2_dx2, times_real
 from .models import (
     CQModel,
     DiagonalizedModel,
@@ -62,6 +74,7 @@ from .state import (
     HybridState,
     classical_marginal,
     coherence,
+    edge_mass,
     min_cell_eigenvalue,
     purity_of_marginal,
     total_trace,
@@ -82,6 +95,9 @@ __all__ = [
 
 TRACE_DRIFT_ABORT = 1e-6
 POSITIVITY_ABORT = 1e-7  # 10 x the hybrid-state positivity tolerance
+# Relative slack between t_final / dt and a whole step count: round-off
+# only (t_final / (t_final / n) is within a few ulp of n).
+STEP_ROUNDOFF = 1e-9
 
 
 class EvolutionError(RuntimeError):
@@ -143,11 +159,13 @@ class EvolutionDiagnostics:
 
 
 def apply_generator(model: CQModel, state: HybridState) -> np.ndarray:
-    """Evaluate d varrho/dt on the grid; returns a cells-shaped rate array.
+    """Evaluate d varrho/dt on the grid; returns a new cells-shaped rate array.
 
     The per-q operators are built (and `validate_model` run on the q
     points) on the first call for a (model, grid) pair and reused while
-    the same model and grid keep coming back.
+    the same model and grid keep coming back.  The stencils and products
+    go through two scratch buffers reused while the cells' shape keeps
+    coming back; only the returned rate is allocated per call.
     """
     grid = state.grid
     liou_t, back_t, p_over_m, half_d2 = _operators(model, grid, _cq_operators)
@@ -156,18 +174,15 @@ def apply_generator(model: CQModel, state: HybridState) -> np.ndarray:
     fvec = f.reshape(grid.shape + (-1,))
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
     bdry = grid.boundary
+    deriv, product_out = _scratch(fvec.shape)
 
     # a one-level (purely classical) model acts alike on every matrix
     # element, so it applies elementwise to cells of any dimension
     product = np.matmul if model.hilbert_dim > 1 else np.multiply
     rate = product(fvec, liou_t)
-    rate += product(d_dx(fvec, 1, hp_ax, bdry), back_t)
-    transport = d_dx(fvec, 0, hq_ax, bdry)
-    transport *= p_over_m
-    rate -= transport
-    diffusion = d2_dx2(fvec, 1, hp_ax, bdry)
-    diffusion *= half_d2
-    rate += diffusion
+    rate += product(d_dx(fvec, 1, hp_ax, bdry, out=deriv), back_t, out=product_out)
+    rate -= times_real(d_dx(fvec, 0, hq_ax, bdry, out=deriv), p_over_m)
+    rate += times_real(d2_dx2(fvec, 1, hp_ax, bdry, out=deriv), half_d2)
     return rate.reshape(f.shape)
 
 
@@ -225,6 +240,20 @@ def _operators(model, grid, build):
         ops = build(model, grid)
         _memo = (model, grid, ops)
     return ops
+
+
+# Beside it, one entry of `apply_generator` scratch: two complex buffers of
+# the cells' vec shape.  Nothing returned to a caller ever aliases them.
+_scratch_memo = (None, None)
+
+
+def _scratch(shape):
+    global _scratch_memo
+    cached_shape, buffers = _scratch_memo
+    if cached_shape != shape:
+        buffers = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+        _scratch_memo = (shape, buffers)
+    return buffers
 
 
 def branch_generator(
@@ -378,11 +407,32 @@ def _spectral_max(mats) -> float:
 
 
 def _rk4(rate_fn, cells, dt):
-    k1 = rate_fn(cells)
-    k2 = rate_fn(cells + 0.5 * dt * k1)
-    k3 = rate_fn(cells + 0.5 * dt * k2)
-    k4 = rate_fn(cells + dt * k3)
-    return cells + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step; ``rate_fn`` must return a new array per call.
+
+    The stages combine in place, in the order of
+    cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4), so the result is bit-for-bit
+    that expression's.  One buffer holds each stage state in turn, each
+    stage rate is folded in and released as soon as its stage state is
+    formed, and ``cells`` is never written.
+    """
+    stage = np.empty_like(cells)
+
+    def stage_state(k, h):
+        return np.add(cells, np.multiply(k, h, out=stage), out=stage)
+
+    acc = rate_fn(cells)
+    k = rate_fn(stage_state(acc, 0.5 * dt))
+    stage_state(k, 0.5 * dt)
+    acc += np.multiply(k, 2.0, out=k)
+    del k
+    k = rate_fn(stage)
+    stage_state(k, dt)
+    acc += np.multiply(k, 2.0, out=k)
+    del k
+    acc += rate_fn(stage)
+    acc *= dt / 6.0
+    acc += cells
+    return acc
 
 
 def _rate_function(model, state: HybridState, dt: float):
@@ -412,12 +462,28 @@ def step_rk4(model: CQModel, state: HybridState, dt: float) -> HybridState:
     return HybridState(state.grid, _rk4(_rate_function(model, state, dt), state.cells, dt))
 
 
+def _whole_steps(t_final, dt):
+    """The number of ``dt`` steps that make ``t_final``; refuses any other t_final.
+
+    ``dt = t_final / n`` passes for every n: only round-off, not a
+    fraction of a step, may separate t_final / dt from a whole number.
+    """
+    ratio = t_final / dt
+    n = round(ratio) if np.isfinite(ratio) else None
+    if n is None or n < 0 or abs(ratio - n) > STEP_ROUNDOFF * max(n, 1):
+        raise ValueError(
+            f"t_final={t_final!r} is not a whole number of steps of dt={dt!r} "
+            f"(nearest step count: {n})"
+        )
+    return n
+
+
 def _evolve_loop(model, state, t_final, dt, stride, trace_abort):
     rate_fn = _rate_function(model, state, dt)
+    n_steps = _whole_steps(t_final, dt)
     diags = EvolutionDiagnostics.empty()
     diags.record(0.0, state)
     initial_trace = diags.trace[0]
-    n_steps = int(round(t_final / dt))
     cells = state.cells
     grid = state.grid
     for step in range(1, n_steps + 1):
@@ -433,7 +499,8 @@ def _evolve_loop(model, state, t_final, dt, stride, trace_abort):
             if drift > min(trace_abort, LEAK_LIMIT):
                 raise EvolutionError(
                     f"trace drift {drift:.3e} exceeds {min(trace_abort, LEAK_LIMIT):.1e} "
-                    f"at t={step * dt:g} (probability leaking past the grid boundary?)",
+                    f"at t={step * dt:g}, with probability {edge_mass(current):.3e} "
+                    "in the outermost grid cells",
                     diags,
                 )
             if diags.min_eig[-1] < -POSITIVITY_ABORT:
@@ -456,7 +523,8 @@ def evolve(
     """Repeated RK4 stepping with diagnostics; aborts on invariant breach.
 
     Returns (final_state, diagnostics).  Diagnostics are recorded every
-    ``stride`` steps and at the final time.
+    ``stride`` steps and at the final time.  ``t_final`` must be a whole
+    number of ``dt`` steps (up to round-off); any other raises ValueError.
     """
     return _evolve_loop(model, state, t_final, dt, stride, trace_abort)
 

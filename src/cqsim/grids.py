@@ -9,6 +9,12 @@ Derivatives are 2nd-order central stencils in the interior.  Under the
 ``truncate`` boundary policy one-sided 2nd-order stencils are used at the
 edges (probability reaching the boundary is monitored by callers); under
 ``periodic`` the stencils wrap.
+
+`d_dx` and `d2_dx2` write into a caller's ``out`` array when one is given,
+so a kernel that differentiates every RK4 stage can reuse one scratch
+buffer instead of allocating a grid-sized result and 3-4 grid-sized
+temporaries per call.  The arithmetic is the allocating expression's,
+operation for operation, so results are bit-for-bit the same.
 """
 
 from __future__ import annotations
@@ -104,39 +110,76 @@ class PhaseGrid:
         return np.linspace(ax.lo - 0.5 * h, ax.hi + 0.5 * h, ax.n + 1)
 
 
-def d_dx(f: np.ndarray, axis: int, spacing: float, boundary: str) -> np.ndarray:
-    """2nd-order first derivative of ``f`` along ``axis``."""
-    if boundary == PERIODIC:
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * spacing)
-    out = np.empty_like(f)
+def d_dx(f: np.ndarray, axis: int, spacing: float, boundary: str, out=None) -> np.ndarray:
+    """2nd-order first derivative of ``f`` along ``axis``, written into ``out``.
+
+    ``out`` (a new array when None) must have ``f``'s shape and dtype, be
+    C-contiguous and not overlap ``f``; it is returned.
+    """
+    out = np.empty(f.shape, dtype=f.dtype) if out is None else out
     n = f.shape[axis]
     sl = _slicer(f.ndim, axis)
-    out[sl(slice(1, n - 1))] = (f[sl(slice(2, n))] - f[sl(slice(0, n - 2))]) / (2.0 * spacing)
-    out[sl(0)] = (-3.0 * f[sl(0)] + 4.0 * f[sl(1)] - f[sl(2)]) / (2.0 * spacing)
-    out[sl(n - 1)] = (3.0 * f[sl(n - 1)] - 4.0 * f[sl(n - 2)] + f[sl(n - 3)]) / (2.0 * spacing)
-    return out
-
-
-def d2_dx2(f: np.ndarray, axis: int, spacing: float, boundary: str) -> np.ndarray:
-    """2nd-order second derivative of ``f`` along ``axis``."""
-    h2 = spacing * spacing
+    np.subtract(f[sl(slice(2, n))], f[sl(slice(0, n - 2))], out=out[sl(slice(1, n - 1))])
     if boundary == PERIODIC:
-        return (np.roll(f, -1, axis=axis) - 2.0 * f + np.roll(f, 1, axis=axis)) / h2
-    out = np.empty_like(f)
+        np.subtract(f[sl(1)], f[sl(n - 1)], out=out[sl(0)])
+        np.subtract(f[sl(0)], f[sl(n - 2)], out=out[sl(n - 1)])
+    else:
+        out[sl(0)] = -3.0 * f[sl(0)] + 4.0 * f[sl(1)] - f[sl(2)]
+        out[sl(n - 1)] = 3.0 * f[sl(n - 1)] - 4.0 * f[sl(n - 2)] + f[sl(n - 3)]
+    return _divide(out, 2.0 * spacing)
+
+
+def d2_dx2(f: np.ndarray, axis: int, spacing: float, boundary: str, out=None) -> np.ndarray:
+    """2nd-order second derivative of ``f`` along ``axis``, written into ``out``.
+
+    ``out`` is as for `d_dx`.
+    """
+    out = np.empty(f.shape, dtype=f.dtype) if out is None else out
     n = f.shape[axis]
     sl = _slicer(f.ndim, axis)
-    out[sl(slice(1, n - 1))] = (
-        f[sl(slice(2, n))] - 2.0 * f[sl(slice(1, n - 1))] + f[sl(slice(0, n - 2))]
-    ) / h2
-    if n >= 4:
-        out[sl(0)] = (2.0 * f[sl(0)] - 5.0 * f[sl(1)] + 4.0 * f[sl(2)] - f[sl(3)]) / h2
+    # (f[i+1] - 2 f[i]) + f[i-1], accumulated in the interior of ``out``
+    inner = out[sl(slice(1, n - 1))]
+    np.multiply(f[sl(slice(1, n - 1))], 2.0, out=inner)
+    np.subtract(f[sl(slice(2, n))], inner, out=inner)
+    inner += f[sl(slice(0, n - 2))]
+    if boundary == PERIODIC:
+        out[sl(0)] = f[sl(1)] - 2.0 * f[sl(0)] + f[sl(n - 1)]
+        out[sl(n - 1)] = f[sl(0)] - 2.0 * f[sl(n - 1)] + f[sl(n - 2)]
+    elif n >= 4:
+        out[sl(0)] = 2.0 * f[sl(0)] - 5.0 * f[sl(1)] + 4.0 * f[sl(2)] - f[sl(3)]
         out[sl(n - 1)] = (
             2.0 * f[sl(n - 1)] - 5.0 * f[sl(n - 2)] + 4.0 * f[sl(n - 3)] - f[sl(n - 4)]
-        ) / h2
+        )
     else:
-        out[sl(0)] = (f[sl(0)] - 2.0 * f[sl(1)] + f[sl(2)]) / h2
+        out[sl(0)] = f[sl(0)] - 2.0 * f[sl(1)] + f[sl(2)]
         out[sl(n - 1)] = out[sl(0)]
+    return _divide(out, spacing * spacing)
+
+
+def _divide(out, denom):
+    """``out /= denom`` in place, with the bits of numpy's ``out / denom``.
+
+    numpy divides a complex array by the complex ``denom + 0j`` as
+    (re + im * 0) * (1 / denom) and (im - re * 0) * (1 / denom), which
+    `times_real` by 1 / denom reproduces.
+    """
+    if np.iscomplexobj(out):
+        return times_real(out, 1.0 / denom)
+    out /= denom
     return out
+
+
+def times_real(a: np.ndarray, coeff) -> np.ndarray:
+    """``a *= coeff`` for a C-contiguous complex ``a`` and real ``coeff``; returns ``a``.
+
+    Scaling the float view gives the numbers of the complex product
+    a * (coeff + 0j) (only the sign of a zero can differ) at half the
+    arithmetic.  An array ``coeff`` broadcasts against the float view, so
+    its last axis must have length 1.
+    """
+    flat = a.view(a.real.dtype)
+    flat *= coeff
+    return a
 
 
 def _slicer(ndim: int, axis: int):

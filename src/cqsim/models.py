@@ -54,6 +54,19 @@ COMMUTATION_TOL = 1e-10
 # Fixed q values whose V_I and dV_I, with H_q, build the combination that
 # fixes the branch basis and its order, so labels depend on the model alone.
 _BASIS_QS = np.array([-1.37, 0.41, 2.23])
+# One weight per matrix of that combination (H_q, then V_I and dV_I at each
+# of _BASIS_QS): the first seven normal draws of
+# np.random.default_rng(20230817), written out so that no call pays for
+# a generator.
+_BASIS_WEIGHTS = (
+    -0.4812556804272031,
+    1.1060938679505348,
+    1.7290790220211196,
+    -0.04204650136231247,
+    -0.6279832719697106,
+    -1.0687199177974025,
+    0.037897669918088114,
+)
 
 
 class ModelValidationError(ValueError):
@@ -246,10 +259,9 @@ def diagonalize_model(model: CQModel, qs, tol=COMMUTATION_TOL) -> DiagonalizedMo
         + list(_matrix_field(model.v_i, _BASIS_QS, d, "v_i"))
         + list(_matrix_field(model.dv_i, _BASIS_QS, d, "dv_i"))
     )
-    rng = np.random.default_rng(20230817)
     combo = np.zeros((d, d), dtype=complex)
-    for s in fixed:
-        combo = combo + rng.normal() * s
+    for weight, s in zip(_BASIS_WEIGHTS, fixed, strict=True):
+        combo = combo + weight * s
     _, u = np.linalg.eigh(combo)
 
     def _diag_or_refuse(mat):

@@ -40,6 +40,7 @@ from .state import (
     gaussian_product_state,
     load_state,
     save_state,
+    scenario_json,
     total_trace,
     write_table,
 )
@@ -64,7 +65,7 @@ def _write_json(path, payload):
 
 
 def _provenance(scenario: Scenario) -> str:
-    return "scenario " + json.dumps(scenario.resolved, sort_keys=True)
+    return "scenario " + scenario_json(scenario.resolved)
 
 
 def _steps(t_final, dt, limit=None):

@@ -31,6 +31,7 @@ __all__ = [
     "hermiticity_defect",
     "total_trace",
     "classical_marginal",
+    "edge_mass",
     "quantum_marginal",
     "purity_of_marginal",
     "coherence",
@@ -39,6 +40,7 @@ __all__ = [
     "min_cell_eigenvalue",
     "gaussian_product_state",
     "save_state",
+    "scenario_json",
     "load_state",
 ]
 
@@ -101,6 +103,14 @@ def total_trace(state: HybridState) -> float:
 def classical_marginal(state: HybridState) -> np.ndarray:
     """Probability density p(z) = Tr varrho(z) over the grid."""
     return np.einsum("...ii->...", state.cells).real
+
+
+def edge_mass(state: HybridState) -> float:
+    """Probability in the outermost cells of the grid (first and last along each axis)."""
+    dens = classical_marginal(state)
+    edge = np.ones(dens.shape, dtype=bool)
+    edge[tuple(slice(1, -1) for _ in dens.shape)] = False
+    return float(dens[edge].sum() * state.cell_volume)
 
 
 def quantum_marginal(state: HybridState) -> np.ndarray:
@@ -194,6 +204,25 @@ def write_table(fh, header_lines, table):
     np.savetxt(fh, table, fmt=FLOAT_FMT, delimiter=",", header="\n".join(header_lines), comments="")
 
 
+def scenario_json(resolved) -> str:
+    """A resolved scenario as strict JSON, for the provenance header of an artifact.
+
+    A non-finite number (``mass: .inf``) is written as its YAML spelling,
+    the string ".inf", "-.inf" or ".nan", since JSON has no such numbers.
+    """
+    return json.dumps(_yaml_non_finite(resolved), sort_keys=True, allow_nan=False)
+
+
+def _yaml_non_finite(value):
+    if isinstance(value, float) and not np.isfinite(value):
+        return ".nan" if np.isnan(value) else (".inf" if value > 0 else "-.inf")
+    if isinstance(value, dict):
+        return {key: _yaml_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_yaml_non_finite(item) for item in value]
+    return value
+
+
 def save_state(state: HybridState, path, scenario=None):
     _write_state(path, state, scenario)
 
@@ -214,7 +243,7 @@ def _write_state(fh, state, scenario):
     }
     header = ["# cqsim-state " + json.dumps(meta, sort_keys=True)]
     if scenario is not None:
-        header.append("# scenario " + json.dumps(scenario, sort_keys=True))
+        header.append("# scenario " + scenario_json(scenario))
     d = state.hilbert_dim
     names = [ax.name for ax in state.grid.axes]
     cols = names + [f"{part}_{i}{j}" for i in range(d) for j in range(d) for part in ("re", "im")]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from cqsim import generator
 from cqsim.generator import (
     EvolutionError,
     _cq_operators,
+    _operators,
+    _rk4,
+    _whole_steps,
     apply_generator,
     branch_generator,
     cfl_limit,
@@ -15,6 +20,7 @@ from cqsim.generator import (
     step_rk4,
 )
 from cqsim.grids import GridAxis, PhaseGrid, d_dx, d2_dx2
+from cqsim import models
 from cqsim.models import (
     ModelValidationError,
     classical_force,
@@ -26,6 +32,7 @@ from cqsim.models import (
 from cqsim.state import (
     HybridState,
     classical_marginal,
+    edge_mass,
     gaussian_product_state,
     hermiticity_defect,
     total_trace,
@@ -305,6 +312,11 @@ class TestApplyGenerator:
 
 
 class TestBranchGenerator:
+    def test_basis_weights_are_the_seeded_normals(self):
+        # the literals keep the branch labels of the draws they replace
+        rng = np.random.default_rng(20230817)
+        assert models._BASIS_WEIGHTS == tuple(rng.normal() for _ in range(7))
+
     def test_matches_full_generator_on_random_diagonal_models(self):
         rng = np.random.default_rng(99)
         grid = PhaseGrid((GridAxis("q", -3, 3, 21), GridAxis("p", -3, 3, 23)))
@@ -455,7 +467,43 @@ class TestStepping:
         state = gaussian_product_state(grid, (0, 0), (0.4, 0.4))
         dt = 0.4 * cfl_limit(model, grid)
         with pytest.raises(EvolutionError, match="trace drift|negativity"):
-            evolve(model, state, 2.0, dt, stride=5)
+            evolve(model, state, 250 * dt, dt, stride=5)
+
+    def test_leakage_abort_reports_edge_mass(self):
+        grid = PhaseGrid((GridAxis("q", -2, 2, 21), GridAxis("p", -1.5, 1.5, 21)))
+        model = free_diffusion_model(d2=1.0)
+        state = gaussian_product_state(grid, (0, 0), (0.4, 0.4))
+        dt = 0.4 * cfl_limit(model, grid)
+        with pytest.raises(EvolutionError, match="trace drift") as err:
+            evolve(model, state, 10 * dt, dt, stride=1)
+        match = re.search(r"at t=(\S+), with probability (\S+) in the outermost grid cells",
+                          str(err.value))
+        steps = int(round(float(match.group(1)) / dt))
+        for _ in range(steps):
+            state = step_rk4(model, state, dt)
+        dens = classical_marginal(state)
+        edges = dens[0].sum() + dens[-1].sum() + dens[1:-1, 0].sum() + dens[1:-1, -1].sum()
+        assert edges != 0.0
+        assert edge_mass(state) == pytest.approx(edges * grid.cell_volume, rel=1e-12)
+        assert float(match.group(2)) == pytest.approx(edge_mass(state), rel=1e-3)
+
+    def test_evolve_refuses_a_partial_step(self, small_grid):
+        # 2.5 steps used to stop silently after 2
+        model = free_diffusion_model(d2=0.5)
+        state = gaussian_product_state(small_grid, (0, 0), (0.7, 0.7))
+        dt = 0.4 * cfl_limit(model, small_grid)
+        with pytest.raises(ValueError, match=r"t_final=.* dt=.*nearest step count: 2\)"):
+            evolve(model, state, 2.5 * dt, dt, stride=1)
+
+    def test_runner_steps_are_whole(self):
+        # the runner steps at dt = t_final / n: that must make exactly n steps
+        for t_final in (0.3, 0.2, 1e-3, 0.15, 7.77, 123.4):
+            for n in range(1, 3001):
+                assert _whole_steps(t_final, t_final / n) == n
+        assert _whole_steps(0.0, 0.1) == 0
+        for t_final in (-0.2, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="whole number of steps"):
+                _whole_steps(t_final, 0.1)
 
 
 class TestMeasurementGenerator:
@@ -508,3 +556,139 @@ class TestMeasurementGenerator:
         n = int(round(t_final / dt))
         final, diags = evolve_measurement(m, state, t_final, t_final / n, stride=n)
         assert diags.mean_p[-1] == pytest.approx(t_final, rel=0.02)
+
+
+# -- the allocating kernels the in-place ones replaced, as bit references -----
+
+
+def _axis_slicer(ndim, axis):
+    def sl(index):
+        full = [slice(None)] * ndim
+        full[axis] = index
+        return tuple(full)
+
+    return sl
+
+
+def allocating_d_dx(f, axis, spacing, boundary):
+    if boundary == "periodic":
+        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * spacing)
+    out = np.empty_like(f)
+    n = f.shape[axis]
+    sl = _axis_slicer(f.ndim, axis)
+    out[sl(slice(1, n - 1))] = (f[sl(slice(2, n))] - f[sl(slice(0, n - 2))]) / (2.0 * spacing)
+    out[sl(0)] = (-3.0 * f[sl(0)] + 4.0 * f[sl(1)] - f[sl(2)]) / (2.0 * spacing)
+    out[sl(n - 1)] = (3.0 * f[sl(n - 1)] - 4.0 * f[sl(n - 2)] + f[sl(n - 3)]) / (2.0 * spacing)
+    return out
+
+
+def allocating_d2_dx2(f, axis, spacing, boundary):
+    h2 = spacing * spacing
+    if boundary == "periodic":
+        return (np.roll(f, -1, axis=axis) - 2.0 * f + np.roll(f, 1, axis=axis)) / h2
+    out = np.empty_like(f)
+    n = f.shape[axis]
+    sl = _axis_slicer(f.ndim, axis)
+    out[sl(slice(1, n - 1))] = (
+        f[sl(slice(2, n))] - 2.0 * f[sl(slice(1, n - 1))] + f[sl(slice(0, n - 2))]
+    ) / h2
+    if n >= 4:
+        out[sl(0)] = (2.0 * f[sl(0)] - 5.0 * f[sl(1)] + 4.0 * f[sl(2)] - f[sl(3)]) / h2
+        out[sl(n - 1)] = (
+            2.0 * f[sl(n - 1)] - 5.0 * f[sl(n - 2)] + 4.0 * f[sl(n - 3)] - f[sl(n - 4)]
+        ) / h2
+    else:
+        out[sl(0)] = (f[sl(0)] - 2.0 * f[sl(1)] + f[sl(2)]) / h2
+        out[sl(n - 1)] = out[sl(0)]
+    return out
+
+
+def allocating_rate(model, state):
+    grid = state.grid
+    liou_t, back_t, p_over_m, half_d2 = _operators(model, grid, _cq_operators)
+    fvec = state.cells.reshape(grid.shape + (-1,))
+    hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
+    bdry = grid.boundary
+    product = np.matmul if model.hilbert_dim > 1 else np.multiply
+    rate = product(fvec, liou_t)
+    rate += product(allocating_d_dx(fvec, 1, hp_ax, bdry), back_t)
+    transport = allocating_d_dx(fvec, 0, hq_ax, bdry)
+    transport *= p_over_m
+    rate -= transport
+    diffusion = allocating_d2_dx2(fvec, 1, hp_ax, bdry)
+    diffusion *= half_d2
+    rate += diffusion
+    return rate.reshape(state.cells.shape)
+
+
+def allocating_rk4(rate_fn, cells, dt):
+    k1 = rate_fn(cells)
+    k2 = rate_fn(cells + 0.5 * dt * k1)
+    k3 = rate_fn(cells + 0.5 * dt * k2)
+    k4 = rate_fn(cells + dt * k3)
+    return cells + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# (model levels, cell dimension): a one-level model acts on cells of any size
+LEVELS_AND_CELLS = [(1, 1), (2, 2), (8, 8), (1, 2)]
+
+
+def kernel_case(levels, d, boundary, n, real):
+    rng = np.random.default_rng(100 * levels + 10 * d + n)
+    grid = PhaseGrid(
+        (GridAxis("q", -3.0, 2.5, n), GridAxis("p", -2.0, 3.0, n)), boundary=boundary
+    )
+    cells = random_hermitian(rng, grid.shape + (d, d))
+    if real:
+        cells = cells.real + 0.0j
+    return random_cq_model(rng, levels), HybridState(grid, cells)
+
+
+class TestInPlaceKernel:
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("n", [3, 4, 41])
+    @pytest.mark.parametrize("boundary", ["truncate", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_stencils_match_allocating_expressions(self, d, boundary, n, real):
+        _, state = kernel_case(1, d, boundary, n, real)
+        f = state.cells
+        for stencil, reference in ((d_dx, allocating_d_dx), (d2_dx2, allocating_d2_dx2)):
+            for axis in (0, 1):
+                want = reference(f, axis, 0.137, boundary).tobytes()
+                assert stencil(f, axis, 0.137, boundary).tobytes() == want
+                # every entry of a reused destination is written
+                out = np.full(f.shape, np.nan, dtype=f.dtype)
+                assert stencil(f, axis, 0.137, boundary, out=out) is out
+                assert out.tobytes() == want
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("n", [3, 4, 41])
+    @pytest.mark.parametrize("boundary", ["truncate", "periodic"])
+    @pytest.mark.parametrize("levels,d", LEVELS_AND_CELLS)
+    def test_step_matches_allocating_expressions(self, levels, d, boundary, n, real):
+        model, state = kernel_case(levels, d, boundary, n, real)
+        dt = 0.4 * cfl_limit(model, state.grid)
+        # the same rate values, where only the sign of a zero may differ
+        assert np.array_equal(apply_generator(model, state), allocating_rate(model, state))
+        rate_fn = lambda cells: apply_generator(model, HybridState(state.grid, cells))
+        want = allocating_rk4(rate_fn, state.cells, dt).tobytes()
+        assert _rk4(rate_fn, state.cells, dt).tobytes() == want
+
+    def test_rates_are_new_arrays(self):
+        model, state = kernel_case(2, 2, "truncate", 9, False)
+        first = apply_generator(model, state)
+        kept = first.copy()
+        second = apply_generator(model, state)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+
+    def test_input_cells_untouched(self, small_grid):
+        model = qubit_decoherence_model(lam=0.6, d0=1.0)
+        state = gaussian_product_state(
+            small_grid, (0, 0), (0.45, 0.45), rho_q=np.array([[0.6, 0.3], [0.3, 0.4]])
+        )
+        before = state.cells.copy()
+        dt = 0.4 * cfl_limit(model, small_grid)
+        step_rk4(model, state, dt)
+        evolve(model, state, 3 * dt, dt, stride=1)
+        assert state.cells.tobytes() == before.tobytes()

@@ -194,6 +194,25 @@ class TestParsing:
         assert scenario.model.mass == float("inf")
         assert check_scenario(scenario) == {"model": "valid"}
 
+    def test_infinite_mass_provenance_is_strict_json(self, tmp_path):
+        text = (SCENARIO_DIR / "evolve_free_diffusion.yaml").read_text()
+        text = text.replace("mass: 1.0", "mass: .inf").replace("t_final: 0.3", "t_final: 0.01")
+        run_scenario(parse_scenario(text), tmp_path)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        names = sorted(os.listdir(tmp_path))
+        assert names == ["diagnostics.csv", "final_state.txt"]
+        for name in names:
+            headers = [
+                line.split(" ", 2)[2]
+                for line in (tmp_path / name).read_text().splitlines()
+                if line.startswith(("# scenario ", "# cqsim-state "))
+            ]
+            parsed = [json.loads(header, parse_constant=refuse) for header in headers]
+            assert [p["model"]["mass"] for p in parsed if "model" in p] == [".inf"]
+
     @pytest.mark.parametrize(
         "section,key,value",
         [
