@@ -24,10 +24,15 @@ and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.  These
 operators are built once per (model, grid) -- on the first call for that
 pair -- and reused by every later RK4 stage.  The build first audits the
 model on the grid's points, so each (model, grid) is audited once; a
-failure is never cached.  Beside the operators, two grid-sized scratch
-buffers, kept while the cells' shape repeats, receive the stencils and
-the back-reaction product, and the real coefficients p/m and D2/2 scale
-their float views; each call allocates only the rate it returns.
+failure is never cached.  The rate starts as fvec @ L(q)^T; the stencil
+terms follow one slab of q rows at a time (about `_SLAB_BYTES` of cells),
+in the order back-reaction product, q-transport (which reads one
+neighbour row on each side of the slab), p-diffusion.  Two slab buffers
+receive the stencils and the back-reaction product, and the real
+coefficients p/m and D2/2 scale their float views.  Every element sees
+the whole-grid expression's operations in its order, so the slab size
+never changes a bit; a call's only grid-sized allocation is the rate it
+returns, and the operators are the only memory kept between calls.
 
 Time stepping is classical RK4.  `_rk4` forms the three stage states in
 one reused buffer and combines k1..k4 in place, in the operation order of
@@ -90,6 +95,7 @@ __all__ = [
     "evolve",
     "evolve_measurement",
     "cfl_limit",
+    "cfl_terms",
     "measurement_cfl_limit",
 ]
 
@@ -98,6 +104,10 @@ POSITIVITY_ABORT = 1e-7  # 10 x the hybrid-state positivity tolerance
 # Relative slack between t_final / dt and a whole step count: round-off
 # only (t_final / (t_final / n) is within a few ulp of n).
 STEP_ROUNDOFF = 1e-9
+# Bytes of each `apply_generator` slab buffer (a slab holds at least one q
+# row).  It bounds the kernel's scratch memory, and a slab's stencil,
+# product and rate rows stay in cache between the terms that read them.
+_SLAB_BYTES = 1 << 20
 
 
 class EvolutionError(RuntimeError):
@@ -163,9 +173,10 @@ def apply_generator(model: CQModel, state: HybridState) -> np.ndarray:
 
     The per-q operators are built (and `validate_model` run on the q
     points) on the first call for a (model, grid) pair and reused while
-    the same model and grid keep coming back.  The stencils and products
-    go through two scratch buffers reused while the cells' shape keeps
-    coming back; only the returned rate is allocated per call.
+    the same model and grid keep coming back.  The rate is fvec @ L(q)^T
+    over the whole grid; the stencil terms are then added one slab of q
+    rows at a time through two slab-sized buffers, so the returned rate is
+    the only grid-sized array a call allocates.
     """
     grid = state.grid
     liou_t, back_t, p_over_m, half_d2 = _operators(model, grid, _cq_operators)
@@ -174,15 +185,21 @@ def apply_generator(model: CQModel, state: HybridState) -> np.ndarray:
     fvec = f.reshape(grid.shape + (-1,))
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
     bdry = grid.boundary
-    deriv, product_out = _scratch(fvec.shape)
+    nq = grid.shape[0]
+    rows = min(nq, max(1, _SLAB_BYTES // fvec[0].nbytes))
+    deriv = np.empty((rows,) + fvec.shape[1:], dtype=complex)
+    product_out = np.empty_like(deriv)
 
     # a one-level (purely classical) model acts alike on every matrix
     # element, so it applies elementwise to cells of any dimension
     product = np.matmul if model.hilbert_dim > 1 else np.multiply
     rate = product(fvec, liou_t)
-    rate += product(d_dx(fvec, 1, hp_ax, bdry, out=deriv), back_t, out=product_out)
-    rate -= times_real(d_dx(fvec, 0, hq_ax, bdry, out=deriv), p_over_m)
-    rate += times_real(d2_dx2(fvec, 1, hp_ax, bdry, out=deriv), half_d2)
+    for lo in range(0, nq, rows):
+        q = slice(lo, min(lo + rows, nq))
+        d, pd = deriv[: q.stop - lo], product_out[: q.stop - lo]
+        rate[q] += product(d_dx(fvec, 1, hp_ax, bdry, out=d, rows=q), back_t[q], out=pd)
+        rate[q] -= times_real(d_dx(fvec, 0, hq_ax, bdry, out=d, rows=q), p_over_m)
+        rate[q] += times_real(d2_dx2(fvec, 1, hp_ax, bdry, out=d, rows=q), half_d2[q])
     return rate.reshape(f.shape)
 
 
@@ -240,20 +257,6 @@ def _operators(model, grid, build):
         ops = build(model, grid)
         _memo = (model, grid, ops)
     return ops
-
-
-# Beside it, one entry of `apply_generator` scratch: two complex buffers of
-# the cells' vec shape.  Nothing returned to a caller ever aliases them.
-_scratch_memo = (None, None)
-
-
-def _scratch(shape):
-    global _scratch_memo
-    cached_shape, buffers = _scratch_memo
-    if cached_shape != shape:
-        buffers = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
-        _scratch_memo = (shape, buffers)
-    return buffers
 
 
 def branch_generator(
@@ -357,30 +360,39 @@ def _measurement_operators(m: MeasurementModel, grid: PhaseGrid):
 def cfl_limit(model: CQModel, grid: PhaseGrid) -> float:
     """Largest stable-looking dt for explicit stepping of `apply_generator`.
 
-    min over: dp^2/max D2, dp/max|force|, hbar/||H_q||, dq*m/max|p|, and
-    the inverse of the fastest dissipator rate.  Callers should apply a
-    safety factor below 1.
+    The minimum of `cfl_terms` (inf when there are none).  Callers should
+    apply a safety factor below 1.
+    """
+    return min(cfl_terms(model, grid).values(), default=np.inf)
+
+
+def cfl_terms(model: CQModel, grid: PhaseGrid) -> dict:
+    """The step limits that `cfl_limit` takes the minimum of, by term name.
+
+    diffusion dp^2/max D2, force dp/max|force|, hamiltonian hbar/||H_q||,
+    transport dq*m/max|p| and dissipator 1/(2 max D0 (2 ||L||)^2); a term
+    whose rate is zero sets no limit and is left out.
     """
     qs = grid.axes[0].points
     dq_ax, dp_ax = grid.axes[0].spacing, grid.axes[1].spacing
-    terms = []
+    terms = {}
     d2max = float(np.max(model.d2(qs)))
     if d2max > 0:
-        terms.append(dp_ax**2 / d2max)
+        terms["diffusion"] = dp_ax**2 / d2max
     lmax = _spectral_max(np.asarray(model.dv_i(qs), dtype=complex))
     fmax = float(np.max(np.abs(classical_force(model, qs)))) + lmax
     if fmax > 0:
-        terms.append(dp_ax / fmax)
+        terms["force"] = dp_ax / fmax
     hnorm = _spectral_max(model.h_q[None])
     if hnorm > 0:
-        terms.append(model.hbar / hnorm)
+        terms["hamiltonian"] = model.hbar / hnorm
     pmax = float(np.max(np.abs(grid.axes[1].points)))
     if np.isfinite(model.mass) and pmax > 0:
-        terms.append(dq_ax * model.mass / pmax)
+        terms["transport"] = dq_ax * model.mass / pmax
     d0max = float(np.max(model.d0(qs)))
     if d0max > 0 and lmax > 0:
-        terms.append(1.0 / (2.0 * d0max * (2.0 * lmax) ** 2))
-    return min(terms) if terms else np.inf
+        terms["dissipator"] = 1.0 / (2.0 * d0max * (2.0 * lmax) ** 2)
+    return terms
 
 
 def measurement_cfl_limit(m: MeasurementModel, grid: PhaseGrid) -> float:
@@ -478,14 +490,22 @@ def _whole_steps(t_final, dt):
     return n
 
 
-def _evolve_loop(model, state, t_final, dt, stride, trace_abort):
+def _evolve_loop(model, initial, t_final, dt, stride, trace_abort):
+    """The stepping loop of `evolve` and `evolve_measurement`.
+
+    ``initial`` is a one-item list holding the initial state, which the
+    loop takes out: when the caller kept no reference either, the initial
+    cells are freed as soon as the first step has consumed them.
+    """
+    state = initial.pop()
+    grid = state.grid
     rate_fn = _rate_function(model, state, dt)
     n_steps = _whole_steps(t_final, dt)
     diags = EvolutionDiagnostics.empty()
     diags.record(0.0, state)
     initial_trace = diags.trace[0]
     cells = state.cells
-    grid = state.grid
+    del state
     for step in range(1, n_steps + 1):
         cells = _rk4(rate_fn, cells, dt)
         if step % stride == 0 or step == n_steps:
@@ -525,12 +545,15 @@ def evolve(
     Returns (final_state, diagnostics).  Diagnostics are recorded every
     ``stride`` steps and at the final time.  ``t_final`` must be a whole
     number of ``dt`` steps (up to round-off); any other raises ValueError.
+    ``state`` is not referenced after the first step.
     """
-    return _evolve_loop(model, state, t_final, dt, stride, trace_abort)
+    initial = [state]
+    del state
+    return _evolve_loop(model, initial, t_final, dt, stride, trace_abort)
 
 
 def evolve_measurement(
     m: MeasurementModel, state: HybridState, t_final: float, dt: float, stride: int = 10
 ):
     """RK4 evolution of the measurement master equation on a signal grid."""
-    return _evolve_loop(m, state, t_final, dt, stride, TRACE_DRIFT_ABORT)
+    return _evolve_loop(m, [state], t_final, dt, stride, TRACE_DRIFT_ABORT)

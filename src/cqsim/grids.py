@@ -14,7 +14,11 @@ edges (probability reaching the boundary is monitored by callers); under
 so a kernel that differentiates every RK4 stage can reuse one scratch
 buffer instead of allocating a grid-sized result and 3-4 grid-sized
 temporaries per call.  The arithmetic is the allocating expression's,
-operation for operation, so results are bit-for-bit the same.
+operation for operation, so results are bit-for-bit the same.  Both also
+evaluate a window of first-axis ``rows`` only, reading the neighbour rows
+that the window's stencils need; the whole grid is the window of all rows,
+so a kernel that works one slab of rows at a time gets, row for row, the
+whole-grid numbers.
 """
 
 from __future__ import annotations
@@ -110,50 +114,85 @@ class PhaseGrid:
         return np.linspace(ax.lo - 0.5 * h, ax.hi + 0.5 * h, ax.n + 1)
 
 
-def d_dx(f: np.ndarray, axis: int, spacing: float, boundary: str, out=None) -> np.ndarray:
+def d_dx(
+    f: np.ndarray, axis: int, spacing: float, boundary: str, out=None, rows=None
+) -> np.ndarray:
     """2nd-order first derivative of ``f`` along ``axis``, written into ``out``.
 
-    ``out`` (a new array when None) must have ``f``'s shape and dtype, be
-    C-contiguous and not overlap ``f``; it is returned.
+    ``rows`` (a slice of the first axis; all rows when None) selects the
+    rows of the result; differencing along the first axis reads their
+    neighbour rows of ``f``.  ``out`` (a new array when None) must have the
+    shape and dtype of ``f[rows]``, be C-contiguous and not overlap ``f``;
+    it is returned.
     """
-    out = np.empty(f.shape, dtype=f.dtype) if out is None else out
+    f, out, lo, hi = _window(f, axis, rows, out)
     n = f.shape[axis]
     sl = _slicer(f.ndim, axis)
-    np.subtract(f[sl(slice(2, n))], f[sl(slice(0, n - 2))], out=out[sl(slice(1, n - 1))])
-    if boundary == PERIODIC:
-        np.subtract(f[sl(1)], f[sl(n - 1)], out=out[sl(0)])
-        np.subtract(f[sl(0)], f[sl(n - 2)], out=out[sl(n - 1)])
-    else:
-        out[sl(0)] = -3.0 * f[sl(0)] + 4.0 * f[sl(1)] - f[sl(2)]
-        out[sl(n - 1)] = 3.0 * f[sl(n - 1)] - 4.0 * f[sl(n - 2)] + f[sl(n - 3)]
+    a, b = max(lo, 1), min(hi, n - 1)  # the window's interior points
+    np.subtract(
+        f[sl(slice(a + 1, b + 1))], f[sl(slice(a - 1, b - 1))], out=out[sl(slice(a - lo, b - lo))]
+    )
+
+    def edge(i):
+        if boundary == PERIODIC:
+            return f[sl((i + 1) % n)] - f[sl(i - 1)]
+        if i == 0:
+            return -3.0 * f[sl(0)] + 4.0 * f[sl(1)] - f[sl(2)]
+        return 3.0 * f[sl(n - 1)] - 4.0 * f[sl(n - 2)] + f[sl(n - 3)]
+
+    _fill_edges(out, lo, hi, n, sl, edge)
     return _divide(out, 2.0 * spacing)
 
 
-def d2_dx2(f: np.ndarray, axis: int, spacing: float, boundary: str, out=None) -> np.ndarray:
+def d2_dx2(
+    f: np.ndarray, axis: int, spacing: float, boundary: str, out=None, rows=None
+) -> np.ndarray:
     """2nd-order second derivative of ``f`` along ``axis``, written into ``out``.
 
-    ``out`` is as for `d_dx`.
+    ``rows`` and ``out`` are as for `d_dx`.
     """
-    out = np.empty(f.shape, dtype=f.dtype) if out is None else out
+    f, out, lo, hi = _window(f, axis, rows, out)
     n = f.shape[axis]
     sl = _slicer(f.ndim, axis)
+    a, b = max(lo, 1), min(hi, n - 1)
     # (f[i+1] - 2 f[i]) + f[i-1], accumulated in the interior of ``out``
-    inner = out[sl(slice(1, n - 1))]
-    np.multiply(f[sl(slice(1, n - 1))], 2.0, out=inner)
-    np.subtract(f[sl(slice(2, n))], inner, out=inner)
-    inner += f[sl(slice(0, n - 2))]
-    if boundary == PERIODIC:
-        out[sl(0)] = f[sl(1)] - 2.0 * f[sl(0)] + f[sl(n - 1)]
-        out[sl(n - 1)] = f[sl(0)] - 2.0 * f[sl(n - 1)] + f[sl(n - 2)]
-    elif n >= 4:
-        out[sl(0)] = 2.0 * f[sl(0)] - 5.0 * f[sl(1)] + 4.0 * f[sl(2)] - f[sl(3)]
-        out[sl(n - 1)] = (
-            2.0 * f[sl(n - 1)] - 5.0 * f[sl(n - 2)] + 4.0 * f[sl(n - 3)] - f[sl(n - 4)]
-        )
-    else:
-        out[sl(0)] = f[sl(0)] - 2.0 * f[sl(1)] + f[sl(2)]
-        out[sl(n - 1)] = out[sl(0)]
+    inner = out[sl(slice(a - lo, b - lo))]
+    np.multiply(f[sl(slice(a, b))], 2.0, out=inner)
+    np.subtract(f[sl(slice(a + 1, b + 1))], inner, out=inner)
+    inner += f[sl(slice(a - 1, b - 1))]
+
+    def edge(i):
+        if boundary == PERIODIC:
+            return f[sl((i + 1) % n)] - 2.0 * f[sl(i)] + f[sl(i - 1)]
+        if n < 4:  # three points: both edges take the one second difference
+            return f[sl(0)] - 2.0 * f[sl(1)] + f[sl(2)]
+        s = 1 if i == 0 else -1  # inward
+        return 2.0 * f[sl(i)] - 5.0 * f[sl(i + s)] + 4.0 * f[sl(i + 2 * s)] - f[sl(i + 3 * s)]
+
+    _fill_edges(out, lo, hi, n, sl, edge)
     return _divide(out, spacing * spacing)
+
+
+def _window(f, axis, rows, out):
+    """(f, out, lo, hi): ``out`` holds points lo..hi-1 of ``f``'s differenced axis.
+
+    Along the first axis that window is ``rows``, and ``f`` stays whole for
+    the neighbour rows; along another axis ``f`` is cut to ``rows`` and the
+    window is the whole axis.
+    """
+    lo, hi, _ = (slice(None) if rows is None else rows).indices(f.shape[0])
+    if out is None:
+        out = np.empty((hi - lo,) + f.shape[1:], dtype=f.dtype)
+    if axis != 0:
+        f, lo, hi = f[lo:hi], 0, f.shape[axis]
+    return f, out, lo, hi
+
+
+def _fill_edges(out, lo, hi, n, sl, edge):
+    """Write the stencil ``edge(i)`` at each end point i of the axis inside [lo, hi)."""
+    for i in (0, n - 1):
+        if lo <= i < hi:
+            out[sl(i - lo)] = edge(i)
 
 
 def _divide(out, denom):

@@ -27,6 +27,7 @@ import numpy as np
 from .generator import (
     EvolutionError,
     cfl_limit,
+    cfl_terms,
     evolve,
     evolve_measurement,
     measurement_cfl_limit,
@@ -169,18 +170,21 @@ def _run_cp_check(scenario, out_dir, audit):
 def _run_evolve(scenario, out_dir):
     init = scenario.initial
     numerics = scenario.numerics
-    state = gaussian_product_state(
-        scenario.grid,
-        centers=(init["q0"], init["p0"]),
-        sigmas=(init["sigma_q"], init["sigma_p"]),
-        rho_q=init["rho_q"],
-    )
-    (dt, _), _ = _plan(scenario)
+    (dt, n_steps), _ = _plan(scenario)
+    terms = cfl_terms(scenario.model, scenario.grid)
+    binding = min(terms, key=terms.get, default=None)
     prov = _provenance(scenario)
     try:
+        # the initial state is built in the call, so that evolve holds its
+        # only reference and frees it after the first step
         final, diags = evolve(
             scenario.model,
-            state,
+            gaussian_product_state(
+                scenario.grid,
+                centers=(init["q0"], init["p0"]),
+                sigmas=(init["sigma_q"], init["sigma_p"]),
+                rho_q=init["rho_q"],
+            ),
             numerics["t_final"],
             dt,
             stride=scenario.output["stride"],
@@ -196,7 +200,14 @@ def _run_evolve(scenario, out_dir):
         raise RunFailure(str(exc)) from exc
     _write_csv(os.path.join(out_dir, "diagnostics.csv"), [prov], diags.COLUMNS, diags.table())
     save_state(final, os.path.join(out_dir, "final_state.txt"), scenario=scenario.resolved)
-    return {"trace": diags.trace[-1], "min_eig": min(diags.min_eig)}
+    return {
+        "trace": diags.trace[-1],
+        "min_eig": min(diags.min_eig),
+        "dt": dt,
+        "n_steps": n_steps,
+        "cfl_limit": terms.get(binding, np.inf),
+        "cfl_term": binding,
+    }
 
 
 def _run_unravel(scenario, out_dir):

@@ -18,6 +18,7 @@ may be read concurrently.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -245,12 +246,16 @@ def _write_state(fh, state, scenario):
     if scenario is not None:
         header.append("# scenario " + scenario_json(scenario))
     d = state.hilbert_dim
-    names = [ax.name for ax in state.grid.axes]
-    cols = names + [f"{part}_{i}{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
-    header.append("# columns: " + ",".join(cols))
+    header.append("# columns: " + ",".join(_state_columns(state.grid, d)))
     coords = [m.reshape(-1) for m in state.grid.meshes()]
     entries = state.cells.reshape(coords[0].size, d * d).view(float)
     write_table(fh, header, np.column_stack(coords + [entries]))
+
+
+def _state_columns(grid, d):
+    """Column names of a state dump: the axis names, then re_ij, im_ij per entry."""
+    names = [ax.name for ax in grid.axes]
+    return names + [f"{part}_{i}{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
 
 
 def load_state(path) -> HybridState:
@@ -260,6 +265,12 @@ def load_state(path) -> HybridState:
 
 
 def state_from_text(text: str) -> HybridState:
+    """Parse a state dump; raises ValueError naming what is malformed.
+
+    Beside the header and the table's shape, every number must be finite
+    and every row's coordinates must be its cell's grid point exactly (a
+    FLOAT_FMT dump reads back bit for bit), so a row out of place fails.
+    """
     # loadtxt reads the list of lines; an io.StringIO(text) copy would hold
     # four bytes per character of a dump that can run to tens of megabytes
     lines = text.splitlines()
@@ -279,7 +290,7 @@ def state_from_text(text: str) -> HybridState:
     ncoord = len(axes)
     width = ncoord + 2 * d * d
     # loadtxt warns on input without data rows; those fail the row count
-    if any(line.strip() and not line.startswith("#") for line in lines):
+    if any(map(_is_data, lines)):
         table = np.loadtxt(lines, delimiter=",", ndmin=2)
     else:
         table = np.empty((0, width))
@@ -290,5 +301,34 @@ def state_from_text(text: str) -> HybridState:
         )
     if table.shape[0] != int(np.prod(grid.shape)):
         raise ValueError(f"row count {table.shape[0]} does not match grid shape {grid.shape}")
+
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = divmod(int(finite.argmin()), width)
+        problem = f"{FLOAT_FMT % table[row, col]} is not a finite number"
+        _refuse_entry(lines, grid, d, row, col, problem)
+    del finite
+    coords = table[:, :ncoord].reshape(grid.shape + (ncoord,))
+    for k, ax in enumerate(axes):
+        # in row-major cell order, axis k's coordinate varies along grid axis k only
+        wrong = coords[..., k] != ax.points.reshape([-1 if i == k else 1 for i in range(ncoord)])
+        if wrong.any():
+            row = int(wrong.argmax())
+            point = ax.points[np.unravel_index(row, grid.shape)[k]]
+            problem = f"{FLOAT_FMT % table[row, k]} is not the grid point {FLOAT_FMT % point}"
+            _refuse_entry(lines, grid, d, row, k, problem)
     cells = table[:, ncoord:].view(complex).reshape(grid.shape + (d, d))
     return HybridState(grid, cells)
+
+
+def _refuse_entry(lines, grid, d, row, col, problem):
+    """Raise the ValueError of a bad entry, naming its data row, file line and column."""
+    data_lines = (i for i, line in enumerate(lines) if _is_data(line))
+    line = next(itertools.islice(data_lines, row, None)) + 1
+    name = _state_columns(grid, d)[col]
+    raise ValueError(f"state row {row + 1} (line {line}), column {name}: {problem}")
+
+
+def _is_data(line):
+    """Whether loadtxt reads a row from ``line`` ('#' starts a comment)."""
+    return bool(line.split("#", 1)[0].strip())

@@ -1,9 +1,12 @@
 import re
+import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cqsim import generator
+from cqsim import generator, runner
 from cqsim.generator import (
     EvolutionError,
     _cq_operators,
@@ -29,6 +32,7 @@ from cqsim.models import (
     polynomial_cq_model,
     validate_model,
 )
+from cqsim.scenario import parse_scenario_file
 from cqsim.state import (
     HybridState,
     classical_marginal,
@@ -692,3 +696,87 @@ class TestInPlaceKernel:
         step_rk4(model, state, dt)
         evolve(model, state, 3 * dt, dt, stride=1)
         assert state.cells.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4, 41])
+    @pytest.mark.parametrize("boundary", ["truncate", "periodic"])
+    def test_stencil_windows_are_rows_of_the_whole_grid(self, boundary, n):
+        _, state = kernel_case(1, 2, boundary, n, False)
+        f = state.cells
+        for stencil in (d_dx, d2_dx2):
+            for axis in (0, 1):
+                whole = stencil(f, axis, 0.137, boundary)
+                for lo in range(n):
+                    for hi in range(lo + 1, n + 1):
+                        window = stencil(f, axis, 0.137, boundary, rows=slice(lo, hi))
+                        assert window.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+    @pytest.mark.parametrize("n", [3, 4, 41])
+    @pytest.mark.parametrize("boundary", ["truncate", "periodic"])
+    @pytest.mark.parametrize("levels,d", LEVELS_AND_CELLS)
+    def test_slab_size_never_changes_a_bit(self, levels, d, boundary, n, monkeypatch):
+        model, state = kernel_case(levels, d, boundary, n, False)
+        windows = []
+
+        def spy(*args, rows, **kwargs):
+            windows.append((rows.start, rows.stop))
+            return d_dx(*args, rows=rows, **kwargs)
+
+        monkeypatch.setattr(generator, "d_dx", spy)
+        rates = {}
+        # 2 and 3 rows leave a shorter last slab for some n; n rows is the whole grid
+        for rows in (1, 2, 3, n):
+            monkeypatch.setattr(generator, "_SLAB_BYTES", rows * state.cells[0].nbytes)
+            windows.clear()
+            rates[rows] = apply_generator(model, state)
+            slabs = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+            assert windows == [w for slab in slabs for w in (slab, slab)]
+        assert np.array_equal(rates[n], allocating_rate(model, state))
+        for rows in (1, 2, 3):
+            assert rates[rows].tobytes() == rates[n].tobytes()
+
+    def test_no_grid_sized_memory_kept_between_calls(self):
+        model, state = kernel_case(8, 8, "truncate", 101, False)
+        # C-ordered cells, as every RK4 stage has: their vec view needs no copy
+        state = HybridState(state.grid, np.ascontiguousarray(state.cells))
+        grid_bytes = state.cells.nbytes
+        assert grid_bytes > 8 * generator._SLAB_BYTES
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rate = apply_generator(model, state)
+            del rate
+            kept = tracemalloc.get_traced_memory()[0] - before
+            operators = sum(op.nbytes for op in generator._memo[2])
+            assert kept < operators + grid_bytes / 4
+            # a later call: the rate, plus slab buffers and row temporaries
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rate = apply_generator(model, state)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak < grid_bytes + 4 * generator._SLAB_BYTES
+        finally:
+            tracemalloc.stop()
+
+    def test_runner_frees_the_initial_cells_after_the_first_step(self, monkeypatch, tmp_path):
+        initial = []
+        build = runner.gaussian_product_state
+
+        def tracked(*args, **kwargs):
+            state = build(*args, **kwargs)
+            initial.append(weakref.ref(state.cells))
+            return state
+
+        alive = []
+        kernel = generator.apply_generator
+
+        def rate(model, state):
+            alive.append(initial[0]() is not None)
+            return kernel(model, state)
+
+        monkeypatch.setattr(runner, "gaussian_product_state", tracked)
+        monkeypatch.setattr(generator, "apply_generator", rate)
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "evolve_qubit_decoherence.yaml"
+        runner.run_scenario(parse_scenario_file(str(path)), tmp_path)
+        # four rate evaluations per RK4 step: only the first step reads the initial cells
+        assert len(alive) == 4 * 25
+        assert alive[:4] == [True] * 4 and not any(alive[4:])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqsim.cli import main
+from cqsim.generator import cfl_limit, cfl_terms
 from cqsim.grids import GridAxis, PhaseGrid
 from cqsim.runner import check_scenario, compare_artifacts, run_scenario
 from cqsim.scenario import ScenarioError, parse_scenario, parse_scenario_file
@@ -550,6 +551,24 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out.strip().splitlines()[-1]
         assert float(out) == 0.0
+
+    def test_evolve_summary_reports_steps_and_binding_cfl_term(self, tmp_path, capsys):
+        path = SCENARIO_DIR / "evolve_qubit_decoherence.yaml"
+        scenario = parse_scenario_file(str(path))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        terms = cfl_terms(scenario.model, scenario.grid)
+        limit = cfl_limit(scenario.model, scenario.grid)
+        assert isinstance(limit, float)
+        assert summary["cfl_limit"] == limit == terms[summary["cfl_term"]] == min(terms.values())
+        assert summary["cfl_term"] == "transport"
+        t_final = scenario.numerics["t_final"]
+        assert (summary["dt"], summary["n_steps"]) == (0.01, 25)
+        assert summary["dt"] * summary["n_steps"] == pytest.approx(t_final, rel=1e-12)
+        # the summary is stdout only: no artifact carries it
+        for artifact in out.iterdir():
+            assert "cfl_term" not in artifact.read_text()
 
     def test_check_command(self, capsys):
         assert main(["check", str(SCENARIO_DIR / "cp_check_saturated.yaml")]) == 0

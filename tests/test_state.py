@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,26 @@ def _edit_header(text, **changes):
     return "# cqsim-state " + json.dumps(meta) + "\n" + rest
 
 
+def _edit_rows(text, edit):
+    """``text`` with ``edit`` applied to its list of data rows, each a list of fields."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    rows = [line.split(",") for line in lines[start:]]
+    edit(rows)
+    return "\n".join(lines[:start] + [",".join(row) for row in rows]) + "\n"
+
+
+def _set_entry(row, col, value):
+    def edit(rows):
+        rows[row - 1][col] = value
+
+    return lambda text: _edit_rows(text, edit)
+
+
+def _swap(rows):
+    rows[2], rows[3] = rows[3], rows[2]
+
+
 @pytest.mark.parametrize(
     "edit, cause",
     [
@@ -228,15 +249,22 @@ def _edit_header(text, **changes):
                                          dict(name="p", lo=-1.0, hi=1.0, n=9)]),
          "axis 'q' needs an integer point count, got 9.5"),
         (lambda t: _edit_header(t, hilbert_dim=-1), "hilbert_dim must be positive, got -1"),
+        # data rows start on line 3, after the header and column lines
+        (_set_entry(5, 2, "nan"), "state row 5 (line 7), column re_00: nan is not a finite number"),
+        (_set_entry(6, 3, "inf"), "state row 6 (line 8), column im_00: inf is not a finite number"),
+        (lambda t: _edit_rows(t, _swap),
+         "state row 3 (line 5), column p: -0.25 is not the grid point -0.5"),
+        (_set_entry(10, 0, "0.123"),
+         "state row 10 (line 12), column q: 0.123 is not the grid point -0.75"),
     ],
     ids=["no-axes", "no-boundary", "no-hilbert-dim", "hilbert-dim-mismatch",
          "hilbert-dim-float", "axes-not-a-list", "header-only", "axis-n-float",
-         "hilbert-dim-negative"],
+         "hilbert-dim-negative", "nan-entry", "inf-entry", "rows-swapped", "wrong-coordinate"],
 )
 def test_malformed_state_file_names_the_cause(tmp_path, capsys, edit, cause):
     grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 9), GridAxis("p", -1.0, 1.0, 9)))
     text = edit(state_to_text(gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5))))
-    with pytest.raises(ValueError, match=cause):
+    with pytest.raises(ValueError, match=re.escape(cause)):
         state_from_text(text)
     path = tmp_path / "bad.txt"
     path.write_text(text)
