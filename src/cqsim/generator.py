@@ -57,6 +57,11 @@ per-cell superoperator -k(z)[Z,[Z,.]] - (i/hbar)[H,.], the conservative
 drift -d(fvec @ A(z)^T)/dz with A(z) = (1/2)(Z kron I + I kron Z^T), and
 the diffusion (1/2) d^2(D2 varrho)/dz^2, with operators built (and the
 model audited) once per (model, grid).
+
+Both equations share one set of named step limits, `cfl_terms`, whose
+minimum is `cfl_limit`: the measurement equation is the CQ one along z
+with L = Z, D0 = 2k, D2 = 1/(8k), the signal drift ||Z|| as force and no
+transport.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ from .models import (
     diagonalize_model,
     validate_model,
 )
+from .psd import spectral_norm
 from .state import (
     LEAK_LIMIT,
     HybridState,
@@ -357,8 +363,8 @@ def _measurement_operators(m: MeasurementModel, grid: PhaseGrid):
 # -- time stepping -----------------------------------------------------------
 
 
-def cfl_limit(model: CQModel, grid: PhaseGrid) -> float:
-    """Largest stable-looking dt for explicit stepping of `apply_generator`.
+def cfl_limit(model: CQModel | MeasurementModel, grid: PhaseGrid) -> float:
+    """Largest stable-looking dt for explicit stepping of either grid equation.
 
     The minimum of `cfl_terms` (inf when there are none).  Callers should
     apply a safety factor below 1.
@@ -366,56 +372,49 @@ def cfl_limit(model: CQModel, grid: PhaseGrid) -> float:
     return min(cfl_terms(model, grid).values(), default=np.inf)
 
 
-def cfl_terms(model: CQModel, grid: PhaseGrid) -> dict:
+def cfl_terms(model: CQModel | MeasurementModel, grid: PhaseGrid) -> dict:
     """The step limits that `cfl_limit` takes the minimum of, by term name.
 
-    diffusion dp^2/max D2, force dp/max|force|, hamiltonian hbar/||H_q||,
+    diffusion dp^2/max D2, force dp/max|force|, hamiltonian hbar/||H||,
     transport dq*m/max|p| and dissipator 1/(2 max D0 (2 ||L||)^2); a term
-    whose rate is zero sets no limit and is left out.
+    whose rate is zero sets no limit and is left out.  For a `CQModel`,
+    L = dV_I/dq and the force is max|V'| + ||L||.  A `MeasurementModel`'s
+    equation is the same along its signal axis z, with L = Z, D0 = 2k,
+    D2 = 1/(8k), H = h, the signal drift ||Z|| as force and no transport.
     """
-    qs = grid.axes[0].points
-    dq_ax, dp_ax = grid.axes[0].spacing, grid.axes[1].spacing
+    xs = grid.axes[0].points
+    # dp: the spacing of the axis that diffusion and force act along (p, or z)
+    if isinstance(model, MeasurementModel):
+        dp = grid.axes[0].spacing
+        lop, h, drift, transport = model.z_op(xs), model.h, 0.0, None
+    else:
+        dq, dp = grid.axes[0].spacing, grid.axes[1].spacing
+        lop, h = model.dv_i(xs), model.h_q
+        drift = float(np.max(np.abs(classical_force(model, xs))))
+        pmax = float(np.max(np.abs(grid.axes[1].points)))
+        transport = dq * model.mass / pmax if np.isfinite(model.mass) and pmax > 0 else None
     terms = {}
-    d2max = float(np.max(model.d2(qs)))
+    d2max = float(np.max(model.d2(xs)))
     if d2max > 0:
-        terms["diffusion"] = dp_ax**2 / d2max
-    lmax = _spectral_max(np.asarray(model.dv_i(qs), dtype=complex))
-    fmax = float(np.max(np.abs(classical_force(model, qs)))) + lmax
+        terms["diffusion"] = dp**2 / d2max
+    lmax = spectral_norm(np.asarray(lop, dtype=complex))
+    fmax = drift + lmax
     if fmax > 0:
-        terms["force"] = dp_ax / fmax
-    hnorm = _spectral_max(model.h_q[None])
+        terms["force"] = dp / fmax
+    hnorm = 0.0 if h is None else spectral_norm(h)
     if hnorm > 0:
         terms["hamiltonian"] = model.hbar / hnorm
-    pmax = float(np.max(np.abs(grid.axes[1].points)))
-    if np.isfinite(model.mass) and pmax > 0:
-        terms["transport"] = dq_ax * model.mass / pmax
-    d0max = float(np.max(model.d0(qs)))
+    if transport is not None:
+        terms["transport"] = transport
+    d0max = float(np.max(model.d0(xs)))
     if d0max > 0 and lmax > 0:
         terms["dissipator"] = 1.0 / (2.0 * d0max * (2.0 * lmax) ** 2)
     return terms
 
 
 def measurement_cfl_limit(m: MeasurementModel, grid: PhaseGrid) -> float:
-    zs = grid.axes[0].points
-    dz_ax = grid.axes[0].spacing
-    znorm = _spectral_max(np.asarray(m.z_op(zs), dtype=complex))
-    kmax = float(np.max(m.k(zs)))
-    d2max = float(np.max(m.d2(zs)))
-    terms = [dz_ax**2 / d2max]
-    if znorm > 0:
-        terms.append(dz_ax / znorm)
-        terms.append(1.0 / (4.0 * kmax * (2.0 * znorm) ** 2))
-    if m.h is not None:
-        hnorm = _spectral_max(m.h[None])
-        if hnorm > 0:
-            terms.append(m.hbar / hnorm)
-    return min(terms)
-
-
-def _spectral_max(mats) -> float:
-    if mats.size == 0 or np.abs(mats).max() == 0.0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvalsh(mats)).max())
+    """`cfl_limit` of the measurement equation on its signal grid."""
+    return cfl_limit(m, grid)
 
 
 def _rk4(rate_fn, cells, dt):
@@ -456,12 +455,11 @@ def _rate_function(model, state: HybridState, dt: float):
     grid = state.grid
     if isinstance(model, MeasurementModel):
         _operators(model, grid, _measurement_operators)
-        limit = measurement_cfl_limit(model, grid)
         rate_fn = lambda cells: measurement_generator(model, HybridState(grid, cells))
     else:
         _operators(model, grid, _cq_operators)
-        limit = cfl_limit(model, grid)
         rate_fn = lambda cells: apply_generator(model, HybridState(grid, cells))
+    limit = cfl_limit(model, grid)
     if not (dt > 0):
         raise ValueError("dt must be positive")
     if dt > limit:

@@ -225,7 +225,7 @@ class DiagonalizedModel:
     dv_eigs: Callable
 
 
-def diagonalize_model(model: CQModel, qs, tol=COMMUTATION_TOL) -> DiagonalizedModel:
+def diagonalize_model(model: CQModel, qs) -> DiagonalizedModel:
     """Extract the fixed common eigenbasis of H_q and V_I(q), or refuse.
 
     The basis and the order of its branches depend on the model alone; the
@@ -246,7 +246,7 @@ def diagonalize_model(model: CQModel, qs, tol=COMMUTATION_TOL) -> DiagonalizedMo
     for i, a in enumerate(samples):
         for b in samples[i + 1 :]:
             comm = a @ b - b @ a
-            if np.abs(comm).max() > tol * scale * scale:
+            if np.abs(comm).max() > COMMUTATION_TOL * scale * scale:
                 raise ModelValidationError(
                     "model is not diagonal in a common q-independent basis: "
                     f"commutator defect {np.abs(comm).max():.3e}"

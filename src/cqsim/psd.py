@@ -37,6 +37,7 @@ __all__ = [
     "pseudo_inverse",
     "schur_cp_check",
     "tradeoff_verdict",
+    "spectral_norm",
 ]
 
 # Relative eigenvalue cutoff for the generalized inverse; the margin below
@@ -206,7 +207,7 @@ def schur_cp_check(triple: CouplingTriple, tol=RANK_TOL) -> CPReport:
 
     if not block_psd:
         verdict = Verdict.VIOLATED
-    elif abs(margin) <= SATURATION_TOL * (1.0 + _spectral_norm(d2)):
+    elif abs(margin) <= SATURATION_TOL * (1.0 + spectral_norm(d2)):
         verdict = Verdict.SATURATED
     else:
         verdict = Verdict.SATISFIED
@@ -240,7 +241,8 @@ def tradeoff_verdict(triple: CouplingTriple, tol=SATURATION_TOL) -> Verdict:
     return Verdict.SATISFIED
 
 
-def _spectral_norm(m):
-    if m.size == 0:
+def spectral_norm(mats) -> float:
+    """Largest |eigenvalue| of a Hermitian matrix or a stack of them (0 for none)."""
+    if mats.size == 0 or not mats.any():
         return 0.0
-    return float(np.abs(np.linalg.eigvalsh(m)).max())
+    return float(np.abs(np.linalg.eigvalsh(mats)).max())

@@ -3,7 +3,10 @@
 Every artifact embeds the fully resolved scenario (defaults filled) in its
 header for provenance, and all floats are written with 17 significant
 digits so that a rerun with the same master seed is byte-identical.
-evolve and unravel step as `_plan` says, which the gate checked first.
+`_plan` is the one place that turns numerics t_final, dt and safety into
+the (dt, n_steps) of evolve, unravel and sample_paths, and for the grid
+equations the CFL-style limit and its binding term; the gate runs it
+before any output exists, and each run reports it in its summary.
 unravel integrates its ensemble once and takes trajectory 0 from it;
 sample_paths scores its sampled paths as `ClassicalPath` batches.
 
@@ -24,14 +27,7 @@ import os
 
 import numpy as np
 
-from .generator import (
-    EvolutionError,
-    cfl_limit,
-    cfl_terms,
-    evolve,
-    evolve_measurement,
-    measurement_cfl_limit,
-)
+from .generator import EvolutionError, cfl_terms, evolve, evolve_measurement
 from .models import ModelValidationError, diagonalize_model, validate_model
 from .paths import BranchPair, anomalous_term, fv_action, om_action, sample_path_ensemble, ClassicalPath
 from .psd import schur_cp_check, tradeoff_verdict
@@ -88,20 +84,32 @@ def _steps(t_final, dt, limit=None):
 
 
 def _plan(scenario):
-    """((dt, n_steps), reference steps or None) of an evolve or unravel run.
+    """(steps, reference) of an evolve, unravel or sample_paths run.
 
-    Both step at numerics dt, or else at safety x the CFL-style limit; only
-    evolve's grid is held to the limit.  unravel with z0_sigma > 0 adds a
-    grid reference at safety x the limit.
+    ``steps`` is what the run's summary reports: dt and n_steps, from
+    `_steps` of numerics t_final and dt (sample_paths given n_steps keeps
+    its dt).  The grid equations' runs (evolve, unravel) step at numerics
+    dt, or else at safety x the CFL-style limit, and add that limit,
+    cfl_limit, and the name of its binding `cfl_terms` term, cfl_term; only
+    evolve's grid is held to the limit.  ``reference`` is the (dt, n_steps)
+    of unravel's grid reference, at safety x the limit, when z0_sigma > 0;
+    otherwise None.
     """
     numerics = scenario.numerics
-    t_final, dt, safety = numerics["t_final"], numerics["dt"], numerics["safety"]
-    if scenario.run_type == "evolve":
-        limit = cfl_limit(scenario.model, scenario.grid)
-        return _steps(t_final, safety * limit if dt is None else dt, limit), None
-    limit = measurement_cfl_limit(scenario.model, scenario.grid)
-    steps = _steps(t_final, safety * limit if dt is None else dt)
-    return steps, _steps(t_final, safety * limit, limit) if numerics["z0_sigma"] > 0.0 else None
+    t_final, dt = numerics["t_final"], numerics["dt"]
+    if scenario.run_type == "sample_paths":
+        dt, n_steps = (dt, numerics["n_steps"]) if t_final is None else _steps(t_final, dt)
+        return {"dt": dt, "n_steps": n_steps}, None
+    terms = cfl_terms(scenario.model, scenario.grid)
+    term = min(terms, key=terms.get, default=None)
+    limit = terms.get(term, np.inf)
+    safe = numerics["safety"] * limit
+    held = limit if scenario.run_type == "evolve" else None
+    dt, n_steps = _steps(t_final, safe if dt is None else dt, held)
+    reference = None
+    if scenario.run_type == "unravel" and numerics["z0_sigma"] > 0.0:
+        reference = _steps(t_final, safe, limit)
+    return {"dt": dt, "n_steps": n_steps, "cfl_limit": limit, "cfl_term": term}, reference
 
 
 def check_scenario(scenario: Scenario) -> dict:
@@ -130,7 +138,7 @@ def check_scenario(scenario: Scenario) -> dict:
             diagonalize_model(scenario.model, qs)
     if scenario.run_type == "unravel":
         scenario.model.validate(scenario.grid.axes[0].points)
-    if scenario.run_type in ("evolve", "unravel"):
+    if scenario.run_type in ("evolve", "unravel", "sample_paths"):
         _plan(scenario)
     return {"model": "valid"}
 
@@ -170,9 +178,7 @@ def _run_cp_check(scenario, out_dir, audit):
 def _run_evolve(scenario, out_dir):
     init = scenario.initial
     numerics = scenario.numerics
-    (dt, n_steps), _ = _plan(scenario)
-    terms = cfl_terms(scenario.model, scenario.grid)
-    binding = min(terms, key=terms.get, default=None)
+    steps, _ = _plan(scenario)
     prov = _provenance(scenario)
     try:
         # the initial state is built in the call, so that evolve holds its
@@ -186,7 +192,7 @@ def _run_evolve(scenario, out_dir):
                 rho_q=init["rho_q"],
             ),
             numerics["t_final"],
-            dt,
+            steps["dt"],
             stride=scenario.output["stride"],
             trace_abort=numerics["trace_abort"],
         )
@@ -200,14 +206,7 @@ def _run_evolve(scenario, out_dir):
         raise RunFailure(str(exc)) from exc
     _write_csv(os.path.join(out_dir, "diagnostics.csv"), [prov], diags.COLUMNS, diags.table())
     save_state(final, os.path.join(out_dir, "final_state.txt"), scenario=scenario.resolved)
-    return {
-        "trace": diags.trace[-1],
-        "min_eig": min(diags.min_eig),
-        "dt": dt,
-        "n_steps": n_steps,
-        "cfl_limit": terms.get(binding, np.inf),
-        "cfl_term": binding,
-    }
+    return {"trace": diags.trace[-1], "min_eig": min(diags.min_eig), **steps}
 
 
 def _run_unravel(scenario, out_dir):
@@ -216,7 +215,7 @@ def _run_unravel(scenario, out_dir):
     init = scenario.initial
     numerics = scenario.numerics
     t_final = numerics["t_final"]
-    (dt, n_steps), reference = _plan(scenario)
+    steps, reference = _plan(scenario)
     n_traj = numerics["n_trajectories"]
     z0_sigma = numerics["z0_sigma"]
     seed = numerics["seed"]
@@ -226,8 +225,8 @@ def _run_unravel(scenario, out_dir):
         m,
         init["psi"],
         init["z0"],
-        dt,
-        n_steps,
+        steps["dt"],
+        steps["n_steps"],
         seed,
         n_traj,
         z0_sigma=z0_sigma,
@@ -263,15 +262,15 @@ def _run_unravel(scenario, out_dir):
     cols = ["t", "z"] + [f"{part}_psi{i}" for i in range(d) for part in ("re", "im")]
     table = np.column_stack((traj.times, traj.z, traj.psi.view(float)))
     _write_csv(os.path.join(out_dir, "trajectory0.csv"), [prov], cols, table)
-    return {"trace": total_trace(binned)}
+    return {"trace": total_trace(binned), **steps}
 
 
 def _run_sample_paths(scenario, out_dir):
     model = scenario.model
     init = scenario.initial
     numerics = scenario.numerics
-    dt = numerics["dt"]
-    n_steps = numerics["n_steps"]
+    steps, _ = _plan(scenario)
+    dt, n_steps = steps["dt"], steps["n_steps"]
     n_paths = numerics["n_paths"]
     pair = BranchPair(*init["pair"]) if init["pair"] else None
     prov = _provenance(scenario)
@@ -299,7 +298,7 @@ def _run_sample_paths(scenario, out_dir):
     )
     path0 = np.column_stack((np.arange(n_steps + 1) * dt, qs[0], ps[0]))
     _write_csv(os.path.join(out_dir, "path0.csv"), [prov], ("t", "q", "p"), path0)
-    return {"n_paths": n_paths}
+    return {"n_paths": n_paths, **steps}
 
 
 def _run_zerodim(scenario, out_dir):

@@ -22,9 +22,11 @@ reals; a parallel ``*_im`` key supplies an imaginary part when needed.
 Scalar q- or z-dependent coefficients are polynomial coefficient lists,
 low order first.
 
-The resolved scenario (defaults filled in, sample_paths ``n_steps``
-derived from ``t_final`` and ``dt``) is embedded verbatim in every output
-artifact for provenance; the runner reads nothing else.
+The resolved scenario (the given values, defaults filled in) is embedded
+verbatim in every output artifact for provenance; the runner reads nothing
+else.  The parser derives no step: the steps a run takes from ``t_final``
+and ``dt`` are decided by the runner (`runner._plan`), for sample_paths as
+for evolve and unravel.
 """
 
 from __future__ import annotations
@@ -296,8 +298,8 @@ def _read_values(name, block, defaults, problems):
     return values
 
 
-def _resolve_path_steps(block, numerics, problems):
-    """sample_paths takes exactly one of t_final and n_steps; n_steps = t_final / dt."""
+def _check_path_steps(block, numerics, problems):
+    """sample_paths takes exactly one of t_final and n_steps."""
     given = [key for key in ("t_final", "n_steps") if numerics[key] is not None]
     if len(given) == 2:
         problems.append(
@@ -306,15 +308,6 @@ def _resolve_path_steps(block, numerics, problems):
         )
     elif not given:
         problems.append("section 'numerics' needs one of 't_final' and 'n_steps'")
-    elif given == ["t_final"] and numerics["dt"] is not None:
-        steps = numerics["t_final"] / numerics["dt"]
-        if not np.isfinite(steps):
-            problems.append(
-                f"keys 't_final' and 'dt' in section 'numerics' ask for {steps} steps"
-                f"{_line_of(block, 't_final')}"
-            )
-        else:
-            numerics["n_steps"] = max(1, int(round(steps)))
 
 
 def _fit_initial(block, initial, d, problems):
@@ -387,7 +380,7 @@ def parse_scenario(text) -> Scenario:
                 section, doc.get(section), read, problems
             )
     if run_type == "sample_paths":
-        _resolve_path_steps(doc.get("numerics"), built["numerics"], problems)
+        _check_path_steps(doc.get("numerics"), built["numerics"], problems)
     if not problems and "initial" in built:
         _fit_initial(doc.get("initial"), built["initial"], built["model"].hilbert_dim, problems)
 
@@ -648,7 +641,7 @@ _SCHEMA = {
         "model": _build_cq,
         "grid": partial(_PHASE_GRID, required=False),
         "initial": _build_paths_initial,
-        # exactly one of t_final and n_steps: see _resolve_path_steps
+        # exactly one of t_final and n_steps: see _check_path_steps
         "numerics": {
             "dt": _REQUIRED,
             "t_final": None,

@@ -78,14 +78,14 @@ class HybridState:
     def cell_volume(self) -> float:
         return self.grid.cell_volume
 
-    def validate(self, herm_tol=HERMITICITY_TOL, positivity_tol=POSITIVITY_TOL):
+    def validate(self):
         defect = hermiticity_defect(self)
         scale = 1.0 + np.abs(self.cells).max()
-        if defect > herm_tol * scale:
+        if defect > HERMITICITY_TOL * scale:
             raise ValueError(f"cells not Hermitian: defect {defect:.3e}")
         low = min_cell_eigenvalue(self)
-        if low < -positivity_tol:
-            raise ValueError(f"cell negativity {low:.3e} beyond {positivity_tol:.1e}")
+        if low < -POSITIVITY_TOL:
+            raise ValueError(f"cell negativity {low:.3e} beyond {POSITIVITY_TOL:.1e}")
         return self
 
 

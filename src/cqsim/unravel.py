@@ -51,6 +51,8 @@ _MASK64 = (1 << 64) - 1
 # buffer, which is drawn per chunk (1e5 rows of 151 draws at once would take
 # 120 MB).  Outputs do not depend on it: each row draws from its own stream.
 _CHUNK = 1024
+# Largest fraction of trajectories `bin_ensemble` lets fall outside its grid.
+OUTSIDE_LIMIT = 1e-3
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -80,7 +82,6 @@ def trajectory_normals(master_seed: int, start: int, n_rows: int, n_draws: int) 
 class Trajectory:
     """One realization of the coupled signal/state equations."""
 
-    seed: int
     times: np.ndarray
     z: np.ndarray
     psi: np.ndarray  # (n_steps + 1, d), unit rows
@@ -97,13 +98,10 @@ class Trajectory:
 class EnsembleResult:
     """Final-time snapshot of an ensemble, row 0's history, optional signal history."""
 
-    master_seed: int
-    t_final: float
     z: np.ndarray  # (n,)
     psi: np.ndarray  # (n, d)
     first: Trajectory  # row 0, every step
     z_series: Optional[np.ndarray] = None  # (n, n_recorded) signal history
-    series_times: Optional[np.ndarray] = None
 
 
 def _step_arrays(m: MeasurementModel, psi, z, dt, xi):
@@ -211,24 +209,20 @@ def run_ensemble(
         z_final[lo:hi] = z
         psi_final[lo:hi] = psi
 
-    times = record_idx * dt if record_idx is not None else None
     return EnsembleResult(
-        master_seed=master_seed,
-        t_final=n_steps * dt,
         z=z_final,
         psi=psi_final,
-        first=Trajectory(master_seed, np.arange(n_steps + 1) * dt, first_z, first_psi, defects),
+        first=Trajectory(np.arange(n_steps + 1) * dt, first_z, first_psi, defects),
         z_series=z_series,
-        series_times=times,
     )
 
 
-def bin_ensemble(z, psi, grid: PhaseGrid, outside_limit=1e-3) -> HybridState:
+def bin_ensemble(z, psi, grid: PhaseGrid) -> HybridState:
     """Reconstruct the hybrid state by binning signals on a 1-axis grid.
 
     cell(z) = (1/N) sum_{trajectories in cell} |psi><psi| / cell_volume, so
     the total trace is exactly 1 before float error.  Aborts when more than
-    ``outside_limit`` of the trajectories fall outside the grid.
+    `OUTSIDE_LIMIT` of the trajectories fall outside the grid.
     """
     if grid.ndim != 1:
         raise ValueError("bin_ensemble needs a single-axis grid (the signal axis)")
@@ -239,9 +233,9 @@ def bin_ensemble(z, psi, grid: PhaseGrid, outside_limit=1e-3) -> HybridState:
     idx = np.searchsorted(edges, z, side="right") - 1
     inside = (idx >= 0) & (idx < grid.axes[0].n)
     frac_out = 1.0 - inside.sum() / n
-    if frac_out > outside_limit:
+    if frac_out > OUTSIDE_LIMIT:
         raise ValueError(
-            f"{frac_out:.2%} of trajectories fall outside the grid (limit {outside_limit:.2%})"
+            f"{frac_out:.2%} of trajectories fall outside the grid (limit {OUTSIDE_LIMIT:.2%})"
         )
     cells = np.zeros((grid.axes[0].n, d, d), dtype=complex)
     outer = psi[inside][:, :, None] * psi[inside].conj()[:, None, :]

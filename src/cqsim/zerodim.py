@@ -52,6 +52,10 @@ WICK_DEGREE_CAP = 12
 PERTURBATIVE_ORDER_CAP = 3
 FREE_ROTATION = math.pi / 4.0
 INTERACTING_ROTATION = math.pi / 12.0
+# `moment_quadrature`'s box spans this many Gaussian widths per direction,
+# and the integrand on its faces must stay below TAIL_TOL x its peak.
+BOX_WIDTHS = 8.0
+TAIL_TOL = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -232,38 +236,29 @@ def _phi_exponent(p: ToyParams, q, s, theta, branch):
     return (quad_free + cross) * rot2 * s**2 + quartic * rot4 * s**4
 
 
-def moment_quadrature(
-    p: ToyParams,
-    observable,
-    n_nodes=240,
-    widths=8.0,
-    theta=None,
-    full_output=False,
-    tail_tol=1e-8,
-):
+def moment_quadrature(p: ToyParams, observable, n_nodes=240, full_output=False):
     """Interacting moment by direct integration over (phi+, phi-, q).
 
     The three-variable integral factorizes per q slice, so nested
-    Gauss-Legendre rules over a truncated box (``widths`` Gaussian widths
+    Gauss-Legendre rules over a truncated box (`BOX_WIDTHS` Gaussian widths
     per direction) evaluate it; the box is doubled to estimate the
     truncation error.  Refuses configurations whose integrand has not
     decayed at the box boundary.
     """
     a, b, c = observable
-    if theta is None:
-        theta = FREE_ROTATION if p.lam == 0.0 else INTERACTING_ROTATION
+    theta = FREE_ROTATION if p.lam == 0.0 else INTERACTING_ROTATION
 
     def evaluate(scale, nodes):
         sigma_q = math.sqrt(p.d2) / p.m_q**2
         xq, wq = np.polynomial.legendre.leggauss(nodes)
-        lq = widths * scale * sigma_q
+        lq = BOX_WIDTHS * scale * sigma_q
         q = xq * lq
         wq = wq * lq
 
         alpha = (p.m_phi**2 / (2.0 * p.hbar)) * math.sin(2.0 * theta)
         sigma_s = 1.0 / math.sqrt(2.0 * alpha)
         xs, ws = np.polynomial.legendre.leggauss(nodes)
-        ls = widths * scale * sigma_s
+        ls = BOX_WIDTHS * scale * sigma_s
         s = xs * ls
         ws = ws * ls
 
@@ -290,7 +285,7 @@ def moment_quadrature(
         )
         if peak == 0.0:
             raise QuadratureError("integrand vanished in the box; configuration rejected")
-        if faces > tail_tol * peak:
+        if faces > TAIL_TOL * peak:
             raise QuadratureError(
                 f"integrand not decayed at box boundary (ratio {faces / peak:.2e}); "
                 "configuration refused as non-convergent"

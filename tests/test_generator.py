@@ -44,6 +44,8 @@ from cqsim.state import (
 
 from conftest import SIGMA_X, SIGMA_Z, free_diffusion_model, qubit_decoherence_model
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
 
 def scalar_fp_oracle(dens, grid, model):
     """Independent scalar Fokker-Planck rate: np.gradient + explicit stencil.
@@ -562,6 +564,82 @@ class TestMeasurementGenerator:
         assert diags.mean_p[-1] == pytest.approx(t_final, rel=0.02)
 
 
+# -- the separate measurement step limit `cfl_terms` replaced, as a bit reference
+
+
+def _eig_max(mats):
+    if mats.size == 0 or np.abs(mats).max() == 0.0:
+        return 0.0
+    return float(np.abs(np.linalg.eigvalsh(mats)).max())
+
+
+def separate_measurement_cfl_limit(m, grid):
+    """The measurement equation's step limit as its own formula computed it."""
+    zs = grid.axes[0].points
+    dz_ax = grid.axes[0].spacing
+    znorm = _eig_max(np.asarray(m.z_op(zs), dtype=complex))
+    kmax = float(np.max(m.k(zs)))
+    d2max = float(np.max(m.d2(zs)))
+    terms = [dz_ax**2 / d2max]
+    if znorm > 0:
+        terms.append(dz_ax / znorm)
+        terms.append(1.0 / (4.0 * kmax * (2.0 * znorm) ** 2))
+    if m.h is not None:
+        hnorm = _eig_max(m.h[None])
+        if hnorm > 0:
+            terms.append(m.hbar / hnorm)
+    return min(terms)
+
+
+def random_measurement_case(rng):
+    d = int(rng.integers(1, 5))
+    lo = -0.5 - 3.0 * rng.random()
+    hi = 0.5 + 3.0 * rng.random()
+    grid = PhaseGrid((GridAxis("z", lo, hi, int(rng.integers(5, 200))),))
+    k = 0.05 + 3.0 * rng.random()
+    # k + k_slope z stays positive on the grid
+    k_slope = rng.uniform(-1.0, 1.0) * 0.9 * k / max(-lo, hi)
+    m = constant_measurement_model(
+        np.zeros((d, d)) if rng.random() < 0.1 else random_hermitian(rng, (d, d)),
+        k,
+        h=None if rng.random() < 0.3 else random_hermitian(rng, (d, d)),
+        hbar=0.5 + rng.random(),
+        z_feedback=None if rng.random() < 0.5 else 0.2 * random_hermitian(rng, (d, d)),
+        k_slope=0.0 if rng.random() < 0.3 else k_slope,
+    )
+    return m, grid
+
+
+class TestMeasurementStepLimit:
+    @pytest.mark.parametrize("name", ["unravel_qubit.yaml", "unravel_feedback.yaml"])
+    def test_shipped_limit_is_the_separate_formula_bit_for_bit(self, name):
+        scenario = parse_scenario_file(SCENARIO_DIR / name)
+        want = separate_measurement_cfl_limit(scenario.model, scenario.grid)
+        assert measurement_cfl_limit(scenario.model, scenario.grid) == want
+        assert cfl_limit(scenario.model, scenario.grid) == want
+
+    def test_random_limit_is_the_separate_formula_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            m, grid = random_measurement_case(rng)
+            want = separate_measurement_cfl_limit(m, grid)
+            assert measurement_cfl_limit(m, grid) == want
+            assert cfl_limit(m, grid) == want
+
+    def test_terms_follow_the_measurement_couplings(self):
+        grid = PhaseGrid((GridAxis("z", -2.0, 2.0, 101),))
+        k, hbar = 1.5, 0.8
+        m = constant_measurement_model(SIGMA_Z, k, h=2.0 * SIGMA_X, hbar=hbar)
+        dz = grid.axes[0].spacing
+        # L = Z with ||Z|| = 1, D0 = 2k, D2 = 1/(8k), drift ||Z||, no transport
+        assert generator.cfl_terms(m, grid) == {
+            "diffusion": dz**2 / (1.0 / (8.0 * k)),
+            "force": dz / 1.0,
+            "hamiltonian": hbar / 2.0,
+            "dissipator": 1.0 / (2.0 * (2.0 * k) * (2.0 * 1.0) ** 2),
+        }
+
+
 # -- the allocating kernels the in-place ones replaced, as bit references -----
 
 
@@ -775,7 +853,7 @@ class TestInPlaceKernel:
 
         monkeypatch.setattr(runner, "gaussian_product_state", tracked)
         monkeypatch.setattr(generator, "apply_generator", rate)
-        path = Path(__file__).resolve().parent.parent / "scenarios" / "evolve_qubit_decoherence.yaml"
+        path = SCENARIO_DIR / "evolve_qubit_decoherence.yaml"
         runner.run_scenario(parse_scenario_file(str(path)), tmp_path)
         # four rate evaluations per RK4 step: only the first step reads the initial cells
         assert len(alive) == 4 * 25

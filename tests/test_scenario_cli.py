@@ -4,13 +4,14 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqsim.cli import main
-from cqsim.generator import cfl_limit, cfl_terms
+from cqsim.generator import cfl_limit, cfl_terms, measurement_cfl_limit
 from cqsim.grids import GridAxis, PhaseGrid
 from cqsim.runner import check_scenario, compare_artifacts, run_scenario
 from cqsim.scenario import ScenarioError, parse_scenario, parse_scenario_file
@@ -103,6 +104,12 @@ def with_key(name, section, key, value):
 
 def shipped_doc(run_type):
     return yaml.safe_load((SCENARIO_DIR / SHIPPED[run_type]).read_text())
+
+
+def read_table(path):
+    """The numbers of a CSV artifact: '#' header lines, a column line, rows."""
+    rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
 
 MINIMAL_CP_CHECK = """\
 run: cp_check
@@ -284,7 +291,8 @@ class TestParsing:
             if key in NUMERIC_BOUNDS and value is not None:
                 assert NUMERIC_BOUNDS[key](value), (key, value)
         if run_type == "sample_paths":
-            assert scenario.numerics["n_steps"] >= 1
+            # one horizon; the runner's plan, not the parser, derives the steps
+            assert (scenario.numerics["t_final"] is None) != (scenario.numerics["n_steps"] is None)
 
     @pytest.mark.parametrize("path", ALL_SCENARIOS, ids=lambda p: p.stem)
     def test_shipped_scenarios_resolve_exactly_their_schema(self, path):
@@ -313,12 +321,6 @@ class TestParsing:
                 ScenarioError, match=rf"unknown key '{section}' in section '<top>' \(line {line}\)"
             ):
                 parse_scenario(text)
-
-    def test_sample_paths_resolves_n_steps_from_t_final(self):
-        text = (SCENARIO_DIR / "sample_paths.yaml").read_text()
-        scenario = parse_scenario(text.replace("n_steps: 100", "t_final: 0.996"))
-        assert scenario.numerics["t_final"] == 0.996
-        assert scenario.numerics["n_steps"] == 100
 
     @pytest.mark.parametrize(
         "name,old,new,line",
@@ -387,6 +389,11 @@ GATE_REJECTS = {
     "evolve_infinitely_many_steps": (
         "evolve_free_diffusion.yaml",
         ("t_final: 0.3\n  safety: 0.4", "t_final: 1.0e+300\n  dt: 1.0e-300"),
+        "t_final 1e+300 is not a finite number of steps of 1e-300",
+    ),
+    "sample_paths_infinitely_many_steps": (
+        "sample_paths.yaml",
+        ("dt: 1.0e-2\n  n_steps: 100", "dt: 1.0e-300\n  t_final: 1.0e+300"),
         "t_final 1e+300 is not a finite number of steps of 1e-300",
     ),
     # H_q does not commute with V_I, so branch (0, 1) has no fixed eigenbasis
@@ -569,6 +576,70 @@ class TestCli:
         # the summary is stdout only: no artifact carries it
         for artifact in out.iterdir():
             assert "cfl_term" not in artifact.read_text()
+
+    @pytest.mark.parametrize("name", ["unravel_qubit.yaml", "unravel_feedback.yaml"])
+    def test_unravel_summary_reports_steps_and_binding_cfl_term(self, name, tmp_path, capsys):
+        path = SCENARIO_DIR / name
+        scenario = parse_scenario_file(str(path))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        terms = cfl_terms(scenario.model, scenario.grid)
+        limit = measurement_cfl_limit(scenario.model, scenario.grid)
+        assert isinstance(limit, float)
+        assert summary["cfl_limit"] == limit == terms[summary["cfl_term"]] == min(terms.values())
+        assert "transport" not in terms
+        # the trajectories step at numerics dt, shrunk to whole steps of t_final
+        numerics = scenario.numerics
+        assert summary["n_steps"] == round(numerics["t_final"] / numerics["dt"])
+        assert summary["dt"] == numerics["t_final"] / summary["n_steps"]
+        # trajectory0.csv has one row per step, at the planned dt
+        times = read_table(out / "trajectory0.csv")[:, 0]
+        assert len(times) == summary["n_steps"] + 1
+        assert times[-1] == summary["n_steps"] * summary["dt"]
+        for artifact in out.iterdir():
+            assert "cfl_term" not in artifact.read_text()
+
+    def test_sample_paths_summary_resolves_n_steps_from_t_final(self, tmp_path, capsys):
+        # n_steps is derived by the run's plan (the parser keeps t_final only)
+        text = (SCENARIO_DIR / "sample_paths.yaml").read_text()
+        path = tmp_path / "horizon.yaml"
+        path.write_text(text.replace("n_steps: 100", "t_final: 0.996"))
+        scenario = parse_scenario_file(str(path))
+        assert (scenario.numerics["t_final"], scenario.numerics["n_steps"]) == (0.996, None)
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["dt"], summary["n_steps"]) == (0.996 / 100, 100)
+        times = read_table(out / "path0.csv")[:, 0]
+        assert len(times) == 101
+        assert times[-1] == pytest.approx(0.996, rel=1e-12)
+        # the provenance header records the scenario as given
+        assert '"n_steps": null' in (out / "path0.csv").read_text().splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "horizon,n_steps", [("n_steps: 100", 100), ("t_final: 1.0", 100)], ids=["n_steps", "t_final"]
+    )
+    def test_sample_paths_summary_reports_steps(self, horizon, n_steps, tmp_path, capsys):
+        text = (SCENARIO_DIR / "sample_paths.yaml").read_text()
+        path = tmp_path / "paths.yaml"
+        path.write_text(text.replace("n_steps: 100", horizon))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary == {"n_paths": 300, "dt": 0.01, "n_steps": n_steps}
+
+    def test_sample_paths_shrink_dt_to_end_at_t_final(self, tmp_path, capsys):
+        # 1.0 / 0.3 rounds to 3 steps, which now reach t_final: not t = 0.9
+        text = (SCENARIO_DIR / "sample_paths.yaml").read_text()
+        path = tmp_path / "short.yaml"
+        path.write_text(text.replace("dt: 1.0e-2\n  n_steps: 100", "dt: 0.3\n  t_final: 1.0"))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["dt"], summary["n_steps"]) == (1.0 / 3, 3)
+        times = read_table(out / "path0.csv")[:, 0]
+        assert len(times) == 4
+        assert times[-1] == pytest.approx(1.0, rel=1e-12)
 
     def test_check_command(self, capsys):
         assert main(["check", str(SCENARIO_DIR / "cp_check_saturated.yaml")]) == 0
