@@ -22,23 +22,28 @@ cells viewed as fvec of shape (nq, np, d^2) (row-major vec of each cell),
 where the d^2 x d^2 Liouvillian L(q) holds the commutator and dissipator
 and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.  These
 operators are built once per (model, grid) -- on the first call for that
-pair -- and reused by every later RK4 stage.  The build first audits the
-model on the grid's points, so each (model, grid) is audited once; a
-failure is never cached.  The rate starts as fvec @ L(q)^T; the stencil
-terms follow one slab of q rows at a time (about `_SLAB_BYTES` of cells),
-in the order back-reaction product, q-transport (which reads one
-neighbour row on each side of the slab), p-diffusion.  Two slab buffers
-receive the stencils and the back-reaction product, and the real
-coefficients p/m and D2/2 scale their float views.  Every element sees
-the whole-grid expression's operations in its order, so the slab size
-never changes a bit; a call's only grid-sized allocation is the rate it
-returns, and the operators are the only memory kept between calls.
+pair, a chunk of q rows at a time -- and reused by every later RK4 stage.
+The build first audits the model on the grid's points, so each (model,
+grid) is audited once; a failure is never cached.  `apply_generator`
+writes the rate of a window of q rows into a caller's array (a new one by
+default), one slab of about `_SLAB_BYTES` of cells at a time: the
+back-reaction product, fvec @ L(q)^T added to it, the q-transport (which
+reads one neighbour row on each side of the slab) and the p-diffusion,
+each formed in one slab-sized scratch buffer, with the real coefficients
+p/m and D2/2 scaling its float view.  Every element sees the whole-grid
+expression's operations (addition commutes), so neither the window nor
+the slab size changes a bit, and the operators are the only memory kept
+between calls.
 
-Time stepping is classical RK4.  `_rk4` forms the three stage states in
-one reused buffer and combines k1..k4 in place, in the operation order of
-cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4), so a step is bit-for-bit that
-expression; it never writes the input cells, and it needs a rate function
-that returns a new array on every call (the stage rates are overwritten).
+Time stepping is classical RK4, in `_rk4` for both equations, and a step
+holds three grid arrays: the cells, the stage state and the accumulator.
+k1 goes straight into the accumulator.  k2 and k3 are swept window by
+window of q rows into slab buffers allocated once per `evolve`; each
+window's stage rows and accumulator rows are written one window behind
+the sweep, after the next window has read the old stage rows as stencil
+neighbours, and the first window's last, for the periodic wrap.  k4 is
+added window by window.  A step is bit-for-bit
+cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) and never writes the input cells.
 `evolve` and `evolve_measurement` take t_final as a whole number of dt
 steps and refuse any other; a trace-drift abort reports the probability
 found in the outermost grid cells.
@@ -52,11 +57,12 @@ oracle: where applicable, it must agree with `apply_generator` cellwise.
 `measurement_generator` evaluates the linear master equation of an ideal
 continuous measurement on a one-axis signal grid, with couplings
 D0 = 2k(z), D2 = 1/(8k(z)) -- the saturated special case used for
-cross-validation against stochastic unraveling.  It has the same shape: a
-per-cell superoperator -k(z)[Z,[Z,.]] - (i/hbar)[H,.], the conservative
-drift -d(fvec @ A(z)^T)/dz with A(z) = (1/2)(Z kron I + I kron Z^T), and
-the diffusion (1/2) d^2(D2 varrho)/dz^2, with operators built (and the
-model audited) once per (model, grid).
+cross-validation against stochastic unraveling.  It has the same shape and
+signature: a per-cell superoperator -k(z)[Z,[Z,.]] - (i/hbar)[H,.], the
+conservative drift -d(fvec @ A(z)^T)/dz with A(z) = (1/2)(Z kron I + I kron
+Z^T), and the diffusion (1/2) d^2(D2 varrho)/dz^2, with operators built
+(and the model audited) once per (model, grid).  Its drift differentiates
+the flux of the whole grid, so its RK4 sweep is one window.
 
 Both equations share one set of named step limits, `cfl_terms`, whose
 minimum is `cfl_limit`: the measurement equation is the CQ one along z
@@ -110,9 +116,10 @@ POSITIVITY_ABORT = 1e-7  # 10 x the hybrid-state positivity tolerance
 # Relative slack between t_final / dt and a whole step count: round-off
 # only (t_final / (t_final / n) is within a few ulp of n).
 STEP_ROUNDOFF = 1e-9
-# Bytes of each `apply_generator` slab buffer (a slab holds at least one q
-# row).  It bounds the kernel's scratch memory, and a slab's stencil,
-# product and rate rows stay in cache between the terms that read them.
+# Bytes of cells per `apply_generator` slab, per RK4 sweep window and per
+# operator-build chunk (each holds at least one q row, a window two).  It
+# bounds their buffers, and a slab's scratch and rate rows stay in cache
+# between the terms that read them.
 _SLAB_BYTES = 1 << 20
 
 
@@ -174,39 +181,52 @@ class EvolutionDiagnostics:
     COLUMNS = ("t", "trace", "min_eig", "purity", "mean_p", "var_p", "coh_01")
 
 
-def apply_generator(model: CQModel, state: HybridState) -> np.ndarray:
-    """Evaluate d varrho/dt on the grid; returns a new cells-shaped rate array.
+def apply_generator(
+    model: CQModel, state: HybridState, rows=None, out=None
+) -> np.ndarray:
+    """Evaluate d varrho/dt on q rows ``rows`` of the grid, written into ``out``.
 
-    The per-q operators are built (and `validate_model` run on the q
-    points) on the first call for a (model, grid) pair and reused while
-    the same model and grid keep coming back.  The rate is fvec @ L(q)^T
-    over the whole grid; the stencil terms are then added one slab of q
-    rows at a time through two slab-sized buffers, so the returned rate is
-    the only grid-sized array a call allocates.
+    ``rows`` is a slice of the first (q) axis, all rows when None; ``out``
+    (a new array when None) must have the shape of ``state.cells[rows]``,
+    be C-contiguous and not overlap the cells; it is returned.  The per-q
+    operators are built (and `validate_model` run on the q points) on the
+    first call for a (model, grid) pair and reused while the same model
+    and grid keep coming back.  The rows are evaluated one slab at a time
+    through one slab-sized scratch buffer; the q-transport of a slab reads
+    the cells of its neighbour rows.
     """
     grid = state.grid
     liou_t, back_t, p_over_m, half_d2 = _operators(model, grid, _cq_operators)
 
     f = state.cells
     fvec = f.reshape(grid.shape + (-1,))
+    lo, hi, _ = (slice(None) if rows is None else rows).indices(grid.shape[0])
+    if out is None:
+        out = np.empty((hi - lo,) + f.shape[1:], dtype=complex)
+    rate = out.reshape((hi - lo,) + fvec.shape[1:])
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
     bdry = grid.boundary
-    nq = grid.shape[0]
-    rows = min(nq, max(1, _SLAB_BYTES // fvec[0].nbytes))
-    deriv = np.empty((rows,) + fvec.shape[1:], dtype=complex)
-    product_out = np.empty_like(deriv)
+    slab = _slab_rows(f)
+    scratch = np.empty((min(slab, hi - lo),) + fvec.shape[1:], dtype=complex)
 
     # a one-level (purely classical) model acts alike on every matrix
     # element, so it applies elementwise to cells of any dimension
     product = np.matmul if model.hilbert_dim > 1 else np.multiply
-    rate = product(fvec, liou_t)
-    for lo in range(0, nq, rows):
-        q = slice(lo, min(lo + rows, nq))
-        d, pd = deriv[: q.stop - lo], product_out[: q.stop - lo]
-        rate[q] += product(d_dx(fvec, 1, hp_ax, bdry, out=d, rows=q), back_t[q], out=pd)
-        rate[q] -= times_real(d_dx(fvec, 0, hq_ax, bdry, out=d, rows=q), p_over_m)
-        rate[q] += times_real(d2_dx2(fvec, 1, hp_ax, bdry, out=d, rows=q), half_d2[q])
-    return rate.reshape(f.shape)
+    for start in range(lo, hi, slab):
+        q = slice(start, min(start + slab, hi))
+        r, d = rate[start - lo : q.stop - lo], scratch[: q.stop - start]
+        # the back-reaction product first, then fvec @ L(q)^T added to it:
+        # addition commutes, so each element gets the bits of their sum
+        product(d_dx(fvec, 1, hp_ax, bdry, out=d, rows=q), back_t[q], out=r)
+        r += product(fvec[q], liou_t[q], out=d)
+        r -= times_real(d_dx(fvec, 0, hq_ax, bdry, out=d, rows=q), p_over_m)
+        r += times_real(d2_dx2(fvec, 1, hp_ax, bdry, out=d, rows=q), half_d2[q])
+    return out
+
+
+def _slab_rows(cells):
+    """q rows per `apply_generator` slab: about `_SLAB_BYTES` of cells, at least one row."""
+    return min(len(cells), max(1, _SLAB_BYTES // cells[0].nbytes))
 
 
 def _cq_operators(model: CQModel, grid: PhaseGrid):
@@ -218,25 +238,38 @@ def _cq_operators(model: CQModel, grid: PhaseGrid):
       L(q) = -(i/hbar)(H kron I - I kron H^T)
              + D0(q)(L kron L^T - (1/2)(L^2 kron I + I kron (L^2)^T)),
       B(q) = V'(q) I + (1/2)(L kron I + I kron L^T),   L = dV_I/dq.
+
+    The q-dependent terms are evaluated a chunk of about `_SLAB_BYTES` per
+    operator at a time, straight into the two returned arrays, so no
+    temporary the size of an operator exists.
     """
     if grid.ndim != 2:
         raise ValueError("apply_generator needs a (q, p) grid with two axes")
     qs = grid.axes[0].points
     validate_model(model, qs)
-    eye = np.eye(model.hilbert_dim)
+    d = model.hilbert_dim
+    eye = np.eye(d)
     lop = np.asarray(model.dv_i(qs), dtype=complex)
     l2 = lop @ lop
     d0_of_q = np.asarray(model.d0(qs), dtype=float)[:, None, None]
     vprime = np.asarray(classical_force(model, qs), dtype=float)[:, None, None]
     h = model.h_q
-
-    liou = (-1j / model.hbar) * (_kron(h, eye) - _kron(eye, h.T)) + d0_of_q * (
-        _kron(lop, _t(lop)) - 0.5 * (_kron(l2, eye) + _kron(eye, _t(l2)))
-    )
-    back = vprime * np.eye(eye.size) + 0.5 * (_kron(lop, eye) + _kron(eye, _t(lop)))
+    commutator = (-1j / model.hbar) * (_kron(h, eye) - _kron(eye, h.T))
+    nq = len(qs)
+    liou_t = np.empty((nq, d * d, d * d), dtype=complex)
+    back_t = np.empty_like(liou_t)
+    chunk = max(1, _SLAB_BYTES // liou_t[0].nbytes)
+    for lo in range(0, nq, chunk):
+        q = slice(lo, lo + chunk)
+        lq, l2q = lop[q], l2[q]
+        liou_t[q] = _t(
+            commutator
+            + d0_of_q[q] * (_kron(lq, _t(lq)) - 0.5 * (_kron(l2q, eye) + _kron(eye, _t(l2q))))
+        )
+        back_t[q] = _t(vprime[q] * np.eye(d * d) + 0.5 * (_kron(lq, eye) + _kron(eye, _t(lq))))
     p_over_m = (grid.axes[1].points / model.mass)[None, :, None]
     half_d2 = 0.5 * np.asarray(model.d2(qs), dtype=float)[:, None, None]
-    return _t(liou).copy(), _t(back).copy(), p_over_m, half_d2
+    return liou_t, back_t, p_over_m, half_d2
 
 
 def _t(a):
@@ -315,14 +348,18 @@ def branch_generator(
     return np.einsum("ai,...ij,bj->...ab", u, rate, u.conj())
 
 
-def measurement_generator(m: MeasurementModel, state: HybridState) -> np.ndarray:
+def measurement_generator(
+    m: MeasurementModel, state: HybridState, rows=None, out=None
+) -> np.ndarray:
     """Rate of the linear measurement master equation on a 1-axis signal grid.
 
     d varrho/dt = -(1/2) d({Z, varrho})/dz + (1/2) d^2(D2(z) varrho)/dz^2
                   - k(z) [Z, [Z, varrho]] - (i/hbar)[H, varrho].
 
     The drift sign follows from the signal equation dz = <Z> dt + noise;
-    the couplings D0 = 2k, D2 = 1/(8k) saturate the trade-off.
+    the couplings D0 = 2k, D2 = 1/(8k) saturate the trade-off.  ``rows``
+    and ``out`` are as for `apply_generator`; the drift differentiates the
+    flux of the whole grid, so a call always forms that.
     """
     grid = state.grid
     sup_t, flux_t, d2_of_z = _operators(m, grid, _measurement_operators)
@@ -330,11 +367,14 @@ def measurement_generator(m: MeasurementModel, state: HybridState) -> np.ndarray
     bdry = grid.boundary
     f = state.cells
     fvec = f.reshape(grid.shape + (1, -1))
-
-    rate = fvec @ sup_t
-    rate -= d_dx(fvec @ flux_t, 0, h_ax, bdry)
-    rate += 0.5 * d2_dx2(d2_of_z * fvec, 0, h_ax, bdry)
-    return rate.reshape(f.shape)
+    rows = slice(None) if rows is None else rows
+    lo, hi, _ = rows.indices(grid.shape[0])
+    if out is None:
+        out = np.empty((hi - lo,) + f.shape[1:], dtype=complex)
+    rate = np.matmul(fvec[rows], sup_t[rows], out=out.reshape((hi - lo,) + fvec.shape[1:]))
+    rate -= d_dx(fvec @ flux_t, 0, h_ax, bdry, rows=rows)
+    rate += 0.5 * d2_dx2(d2_of_z * fvec, 0, h_ax, bdry, rows=rows)
+    return out
 
 
 def _measurement_operators(m: MeasurementModel, grid: PhaseGrid):
@@ -417,59 +457,104 @@ def measurement_cfl_limit(m: MeasurementModel, grid: PhaseGrid) -> float:
     return cfl_limit(m, grid)
 
 
-def _rk4(rate_fn, cells, dt):
-    """One classical RK4 step; ``rate_fn`` must return a new array per call.
+def _rk4(rate_fn, cells, dt, sweep):
+    """One classical RK4 step of ``cells`` through three grid arrays.
 
-    The stages combine in place, in the order of
-    cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4), so the result is bit-for-bit
-    that expression's.  One buffer holds each stage state in turn, each
-    stage rate is folded in and released as soon as its stage state is
-    formed, and ``cells`` is never written.
+    ``rate_fn(cells, rows, out)`` writes the rate of q rows ``rows`` (all
+    rows for ``slice(None)``) into the C-contiguous ``out`` and returns
+    it.  ``sweep`` is the `_sweep` of ``cells``' shape: the q-row windows
+    of the stage rates and their buffers.
+
+    k1 is written straight into the accumulator, the stage state is formed
+    in a second array, and ``cells`` is never written.  k2 and k3 are each
+    swept window by window; a window's stage rows cells + h k and its
+    accumulator rows += 2 k are written one window behind the sweep, once
+    the next window has read the old stage rows as q-stencil neighbours,
+    and the first window's last, after the last window has read them
+    across a periodic wrap.  k4 is added to the accumulator window by
+    window.  Every element sees the operations of
+    cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in that order, so a step is
+    bit-for-bit that expression.
     """
-    stage = np.empty_like(cells)
+    windows, first, turns = sweep
+    acc = rate_fn(cells, slice(None), np.empty(cells.shape, dtype=complex))
+    stage = np.empty(cells.shape, dtype=complex)
+    np.add(cells, np.multiply(acc, 0.5 * dt, out=stage), out=stage)
 
-    def stage_state(k, h):
-        return np.add(cells, np.multiply(k, h, out=stage), out=stage)
+    def fold(rows, k, h):
+        s = stage[rows]
+        np.add(cells[rows], np.multiply(k, h, out=s), out=s)
+        acc[rows] += np.multiply(k, 2.0, out=k)
 
-    acc = rate_fn(cells)
-    k = rate_fn(stage_state(acc, 0.5 * dt))
-    stage_state(k, 0.5 * dt)
-    acc += np.multiply(k, 2.0, out=k)
-    del k
-    k = rate_fn(stage)
-    stage_state(k, dt)
-    acc += np.multiply(k, 2.0, out=k)
-    del k
-    acc += rate_fn(stage)
+    for h in (0.5 * dt, dt):
+        for i, rows in enumerate(windows):
+            buf = first if i == 0 else turns[i % len(turns)][: rows.stop - rows.start]
+            k = rate_fn(stage, rows, buf)
+            if i >= 2:
+                fold(windows[i - 1], turns[(i - 1) % len(turns)], h)
+        if len(windows) > 1:
+            fold(windows[-1], k, h)
+        fold(windows[0], first, h)
+    for rows in windows:
+        acc[rows] += rate_fn(stage, rows, first[: rows.stop - rows.start])
     acc *= dt / 6.0
     acc += cells
     return acc
 
 
-def _rate_function(model, state: HybridState, dt: float):
-    """RK4 rate function of ``model`` on ``state``'s grid, for an admissible dt.
+def _sweep(shape, rows):
+    """The q-row windows of `_rk4` and their rate buffers, for cells of ``shape``.
+
+    Windows hold ``rows`` q rows (the last may hold fewer), at least two:
+    the truncate stencil of the last row n-1 reads row n-3, which must
+    still be unwritten when the last window is evaluated.  The first
+    window has its own buffer, as it is written last; the others take
+    turns in two buffers (a one-window grid needs none).
+    """
+    nq = shape[0]
+    rows = min(nq, max(2, rows))
+    windows = [slice(lo, min(lo + rows, nq)) for lo in range(0, nq, rows)]
+    first = np.empty((rows,) + shape[1:], dtype=complex)
+    turns = [np.empty_like(first) for _ in range(min(2, len(windows) - 1))]
+    return windows, first, turns
+
+
+def _stepper(model, state: HybridState, dt: float):
+    """(rate_fn, sweep) of `_rk4` for ``model`` on ``state``'s grid, for an admissible dt.
 
     Audits the model by building its operators, then requires 0 < dt <= the
-    CFL-style limit.  The kernel is looked up when the function is called.
+    CFL-style limit.  The sweep buffers are allocated here, once for all
+    the steps taken with them.  The kernel is looked up when the rate
+    function is called.  The measurement kernel takes the whole grid as
+    its one window, since its drift differentiates the whole flux.
     """
     grid = state.grid
     if isinstance(model, MeasurementModel):
         _operators(model, grid, _measurement_operators)
-        rate_fn = lambda cells: measurement_generator(model, HybridState(grid, cells))
+        window = grid.shape[0]
+
+        def rate_fn(cells, rows, out):
+            return measurement_generator(model, HybridState(grid, cells), rows, out)
+
     else:
         _operators(model, grid, _cq_operators)
-        rate_fn = lambda cells: apply_generator(model, HybridState(grid, cells))
+        window = _slab_rows(state.cells)
+
+        def rate_fn(cells, rows, out):
+            return apply_generator(model, HybridState(grid, cells), rows, out)
+
     limit = cfl_limit(model, grid)
     if not (dt > 0):
         raise ValueError("dt must be positive")
     if dt > limit:
         raise ValueError(f"dt={dt:g} exceeds the CFL-style limit {limit:g}")
-    return rate_fn
+    return rate_fn, _sweep(state.cells.shape, window)
 
 
 def step_rk4(model: CQModel, state: HybridState, dt: float) -> HybridState:
     """One classical 4th-order Runge-Kutta step of the full generator."""
-    return HybridState(state.grid, _rk4(_rate_function(model, state, dt), state.cells, dt))
+    rate_fn, sweep = _stepper(model, state, dt)
+    return HybridState(state.grid, _rk4(rate_fn, state.cells, dt, sweep))
 
 
 def _whole_steps(t_final, dt):
@@ -497,7 +582,7 @@ def _evolve_loop(model, initial, t_final, dt, stride, trace_abort):
     """
     state = initial.pop()
     grid = state.grid
-    rate_fn = _rate_function(model, state, dt)
+    rate_fn, sweep = _stepper(model, state, dt)
     n_steps = _whole_steps(t_final, dt)
     diags = EvolutionDiagnostics.empty()
     diags.record(0.0, state)
@@ -505,10 +590,11 @@ def _evolve_loop(model, initial, t_final, dt, stride, trace_abort):
     cells = state.cells
     del state
     for step in range(1, n_steps + 1):
-        cells = _rk4(rate_fn, cells, dt)
+        cells = _rk4(rate_fn, cells, dt, sweep)
         if step % stride == 0 or step == n_steps:
-            current = HybridState(grid, cells)
-            diags.record(step * dt, current)
+            # no reference to the recorded state outlives this block: the
+            # next step would otherwise hold a fourth grid array
+            diags.record(step * dt, HybridState(grid, cells))
             if not np.isfinite(diags.trace[-1]):
                 raise EvolutionError("non-finite total trace encountered", diags)
             drift = abs(diags.trace[-1] - initial_trace)
@@ -517,7 +603,8 @@ def _evolve_loop(model, initial, t_final, dt, stride, trace_abort):
             if drift > min(trace_abort, LEAK_LIMIT):
                 raise EvolutionError(
                     f"trace drift {drift:.3e} exceeds {min(trace_abort, LEAK_LIMIT):.1e} "
-                    f"at t={step * dt:g}, with probability {edge_mass(current):.3e} "
+                    f"at t={step * dt:g}, with probability "
+                    f"{edge_mass(HybridState(grid, cells)):.3e} "
                     "in the outermost grid cells",
                     diags,
                 )

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 
-from .generator import EvolutionError, cfl_terms, evolve, evolve_measurement
+from .generator import STEP_ROUNDOFF, EvolutionError, cfl_terms, evolve, evolve_measurement
 from .models import ModelValidationError, diagonalize_model, validate_model
 from .paths import BranchPair, anomalous_term, fv_action, om_action, sample_path_ensemble, ClassicalPath
 from .psd import schur_cp_check, tradeoff_verdict
@@ -65,15 +66,18 @@ def _provenance(scenario: Scenario) -> str:
     return "scenario " + scenario_json(scenario.resolved)
 
 
-def _steps(t_final, dt, limit=None):
-    """(dt, n_steps): ``dt`` shrunk so that n_steps whole steps reach t_final.
+def _steps(t_final, dt, limit=None, within=False):
+    """(dt, n_steps): ``dt`` changed so that n_steps whole steps reach t_final.
 
-    A grid integration's step must stay within its CFL-style ``limit``.
+    n_steps is the nearest whole count of ``dt`` steps, or, ``within``, the
+    fewest whose step does not exceed ``dt`` beyond round-off
+    (`STEP_ROUNDOFF`).  A grid integration's step must stay within its
+    CFL-style ``limit``.
     """
     n = t_final / dt
     if not np.isfinite(n):
         raise ValueError(f"t_final {t_final:g} is not a finite number of steps of {dt:g}")
-    n = max(1, int(round(n)))
+    n = max(1, math.ceil(n * (1.0 - STEP_ROUNDOFF)) if within else int(round(n)))
     dt = t_final / n
     if limit is not None and dt > limit:
         raise ValueError(
@@ -88,24 +92,29 @@ def _plan(scenario):
 
     ``steps`` is what the run's summary reports: dt and n_steps, from
     `_steps` of numerics t_final and dt (sample_paths given n_steps keeps
-    its dt).  The grid equations' runs (evolve, unravel) step at numerics
-    dt, or else at safety x the CFL-style limit, and add that limit,
-    cfl_limit, and the name of its binding `cfl_terms` term, cfl_term; only
-    evolve's grid is held to the limit.  ``reference`` is the (dt, n_steps)
-    of unravel's grid reference, at safety x the limit, when z0_sigma > 0;
-    otherwise None.
+    its dt).  The Euler-Maruyama runs (unravel trajectories, sample_paths)
+    never step beyond a numerics dt they are given.  The grid equations'
+    runs (evolve, unravel) step at numerics dt, or else at safety x the
+    CFL-style limit, and add that limit, cfl_limit, and the name of its
+    binding `cfl_terms` term, cfl_term; only evolve's grid is held to the
+    limit.  ``reference`` is the (dt, n_steps) of unravel's grid reference,
+    at safety x the limit, when z0_sigma > 0; otherwise None.
     """
     numerics = scenario.numerics
     t_final, dt = numerics["t_final"], numerics["dt"]
     if scenario.run_type == "sample_paths":
-        dt, n_steps = (dt, numerics["n_steps"]) if t_final is None else _steps(t_final, dt)
+        if t_final is not None:
+            dt, n_steps = _steps(t_final, dt, within=True)
+        else:
+            n_steps = numerics["n_steps"]
         return {"dt": dt, "n_steps": n_steps}, None
     terms = cfl_terms(scenario.model, scenario.grid)
     term = min(terms, key=terms.get, default=None)
     limit = terms.get(term, np.inf)
     safe = numerics["safety"] * limit
     held = limit if scenario.run_type == "evolve" else None
-    dt, n_steps = _steps(t_final, safe if dt is None else dt, held)
+    within = scenario.run_type == "unravel" and dt is not None
+    dt, n_steps = _steps(t_final, safe if dt is None else dt, held, within)
     reference = None
     if scenario.run_type == "unravel" and numerics["z0_sigma"] > 0.0:
         reference = _steps(t_final, safe, limit)

@@ -198,6 +198,8 @@ def gaussian_product_state(
 # and, for provenance, an optional resolved-scenario JSON blob.
 
 FLOAT_FMT = "%.17g"
+# Cells per block of a state dump being written.
+_WRITE_ROWS = 1 << 12
 
 
 def write_table(fh, header_lines, table):
@@ -225,7 +227,8 @@ def _yaml_non_finite(value):
 
 
 def save_state(state: HybridState, path, scenario=None):
-    _write_state(path, state, scenario)
+    with open(path, "w") as fh:
+        _write_state(fh, state, scenario)
 
 
 def state_to_text(state: HybridState, scenario=None) -> str:
@@ -235,6 +238,11 @@ def state_to_text(state: HybridState, scenario=None) -> str:
 
 
 def _write_state(fh, state, scenario):
+    """Write the dump of ``state`` to the stream ``fh``, `_WRITE_ROWS` cells at a time.
+
+    Each block is the rows of one whole-table `write_table`, so the bytes
+    are the same and no table of the whole grid is built.
+    """
     meta = {
         "axes": [
             {"name": ax.name, "lo": ax.lo, "hi": ax.hi, "n": ax.n} for ax in state.grid.axes
@@ -249,7 +257,10 @@ def _write_state(fh, state, scenario):
     header.append("# columns: " + ",".join(_state_columns(state.grid, d)))
     coords = [m.reshape(-1) for m in state.grid.meshes()]
     entries = state.cells.reshape(coords[0].size, d * d).view(float)
-    write_table(fh, header, np.column_stack(coords + [entries]))
+    for lo in range(0, coords[0].size, _WRITE_ROWS):
+        block = slice(lo, lo + _WRITE_ROWS)
+        write_table(fh, header, np.column_stack([c[block] for c in coords] + [entries[block]]))
+        header = []
 
 
 def _state_columns(grid, d):
@@ -259,9 +270,18 @@ def _state_columns(grid, d):
 
 
 def load_state(path) -> HybridState:
+    """Read the state dump in the file ``path``; refuses what `state_from_text` refuses.
+
+    The table is parsed from the file itself, so neither its text nor its
+    lines are held beside it; they are read back only to name the file
+    line of a refused entry.
+    """
     with open(path) as fh:
-        text = fh.read()
-    return state_from_text(text)
+        grid, d = _state_header(fh.readline().splitlines())
+        # loadtxt warns on input without data rows; those fail the row count
+        has_data = any(map(_is_data, fh))
+    table = np.loadtxt(path, delimiter=",", ndmin=2) if has_data else None
+    return _checked_state(grid, d, table, lambda: _file_lines(path))
 
 
 def state_from_text(text: str) -> HybridState:
@@ -274,6 +294,13 @@ def state_from_text(text: str) -> HybridState:
     # loadtxt reads the list of lines; an io.StringIO(text) copy would hold
     # four bytes per character of a dump that can run to tens of megabytes
     lines = text.splitlines()
+    grid, d = _state_header(lines)
+    table = np.loadtxt(lines, delimiter=",", ndmin=2) if any(map(_is_data, lines)) else None
+    return _checked_state(grid, d, table, lambda: lines)
+
+
+def _state_header(lines):
+    """(grid, hilbert_dim) from the first of a dump's ``lines``."""
     if not lines or not lines[0].startswith("# cqsim-state "):
         raise ValueError("not a cqsim state file (missing header)")
     meta = json.loads(lines[0][len("# cqsim-state ") :])
@@ -287,12 +314,18 @@ def state_from_text(text: str) -> HybridState:
         raise ValueError(f"malformed state header: {exc}") from None
     if d < 1:
         raise ValueError(f"state header hilbert_dim must be positive, got {d}")
-    ncoord = len(axes)
+    return grid, d
+
+
+def _checked_state(grid, d, table, lines):
+    """The state of a dump's data ``table`` (None without data rows), once it passes.
+
+    ``lines()`` returns the dump's lines, for naming the file line of a
+    refused entry.
+    """
+    ncoord = grid.ndim
     width = ncoord + 2 * d * d
-    # loadtxt warns on input without data rows; those fail the row count
-    if any(map(_is_data, lines)):
-        table = np.loadtxt(lines, delimiter=",", ndmin=2)
-    else:
+    if table is None:
         table = np.empty((0, width))
     if table.shape[1] != width:
         raise ValueError(
@@ -306,19 +339,24 @@ def state_from_text(text: str) -> HybridState:
     if not finite.all():
         row, col = divmod(int(finite.argmin()), width)
         problem = f"{FLOAT_FMT % table[row, col]} is not a finite number"
-        _refuse_entry(lines, grid, d, row, col, problem)
+        _refuse_entry(lines(), grid, d, row, col, problem)
     del finite
     coords = table[:, :ncoord].reshape(grid.shape + (ncoord,))
-    for k, ax in enumerate(axes):
+    for k, ax in enumerate(grid.axes):
         # in row-major cell order, axis k's coordinate varies along grid axis k only
         wrong = coords[..., k] != ax.points.reshape([-1 if i == k else 1 for i in range(ncoord)])
         if wrong.any():
             row = int(wrong.argmax())
             point = ax.points[np.unravel_index(row, grid.shape)[k]]
             problem = f"{FLOAT_FMT % table[row, k]} is not the grid point {FLOAT_FMT % point}"
-            _refuse_entry(lines, grid, d, row, k, problem)
+            _refuse_entry(lines(), grid, d, row, k, problem)
     cells = table[:, ncoord:].view(complex).reshape(grid.shape + (d, d))
     return HybridState(grid, cells)
+
+
+def _file_lines(path):
+    with open(path) as fh:
+        return fh.read().splitlines()
 
 
 def _refuse_entry(lines, grid, d, row, col, problem):

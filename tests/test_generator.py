@@ -11,7 +11,6 @@ from cqsim.generator import (
     EvolutionError,
     _cq_operators,
     _operators,
-    _rk4,
     _whole_steps,
     apply_generator,
     branch_generator,
@@ -726,6 +725,32 @@ def kernel_case(levels, d, boundary, n, real):
     return random_cq_model(rng, levels), HybridState(grid, cells)
 
 
+def measurement_kernel_case(d, boundary, n):
+    rng = np.random.default_rng(1000 + 10 * d + n)
+    grid = PhaseGrid((GridAxis("z", -2.0, 2.5, n),), boundary=boundary)
+    m = constant_measurement_model(
+        random_hermitian(rng, (d, d)), 0.8, h=random_hermitian(rng, (d, d)), k_slope=0.1
+    )
+    return m, HybridState(grid, random_hermitian(rng, grid.shape + (d, d)))
+
+
+def whole_grid_cq_operators(model, grid):
+    """`_cq_operators` as one whole-grid expression per operator."""
+    qs = grid.axes[0].points
+    eye = np.eye(model.hilbert_dim)
+    lop = np.asarray(model.dv_i(qs), dtype=complex)
+    l2 = lop @ lop
+    d0_of_q = np.asarray(model.d0(qs), dtype=float)[:, None, None]
+    vprime = np.asarray(classical_force(model, qs), dtype=float)[:, None, None]
+    h = model.h_q
+    kron, t = generator._kron, generator._t
+    liou = (-1j / model.hbar) * (kron(h, eye) - kron(eye, h.T)) + d0_of_q * (
+        kron(lop, t(lop)) - 0.5 * (kron(l2, eye) + kron(eye, t(l2)))
+    )
+    back = vprime * np.eye(eye.size) + 0.5 * (kron(lop, eye) + kron(eye, t(lop)))
+    return t(liou).copy(), t(back).copy()
+
+
 class TestInPlaceKernel:
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("n", [3, 4, 41])
@@ -754,7 +779,109 @@ class TestInPlaceKernel:
         assert np.array_equal(apply_generator(model, state), allocating_rate(model, state))
         rate_fn = lambda cells: apply_generator(model, HybridState(state.grid, cells))
         want = allocating_rk4(rate_fn, state.cells, dt).tobytes()
-        assert _rk4(rate_fn, state.cells, dt).tobytes() == want
+        assert step_rk4(model, state, dt).cells.tobytes() == want
+
+    @pytest.mark.parametrize("n", [3, 4, 41])
+    @pytest.mark.parametrize("boundary", ["truncate", "periodic"])
+    @pytest.mark.parametrize("levels,d", LEVELS_AND_CELLS)
+    def test_sweep_windows_never_change_a_bit(self, levels, d, boundary, n, monkeypatch):
+        model, state = kernel_case(levels, d, boundary, n, False)
+        dt = 0.4 * cfl_limit(model, state.grid)
+        rate_fn = lambda cells: apply_generator(model, HybridState(state.grid, cells))
+        want = allocating_rk4(rate_fn, state.cells, dt).tobytes()
+        windows = []
+        kernel = generator.apply_generator
+
+        def spy(model, state, rows, out):
+            windows.append(rows.indices(n)[:2])
+            return kernel(model, state, rows, out)
+
+        monkeypatch.setattr(generator, "apply_generator", spy)
+        # one-row slabs still sweep two rows at a time; 3 rows leave a
+        # shorter last window for some n
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(generator, "_SLAB_BYTES", rows * state.cells[0].nbytes)
+            windows.clear()
+            assert step_rk4(model, state, dt).cells.tobytes() == want
+            size = max(2, rows)
+            sweep = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+            # k1 over the whole grid, then k2, k3 and k4 window by window
+            assert windows == [(0, n)] + 3 * sweep
+
+    @pytest.mark.parametrize("n", [3, 4, 41])
+    @pytest.mark.parametrize("boundary", ["truncate", "periodic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_measurement_step_matches_allocating_expressions(self, d, boundary, n):
+        m, state = measurement_kernel_case(d, boundary, n)
+        dt = 0.4 * measurement_cfl_limit(m, state.grid)
+        rate_fn = lambda cells: measurement_generator(m, HybridState(state.grid, cells))
+        want = allocating_rk4(rate_fn, state.cells, dt)
+        assert step_rk4(m, state, dt).cells.tobytes() == want.tobytes()
+        # the window form of the kernel gives the rows of the whole-grid rate
+        whole = rate_fn(state.cells)
+        out = np.full((n - 1,) + state.cells.shape[1:], np.nan, dtype=complex)
+        assert measurement_generator(m, state, slice(1, n), out) is out
+        assert out.tobytes() == whole[1:].tobytes()
+
+    def test_evolve_measurement_matches_allocating_rk4(self):
+        grid = PhaseGrid((GridAxis("z", -3.0, 3.0, 41),), boundary="periodic")
+        m = constant_measurement_model(SIGMA_Z, 0.7, h=0.5 * SIGMA_X, k_slope=0.1)
+        state = gaussian_product_state(
+            grid, (0.2,), (0.5,), rho_q=np.array([[0.6, 0.3], [0.3, 0.4]])
+        )
+        dt = 0.4 * measurement_cfl_limit(m, grid)
+        rate_fn = lambda cells: measurement_generator(m, HybridState(grid, cells))
+        want = state.cells
+        for _ in range(3):
+            want = allocating_rk4(rate_fn, want, dt)
+        final, _ = evolve_measurement(m, state, 3 * dt, dt, stride=1)
+        assert final.cells.tobytes() == want.tobytes()
+
+    def test_step_holds_three_grid_arrays(self, monkeypatch):
+        model, state = kernel_case(8, 8, "truncate", 101, False)
+        cells = np.ascontiguousarray(state.cells)
+        grid_bytes = cells.nbytes
+        row_bytes = cells[0].nbytes
+        slab_bytes = generator._slab_rows(cells) * row_bytes
+        assert grid_bytes > 8 * slab_bytes
+        dt = 0.4 * cfl_limit(model, state.grid)
+        # the operators are built inside the step
+        monkeypatch.setattr(generator, "_memo", (None, None, None))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stepped = step_rk4(model, HybridState(state.grid, cells), dt)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        operators = sum(op.nbytes for op in generator._memo[2])
+        # the input cells are not counted: accumulator and stage state, the
+        # first window's buffer, two turn buffers, the kernel's scratch, and
+        # a few rows of stencil edge temporaries
+        assert peak < 2 * grid_bytes + operators + 4 * slab_bytes + 8 * row_bytes
+        assert stepped.cells.nbytes == grid_bytes
+
+    def test_operator_build_has_no_operator_sized_temporary(self):
+        model, state = kernel_case(8, 8, "truncate", 101, False)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ops = _cq_operators(model, state.grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        outputs = sum(op.nbytes for op in ops)
+        assert outputs > 8 * generator._SLAB_BYTES
+        assert peak < 1.5 * outputs
+
+    @pytest.mark.parametrize("levels,d", [(2, 2), (8, 8), (1, 2)])
+    def test_chunked_operators_match_the_whole_grid_expression(self, levels, d, monkeypatch):
+        model, state = kernel_case(levels, d, "truncate", 41, False)
+        want = [op.tobytes() for op in whole_grid_cq_operators(model, state.grid)]
+        # chunks of one, and of three q rows (a shorter last chunk)
+        for rows in (1, 3):
+            monkeypatch.setattr(generator, "_SLAB_BYTES", rows * 16 * d**4)
+            assert [op.tobytes() for op in _cq_operators(model, state.grid)[:2]] == want
 
     def test_rates_are_new_arrays(self):
         model, state = kernel_case(2, 2, "truncate", 9, False)
@@ -835,6 +962,32 @@ class TestInPlaceKernel:
         finally:
             tracemalloc.stop()
 
+    def test_recorded_cells_are_freed_after_the_next_step(self, monkeypatch, small_grid):
+        model = qubit_decoherence_model(lam=0.6, d0=1.0)
+        recorded = []
+        record = generator.EvolutionDiagnostics.record
+
+        def spy_record(self, t, state):
+            recorded.append(weakref.ref(state.cells))
+            return record(self, t, state)
+
+        stale = []
+        rk4 = generator._rk4
+
+        def spy_step(rate_fn, cells, dt, sweep):
+            # a step reads its input cells; every cells recorded before them are garbage
+            stale.append(sum(ref() is not None and ref() is not cells for ref in recorded))
+            return rk4(rate_fn, cells, dt, sweep)
+
+        monkeypatch.setattr(generator.EvolutionDiagnostics, "record", spy_record)
+        monkeypatch.setattr(generator, "_rk4", spy_step)
+        dt = 0.4 * cfl_limit(model, small_grid)
+        rho_q = np.array([[0.6, 0.3], [0.3, 0.4]])
+        evolve(model, gaussian_product_state(small_grid, (0, 0), (0.45, 0.45), rho_q=rho_q),
+               7 * dt, dt, stride=3)
+        assert len(recorded) == 4 and len(stale) == 7
+        assert stale == [0] * 7
+
     def test_runner_frees_the_initial_cells_after_the_first_step(self, monkeypatch, tmp_path):
         initial = []
         build = runner.gaussian_product_state
@@ -847,14 +1000,15 @@ class TestInPlaceKernel:
         alive = []
         kernel = generator.apply_generator
 
-        def rate(model, state):
+        def rate(model, state, *window):
             alive.append(initial[0]() is not None)
-            return kernel(model, state)
+            return kernel(model, state, *window)
 
         monkeypatch.setattr(runner, "gaussian_product_state", tracked)
         monkeypatch.setattr(generator, "apply_generator", rate)
         path = SCENARIO_DIR / "evolve_qubit_decoherence.yaml"
         runner.run_scenario(parse_scenario_file(str(path)), tmp_path)
-        # four rate evaluations per RK4 step: only the first step reads the initial cells
+        # four rate evaluations per RK4 step (one window: the grid fits one
+        # slab): only the first step reads the initial cells
         assert len(alive) == 4 * 25
         assert alive[:4] == [True] * 4 and not any(alive[4:])

@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqsim import runner
 from cqsim.cli import main
 from cqsim.generator import cfl_limit, cfl_terms, measurement_cfl_limit
 from cqsim.grids import GridAxis, PhaseGrid
@@ -629,17 +630,46 @@ class TestCli:
         assert summary == {"n_paths": 300, "dt": 0.01, "n_steps": n_steps}
 
     def test_sample_paths_shrink_dt_to_end_at_t_final(self, tmp_path, capsys):
-        # 1.0 / 0.3 rounds to 3 steps, which now reach t_final: not t = 0.9
+        # 1.0 / 0.3 rounds up to 4 steps, which reach t_final (not t = 0.9)
+        # without a step longer than dt
         text = (SCENARIO_DIR / "sample_paths.yaml").read_text()
         path = tmp_path / "short.yaml"
         path.write_text(text.replace("dt: 1.0e-2\n  n_steps: 100", "dt: 0.3\n  t_final: 1.0"))
         out = tmp_path / "o"
         assert main(["run", str(path), "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert (summary["dt"], summary["n_steps"]) == (1.0 / 3, 3)
+        assert (summary["dt"], summary["n_steps"]) == (0.25, 4)
         times = read_table(out / "path0.csv")[:, 0]
-        assert len(times) == 4
+        assert len(times) == 5
         assert times[-1] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["sample_paths.yaml", "unravel_qubit.yaml"])
+    def test_euler_maruyama_steps_never_exceed_dt(self, name, tmp_path):
+        text = (SCENARIO_DIR / name).read_text()
+        path = tmp_path / name
+        if name.startswith("sample_paths"):
+            text = text.replace("dt: 1.0e-2\n  n_steps: 100", "dt: 0.3\n  t_final: 0.44")
+        else:
+            text = text.replace("dt: 1.0e-3\n  t_final: 0.2", "dt: 0.3\n  t_final: 0.44")
+        path.write_text(text)
+        steps, _ = runner._plan(parse_scenario_file(str(path)))
+        # 0.44 / 0.3 = 1.47 rounds to one step of 0.44; two of 0.22 stay within dt
+        assert (steps["dt"], steps["n_steps"]) == (0.22, 2)
+
+    @pytest.mark.parametrize("t_final,dt,n", [(0.15, 1e-3, 150), (0.2, 1e-3, 200), (1.0, 0.01, 100),
+                                              (0.3, 0.1, 3), (0.7, 0.1, 7)])
+    def test_whole_ratios_keep_their_step_count(self, t_final, dt, n):
+        # round-off above a whole count (0.3 / 0.1 = 2.9999999999999996,
+        # 0.7 / 0.1 = 6.999999999999999) adds no step
+        steps = (t_final / n, n)
+        assert runner._steps(t_final, dt, within=True) == runner._steps(t_final, dt) == steps
+
+    def test_steps_of_a_dividing_dt_are_kept(self):
+        # t_final / (t_final / n) can exceed n by round-off (0.1 / (0.1 / 95)
+        # = 95.00000000000001): that is no reason for another step
+        for t_final in (0.1, 0.44, 2.5):
+            for n in range(1, 3001):
+                assert runner._steps(t_final, t_final / n, within=True)[1] == n
 
     def test_check_command(self, capsys):
         assert main(["check", str(SCENARIO_DIR / "cp_check_saturated.yaml")]) == 0

@@ -1,10 +1,12 @@
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cqsim import state as state_module
 from cqsim.cli import main
 from cqsim.grids import GridAxis, PhaseGrid
 from cqsim.state import (
@@ -145,6 +147,50 @@ def test_serialization_single_axis_grid():
     assert total_trace(loaded) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("block", [7, 81, None], ids=["7-rows", "one-block", "default"])
+def test_state_written_in_blocks_is_the_whole_table(tmp_path, monkeypatch, block):
+    n = 9 if block else 70
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, n), GridAxis("p", -2.0, 2.0, n)))
+    rng = np.random.default_rng(5)
+    cells = rng.normal(size=grid.shape + (2, 2)) + 1j * rng.normal(size=grid.shape + (2, 2))
+    state = HybridState(grid, cells)
+    if block:
+        monkeypatch.setattr(state_module, "_WRITE_ROWS", block)
+    else:
+        assert n * n > state_module._WRITE_ROWS
+    scenario = {"run": "evolve"}
+    text = state_to_text(state, scenario)
+    coords = [m.reshape(-1) for m in grid.meshes()]
+    whole = io.StringIO()
+    np.savetxt(
+        whole, np.column_stack(coords + [cells.reshape(n * n, 4).view(float)]), fmt="%.17g",
+        delimiter=",", header="\n".join(text.splitlines()[:3]), comments="",
+    )
+    assert text == whole.getvalue()
+    path = tmp_path / "state.txt"
+    save_state(state, path, scenario=scenario)
+    assert path.read_bytes() == whole.getvalue().encode()
+
+
+def test_load_state_holds_one_table(tmp_path):
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 101), GridAxis("p", -1.0, 1.0, 101)))
+    state = gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5), rho_q=np.full((4, 4), 0.25))
+    path = tmp_path / "state.txt"
+    save_state(state, path)
+    table_bytes = grid.shape[0] * grid.shape[1] * (2 + 2 * 16) * 8
+    assert path.stat().st_size > table_bytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_state(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert loaded.cells.tobytes() == state.cells.tobytes()
+    # neither the text nor its lines are held beside the table
+    assert peak < 1.5 * table_bytes
+
+
 def reference_state_text(state, scenario=None):
     """The per-entry "{:.17g}" writer `state_to_text` replaced: the format reference."""
     buf = io.StringIO()
@@ -268,6 +314,8 @@ def test_malformed_state_file_names_the_cause(tmp_path, capsys, edit, cause):
         state_from_text(text)
     path = tmp_path / "bad.txt"
     path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        load_state(path)
     assert main(["compare", str(path), str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and cause in err
