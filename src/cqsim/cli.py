@@ -66,7 +66,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"scenario error: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RunFailure as exc:

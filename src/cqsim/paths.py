@@ -31,6 +31,10 @@ value per row, each bit-equal to scoring that row alone.
 Configuration-space weights replace the residual by the Euler-Lagrange
 defect m qddot + dV/dq + averaged force, with qddot the central second
 difference.
+
+The weighted endpoint histogram of an ensemble is
+``unravel.bin_ensemble(np.column_stack([q_end, p_end]), None, grid, weights)``
+on a (q, p) grid, the same binning the trajectory unraveling uses.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import PhaseGrid
 from .models import CQModel, DiagonalizedModel, diagonalize_model
 from .unravel import trajectory_normals
 
@@ -54,7 +57,6 @@ __all__ = [
     "sample_path",
     "sample_path_ensemble",
     "config_action",
-    "marginal_from_paths",
 ]
 
 CONSTRAINT_TOL = 1e-12
@@ -260,20 +262,3 @@ def config_action(path: ClassicalPath, model: CQModel, pair: Optional[BranchPair
     d2 = _positive_d2(model, q_in)
     residual = model.mass * qddot + _drift_force(model, q_in, pair)
     return float(np.sum(0.5 * dt * residual * residual / d2))
-
-
-def marginal_from_paths(q_end, p_end, weights, grid: PhaseGrid) -> np.ndarray:
-    """Weighted endpoint histogram as a classical density over a (q, p) grid."""
-    if grid.ndim != 2:
-        raise ValueError("marginal_from_paths needs a (q, p) grid")
-    w = np.ones_like(np.asarray(q_end, dtype=float)) if weights is None else np.asarray(weights, dtype=float)
-    hist, _, _ = np.histogram2d(
-        np.asarray(q_end, dtype=float),
-        np.asarray(p_end, dtype=float),
-        bins=[grid.edges(grid.axes[0].name), grid.edges(grid.axes[1].name)],
-        weights=w,
-    )
-    total = w.sum() * grid.cell_volume
-    if total <= 0:
-        raise ValueError("total path weight must be positive")
-    return hist / total

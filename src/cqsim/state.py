@@ -36,8 +36,6 @@ __all__ = [
     "quantum_marginal",
     "purity_of_marginal",
     "coherence",
-    "normalize",
-    "expectation",
     "min_cell_eigenvalue",
     "gaussian_product_state",
     "save_state",
@@ -136,28 +134,6 @@ def coherence(state: HybridState, i: int, j: int) -> np.ndarray:
     return np.abs(state.cells[..., i, j])
 
 
-def normalize(state: HybridState) -> HybridState:
-    tr = total_trace(state)
-    if tr <= 0.0:
-        raise ValueError(f"cannot normalize state with total trace {tr}")
-    return HybridState(state.grid, state.cells / tr)
-
-
-def expectation(state: HybridState, f, operator) -> complex:
-    """Expectation sum_z f(z) Tr(varrho(z) A) * cell_volume.
-
-    ``f`` may be a scalar, an array over the grid, or a callable taking the
-    coordinate meshes.  ``operator`` is a d x d matrix.
-    """
-    if callable(f):
-        fz = f(*state.grid.meshes())
-    else:
-        fz = np.asarray(f)
-    a = np.asarray(operator, dtype=complex)
-    tr_rho_a = np.einsum("...ij,ji->...", state.cells, a)
-    return complex((fz * tr_rho_a).sum() * state.cell_volume)
-
-
 def min_cell_eigenvalue(state: HybridState) -> float:
     """Smallest eigenvalue over all cell matrices (positivity monitor)."""
     flat = state.cells.reshape(-1, state.hilbert_dim, state.hilbert_dim)
@@ -165,13 +141,13 @@ def min_cell_eigenvalue(state: HybridState) -> float:
     return float(np.linalg.eigvalsh(flat).min())
 
 
-def gaussian_product_state(
-    grid: PhaseGrid, centers, sigmas, rho_q=None, normalize_output=True
-) -> HybridState:
-    """Gaussian classical density times a fixed quantum density matrix.
+def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> HybridState:
+    """Gaussian classical density times a fixed quantum density matrix, total trace 1.
 
     ``centers`` and ``sigmas`` give one (mean, width) pair per grid axis;
-    ``rho_q`` defaults to the trivial 1 x 1 matrix [[1.0]].
+    ``rho_q`` defaults to the trivial 1 x 1 matrix [[1.0]].  The Gaussian
+    is normalized on the grid itself, so a truncated one still has total
+    trace 1; a state with no positive trace on the grid is refused.
     """
     meshes = grid.meshes()
     weight = np.ones(grid.shape)
@@ -183,9 +159,11 @@ def gaussian_product_state(
     tr = np.trace(rho_q).real
     if tr != 0.0:
         rho_q = rho_q / tr
-    cells = weight[..., None, None] * rho_q
-    state = HybridState(grid, cells)
-    return normalize(state) if normalize_output else state
+    state = HybridState(grid, weight[..., None, None] * rho_q)
+    total = total_trace(state)
+    if total <= 0.0:
+        raise ValueError(f"cannot normalize state with total trace {total}")
+    return HybridState(grid, state.cells / total)
 
 
 # -- columnar text serialization -------------------------------------------

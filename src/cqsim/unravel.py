@@ -19,6 +19,11 @@ history; a single trajectory is a one-row ensemble.  Randomness comes from
 counter-based Philox streams keyed on (master_seed, trajectory_index), so
 ensembles are order-independent and bitwise reproducible; ensemble
 reductions always run in trajectory-index order.
+
+`bin_ensemble` is cqsim's one ensemble histogram: it turns an ensemble of
+grid points -- signals here, (q, p) path endpoints in `paths` -- with
+optional pure states and weights into a `HybridState` on a grid of any
+dimension.
 """
 
 from __future__ import annotations
@@ -37,11 +42,9 @@ __all__ = [
     "EnsembleResult",
     "trajectory_rng",
     "trajectory_normals",
-    "unravel_step",
     "run_trajectory",
     "run_ensemble",
     "bin_ensemble",
-    "ensemble_to_hybrid",
     "estimate_km_moments",
 ]
 
@@ -51,7 +54,7 @@ _MASK64 = (1 << 64) - 1
 # buffer, which is drawn per chunk (1e5 rows of 151 draws at once would take
 # 120 MB).  Outputs do not depend on it: each row draws from its own stream.
 _CHUNK = 1024
-# Largest fraction of trajectories `bin_ensemble` lets fall outside its grid.
+# Largest share of an ensemble (by weight when weighted) `bin_ensemble` lets fall outside its grid.
 OUTSIDE_LIMIT = 1e-3
 
 
@@ -87,12 +90,6 @@ class Trajectory:
     psi: np.ndarray  # (n_steps + 1, d), unit rows
     norm_defect: np.ndarray  # (n_steps,), per-step |  ||psi_raw|| - 1 |
 
-    def at_time(self, t: float):
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * (1.0 + abs(t)):
-            raise ValueError(f"trajectory has no sample at t={t}")
-        return self.z[idx], self.psi[idx]
-
 
 @dataclass(frozen=True)
 class EnsembleResult:
@@ -126,16 +123,6 @@ def _step_arrays(m: MeasurementModel, psi, z, dt, xi):
     psi_new = psi_raw / norms[:, None]
     z_new = z + exp_z * dt + d_xi / np.sqrt(8.0 * k)
     return psi_new, z_new, norms
-
-
-def unravel_step(m: MeasurementModel, psi, z, dt, xi):
-    """Single-trajectory step; returns (psi', z').
-
-    ``xi`` is a standard normal draw; the Wiener increment is xi*sqrt(dt).
-    """
-    psi = np.asarray(psi, dtype=complex)
-    psi_new, z_new, _ = _step_arrays(m, psi[None, :], np.atleast_1d(float(z)), float(dt), np.atleast_1d(float(xi)))
-    return psi_new[0], float(z_new[0])
 
 
 def run_trajectory(m: MeasurementModel, psi0, z0, dt, n_steps, seed, z0_sigma=0.0) -> Trajectory:
@@ -217,61 +204,69 @@ def run_ensemble(
     )
 
 
-def bin_ensemble(z, psi, grid: PhaseGrid) -> HybridState:
-    """Reconstruct the hybrid state by binning signals on a 1-axis grid.
+def bin_ensemble(z, psi, grid: PhaseGrid, weights=None) -> HybridState:
+    """Reconstruct the hybrid state by binning an ensemble on the grid.
 
-    cell(z) = (1/N) sum_{trajectories in cell} |psi><psi| / cell_volume, so
-    the total trace is exactly 1 before float error.  Aborts when more than
-    `OUTSIDE_LIMIT` of the trajectories fall outside the grid.
+    ``z`` holds each member's grid coordinates, shape (n, grid.ndim), or
+    (n,) on a 1-axis grid.  ``psi`` (n, d) holds each member's state, or
+    None for a classical ensemble (d = 1).  ``weights`` (n,), when given,
+    scales each member's |psi><psi|, and the outside share and the
+    normalization count weight instead of members:
+
+        cell(z) = sum_{members in cell} w |psi><psi| / (W_inside * cell_volume),
+
+    so the total trace is exactly 1 before float error.  Aborts when more
+    than `OUTSIDE_LIMIT` of the ensemble falls outside the grid.
     """
-    if grid.ndim != 1:
-        raise ValueError("bin_ensemble needs a single-axis grid (the signal axis)")
     z = np.asarray(z, dtype=float)
-    psi = np.asarray(psi, dtype=complex)
-    n, d = psi.shape
-    edges = grid.edges(grid.axes[0].name)
-    idx = np.searchsorted(edges, z, side="right") - 1
-    inside = (idx >= 0) & (idx < grid.axes[0].n)
-    frac_out = 1.0 - inside.sum() / n
+    coords = z[:, None] if z.ndim == 1 else z
+    if coords.ndim != 2 or coords.shape[1] != grid.ndim:
+        raise ValueError(f"z of shape {z.shape} does not fit a {grid.ndim}-axis grid")
+    n = coords.shape[0]
+    psi = np.ones((n, 1), dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
+    if psi.shape[0] != n:
+        raise ValueError(f"psi has {psi.shape[0]} rows but z has {n}")
+    if n == 0:
+        raise ValueError("cannot bin an empty ensemble")
+    d = psi.shape[1]
+    idx = []
+    inside = np.ones(n, dtype=bool)
+    for k, ax in enumerate(grid.axes):
+        i = np.searchsorted(grid.edges(ax.name), coords[:, k], side="right") - 1
+        inside &= (i >= 0) & (i < ax.n)
+        idx.append(i)
+    if weights is None:
+        total, kept = n, inside.sum()
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n,):
+            raise ValueError(f"weights has {w.size} entries but z has {n}")
+        total, kept = w.sum(), w[inside].sum()
+        if not total > 0.0:
+            raise ValueError(f"total ensemble weight must be positive, got {total:g}")
+    frac_out = 1.0 - kept / total
     if frac_out > OUTSIDE_LIMIT:
         raise ValueError(
-            f"{frac_out:.2%} of trajectories fall outside the grid (limit {OUTSIDE_LIMIT:.2%})"
+            f"{frac_out:.2%} of the ensemble falls outside the grid (limit {OUTSIDE_LIMIT:.2%})"
         )
-    cells = np.zeros((grid.axes[0].n, d, d), dtype=complex)
+    cells = np.zeros(grid.shape + (d, d), dtype=complex)
     outer = psi[inside][:, :, None] * psi[inside].conj()[:, None, :]
-    np.add.at(cells, idx[inside], outer)
-    cells /= inside.sum() * grid.cell_volume
+    if weights is not None:
+        outer *= w[inside][:, None, None]
+    np.add.at(cells, tuple(i[inside] for i in idx), outer)
+    cells /= kept * grid.cell_volume
     return HybridState(grid, cells)
 
 
-def ensemble_to_hybrid(trajectories, grid: PhaseGrid, t: float) -> HybridState:
-    """Bin a collection of `Trajectory` objects at the common time ``t``."""
-    zs = []
-    psis = []
-    for traj in trajectories:
-        z, psi = traj.at_time(t)
-        zs.append(z)
-        psis.append(psi)
-    return bin_ensemble(np.array(zs), np.array(psis), grid)
-
-
-def estimate_km_moments(trajectories, dt, n_bins=20, bin_range=None):
+def estimate_km_moments(z_series, dt, n_bins=20, bin_range=None):
     """Empirical Kramers-Moyal drift and diffusion, binned over z.
 
     Per bin, D1 = mean(dz)/dt and D2 = Var(dz)/dt, conditioned on the bin
     of the pre-step value (second moment convention: variance D2*dt).
-    Accepts a signal array (one row per trajectory), a single Trajectory,
-    or a sequence of them sharing the lag ``dt``.
+    ``z_series`` is a signal array, one row per trajectory sampled at the
+    lag ``dt`` (a 1-d array is one trajectory).
     Returns (bin_centers, d1, d2, counts); empty bins hold NaN.
     """
-    if isinstance(trajectories, Trajectory):
-        z_series = trajectories.z
-    elif isinstance(trajectories, (list, tuple)) and trajectories and isinstance(
-        trajectories[0], Trajectory
-    ):
-        z_series = np.stack([t.z for t in trajectories])
-    else:
-        z_series = trajectories
     z_series = np.atleast_2d(np.asarray(z_series, dtype=float))
     starts = z_series[:, :-1].ravel()
     increments = (z_series[:, 1:] - z_series[:, :-1]).ravel()

@@ -14,12 +14,12 @@ from cqsim.paths import (
     anomalous_term,
     config_action,
     fv_action,
-    marginal_from_paths,
     om_action,
     sample_path,
     sample_path_ensemble,
 )
-from cqsim.state import classical_marginal, gaussian_product_state
+from cqsim.state import classical_marginal, gaussian_product_state, total_trace
+from cqsim.unravel import bin_ensemble
 
 from conftest import SIGMA_Z, free_diffusion_model
 
@@ -161,9 +161,11 @@ class TestAnomalousTerm:
         final, _ = evolve(target, state, t_final, t_final / ng, stride=ng)
         dens_q = classical_marginal(final).sum(axis=1) * grid.axes[1].spacing
 
+        endpoints = np.column_stack([qs[:, -1], ps[:, -1]])
+
         def weighted_marginal(lw):
             w = np.exp(lw - lw.max())
-            hist = marginal_from_paths(qs[:, -1], ps[:, -1], w, grid)
+            hist = classical_marginal(bin_ensemble(endpoints, None, grid, w))
             return hist.sum(axis=1) * grid.axes[1].spacing
 
         def rebin(dens_1d):
@@ -195,7 +197,7 @@ class TestPathMeasureConsistency:
         ng = int(round(t_final / dtg))
         final, _ = evolve(model, state, t_final, t_final / ng, stride=ng)
         dens = classical_marginal(final)
-        hist = marginal_from_paths(qs[:, -1], ps[:, -1], None, grid)
+        hist = classical_marginal(bin_ensemble(np.column_stack([qs[:, -1], ps[:, -1]]), None, grid))
 
         hq, hp = grid.axes[0].spacing, grid.axes[1].spacing
         # marginals rebinned 80 -> 20 so the N = 1e4 MC noise sits below 0.05
@@ -203,6 +205,44 @@ class TestPathMeasureConsistency:
         diff_p = ((hist - dens).sum(axis=0) * hq)[:-1].reshape(20, 4).sum(axis=1) * hp
         assert np.abs(diff_q).sum() < 0.05
         assert np.abs(diff_p).sum() < 0.05
+
+
+def histogram2d_density(qp, grid, weights=None):
+    """Reference endpoint density: np.histogram2d over the grid's cell edges."""
+    w = np.ones(len(qp)) if weights is None else weights
+    hist, _, _ = np.histogram2d(
+        qp[:, 0], qp[:, 1], bins=[grid.edges(ax.name) for ax in grid.axes], weights=w
+    )
+    return hist / (w.sum() * grid.cell_volume)
+
+
+class TestEndpointBinning:
+    """`bin_ensemble` on a (q, p) grid against a histogram2d reference."""
+
+    grid = PhaseGrid((GridAxis("q", -2.0, 2.0, 21), GridAxis("p", -3.0, 1.0, 11)))
+
+    def endpoints(self, n, seed):
+        # strictly inside the outer edges: histogram2d closes its last bin on
+        # the right, bin_ensemble does not
+        rng = np.random.default_rng(seed)
+        lo = [self.grid.edges(ax.name)[0] for ax in self.grid.axes]
+        hi = [self.grid.edges(ax.name)[-1] for ax in self.grid.axes]
+        return rng.uniform(np.add(lo, 1e-9), np.subtract(hi, 1e-9), size=(n, 2))
+
+    def test_unweighted_matches_histogram2d(self):
+        qp = self.endpoints(5000, seed=1)
+        state = bin_ensemble(qp, None, self.grid)
+        assert state.hilbert_dim == 1
+        assert np.abs(classical_marginal(state) - histogram2d_density(qp, self.grid)).max() < 1e-12
+        assert total_trace(state) == pytest.approx(1.0, rel=1e-12)
+
+    def test_weighted_matches_histogram2d(self):
+        qp = self.endpoints(5000, seed=2)
+        w = np.random.default_rng(3).exponential(size=len(qp))
+        state = bin_ensemble(qp, None, self.grid, weights=w)
+        ref = histogram2d_density(qp, self.grid, w)
+        assert np.abs(classical_marginal(state) - ref).max() < 1e-12
+        assert total_trace(state) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestFeynmanVernon:

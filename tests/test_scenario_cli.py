@@ -683,6 +683,15 @@ class TestCli:
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "duplicate key" in capsys.readouterr().err
 
+    def test_unreadable_input_path_exits_2(self, tmp_path, capsys):
+        # a directory where an input file belongs: a usage error naming it, no traceback
+        d = str(tmp_path)
+        for argv in (["check", d], ["run", d, "--out", str(tmp_path / "o")], ["compare", d, d]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and d in err
+        assert not (tmp_path / "o").exists()
+
     def test_invariant_breach_exits_nonzero(self, tmp_path, capsys):
         # a box far too small: mass leaks, trace drifts, run must abort
         leaky = tmp_path / "leaky.yaml"

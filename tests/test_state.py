@@ -13,12 +13,10 @@ from cqsim.state import (
     HybridState,
     classical_marginal,
     coherence,
-    expectation,
     gaussian_product_state,
     hermiticity_defect,
     load_state,
     min_cell_eigenvalue,
-    normalize,
     purity_of_marginal,
     quantum_marginal,
     save_state,
@@ -79,15 +77,12 @@ def test_quantum_marginal_hermitian_and_consistent(small_grid):
     assert np.trace(rho).real == pytest.approx(total_trace(state), rel=1e-12)
 
 
-def test_expectation_of_identity_is_trace(gaussian_state):
-    val = expectation(gaussian_state, 1.0, np.eye(gaussian_state.hilbert_dim))
-    assert val == pytest.approx(total_trace(gaussian_state), rel=1e-12)
-
-
-def test_expectation_callable_observable(small_grid):
+def test_gaussian_centred_on_its_mean(small_grid):
     state = gaussian_product_state(small_grid, (0.5, -0.25), (0.6, 0.6))
-    mean_q = expectation(state, lambda q, p: q, np.eye(1)).real
-    assert mean_q == pytest.approx(0.5, abs=1e-6)
+    q, p = small_grid.meshes()
+    dens = classical_marginal(state) * state.cell_volume
+    assert (q * dens).sum() == pytest.approx(0.5, abs=1e-6)
+    assert (p * dens).sum() == pytest.approx(-0.25, abs=1e-6)
 
 
 def test_purity_of_pure_product_state(small_grid):
@@ -102,10 +97,19 @@ def test_coherence_field(small_grid):
     assert coh.max() == pytest.approx(0.5 * classical_marginal(state).max(), rel=1e-12)
 
 
-def test_normalize(small_grid):
-    state = gaussian_product_state(small_grid, (0.0, 0.0), (0.7, 0.7), normalize_output=False)
-    scaled = HybridState(small_grid, 3.7 * state.cells)
-    assert total_trace(normalize(scaled)) == pytest.approx(1.0, rel=1e-12)
+def test_truncated_gaussian_has_unit_trace(small_grid):
+    # centred on the grid's last q point, so about half of the Gaussian is cut off
+    q_hi = small_grid.axes[0].hi
+    state = gaussian_product_state(small_grid, (q_hi, 0.0), (0.7, 0.7))
+    dens = classical_marginal(state)
+    assert np.unravel_index(np.argmax(dens), dens.shape)[0] == small_grid.axes[0].n - 1
+    assert total_trace(state) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_gaussian_off_the_grid_refused(small_grid):
+    # every weight underflows to 0 this far from the grid
+    with pytest.raises(ValueError, match="total trace 0"):
+        gaussian_product_state(small_grid, (1e3, 0.0), (0.7, 0.7))
 
 
 def test_hermiticity_validation(small_grid):

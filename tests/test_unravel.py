@@ -6,14 +6,13 @@ from cqsim.models import MeasurementModel, constant_measurement_model
 from cqsim.state import classical_marginal, total_trace
 from cqsim.unravel import (
     _CHUNK,
+    _step_arrays,
     bin_ensemble,
-    ensemble_to_hybrid,
     estimate_km_moments,
     run_ensemble,
     run_trajectory,
     trajectory_normals,
     trajectory_rng,
-    unravel_step,
 )
 
 from conftest import PLUS, SIGMA_Z, overlap_rebin
@@ -21,11 +20,11 @@ from conftest import PLUS, SIGMA_Z, overlap_rebin
 
 def test_eigenstate_is_collapse_fixed_point():
     m = constant_measurement_model(SIGMA_Z, k=2.0)
-    psi = np.array([1.0, 0.0], dtype=complex)
-    psi2, z2 = unravel_step(m, psi, 0.3, dt=1e-3, xi=1.7)
+    psi = np.array([[1.0, 0.0]], dtype=complex)
+    psi2, z2, _ = _step_arrays(m, psi, np.array([0.3]), 1e-3, np.array([1.7]))
     assert np.abs(psi2 - psi).max() == 0.0
     # z' - z = z_v dt + dxi/sqrt(8k)
-    assert z2 - 0.3 == pytest.approx(1.0 * 1e-3 + 1.7 * np.sqrt(1e-3) / np.sqrt(16.0))
+    assert z2[0] - 0.3 == pytest.approx(1.0 * 1e-3 + 1.7 * np.sqrt(1e-3) / np.sqrt(16.0))
 
 
 def test_nonpositive_strength_aborts():
@@ -35,7 +34,7 @@ def test_nonpositive_strength_aborts():
         hilbert_dim=2,
     )
     with pytest.raises(ValueError, match="k\\(z\\)"):
-        unravel_step(m, np.array([1.0, 0.0]), -0.5, 1e-3, 0.1)
+        _step_arrays(m, np.array([[1.0, 0.0]]), np.array([-0.5]), 1e-3, np.array([0.1]))
 
 
 def test_trajectory_determinism_bitwise():
@@ -65,12 +64,11 @@ def test_ensemble_matches_trajectory_streams():
     for i in range(4):
         rng = trajectory_rng(9, i)
         xis = rng.standard_normal(50)
-        psi = PLUS.astype(complex)
-        z = 0.0
+        psi, z = PLUS[None, :].astype(complex), np.zeros(1)
         for k in range(50):
-            psi, z = unravel_step(m, psi, z, 1e-3, xis[k])
-        assert z == pytest.approx(res.z[i], abs=1e-12)
-        assert np.abs(psi - res.psi[i]).max() < 1e-12
+            psi, z, _ = _step_arrays(m, psi, z, 1e-3, xis[k : k + 1])
+        assert z[0] == pytest.approx(res.z[i], abs=1e-12)
+        assert np.abs(psi[0] - res.psi[i]).max() < 1e-12
 
 
 def test_eigenstate_signal_variance():
@@ -116,14 +114,14 @@ def test_norm_drift_is_order_dt():
     assert 0.7 < slope < 1.3
 
 
-class TestEnsembleToHybrid:
+class TestBinEnsemble:
     def grid(self):
         return PhaseGrid((GridAxis("z", -2.0, 2.0, 41),))
 
     def test_single_eigenstate_trajectory(self):
         m = constant_measurement_model(SIGMA_Z, 1.0)
         traj = run_trajectory(m, np.array([1.0, 0.0]), 0.0, 1e-3, 100, seed=6)
-        state = ensemble_to_hybrid([traj], self.grid(), t=0.1)
+        state = bin_ensemble(traj.z[-1:], traj.psi[-1:], self.grid())
         dens = classical_marginal(state)
         assert (dens > 0).sum() == 1
         assert total_trace(state) == pytest.approx(1.0)
@@ -133,7 +131,7 @@ class TestEnsembleToHybrid:
     def test_reconstructed_cells_are_rank_one(self):
         m = constant_measurement_model(SIGMA_Z, 3.0)
         traj = run_trajectory(m, PLUS, 0.0, 1e-3, 200, seed=8)
-        state = ensemble_to_hybrid([traj], self.grid(), t=0.2)
+        state = bin_ensemble(traj.z[-1:], traj.psi[-1:], self.grid())
         for cell in state.cells:
             tr = np.trace(cell).real
             if tr > 0:
@@ -156,6 +154,29 @@ class TestEnsembleToHybrid:
         psi = np.tile(PLUS, (4, 1)).astype(complex)
         with pytest.raises(ValueError, match="outside"):
             bin_ensemble(z, psi, grid)
+
+    def test_lengths_must_match(self):
+        psi = np.tile(PLUS, (3, 1)).astype(complex)
+        with pytest.raises(ValueError, match="psi has 3 rows but z has 2"):
+            bin_ensemble(np.zeros(2), psi, self.grid())
+        with pytest.raises(ValueError, match="weights has 2 entries but z has 3"):
+            bin_ensemble(np.zeros(3), psi, self.grid(), weights=np.ones(2))
+
+    def test_empty_ensemble_refused(self):
+        with pytest.raises(ValueError, match="empty ensemble"):
+            bin_ensemble(np.zeros(0), np.zeros((0, 2), dtype=complex), self.grid())
+
+    def test_zero_total_weight_refused(self):
+        psi = np.tile(PLUS, (3, 1)).astype(complex)
+        with pytest.raises(ValueError, match="weight must be positive"):
+            bin_ensemble(np.zeros(3), psi, self.grid(), weights=np.zeros(3))
+
+    def test_z_width_must_match_grid(self):
+        qp = PhaseGrid((GridAxis("q", -1.0, 1.0, 5), GridAxis("p", -1.0, 1.0, 5)))
+        for z, grid in ((np.zeros((4, 2)), self.grid()), (np.zeros((4, 1, 1)), self.grid()),
+                        (np.zeros(4), qp)):
+            with pytest.raises(ValueError, match=f"does not fit a {grid.ndim}-axis grid"):
+                bin_ensemble(z, None, grid)
 
 
 class TestCrossValidation:
@@ -215,7 +236,7 @@ class TestKramersMoyal:
         k = 1.0
         m = constant_measurement_model(SIGMA_Z, k)
         traj = run_trajectory(m, np.array([1.0, 0.0]), 0.0, 1e-3, 100_000, seed=11)
-        centers, d1, d2, counts = estimate_km_moments(traj, 1e-3, n_bins=12)
+        centers, d1, d2, counts = estimate_km_moments(traj.z, 1e-3, n_bins=12)
         good = counts > 3000
         assert np.nanmean(d1[good]) == pytest.approx(1.0, abs=0.05)
         assert np.nanmean(d2[good]) == pytest.approx(1.0 / (8.0 * k), rel=0.05)
@@ -268,13 +289,13 @@ def test_ensemble_first_is_row_zero_of_a_long_ensemble(z0_sigma):
     assert first.z[-1] == res.z[0] and np.array_equal(first.psi[-1], res.psi[0])
     # bit for bit the single-row steps on the (master_seed, 0) stream
     rng = trajectory_rng(21, 0)
-    z = 0.1 + (z0_sigma * rng.standard_normal() if z0_sigma > 0.0 else 0.0)
+    z = np.array([0.1 + (z0_sigma * rng.standard_normal() if z0_sigma > 0.0 else 0.0)])
     xis = rng.standard_normal(n_steps)
-    psi = PLUS / np.linalg.norm(PLUS) + 0j
-    assert first.z[0] == z and np.array_equal(first.psi[0], psi)
+    psi = (PLUS / np.linalg.norm(PLUS) + 0j)[None, :]
+    assert first.z[0] == z[0] and np.array_equal(first.psi[0], psi[0])
     for k in range(n_steps):
-        psi, z = unravel_step(m, psi, z, dt, xis[k])
-        assert first.z[k + 1] == z and np.array_equal(first.psi[k + 1], psi)
+        psi, z, _ = _step_arrays(m, psi, z, dt, xis[k : k + 1])
+        assert first.z[k + 1] == z[0] and np.array_equal(first.psi[k + 1], psi[0])
     assert first.norm_defect.shape == (n_steps,) and np.all(first.norm_defect < 10 * dt)
     single = run_trajectory(m, PLUS, 0.1, dt, n_steps, seed=21, z0_sigma=z0_sigma)
     assert np.array_equal(single.z, first.z) and np.array_equal(single.psi, first.psi)
