@@ -44,9 +44,9 @@ the sweep, after the next window has read the old stage rows as stencil
 neighbours, and the first window's last, for the periodic wrap.  k4 is
 added window by window.  A step is bit-for-bit
 cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) and never writes the input cells.
-`evolve` and `evolve_measurement` take t_final as a whole number of dt
-steps and refuse any other; a trace-drift abort reports the probability
-found in the outermost grid cells.
+`evolve` and `evolve_measurement` take a step dt and a whole number of
+steps, which the caller decides; a trace-drift abort reports the
+probability found in the outermost grid cells.
 
 `branch_generator` provides an independent evolution route for models
 diagonal in a fixed basis: each matrix element varrho_ab is transported by
@@ -72,6 +72,7 @@ transport.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +114,6 @@ __all__ = [
 
 TRACE_DRIFT_ABORT = 1e-6
 POSITIVITY_ABORT = 1e-7  # 10 x the hybrid-state positivity tolerance
-# Relative slack between t_final / dt and a whole step count: round-off
-# only (t_final / (t_final / n) is within a few ulp of n).
-STEP_ROUNDOFF = 1e-9
 # Bytes of cells per `apply_generator` slab, per RK4 sweep window and per
 # operator-build chunk (each holds at least one q row, a window two).  It
 # bounds their buffers, and a slab's scratch and rate rows stay in cache
@@ -547,7 +545,7 @@ def _stepper(model, state: HybridState, dt: float):
     if not (dt > 0):
         raise ValueError("dt must be positive")
     if dt > limit:
-        raise ValueError(f"dt={dt:g} exceeds the CFL-style limit {limit:g}")
+        raise ValueError(f"dt={float(dt)!r} exceeds the CFL-style limit {limit!r}")
     return rate_fn, _sweep(state.cells.shape, window)
 
 
@@ -557,33 +555,29 @@ def step_rk4(model: CQModel, state: HybridState, dt: float) -> HybridState:
     return HybridState(state.grid, _rk4(rate_fn, state.cells, dt, sweep))
 
 
-def _whole_steps(t_final, dt):
-    """The number of ``dt`` steps that make ``t_final``; refuses any other t_final.
-
-    ``dt = t_final / n`` passes for every n: only round-off, not a
-    fraction of a step, may separate t_final / dt from a whole number.
-    """
-    ratio = t_final / dt
-    n = round(ratio) if np.isfinite(ratio) else None
-    if n is None or n < 0 or abs(ratio - n) > STEP_ROUNDOFF * max(n, 1):
-        raise ValueError(
-            f"t_final={t_final!r} is not a whole number of steps of dt={dt!r} "
-            f"(nearest step count: {n})"
-        )
+def _count(name, value, least):
+    """``value`` as an int of at least ``least``; a ValueError naming ``name`` otherwise."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return n
 
 
-def _evolve_loop(model, initial, t_final, dt, stride, trace_abort):
+def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
     """The stepping loop of `evolve` and `evolve_measurement`.
 
     ``initial`` is a one-item list holding the initial state, which the
     loop takes out: when the caller kept no reference either, the initial
     cells are freed as soon as the first step has consumed them.
     """
+    n_steps = _count("n_steps", n_steps, 0)
+    stride = _count("stride", stride, 1)
     state = initial.pop()
     grid = state.grid
     rate_fn, sweep = _stepper(model, state, dt)
-    n_steps = _whole_steps(t_final, dt)
     diags = EvolutionDiagnostics.empty()
     diags.record(0.0, state)
     initial_trace = diags.trace[0]
@@ -620,25 +614,26 @@ def _evolve_loop(model, initial, t_final, dt, stride, trace_abort):
 def evolve(
     model: CQModel,
     state: HybridState,
-    t_final: float,
     dt: float,
+    n_steps: int,
     stride: int = 10,
     trace_abort: float = TRACE_DRIFT_ABORT,
 ):
-    """Repeated RK4 stepping with diagnostics; aborts on invariant breach.
+    """``n_steps`` RK4 steps of ``dt`` with diagnostics; aborts on invariant breach.
 
     Returns (final_state, diagnostics).  Diagnostics are recorded every
-    ``stride`` steps and at the final time.  ``t_final`` must be a whole
-    number of ``dt`` steps (up to round-off); any other raises ValueError.
-    ``state`` is not referenced after the first step.
+    ``stride`` steps and at the final time.  ``n_steps`` must be an
+    integer >= 0 (0 returns the initial state) and ``stride`` one >= 1;
+    anything else raises ValueError.  ``state`` is not referenced after the first
+    step.
     """
     initial = [state]
     del state
-    return _evolve_loop(model, initial, t_final, dt, stride, trace_abort)
+    return _evolve_loop(model, initial, dt, n_steps, stride, trace_abort)
 
 
 def evolve_measurement(
-    m: MeasurementModel, state: HybridState, t_final: float, dt: float, stride: int = 10
+    m: MeasurementModel, state: HybridState, dt: float, n_steps: int, stride: int = 10
 ):
-    """RK4 evolution of the measurement master equation on a signal grid."""
-    return _evolve_loop(m, [state], t_final, dt, stride, TRACE_DRIFT_ABORT)
+    """`evolve` of the measurement master equation on a signal grid."""
+    return _evolve_loop(m, [state], dt, n_steps, stride, TRACE_DRIFT_ABORT)

@@ -64,27 +64,28 @@ def _as_matrix(m, name="matrix"):
     return a
 
 
-def require_hermitian(m, tol=HERMITICITY_TOL, name="matrix"):
+def require_hermitian(m, name="matrix"):
     """Return ``m`` as a complex square array, rejecting non-Hermitian input.
 
-    The defect ``max|m - m^dag|`` must not exceed ``tol * (1 + max|m|)``.
+    The defect ``max|m - m^dag|`` must not exceed ``HERMITICITY_TOL * (1 + max|m|)``.
     """
     a = _as_matrix(m, name)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     scale = 1.0 + (np.abs(a).max() if a.size else 0.0)
     defect = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if defect > tol * scale:
+    if defect > HERMITICITY_TOL * scale:
         raise ValueError(
-            f"{name} is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}*(1+max|entry|)"
+            f"{name} is not Hermitian: defect {defect:.3e} exceeds "
+            f"{HERMITICITY_TOL:.1e}*(1+max|entry|)"
         )
     return 0.5 * (a + a.conj().T)
 
 
-def is_psd(m, tol=RANK_TOL):
+def is_psd(m):
     """True iff the Hermitian matrix ``m`` is positive semi-definite.
 
-    The test is ``min eig >= -tol * (1 + spectral radius)``, via a full
+    The test is ``min eig >= -RANK_TOL * (1 + spectral radius)``, via a full
     Hermitian eigendecomposition so that boundary-of-cone cases (zero
     eigenvalues) are accepted.
     """
@@ -93,13 +94,13 @@ def is_psd(m, tol=RANK_TOL):
         return True
     w = np.linalg.eigvalsh(a)
     radius = np.abs(w).max()
-    return bool(w.min() >= -tol * (1.0 + radius))
+    return bool(w.min() >= -RANK_TOL * (1.0 + radius))
 
 
-def pseudo_inverse(m, rank_tol=RANK_TOL):
+def pseudo_inverse(m):
     """Moore-Penrose inverse of a Hermitian matrix via eigendecomposition.
 
-    Eigenvalues of magnitude below ``rank_tol * max|eig|`` are treated as
+    Eigenvalues of magnitude below ``RANK_TOL * max|eig|`` are treated as
     exact zeros (mapped to 0 in the inverse); the rest are reciprocated.
     """
     a = require_hermitian(m)
@@ -109,7 +110,7 @@ def pseudo_inverse(m, rank_tol=RANK_TOL):
     scale = np.abs(w).max()
     if scale == 0.0:
         return np.zeros_like(a)
-    inv_w = np.where(np.abs(w) > rank_tol * scale, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
+    inv_w = np.where(np.abs(w) > RANK_TOL * scale, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
     return (v * inv_w) @ v.conj().T
 
 
@@ -176,7 +177,7 @@ class CPReport:
         }
 
 
-def schur_cp_check(triple: CouplingTriple, tol=RANK_TOL) -> CPReport:
+def schur_cp_check(triple: CouplingTriple) -> CPReport:
     """Audit complete positivity of a coupling triple along both routes.
 
     Route one checks the assembled block matrix directly for positive
@@ -187,23 +188,23 @@ def schur_cp_check(triple: CouplingTriple, tol=RANK_TOL) -> CPReport:
     """
     d2, d1, d0 = triple.d2, triple.d1, triple.d0
 
-    d0_psd = is_psd(d0, tol)
-    d2_psd = is_psd(d2, tol)
+    d0_psd = is_psd(d0)
+    d2_psd = is_psd(d2)
 
-    d0_pinv = pseudo_inverse(d0, tol)
+    d0_pinv = pseudo_inverse(d0)
     schur = d2 - d1 @ d0_pinv @ d1.conj().T
     schur = 0.5 * (schur + schur.conj().T)
     schur_eigs = np.linalg.eigvalsh(schur) if schur.size else np.zeros(0)
     margin = float(schur_eigs.min()) if schur_eigs.size else 0.0
     schur_scale = 1.0 + (np.abs(schur_eigs).max() if schur_eigs.size else 0.0)
-    schur_ok = bool(margin >= -tol * schur_scale)
+    schur_ok = bool(margin >= -RANK_TOL * schur_scale)
 
     # Support condition: columns of D1^dag must lie in the range of D0.
     residual = (np.eye(d0.shape[0]) - d0 @ d0_pinv) @ d1.conj().T
     support_scale = 1.0 + (np.abs(d1).max() if d1.size else 0.0)
-    support_ok = bool(np.abs(residual).max() <= 1e3 * tol * support_scale)
+    support_ok = bool(np.abs(residual).max() <= 1e3 * RANK_TOL * support_scale)
 
-    block_psd = is_psd(triple.block, tol)
+    block_psd = is_psd(triple.block)
 
     if not block_psd:
         verdict = Verdict.VIOLATED
@@ -223,11 +224,11 @@ def schur_cp_check(triple: CouplingTriple, tol=RANK_TOL) -> CPReport:
     )
 
 
-def tradeoff_verdict(triple: CouplingTriple, tol=SATURATION_TOL) -> Verdict:
+def tradeoff_verdict(triple: CouplingTriple) -> Verdict:
     """Classify the decoherence-diffusion trade-off for a coupling triple.
 
     Violated if the block matrix fails positivity; Saturated when
-    D0 = D1^dag D2^{-1} D1 within ``tol`` (the purity-preserving regime);
+    D0 = D1^dag D2^{-1} D1 within ``SATURATION_TOL`` (the purity-preserving regime);
     Satisfied otherwise.
     """
     report = schur_cp_check(triple)
@@ -236,7 +237,7 @@ def tradeoff_verdict(triple: CouplingTriple, tol=SATURATION_TOL) -> Verdict:
     d2_pinv = pseudo_inverse(triple.d2)
     target = triple.d1.conj().T @ d2_pinv @ triple.d1
     gap = np.abs(triple.d0 - target).max()
-    if gap <= tol * (1.0 + np.abs(triple.d0).max()):
+    if gap <= SATURATION_TOL * (1.0 + np.abs(triple.d0).max()):
         return Verdict.SATURATED
     return Verdict.SATISFIED
 

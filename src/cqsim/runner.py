@@ -4,9 +4,10 @@ Every artifact embeds the fully resolved scenario (defaults filled) in its
 header for provenance, and all floats are written with 17 significant
 digits so that a rerun with the same master seed is byte-identical.
 `_plan` is the one place that turns numerics t_final, dt and safety into
-the (dt, n_steps) of evolve, unravel and sample_paths, and for the grid
-equations the CFL-style limit and its binding term; the gate runs it
-before any output exists, and each run reports it in its summary.
+the (dt, n_steps) of evolve, unravel and sample_paths, the fewest whole
+steps none longer than dt, and for the grid equations the CFL-style limit
+and its binding term; the gate runs it before any output exists, and each
+run reports it in its summary.
 unravel integrates its ensemble once and takes trajectory 0 from it;
 sample_paths scores its sampled paths as `ClassicalPath` batches.
 
@@ -28,7 +29,7 @@ import os
 
 import numpy as np
 
-from .generator import STEP_ROUNDOFF, EvolutionError, cfl_terms, evolve, evolve_measurement
+from .generator import EvolutionError, cfl_terms, evolve, evolve_measurement
 from .models import ModelValidationError, diagonalize_model, validate_model
 from .paths import BranchPair, anomalous_term, fv_action, om_action, sample_path_ensemble, ClassicalPath
 from .psd import schur_cp_check, tradeoff_verdict
@@ -46,6 +47,10 @@ from .unravel import bin_ensemble, run_ensemble
 from .zerodim import QuadratureError, moment_perturbative, moment_quadrature
 
 __all__ = ["run_scenario", "check_scenario", "compare_artifacts", "RunFailure"]
+
+# Relative slack a step may exceed its dt by: round-off only
+# (t_final / (t_final / n) is within a few ulp of n).
+STEP_ROUNDOFF = 1e-9
 
 
 class RunFailure(RuntimeError):
@@ -66,23 +71,24 @@ def _provenance(scenario: Scenario) -> str:
     return "scenario " + scenario_json(scenario.resolved)
 
 
-def _steps(t_final, dt, limit=None, within=False):
-    """(dt, n_steps): ``dt`` changed so that n_steps whole steps reach t_final.
+def _steps(t_final, dt, limit=None):
+    """(dt, n_steps): the fewest whole steps that reach t_final, none longer than ``dt``.
 
-    n_steps is the nearest whole count of ``dt`` steps, or, ``within``, the
-    fewest whose step does not exceed ``dt`` beyond round-off
-    (`STEP_ROUNDOFF`).  A grid integration's step must stay within its
-    CFL-style ``limit``.
+    A step may exceed ``dt`` by round-off only (`STEP_ROUNDOFF`), so a
+    ``dt`` that divides t_final keeps its count.  A grid integration's step
+    must stay within its CFL-style ``limit``.
     """
     n = t_final / dt
     if not np.isfinite(n):
         raise ValueError(f"t_final {t_final:g} is not a finite number of steps of {dt:g}")
-    n = max(1, math.ceil(n * (1.0 - STEP_ROUNDOFF)) if within else int(round(n)))
+    n = max(1, math.ceil(n * (1.0 - STEP_ROUNDOFF)))
+    if t_final / n > dt * (1.0 + STEP_ROUNDOFF):
+        n += 1  # the ratio's round-off left the count one short
     dt = t_final / n
     if limit is not None and dt > limit:
         raise ValueError(
-            f"grid step {dt:g} (from numerics dt or safety, and t_final) exceeds "
-            f"the CFL-style limit {limit:g}"
+            f"grid step {dt!r} (from numerics dt or safety, and t_final) exceeds "
+            f"the CFL-style limit {limit!r}"
         )
     return dt, n
 
@@ -92,29 +98,24 @@ def _plan(scenario):
 
     ``steps`` is what the run's summary reports: dt and n_steps, from
     `_steps` of numerics t_final and dt (sample_paths given n_steps keeps
-    its dt).  The Euler-Maruyama runs (unravel trajectories, sample_paths)
-    never step beyond a numerics dt they are given.  The grid equations'
-    runs (evolve, unravel) step at numerics dt, or else at safety x the
-    CFL-style limit, and add that limit, cfl_limit, and the name of its
-    binding `cfl_terms` term, cfl_term; only evolve's grid is held to the
-    limit.  ``reference`` is the (dt, n_steps) of unravel's grid reference,
-    at safety x the limit, when z0_sigma > 0; otherwise None.
+    its dt).  The grid equations' runs (evolve, unravel) step at numerics
+    dt, or else at safety x the CFL-style limit, and add that limit,
+    cfl_limit, and the name of its binding `cfl_terms` term, cfl_term.
+    ``reference`` is the (dt, n_steps) of unravel's grid reference, at
+    safety x the limit, when z0_sigma > 0; otherwise None.  The grid
+    integrations, evolve's steps and the reference, are held to the limit.
     """
     numerics = scenario.numerics
     t_final, dt = numerics["t_final"], numerics["dt"]
     if scenario.run_type == "sample_paths":
-        if t_final is not None:
-            dt, n_steps = _steps(t_final, dt, within=True)
-        else:
-            n_steps = numerics["n_steps"]
+        dt, n_steps = (dt, numerics["n_steps"]) if t_final is None else _steps(t_final, dt)
         return {"dt": dt, "n_steps": n_steps}, None
     terms = cfl_terms(scenario.model, scenario.grid)
     term = min(terms, key=terms.get, default=None)
     limit = terms.get(term, np.inf)
     safe = numerics["safety"] * limit
     held = limit if scenario.run_type == "evolve" else None
-    within = scenario.run_type == "unravel" and dt is not None
-    dt, n_steps = _steps(t_final, safe if dt is None else dt, held, within)
+    dt, n_steps = _steps(t_final, safe if dt is None else dt, held)
     reference = None
     if scenario.run_type == "unravel" and numerics["z0_sigma"] > 0.0:
         reference = _steps(t_final, safe, limit)
@@ -186,7 +187,6 @@ def _run_cp_check(scenario, out_dir, audit):
 
 def _run_evolve(scenario, out_dir):
     init = scenario.initial
-    numerics = scenario.numerics
     steps, _ = _plan(scenario)
     prov = _provenance(scenario)
     try:
@@ -200,10 +200,10 @@ def _run_evolve(scenario, out_dir):
                 sigmas=(init["sigma_q"], init["sigma_p"]),
                 rho_q=init["rho_q"],
             ),
-            numerics["t_final"],
             steps["dt"],
+            steps["n_steps"],
             stride=scenario.output["stride"],
-            trace_abort=numerics["trace_abort"],
+            trace_abort=scenario.numerics["trace_abort"],
         )
     except (EvolutionError, ModelValidationError) as exc:
         diags = getattr(exc, "diagnostics", None)
@@ -223,7 +223,6 @@ def _run_unravel(scenario, out_dir):
     grid = scenario.grid
     init = scenario.initial
     numerics = scenario.numerics
-    t_final = numerics["t_final"]
     steps, reference = _plan(scenario)
     n_traj = numerics["n_trajectories"]
     z0_sigma = numerics["z0_sigma"]
@@ -253,7 +252,7 @@ def _run_unravel(scenario, out_dir):
         ref0 = gaussian_product_state(grid, centers=(init["z0"],), sigmas=(z0_sigma,), rho_q=rho0)
         dt_grid, ngrid = reference
         try:
-            ref, _ = evolve_measurement(m, ref0, t_final, dt_grid, stride=ngrid)
+            ref, _ = evolve_measurement(m, ref0, dt_grid, ngrid, stride=ngrid)
         except EvolutionError as exc:
             raise RunFailure(str(exc)) from exc
         ref_density = classical_marginal(ref)

@@ -182,7 +182,7 @@ def wick_moment(powers, propagators=None, params: ToyParams | None = None, degre
     return complex(pair((a, b, c)))
 
 
-def moment_perturbative(p: ToyParams, observable, order: int, order_cap=PERTURBATIVE_ORDER_CAP) -> complex:
+def moment_perturbative(p: ToyParams, observable, order: int) -> complex:
     """Interacting moment of q^a (phi+)^b (phi-)^c at a given order.
 
     Expands exp(I_int) to the requested order in the interaction, reduces
@@ -191,8 +191,10 @@ def moment_perturbative(p: ToyParams, observable, order: int, order_cap=PERTURBA
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order > order_cap:
-        raise ValueError(f"order {order} exceeds the cap {order_cap} (combinatorial blow-up)")
+    if order > PERTURBATIVE_ORDER_CAP:
+        raise ValueError(
+            f"order {order} exceeds the cap {PERTURBATIVE_ORDER_CAP} (combinatorial blow-up)"
+        )
     a, b, c = observable
     terms = interaction_terms(p)
     # the pairing cap must admit every monomial this order can generate

@@ -75,7 +75,7 @@ def test_criterion_03_classical_diffusion_law():
     t_final = 1.0
     dt = 0.45 * cfl_limit(model, grid)
     n = int(round(t_final / dt))
-    final, diags = evolve(model, state, t_final, t_final / n, stride=max(1, n // 10))
+    final, diags = evolve(model, state, t_final / n, n, stride=max(1, n // 10))
     expected = diags.var_p[0] + d2 * t_final
     rel_err = abs(diags.var_p[-1] - expected) / expected
     elapsed = time.monotonic() - t0
@@ -94,7 +94,7 @@ def test_criterion_04_decoherence_rate():
     t_final = 1.0 / rate_expected  # one decay time
     dt = 0.4 * cfl_limit(model, grid)
     n = int(round(t_final / dt))
-    final, diags = evolve(model, state, t_final, t_final / n, stride=max(1, n // 20))
+    final, diags = evolve(model, state, t_final / n, n, stride=max(1, n // 20))
     ts = np.array(diags.t)
     coh = np.array(diags.coh_01)
     fitted = -np.polyfit(ts, np.log(coh), 1)[0]
@@ -169,7 +169,7 @@ def test_criterion_06_unraveling_vs_master_equation():
     ref0 = gaussian_product_state(fine, (0.0,), (z0_sigma,), rho_q=rho0)
     dtg = 0.4 * measurement_cfl_limit(m, fine)
     ng = int(round(t_final / dtg))
-    ref, _ = evolve_measurement(m, ref0, t_final, t_final / ng, stride=ng)
+    ref, _ = evolve_measurement(m, ref0, t_final / ng, ng, stride=ng)
     dens_ref = overlap_rebin(classical_marginal(ref), fine, coarse)
 
     l1s = {}

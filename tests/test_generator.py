@@ -11,7 +11,6 @@ from cqsim.generator import (
     EvolutionError,
     _cq_operators,
     _operators,
-    _whole_steps,
     apply_generator,
     branch_generator,
     cfl_limit,
@@ -428,7 +427,7 @@ class TestStepping:
             grid, (0, 0), (0.45, 0.45), rho_q=np.array([[0.6, 0.3], [0.3, 0.4]])
         )
         dt = min(0.4 * cfl_limit(model, grid), 2.5e-4)
-        final, diags = evolve(model, state, 1000 * dt, dt, stride=100)
+        final, diags = evolve(model, state, dt, 1000, stride=100)
         assert abs(diags.trace[-1] - 1.0) <= 1e-6
         assert min(diags.min_eig) >= -1e-6
         assert hermiticity_defect(final) <= 1e-10
@@ -445,14 +444,21 @@ class TestStepping:
         cells = dens[..., None, None].astype(complex)
         state = HybridState(grid, cells / (dens.sum() * grid.cell_volume))
         dt = 0.4 * cfl_limit(model, grid)
-        final, diags = evolve(model, state, 30 * dt, dt, stride=10)
+        final, diags = evolve(model, state, dt, 30, stride=10)
         assert abs(diags.trace[-1] - diags.trace[0]) < 1e-12
 
     def test_cfl_guard(self, small_grid):
         model = free_diffusion_model(d2=0.5)
         state = gaussian_product_state(small_grid, (0, 0), (0.7, 0.7))
+        limit = cfl_limit(model, small_grid)
         with pytest.raises(ValueError, match="CFL"):
-            step_rk4(model, state, 100.0 * cfl_limit(model, small_grid))
+            step_rk4(model, state, 100.0 * limit)
+        # one ulp above the limit: the message tells the two apart
+        dt = np.nextafter(limit, np.inf)
+        with pytest.raises(ValueError) as err:
+            step_rk4(model, state, dt)
+        assert str(err.value) == f"dt={float(dt)!r} exceeds the CFL-style limit {limit!r}"
+        assert repr(float(dt)) != repr(limit)
 
     def test_variance_growth_small_grid(self):
         grid = PhaseGrid((GridAxis("q", -5, 5, 81), GridAxis("p", -5, 5, 101)))
@@ -460,7 +466,7 @@ class TestStepping:
         state = gaussian_product_state(grid, (0, 0), (0.5, 0.5))
         dt = 0.4 * cfl_limit(model, grid)
         n = int(round(0.5 / dt))
-        final, diags = evolve(model, state, 0.5, 0.5 / n, stride=n)
+        final, diags = evolve(model, state, 0.5 / n, n, stride=n)
         expected = diags.var_p[0] + 0.5 * 0.5
         assert diags.var_p[-1] == pytest.approx(expected, rel=0.02)
 
@@ -472,7 +478,7 @@ class TestStepping:
         state = gaussian_product_state(grid, (0, 0), (0.4, 0.4))
         dt = 0.4 * cfl_limit(model, grid)
         with pytest.raises(EvolutionError, match="trace drift|negativity"):
-            evolve(model, state, 250 * dt, dt, stride=5)
+            evolve(model, state, dt, 250, stride=5)
 
     def test_leakage_abort_reports_edge_mass(self):
         grid = PhaseGrid((GridAxis("q", -2, 2, 21), GridAxis("p", -1.5, 1.5, 21)))
@@ -480,7 +486,7 @@ class TestStepping:
         state = gaussian_product_state(grid, (0, 0), (0.4, 0.4))
         dt = 0.4 * cfl_limit(model, grid)
         with pytest.raises(EvolutionError, match="trace drift") as err:
-            evolve(model, state, 10 * dt, dt, stride=1)
+            evolve(model, state, dt, 10, stride=1)
         match = re.search(r"at t=(\S+), with probability (\S+) in the outermost grid cells",
                           str(err.value))
         steps = int(round(float(match.group(1)) / dt))
@@ -492,23 +498,23 @@ class TestStepping:
         assert edge_mass(state) == pytest.approx(edges * grid.cell_volume, rel=1e-12)
         assert float(match.group(2)) == pytest.approx(edge_mass(state), rel=1e-3)
 
-    def test_evolve_refuses_a_partial_step(self, small_grid):
-        # 2.5 steps used to stop silently after 2
+    @pytest.mark.parametrize("name,value", [("n_steps", -1), ("n_steps", 2.0), ("n_steps", 2.5),
+                                            ("stride", 0), ("stride", -1), ("stride", 2.5)])
+    def test_evolve_refuses_a_count_that_is_not_whole(self, small_grid, name, value):
+        # stride 0 used to divide by zero, -1 to record every step and 2.5
+        # every fifth; a step count is given, never derived
         model = free_diffusion_model(d2=0.5)
         state = gaussian_product_state(small_grid, (0, 0), (0.7, 0.7))
-        dt = 0.4 * cfl_limit(model, small_grid)
-        with pytest.raises(ValueError, match=r"t_final=.* dt=.*nearest step count: 2\)"):
-            evolve(model, state, 2.5 * dt, dt, stride=1)
+        counts = {"n_steps": 3, "stride": 1, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got {value}$"):
+            evolve(model, state, 0.4 * cfl_limit(model, small_grid), **counts)
 
-    def test_runner_steps_are_whole(self):
-        # the runner steps at dt = t_final / n: that must make exactly n steps
-        for t_final in (0.3, 0.2, 1e-3, 0.15, 7.77, 123.4):
-            for n in range(1, 3001):
-                assert _whole_steps(t_final, t_final / n) == n
-        assert _whole_steps(0.0, 0.1) == 0
-        for t_final in (-0.2, float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="whole number of steps"):
-                _whole_steps(t_final, 0.1)
+    def test_zero_steps_return_the_initial_state(self, small_grid):
+        model = free_diffusion_model(d2=0.5)
+        state = gaussian_product_state(small_grid, (0, 0), (0.7, 0.7))
+        final, diags = evolve(model, state, 0.4 * cfl_limit(model, small_grid), 0)
+        assert final.cells is state.cells
+        assert diags.t == [0.0]
 
 
 class TestMeasurementGenerator:
@@ -523,7 +529,7 @@ class TestMeasurementGenerator:
             if kernel == "measurement_generator":
                 measurement_generator(m, state)
             else:
-                evolve_measurement(m, state, 0.01, 1e-4)
+                evolve_measurement(m, state, 1e-4, 100)
 
     def test_trace_preserving(self):
         grid = PhaseGrid((GridAxis("z", -2.5, 2.5, 81),))
@@ -559,7 +565,7 @@ class TestMeasurementGenerator:
         dt = 0.4 * measurement_cfl_limit(m, grid)
         t_final = 0.4
         n = int(round(t_final / dt))
-        final, diags = evolve_measurement(m, state, t_final, t_final / n, stride=n)
+        final, diags = evolve_measurement(m, state, t_final / n, n, stride=n)
         assert diags.mean_p[-1] == pytest.approx(t_final, rel=0.02)
 
 
@@ -834,7 +840,7 @@ class TestInPlaceKernel:
         want = state.cells
         for _ in range(3):
             want = allocating_rk4(rate_fn, want, dt)
-        final, _ = evolve_measurement(m, state, 3 * dt, dt, stride=1)
+        final, _ = evolve_measurement(m, state, dt, 3, stride=1)
         assert final.cells.tobytes() == want.tobytes()
 
     def test_step_holds_three_grid_arrays(self, monkeypatch):
@@ -899,7 +905,7 @@ class TestInPlaceKernel:
         before = state.cells.copy()
         dt = 0.4 * cfl_limit(model, small_grid)
         step_rk4(model, state, dt)
-        evolve(model, state, 3 * dt, dt, stride=1)
+        evolve(model, state, dt, 3, stride=1)
         assert state.cells.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("n", [3, 4, 41])
@@ -984,7 +990,7 @@ class TestInPlaceKernel:
         dt = 0.4 * cfl_limit(model, small_grid)
         rho_q = np.array([[0.6, 0.3], [0.3, 0.4]])
         evolve(model, gaussian_product_state(small_grid, (0, 0), (0.45, 0.45), rho_q=rho_q),
-               7 * dt, dt, stride=3)
+               dt, 7, stride=3)
         assert len(recorded) == 4 and len(stale) == 7
         assert stale == [0] * 7
 

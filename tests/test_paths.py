@@ -158,7 +158,7 @@ class TestAnomalousTerm:
         state = gaussian_product_state(grid, (0.0, 0.0), (0.45, 0.45))
         dtg = 0.4 * cfl_limit(target, grid)
         ng = int(round(t_final / dtg))
-        final, _ = evolve(target, state, t_final, t_final / ng, stride=ng)
+        final, _ = evolve(target, state, t_final / ng, ng, stride=ng)
         dens_q = classical_marginal(final).sum(axis=1) * grid.axes[1].spacing
 
         endpoints = np.column_stack([qs[:, -1], ps[:, -1]])
@@ -195,7 +195,7 @@ class TestPathMeasureConsistency:
         state = gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5))
         dtg = 0.4 * cfl_limit(model, grid)
         ng = int(round(t_final / dtg))
-        final, _ = evolve(model, state, t_final, t_final / ng, stride=ng)
+        final, _ = evolve(model, state, t_final / ng, ng, stride=ng)
         dens = classical_marginal(final)
         hist = classical_marginal(bin_ensemble(np.column_stack([qs[:, -1], ps[:, -1]]), None, grid))
 
@@ -321,7 +321,7 @@ class TestFeynmanVernon:
         state = gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5), rho_q=rho_plus)
         dtg = 0.4 * cfl_limit(model, grid)
         ng = int(round(t_final / dtg))
-        final, diags = evolve(model, state, t_final, t_final / ng, stride=ng)
+        final, diags = evolve(model, state, t_final / ng, ng, stride=ng)
         decay_grid = diags.coh_01[-1] / diags.coh_01[0]
         assert weights.mean() == pytest.approx(decay_grid, rel=0.05)
 

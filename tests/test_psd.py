@@ -17,7 +17,7 @@ from conftest import random_psd
 
 class TestIsPsd:
     def test_identity(self):
-        assert is_psd(np.eye(2), tol=1e-10)
+        assert is_psd(np.eye(2))
 
     def test_indefinite(self):
         # eigenvalues 3 and -1

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqsim import runner
@@ -387,6 +387,13 @@ GATE_REJECTS = {
         "evolve_free_diffusion.yaml", ("safety: 0.4", "dt: 0.5"),
         "grid step 0.3 (from numerics dt or safety, and t_final) exceeds the CFL-style limit",
     ),
+    # ten steps of 0.0128 x (1 + 5e-10): %g would print the step as the limit
+    "evolve_step_just_above_cfl": (
+        "evolve_free_diffusion.yaml",
+        ("t_final: 0.3\n  safety: 0.4", "t_final: 0.128000000064\n  safety: 1.0"),
+        "grid step 0.012800000006400001 (from numerics dt or safety, and t_final) exceeds the "
+        "CFL-style limit 0.0128\n",
+    ),
     "evolve_infinitely_many_steps": (
         "evolve_free_diffusion.yaml",
         ("t_final: 0.3\n  safety: 0.4", "t_final: 1.0e+300\n  dt: 1.0e-300"),
@@ -402,11 +409,6 @@ GATE_REJECTS = {
         "sample_paths_qdep.yaml",
         ("h_q: [[0.0, 0.0], [0.0, 0.0]]", "h_q: [[0.0, 0.5], [0.5, 0.0]]"),
         "model is not diagonal in a common q-independent basis",
-    ),
-    # the grid reference takes one step of 0.0179 where the limit is 0.0128
-    "unravel_reference_above_cfl": (
-        "unravel_qubit.yaml", ("t_final: 0.2", "t_final: 0.0179\n  safety: 1.0"),
-        "grid step 0.0179 (from numerics dt or safety, and t_final) exceeds the CFL-style limit",
     ),
 }
 
@@ -643,33 +645,69 @@ class TestCli:
         assert len(times) == 5
         assert times[-1] == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["sample_paths.yaml", "unravel_qubit.yaml"])
-    def test_euler_maruyama_steps_never_exceed_dt(self, name, tmp_path):
-        text = (SCENARIO_DIR / name).read_text()
-        path = tmp_path / name
-        if name.startswith("sample_paths"):
-            text = text.replace("dt: 1.0e-2\n  n_steps: 100", "dt: 0.3\n  t_final: 0.44")
-        else:
-            text = text.replace("dt: 1.0e-3\n  t_final: 0.2", "dt: 0.3\n  t_final: 0.44")
-        path.write_text(text)
-        steps, _ = runner._plan(parse_scenario_file(str(path)))
+    # (scenario, replaced, replacement, planned steps): the Euler-Maruyama
+    # steps, evolve's grid steps and unravel's grid reference alike
+    NEVER_LONGER_THAN_DT = {
         # 0.44 / 0.3 = 1.47 rounds to one step of 0.44; two of 0.22 stay within dt
-        assert (steps["dt"], steps["n_steps"]) == (0.22, 2)
+        "sample_paths": ("sample_paths.yaml", "dt: 1.0e-2\n  n_steps: 100",
+                         "dt: 0.3\n  t_final: 0.44", "steps", (0.22, 2)),
+        "unravel_trajectories": ("unravel_qubit.yaml", "dt: 1.0e-3\n  t_final: 0.2",
+                                 "dt: 0.3\n  t_final: 0.44", "steps", (0.22, 2)),
+        # 0.25 / 0.0078 = 32.05: 32 steps would each be 0.0078125 long
+        "evolve": ("evolve_qubit_decoherence.yaml", "safety: 0.4", "dt: 0.0078", "steps",
+                   (0.25 / 33, 33)),
+        # 0.2 / (0.4 x 0.0128) = 39.06: 39 steps would each be 0.005128 long
+        "unravel_reference": ("unravel_qubit.yaml", "", "", "reference", (0.005, 40)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NEVER_LONGER_THAN_DT))
+    def test_euler_maruyama_steps_never_exceed_dt(self, name, tmp_path):
+        base, old, new, which, want = self.NEVER_LONGER_THAN_DT[name]
+        text = (SCENARIO_DIR / base).read_text()
+        assert old in text
+        path = tmp_path / base
+        path.write_text(text.replace(old, new))
+        steps, reference = runner._plan(parse_scenario_file(str(path)))
+        planned = (steps["dt"], steps["n_steps"]) if which == "steps" else reference
+        assert planned == want
+
+    def test_reference_may_shrink_below_the_limit(self, tmp_path):
+        # one reference step of 0.0179 would exceed the limit 0.0128; two of
+        # 0.00895 reach t_final within it
+        text = (SCENARIO_DIR / "unravel_qubit.yaml").read_text()
+        path = tmp_path / "short.yaml"
+        path.write_text(text.replace("t_final: 0.2", "t_final: 0.0179\n  safety: 1.0"))
+        _, reference = runner._plan(parse_scenario_file(str(path)))
+        assert reference == (0.00895, 2)
+        assert main(["check", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "convergence.csv").exists()
 
     @pytest.mark.parametrize("t_final,dt,n", [(0.15, 1e-3, 150), (0.2, 1e-3, 200), (1.0, 0.01, 100),
                                               (0.3, 0.1, 3), (0.7, 0.1, 7)])
     def test_whole_ratios_keep_their_step_count(self, t_final, dt, n):
         # round-off above a whole count (0.3 / 0.1 = 2.9999999999999996,
         # 0.7 / 0.1 = 6.999999999999999) adds no step
-        steps = (t_final / n, n)
-        assert runner._steps(t_final, dt, within=True) == runner._steps(t_final, dt) == steps
+        assert runner._steps(t_final, dt) == (t_final / n, n)
 
     def test_steps_of_a_dividing_dt_are_kept(self):
         # t_final / (t_final / n) can exceed n by round-off (0.1 / (0.1 / 95)
         # = 95.00000000000001): that is no reason for another step
         for t_final in (0.1, 0.44, 2.5):
             for n in range(1, 3001):
-                assert runner._steps(t_final, t_final / n, within=True)[1] == n
+                assert runner._steps(t_final, t_final / n) == (t_final / n, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
+    # the ratio 87.000000087 x (1 - 1e-9) rounds to 87 on the dot, and 87
+    # steps would be one ulp longer than dt x (1 + 1e-9)
+    @example(0.08700000008700001, 0.001)
+    def test_steps_are_the_fewest_not_longer_than_dt(self, t_final, dt):
+        dt_n, n = runner._steps(t_final, dt)
+        assert n >= 1 and dt_n == t_final / n
+        assert t_final / n <= dt * (1 + runner.STEP_ROUNDOFF)
+        # one step fewer would be longer than dt
+        assert n == 1 or t_final / (n - 1) > dt
 
     def test_check_command(self, capsys):
         assert main(["check", str(SCENARIO_DIR / "cp_check_saturated.yaml")]) == 0

@@ -197,7 +197,7 @@ class TestCrossValidation:
         s0 = gaussian_product_state(grid, (0.0,), (sig,), rho_q=np.outer(PLUS, PLUS))
         dtg = 0.4 * measurement_cfl_limit(m, grid)
         ng = int(round(t_final / dtg))
-        ref, _ = evolve_measurement(m, s0, t_final, t_final / ng, stride=ng)
+        ref, _ = evolve_measurement(m, s0, t_final / ng, ng, stride=ng)
         rho_grid = quantum_marginal(ref)
         assert np.abs(rho_ens - rho_grid).max() < 0.01
         # and the coherence sits on the analytic dephasing curve e^{-4kT}
@@ -221,7 +221,7 @@ class TestCrossValidation:
         s0 = gaussian_product_state(fine, (0.0,), (sig,), rho_q=np.outer(PLUS, PLUS))
         dtg = 0.35 * measurement_cfl_limit(m, fine)
         ng = int(round(t_final / dtg))
-        ref, _ = evolve_measurement(m, s0, t_final, t_final / ng, stride=ng)
+        ref, _ = evolve_measurement(m, s0, t_final / ng, ng, stride=ng)
         coarse = PhaseGrid((GridAxis("z", -2, 2, 41),))
         dens_ref = overlap_rebin(cm(ref), fine, coarse)
         binned = bin_ensemble(res.z, res.psi, coarse)
