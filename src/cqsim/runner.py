@@ -43,7 +43,7 @@ from .state import (
     total_trace,
     write_table,
 )
-from .unravel import bin_ensemble, run_ensemble
+from .unravel import bin_ensemble, outside_frac, run_ensemble
 from .zerodim import QuadratureError, moment_perturbative, moment_quadrature
 
 __all__ = ["run_scenario", "check_scenario", "compare_artifacts", "RunFailure"]
@@ -270,7 +270,12 @@ def _run_unravel(scenario, out_dir):
     cols = ["t", "z"] + [f"{part}_psi{i}" for i in range(d) for part in ("re", "im")]
     table = np.column_stack((traj.times, traj.z, traj.psi.view(float)))
     _write_csv(os.path.join(out_dir, "trajectory0.csv"), [prov], cols, table)
-    return {"trace": total_trace(binned), **steps}
+    return {
+        "trace": total_trace(binned),
+        "outside_frac": outside_frac(result.z, grid),
+        "max_norm_defect": result.max_norm_defect,
+        **steps,
+    }
 
 
 def _run_sample_paths(scenario, out_dir):

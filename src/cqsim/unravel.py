@@ -15,7 +15,11 @@ is how trajectories are cross-validated against the grid evolution.
 
 Integration is Euler-Maruyama with per-step renormalization of the state,
 one vectorized pass over an ensemble's rows that also keeps row 0's full
-history; a single trajectory is a one-row ensemble.  Randomness comes from
+history; a single trajectory is a one-row ensemble.  The pass works in
+component-major layout: a chunk's states are a (d, n) array and Z(z) is
+copied once per step to (d, d, n), so each operation of the step is one
+long loop over the chunk's trajectories rather than n loops of length d.
+The ensemble's results are row-major, psi (n, d).  Randomness comes from
 counter-based Philox streams keyed on (master_seed, trajectory_index), so
 ensembles are order-independent and bitwise reproducible; ensemble
 reductions always run in trajectory-index order.
@@ -33,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 
+from .generator import _count
 from .grids import PhaseGrid
 from .models import MeasurementModel
 from .state import HybridState
@@ -45,15 +50,17 @@ __all__ = [
     "run_trajectory",
     "run_ensemble",
     "bin_ensemble",
+    "outside_frac",
     "estimate_km_moments",
 ]
 
 _MASK64 = (1 << 64) - 1
 
-# Trajectories integrated together; bounds the (chunk, n_steps + 1) noise
-# buffer, which is drawn per chunk (1e5 rows of 151 draws at once would take
-# 120 MB).  Outputs do not depend on it: each row draws from its own stream.
-_CHUNK = 1024
+# Trajectories integrated together, as the n of the step's (d, n) states.
+# Bounds the (chunk, n_steps + 1) noise buffer, which is drawn per chunk:
+# 4096 x 151 floats is 4.9 MB at 150 steps, where 1e5 rows at once would take
+# 120 MB.  Outputs do not depend on it: each row draws from its own stream.
+_CHUNK = 4096
 # Largest share of an ensemble (by weight when weighted) `bin_ensemble` lets fall outside its grid.
 OUTSIDE_LIMIT = 1e-3
 
@@ -98,29 +105,43 @@ class EnsembleResult:
     z: np.ndarray  # (n,)
     psi: np.ndarray  # (n, d)
     first: Trajectory  # row 0, every step
+    max_norm_defect: float  # largest |  ||psi_raw|| - 1 | over all rows and steps
     z_series: Optional[np.ndarray] = None  # (n, n_recorded) signal history
 
 
 def _step_arrays(m: MeasurementModel, psi, z, dt, xi):
-    """Vectorized Euler-Maruyama update; psi (n, d), z (n,), xi (n,)."""
+    """Vectorized Euler-Maruyama update; psi (d, n), z (n,), xi (n,).
+
+    Component-major: every operation runs over the n trajectories in one
+    long contiguous loop, with z_op(z) copied to a (d, d, n) array.
+    """
     k = np.asarray(m.k(z), dtype=float)
     if np.any(k <= 0.0):
         bad = z[np.argmin(k)]
         raise ValueError(f"measurement strength k(z) <= 0 at visited z={bad:g}")
-    z_op = np.asarray(m.z_op(z), dtype=complex)
+    z_op = np.asarray(m.z_op(z), dtype=complex).transpose(1, 2, 0).copy()
     d_xi = xi * np.sqrt(dt)
 
-    z_psi = np.einsum("nij,nj->ni", z_op, psi)
-    exp_z = np.einsum("ni,ni->n", psi.conj(), z_psi).real
-    a_psi = z_psi - exp_z[:, None] * psi
-    a2_psi = np.einsum("nij,nj->ni", z_op, a_psi) - exp_z[:, None] * a_psi
+    z_psi = np.einsum("ijn,jn->in", z_op, psi)
+    exp_z = np.einsum("in,in->n", psi.conj(), z_psi).real
+    # The products go into the (d, n) buffers z_psi, a_psi and a2_psi: the
+    # arithmetic of fresh-array expressions, without a new array (and its
+    # page faults) per operation.
+    a_psi = exp_z * psi
+    np.subtract(z_psi, a_psi, out=a_psi)  # (Z - <Z>) psi
+    a2_psi = np.einsum("ijn,jn->in", z_op, a_psi)
+    a2_psi -= np.multiply(exp_z, a_psi, out=z_psi)  # (Z - <Z>)^2 psi
 
-    delta = (-k * dt)[:, None] * a2_psi + (np.sqrt(2.0 * k) * d_xi)[:, None] * a_psi
+    delta = np.multiply(-k * dt, a2_psi, out=a2_psi)
+    delta += np.multiply(np.sqrt(2.0 * k) * d_xi, a_psi, out=a_psi)
     if m.h is not None and np.abs(m.h).max() > 0.0:
-        delta = delta + (-1j / m.hbar) * dt * np.einsum("ij,nj->ni", m.h, psi)
-    psi_raw = psi + delta
-    norms = np.sqrt(np.einsum("ni,ni->n", psi_raw.conj(), psi_raw).real)
-    psi_new = psi_raw / norms[:, None]
+        delta += (-1j / m.hbar) * dt * np.einsum("ij,jn->in", m.h, psi)
+    psi_new = np.add(psi, delta, out=delta)
+    norms = np.sqrt(np.einsum("in,in->n", psi_new.conj(), psi_new).real)
+    # renormalize in place: both parts times 1/norm, the bits of dividing by norm
+    inv = 1.0 / norms
+    psi_new.real *= inv
+    psi_new.imag *= inv
     z_new = z + exp_z * dt + d_xi / np.sqrt(8.0 * k)
     return psi_new, z_new, norms
 
@@ -152,19 +173,29 @@ def run_ensemble(
     signal from N(z0, z0_sigma^2) with the first draw of its row's stream.
     Trajectories are integrated in chunks of fixed size, each writing its
     slice of the preallocated results; row 0's signal, state and norm
-    defect are recorded at every step as ``first``.
+    defect are recorded at every step as ``first``.  A ``psi0`` that does
+    not fit the model's levels, or is not finite, or has no norm, and a
+    count that is not a whole number in range are refused with a ValueError.
     """
+    n_steps = _count("n_steps", n_steps, 0)
+    n = _count("n_trajectories", n_trajectories, 1)
+    signal_stride = _count("signal_stride", signal_stride, 0)
     psi0 = np.asarray(psi0, dtype=complex)
-    psi0 = psi0 / np.linalg.norm(psi0)
-    d = psi0.shape[0]
-    n = int(n_trajectories)
-    if n < 1:
-        raise ValueError(f"an ensemble needs at least one trajectory, got {n}")
+    d = m.hilbert_dim
+    if psi0.shape != (d,):
+        raise ValueError(f"psi0 of shape {psi0.shape} does not fit a model of {d} levels")
+    if not np.all(np.isfinite(psi0)):
+        raise ValueError("psi0 entries must be finite")
+    norm = np.linalg.norm(psi0)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"psi0 must have a finite nonzero norm, got {norm:g}")
+    psi0 = psi0 / norm
     z_final = np.empty(n)
     psi_final = np.empty((n, d), dtype=complex)
     first_z = np.empty(n_steps + 1)
     first_psi = np.empty((n_steps + 1, d), dtype=complex)
     defects = np.empty(n_steps)
+    worst = 0.0
     record_idx = None
     z_series = None
     if signal_stride > 0:
@@ -178,30 +209,58 @@ def run_ensemble(
         if z0_sigma > 0.0:
             z += z0_sigma * xis[:, 0]
             xis = xis[:, 1:]
-        psi = np.broadcast_to(psi0, (hi - lo, d)).copy()
+        psi = np.broadcast_to(psi0[:, None], (d, hi - lo)).copy()
         if lo == 0:
-            first_z[0], first_psi[0] = z[0], psi[0]
+            first_z[0], first_psi[0] = z[0], psi[:, 0]
         col = 0
         if record_idx is not None and record_idx[0] == 0:
             z_series[lo:hi, 0] = z
             col = 1
         for step in range(n_steps):
             psi, z, norms = _step_arrays(m, psi, z, dt, xis[:, step])
+            # max |norm - 1| from the extremes, as x - 1 rounds monotonically
+            worst = max(worst, norms.max() - 1.0, 1.0 - norms.min())
             if lo == 0:
-                first_z[step + 1], first_psi[step + 1] = z[0], psi[0]
+                first_z[step + 1], first_psi[step + 1] = z[0], psi[:, 0]
                 defects[step] = abs(norms[0] - 1.0)
             if record_idx is not None and col < record_idx.size and record_idx[col] == step + 1:
                 z_series[lo:hi, col] = z
                 col += 1
         z_final[lo:hi] = z
-        psi_final[lo:hi] = psi
+        psi_final[lo:hi] = psi.T
 
     return EnsembleResult(
         z=z_final,
         psi=psi_final,
         first=Trajectory(np.arange(n_steps + 1) * dt, first_z, first_psi, defects),
+        max_norm_defect=float(worst),
         z_series=z_series,
     )
+
+
+def _locate(z, grid: PhaseGrid):
+    """(per-axis cell indices, inside mask) of the members with grid coordinates ``z``."""
+    z = np.asarray(z, dtype=float)
+    coords = z[:, None] if z.ndim == 1 else z
+    if coords.ndim != 2 or coords.shape[1] != grid.ndim:
+        raise ValueError(f"z of shape {z.shape} does not fit a {grid.ndim}-axis grid")
+    idx = []
+    inside = np.ones(coords.shape[0], dtype=bool)
+    for k, ax in enumerate(grid.axes):
+        i = np.searchsorted(grid.edges(ax.name), coords[:, k], side="right") - 1
+        inside &= (i >= 0) & (i < ax.n)
+        idx.append(i)
+    return idx, inside
+
+
+def outside_frac(z, grid: PhaseGrid) -> float:
+    """Share of the members with grid coordinates ``z`` that fall outside ``grid``.
+
+    The members are located as `bin_ensemble` locates them; an empty
+    ensemble has none outside.
+    """
+    _, inside = _locate(z, grid)
+    return 1.0 - inside.sum() / inside.size if inside.size else 0.0
 
 
 def bin_ensemble(z, psi, grid: PhaseGrid, weights=None) -> HybridState:
@@ -218,23 +277,14 @@ def bin_ensemble(z, psi, grid: PhaseGrid, weights=None) -> HybridState:
     so the total trace is exactly 1 before float error.  Aborts when more
     than `OUTSIDE_LIMIT` of the ensemble falls outside the grid.
     """
-    z = np.asarray(z, dtype=float)
-    coords = z[:, None] if z.ndim == 1 else z
-    if coords.ndim != 2 or coords.shape[1] != grid.ndim:
-        raise ValueError(f"z of shape {z.shape} does not fit a {grid.ndim}-axis grid")
-    n = coords.shape[0]
+    idx, inside = _locate(z, grid)
+    n = inside.size
     psi = np.ones((n, 1), dtype=complex) if psi is None else np.asarray(psi, dtype=complex)
     if psi.shape[0] != n:
         raise ValueError(f"psi has {psi.shape[0]} rows but z has {n}")
     if n == 0:
         raise ValueError("cannot bin an empty ensemble")
     d = psi.shape[1]
-    idx = []
-    inside = np.ones(n, dtype=bool)
-    for k, ax in enumerate(grid.axes):
-        i = np.searchsorted(grid.edges(ax.name), coords[:, k], side="right") - 1
-        inside &= (i >= 0) & (i < ax.n)
-        idx.append(i)
     if weights is None:
         total, kept = n, inside.sum()
     else:
@@ -250,7 +300,8 @@ def bin_ensemble(z, psi, grid: PhaseGrid, weights=None) -> HybridState:
             f"{frac_out:.2%} of the ensemble falls outside the grid (limit {OUTSIDE_LIMIT:.2%})"
         )
     cells = np.zeros(grid.shape + (d, d), dtype=complex)
-    outer = psi[inside][:, :, None] * psi[inside].conj()[:, None, :]
+    members = psi[inside]
+    outer = members[:, :, None] * members.conj()[:, None, :]
     if weights is not None:
         outer *= w[inside][:, None, None]
     np.add.at(cells, tuple(i[inside] for i in idx), outer)

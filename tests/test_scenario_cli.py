@@ -17,6 +17,7 @@ from cqsim.grids import GridAxis, PhaseGrid
 from cqsim.runner import check_scenario, compare_artifacts, run_scenario
 from cqsim.scenario import ScenarioError, parse_scenario, parse_scenario_file
 from cqsim.state import gaussian_product_state, save_state
+from cqsim.unravel import outside_frac, run_ensemble
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 ALL_SCENARIOS = sorted(SCENARIO_DIR.glob("*.yaml"))
@@ -600,8 +601,19 @@ class TestCli:
         times = read_table(out / "trajectory0.csv")[:, 0]
         assert len(times) == summary["n_steps"] + 1
         assert times[-1] == summary["n_steps"] * summary["dt"]
+        # the ensemble's outside share and worst norm defect, from the same ensemble
+        init = scenario.initial
+        res = run_ensemble(scenario.model, init["psi"], init["z0"], summary["dt"],
+                           summary["n_steps"], numerics["seed"], numerics["n_trajectories"],
+                           z0_sigma=numerics["z0_sigma"])
+        assert summary["outside_frac"] == outside_frac(res.z, scenario.grid) == 0.0
+        assert summary["max_norm_defect"] == res.max_norm_defect
+        # about 2 k dt xi^2 at the largest of n_trajectories x n_steps normals xi
+        assert 0.0 < summary["max_norm_defect"] < 0.1
         for artifact in out.iterdir():
-            assert "cfl_term" not in artifact.read_text()
+            text = artifact.read_text()
+            assert "cfl_term" not in text
+            assert "outside_frac" not in text and "max_norm_defect" not in text
 
     def test_sample_paths_summary_resolves_n_steps_from_t_final(self, tmp_path, capsys):
         # n_steps is derived by the run's plan (the parser keeps t_final only)

@@ -9,6 +9,7 @@ from cqsim.unravel import (
     _step_arrays,
     bin_ensemble,
     estimate_km_moments,
+    outside_frac,
     run_ensemble,
     run_trajectory,
     trajectory_normals,
@@ -20,7 +21,7 @@ from conftest import PLUS, SIGMA_Z, overlap_rebin
 
 def test_eigenstate_is_collapse_fixed_point():
     m = constant_measurement_model(SIGMA_Z, k=2.0)
-    psi = np.array([[1.0, 0.0]], dtype=complex)
+    psi = np.array([[1.0], [0.0]], dtype=complex)  # (d, n): one trajectory
     psi2, z2, _ = _step_arrays(m, psi, np.array([0.3]), 1e-3, np.array([1.7]))
     assert np.abs(psi2 - psi).max() == 0.0
     # z' - z = z_v dt + dxi/sqrt(8k)
@@ -34,7 +35,7 @@ def test_nonpositive_strength_aborts():
         hilbert_dim=2,
     )
     with pytest.raises(ValueError, match="k\\(z\\)"):
-        _step_arrays(m, np.array([[1.0, 0.0]]), np.array([-0.5]), 1e-3, np.array([0.1]))
+        _step_arrays(m, np.array([[1.0], [0.0]]), np.array([-0.5]), 1e-3, np.array([0.1]))
 
 
 def test_trajectory_determinism_bitwise():
@@ -64,11 +65,11 @@ def test_ensemble_matches_trajectory_streams():
     for i in range(4):
         rng = trajectory_rng(9, i)
         xis = rng.standard_normal(50)
-        psi, z = PLUS[None, :].astype(complex), np.zeros(1)
+        psi, z = PLUS[:, None].astype(complex), np.zeros(1)
         for k in range(50):
             psi, z, _ = _step_arrays(m, psi, z, 1e-3, xis[k : k + 1])
         assert z[0] == pytest.approx(res.z[i], abs=1e-12)
-        assert np.abs(psi[0] - res.psi[i]).max() < 1e-12
+        assert np.abs(psi[:, 0] - res.psi[i]).max() < 1e-12
 
 
 def test_eigenstate_signal_variance():
@@ -291,12 +292,132 @@ def test_ensemble_first_is_row_zero_of_a_long_ensemble(z0_sigma):
     rng = trajectory_rng(21, 0)
     z = np.array([0.1 + (z0_sigma * rng.standard_normal() if z0_sigma > 0.0 else 0.0)])
     xis = rng.standard_normal(n_steps)
-    psi = (PLUS / np.linalg.norm(PLUS) + 0j)[None, :]
-    assert first.z[0] == z[0] and np.array_equal(first.psi[0], psi[0])
+    psi = (PLUS / np.linalg.norm(PLUS) + 0j)[:, None]
+    assert first.z[0] == z[0] and np.array_equal(first.psi[0], psi[:, 0])
     for k in range(n_steps):
         psi, z, _ = _step_arrays(m, psi, z, dt, xis[k : k + 1])
-        assert first.z[k + 1] == z[0] and np.array_equal(first.psi[k + 1], psi[0])
+        assert first.z[k + 1] == z[0] and np.array_equal(first.psi[k + 1], psi[:, 0])
     assert first.norm_defect.shape == (n_steps,) and np.all(first.norm_defect < 10 * dt)
     single = run_trajectory(m, PLUS, 0.1, dt, n_steps, seed=21, z0_sigma=z0_sigma)
     assert np.array_equal(single.z, first.z) and np.array_equal(single.psi, first.psi)
     assert np.array_equal(single.norm_defect, first.norm_defect)
+
+
+# -- byte-level oracle: the row-major step the component-major one replaced ---
+
+
+def _frozen_row_major_step(m, psi, z, dt, xi):
+    """The Euler-Maruyama step on (n, d) rows, kept verbatim as the oracle."""
+    k = np.asarray(m.k(z), dtype=float)
+    z_op = np.asarray(m.z_op(z), dtype=complex)
+    d_xi = xi * np.sqrt(dt)
+
+    z_psi = np.einsum("nij,nj->ni", z_op, psi)
+    exp_z = np.einsum("ni,ni->n", psi.conj(), z_psi).real
+    a_psi = z_psi - exp_z[:, None] * psi
+    a2_psi = np.einsum("nij,nj->ni", z_op, a_psi) - exp_z[:, None] * a_psi
+
+    delta = (-k * dt)[:, None] * a2_psi + (np.sqrt(2.0 * k) * d_xi)[:, None] * a_psi
+    if m.h is not None and np.abs(m.h).max() > 0.0:
+        delta = delta + (-1j / m.hbar) * dt * np.einsum("ij,nj->ni", m.h, psi)
+    psi_raw = psi + delta
+    norms = np.sqrt(np.einsum("ni,ni->n", psi_raw.conj(), psi_raw).real)
+    psi_new = psi_raw / norms[:, None]
+    z_new = z + exp_z * dt + d_xi / np.sqrt(8.0 * k)
+    return psi_new, z_new, norms
+
+
+def _frozen_histories(m, psi0, z0, dt, n_steps, seed, n, z0_sigma=0.0):
+    """Every row's (z, psi) at every step and its norm defects, by the frozen step."""
+    xis = trajectory_normals(seed, 0, n, n_steps + (z0_sigma > 0.0))
+    z = np.full(n, float(z0))
+    if z0_sigma > 0.0:
+        z += z0_sigma * xis[:, 0]
+        xis = xis[:, 1:]
+    psi0 = np.asarray(psi0, dtype=complex)
+    psi = np.tile(psi0 / np.linalg.norm(psi0), (n, 1))
+    zs, psis, defects = [z], [psi], []
+    for step in range(n_steps):
+        psi, z, norms = _frozen_row_major_step(m, psi, z, dt, xis[:, step])
+        zs.append(z)
+        psis.append(psi)
+        defects.append(np.abs(norms - 1.0))
+    return np.array(zs), np.array(psis), np.array(defects)
+
+
+def _same_bits(a, b):
+    # tobytes, not array_equal: a signed zero must match too
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_Z3 = np.diag([1.0, 0.0, -1.0])
+# dense, so that each component of Z psi sums three nonzero products
+_F3 = np.array([[0.2, 0.4j, 0.3 - 0.1j], [-0.4j, -0.1, 0.5], [0.3 + 0.1j, 0.5, 0.2]])
+_H3 = np.array([[0.3, 0.1 - 0.2j, 0.0], [0.1 + 0.2j, 0.0, 1j], [0.0, -1j, -0.4]])
+
+
+@pytest.mark.parametrize(
+    "m, psi0, n, n_steps, signal_stride, z0_sigma",
+    [
+        (constant_measurement_model(_Z3, 1.2, h=_H3, z_feedback=_F3, k_slope=0.1),
+         np.array([0.6, 0.3j, -0.5 + 0.2j]), 9, 40, 0, 0.0),
+        (constant_measurement_model(SIGMA_Z, 1.0), np.array([1.0, 0.0]), 9, 40, 0, 0.0),
+        (constant_measurement_model(_Z3, 0.7, h=np.zeros((3, 3))), np.array([0.0, -1j, 0.0]),
+         9, 40, 5, 0.0),
+        (constant_measurement_model(SIGMA_Z, 1.0, h=0.5 * np.array([[0, 1], [1, 0]]), k_slope=0.2),
+         np.array([0.8, 0.6]), 2 * _CHUNK + 5, 20, 7, 0.3),
+    ],
+    ids=["d3_complex_feedback", "eigenstate", "d3_eigenstate", "three_chunks"],
+)
+def test_ensemble_matches_frozen_row_major_step_bitwise(m, psi0, n, n_steps, signal_stride,
+                                                        z0_sigma):
+    dt = 1e-3
+    res = run_ensemble(m, psi0, 0.1, dt, n_steps, master_seed=77, n_trajectories=n,
+                       signal_stride=signal_stride, z0_sigma=z0_sigma)
+    zs, psis, defects = _frozen_histories(m, psi0, 0.1, dt, n_steps, 77, n, z0_sigma)
+    assert _same_bits(res.z, zs[-1]) and _same_bits(res.psi, psis[-1])
+    first = res.first
+    assert _same_bits(first.times, np.arange(n_steps + 1) * dt)
+    assert _same_bits(first.z, zs[:, 0]) and _same_bits(first.psi, psis[:, 0])
+    assert _same_bits(first.norm_defect, defects[:, 0])
+    assert res.max_norm_defect == defects.max()
+    if signal_stride:
+        cols = np.unique(np.r_[0, np.arange(signal_stride, n_steps, signal_stride), n_steps])
+        assert _same_bits(res.z_series, np.ascontiguousarray(zs[cols].T))
+    else:
+        assert res.z_series is None
+
+
+# -- library inputs are refused, not coerced -----------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"psi0": [0.0, 0.0]}, "psi0 must have a finite nonzero norm, got 0"),
+        ({"psi0": [np.nan, 1.0]}, "psi0 entries must be finite"),
+        ({"psi0": [1.0, 0.0, 0.0]}, r"psi0 of shape \(3,\) does not fit a model of 2 levels"),
+        ({"n_trajectories": 2.7}, r"^n_trajectories must be an integer >= 1, got 2.7$"),
+        ({"n_steps": -1}, r"^n_steps must be an integer >= 0, got -1$"),
+    ],
+    ids=["zero_psi0", "nan_psi0", "psi0_size", "fractional_count", "negative_steps"],
+)
+def test_run_ensemble_refuses_bad_inputs(kwargs, message):
+    args = dict(psi0=PLUS, n_steps=10, n_trajectories=4)
+    args.update(kwargs)
+    m = constant_measurement_model(SIGMA_Z, 1.0)
+    with pytest.raises(ValueError, match=message):
+        run_ensemble(m, args["psi0"], 0.0, 1e-3, args["n_steps"], master_seed=1,
+                     n_trajectories=args["n_trajectories"])
+
+
+def test_outside_frac_locates_as_bin_ensemble_does():
+    grid = PhaseGrid((GridAxis("z", -0.01, 0.01, 3),))
+    edges = grid.edges("z")
+    # the upper edge itself is outside, the lower edge inside
+    z = np.array([0.0, edges[0], edges[-1], 5.0])
+    assert outside_frac(z, grid) == 0.5
+    qp = PhaseGrid((GridAxis("q", -1.0, 1.0, 5), GridAxis("p", -1.0, 1.0, 5)))
+    assert outside_frac(np.array([[0.0, 0.0], [0.0, 3.0], [0.5, -0.5], [-2.0, 0.0]]), qp) == 0.5
+    with pytest.raises(ValueError, match="does not fit a 2-axis grid"):
+        outside_frac(np.zeros(3), qp)
