@@ -275,7 +275,7 @@ def diagonalize_model(model: CQModel, qs) -> DiagonalizedModel:
 
     def dv_eigs(q):
         m = np.asarray(model.dv_i(np.asarray(q, dtype=float)), dtype=complex)
-        return np.einsum("ia,...ij,jb->...ab", u.conj(), m, u).real.diagonal(axis1=-2, axis2=-1)
+        return np.einsum("ia,...ij,ja->...a", u.conj(), m, u).real
 
     for q in qs[:: max(1, len(qs) // 5)]:
         m = np.asarray(model.v_i(q), dtype=complex)
@@ -347,10 +347,9 @@ def constant_measurement_model(z_matrix, k, h=None, hbar=1.0, z_feedback=None,
 
     def z_op(z):
         z = np.asarray(z, dtype=float)
-        out = np.broadcast_to(z0, z.shape + z0.shape).copy()
-        if z1 is not None:
-            out = out + z[..., None, None] * z1
-        return out
+        if z1 is None:
+            return np.broadcast_to(z0, z.shape + z0.shape)  # read-only view, no copy
+        return z0 + z[..., None, None] * z1
 
     def k_fn(z):
         z = np.asarray(z, dtype=float)

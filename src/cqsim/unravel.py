@@ -22,7 +22,10 @@ long loop over the chunk's trajectories rather than n loops of length d.
 The ensemble's results are row-major, psi (n, d).  Randomness comes from
 counter-based Philox streams keyed on (master_seed, trajectory_index), so
 ensembles are order-independent and bitwise reproducible; ensemble
-reductions always run in trajectory-index order.
+reductions always run in trajectory-index order.  Chunks are therefore
+independent: they run in forked worker processes, one per CPU in the
+affinity mask, and are put back together in chunk order, so the outputs do
+not depend on the number of workers.
 
 `bin_ensemble` is cqsim's one ensemble histogram: it turns an ensemble of
 grid points -- signals here, (q, p) path endpoints in `paths` -- with
@@ -32,7 +35,9 @@ dimension.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -171,11 +176,13 @@ def run_ensemble(
     ``signal_stride`` > 0 records the signal every that many steps (plus the
     endpoints) for moment estimation.  ``z0_sigma`` > 0 draws each initial
     signal from N(z0, z0_sigma^2) with the first draw of its row's stream.
-    Trajectories are integrated in chunks of fixed size, each writing its
-    slice of the preallocated results; row 0's signal, state and norm
-    defect are recorded at every step as ``first``.  A ``psi0`` that does
-    not fit the model's levels, or is not finite, or has no norm, and a
-    count that is not a whole number in range are refused with a ValueError.
+    Trajectories are integrated in chunks of fixed size by `_integrate_chunk`,
+    in forked workers when there are several chunks and CPUs (see
+    `_map_chunks`), and the chunks' results are put together in chunk order;
+    row 0's signal, state and norm defect are recorded at every step as
+    ``first``.  A ``psi0`` that does not fit the model's levels, or is not
+    finite, or has no norm, and a count that is not a whole number in range
+    are refused with a ValueError.
     """
     n_steps = _count("n_steps", n_steps, 0)
     n = _count("n_trajectories", n_trajectories, 1)
@@ -190,44 +197,25 @@ def run_ensemble(
     if not 0.0 < norm < np.inf:
         raise ValueError(f"psi0 must have a finite nonzero norm, got {norm:g}")
     psi0 = psi0 / norm
-    z_final = np.empty(n)
-    psi_final = np.empty((n, d), dtype=complex)
-    first_z = np.empty(n_steps + 1)
-    first_psi = np.empty((n_steps + 1, d), dtype=complex)
-    defects = np.empty(n_steps)
-    worst = 0.0
     record_idx = None
-    z_series = None
     if signal_stride > 0:
         record_idx = np.unique(np.r_[0, np.arange(signal_stride, n_steps, signal_stride), n_steps])
-        z_series = np.empty((n, record_idx.size))
 
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        xis = trajectory_normals(master_seed, lo, hi - lo, n_steps + (z0_sigma > 0.0))
-        z = np.full(hi - lo, float(z0))
-        if z0_sigma > 0.0:
-            z += z0_sigma * xis[:, 0]
-            xis = xis[:, 1:]
-        psi = np.broadcast_to(psi0[:, None], (d, hi - lo)).copy()
-        if lo == 0:
-            first_z[0], first_psi[0] = z[0], psi[:, 0]
-        col = 0
-        if record_idx is not None and record_idx[0] == 0:
-            z_series[lo:hi, 0] = z
-            col = 1
-        for step in range(n_steps):
-            psi, z, norms = _step_arrays(m, psi, z, dt, xis[:, step])
-            # max |norm - 1| from the extremes, as x - 1 rounds monotonically
-            worst = max(worst, norms.max() - 1.0, 1.0 - norms.min())
-            if lo == 0:
-                first_z[step + 1], first_psi[step + 1] = z[0], psi[:, 0]
-                defects[step] = abs(norms[0] - 1.0)
-            if record_idx is not None and col < record_idx.size and record_idx[col] == step + 1:
-                z_series[lo:hi, col] = z
-                col += 1
+    job = partial(_integrate_chunk, m, psi0, float(z0), dt, n_steps, master_seed, z0_sigma,
+                  record_idx)
+    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    z_final = np.empty(n)
+    psi_final = np.empty((n, d), dtype=complex)
+    z_series = None if record_idx is None else np.empty((n, record_idx.size))
+    worst = 0.0
+    for (lo, hi), (z, psi, chunk_worst, series, first) in zip(bounds, _map_chunks(job, bounds)):
         z_final[lo:hi] = z
-        psi_final[lo:hi] = psi.T
+        psi_final[lo:hi] = psi
+        worst = max(worst, chunk_worst)
+        if z_series is not None:
+            z_series[lo:hi] = series
+        if lo == 0:
+            first_z, first_psi, defects = first
 
     return EnsembleResult(
         z=z_final,
@@ -236,6 +224,83 @@ def run_ensemble(
         max_norm_defect=float(worst),
         z_series=z_series,
     )
+
+
+def _integrate_chunk(m, psi0, z0, dt, n_steps, master_seed, z0_sigma, record_idx, lo, hi):
+    """Integrate rows lo..hi-1 of an ensemble: the one Euler-Maruyama loop.
+
+    Returns (z (rows,), psi (rows, d), worst |norm - 1|, the recorded signal
+    columns (rows, record_idx.size) or None, and for the chunk at lo = 0 row
+    0's (z, psi, norm defect) at every step, else None).
+    """
+    xis = trajectory_normals(master_seed, lo, hi - lo, n_steps + (z0_sigma > 0.0))
+    z = np.full(hi - lo, z0)
+    if z0_sigma > 0.0:
+        z += z0_sigma * xis[:, 0]
+        xis = xis[:, 1:]
+    psi = np.broadcast_to(psi0[:, None], (psi0.size, hi - lo)).copy()
+    if lo == 0:
+        first_z = np.empty(n_steps + 1)
+        first_psi = np.empty((n_steps + 1, psi0.size), dtype=complex)
+        defects = np.empty(n_steps)
+        first_z[0], first_psi[0] = z[0], psi[:, 0]
+    series = None
+    if record_idx is not None:
+        # record_idx starts at step 0
+        series = np.empty((hi - lo, record_idx.size))
+        series[:, 0] = z
+        col = 1
+    worst = 0.0
+    for step in range(n_steps):
+        psi, z, norms = _step_arrays(m, psi, z, dt, xis[:, step])
+        # max |norm - 1| from the extremes, as x - 1 rounds monotonically
+        worst = max(worst, norms.max() - 1.0, 1.0 - norms.min())
+        if lo == 0:
+            first_z[step + 1], first_psi[step + 1] = z[0], psi[:, 0]
+            defects[step] = abs(norms[0] - 1.0)
+        if series is not None and col < record_idx.size and record_idx[col] == step + 1:
+            series[:, col] = z
+            col += 1
+    return z, psi.T, worst, series, (first_z, first_psi, defects) if lo == 0 else None
+
+
+# A pool worker's chunk job, set by the pool's initializer.  Under the fork
+# start method the initializer's arguments are inherited, not pickled: a job
+# holds its model, and models hold lambdas.
+_JOB = None
+
+
+def _set_job(job):
+    global _JOB
+    _JOB = job
+
+
+def _run_job(lo, hi):
+    return _JOB(lo, hi)
+
+
+def _map_chunks(job, bounds):
+    """``job(lo, hi)`` for each chunk's bounds, yielded in chunk order.
+
+    Runs in one forked worker per CPU of the affinity mask, at most one per
+    chunk; in this process when that is one worker, or when this process is
+    daemonic and so may not have children.  A chunk's exception is raised
+    when its turn comes, so the first failing chunk's error is the one seen.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(bounds))
+    if workers > 1:
+        # imported here: they cost every cqsim process about 10 ms and 2 MB,
+        # so only a run that may start a pool loads them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if not multiprocessing.current_process().daemon:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_set_job, initargs=(job,)) as pool:
+                yield from pool.map(_run_job, *zip(*bounds))
+            return
+    for lo, hi in bounds:
+        yield job(lo, hi)
 
 
 def _locate(z, grid: PhaseGrid):

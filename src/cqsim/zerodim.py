@@ -251,18 +251,18 @@ def moment_quadrature(p: ToyParams, observable, n_nodes=240, full_output=False):
     theta = FREE_ROTATION if p.lam == 0.0 else INTERACTING_ROTATION
 
     def evaluate(scale, nodes):
+        # one Gauss-Legendre rule, scaled to the q box and to the s box
+        x, w = np.polynomial.legendre.leggauss(nodes)
         sigma_q = math.sqrt(p.d2) / p.m_q**2
-        xq, wq = np.polynomial.legendre.leggauss(nodes)
         lq = BOX_WIDTHS * scale * sigma_q
-        q = xq * lq
-        wq = wq * lq
+        q = x * lq
+        wq = w * lq
 
         alpha = (p.m_phi**2 / (2.0 * p.hbar)) * math.sin(2.0 * theta)
         sigma_s = 1.0 / math.sqrt(2.0 * alpha)
-        xs, ws = np.polynomial.legendre.leggauss(nodes)
         ls = BOX_WIDTHS * scale * sigma_s
-        s = xs * ls
-        ws = ws * ls
+        s = x * ls
+        ws = w * ls
 
         # (nq, ns) integrands per branch; overflow is tolerated here because
         # the tail check below rejects any non-decayed configuration

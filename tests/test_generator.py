@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 import weakref
@@ -346,6 +347,31 @@ class TestBranchGenerator:
             state = HybridState(grid, cells)
             diff = np.abs(apply_generator(model, state) - branch_generator(model, state)).max()
             assert diff < 1e-10, f"trial {trial}: {diff}"
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dv_eigs_is_the_full_product_diagonal_bitwise(self, d):
+        rng = np.random.default_rng(40 + d)
+        u0, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        base = polynomial_cq_model(
+            mass=1.0, potential_coeffs=[0.0], h_q=u0 @ np.diag(rng.normal(size=d)) @ u0.conj().T,
+            v_i_matrix=u0 @ np.diag(rng.normal(size=d)) @ u0.conj().T,
+            v_i_profile=[0.0, 0.7, 0.2], d2_coeffs=[1.0], d0_coeffs=[1.0],
+        )
+        # once the basis is fixed, dv_i may hand dv_eigs any Hermitian field
+        fields = []
+        model = dataclasses.replace(base, dv_i=lambda q: fields[-1] if fields else base.dv_i(q))
+        diag = diagonalize_model(model, np.linspace(-2.0, 2.0, 9))
+        u = diag.basis
+        qs = rng.uniform(-2.0, 2.0, size=(6, 5))
+        for field in (base.dv_i(qs), random_hermitian(rng, (6, 5, d, d))):
+            fields.append(field)
+            # the expression dv_eigs replaced: every entry of U^dag M U, then its diagonal
+            oracle = np.einsum("ia,...ij,jb->...ab", u.conj(), field, u).real.diagonal(
+                axis1=-2, axis2=-1
+            )
+            got = diag.dv_eigs(qs)
+            assert got.shape == oracle.shape == (6, 5, d) and got.dtype == oracle.dtype
+            assert got.tobytes() == oracle.tobytes()
 
     def test_diagonal_pair_damping_vanishes(self):
         # (a, a) components carry no Feynman-Vernon damping: a pure-dephasing

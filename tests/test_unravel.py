@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,7 @@ from cqsim.unravel import (
     trajectory_rng,
 )
 
-from conftest import PLUS, SIGMA_Z, overlap_rebin
+from conftest import PLUS, SIGMA_X, SIGMA_Z, overlap_rebin
 
 
 def test_eigenstate_is_collapse_fixed_point():
@@ -26,6 +30,16 @@ def test_eigenstate_is_collapse_fixed_point():
     assert np.abs(psi2 - psi).max() == 0.0
     # z' - z = z_v dt + dxi/sqrt(8k)
     assert z2[0] - 0.3 == pytest.approx(1.0 * 1e-3 + 1.7 * np.sqrt(1e-3) / np.sqrt(16.0))
+
+
+def test_constant_z_op_is_a_read_only_view():
+    zs = np.linspace(-1.0, 1.0, 7)
+    z_op = constant_measurement_model(SIGMA_Z, 1.0).z_op(zs)
+    assert z_op.shape == (7, 2, 2) and not z_op.flags.writeable
+    assert np.array_equal(z_op, np.broadcast_to(SIGMA_Z, (7, 2, 2)))
+    # with feedback the operator is Z0 + z Z1, one fresh array
+    fed = constant_measurement_model(SIGMA_Z, 1.0, z_feedback=SIGMA_X).z_op(zs)
+    assert np.array_equal(fed, SIGMA_Z + zs[:, None, None] * SIGMA_X)
 
 
 def test_nonpositive_strength_aborts():
@@ -386,6 +400,89 @@ def test_ensemble_matches_frozen_row_major_step_bitwise(m, psi0, n, n_steps, sig
         assert _same_bits(res.z_series, np.ascontiguousarray(zs[cols].T))
     else:
         assert res.z_series is None
+
+
+# -- chunks in forked workers: the same bits as one process --------------------
+
+
+def _in_child(fn, daemon=False):
+    """fn() in a forked child process; returns its result or raises its exception."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def main():
+        try:
+            send.send((True, fn()))
+        except Exception as exc:
+            send.send((False, exc))
+
+    proc = ctx.Process(target=main, daemon=daemon)
+    proc.start()
+    try:
+        assert recv.poll(300), "child process sent no result"
+        ok, value = recv.recv()
+    finally:
+        proc.join()
+    if not ok:
+        raise value
+    return value
+
+
+def _assert_same_ensemble(a, b):
+    assert _same_bits(a.z, b.z) and _same_bits(a.psi, b.psi)
+    assert _same_bits(a.first.z, b.first.z) and _same_bits(a.first.psi, b.first.psi)
+    assert _same_bits(a.first.norm_defect, b.first.norm_defect)
+    assert a.max_norm_defect == b.max_norm_defect
+    assert (a.z_series is None and b.z_series is None) or _same_bits(a.z_series, b.z_series)
+
+
+_POOL_CASE = dict(
+    m=constant_measurement_model(SIGMA_Z, 1.0, h=0.5 * SIGMA_X, k_slope=0.2),
+    psi0=np.array([0.8, 0.6]), z0=0.1, dt=1e-3, n_steps=20, master_seed=77,
+    n_trajectories=2 * _CHUNK + 5, signal_stride=7, z0_sigma=0.3,
+)
+
+
+def _pinned_ensemble(cpu):
+    os.sched_setaffinity(0, {cpu})  # this child process only
+    return run_ensemble(**_POOL_CASE)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_pooled_ensemble_matches_one_cpu_run_bitwise():
+    pooled = run_ensemble(**_POOL_CASE)  # three chunks over at least two workers
+    one_cpu = _in_child(lambda: _pinned_ensemble(min(os.sched_getaffinity(0))))
+    _assert_same_ensemble(pooled, one_cpu)
+
+
+def test_daemonic_caller_integrates_in_process():
+    # a daemonic process may not have children: the pool would refuse to start
+    in_daemon = _in_child(lambda: run_ensemble(**_POOL_CASE), daemon=True)
+    _assert_same_ensemble(in_daemon, run_ensemble(**_POOL_CASE))
+
+
+def test_first_failing_chunk_raises_its_error():
+    # k(z) <= 0 only at two initial signals, one in chunk 1 and one in chunk 2:
+    # both chunks fail at their first step, and chunk 1's error is the one raised
+    n, seed = 3 * _CHUNK, 5
+    z_init = 0.0 + 1.0 * trajectory_normals(seed, 0, n, 3)[:, 0]
+    bad = z_init[[_CHUNK + 17, 2 * _CHUNK + 3]]
+    assert not np.isin(z_init[:_CHUNK], bad).any() and f"{bad[0]:g}" != f"{bad[1]:g}"
+    m = MeasurementModel(
+        z_op=lambda z: np.broadcast_to(SIGMA_Z, np.shape(z) + (2, 2)),
+        k=lambda z: np.where(np.isin(z, bad), -1.0, 1.0),
+        hilbert_dim=2,
+    )
+
+    def run():
+        return run_ensemble(m, PLUS, 0.0, 1e-3, 2, master_seed=seed, n_trajectories=n,
+                            z0_sigma=1.0)
+
+    message = "^" + re.escape(f"measurement strength k(z) <= 0 at visited z={bad[0]:g}") + "$"
+    with pytest.raises(ValueError, match=message):
+        run()
+    with pytest.raises(ValueError, match=message):  # the in-process path
+        _in_child(run, daemon=True)
 
 
 # -- library inputs are refused, not coerced -----------------------------------
