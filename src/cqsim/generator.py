@@ -7,8 +7,8 @@
                   + (1/2)({V_I, varrho} - {varrho, V_I})
                   + D0(q) (L varrho L - (1/2){L^2, varrho}),   L = dV_I/dq
 
-cellwise with 2nd-order central differences (one-sided at truncate
-boundaries).  The symmetrized Poisson term is the Alexandrov-Gerasimenko
+cellwise with 2nd-order central differences (one-sided at the grid
+edges).  The symmetrized Poisson term is the Alexandrov-Gerasimenko
 back-reaction; for p-independent V_I it reduces to the anticommutator
 (1/2){dV_I/dq, d varrho/dp}.  The n = 2 diffusion term carries the 1/n!
 normalization, so a classical increment has variance D2 * dt.
@@ -41,8 +41,7 @@ k1 goes straight into the accumulator.  k2 and k3 are swept window by
 window of q rows into slab buffers allocated once per `evolve`; each
 window's stage rows and accumulator rows are written one window behind
 the sweep, after the next window has read the old stage rows as stencil
-neighbours, and the first window's last, for the periodic wrap.  k4 is
-added window by window.  A step is bit-for-bit
+neighbours.  k4 is added window by window.  A step is bit-for-bit
 cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) and never writes the input cells.
 `evolve` and `evolve_measurement` take a step dt and a whole number of
 steps, which the caller decides; a trace-drift abort reports the
@@ -203,7 +202,6 @@ def apply_generator(
         out = np.empty((hi - lo,) + f.shape[1:], dtype=complex)
     rate = out.reshape((hi - lo,) + fvec.shape[1:])
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
-    bdry = grid.boundary
     slab = _slab_rows(f)
     scratch = np.empty((min(slab, hi - lo),) + fvec.shape[1:], dtype=complex)
 
@@ -215,10 +213,10 @@ def apply_generator(
         r, d = rate[start - lo : q.stop - lo], scratch[: q.stop - start]
         # the back-reaction product first, then fvec @ L(q)^T added to it:
         # addition commutes, so each element gets the bits of their sum
-        product(d_dx(fvec, 1, hp_ax, bdry, out=d, rows=q), back_t[q], out=r)
+        product(d_dx(fvec, 1, hp_ax, out=d, rows=q), back_t[q], out=r)
         r += product(fvec[q], liou_t[q], out=d)
-        r -= times_real(d_dx(fvec, 0, hq_ax, bdry, out=d, rows=q), p_over_m)
-        r += times_real(d2_dx2(fvec, 1, hp_ax, bdry, out=d, rows=q), half_d2[q])
+        r -= times_real(d_dx(fvec, 0, hq_ax, out=d, rows=q), p_over_m)
+        r += times_real(d2_dx2(fvec, 1, hp_ax, out=d, rows=q), half_d2[q])
     return out
 
 
@@ -320,10 +318,9 @@ def branch_generator(
     f = np.einsum("ia,...ij,jb->...ab", u.conj(), state.cells, u)
 
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
-    bdry = grid.boundary
-    df_dq = d_dx(f, 0, hq_ax, bdry)
-    df_dp = d_dx(f, 1, hp_ax, bdry)
-    d2f_dp2 = d2_dx2(f, 1, hp_ax, bdry)
+    df_dq = d_dx(f, 0, hq_ax)
+    df_dp = d_dx(f, 1, hp_ax)
+    d2f_dp2 = d2_dx2(f, 1, hp_ax)
 
     lvals = np.asarray(diag.dv_eigs(qs), dtype=float)  # (nq, d)
     vprime = np.asarray(classical_force(model, qs), dtype=float)
@@ -362,7 +359,6 @@ def measurement_generator(
     grid = state.grid
     sup_t, flux_t, d2_of_z = _operators(m, grid, _measurement_operators)
     h_ax = grid.axes[0].spacing
-    bdry = grid.boundary
     f = state.cells
     fvec = f.reshape(grid.shape + (1, -1))
     rows = slice(None) if rows is None else rows
@@ -370,8 +366,8 @@ def measurement_generator(
     if out is None:
         out = np.empty((hi - lo,) + f.shape[1:], dtype=complex)
     rate = np.matmul(fvec[rows], sup_t[rows], out=out.reshape((hi - lo,) + fvec.shape[1:]))
-    rate -= d_dx(fvec @ flux_t, 0, h_ax, bdry, rows=rows)
-    rate += 0.5 * d2_dx2(d2_of_z * fvec, 0, h_ax, bdry, rows=rows)
+    rate -= d_dx(fvec @ flux_t, 0, h_ax, rows=rows)
+    rate += 0.5 * d2_dx2(d2_of_z * fvec, 0, h_ax, rows=rows)
     return out
 
 
@@ -467,14 +463,12 @@ def _rk4(rate_fn, cells, dt, sweep):
     in a second array, and ``cells`` is never written.  k2 and k3 are each
     swept window by window; a window's stage rows cells + h k and its
     accumulator rows += 2 k are written one window behind the sweep, once
-    the next window has read the old stage rows as q-stencil neighbours,
-    and the first window's last, after the last window has read them
-    across a periodic wrap.  k4 is added to the accumulator window by
-    window.  Every element sees the operations of
-    cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in that order, so a step is
-    bit-for-bit that expression.
+    the next window has read the old stage rows as q-stencil neighbours.
+    k4 is added to the accumulator window by window.  Every element sees
+    the operations of cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in that order,
+    so a step is bit-for-bit that expression.
     """
-    windows, first, turns = sweep
+    windows, bufs = sweep
     acc = rate_fn(cells, slice(None), np.empty(cells.shape, dtype=complex))
     stage = np.empty(cells.shape, dtype=complex)
     np.add(cells, np.multiply(acc, 0.5 * dt, out=stage), out=stage)
@@ -486,15 +480,12 @@ def _rk4(rate_fn, cells, dt, sweep):
 
     for h in (0.5 * dt, dt):
         for i, rows in enumerate(windows):
-            buf = first if i == 0 else turns[i % len(turns)][: rows.stop - rows.start]
-            k = rate_fn(stage, rows, buf)
-            if i >= 2:
-                fold(windows[i - 1], turns[(i - 1) % len(turns)], h)
-        if len(windows) > 1:
-            fold(windows[-1], k, h)
-        fold(windows[0], first, h)
+            k = rate_fn(stage, rows, bufs[i % len(bufs)][: rows.stop - rows.start])
+            if i:
+                fold(windows[i - 1], bufs[(i - 1) % len(bufs)], h)
+        fold(windows[-1], k, h)
     for rows in windows:
-        acc[rows] += rate_fn(stage, rows, first[: rows.stop - rows.start])
+        acc[rows] += rate_fn(stage, rows, bufs[0][: rows.stop - rows.start])
     acc *= dt / 6.0
     acc += cells
     return acc
@@ -504,17 +495,15 @@ def _sweep(shape, rows):
     """The q-row windows of `_rk4` and their rate buffers, for cells of ``shape``.
 
     Windows hold ``rows`` q rows (the last may hold fewer), at least two:
-    the truncate stencil of the last row n-1 reads row n-3, which must
-    still be unwritten when the last window is evaluated.  The first
-    window has its own buffer, as it is written last; the others take
-    turns in two buffers (a one-window grid needs none).
+    the edge stencil of the last row n-1 reads row n-3, which must still be
+    unwritten when the last window is evaluated.  The windows take turns
+    in two buffers (one, for a one-window grid).
     """
     nq = shape[0]
     rows = min(nq, max(2, rows))
     windows = [slice(lo, min(lo + rows, nq)) for lo in range(0, nq, rows)]
-    first = np.empty((rows,) + shape[1:], dtype=complex)
-    turns = [np.empty_like(first) for _ in range(min(2, len(windows) - 1))]
-    return windows, first, turns
+    bufs = [np.empty((rows,) + shape[1:], dtype=complex) for _ in range(min(2, len(windows)))]
+    return windows, bufs
 
 
 def _stepper(model, state: HybridState, dt: float):

@@ -5,10 +5,9 @@ either a full (q, p) phase space (two axes) or a single classical variable
 such as a continuous measurement signal (one axis).  Cells are centered on
 the grid points; the cell volume is the product of spacings.
 
-Derivatives are 2nd-order central stencils in the interior.  Under the
-``truncate`` boundary policy one-sided 2nd-order stencils are used at the
-edges (probability reaching the boundary is monitored by callers); under
-``periodic`` the stencils wrap.
+Derivatives are 2nd-order central stencils in the interior and one-sided
+2nd-order stencils at the edges: the grid truncates phase space, and
+probability reaching its edge is monitored by callers.
 
 `d_dx` and `d2_dx2` write into a caller's ``out`` array when one is given,
 so a kernel that differentiates every RK4 stage can reuse one scratch
@@ -28,10 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridAxis", "PhaseGrid", "TRUNCATE", "PERIODIC"]
-
-TRUNCATE = "truncate"
-PERIODIC = "periodic"
+__all__ = ["GridAxis", "PhaseGrid"]
 
 # Stencils are 3 points wide; axes shorter than this cannot be differenced.
 MIN_POINTS = 3
@@ -69,17 +65,14 @@ class GridAxis:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """A 1- or 2-axis classical grid with a boundary policy."""
+    """A 1- or 2-axis classical grid."""
 
     axes: tuple
-    boundary: str = TRUNCATE
 
     def __post_init__(self):
         axes = tuple(self.axes)
         if len(axes) not in (1, 2):
             raise ValueError("PhaseGrid supports 1 or 2 classical axes")
-        if self.boundary not in (TRUNCATE, PERIODIC):
-            raise ValueError(f"unknown boundary policy {self.boundary!r}")
         object.__setattr__(self, "axes", axes)
 
     @property
@@ -114,9 +107,7 @@ class PhaseGrid:
         return np.linspace(ax.lo - 0.5 * h, ax.hi + 0.5 * h, ax.n + 1)
 
 
-def d_dx(
-    f: np.ndarray, axis: int, spacing: float, boundary: str, out=None, rows=None
-) -> np.ndarray:
+def d_dx(f: np.ndarray, axis: int, spacing: float, out=None, rows=None) -> np.ndarray:
     """2nd-order first derivative of ``f`` along ``axis``, written into ``out``.
 
     ``rows`` (a slice of the first axis; all rows when None) selects the
@@ -134,8 +125,6 @@ def d_dx(
     )
 
     def edge(i):
-        if boundary == PERIODIC:
-            return f[sl((i + 1) % n)] - f[sl(i - 1)]
         if i == 0:
             return -3.0 * f[sl(0)] + 4.0 * f[sl(1)] - f[sl(2)]
         return 3.0 * f[sl(n - 1)] - 4.0 * f[sl(n - 2)] + f[sl(n - 3)]
@@ -144,9 +133,7 @@ def d_dx(
     return _divide(out, 2.0 * spacing)
 
 
-def d2_dx2(
-    f: np.ndarray, axis: int, spacing: float, boundary: str, out=None, rows=None
-) -> np.ndarray:
+def d2_dx2(f: np.ndarray, axis: int, spacing: float, out=None, rows=None) -> np.ndarray:
     """2nd-order second derivative of ``f`` along ``axis``, written into ``out``.
 
     ``rows`` and ``out`` are as for `d_dx`.
@@ -162,8 +149,6 @@ def d2_dx2(
     inner += f[sl(slice(a - 1, b - 1))]
 
     def edge(i):
-        if boundary == PERIODIC:
-            return f[sl((i + 1) % n)] - 2.0 * f[sl(i)] + f[sl(i - 1)]
         if n < 4:  # three points: both edges take the one second difference
             return f[sl(0)] - 2.0 * f[sl(1)] + f[sl(2)]
         s = 1 if i == 0 else -1  # inward

@@ -353,8 +353,8 @@ def _run_zerodim(scenario, out_dir):
 def compare_artifacts(path_a, path_b, metric="l1") -> float:
     """Distance between the classical marginals of two state artifacts.
 
-    Both files must be state dumps on identical grids (axes, extents, point
-    counts and boundary); the metric is over the classical probability
+    Both files must be state dumps on identical grids (axis names, extents
+    and point counts); the metric is over the classical probability
     densities (l1 is volume-weighted).
     """
     a, b = load_state(path_a), load_state(path_b)

@@ -38,7 +38,7 @@ import numpy as np
 import yaml
 
 from .generator import TRACE_DRIFT_ABORT
-from .grids import GridAxis, PhaseGrid, PERIODIC, TRUNCATE
+from .grids import GridAxis, PhaseGrid
 from .models import ToyParams, constant_measurement_model, polynomial_cq_model
 from .psd import CouplingTriple, is_psd, require_hermitian
 from .zerodim import PERTURBATIVE_ORDER_CAP
@@ -532,7 +532,8 @@ def _build_grid(block, problems, want_axes, required=True):
     if block is None and not required:
         return None, None
     sec = _Section("grid", block, problems)
-    boundary = sec.string("boundary", default=TRUNCATE, choices={TRUNCATE, PERIODIC})
+    # the grid truncates phase space; the key stays for the resolved scenario
+    boundary = sec.string("boundary", default="truncate", choices={"truncate"})
     axes = []
     names = ("q", "p")[:want_axes] if want_axes == 2 else ("z",)
     resolved = {"boundary": boundary}
@@ -551,7 +552,7 @@ def _build_grid(block, problems, want_axes, required=True):
     sec.finish()
     if problems or len(axes) != len(names):
         return None, None
-    return PhaseGrid(tuple(axes), boundary=boundary), resolved
+    return PhaseGrid(tuple(axes)), resolved
 
 
 def _build_evolve_initial(block, problems):

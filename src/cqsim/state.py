@@ -225,7 +225,7 @@ def _write_state(fh, state, scenario):
         "axes": [
             {"name": ax.name, "lo": ax.lo, "hi": ax.hi, "n": ax.n} for ax in state.grid.axes
         ],
-        "boundary": state.grid.boundary,
+        "boundary": "truncate",
         "hilbert_dim": state.hilbert_dim,
     }
     header = ["# cqsim-state " + json.dumps(meta, sort_keys=True)]
@@ -284,12 +284,15 @@ def _state_header(lines):
     meta = json.loads(lines[0][len("# cqsim-state ") :])
     try:
         axes = tuple(GridAxis(a["name"], a["lo"], a["hi"], a["n"]) for a in meta["axes"])
-        grid = PhaseGrid(axes, boundary=meta["boundary"])
+        grid = PhaseGrid(axes)
+        boundary = meta["boundary"]
         d = operator.index(meta["hilbert_dim"])
     except KeyError as exc:
         raise ValueError(f"state header lacks key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed state header: {exc}") from None
+    if boundary != "truncate":
+        raise ValueError(f"state header boundary must be 'truncate', got {boundary!r}")
     if d < 1:
         raise ValueError(f"state header hilbert_dim must be positive, got {d}")
     return grid, d

@@ -458,6 +458,12 @@ PARSE_REJECTS = {
         "evolve_free_diffusion.yaml", ("mass: 1.0", "mass: .nan"),
         r"key 'mass' in section 'model' must not be nan, got nan \(line 4\)",
     ),
+    # the grid truncates phase space; no other boundary is accepted
+    "grid_boundary_periodic": (
+        "evolve_free_diffusion.yaml", ("grid:\n", "grid:\n  boundary: periodic\n"),
+        r"key 'boundary' in section 'grid' must be one of \['truncate'\], got 'periodic' "
+        r"\(line 9\)",
+    ),
     "evolve_sigma_q_zero": (
         "evolve_free_diffusion.yaml", ("sigma_q: 0.5", "sigma_q: 0.0"),
         r"key 'sigma_q' in section 'initial' must be > 0, got 0.0 \(line 16\)",
@@ -784,22 +790,22 @@ class TestCli:
 
 
 @pytest.mark.parametrize(
-    "lo_b, boundary_b",
-    [(-4.0, "periodic"), (-4.0, "truncate"), (-1.0, "periodic")],
-    ids=["extents-and-boundary", "extents", "boundary"],
+    "q_lo_b, p_lo_b",
+    [(-4.0, -4.0), (-4.0, -1.0), (-1.0, -4.0)],
+    ids=["q-and-p-extents", "q-extents", "p-extents"],
 )
-def test_compare_rejects_different_grids_of_one_shape(tmp_path, capsys, lo_b, boundary_b):
-    def dump(name, lo, boundary):
-        grid = PhaseGrid((GridAxis("q", lo, -lo, 9), GridAxis("p", lo, -lo, 9)), boundary=boundary)
+def test_compare_rejects_different_grids_of_one_shape(tmp_path, capsys, q_lo_b, p_lo_b):
+    def dump(name, q_lo, p_lo):
+        grid = PhaseGrid((GridAxis("q", q_lo, -q_lo, 9), GridAxis("p", p_lo, -p_lo, 9)))
         path = tmp_path / name
         save_state(gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5)), path)
         return str(path)
 
-    a = dump("a.txt", -1.0, "truncate")
-    b = dump("b.txt", lo_b, boundary_b)
+    a = dump("a.txt", -1.0, -1.0)
+    b = dump("b.txt", q_lo_b, p_lo_b)
     assert main(["compare", a, b]) == 1
     err = capsys.readouterr().err
-    assert "grids differ" in err and f"boundary='{boundary_b}'" in err
+    assert "grids differ" in err and "lo=-4.0" in err
     with pytest.raises(ValueError, match="grids differ"):
         compare_artifacts(a, b)
 

@@ -202,7 +202,7 @@ def reference_state_text(state, scenario=None):
         "axes": [
             {"name": ax.name, "lo": ax.lo, "hi": ax.hi, "n": ax.n} for ax in state.grid.axes
         ],
-        "boundary": state.grid.boundary,
+        "boundary": "truncate",
         "hilbert_dim": state.hilbert_dim,
     }
     buf.write("# cqsim-state " + json.dumps(meta, sort_keys=True) + "\n")
@@ -241,7 +241,7 @@ EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, -2.0, 1e16, 0.0,
     ids=["1-axis", "2-axis"],
 )
 def test_state_text_matches_per_entry_reference(axes, d):
-    grid = PhaseGrid(axes, boundary="periodic")
+    grid = PhaseGrid(axes)
     n = int(np.prod(grid.shape)) * d * d
     values = np.resize(EDGE_VALUES, 2 * n)
     cells = (values[:n] + 1j * 0.0).reshape(grid.shape + (d, d))
@@ -290,6 +290,8 @@ def _swap(rows):
     [
         (lambda t: _edit_header(t, axes=None), "lacks key 'axes'"),
         (lambda t: _edit_header(t, boundary=None), "lacks key 'boundary'"),
+        (lambda t: _edit_header(t, boundary="periodic"),
+         "state header boundary must be 'truncate', got 'periodic'"),
         (lambda t: _edit_header(t, hilbert_dim=None), "lacks key 'hilbert_dim'"),
         (lambda t: _edit_header(t, hilbert_dim=2), "4 columns, expected 10"),
         (lambda t: _edit_header(t, hilbert_dim=1.0), "malformed state header: 'float'"),
@@ -307,7 +309,7 @@ def _swap(rows):
         (_set_entry(10, 0, "0.123"),
          "state row 10 (line 12), column q: 0.123 is not the grid point -0.75"),
     ],
-    ids=["no-axes", "no-boundary", "no-hilbert-dim", "hilbert-dim-mismatch",
+    ids=["no-axes", "no-boundary", "boundary-periodic", "no-hilbert-dim", "hilbert-dim-mismatch",
          "hilbert-dim-float", "axes-not-a-list", "header-only", "axis-n-float",
          "hilbert-dim-negative", "nan-entry", "inf-entry", "rows-swapped", "wrong-coordinate"],
 )
@@ -331,5 +333,3 @@ def test_grid_invariants():
         GridAxis("q", 0.0, 1.0, 2)
     with pytest.raises(ValueError, match="hi > lo"):
         GridAxis("q", 1.0, 1.0, 5)
-    with pytest.raises(ValueError, match="boundary"):
-        PhaseGrid((GridAxis("q", 0.0, 1.0, 5),), boundary="open")
