@@ -555,6 +555,20 @@ def _count(name, value, least):
     return n
 
 
+def _most_negative_cell(state):
+    """Where ``state``'s most negative cell eigenvalue lies, for an abort message."""
+    cells = state.cells
+    herm = 0.5 * (cells + np.conj(np.swapaxes(cells, -1, -2)))
+    low = np.linalg.eigvalsh(herm)[..., 0]
+    index = np.unravel_index(np.argmin(low), low.shape)
+    where = ", ".join(f"{ax.name}={ax.points[i]:g}" for ax, i in zip(state.grid.axes, index))
+    outer = any(i in (0, n - 1) for i, n in zip(index, low.shape))
+    return (
+        f"most negative in the cell at {where} ({'an' if outer else 'not an'} outermost "
+        f"grid cell), with probability {edge_mass(state):.3e} in the outermost grid cells"
+    )
+
+
 def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
     """The stepping loop of `evolve` and `evolve_measurement`.
 
@@ -581,11 +595,9 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
             if not np.isfinite(diags.trace[-1]):
                 raise EvolutionError("non-finite total trace encountered", diags)
             drift = abs(diags.trace[-1] - initial_trace)
-            # LEAK_LIMIT is a hard cap on boundary leakage, regardless of how
-            # loose the configured trace_abort is
-            if drift > min(trace_abort, LEAK_LIMIT):
+            if drift > trace_abort:
                 raise EvolutionError(
-                    f"trace drift {drift:.3e} exceeds {min(trace_abort, LEAK_LIMIT):.1e} "
+                    f"trace drift {drift:.3e} exceeds {trace_abort:.1e} "
                     f"at t={step * dt:g}, with probability "
                     f"{edge_mass(HybridState(grid, cells)):.3e} "
                     "in the outermost grid cells",
@@ -594,7 +606,7 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
             if diags.min_eig[-1] < -POSITIVITY_ABORT:
                 raise EvolutionError(
                     f"negativity {diags.min_eig[-1]:.3e} beyond {POSITIVITY_ABORT:.1e} "
-                    f"at t={step * dt:g}",
+                    f"at t={step * dt:g}, {_most_negative_cell(HybridState(grid, cells))}",
                     diags,
                 )
     return HybridState(grid, cells), diags
@@ -613,9 +625,14 @@ def evolve(
     Returns (final_state, diagnostics).  Diagnostics are recorded every
     ``stride`` steps and at the final time.  ``n_steps`` must be an
     integer >= 0 (0 returns the initial state) and ``stride`` one >= 1;
-    anything else raises ValueError.  ``state`` is not referenced after the first
-    step.
+    anything else raises ValueError, as does a ``trace_abort`` outside
+    (0, LEAK_LIMIT], the cap on boundary leakage.  ``state`` is not
+    referenced after the first step.
     """
+    if not 0.0 < trace_abort <= LEAK_LIMIT:
+        raise ValueError(
+            f"trace_abort must lie in (0, {LEAK_LIMIT:.0e}] (the leakage cap), got {trace_abort!r}"
+        )
     initial = [state]
     del state
     return _evolve_loop(model, initial, dt, n_steps, stride, trace_abort)

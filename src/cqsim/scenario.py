@@ -10,23 +10,30 @@ sections that run type reads, listed in `_SCHEMA`:
 * cp_check:     model
 
 `_SCHEMA` also names each run type's numerics keys with their defaults (or
-marks them required), and `_NUMERIC_BOUNDS` what each value must satisfy,
-so a scenario is rejected here, before any run starts, for every numerics
-reason.  Parsing is strict: duplicate keys, unknown keys (including a
-section or key another run type reads), missing keys, type mismatches and
-out-of-range values are all reported with the offending key and line
-number.  Every number of the model, grid and initial sections is finite
-(an infinite mass excepted), and the initial quantum data must be a state
-of the model's levels (`_fit_initial`).  Matrices are nested lists of
-reals; a parallel ``*_im`` key supplies an imaginary part when needed.
-Scalar q- or z-dependent coefficients are polynomial coefficient lists,
-low order first.
+marks them required).  Every value is read by `_Section._read`, which
+type-checks it, makes the numbers of the model, grid and initial sections
+finite (an infinite mass excepted) and checks the value against its
+`_BOUNDS` entry, so a scenario is rejected here, before any run starts,
+for every such reason.  Parsing is strict: duplicate keys, unknown keys
+(including a section or key another run type reads), missing keys, type
+mismatches and out-of-range values are all reported with the offending
+key and line number, and the initial quantum data must be a state of the
+model's levels (`_fit_initial`).  Matrices are nested lists of reals; a
+matrix key ``<key>`` may have a ``<key>_im`` beside it for an imaginary
+part, and ``<key>_im`` is accepted nowhere else.  Scalar q- or
+z-dependent coefficients are polynomial coefficient lists, low order
+first.
 
-The resolved scenario (the given values, defaults filled in) is embedded
-verbatim in every output artifact for provenance; the runner reads nothing
-else.  The parser derives no step: the steps a run takes from ``t_final``
-and ``dt`` are decided by the runner (`runner._plan`), for sample_paths as
-for evolve and unravel.
+The resolved scenario is embedded verbatim in every output artifact for
+provenance.  `_read` records each value it returns, the default for an
+absent key, so a section's resolved values are what its reads returned; a
+``<key>_im`` is recorded only when it is nonzero.  Three builders reshape
+one value: ``rho_q`` is left out when not given, ``psi`` is recorded as a
+column and ``observable`` as integers.  The runner reads nothing else.
+
+The parser derives no step: the steps a run takes from ``t_final`` and
+``dt`` are decided by the runner (`runner._plan`), for sample_paths as for
+evolve and unravel.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .generator import TRACE_DRIFT_ABORT
 from .grids import GridAxis, PhaseGrid
 from .models import ToyParams, constant_measurement_model, polynomial_cq_model
 from .psd import CouplingTriple, is_psd, require_hermitian
+from .state import LEAK_LIMIT
 from .zerodim import PERTURBATIVE_ORDER_CAP
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_file", "RUN_TYPES"]
@@ -104,7 +112,11 @@ def _line_of(block, key):
 
 
 class _Section:
-    """Typed reader over one mapping block, accumulating precise errors."""
+    """Reader over one mapping block: every value goes through `_read`.
+
+    Each problem is appended to ``problems`` with the key and its line, and
+    each value read is recorded in ``resolved``, which `finish` returns.
+    """
 
     def __init__(self, name, data, problems, finite=True):
         self.name = name
@@ -112,134 +124,133 @@ class _Section:
         self.data = data if data is not None else _LocatedDict()
         self.problems = problems
         self.seen = set()
+        self.resolved = {}
         if not isinstance(self.data, dict):
             problems.append(f"section {name!r} must be a mapping")
             self.data = _LocatedDict()
 
-    def _fetch(self, key, required, default):
+    def _refuse(self, key, why):
+        where = f"key {key!r} in section {self.name!r}"
+        self.problems.append(f"{where} {why}{_line_of(self.data, key)}")
+
+    def _read(self, key, required, default, ok, what, convert):
+        """The value of ``key``, recorded in `resolved`: ``default`` when it
+        is absent or refused.
+
+        A given value must pass ``ok`` (else it must be ``what``, where
+        ``{type}`` names the value's type), then ``convert``, which raises
+        ValueError saying what is wrong, then its `_BOUNDS` entry.
+        """
         self.seen.add(key)
+        val = default
         if key not in self.data:
             if required:
                 self.problems.append(f"missing required key {key!r} in section {self.name!r}")
-            return default
-        return self.data[key]
-
-    def _floats(self, key, convert, default, inf=False):
-        """Convert a number, list or matrix; in a ``finite`` section every
-        entry must be finite (with ``inf``, at least not nan)."""
-        try:
-            val = convert()
-        except OverflowError:
-            self.problems.append(
-                f"key {key!r} in section {self.name!r} is too large for a float"
-                f"{_line_of(self.data, key)}"
-            )
-            return default
-        bad = np.ravel(np.isnan(val) if inf else ~np.isfinite(val))
-        if self.finite and bad.any():
-            must = "not be nan" if inf else "be finite"
-            self.problems.append(
-                f"key {key!r} in section {self.name!r} must {must}, "
-                f"got {float(np.ravel(val)[bad][0])!r}{_line_of(self.data, key)}"
-            )
-            return default
+        else:
+            raw = self.data[key]
+            try:
+                if not ok(raw):
+                    raise ValueError(f"must be {what.format(type=type(raw).__name__)}")
+                got = convert(raw)
+                if key in _BOUNDS and not _BOUNDS[key][0](got):
+                    raise ValueError(f"must {_BOUNDS[key][1]}, got {got!r}")
+                val = got
+            except ValueError as exc:
+                self._refuse(key, exc)
+        self.resolved[key] = val
         return val
 
     def number(self, key, required=False, default=None, inf=False):
-        val = self._fetch(key, required, default)
-        if val is default and key not in self.data:
-            return default
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.problems.append(
-                f"key {key!r} in section {self.name!r} must be a number, got "
-                f"{type(val).__name__}{_line_of(self.data, key)}"
-            )
-            return default
-        return self._floats(key, lambda: float(val), default, inf)
+        convert = partial(_floats, finite=self.finite, inf=inf)
+        return self._read(key, required, default, _is_number, "a number, got {type}", convert)
 
     def integer(self, key, required=False, default=None):
-        val = self._fetch(key, required, default)
-        if val is default and key not in self.data:
-            return default
-        if isinstance(val, bool) or not isinstance(val, int):
-            self.problems.append(
-                f"key {key!r} in section {self.name!r} must be an integer"
-                f"{_line_of(self.data, key)}"
-            )
-            return default
-        return int(val)
+        return self._read(key, required, default, _is_integer, "an integer", int)
 
-    def string(self, key, required=False, default=None, choices=None):
-        val = self._fetch(key, required, default)
-        if val is default and key not in self.data:
-            return default
-        if not isinstance(val, str):
-            self.problems.append(
-                f"key {key!r} in section {self.name!r} must be a string{_line_of(self.data, key)}"
-            )
-            return default
-        if choices and val not in choices:
-            self.problems.append(
-                f"key {key!r} in section {self.name!r} must be one of {sorted(choices)}, "
-                f"got {val!r}{_line_of(self.data, key)}"
-            )
-            return default
-        return val
+    def string(self, key, choices, required=False, default=None):
+        convert = partial(_one_of, choices)
+        return self._read(key, required, default, _is_string, "a string", convert)
 
     def vector(self, key, required=False, default=None):
-        val = self._fetch(key, required, default)
-        if val is default and key not in self.data:
-            return default
-        if not isinstance(val, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
-        ):
-            self.problems.append(
-                f"key {key!r} in section {self.name!r} must be a list of numbers"
-                f"{_line_of(self.data, key)}"
-            )
-            return default
-        return self._floats(key, lambda: [float(x) for x in val], default)
+        convert = partial(_floats, finite=self.finite)
+        return self._read(key, required, default, _is_vector, "a list of numbers", convert)
 
-    def matrix(self, key, required=False, default=None):
-        val = self._fetch(key, required, default)
-        if val is default and key not in self.data:
-            return default
-        ok = isinstance(val, list) and val and all(
-            isinstance(row, list)
-            and len(row) == len(val[0])
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
-            for row in val
+    def complex_matrix(self, key, required=False):
+        """The matrix ``key`` plus i times ``key_im``, or None when ``key``
+        is absent; ``key_im`` is recorded only when it is nonzero."""
+        read = partial(
+            self._read, ok=_is_matrix, convert=partial(_floats, finite=self.finite),
+            what="a rectangular matrix (list of equal-length number lists)",
         )
-        if not ok:
-            self.problems.append(
-                f"key {key!r} in section {self.name!r} must be a rectangular matrix "
-                f"(list of equal-length number lists){_line_of(self.data, key)}"
-            )
-            return default
-        return self._floats(key, lambda: np.array(val, dtype=float), default)
-
-    def complex_matrix(self, key, required=False, default=None):
-        re = self.matrix(key, required=required, default=None)
-        im = self.matrix(key + "_im", required=False, default=None)
+        re = read(key, required, None)
+        im = read(key + "_im", False, None)
+        if not np.any(im):
+            del self.resolved[key + "_im"]
         if re is None:
-            return default
-        out = re.astype(complex)
-        if im is not None:
-            if im.shape != re.shape:
-                self.problems.append(
-                    f"key {key + '_im'!r} in section {self.name!r} must match the shape of {key!r}"
-                )
-            else:
-                out = out + 1j * im
-        return out
+            if key + "_im" in self.data and key not in self.data:
+                self._refuse(key + "_im", f"is given without key {key!r}")
+            return None
+        out = np.array(re, dtype=complex)
+        if im is None:
+            return out
+        if np.shape(im) != out.shape:
+            self._refuse(key + "_im", f"must match the shape of {key!r}")
+            return None
+        return out + 1j * np.array(im)
 
     def finish(self):
+        """Report every key no read consumed; return the resolved values."""
         for key in self.data:
-            base = key[:-3] if key.endswith("_im") else key
-            if key not in self.seen and base not in self.seen:
+            if key not in self.seen:
                 self.problems.append(
                     f"unknown key {key!r} in section {self.name!r}{_line_of(self.data, key)}"
                 )
+        return self.resolved
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_string(value):
+    return isinstance(value, str)
+
+
+def _is_vector(value):
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _is_matrix(value):
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(_is_vector(row) and len(row) == len(value[0]) for row in value)
+    )
+
+
+def _floats(value, finite, inf=False):
+    """A number or nested number lists as floats; ``finite`` makes every
+    entry finite (with ``inf``, at least not nan)."""
+    try:
+        arr = np.array(value, dtype=float)
+    except OverflowError:
+        raise ValueError("is too large for a float") from None
+    if finite:
+        bad = np.isnan(arr) if inf else ~np.isfinite(arr)
+        if bad.any():
+            must = "not be nan" if inf else "be finite"
+            raise ValueError(f"must {must}, got {float(arr[bad][0])!r}")
+    return arr.tolist()
+
+
+def _one_of(choices, value):
+    if value not in choices:
+        raise ValueError(f"must be one of {sorted(choices)}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -258,12 +269,15 @@ class Scenario:
 # Marks a numerics key a run type cannot do without.
 _REQUIRED = object()
 
-# key -> (test, what the value must be); every numerics and output value a
-# scenario gives is checked against its entry here
-_NUMERIC_BOUNDS = {
+# key -> (test, what the value must be): `_Section._read` checks every value
+# of that name a scenario gives against its entry here
+_BOUNDS = {
     "dt": (lambda v: 0.0 < v < np.inf, "be a finite number > 0"),
     "t_final": (lambda v: 0.0 < v < np.inf, "be a finite number > 0"),
-    "trace_abort": (lambda v: 0.0 < v < np.inf, "be a finite number > 0"),
+    "trace_abort": (
+        lambda v: 0.0 < v <= LEAK_LIMIT,
+        f"lie in (0, {LEAK_LIMIT:.0e}] (the leakage cap)",
+    ),
     "n_steps": (lambda v: v >= 1, "be >= 1"),
     "n_trajectories": (lambda v: v >= 1, "be >= 1"),
     "n_paths": (lambda v: v >= 1, "be >= 1"),
@@ -274,6 +288,8 @@ _NUMERIC_BOUNDS = {
         lambda v: 0 <= v <= PERTURBATIVE_ORDER_CAP,
         f"lie in [0, {PERTURBATIVE_ORDER_CAP}] (the perturbative order cap)",
     ),
+    "sigma_q": (lambda v: v > 0.0, "be > 0"),
+    "sigma_p": (lambda v: v > 0.0, "be > 0"),
 }
 
 _INTEGER_KEYS = {"n_steps", "n_trajectories", "n_paths", "stride", "seed", "order"}
@@ -281,21 +297,12 @@ _INTEGER_KEYS = {"n_steps", "n_trajectories", "n_paths", "stride", "seed", "orde
 
 def _read_values(name, block, defaults, problems):
     """Read a numerics or output block: exactly the keys of ``defaults``."""
-    # the values meet their _NUMERIC_BOUNDS, which name each one's own range
     sec = _Section(name, block, problems, finite=False)
-    values = {}
     for key, default in defaults.items():
         read = sec.integer if key in _INTEGER_KEYS else sec.number
         required = default is _REQUIRED
-        val = read(key, required=required, default=None if required else default)
-        if val is not None and key in _NUMERIC_BOUNDS and not _NUMERIC_BOUNDS[key][0](val):
-            problems.append(
-                f"key {key!r} in section {name!r} must {_NUMERIC_BOUNDS[key][1]}, got "
-                f"{val!r}{_line_of(sec.data, key)}"
-            )
-        values[key] = val
-    sec.finish()
-    return values
+        read(key, required=required, default=None if required else default)
+    return sec.finish()
 
 
 def _check_path_steps(block, numerics, problems):
@@ -363,15 +370,14 @@ def parse_scenario(text) -> Scenario:
     problems = []
 
     top = _Section("<top>", doc, problems)
-    run_type = top.string("run", required=True, choices=set(RUN_TYPES))
+    run_type = top.string("run", set(RUN_TYPES), required=True)
     if problems:
         raise ScenarioError(problems)
     schema = _SCHEMA[run_type]
     top.seen.update(schema)
-    top.finish()
+    resolved = top.finish()
 
     built = {}
-    resolved = {"run": run_type}
     for section, read in schema.items():
         if callable(read):
             built[section], resolved[section] = read(doc.get(section), problems)
@@ -397,33 +403,19 @@ def parse_scenario(text) -> Scenario:
     )
 
 
-def _mat_entries(resolved, key, matrix):
-    """Record a complex matrix in the resolved dict using the input schema."""
-    if matrix is None:
-        resolved[key] = None
-        return
-    resolved[key] = matrix.real.tolist()
-    if np.abs(matrix.imag).max() > 0.0:
-        resolved[key + "_im"] = matrix.imag.tolist()
-
-
 def _build_triple(block, problems):
     sec = _Section("model", block, problems)
     d2 = sec.complex_matrix("d2", required=True)
     d1 = sec.complex_matrix("d1", required=True)
     d0 = sec.complex_matrix("d0", required=True)
-    sec.finish()
-    if problems or d2 is None or d1 is None or d0 is None:
+    resolved = sec.finish()
+    if problems:
         return None, None
     try:
         triple = CouplingTriple(d2=d2, d1=d1, d0=d0)
     except ValueError as exc:
         problems.append(f"invalid coupling triple: {exc}")
         return None, None
-    resolved = {}
-    _mat_entries(resolved, "d2", triple.d2)
-    _mat_entries(resolved, "d1", triple.d1)
-    _mat_entries(resolved, "d0", triple.d0)
     return triple, resolved
 
 
@@ -435,8 +427,8 @@ def _build_toy(block, problems):
     hbar = sec.number("hbar", default=1.0)
     d2 = sec.number("d2", required=True)
     observable = sec.vector("observable", required=True)
-    engine = sec.string("engine", default="both", choices={"perturbative", "quadrature", "both"})
-    sec.finish()
+    engine = sec.string("engine", {"perturbative", "quadrature", "both"}, default="both")
+    resolved = sec.finish()
     if problems:
         return None, None
     if len(observable) != 3 or any(x < 0 or not x.is_integer() for x in observable):
@@ -451,15 +443,7 @@ def _build_toy(block, problems):
     except ValueError as exc:
         problems.append(str(exc))
         return None, None
-    resolved = {
-        "m_phi": m_phi,
-        "m_q": m_q,
-        "lambda": lam,
-        "hbar": hbar,
-        "d2": d2,
-        "observable": list(obs),
-        "engine": engine,
-    }
+    resolved["observable"] = list(obs)
     return {"params": params, "observable": obs, "engine": engine}, resolved
 
 
@@ -469,11 +453,11 @@ def _build_cq(block, problems):
     hbar = sec.number("hbar", default=1.0)
     potential = sec.vector("potential", default=[0.0])
     h_q = sec.complex_matrix("h_q", required=True)
-    v_i_matrix = sec.complex_matrix("v_i_matrix", default=None)
+    v_i_matrix = sec.complex_matrix("v_i_matrix")
     v_i_profile = sec.vector("v_i_profile", default=[0.0])
     d2 = sec.vector("d2", default=[0.0])
     d0 = sec.vector("d0", default=[0.0])
-    sec.finish()
+    resolved = sec.finish()
     if problems:
         return None, None
     try:
@@ -490,28 +474,18 @@ def _build_cq(block, problems):
     except ValueError as exc:
         problems.append(f"invalid model: {exc}")
         return None, None
-    resolved = {
-        "mass": mass,
-        "hbar": hbar,
-        "potential": potential,
-        "v_i_profile": v_i_profile,
-        "d2": d2,
-        "d0": d0,
-    }
-    _mat_entries(resolved, "h_q", h_q)
-    _mat_entries(resolved, "v_i_matrix", v_i_matrix)
     return model, resolved
 
 
 def _build_measurement(block, problems):
     sec = _Section("model", block, problems)
     z = sec.complex_matrix("z_op", required=True)
-    z_fb = sec.complex_matrix("z_feedback", default=None)
+    z_fb = sec.complex_matrix("z_feedback")
     k = sec.number("k", required=True)
     k_slope = sec.number("k_slope", default=0.0)
-    h = sec.complex_matrix("h", default=None)
+    h = sec.complex_matrix("h")
     hbar = sec.number("hbar", default=1.0)
-    sec.finish()
+    resolved = sec.finish()
     if problems:
         return None, None
     try:
@@ -521,10 +495,6 @@ def _build_measurement(block, problems):
     except ValueError as exc:
         problems.append(f"invalid measurement model: {exc}")
         return None, None
-    resolved = {"k": k, "k_slope": k_slope, "hbar": hbar}
-    _mat_entries(resolved, "z_op", z)
-    _mat_entries(resolved, "z_feedback", z_fb)
-    _mat_entries(resolved, "h", h)
     return model, resolved
 
 
@@ -533,23 +503,19 @@ def _build_grid(block, problems, want_axes, required=True):
         return None, None
     sec = _Section("grid", block, problems)
     # the grid truncates phase space; the key stays for the resolved scenario
-    boundary = sec.string("boundary", default="truncate", choices={"truncate"})
+    sec.string("boundary", {"truncate"}, default="truncate")
     axes = []
     names = ("q", "p")[:want_axes] if want_axes == 2 else ("z",)
-    resolved = {"boundary": boundary}
     for name in names:
         lo = sec.number(f"{name}_min", required=True)
         hi = sec.number(f"{name}_max", required=True)
         n = sec.integer(f"{name}_points", required=True)
-        resolved[f"{name}_min"] = lo
-        resolved[f"{name}_max"] = hi
-        resolved[f"{name}_points"] = n
         if lo is not None and hi is not None and n is not None:
             try:
                 axes.append(GridAxis(name, lo, hi, n))
             except ValueError as exc:
                 problems.append(f"invalid grid axis {name!r}: {exc}")
-    sec.finish()
+    resolved = sec.finish()
     if problems or len(axes) != len(names):
         return None, None
     return PhaseGrid(tuple(axes)), resolved
@@ -561,18 +527,11 @@ def _build_evolve_initial(block, problems):
     p0 = sec.number("p0", default=0.0)
     sigma_q = sec.number("sigma_q", required=True)
     sigma_p = sec.number("sigma_p", required=True)
-    rho_q = sec.complex_matrix("rho_q", default=None)
-    sec.finish()
-    for key, width in (("sigma_q", sigma_q), ("sigma_p", sigma_p)):
-        if width is not None and not width > 0.0:
-            problems.append(
-                f"key {key!r} in section 'initial' must be > 0, got {width!r}"
-                f"{_line_of(sec.data, key)}"
-            )
+    rho_q = sec.complex_matrix("rho_q")
+    resolved = sec.finish()
+    if rho_q is None:  # provenance records rho_q only when it is given
+        del resolved["rho_q"]
     initial = {"q0": q0, "p0": p0, "sigma_q": sigma_q, "sigma_p": sigma_p, "rho_q": rho_q}
-    resolved = {"q0": q0, "p0": p0, "sigma_q": sigma_q, "sigma_p": sigma_p}
-    if rho_q is not None:
-        _mat_entries(resolved, "rho_q", rho_q)
     return initial, resolved
 
 
@@ -580,15 +539,16 @@ def _build_unravel_initial(block, problems):
     sec = _Section("initial", block, problems)
     z0 = sec.number("z0", default=0.0)
     psi = sec.complex_matrix("psi", required=True)
-    sec.finish()
-    if psi is not None and 1 not in psi.shape and psi.ndim != 1:
+    resolved = sec.finish()
+    if psi is None:
+        return {}, None
+    if 1 not in psi.shape:
         problems.append("key 'psi' in section 'initial' must be a row or column vector")
         return {}, None
-    psi_flat = None if psi is None else psi.reshape(-1)
-    resolved = {"z0": z0}
-    if psi is not None:
-        _mat_entries(resolved, "psi", psi_flat.reshape(-1, 1))
-    return {"z0": z0, "psi": psi_flat}, resolved
+    for key in ("psi", "psi_im"):  # provenance records psi as a column
+        if key in resolved:
+            resolved[key] = np.reshape(resolved[key], (-1, 1)).tolist()
+    return {"z0": z0, "psi": psi.reshape(-1)}, resolved
 
 
 def _build_paths_initial(block, problems):
@@ -597,13 +557,12 @@ def _build_paths_initial(block, problems):
     p0 = sec.number("p0", default=0.0)
     a = sec.integer("branch_a", default=None)
     b = sec.integer("branch_b", default=None)
-    sec.finish()
+    resolved = sec.finish()
     pair = None
     if (a is None) != (b is None):
         problems.append("branch_a and branch_b must be given together in section 'initial'")
     elif a is not None:
         pair = (a, b)
-    resolved = {"q0": q0, "p0": p0, "branch_a": a, "branch_b": b}
     return {"q0": q0, "p0": p0, "pair": pair}, resolved
 
 

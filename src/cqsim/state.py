@@ -17,7 +17,6 @@ may be read concurrently.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import operator
@@ -207,12 +206,6 @@ def _yaml_non_finite(value):
 def save_state(state: HybridState, path, scenario=None):
     with open(path, "w") as fh:
         _write_state(fh, state, scenario)
-
-
-def state_to_text(state: HybridState, scenario=None) -> str:
-    buf = io.StringIO()
-    _write_state(buf, state, scenario)
-    return buf.getvalue()
 
 
 def _write_state(fh, state, scenario):

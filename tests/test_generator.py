@@ -38,6 +38,7 @@ from cqsim.state import (
     edge_mass,
     gaussian_product_state,
     hermiticity_defect,
+    min_cell_eigenvalue,
     total_trace,
 )
 
@@ -514,6 +515,40 @@ class TestStepping:
         assert edges != 0.0
         assert edge_mass(state) == pytest.approx(edges * grid.cell_volume, rel=1e-12)
         assert float(match.group(2)) == pytest.approx(edge_mass(state), rel=1e-3)
+
+    def test_positivity_abort_names_the_most_negative_cell(self):
+        # the Gaussian keeps 7e-8 in the edge cell z = 3, where the
+        # one-sided stencil drives that cell's eigenvalue negative first
+        grid = PhaseGrid((GridAxis("z", -3.0, 3.0, 41),))
+        m = constant_measurement_model(SIGMA_Z, 0.7, h=0.5 * SIGMA_X, k_slope=0.1)
+        state = gaussian_product_state(
+            grid, (0.2,), (0.5,), rho_q=np.array([[0.6, 0.3], [0.3, 0.4]])
+        )
+        dt = 0.4 * measurement_cfl_limit(m, grid)
+        with pytest.raises(EvolutionError) as err:
+            evolve_measurement(m, state, dt, 3, stride=1)
+        match = re.fullmatch(
+            r"negativity (\S+) beyond 1\.0e-07 at t=(\S+), most negative in the cell at "
+            r"z=3 \(an outermost grid cell\), with probability (\S+) in the outermost grid cells",
+            str(err.value),
+        )
+        assert match, str(err.value)
+        # the first step breaks positivity, and the cell is where it does
+        assert float(match.group(2)) == pytest.approx(dt, rel=1e-5)
+        assert float(match.group(1)) == pytest.approx(err.value.diagnostics.min_eig[-1], rel=1e-3)
+        stepped = step_rk4(m, state, dt)
+        assert float(match.group(3)) == pytest.approx(edge_mass(stepped), rel=1e-3)
+        lowest = [np.linalg.eigvalsh(cell)[0] for cell in stepped.cells]
+        assert np.argmin(lowest) == 40
+        assert lowest[40] == pytest.approx(min_cell_eigenvalue(stepped), rel=1e-12)
+
+    @pytest.mark.parametrize("trace_abort", [1e-3, 0.0, -1e-6, float("nan")])
+    def test_evolve_refuses_trace_abort_beyond_the_leak_cap(self, small_grid, trace_abort):
+        # a trace_abort above the 1e-4 leakage cap is refused, never clamped
+        model = free_diffusion_model(d2=0.5)
+        state = gaussian_product_state(small_grid, (0, 0), (0.7, 0.7))
+        with pytest.raises(ValueError, match=r"^trace_abort must lie in \(0, 1e-04\]"):
+            evolve(model, state, 0.4 * cfl_limit(model, small_grid), 3, trace_abort=trace_abort)
 
     @pytest.mark.parametrize("name,value", [("n_steps", -1), ("n_steps", 2.0), ("n_steps", 2.5),
                                             ("stride", 0), ("stride", -1), ("stride", 2.5)])

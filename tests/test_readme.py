@@ -1,10 +1,11 @@
-"""The README's library sketch runs as written."""
+"""The README's library sketch runs as written, and its scenario table matches the schema."""
 
 import pathlib
 import re
 
 import pytest
 
+from cqsim.scenario import _SCHEMA
 from cqsim.state import total_trace
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -16,3 +17,17 @@ def test_readme_library_sketch_runs():
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert total_trace(namespace["final"]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_readme_scenarios_table_matches_the_schema():
+    text = README.read_text()
+    table = text[text.index("## Scenarios"):text.index("### Outputs per run type")]
+    rows = re.findall(r"^\| `(\w+)` +\| ([^|]+)\| ([^|]+)\|$", table, flags=re.M)
+    assert sorted(run for run, _, _ in rows) == sorted(_SCHEMA)
+    for run_type, sections, keys in rows:
+        schema = _SCHEMA[run_type]
+        named = [re.sub(r" \(.*\)", "", name).strip() for name in sections.split(",")]
+        assert named == list(schema), run_type
+        output = {f"output.{key}" for key in schema.get("output", ())}
+        want = set(schema.get("numerics", ())) | output
+        assert set(re.findall(r"`([\w.]+)`", keys)) == want, run_type

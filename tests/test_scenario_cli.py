@@ -26,7 +26,7 @@ ALL_SCENARIOS = sorted(SCENARIO_DIR.glob("*.yaml"))
 NUMERIC_BOUNDS = {
     "dt": lambda v: 0.0 < v < float("inf"),
     "t_final": lambda v: 0.0 < v < float("inf"),
-    "trace_abort": lambda v: 0.0 < v < float("inf"),
+    "trace_abort": lambda v: 0.0 < v <= 1e-4,
     "n_steps": lambda v: v >= 1,
     "n_trajectories": lambda v: v >= 1,
     "n_paths": lambda v: v >= 1,
@@ -303,6 +303,34 @@ class TestParsing:
         assert set(scenario.numerics) == NUMERICS_KEYS[scenario.run_type]
         assert scenario.resolved.get("numerics", {}) == scenario.numerics
 
+    @pytest.mark.parametrize("path", ALL_SCENARIOS, ids=lambda p: p.stem)
+    def test_resolved_records_every_given_key(self, path):
+        doc = yaml.safe_load(path.read_text())
+        resolved = parse_scenario_file(path).resolved
+        assert resolved["run"] == doc.pop("run")
+        for section, block in doc.items():
+            for key, value in block.items():
+                # key_im is recorded exactly when the imaginary part is nonzero
+                given = bool(np.any(value)) if key.endswith("_im") else True
+                assert (key in resolved[section]) == given, (section, key)
+            for key in resolved[section]:
+                if key.endswith("_im"):
+                    assert np.any(block.get(key, 0.0)), (section, key)
+
+    @pytest.mark.parametrize(
+        "im", ["[[0.0, 0.0], [0.0, 0.0]]", "[[0.0, -0.5], [0.5, 0.0]]"], ids=["zero", "nonzero"]
+    )
+    def test_h_q_im_beside_h_q_parses(self, im):
+        h_q = "h_q: [[0.0, 0.0], [0.0, 0.0]]\n"
+        text = (SCENARIO_DIR / "evolve_qubit_decoherence.yaml").read_text()
+        assert h_q in text
+        scenario = parse_scenario(text.replace(h_q, f"{h_q}  h_q_im: {im}\n"))
+        want = np.array(yaml.safe_load(im))
+        assert np.array_equal(scenario.model.h_q, 1j * want)
+        model = scenario.resolved["model"]
+        assert model["h_q"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert model.get("h_q_im") == (want.tolist() if want.any() else None)
+
     @pytest.mark.parametrize("run_type", ["evolve", "unravel", "sample_paths", "zerodim"])
     def test_keys_of_other_run_types_rejected(self, run_type):
         for key in sorted(set(ANY_NUMERICS_KEY) - NUMERICS_KEYS[run_type]):
@@ -463,6 +491,40 @@ PARSE_REJECTS = {
         "evolve_free_diffusion.yaml", ("grid:\n", "grid:\n  boundary: periodic\n"),
         r"key 'boundary' in section 'grid' must be one of \['truncate'\], got 'periodic' "
         r"\(line 9\)",
+    ),
+    # trace_abort may not exceed the 1e-4 leakage cap
+    "evolve_trace_abort_above_leak_cap": (
+        "evolve_free_diffusion.yaml", ("safety: 0.4\n", "safety: 0.4\n  trace_abort: 1.0e-3\n"),
+        r"key 'trace_abort' in section 'numerics' must lie in \(0, 1e-04\] \(the leakage cap\), "
+        r"got 0\.001 \(line 21\)",
+    ),
+    # <key>_im is read only beside a matrix key <key>
+    "evolve_t_final_im": (
+        "evolve_free_diffusion.yaml", ("safety: 0.4\n", "safety: 0.4\n  t_final_im: 7\n"),
+        r"unknown key 't_final_im' in section 'numerics' \(line 21\)",
+    ),
+    "evolve_mass_im": (
+        "evolve_free_diffusion.yaml", ("mass: 1.0\n", "mass: 1.0\n  mass_im: 2.0\n"),
+        r"unknown key 'mass_im' in section 'model' \(line 5\)",
+    ),
+    "evolve_stride_im": (
+        "evolve_free_diffusion.yaml", ("stride: 10\n", "stride: 10\n  stride_im: 3\n"),
+        r"unknown key 'stride_im' in section 'output' \(line 23\)",
+    ),
+    "evolve_rho_q_im_without_rho_q": (
+        "evolve_free_diffusion.yaml", ("sigma_p: 0.5\n", "sigma_p: 0.5\n  rho_q_im: [[0.5]]\n"),
+        r"key 'rho_q_im' in section 'initial' is given without key 'rho_q' \(line 18\)",
+    ),
+    "evolve_v_i_matrix_im_without_v_i_matrix": (
+        "evolve_free_diffusion.yaml",
+        ("h_q: [[0.0]]\n", "h_q: [[0.0]]\n  v_i_matrix_im: [[1.0]]\n"),
+        r"key 'v_i_matrix_im' in section 'model' is given without key 'v_i_matrix' \(line 7\)",
+    ),
+    "evolve_h_q_im_of_another_shape": (
+        "evolve_qubit_decoherence.yaml",
+        ("h_q: [[0.0, 0.0], [0.0, 0.0]]\n",
+         "h_q: [[0.0, 0.0], [0.0, 0.0]]\n  h_q_im: [[0.0, 0.5, 0.0]]\n"),
+        r"key 'h_q_im' in section 'model' must match the shape of 'h_q' \(line 8\)",
     ),
     "evolve_sigma_q_zero": (
         "evolve_free_diffusion.yaml", ("sigma_q: 0.5", "sigma_q: 0.0"),

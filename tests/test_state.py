@@ -21,7 +21,6 @@ from cqsim.state import (
     quantum_marginal,
     save_state,
     state_from_text,
-    state_to_text,
     total_trace,
 )
 
@@ -141,11 +140,18 @@ def test_serialization_roundtrip(tmp_path):
     assert np.abs(loaded.cells - state.cells).max() == 0.0  # 17 digits roundtrips exactly
 
 
-def test_serialization_single_axis_grid():
+def saved_text(tmp_path, state, scenario=None):
+    """The dump `save_state` writes of ``state``, read back as text."""
+    path = tmp_path / "saved_state.txt"
+    save_state(state, path, scenario=scenario)
+    return path.read_text()
+
+
+def test_serialization_single_axis_grid(tmp_path):
     grid = PhaseGrid((GridAxis("z", -1.0, 1.0, 9),))
     cells = np.zeros(grid.shape + (2, 2), dtype=complex)
     cells[4, 0, 0] = 1.0 / grid.cell_volume
-    text = state_to_text(HybridState(grid, cells))
+    text = saved_text(tmp_path, HybridState(grid, cells))
     loaded = state_from_text(text)
     assert loaded.grid.ndim == 1
     assert total_trace(loaded) == pytest.approx(1.0)
@@ -163,7 +169,7 @@ def test_state_written_in_blocks_is_the_whole_table(tmp_path, monkeypatch, block
     else:
         assert n * n > state_module._WRITE_ROWS
     scenario = {"run": "evolve"}
-    text = state_to_text(state, scenario)
+    text = saved_text(tmp_path, state, scenario)
     coords = [m.reshape(-1) for m in grid.meshes()]
     whole = io.StringIO()
     np.savetxt(
@@ -196,7 +202,8 @@ def test_load_state_holds_one_table(tmp_path):
 
 
 def reference_state_text(state, scenario=None):
-    """The per-entry "{:.17g}" writer `state_to_text` replaced: the format reference."""
+    """The per-entry "{:.17g}" writer that `_write_state`'s blocks replaced: the format
+    reference."""
     buf = io.StringIO()
     meta = {
         "axes": [
@@ -240,7 +247,7 @@ EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0, -2.0, 1e16, 0.0,
     ],
     ids=["1-axis", "2-axis"],
 )
-def test_state_text_matches_per_entry_reference(axes, d):
+def test_state_text_matches_per_entry_reference(tmp_path, axes, d):
     grid = PhaseGrid(axes)
     n = int(np.prod(grid.shape)) * d * d
     values = np.resize(EDGE_VALUES, 2 * n)
@@ -249,7 +256,7 @@ def test_state_text_matches_per_entry_reference(axes, d):
     state = HybridState(grid, cells)
     scenario = {"run": "evolve", "numerics": {"dt": 0.1}}
     for prov in (None, scenario):
-        text = state_to_text(state, scenario=prov)
+        text = saved_text(tmp_path, state, scenario=prov)
         assert text == reference_state_text(state, scenario=prov)
     loaded = state_from_text(text)
     assert loaded.grid == grid
@@ -315,7 +322,7 @@ def _swap(rows):
 )
 def test_malformed_state_file_names_the_cause(tmp_path, capsys, edit, cause):
     grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 9), GridAxis("p", -1.0, 1.0, 9)))
-    text = edit(state_to_text(gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5))))
+    text = edit(saved_text(tmp_path, gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5))))
     with pytest.raises(ValueError, match=re.escape(cause)):
         state_from_text(text)
     path = tmp_path / "bad.txt"
