@@ -32,8 +32,8 @@ reads one neighbour row on each side of the slab) and the p-diffusion,
 each formed in one slab-sized scratch buffer, with the real coefficients
 p/m and D2/2 scaling its float view.  Every element sees the whole-grid
 expression's operations (addition commutes), so neither the window nor
-the slab size changes a bit, and the operators are the only memory kept
-between calls.
+the slab size changes a bit, and the operators and that one slab buffer
+are the only memory kept between calls.
 
 Time stepping is classical RK4, in `_rk4` for both equations, and a step
 holds three grid arrays: the cells, the stage state and the accumulator.
@@ -189,8 +189,8 @@ def apply_generator(
     operators are built (and `validate_model` run on the q points) on the
     first call for a (model, grid) pair and reused while the same model
     and grid keep coming back.  The rows are evaluated one slab at a time
-    through one slab-sized scratch buffer; the q-transport of a slab reads
-    the cells of its neighbour rows.
+    through one slab-sized scratch buffer, kept beside the operators; the
+    q-transport of a slab reads the cells of its neighbour rows.
     """
     grid = state.grid
     liou_t, back_t, p_over_m, half_d2 = _operators(model, grid, _cq_operators)
@@ -203,7 +203,7 @@ def apply_generator(
     rate = out.reshape((hi - lo,) + fvec.shape[1:])
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
     slab = _slab_rows(f)
-    scratch = np.empty((min(slab, hi - lo),) + fvec.shape[1:], dtype=complex)
+    scratch = _scratch((slab,) + fvec.shape[1:])
 
     # a one-level (purely classical) model acts alike on every matrix
     # element, so it applies elementwise to cells of any dimension
@@ -282,16 +282,27 @@ def _kron(a, b):
 
 # One entry: every RK4 stage of a run asks for the same (model, grid), and
 # models are frozen with read-only matrices, so identity is a sound key.
-_memo = (None, None, None)
+# Beside the operators it keeps `apply_generator`'s slab scratch buffer.
+_memo = (None, None, None, None)
 
 
 def _operators(model, grid, build):
     global _memo
-    cached_model, cached_grid, ops = _memo
+    cached_model, cached_grid, ops, _ = _memo
     if cached_model is not model or cached_grid != grid:
         ops = build(model, grid)
-        _memo = (model, grid, ops)
+        _memo = (model, grid, ops, None)
     return ops
+
+
+def _scratch(shape):
+    """An uninitialized complex array of ``shape``, kept in the memo entry for the next call."""
+    global _memo
+    model, grid, ops, scratch = _memo
+    if scratch is None or scratch.shape != shape:
+        scratch = np.empty(shape, dtype=complex)
+        _memo = (model, grid, ops, scratch)
+    return scratch
 
 
 def branch_generator(

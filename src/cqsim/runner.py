@@ -10,6 +10,8 @@ and its binding term; the gate runs it before any output exists, and each
 run reports it in its summary.
 unravel integrates its ensemble once and takes trajectory 0 from it;
 sample_paths scores its sampled paths as `ClassicalPath` batches.
+`compare_artifacts` parses two large dumps in two forked workers, with the
+value and every refusal of parsing them in this process.
 
 Artifacts per run type:
 
@@ -32,10 +34,13 @@ import numpy as np
 from .generator import EvolutionError, cfl_terms, evolve, evolve_measurement
 from .models import ModelValidationError, diagonalize_model, validate_model
 from .paths import BranchPair, anomalous_term, fv_action, om_action, sample_path_ensemble, ClassicalPath
+from .pool import _map_chunks
 from .psd import schur_cp_check, tradeoff_verdict
 from .scenario import Scenario
 from .state import (
+    BLOCK_FLOATS,
     classical_marginal,
+    dump_floats,
     gaussian_product_state,
     load_state,
     save_state,
@@ -355,14 +360,26 @@ def compare_artifacts(path_a, path_b, metric="l1") -> float:
 
     Both files must be state dumps on identical grids (axis names, extents
     and point counts); the metric is over the classical probability
-    densities (l1 is volume-weighted).
+    densities (l1 is volume-weighted).  Each dump is read by `load_state`
+    and reduced to its grid and marginal; dumps that together hold more
+    than `BLOCK_FLOATS` floats are read in two forked workers, which send
+    back only that.
     """
-    a, b = load_state(path_a), load_state(path_b)
-    if a.grid != b.grid:
-        raise ValueError(f"grids differ: {a.grid} vs {b.grid}")
-    pa, pb = classical_marginal(a), classical_marginal(b)
+    paths = (path_a, path_b)
+    if sum(map(dump_floats, paths)) > BLOCK_FLOATS:
+        read = _map_chunks(_grid_and_marginal, [(path,) for path in paths])
+    else:
+        read = map(_grid_and_marginal, paths)
+    (grid_a, pa), (grid_b, pb) = read
+    if grid_a != grid_b:
+        raise ValueError(f"grids differ: {grid_a} vs {grid_b}")
     if metric == "l1":
-        return float(np.abs(pa - pb).sum() * a.grid.cell_volume)
+        return float(np.abs(pa - pb).sum() * grid_a.cell_volume)
     if metric == "linf":
         return float(np.abs(pa - pb).max())
     raise ValueError(f"unknown metric {metric!r} (use l1 or linf)")
+
+
+def _grid_and_marginal(path):
+    state = load_state(path)
+    return state.grid, classical_marginal(state)

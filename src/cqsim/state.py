@@ -13,18 +13,27 @@ total trace, which diagnostics monitor during evolution.
 
 States are immutable snapshots: evolution produces new instances and cells
 may be read concurrently.
+
+A state dump is text, formatted a block of `BLOCK_FLOATS` floats at a
+time.  The blocks of a dump larger than one block are formatted in forked
+workers (`pool._map_chunks`) and written in order, so a dump's bytes do not
+depend on the number of workers; a smaller dump is written straight to its
+file and starts no pool.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .grids import PhaseGrid, GridAxis
+from .pool import _map_chunks
 
 __all__ = [
     "HybridState",
@@ -175,8 +184,9 @@ def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> Hybr
 # and, for provenance, an optional resolved-scenario JSON blob.
 
 FLOAT_FMT = "%.17g"
-# Cells per block of a state dump being written.
-_WRITE_ROWS = 1 << 12
+# Floats per block of state text IO.  Work of one block or less starts no
+# pool: 121^2 cells at d = 2 are 146410 floats.
+BLOCK_FLOATS = 1 << 19
 
 
 def write_table(fh, header_lines, table):
@@ -204,15 +214,18 @@ def _yaml_non_finite(value):
 
 
 def save_state(state: HybridState, path, scenario=None):
+    """Write the dump of ``state`` to the file ``path``, with ``scenario`` as its provenance."""
     with open(path, "w") as fh:
         _write_state(fh, state, scenario)
 
 
 def _write_state(fh, state, scenario):
-    """Write the dump of ``state`` to the stream ``fh``, `_WRITE_ROWS` cells at a time.
+    """Write the dump of ``state`` to the stream ``fh``, in blocks of about `BLOCK_FLOATS`.
 
     Each block is the rows of one whole-table `write_table`, so the bytes
-    are the same and no table of the whole grid is built.
+    are the same and no table larger than a block is built.  A dump of one
+    block is written straight to ``fh``; the blocks of a larger one are
+    formatted by `_map_chunks`, in forked workers, and written in order.
     """
     meta = {
         "axes": [
@@ -227,11 +240,31 @@ def _write_state(fh, state, scenario):
     d = state.hilbert_dim
     header.append("# columns: " + ",".join(_state_columns(state.grid, d)))
     coords = [m.reshape(-1) for m in state.grid.meshes()]
-    entries = state.cells.reshape(coords[0].size, d * d).view(float)
-    for lo in range(0, coords[0].size, _WRITE_ROWS):
-        block = slice(lo, lo + _WRITE_ROWS)
-        write_table(fh, header, np.column_stack([c[block] for c in coords] + [entries[block]]))
-        header = []
+    n = coords[0].size
+    entries = state.cells.reshape(n, d * d).view(float)
+    rows = max(1, BLOCK_FLOATS // (len(coords) + entries.shape[1]))
+    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    if len(blocks) == 1:
+        # no pool, so no copy of the text either
+        _write_block(fh, header, coords, entries, 0, n)
+        return
+    # the header is block 0's text, so nothing is buffered in fh when the
+    # pool forks
+    for text in _map_chunks(partial(_block_text, header, coords, entries), blocks):
+        fh.write(text)
+
+
+def _write_block(out, header, coords, entries, lo, hi):
+    """`write_table` of dump rows lo..hi-1 to the stream ``out``, after ``header`` at row 0."""
+    table = np.column_stack([c[lo:hi] for c in coords] + [entries[lo:hi]])
+    write_table(out, header if lo == 0 else [], table)
+
+
+def _block_text(header, coords, entries, lo, hi):
+    """The text `_write_block` writes of dump rows lo..hi-1."""
+    out = io.StringIO()
+    _write_block(out, header, coords, entries, lo, hi)
+    return out.getvalue()
 
 
 def _state_columns(grid, d):
@@ -253,6 +286,20 @@ def load_state(path) -> HybridState:
         has_data = any(map(_is_data, fh))
     table = np.loadtxt(path, delimiter=",", ndmin=2) if has_data else None
     return _checked_state(grid, d, table, lambda: _file_lines(path))
+
+
+def dump_floats(path) -> int:
+    """Floats in the table of the state dump ``path``, by its header line.
+
+    0 when the header cannot be read or is refused, which is left to
+    `load_state` to report.
+    """
+    try:
+        with open(path) as fh:
+            grid, d = _state_header(fh.readline().splitlines())
+    except (OSError, ValueError):
+        return 0
+    return int(np.prod(grid.shape)) * (grid.ndim + 2 * d * d)
 
 
 def state_from_text(text: str) -> HybridState:

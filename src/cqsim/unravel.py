@@ -35,7 +35,6 @@ dimension.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -45,6 +44,7 @@ import numpy as np
 from .generator import _count
 from .grids import PhaseGrid
 from .models import MeasurementModel
+from .pool import _map_chunks
 from .state import HybridState
 
 __all__ = [
@@ -262,45 +262,6 @@ def _integrate_chunk(m, psi0, z0, dt, n_steps, master_seed, z0_sigma, record_idx
             series[:, col] = z
             col += 1
     return z, psi.T, worst, series, (first_z, first_psi, defects) if lo == 0 else None
-
-
-# A pool worker's chunk job, set by the pool's initializer.  Under the fork
-# start method the initializer's arguments are inherited, not pickled: a job
-# holds its model, and models hold lambdas.
-_JOB = None
-
-
-def _set_job(job):
-    global _JOB
-    _JOB = job
-
-
-def _run_job(lo, hi):
-    return _JOB(lo, hi)
-
-
-def _map_chunks(job, bounds):
-    """``job(lo, hi)`` for each chunk's bounds, yielded in chunk order.
-
-    Runs in one forked worker per CPU of the affinity mask, at most one per
-    chunk; in this process when that is one worker, or when this process is
-    daemonic and so may not have children.  A chunk's exception is raised
-    when its turn comes, so the first failing chunk's error is the one seen.
-    """
-    workers = min(len(os.sched_getaffinity(0)), len(bounds))
-    if workers > 1:
-        # imported here: they cost every cqsim process about 10 ms and 2 MB,
-        # so only a run that may start a pool loads them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if not multiprocessing.current_process().daemon:
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_set_job, initargs=(job,)) as pool:
-                yield from pool.map(_run_job, *zip(*bounds))
-            return
-    for lo, hi in bounds:
-        yield job(lo, hi)
 
 
 def _locate(z, grid: PhaseGrid):

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,56 @@ def overlap_rebin(dens, src, dst):
             if seg > 0:
                 out[i] += dens[j] * seg
     return out / (de[1] - de[0])
+
+
+def in_child(fn, daemon=False):
+    """fn() in a forked child process; returns its result or raises its exception."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def main():
+        try:
+            send.send((True, fn()))
+        except Exception as exc:
+            send.send((False, exc))
+
+    proc = ctx.Process(target=main, daemon=daemon)
+    proc.start()
+    try:
+        assert recv.poll(300), "child process sent no result"
+        ok, value = recv.recv()
+    finally:
+        proc.join()
+    if not ok:
+        raise value
+    return value
+
+
+def on_one_cpu(fn):
+    """fn() in a forked child pinned to one CPU of this process's affinity mask."""
+    cpu = min(os.sched_getaffinity(0))
+
+    def pinned():
+        os.sched_setaffinity(0, {cpu})  # the child process only
+        return fn()
+
+    return in_child(pinned)
+
+
+def record_pids(monkeypatch, module, name, path):
+    """Make ``module.name`` append the pid of each process that calls it to the file ``path``.
+
+    Forked workers inherit the patch; returns a function that reads the pids back.
+    """
+    fn = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return lambda: [int(pid) for pid in path.read_text().split()] if path.exists() else []
 
 
 @pytest.fixture

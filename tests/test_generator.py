@@ -923,7 +923,7 @@ class TestInPlaceKernel:
         assert grid_bytes > 8 * slab_bytes
         dt = 0.4 * cfl_limit(model, state.grid)
         # the operators are built inside the step
-        monkeypatch.setattr(generator, "_memo", (None, None, None))
+        monkeypatch.setattr(generator, "_memo", (None, None, None, None))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1038,6 +1038,22 @@ class TestInPlaceKernel:
             assert peak < grid_bytes + 4 * generator._SLAB_BYTES
         finally:
             tracemalloc.stop()
+
+    def test_scratch_slab_is_kept_between_calls(self):
+        model, state = kernel_case(8, 8, 101, False)
+        state = HybridState(state.grid, np.ascontiguousarray(state.cells))
+        out = np.empty_like(state.cells)
+        first = apply_generator(model, state, out=out).copy()
+        slab_bytes = generator._slab_rows(state.cells) * state.cells[0].nbytes
+        tracemalloc.start()
+        try:
+            apply_generator(model, state, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # only stencil edge-row temporaries: the slab buffer is the memo's
+        assert peak < slab_bytes / 2
+        assert out.tobytes() == first.tobytes()
 
     def test_recorded_cells_are_freed_after_the_next_step(self, monkeypatch, small_grid):
         model = qubit_decoherence_model(lam=0.6, d0=1.0)

@@ -1,11 +1,16 @@
+import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cqsim import runner
 from cqsim import state as state_module
 from cqsim.cli import main
 from cqsim.grids import GridAxis, PhaseGrid
@@ -24,7 +29,7 @@ from cqsim.state import (
     total_trace,
 )
 
-from conftest import PLUS
+from conftest import PLUS, in_child, on_one_cpu, record_pids
 
 
 def test_normalized_product_state_has_unit_trace(gaussian_state):
@@ -157,29 +162,57 @@ def test_serialization_single_axis_grid(tmp_path):
     assert total_trace(loaded) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("block", [7, 81, None], ids=["7-rows", "one-block", "default"])
-def test_state_written_in_blocks_is_the_whole_table(tmp_path, monkeypatch, block):
-    n = 9 if block else 70
+# (grid points per axis, hilbert_dim, BLOCK_FLOATS or None for the default, blocks)
+BLOCK_CASES = {"7-rows": (9, 2, 70, 12), "one-block": (9, 2, 810, 1), "default": (70, 8, None, 2)}
+WRITERS = [(case, where) for where in ("this-process", "one-cpu", "daemon") for case in BLOCK_CASES]
+
+
+@pytest.mark.parametrize(
+    "case, where", WRITERS,
+    ids=[case if where == "this-process" else f"{case}-{where}" for case, where in WRITERS],
+)
+def test_state_written_in_blocks_is_the_whole_table(tmp_path, monkeypatch, case, where):
+    n, d, block, blocks = BLOCK_CASES[case]
     grid = PhaseGrid((GridAxis("q", -1.0, 1.0, n), GridAxis("p", -2.0, 2.0, n)))
     rng = np.random.default_rng(5)
-    cells = rng.normal(size=grid.shape + (2, 2)) + 1j * rng.normal(size=grid.shape + (2, 2))
+    shape = grid.shape + (d, d)
+    cells = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     state = HybridState(grid, cells)
     if block:
-        monkeypatch.setattr(state_module, "_WRITE_ROWS", block)
-    else:
-        assert n * n > state_module._WRITE_ROWS
+        monkeypatch.setattr(state_module, "BLOCK_FLOATS", block)
+    rows = state_module.BLOCK_FLOATS // (2 + 2 * d * d)
+    # several blocks end in a shorter one
+    assert -(-n * n // rows) == blocks and (blocks == 1 or n * n % rows)
+    pids = record_pids(monkeypatch, state_module, "_block_text", tmp_path / "pids")
     scenario = {"run": "evolve"}
-    text = saved_text(tmp_path, state, scenario)
+    path = tmp_path / "state.txt"
+
+    def write():
+        save_state(state, path, scenario=scenario)
+        return os.getpid()
+
+    writer = {
+        "this-process": write,
+        "one-cpu": lambda: on_one_cpu(write),
+        "daemon": lambda: in_child(write, daemon=True),
+    }[where]()
+    text = path.read_text()
     coords = [m.reshape(-1) for m in grid.meshes()]
     whole = io.StringIO()
     np.savetxt(
-        whole, np.column_stack(coords + [cells.reshape(n * n, 4).view(float)]), fmt="%.17g",
-        delimiter=",", header="\n".join(text.splitlines()[:3]), comments="",
+        whole, np.column_stack(coords + [cells.reshape(n * n, d * d).view(float)]),
+        fmt="%.17g", delimiter=",", header="\n".join(text.splitlines()[:3]), comments="",
     )
-    assert text == whole.getvalue()
-    path = tmp_path / "state.txt"
-    save_state(state, path, scenario=scenario)
     assert path.read_bytes() == whole.getvalue().encode()
+    # a one-block dump is written straight to its file; the blocks of a larger
+    # one are formatted in forked workers, or in the writer when it has one
+    # CPU or is daemonic
+    if blocks == 1:
+        assert pids() == []
+    elif where == "this-process" and len(os.sched_getaffinity(0)) > 1:
+        assert len(pids()) == blocks and writer not in pids()
+    else:
+        assert pids() == [writer] * blocks
 
 
 def test_load_state_holds_one_table(tmp_path):
@@ -333,6 +366,95 @@ def test_malformed_state_file_names_the_cause(tmp_path, capsys, edit, cause):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and cause in err
     assert "Traceback" not in err
+
+
+# -- compare in forked workers: the same values, refusals and exit codes --------
+
+
+def _cli(args):
+    """(exit code, stdout, stderr) of the command line ``args``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _dump(tmp_path, name, q_lo=-1.0, p0=0.0, edit=None):
+    """The path of a 9 x 9 state dump, optionally passed through ``edit``."""
+    grid = PhaseGrid((GridAxis("q", q_lo, -q_lo, 9), GridAxis("p", -1.0, 1.0, 9)))
+    text = saved_text(tmp_path, gaussian_product_state(grid, (0.0, p0), (0.5, 0.5)))
+    path = tmp_path / name
+    path.write_text(edit(text) if edit else text)
+    return path
+
+
+# the second dump of each pair: (its path, exit code, start of stderr)
+COMPARE_CASES = {
+    "distance": (lambda tmp: _dump(tmp, "b", p0=0.3), 0, ""),
+    "nan-entry": (lambda tmp: _dump(tmp, "b", edit=_set_entry(5, 2, "nan")), 1,
+                  "error: state row 5 (line 7), column re_00: nan is not a finite number\n"),
+    "rows-swapped": (lambda tmp: _dump(tmp, "b", edit=lambda t: _edit_rows(t, _swap)), 1,
+                     "error: state row 3 (line 5), column p: -0.25 is not the grid point -0.5\n"),
+    "missing-file": (lambda tmp: tmp / "missing.txt", 2, "error: [Errno 2] No such file"),
+    "grids-differ": (lambda tmp: _dump(tmp, "b", q_lo=-2.0), 1, "error: grids differ: "),
+}
+
+
+@pytest.mark.parametrize("where", ["pooled", "daemon"])
+@pytest.mark.parametrize("metric", ["l1", "linf"])
+@pytest.mark.parametrize("case", sorted(COMPARE_CASES))
+def test_pooled_compare_matches_in_process(tmp_path, monkeypatch, case, metric, where):
+    make_b, code, message = COMPARE_CASES[case]
+    a, b = _dump(tmp_path, "a"), make_b(tmp_path)
+    args = ["compare", str(a), str(b), "--metric", metric]
+    assert state_module.dump_floats(a) + state_module.dump_floats(b) <= runner.BLOCK_FLOATS
+    here = _cli(args)  # small dumps: parsed in this process
+    assert here[0] == code and here[2].startswith(message)
+    if case == "distance":
+        assert float(here[1]) > 0.0
+    if case == "grids-differ":
+        grids = [load_state(path).grid for path in (a, b)]
+        assert here[2] == f"error: grids differ: {grids[0]} vs {grids[1]}\n"
+    if case == "missing-file":
+        assert str(b) in here[2]
+
+    # any dump now holds more than one block: the dumps are parsed in two
+    # forked workers, or in this process when it is daemonic
+    monkeypatch.setattr(runner, "BLOCK_FLOATS", 0)
+    pids = record_pids(monkeypatch, runner, "_grid_and_marginal", tmp_path / "pids")
+    if where == "pooled":
+        assert _cli(args) == here
+        if len(os.sched_getaffinity(0)) > 1:
+            assert len(pids()) == 2 and os.getpid() not in pids()
+    else:
+        assert in_child(lambda: _cli(args), daemon=True) == here
+        assert len(set(pids())) == 1 and os.getpid() not in pids()
+
+
+def test_small_work_starts_no_pool(tmp_path):
+    # a fresh interpreter, since this one has imported multiprocessing
+    script = f"""
+import sys
+import numpy as np
+from cqsim.cli import main
+from cqsim.grids import GridAxis, PhaseGrid
+from cqsim.state import BLOCK_FLOATS, dump_floats, gaussian_product_state, save_state
+
+# 121^2 cells at d = 2, the size of grid_long's dump: one block
+grid = PhaseGrid((GridAxis("q", -5.0, 5.0, 121), GridAxis("p", -4.0, 4.0, 121)))
+paths = [{str(tmp_path / "a.txt")!r}, {str(tmp_path / "b.txt")!r}]
+for path, p0 in zip(paths, (0.0, 0.1)):
+    save_state(gaussian_product_state(grid, (0.0, p0), (0.6, 0.6), rho_q=np.eye(2)), path)
+assert dump_floats(paths[0]) == 146410 and 2 * 146410 <= BLOCK_FLOATS
+assert main(["compare", *paths]) == 0
+pooled = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
+assert not pooled, pooled
+"""
+    src = os.path.dirname(os.path.dirname(state_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) > 0.0
 
 
 def test_grid_invariants():

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import re
 
@@ -20,7 +19,7 @@ from cqsim.unravel import (
     trajectory_rng,
 )
 
-from conftest import PLUS, SIGMA_X, SIGMA_Z, overlap_rebin
+from conftest import PLUS, SIGMA_X, SIGMA_Z, in_child, on_one_cpu, overlap_rebin
 
 
 def test_eigenstate_is_collapse_fixed_point():
@@ -405,29 +404,6 @@ def test_ensemble_matches_frozen_row_major_step_bitwise(m, psi0, n, n_steps, sig
 # -- chunks in forked workers: the same bits as one process --------------------
 
 
-def _in_child(fn, daemon=False):
-    """fn() in a forked child process; returns its result or raises its exception."""
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-
-    def main():
-        try:
-            send.send((True, fn()))
-        except Exception as exc:
-            send.send((False, exc))
-
-    proc = ctx.Process(target=main, daemon=daemon)
-    proc.start()
-    try:
-        assert recv.poll(300), "child process sent no result"
-        ok, value = recv.recv()
-    finally:
-        proc.join()
-    if not ok:
-        raise value
-    return value
-
-
 def _assert_same_ensemble(a, b):
     assert _same_bits(a.z, b.z) and _same_bits(a.psi, b.psi)
     assert _same_bits(a.first.z, b.first.z) and _same_bits(a.first.psi, b.first.psi)
@@ -443,21 +419,16 @@ _POOL_CASE = dict(
 )
 
 
-def _pinned_ensemble(cpu):
-    os.sched_setaffinity(0, {cpu})  # this child process only
-    return run_ensemble(**_POOL_CASE)
-
-
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 def test_pooled_ensemble_matches_one_cpu_run_bitwise():
     pooled = run_ensemble(**_POOL_CASE)  # three chunks over at least two workers
-    one_cpu = _in_child(lambda: _pinned_ensemble(min(os.sched_getaffinity(0))))
+    one_cpu = on_one_cpu(lambda: run_ensemble(**_POOL_CASE))
     _assert_same_ensemble(pooled, one_cpu)
 
 
 def test_daemonic_caller_integrates_in_process():
     # a daemonic process may not have children: the pool would refuse to start
-    in_daemon = _in_child(lambda: run_ensemble(**_POOL_CASE), daemon=True)
+    in_daemon = in_child(lambda: run_ensemble(**_POOL_CASE), daemon=True)
     _assert_same_ensemble(in_daemon, run_ensemble(**_POOL_CASE))
 
 
@@ -482,7 +453,7 @@ def test_first_failing_chunk_raises_its_error():
     with pytest.raises(ValueError, match=message):
         run()
     with pytest.raises(ValueError, match=message):  # the in-process path
-        _in_child(run, daemon=True)
+        in_child(run, daemon=True)
 
 
 # -- library inputs are refused, not coerced -----------------------------------
