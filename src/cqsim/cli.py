@@ -21,6 +21,7 @@ import sys
 from .runner import RunFailure, check_scenario, compare_artifacts, run_scenario
 from .scenario import ScenarioError, parse_scenario_file
 from .state import FLOAT_FMT
+from .unravel import SEED_LIMIT
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
@@ -48,6 +49,8 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--metric", choices=("l1", "linf"), default="l1")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
+        p_run.error(f"argument --seed: must lie in [0, 2**64), got {args.seed}")
 
     try:
         if args.command == "run":

@@ -20,32 +20,21 @@ cells viewed as fvec of shape (nq, np, d^2) (row-major vec of each cell),
            + (1/2) D2(q) d^2 fvec/dp^2,
 
 where the d^2 x d^2 Liouvillian L(q) holds the commutator and dissipator
-and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.  These
-operators are built once per (model, grid) -- on the first call for that
-pair, a chunk of q rows at a time -- and reused by every later RK4 stage.
-The build first audits the model on the grid's points, so each (model,
-grid) is audited once; a failure is never cached.  `apply_generator`
-writes the rate of a window of q rows into a caller's array (a new one by
-default), one slab of about `_SLAB_BYTES` of cells at a time: the
-back-reaction product, fvec @ L(q)^T added to it, the q-transport (which
-reads one neighbour row on each side of the slab) and the p-diffusion,
-each formed in one slab-sized scratch buffer, with the real coefficients
-p/m and D2/2 scaling its float view.  Every element sees the whole-grid
-expression's operations (addition commutes), so neither the window nor
-the slab size changes a bit, and the operators and that one slab buffer
-are the only memory kept between calls.
+and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.
+`_cell_operators` builds both, for either equation, once per (model,
+grid), after auditing the model on the grid's points; a failure is never
+cached.  `apply_generator` evaluates a window of q rows one slab of about
+`_SLAB_BYTES` of cells at a time, through one scratch slab it keeps beside
+the operators.  Every element sees the whole-grid expression's operations,
+so neither the window nor the slab size changes a bit.
 
-Time stepping is classical RK4, in `_rk4` for both equations, and a step
-holds three grid arrays: the cells, the stage state and the accumulator.
-k1 goes straight into the accumulator.  k2 and k3 are swept window by
-window of q rows into slab buffers allocated once per `evolve`; each
-window's stage rows and accumulator rows are written one window behind
-the sweep, after the next window has read the old stage rows as stencil
-neighbours.  k4 is added window by window.  A step is bit-for-bit
-cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) and never writes the input cells.
-`evolve` and `evolve_measurement` take a step dt and a whole number of
-steps, which the caller decides; a trace-drift abort reports the
-probability found in the outermost grid cells.
+Time stepping is classical RK4, `_rk4` for both equations.  A step holds
+three grid arrays (the cells, the stage state and the accumulator), sweeps
+its stages through windows of q rows that it cuts itself, and is
+bit-for-bit cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4).  `evolve` and
+`evolve_measurement` take a step dt and a whole number of steps, which the
+caller decides; a trace-drift abort reports the probability found in the
+outermost grid cells.
 
 `branch_generator` provides an independent evolution route for models
 diagonal in a fixed basis: each matrix element varrho_ab is transported by
@@ -54,19 +43,15 @@ Feynman-Vernon rate (D0/2)(l_a - l_b)^2.  It is the module's internal
 oracle: where applicable, it must agree with `apply_generator` cellwise.
 
 `measurement_generator` evaluates the linear master equation of an ideal
-continuous measurement on a one-axis signal grid, with couplings
-D0 = 2k(z), D2 = 1/(8k(z)) -- the saturated special case used for
-cross-validation against stochastic unraveling.  It has the same shape and
-signature: a per-cell superoperator -k(z)[Z,[Z,.]] - (i/hbar)[H,.], the
-conservative drift -d(fvec @ A(z)^T)/dz with A(z) = (1/2)(Z kron I + I kron
-Z^T), and the diffusion (1/2) d^2(D2 varrho)/dz^2, with operators built
-(and the model audited) once per (model, grid).  Its drift differentiates
-the flux of the whole grid, so its RK4 sweep is one window.
-
-Both equations share one set of named step limits, `cfl_terms`, whose
-minimum is `cfl_limit`: the measurement equation is the CQ one along z
-with L = Z, D0 = 2k, D2 = 1/(8k), the signal drift ||Z|| as force and no
-transport.
+continuous measurement on a one-axis signal grid: the saturated special
+case of the CQ equation along z, used for cross-validation against
+stochastic unraveling.  Its operators come from the same builder with
+L = Z, D0 = 2k, H = h and no force -- the superoperator -k(z)[Z,[Z,.]]
+- (i/hbar)[H,.] and the drift -d(fvec @ A(z)^T)/dz, A(z) = (1/2)(Z kron I
++ I kron Z^T) -- beside the diffusion (1/2) d^2(D2 varrho)/dz^2 with
+D2 = 1/(8k).  Its drift differentiates the flux of the whole grid, so its
+RK4 sweep is one window.  Both equations share one set of named step
+limits, `cfl_terms`, whose minimum is `cfl_limit`.
 """
 
 from __future__ import annotations
@@ -205,16 +190,13 @@ def apply_generator(
     slab = _slab_rows(f)
     scratch = _scratch((slab,) + fvec.shape[1:])
 
-    # a one-level (purely classical) model acts alike on every matrix
-    # element, so it applies elementwise to cells of any dimension
-    product = np.matmul if model.hilbert_dim > 1 else np.multiply
     for start in range(lo, hi, slab):
         q = slice(start, min(start + slab, hi))
         r, d = rate[start - lo : q.stop - lo], scratch[: q.stop - start]
         # the back-reaction product first, then fvec @ L(q)^T added to it:
         # addition commutes, so each element gets the bits of their sum
-        product(d_dx(fvec, 1, hp_ax, out=d, rows=q), back_t[q], out=r)
-        r += product(fvec[q], liou_t[q], out=d)
+        np.matmul(d_dx(fvec, 1, hp_ax, out=d, rows=q), back_t[q], out=r)
+        r += np.matmul(fvec[q], liou_t[q], out=d)
         r -= times_real(d_dx(fvec, 0, hq_ax, out=d, rows=q), p_over_m)
         r += times_real(d2_dx2(fvec, 1, hp_ax, out=d, rows=q), half_d2[q])
     return out
@@ -226,46 +208,53 @@ def _slab_rows(cells):
 
 
 def _cq_operators(model: CQModel, grid: PhaseGrid):
-    """Per-q operators of `apply_generator` in the row-major vec basis.
+    """Per-q operators of `apply_generator`, broadcastable against (nq, np, d^2) cells.
 
-    Returns (L(q)^T, B(q)^T, p/m, D2(q)/2), broadcastable against cells
-    viewed as (nq, np, d^2), where vec(A X C) = (A kron C^T) vec(X) and
-
-      L(q) = -(i/hbar)(H kron I - I kron H^T)
-             + D0(q)(L kron L^T - (1/2)(L^2 kron I + I kron (L^2)^T)),
-      B(q) = V'(q) I + (1/2)(L kron I + I kron L^T),   L = dV_I/dq.
-
-    The q-dependent terms are evaluated a chunk of about `_SLAB_BYTES` per
-    operator at a time, straight into the two returned arrays, so no
-    temporary the size of an operator exists.
+    (L(q)^T, B(q)^T), the `_cell_operators` of H_q, L = dV_I/dq, D0(q) and
+    the force V'(q), then p/m and D2(q)/2.
     """
     if grid.ndim != 2:
         raise ValueError("apply_generator needs a (q, p) grid with two axes")
     qs = grid.axes[0].points
     validate_model(model, qs)
-    d = model.hilbert_dim
-    eye = np.eye(d)
-    lop = np.asarray(model.dv_i(qs), dtype=complex)
-    l2 = lop @ lop
-    d0_of_q = np.asarray(model.d0(qs), dtype=float)[:, None, None]
-    vprime = np.asarray(classical_force(model, qs), dtype=float)[:, None, None]
-    h = model.h_q
-    commutator = (-1j / model.hbar) * (_kron(h, eye) - _kron(eye, h.T))
-    nq = len(qs)
-    liou_t = np.empty((nq, d * d, d * d), dtype=complex)
-    back_t = np.empty_like(liou_t)
-    chunk = max(1, _SLAB_BYTES // liou_t[0].nbytes)
-    for lo in range(0, nq, chunk):
-        q = slice(lo, lo + chunk)
-        lq, l2q = lop[q], l2[q]
-        liou_t[q] = _t(
-            commutator
-            + d0_of_q[q] * (_kron(lq, _t(lq)) - 0.5 * (_kron(l2q, eye) + _kron(eye, _t(l2q))))
-        )
-        back_t[q] = _t(vprime[q] * np.eye(d * d) + 0.5 * (_kron(lq, eye) + _kron(eye, _t(lq))))
+    force = classical_force(model, qs)
+    liou_t, back_t = _cell_operators(model.h_q, model.hbar, model.dv_i(qs), model.d0(qs), force)
     p_over_m = (grid.axes[1].points / model.mass)[None, :, None]
     half_d2 = 0.5 * np.asarray(model.d2(qs), dtype=float)[:, None, None]
     return liou_t, back_t, p_over_m, half_d2
+
+
+def _cell_operators(h, hbar, lop, d0, force):
+    """L(x)^T and B(x)^T at each grid point x, in the row-major vec basis.
+
+    For the Hamiltonian ``h`` and per point L = ``lop``, real D0 = ``d0``
+    and V' = ``force``, with vec(A X C) = (A kron C^T) vec(X):
+
+      L(x) = -(i/hbar)(H kron I - I kron H^T)
+             + D0(x)(L kron L^T - (1/2)(L^2 kron I + I kron (L^2)^T)),
+      B(x) = V'(x) I + (1/2)(L kron I + I kron L^T).
+
+    A chunk of about `_SLAB_BYTES` per operator is evaluated at a time,
+    straight into the returned arrays: no operator-sized temporary exists.
+    """
+    lop = np.asarray(lop, dtype=complex)
+    n, d = lop.shape[0], lop.shape[-1]
+    eye = np.eye(d)
+    l2 = lop @ lop
+    d0, force = (np.asarray(c, dtype=float)[:, None, None] for c in (d0, force))
+    commutator = (-1j / hbar) * (_kron(h, eye) - _kron(eye, h.T))
+    liou_t = np.empty((n, d * d, d * d), dtype=complex)
+    back_t = np.empty_like(liou_t)
+    chunk = max(1, _SLAB_BYTES // liou_t[0].nbytes)
+    for lo in range(0, n, chunk):
+        x = slice(lo, lo + chunk)
+        lx, l2x = lop[x], l2[x]
+        liou_t[x] = _t(
+            commutator
+            + d0[x] * (_kron(lx, _t(lx)) - 0.5 * (_kron(l2x, eye) + _kron(eye, _t(l2x))))
+        )
+        back_t[x] = _t(force[x] * np.eye(d * d) + 0.5 * (_kron(lx, eye) + _kron(eye, _t(lx))))
+    return liou_t, back_t
 
 
 def _t(a):
@@ -383,26 +372,19 @@ def measurement_generator(
 
 
 def _measurement_operators(m: MeasurementModel, grid: PhaseGrid):
-    """Per-z operators of `measurement_generator` in the row-major vec basis.
+    """Per-z operators of `measurement_generator`, broadcastable against (nz, 1, d^2) cells.
 
-    Returns (M(z)^T, A(z)^T, D2(z)) broadcastable against cells viewed as
-    (nz, 1, d^2), with the superoperator M(z) = -k(z)[Z,[Z,.]] - (i/hbar)[H,.]
-    and the signal-flux matrix A(z) = (1/2)(Z kron I + I kron Z^T).
+    (M(z)^T, A(z)^T), the `_cell_operators` with L = Z(z), D0 = 2k(z), H = h
+    (zero when absent) and no force, so M(z) = -k(z)[Z,[Z,.]] - (i/hbar)[H,.];
+    then D2(z).
     """
     if grid.ndim != 1:
         raise ValueError("measurement_generator needs a single-axis signal grid")
     zs = grid.axes[0].points
     m.validate(zs)
-    eye = np.eye(m.hilbert_dim)
-    z_op = np.asarray(m.z_op(zs), dtype=complex)
-    z2 = z_op @ z_op
-    k_of_z = np.asarray(m.k(zs), dtype=float)[:, None, None]
-    sup = -k_of_z * (_kron(z2, eye) - 2.0 * _kron(z_op, _t(z_op)) + _kron(eye, _t(z2)))
-    if m.h is not None:
-        sup = sup - (1j / m.hbar) * (_kron(m.h, eye) - _kron(eye, m.h.T))
-    flux = 0.5 * (_kron(z_op, eye) + _kron(eye, _t(z_op)))
-    d2_of_z = np.asarray(m.d2(zs), dtype=float)[:, None, None]
-    return _t(sup).copy(), _t(flux).copy(), d2_of_z
+    h = np.zeros((m.hilbert_dim, m.hilbert_dim)) if m.h is None else m.h
+    sup_t, flux_t = _cell_operators(h, m.hbar, m.z_op(zs), m.d0(zs), np.zeros(len(zs)))
+    return sup_t, flux_t, np.asarray(m.d2(zs), dtype=float)[:, None, None]
 
 
 # -- time stepping -----------------------------------------------------------
@@ -462,24 +444,26 @@ def measurement_cfl_limit(m: MeasurementModel, grid: PhaseGrid) -> float:
     return cfl_limit(m, grid)
 
 
-def _rk4(rate_fn, cells, dt, sweep):
+def _rk4(rate_fn, cells, dt, height):
     """One classical RK4 step of ``cells`` through three grid arrays.
 
     ``rate_fn(cells, rows, out)`` writes the rate of q rows ``rows`` (all
     rows for ``slice(None)``) into the C-contiguous ``out`` and returns
-    it.  ``sweep`` is the `_sweep` of ``cells``' shape: the q-row windows
-    of the stage rates and their buffers.
-
-    k1 is written straight into the accumulator, the stage state is formed
-    in a second array, and ``cells`` is never written.  k2 and k3 are each
-    swept window by window; a window's stage rows cells + h k and its
-    accumulator rows += 2 k are written one window behind the sweep, once
-    the next window has read the old stage rows as q-stencil neighbours.
-    k4 is added to the accumulator window by window.  Every element sees
-    the operations of cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in that order,
-    so a step is bit-for-bit that expression.
+    it.  k1 is written straight into the accumulator, the stage state is
+    formed in a second array, and ``cells`` is never written.  k2, k3 and
+    k4 are swept in windows of ``height`` q rows (the last may hold fewer),
+    which take turns in two rate buffers (one, for a one-window grid).  For
+    k2 and k3 a window's stage rows cells + h k and accumulator rows += 2 k
+    are written one window behind the sweep, once the next window has read
+    the old stage rows as q-stencil neighbours; the edge stencil of the last
+    row n-1 reads row n-3, so a window holds at least two rows.  Every
+    element sees the operations of cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in
+    that order, so a step is bit-for-bit that expression.
     """
-    windows, bufs = sweep
+    nq = len(cells)
+    height = min(nq, max(2, height))
+    windows = [slice(lo, min(lo + height, nq)) for lo in range(0, nq, height)]
+    bufs = [np.empty((height,) + cells.shape[1:], dtype=complex) for _ in windows[:2]]
     acc = rate_fn(cells, slice(None), np.empty(cells.shape, dtype=complex))
     stage = np.empty(cells.shape, dtype=complex)
     np.add(cells, np.multiply(acc, 0.5 * dt, out=stage), out=stage)
@@ -502,57 +486,41 @@ def _rk4(rate_fn, cells, dt, sweep):
     return acc
 
 
-def _sweep(shape, rows):
-    """The q-row windows of `_rk4` and their rate buffers, for cells of ``shape``.
-
-    Windows hold ``rows`` q rows (the last may hold fewer), at least two:
-    the edge stencil of the last row n-1 reads row n-3, which must still be
-    unwritten when the last window is evaluated.  The windows take turns
-    in two buffers (one, for a one-window grid).
-    """
-    nq = shape[0]
-    rows = min(nq, max(2, rows))
-    windows = [slice(lo, min(lo + rows, nq)) for lo in range(0, nq, rows)]
-    bufs = [np.empty((rows,) + shape[1:], dtype=complex) for _ in range(min(2, len(windows)))]
-    return windows, bufs
-
-
 def _stepper(model, state: HybridState, dt: float):
-    """(rate_fn, sweep) of `_rk4` for ``model`` on ``state``'s grid, for an admissible dt.
+    """(rate_fn, window height) of `_rk4` for ``model`` on ``state``'s grid, for an admissible dt.
 
     Audits the model by building its operators, then requires 0 < dt <= the
-    CFL-style limit.  The sweep buffers are allocated here, once for all
-    the steps taken with them.  The kernel is looked up when the rate
-    function is called.  The measurement kernel takes the whole grid as
-    its one window, since its drift differentiates the whole flux.
+    CFL-style limit.  The kernel is looked up when the rate function is
+    called.  The CQ kernel's windows are its slabs; the measurement kernel
+    takes the whole grid as its one window, since its drift differentiates
+    the whole flux.
     """
     grid = state.grid
     if isinstance(model, MeasurementModel):
         _operators(model, grid, _measurement_operators)
-        window = grid.shape[0]
+        height = grid.shape[0]
 
         def rate_fn(cells, rows, out):
             return measurement_generator(model, HybridState(grid, cells), rows, out)
 
     else:
         _operators(model, grid, _cq_operators)
-        window = _slab_rows(state.cells)
+        height = _slab_rows(state.cells)
 
         def rate_fn(cells, rows, out):
             return apply_generator(model, HybridState(grid, cells), rows, out)
 
     limit = cfl_limit(model, grid)
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     if dt > limit:
         raise ValueError(f"dt={float(dt)!r} exceeds the CFL-style limit {limit!r}")
-    return rate_fn, _sweep(state.cells.shape, window)
+    return rate_fn, height
 
 
 def step_rk4(model: CQModel, state: HybridState, dt: float) -> HybridState:
     """One classical 4th-order Runge-Kutta step of the full generator."""
-    rate_fn, sweep = _stepper(model, state, dt)
-    return HybridState(state.grid, _rk4(rate_fn, state.cells, dt, sweep))
+    rate_fn, height = _stepper(model, state, dt)
+    return HybridState(state.grid, _rk4(rate_fn, state.cells, dt, height))
 
 
 def _count(name, value, least):
@@ -564,6 +532,12 @@ def _count(name, value, least):
     if n is None or n < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return n
+
+
+def _check_dt(dt):
+    """A ValueError naming dt unless ``dt`` is a finite number > 0."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be a finite number > 0, got {dt!r}")
 
 
 def _most_negative_cell(state):
@@ -591,14 +565,14 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
     stride = _count("stride", stride, 1)
     state = initial.pop()
     grid = state.grid
-    rate_fn, sweep = _stepper(model, state, dt)
+    rate_fn, height = _stepper(model, state, dt)
     diags = EvolutionDiagnostics.empty()
     diags.record(0.0, state)
     initial_trace = diags.trace[0]
     cells = state.cells
     del state
     for step in range(1, n_steps + 1):
-        cells = _rk4(rate_fn, cells, dt, sweep)
+        cells = _rk4(rate_fn, cells, dt, height)
         if step % stride == 0 or step == n_steps:
             # no reference to the recorded state outlives this block: the
             # next step would otherwise hold a fourth grid array

@@ -44,6 +44,7 @@ from typing import Optional
 
 import numpy as np
 
+from .generator import _check_dt, _count
 from .models import CQModel, DiagonalizedModel, diagonalize_model
 from .unravel import trajectory_normals
 
@@ -225,8 +226,12 @@ def sample_path_ensemble(
     """Ensemble of sampled paths; returns (q, p) arrays of shape (n, steps+1).
 
     Path i draws its noise from the stream keyed (seed, i); ``q0`` and
-    ``p0`` are scalars or per-path arrays.
+    ``p0`` are scalars or per-path arrays.  A ``dt`` that is not a finite
+    number > 0, ``n_steps`` < 0 or ``n_paths`` < 1 is refused with a ValueError.
     """
+    _check_dt(dt)
+    n_steps = _count("n_steps", n_steps, 0)
+    n_paths = _count("n_paths", n_paths, 1)
     diag = None if pair is None else diagonalize_model(model, np.unique(q0))
     xis = trajectory_normals(seed, 0, n_paths, n_steps)
     qs = np.empty((n_paths, n_steps + 1))

@@ -48,7 +48,7 @@ from .state import (
     total_trace,
     write_table,
 )
-from .unravel import bin_ensemble, outside_frac, run_ensemble
+from .unravel import SEED_LIMIT, bin_ensemble, outside_frac, run_ensemble
 from .zerodim import QuadratureError, moment_perturbative, moment_quadrature
 
 __all__ = ["run_scenario", "check_scenario", "compare_artifacts", "RunFailure"]
@@ -163,10 +163,13 @@ def run_scenario(scenario: Scenario, out_dir, seed=None) -> dict:
 
     ``seed`` replaces the master seed of the run types that have one
     (unravel, sample_paths); the others ignore it.  Returns a small summary
-    dict.  A scenario the gate rejects raises ModelValidationError or
-    ValueError before ``out_dir`` is created.  Raises RunFailure on
-    invariant breaches (after dumping whatever diagnostics exist).
+    dict.  A scenario the gate rejects, or a seed outside [0, 2^64), raises
+    ModelValidationError or ValueError before ``out_dir`` is created.
+    Raises RunFailure on invariant breaches (after dumping whatever
+    diagnostics exist).
     """
+    if seed is not None and not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
     audit = check_scenario(scenario)
     if seed is not None and "seed" in scenario.numerics:
         numerics = dict(scenario.numerics, seed=seed)

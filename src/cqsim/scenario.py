@@ -49,6 +49,7 @@ from .grids import GridAxis, PhaseGrid
 from .models import ToyParams, constant_measurement_model, polynomial_cq_model
 from .psd import CouplingTriple, is_psd, require_hermitian
 from .state import LEAK_LIMIT
+from .unravel import SEED_LIMIT
 from .zerodim import PERTURBATIVE_ORDER_CAP
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_file", "RUN_TYPES"]
@@ -290,6 +291,7 @@ _BOUNDS = {
     ),
     "sigma_q": (lambda v: v > 0.0, "be > 0"),
     "sigma_p": (lambda v: v > 0.0, "be > 0"),
+    "seed": (lambda v: 0 <= v < SEED_LIMIT, "lie in [0, 2**64)"),
 }
 
 _INTEGER_KEYS = {"n_steps", "n_trajectories", "n_paths", "stride", "seed", "order"}

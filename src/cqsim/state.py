@@ -152,14 +152,19 @@ def min_cell_eigenvalue(state: HybridState) -> float:
 def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> HybridState:
     """Gaussian classical density times a fixed quantum density matrix, total trace 1.
 
-    ``centers`` and ``sigmas`` give one (mean, width) pair per grid axis;
-    ``rho_q`` defaults to the trivial 1 x 1 matrix [[1.0]].  The Gaussian
-    is normalized on the grid itself, so a truncated one still has total
-    trace 1; a state with no positive trace on the grid is refused.
+    ``centers`` and ``sigmas`` give one finite (mean, width > 0) pair per
+    grid axis; ``rho_q`` defaults to the trivial 1 x 1 matrix [[1.0]].  The
+    Gaussian is normalized on the grid itself, so a truncated one still has
+    total trace 1; other centers or widths, and a state with no positive
+    total trace on the grid, are refused with a ValueError.
     """
-    meshes = grid.meshes()
+    centers, sigmas = np.asarray(centers, dtype=float), np.asarray(sigmas, dtype=float)
+    if centers.shape != (grid.ndim,) or not np.all(np.isfinite(centers)):
+        raise ValueError(f"centers must be one finite number per grid axis, got {centers}")
+    if sigmas.shape != (grid.ndim,) or not np.all((0.0 < sigmas) & (sigmas < np.inf)):
+        raise ValueError(f"sigmas must be one finite number > 0 per grid axis, got {sigmas}")
     weight = np.ones(grid.shape)
-    for mesh, c, s in zip(meshes, centers, sigmas):
+    for mesh, c, s in zip(grid.meshes(), centers, sigmas):
         weight = weight * np.exp(-0.5 * ((mesh - c) / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
     if rho_q is None:
         rho_q = np.array([[1.0 + 0.0j]])
@@ -169,7 +174,7 @@ def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> Hybr
         rho_q = rho_q / tr
     state = HybridState(grid, weight[..., None, None] * rho_q)
     total = total_trace(state)
-    if total <= 0.0:
+    if not total > 0.0:
         raise ValueError(f"cannot normalize state with total trace {total}")
     return HybridState(grid, state.cells / total)
 

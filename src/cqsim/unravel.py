@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .generator import _count
+from .generator import _check_dt, _count
 from .grids import PhaseGrid
 from .models import MeasurementModel
 from .pool import _map_chunks
@@ -59,7 +59,8 @@ __all__ = [
     "estimate_km_moments",
 ]
 
-_MASK64 = (1 << 64) - 1
+# Seeds and row indices are the two 64-bit words of a Philox key.
+SEED_LIMIT = 1 << 64
 
 # Trajectories integrated together, as the n of the step's (d, n) states.
 # Bounds the (chunk, n_steps + 1) noise buffer, which is drawn per chunk:
@@ -71,8 +72,11 @@ OUTSIDE_LIMIT = 1e-3
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream for one trajectory."""
-    key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    """Independent counter-based stream for one trajectory, keyed by two words in [0, 2^64)."""
+    for name, word in (("master_seed", master_seed), ("index", index)):
+        if not 0 <= word < SEED_LIMIT:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {word!r}")
+    key = np.array([master_seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -82,12 +86,14 @@ def trajectory_normals(master_seed: int, start: int, n_rows: int, n_draws: int) 
     One generator replays every row: its Philox state is reset to a fresh one with the row's key.
     """
     rng = trajectory_rng(master_seed, start)
+    if start + n_rows > SEED_LIMIT:
+        raise ValueError(f"index must lie in [0, 2**64), got {start + n_rows - 1!r}")
     bits = rng.bit_generator
     fresh = bits.state
     key = fresh["state"]["key"]
     out = np.empty((n_rows, n_draws))
     for i in range(n_rows):
-        key[1] = (start + i) & _MASK64
+        key[1] = start + i
         bits.state = fresh
         out[i] = rng.standard_normal(n_draws)
     return out
@@ -181,9 +187,10 @@ def run_ensemble(
     `_map_chunks`), and the chunks' results are put together in chunk order;
     row 0's signal, state and norm defect are recorded at every step as
     ``first``.  A ``psi0`` that does not fit the model's levels, or is not
-    finite, or has no norm, and a count that is not a whole number in range
-    are refused with a ValueError.
+    finite, or has no norm, a ``dt`` that is not a finite number > 0 and a
+    count that is not a whole number in range are refused with a ValueError.
     """
+    _check_dt(dt)
     n_steps = _count("n_steps", n_steps, 0)
     n = _count("n_trajectories", n_trajectories, 1)
     signal_stride = _count("signal_stride", signal_stride, 0)

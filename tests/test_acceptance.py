@@ -131,7 +131,7 @@ def test_criterion_05_branch_decomposition_oracle():
         worst = max(worst, gap)
     assert worst < 1e-10, f"single-application gap {worst:.2e}"
 
-    from cqsim.generator import _rk4, _sweep, step_rk4
+    from cqsim.generator import _rk4, step_rk4
 
     state = gaussian_product_state(grid, (0, 0), (0.6, 0.6), rho_q=np.full((d, d), 1.0 / d))
     dt = 0.4 * cfl_limit(model, grid)
@@ -140,12 +140,11 @@ def test_criterion_05_branch_decomposition_oracle():
         out[...] = branch_generator(model, HybridState(grid, c), diag=diag)[rows]
         return out
 
-    # the branch rate of the whole grid is one window
-    sweep = _sweep(state.cells.shape, grid.shape[0])
     cf = cb = state.cells
     for _ in range(100):
         cf = step_rk4(model, HybridState(grid, cf), dt).cells
-        cb = _rk4(branch_fn, cb, dt, sweep)
+        # the branch rate of the whole grid is one window, as tall as the grid
+        cb = _rk4(branch_fn, cb, dt, grid.shape[0])
     drift = np.abs(cf - cb).max()
     assert drift < 1e-8, f"100-step drift {drift:.2e}"
     report(5, f"branch oracle gap {worst:.2e} single / {drift:.2e} after 100 RK4 steps")

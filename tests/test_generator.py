@@ -11,6 +11,7 @@ from cqsim import generator, runner
 from cqsim.generator import (
     EvolutionError,
     _cq_operators,
+    _measurement_operators,
     _operators,
     apply_generator,
     branch_generator,
@@ -281,8 +282,10 @@ class TestApplyGenerator:
         )
         rate = apply_generator(model, state)
         # transport and AG vanish for the (0,1) element of this model up to
-        # the free-streaming piece, which the free model shares
-        free = free_diffusion_model(d2=0.25 / d0)
+        # the free-streaming piece, which the two-level free model shares
+        free = polynomial_cq_model(
+            mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((2, 2)), d2_coeffs=[0.25 / d0]
+        )
         free_rate = apply_generator(
             free, HybridState(small_grid, state.cells.copy())
         )
@@ -569,7 +572,53 @@ class TestStepping:
         assert diags.t == [0.0]
 
 
+def kron_measurement_operators(m, grid):
+    """M(z)^T and A(z)^T of the measurement equation from their own Kronecker expressions.
+
+    M(z) = -k(z)(Z^2 kron I - 2 Z kron Z^T + I kron (Z^2)^T) - (i/hbar)[H, .]
+    and A(z) = (1/2)(Z kron I + I kron Z^T), written apart from the CQ builder.
+    """
+    zs = grid.axes[0].points
+    eye = np.eye(m.hilbert_dim)
+    kron, t = generator._kron, generator._t
+    z_op = np.asarray(m.z_op(zs), dtype=complex)
+    z2 = z_op @ z_op
+    k_of_z = np.asarray(m.k(zs), dtype=float)[:, None, None]
+    sup = -k_of_z * (kron(z2, eye) - 2.0 * kron(z_op, t(z_op)) + kron(eye, t(z2)))
+    if m.h is not None:
+        sup = sup - (1j / m.hbar) * (kron(m.h, eye) - kron(eye, m.h.T))
+    flux = 0.5 * (kron(z_op, eye) + kron(eye, t(z_op)))
+    return t(sup), t(flux)
+
+
 class TestMeasurementGenerator:
+    @pytest.mark.parametrize("with_h", [True, False], ids=["h", "no_h"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_operators_match_the_kronecker_expressions(self, d, with_h):
+        # the CQ builder with L = Z, D0 = 2k, H = h and no force is the
+        # measurement superoperator and flux, up to rounding
+        rng = np.random.default_rng(70 + d)
+        grid = PhaseGrid((GridAxis("z", -2.0, 2.5, 23),))
+        m = constant_measurement_model(
+            random_hermitian(rng, (d, d)),
+            0.8,
+            h=random_hermitian(rng, (d, d)) if with_h else None,
+            z_feedback=0.2 * random_hermitian(rng, (d, d)),
+            k_slope=0.1,
+        )
+        sup_t, flux_t, d2_of_z = _measurement_operators(m, grid)
+        for got, want in zip((sup_t, flux_t), kron_measurement_operators(m, grid)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15 * (1.0 + np.abs(want).max())
+        assert d2_of_z.tobytes() == m.d2(grid.axes[0].points)[:, None, None].tobytes()
+
+    def test_shipped_feedback_operators_equal_the_kronecker_expressions(self):
+        # sigma_z with k(z) = 1 + 0.3 z: the same values (zeros may differ in sign)
+        scenario = parse_scenario_file(SCENARIO_DIR / "unravel_feedback.yaml")
+        got = _measurement_operators(scenario.model, scenario.grid)[:2]
+        for op, want in zip(got, kron_measurement_operators(scenario.model, scenario.grid)):
+            assert np.array_equal(op, want)
+
     @pytest.mark.parametrize("kernel", ["measurement_generator", "evolve_measurement"])
     def test_refuses_invalid_model(self, kernel):
         # k(z) = 1 + z vanishes at z = -1, inside the grid: an invalid model,
@@ -763,8 +812,8 @@ def allocating_rk4(rate_fn, cells, dt):
     return cells + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# (model levels, cell dimension): a one-level model acts on cells of any size
-LEVELS_AND_CELLS = [(1, 1), (2, 2), (8, 8), (1, 2)]
+# (model levels, cell dimension): the cells fit the model, as a scenario's must
+LEVELS_AND_CELLS = [(1, 1), (2, 2), (8, 8), (3, 3)]
 
 
 # the p axis has as many points as the q axis, or more: an oblong grid
@@ -1067,10 +1116,10 @@ class TestInPlaceKernel:
         stale = []
         rk4 = generator._rk4
 
-        def spy_step(rate_fn, cells, dt, sweep):
+        def spy_step(rate_fn, cells, dt, height):
             # a step reads its input cells; every cells recorded before them are garbage
             stale.append(sum(ref() is not None and ref() is not cells for ref in recorded))
-            return rk4(rate_fn, cells, dt, sweep)
+            return rk4(rate_fn, cells, dt, height)
 
         monkeypatch.setattr(generator.EvolutionDiagnostics, "record", spy_record)
         monkeypatch.setattr(generator, "_rk4", spy_step)

@@ -521,3 +521,23 @@ class TestPathBatches:
             ClassicalPath(dt=0.01, q=np.zeros((2, 3, 4)))
         with pytest.raises(ValueError, match="p must match"):
             ClassicalPath(dt=0.01, q=np.zeros((2, 4)), p=np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"dt": 0.0}, r"^dt must be a finite number > 0, got 0.0$"),
+        ({"dt": -0.01}, r"^dt must be a finite number > 0, got -0.01$"),
+        ({"dt": np.nan}, r"^dt must be a finite number > 0, got nan$"),
+        ({"n_steps": -1}, r"^n_steps must be an integer >= 0, got -1$"),
+        ({"n_steps": 2.5}, r"^n_steps must be an integer >= 0, got 2.5$"),
+        ({"n_paths": 0}, r"^n_paths must be an integer >= 1, got 0$"),
+    ],
+    ids=["zero_dt", "negative_dt", "nan_dt", "negative_steps", "fractional_steps", "no_paths"],
+)
+def test_sample_path_ensemble_refuses_bad_inputs(kwargs, message):
+    args = dict(n_steps=10, dt=0.01, n_paths=4)
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=message):
+        sample_path_ensemble(free_diffusion_model(), 0.0, 0.0, args["n_steps"], args["dt"],
+                             n_paths=args["n_paths"], seed=1)

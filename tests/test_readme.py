@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from cqsim.scenario import _SCHEMA
+from cqsim.scenario import _BOUNDS, _SCHEMA
 from cqsim.state import total_trace
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -31,3 +31,11 @@ def test_readme_scenarios_table_matches_the_schema():
         output = {f"output.{key}" for key in schema.get("output", ())}
         want = set(schema.get("numerics", ())) | output
         assert set(re.findall(r"`([\w.]+)`", keys)) == want, run_type
+
+
+def test_readme_bounds_paragraph_names_every_bounded_key():
+    text = README.read_text()
+    start = text.index("\nBounds: ")
+    paragraph = text[start:text.index("\n\n", start)]
+    named = {name.removeprefix("output.") for name in re.findall(r"`([\w.]+)`", paragraph)}
+    assert set(_BOUNDS) <= named, sorted(set(_BOUNDS) - named)

@@ -393,6 +393,17 @@ class TestShippedScenarios:
             assert len(provenance) == 1, name
             assert json.loads(provenance[0][len("# scenario "):])["numerics"]["seed"] == 8, name
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_refused_before_out(self, seed, tmp_path, capsys):
+        path = SCENARIO_DIR / "unravel_qubit.yaml"
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            run_scenario(parse_scenario_file(path), tmp_path / "lib", seed=seed)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(path), "--out", str(tmp_path / "cli"), "--seed", str(seed)])
+        assert exit_info.value.code == 2
+        assert f"argument --seed: must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "lib").exists() and not (tmp_path / "cli").exists()
+
     def test_seed_changes_unravel_output(self, tmp_path):
         path = SCENARIO_DIR / "unravel_qubit.yaml"
         run_scenario(parse_scenario_file(path), tmp_path / "a", seed=7)
@@ -566,6 +577,15 @@ PARSE_REJECTS = {
             rf"got {b} \(line 16\)",
         )
         for b in (5, -1)
+    },
+    **{
+        f"{base[:-5]}_seed_{seed}": (
+            base, (f"seed: {old}", f"seed: {seed}"),
+            rf"key 'seed' in section 'numerics' must lie in \[0, 2\*\*64\), got {seed} "
+            rf"\(line {line}\)",
+        )
+        for base, old, line in (("unravel_qubit.yaml", 7, 19), ("sample_paths.yaml", 3, 16))
+        for seed in (-1, 2**64)
     },
     **{
         f"cp_check_with_{section}": (

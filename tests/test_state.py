@@ -116,6 +116,28 @@ def test_gaussian_off_the_grid_refused(small_grid):
         gaussian_product_state(small_grid, (1e3, 0.0), (0.7, 0.7))
 
 
+@pytest.mark.parametrize(
+    "centers, sigmas, name",
+    [
+        ((0.0, 0.0), (0.0, 0.7), "sigmas"),
+        ((0.0, 0.0), (0.7, np.nan), "sigmas"),
+        ((0.0, 0.0), (-0.7, 0.7), "sigmas"),
+        ((0.0, 0.0), (0.7, np.inf), "sigmas"),
+        ((0.0, 0.0), (0.7,), "sigmas"),
+        ((0.0, 0.0), (0.7, 0.7, 0.7), "sigmas"),
+        ((np.nan, 0.0), (0.7, 0.7), "centers"),
+        ((0.0, -np.inf), (0.7, 0.7), "centers"),
+        ((0.0,), (0.7, 0.7), "centers"),
+    ],
+    ids=["zero_width", "nan_width", "negative_width", "infinite_width", "short_sigmas",
+         "long_sigmas", "nan_center", "infinite_center", "short_centers"],
+)
+def test_gaussian_needs_one_finite_center_and_width_per_axis(small_grid, centers, sigmas, name):
+    what = "finite number > 0" if name == "sigmas" else "finite number"
+    with pytest.raises(ValueError, match=rf"^{name} must be one {what} per grid axis"):
+        gaussian_product_state(small_grid, centers, sigmas)
+
+
 def test_hermiticity_validation(small_grid):
     cells = np.zeros(small_grid.shape + (2, 2), dtype=complex)
     cells[0, 0, 0, 1] = 1.0  # not mirrored

@@ -467,15 +467,20 @@ def test_first_failing_chunk_raises_its_error():
         ({"psi0": [1.0, 0.0, 0.0]}, r"psi0 of shape \(3,\) does not fit a model of 2 levels"),
         ({"n_trajectories": 2.7}, r"^n_trajectories must be an integer >= 1, got 2.7$"),
         ({"n_steps": -1}, r"^n_steps must be an integer >= 0, got -1$"),
+        ({"dt": 0.0}, r"^dt must be a finite number > 0, got 0.0$"),
+        ({"dt": -1e-3}, r"^dt must be a finite number > 0, got -0.001$"),
+        ({"dt": np.nan}, r"^dt must be a finite number > 0, got nan$"),
+        ({"dt": np.inf}, r"^dt must be a finite number > 0, got inf$"),
     ],
-    ids=["zero_psi0", "nan_psi0", "psi0_size", "fractional_count", "negative_steps"],
+    ids=["zero_psi0", "nan_psi0", "psi0_size", "fractional_count", "negative_steps",
+         "zero_dt", "negative_dt", "nan_dt", "infinite_dt"],
 )
 def test_run_ensemble_refuses_bad_inputs(kwargs, message):
-    args = dict(psi0=PLUS, n_steps=10, n_trajectories=4)
+    args = dict(psi0=PLUS, dt=1e-3, n_steps=10, n_trajectories=4)
     args.update(kwargs)
     m = constant_measurement_model(SIGMA_Z, 1.0)
     with pytest.raises(ValueError, match=message):
-        run_ensemble(m, args["psi0"], 0.0, 1e-3, args["n_steps"], master_seed=1,
+        run_ensemble(m, args["psi0"], 0.0, args["dt"], args["n_steps"], master_seed=1,
                      n_trajectories=args["n_trajectories"])
 
 
@@ -489,3 +494,27 @@ def test_outside_frac_locates_as_bin_ensemble_does():
     assert outside_frac(np.array([[0.0, 0.0], [0.0, 3.0], [0.5, -0.5], [-2.0, 0.0]]), qp) == 0.5
     with pytest.raises(ValueError, match="does not fit a 2-axis grid"):
         outside_frac(np.zeros(3), qp)
+
+
+@pytest.mark.parametrize(
+    "seed, index, name, bad",
+    [(-1, 0, "master_seed", -1), (2**64, 0, "master_seed", 2**64),
+     (0, -1, "index", -1), (0, 2**64, "index", 2**64)],
+)
+def test_stream_key_words_outside_64_bits_are_refused(seed, index, name, bad):
+    # masking would alias seed 2^64 with seed 0 and seed -1 with 2^64 - 1
+    message = rf"^{name} must lie in \[0, 2\*\*64\), got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        trajectory_rng(seed, index)
+    with pytest.raises(ValueError, match=message):
+        trajectory_normals(seed, index, 1, 3)
+
+
+def test_normals_rows_must_stay_below_2_64():
+    top = 2**64 - 1
+    # the largest key words are streams of their own
+    rows = trajectory_normals(top, top - 1, 2, 4)
+    want = [trajectory_rng(top, index).standard_normal(4) for index in (top - 1, top)]
+    assert rows.tobytes() == np.stack(want).tobytes()
+    with pytest.raises(ValueError, match=rf"^index must lie in \[0, 2\*\*64\), got {2**64}$"):
+        trajectory_normals(top, top - 1, 3, 4)
