@@ -74,6 +74,7 @@ from .psd import spectral_norm
 from .state import (
     LEAK_LIMIT,
     HybridState,
+    cell_min_eigenvalues,
     classical_marginal,
     coherence,
     edge_mass,
@@ -542,9 +543,7 @@ def _check_dt(dt):
 
 def _most_negative_cell(state):
     """Where ``state``'s most negative cell eigenvalue lies, for an abort message."""
-    cells = state.cells
-    herm = 0.5 * (cells + np.conj(np.swapaxes(cells, -1, -2)))
-    low = np.linalg.eigvalsh(herm)[..., 0]
+    low = cell_min_eigenvalues(state)
     index = np.unravel_index(np.argmin(low), low.shape)
     where = ", ".join(f"{ax.name}={ax.points[i]:g}" for ax, i in zip(state.grid.axes, index))
     outer = any(i in (0, n - 1) for i, n in zip(index, low.shape))

@@ -231,8 +231,7 @@ def tradeoff_verdict(triple: CouplingTriple) -> Verdict:
     D0 = D1^dag D2^{-1} D1 within ``SATURATION_TOL`` (the purity-preserving regime);
     Satisfied otherwise.
     """
-    report = schur_cp_check(triple)
-    if report.verdict is Verdict.VIOLATED:
+    if not is_psd(triple.block):
         return Verdict.VIOLATED
     d2_pinv = pseudo_inverse(triple.d2)
     target = triple.d1.conj().T @ d2_pinv @ triple.d1

@@ -44,6 +44,7 @@ __all__ = [
     "quantum_marginal",
     "purity_of_marginal",
     "coherence",
+    "cell_min_eigenvalues",
     "min_cell_eigenvalue",
     "gaussian_product_state",
     "save_state",
@@ -142,11 +143,15 @@ def coherence(state: HybridState, i: int, j: int) -> np.ndarray:
     return np.abs(state.cells[..., i, j])
 
 
+def cell_min_eigenvalues(state: HybridState) -> np.ndarray:
+    """Each cell's smallest eigenvalue (of its Hermitian part), shaped like the grid."""
+    herm = 0.5 * (state.cells + np.conj(np.swapaxes(state.cells, -1, -2)))
+    return np.linalg.eigvalsh(herm)[..., 0]
+
+
 def min_cell_eigenvalue(state: HybridState) -> float:
     """Smallest eigenvalue over all cell matrices (positivity monitor)."""
-    flat = state.cells.reshape(-1, state.hilbert_dim, state.hilbert_dim)
-    flat = 0.5 * (flat + np.conj(np.swapaxes(flat, -1, -2)))
-    return float(np.linalg.eigvalsh(flat).min())
+    return float(cell_min_eigenvalues(state).min())
 
 
 def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> HybridState:
@@ -155,8 +160,9 @@ def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> Hybr
     ``centers`` and ``sigmas`` give one finite (mean, width > 0) pair per
     grid axis; ``rho_q`` defaults to the trivial 1 x 1 matrix [[1.0]].  The
     Gaussian is normalized on the grid itself, so a truncated one still has
-    total trace 1; other centers or widths, and a state with no positive
-    total trace on the grid, are refused with a ValueError.
+    total trace 1; other centers or widths, a ``rho_q`` that is not finite
+    with a trace > 0, and a state with no positive total trace on the grid,
+    are refused with a ValueError.
     """
     centers, sigmas = np.asarray(centers, dtype=float), np.asarray(sigmas, dtype=float)
     if centers.shape != (grid.ndim,) or not np.all(np.isfinite(centers)):
@@ -170,8 +176,9 @@ def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> Hybr
         rho_q = np.array([[1.0 + 0.0j]])
     rho_q = np.asarray(rho_q, dtype=complex)
     tr = np.trace(rho_q).real
-    if tr != 0.0:
-        rho_q = rho_q / tr
+    if not (np.all(np.isfinite(rho_q)) and tr > 0.0):
+        raise ValueError(f"rho_q must be finite with a trace > 0, got trace {tr}")
+    rho_q = rho_q / tr
     state = HybridState(grid, weight[..., None, None] * rho_q)
     total = total_trace(state)
     if not total > 0.0:

@@ -355,7 +355,9 @@ def estimate_km_moments(z_series, dt, n_bins=20, bin_range=None):
     starts = z_series[:, :-1].ravel()
     increments = (z_series[:, 1:] - z_series[:, :-1]).ravel()
     if bin_range is None:
-        bin_range = (starts.min(), starts.max() + 1e-12)
+        # the largest start must lie below the last edge, also where 1e-12 rounds away
+        top = starts.max()
+        bin_range = (starts.min(), max(top + 1e-12, np.nextafter(top, np.inf)))
     edges = np.linspace(bin_range[0], bin_range[1], n_bins + 1)
     centers = 0.5 * (edges[1:] + edges[:-1])
     which = np.digitize(starts, edges) - 1

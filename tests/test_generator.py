@@ -428,6 +428,86 @@ class TestBranchGenerator:
         with pytest.raises(ModelValidationError, match="common"):
             diagonalize_model(model, np.linspace(-3, 3, 5))
 
+    @staticmethod
+    def _fields(base, v_extra, dv_extra):
+        """``base`` with sigma_x terms v_extra(q), dv_extra(q) added to V_I and dV_I."""
+        def field(fn, extra):
+            def out(q):
+                q = np.asarray(q, dtype=float)
+                return fn(q) + np.asarray(extra(q), dtype=float)[..., None, None] * SIGMA_X
+            return out
+        return dataclasses.replace(
+            base, v_i=field(base.v_i, v_extra), dv_i=field(base.dv_i, dv_extra)
+        )
+
+    def test_refuses_dv_i_that_leaves_the_basis(self):
+        # V_I(q) = q(q - 2) sigma_z for q >= 0 and q sigma_x below, H_q = 0: at
+        # q = 2, V_I vanishes and every matrix there commutes, but dV_I = 2 sigma_z
+        # is not diagonal in the basis the model fixes; its branch levels are
+        # +-2, not the +-0.191 that basis would read off
+        base = polynomial_cq_model(
+            mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((2, 2)), v_i_matrix=SIGMA_Z,
+            v_i_profile=[0.0, -2.0, 1.0], d2_coeffs=[0.5], d0_coeffs=[1.0],
+        )
+
+        def piecewise(fn, below):
+            def out(q):
+                q = np.asarray(q, dtype=float)
+                return np.where((q >= 0)[..., None, None], fn(q), below(q))
+            return out
+
+        model = dataclasses.replace(
+            base,
+            v_i=piecewise(base.v_i, lambda q: q[..., None, None] * SIGMA_X),
+            dv_i=piecewise(base.dv_i, lambda q: np.ones_like(q)[..., None, None] * SIGMA_X),
+        )
+        with pytest.raises(
+            ModelValidationError,
+            match=r"^model is not diagonal in a common q-independent basis: "
+            r"dv_i\(q=2\) has off-diagonal 1\.991e\+00$",
+        ):
+            diagonalize_model(model, [2.0])
+
+    def test_refusal_names_h_q(self):
+        model = polynomial_cq_model(
+            mass=1.0, potential_coeffs=[0.0], h_q=SIGMA_X, v_i_matrix=SIGMA_Z,
+            v_i_profile=[0.0, 0.5], d2_coeffs=[0.5], d0_coeffs=[1.0],
+        )
+        with pytest.raises(ModelValidationError, match=r"basis: h_q has off-diagonal "):
+            diagonalize_model(model, np.linspace(-3, 3, 5))
+
+    @pytest.mark.parametrize("name", ["v_i", "dv_i"])
+    def test_refusal_names_the_field_and_q(self, name):
+        # a sigma_x term switched on above q = 3, away from the points that fix
+        # the basis, in V_I or in dV_I alone; q = 4 is the first probe it reaches
+        def step(q):
+            return 0.25 * (q > 3.0)
+
+        extra = (step, np.zeros_like) if name == "v_i" else (np.zeros_like, step)
+        model = self._fields(qubit_decoherence_model(lam=0.6, d0=1.0), *extra)
+        diagonalize_model(model, np.linspace(-3.0, 3.0, 7))
+        with pytest.raises(
+            ModelValidationError, match=rf"basis: {name}\(q=4\) has off-diagonal 2\.500e-01$"
+        ):
+            diagonalize_model(model, np.linspace(-4.0, 4.0, 9))
+
+    def test_tolerance_is_relative_to_the_matrix(self):
+        # beside a sigma_z of size 1e2 the bound is 1e-10 * 101: an off-diagonal
+        # entry of 1e-9 passes and one of 1e-7 does not (near q = 1 only, so
+        # the basis stays that of sigma_z)
+        base = polynomial_cq_model(
+            mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((2, 2)), v_i_matrix=SIGMA_Z,
+            v_i_profile=[0.0, 100.0], d2_coeffs=[0.5], d0_coeffs=[1.0],
+        )
+        qs = np.array([1.0])
+        for eps, ok in ((1e-9, True), (1e-7, False)):
+            model = self._fields(base, lambda q: eps * (np.abs(q - 1.0) < 0.5), np.zeros_like)
+            if ok:
+                diagonalize_model(model, qs)
+            else:
+                with pytest.raises(ModelValidationError, match=r"v_i\(q=1\)"):
+                    diagonalize_model(model, qs)
+
 
 class TestStepping:
     def test_trace_drift_per_step(self):

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from cqsim.generator import EvolutionDiagnostics
 from cqsim.scenario import _BOUNDS, _SCHEMA
 from cqsim.state import total_trace
 
@@ -39,3 +40,10 @@ def test_readme_bounds_paragraph_names_every_bounded_key():
     paragraph = text[start:text.index("\n\n", start)]
     named = {name.removeprefix("output.") for name in re.findall(r"`([\w.]+)`", paragraph)}
     assert set(_BOUNDS) <= named, sorted(set(_BOUNDS) - named)
+
+
+def test_readme_diagnostics_columns_match_the_recorder():
+    text = " ".join(README.read_text().split())
+    columns = re.search(r"Diagnostics CSV columns are `([^`]+)`\.", text)
+    assert columns is not None
+    assert tuple(columns.group(1).split(", ")) == EvolutionDiagnostics.COLUMNS

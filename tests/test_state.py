@@ -16,6 +16,7 @@ from cqsim.cli import main
 from cqsim.grids import GridAxis, PhaseGrid
 from cqsim.state import (
     HybridState,
+    cell_min_eigenvalues,
     classical_marginal,
     coherence,
     gaussian_product_state,
@@ -110,6 +111,16 @@ def test_truncated_gaussian_has_unit_trace(small_grid):
     assert total_trace(state) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rho_q",
+    [[[np.nan]], [[np.inf]], [[-1.0]], [[0.0]], [[0.5, np.nan], [np.nan, 0.5]]],
+    ids=["nan", "inf", "negative_trace", "zero_trace", "nan_coherence"],
+)
+def test_gaussian_needs_a_finite_rho_q_with_positive_trace(small_grid, rho_q):
+    with pytest.raises(ValueError, match=r"^rho_q must be finite with a trace > 0"):
+        gaussian_product_state(small_grid, (0.0, 0.0), (0.7, 0.7), rho_q=rho_q)
+
+
 def test_gaussian_off_the_grid_refused(small_grid):
     # every weight underflows to 0 this far from the grid
     with pytest.raises(ValueError, match="total trace 0"):
@@ -152,6 +163,18 @@ def test_min_cell_eigenvalue(small_grid):
     cells[..., 0, 0] = 1.0
     cells[..., 1, 1] = -0.25
     assert min_cell_eigenvalue(HybridState(small_grid, cells)) == pytest.approx(-0.25)
+
+
+def test_cell_min_eigenvalues_are_each_cells_lowest(small_grid):
+    rng = np.random.default_rng(5)
+    cells = rng.normal(size=small_grid.shape + (3, 3)) + 1j * rng.normal(size=small_grid.shape + (3, 3))
+    state = HybridState(small_grid, cells)
+    low = cell_min_eigenvalues(state)
+    assert low.shape == small_grid.shape
+    herm = 0.5 * (cells + np.conj(np.swapaxes(cells, -1, -2)))
+    for index in np.ndindex(small_grid.shape):
+        assert low[index] == np.linalg.eigvalsh(herm[index])[0]
+    assert min_cell_eigenvalue(state) == low.min()
 
 
 def test_serialization_roundtrip(tmp_path):

@@ -277,6 +277,17 @@ class TestKramersMoyal:
         sigma = 1.0 / np.sqrt(8.0 * k * dt * counts.sum())
         assert pooled == pytest.approx(c, abs=3.0 * sigma)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e5, -1e5, 1e9])
+    def test_default_range_counts_the_largest_start(self, offset):
+        # the maximum must fall in the last bin wherever the signal sits; for
+        # an O(1) signal the range still ends 1e-12 above it
+        z = offset + np.array([0.0, -1.0, 2.0, 1.0, 3.0])
+        centers, _, _, counts = estimate_km_moments(z, 1.0, n_bins=3)
+        assert counts.sum() == 4 and counts[-1] > 0
+        if offset == 0.0:
+            edges = np.linspace(-1.0, 2.0 + 1e-12, 4)
+            assert np.array_equal(centers, 0.5 * (edges[1:] + edges[:-1]))
+
 
 @pytest.mark.parametrize("start", [0, 5, 2**63 + 7])
 def test_trajectory_normals_replay_per_index_streams(start):
