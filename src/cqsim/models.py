@@ -6,13 +6,14 @@ H_q, a Hermitian interaction potential V_I(q) whose q-derivative plays the
 role of the Lindblad operator (back-reaction coupling fixed to 1/2), a
 momentum-diffusion coefficient D2(q) and a Lindbladian coupling D0(q).
 Complete positivity requires 4 D2(q) >= 1/D0(q) wherever the interaction
-is switched on; `validate_model` audits this pointwise with the psd module
-before evolution is permitted.
+is switched on; `validate_model` audits this at every point it is given,
+in one stacked `psd.schur_cp_check`, before evolution is permitted.
 
 `diagonalize_model` admits a model to the branch-decomposed evolution and
 the branch-pair path weights by one rule: H_q, and V_I(q) and dV_I(q) at
-the caller's points, must each be diagonal in one basis fixed by the model
-alone, within DIAGONAL_TOL = 1e-10 relative to the matrix.
+every one of the caller's points, must each be diagonal in one basis fixed
+by the model alone, within DIAGONAL_TOL = 1e-10 relative to the matrix.
+Both judge V_I and dV_I Hermitian point by point (`psd.require_hermitian`).
 
 `MeasurementModel` describes the continuous measurement of a Hermitian
 operator Z with strength k, both optionally dependent on the measurement
@@ -105,6 +106,8 @@ class CQModel:
         if not (self.hbar > 0):
             raise ModelValidationError(f"hbar must be positive, got {self.hbar}")
         h_q = require_hermitian(self.h_q, name="h_q")
+        if h_q.ndim != 2:
+            raise ModelValidationError(f"h_q must be one square matrix, got shape {h_q.shape}")
         # read-only: the generator caches operators built from it per model
         h_q.setflags(write=False)
         object.__setattr__(self, "h_q", h_q)
@@ -119,25 +122,27 @@ def classical_force(model: CQModel, q):
     return model.dpotential(np.asarray(q, dtype=float))
 
 
-def _matrix_field(fn, qs, d, name):
+def _matrix_field(fn, qs, d, name, var="q"):
     out = np.asarray(fn(qs), dtype=complex)
     want = np.shape(qs) + (d, d)
     if out.shape != want:
-        raise ModelValidationError(f"{name}(q) returned shape {out.shape}, expected {want}")
-    defect = np.abs(out - np.conj(np.swapaxes(out, -1, -2))).max()
-    if defect > 1e-10 * (1.0 + np.abs(out).max()):
-        raise ModelValidationError(f"{name}(q) is not Hermitian (defect {defect:.3e})")
+        raise ModelValidationError(f"{name}({var}) returned shape {out.shape}, expected {want}")
+    try:
+        require_hermitian(out, name=lambda at: f"{name}({var}={qs[at]:g})")
+    except ValueError as exc:
+        raise ModelValidationError(str(exc)) from None
     return out
 
 
 def validate_model(model: CQModel, qs) -> None:
-    """Audit a model on sampled q values; raise ModelValidationError on failure.
+    """Audit a model at every given q; raise ModelValidationError on failure.
 
     Checks Hermiticity of V_I and dV_I, nonnegativity of D2 and D0, and --
     when the interaction is switched on -- that the coupling triple
-    (D2(q), 1/2, D0(q)) passes the complete-positivity check at every
-    sampled point.  A model with dV_I identically zero has no back-reaction
-    and no Lindblad sector, so only D2 >= 0 is demanded there.
+    (D2(q), 1/2, D0(q)) passes one `schur_cp_check` of all the points
+    stacked; the refusal names the first violating q.  A model with dV_I
+    identically zero has no back-reaction and no Lindblad sector, so only
+    D2 >= 0 is demanded there.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     d = model.hilbert_dim
@@ -152,18 +157,17 @@ def validate_model(model: CQModel, qs) -> None:
     interacting = np.abs(dv).max() > 0.0
     if not interacting:
         return
-    for i, q in enumerate(qs):
-        triple = CouplingTriple(
-            d2=np.array([[d2.flat[i]]]),
-            d1=np.array([[BACKREACTION_COUPLING]]),
-            d0=np.array([[d0.flat[i]]]),
+    report = schur_cp_check(CouplingTriple(
+        d2=np.broadcast_to(d2, qs.shape)[:, None, None],
+        d1=np.full(qs.shape + (1, 1), BACKREACTION_COUPLING),
+        d0=np.broadcast_to(d0, qs.shape)[:, None, None],
+    ))
+    bad = np.flatnonzero(report.verdict == Verdict.VIOLATED)
+    if bad.size:
+        raise ModelValidationError(
+            f"coupling triple violates complete positivity at q={qs[bad[0]]:g}: "
+            f"margin {report.tradeoff_margin[bad[0]]:.3e} (need 4*D2 >= 1/D0)"
         )
-        report = schur_cp_check(triple)
-        if report.verdict is Verdict.VIOLATED:
-            raise ModelValidationError(
-                f"coupling triple violates complete positivity at q={q:g}: "
-                f"margin {report.tradeoff_margin:.3e} (need 4*D2 >= 1/D0)"
-            )
 
 
 def polynomial_cq_model(
@@ -236,39 +240,41 @@ def diagonalize_model(model: CQModel, qs) -> DiagonalizedModel:
     """Extract the fixed eigenbasis u of H_q, V_I(q) and dV_I(q), or refuse.
 
     The basis and the order of its branches depend on the model alone.  H_q,
-    and V_I(q) and dV_I(q) at up to 8 of the caller's ``qs``, must each be
+    and V_I(q) and dV_I(q) at every one of the caller's ``qs``, must each be
     diagonal in u (see DIAGONAL_TOL); else ModelValidationError names the
-    first matrix and q that is not.
+    first that is not: H_q, then the points in ``qs`` order, V_I before dV_I.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     d = model.hilbert_dim
-    probe = qs if qs.size <= 8 else qs[np.linspace(0, qs.size - 1, 8).astype(int)]
-    vs = _matrix_field(model.v_i, probe, d, "v_i")
-    dvs = _matrix_field(model.dv_i, probe, d, "dv_i")
 
     # A generic fixed-weight combination splits shared eigenspaces; taken at
     # fixed q values, it orders the branches the same for every caller.
-    fixed = (
-        [model.h_q]
-        + list(_matrix_field(model.v_i, _BASIS_QS, d, "v_i"))
-        + list(_matrix_field(model.dv_i, _BASIS_QS, d, "dv_i"))
-    )
+    v = _matrix_field(model.v_i, _BASIS_QS, d, "v_i")
+    dv = _matrix_field(model.dv_i, _BASIS_QS, d, "dv_i")
+    fixed = [model.h_q, *v, *dv]
     _, u = np.linalg.eigh(sum(w * s for w, s in zip(_BASIS_WEIGHTS, fixed, strict=True)))
 
-    def _require_diagonal(name, mat):
-        td = u.conj().T @ mat @ u
-        off = np.abs(td - np.diag(np.diag(td))).max()
-        if off > DIAGONAL_TOL * (1.0 + np.abs(td).max()):
+    # H_q, then V_I(q) and dV_I(q) at each point, in blocks of 256 kB of V_I
+    # that keep the temporaries small; with row-major vec, one product rotates
+    # a block: vec(u^dag M u) = vec(M) @ kron(conj(u), u), here transposed
+    rotate, off_diagonal = np.kron(u.conj(), u), ~np.eye(d, dtype=bool).ravel()
+    step = max(1, (1 << 18) // (16 * d * d))
+    for lo in range(0, max(qs.size, 1), step):
+        block = qs[lo : lo + step]
+        v = _matrix_field(model.v_i, block, d, "v_i")
+        dv = _matrix_field(model.dv_i, block, d, "dv_i")
+        mats = np.concatenate([model.h_q[None], np.stack([v, dv], axis=1).reshape(-1, d, d)])
+        size = np.abs(rotate.T @ mats.reshape(-1, d * d).T)  # entries leading: fast maxima
+        off = size[off_diagonal].max(0, initial=0.0)
+        bad = np.flatnonzero(off > DIAGONAL_TOL * (1.0 + size.max(0)))
+        if bad.size:
+            i = bad[0]
+            name = "h_q" if i == 0 else f"{('dv_i', 'v_i')[i % 2]}(q={block[(i - 1) // 2]:g})"
             raise ModelValidationError(
                 "model is not diagonal in a common q-independent basis: "
-                f"{name} has off-diagonal {off:.3e}"
+                f"{name} has off-diagonal {off[i]:.3e}"
             )
-        return np.diag(td).real
-
-    h = _require_diagonal("h_q", model.h_q)
-    for q, v, dv in zip(probe, vs, dvs):
-        _require_diagonal(f"v_i(q={q:g})", v)
-        _require_diagonal(f"dv_i(q={q:g})", dv)
+    h = np.diag(u.conj().T @ model.h_q @ u).real
 
     def dv_eigs(q):
         m = np.asarray(model.dv_i(np.asarray(q, dtype=float)), dtype=complex)
@@ -314,7 +320,7 @@ class MeasurementModel:
 
     def validate(self, zs) -> None:
         zs = np.atleast_1d(np.asarray(zs, dtype=float))
-        _matrix_field(self.z_op, zs, self.hilbert_dim, "z_op")
+        _matrix_field(self.z_op, zs, self.hilbert_dim, "z_op", "z")
         k = np.asarray(self.k(zs), dtype=float)
         if np.any(k <= 0):
             bad = int(np.argmin(k))

@@ -19,7 +19,8 @@ on the classical system given a decoherence rate.  Equality is the
 This module provides the eigendecomposition-based primitives (`is_psd`,
 `pseudo_inverse`) and the two-route complete-positivity audit
 (`schur_cp_check`, `tradeoff_verdict`).  All functions are pure and operate
-on immutable inputs.
+on immutable inputs.  Each also takes a stack of matrices or triples
+(leading axes) and judges every matrix or triple of it on its own.
 """
 
 from __future__ import annotations
@@ -59,59 +60,67 @@ def _as_matrix(m, name="matrix"):
     a = np.asarray(m, dtype=complex)
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got shape {a.shape}")
+    if a.ndim < 2:
+        raise ValueError(f"{name} must be a 2-d array or a stack of them, got shape {a.shape}")
     return a
+
+
+def _dagger(a):
+    """Conjugate transpose over the trailing matrix axes."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def _max_abs(a):
+    """Largest |entry| of each matrix of a stack (0 for an empty matrix)."""
+    # entries leading: numpy reduces short trailing axes one matrix at a time
+    entries = np.abs(a).reshape(a.shape[:-2] + (-1,))
+    return np.ascontiguousarray(np.moveaxis(entries, -1, 0)).max(0, initial=0.0)
 
 
 def require_hermitian(m, name="matrix"):
     """Return ``m`` as a complex square array, rejecting non-Hermitian input.
 
-    The defect ``max|m - m^dag|`` must not exceed ``HERMITICITY_TOL * (1 + max|m|)``.
+    The defect ``max|m - m^dag|`` must not exceed ``HERMITICITY_TOL * (1 + max|m|)``;
+    the refusal names the first failing matrix, ``name(index)`` if callable.
     """
     a = _as_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = 1.0 + (np.abs(a).max() if a.size else 0.0)
-    defect = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if defect > HERMITICITY_TOL * scale:
+    a_dag = _dagger(a)
+    defect = _max_abs(a - a_dag)
+    bad = np.argwhere(defect > HERMITICITY_TOL * (1.0 + _max_abs(a)))
+    if len(bad):
+        at = tuple(bad[0])
+        label = name(at) if callable(name) else name + "".join(f"[{i}]" for i in at)
         raise ValueError(
-            f"{name} is not Hermitian: defect {defect:.3e} exceeds "
+            f"{label} is not Hermitian: defect {defect[at]:.3e} exceeds "
             f"{HERMITICITY_TOL:.1e}*(1+max|entry|)"
         )
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a_dag)
 
 
 def is_psd(m):
-    """True iff the Hermitian matrix ``m`` is positive semi-definite.
+    """Whether the Hermitian matrix ``m`` (each matrix of a stack) is positive semi-definite.
 
     The test is ``min eig >= -RANK_TOL * (1 + spectral radius)``, via a full
     Hermitian eigendecomposition so that boundary-of-cone cases (zero
     eigenvalues) are accepted.
     """
-    a = require_hermitian(m)
-    if a.size == 0:
-        return True
-    w = np.linalg.eigvalsh(a)
-    radius = np.abs(w).max()
-    return bool(w.min() >= -RANK_TOL * (1.0 + radius))
+    w = np.linalg.eigvalsh(require_hermitian(m))
+    radius = np.abs(w).max(-1, initial=0.0)
+    return w.min(-1, initial=np.inf) >= -RANK_TOL * (1.0 + radius)
 
 
 def pseudo_inverse(m):
-    """Moore-Penrose inverse of a Hermitian matrix via eigendecomposition.
+    """Moore-Penrose inverse of a Hermitian matrix (of each matrix of a stack).
 
     Eigenvalues of magnitude below ``RANK_TOL * max|eig|`` are treated as
     exact zeros (mapped to 0 in the inverse); the rest are reciprocated.
     """
-    a = require_hermitian(m)
-    if a.size == 0:
-        return a
-    w, v = np.linalg.eigh(a)
-    scale = np.abs(w).max()
-    if scale == 0.0:
-        return np.zeros_like(a)
+    w, v = np.linalg.eigh(require_hermitian(m))
+    scale = np.abs(w).max(-1, keepdims=True, initial=0.0)
     inv_w = np.where(np.abs(w) > RANK_TOL * scale, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
-    return (v * inv_w) @ v.conj().T
+    return (v * inv_w[..., None, :]) @ _dagger(v)
 
 
 @dataclass(frozen=True)
@@ -132,7 +141,7 @@ class CouplingTriple:
         d2 = require_hermitian(self.d2, name="d2")
         d0 = require_hermitian(self.d0, name="d0")
         d1 = _as_matrix(self.d1, name="d1")
-        if d1.shape != (d2.shape[0], d0.shape[0]):
+        if d1.shape != d2.shape[:-1] + d0.shape[-1:] or d0.shape[:-2] != d2.shape[:-2]:
             raise ValueError(
                 f"d1 shape {d1.shape} not conformable with d2 {d2.shape} and d0 {d0.shape}"
             )
@@ -143,9 +152,7 @@ class CouplingTriple:
     @property
     def block(self):
         """The assembled block matrix [[D2, D1], [D1^dag, D0]]."""
-        top = np.hstack([self.d2, self.d1])
-        bottom = np.hstack([self.d1.conj().T, self.d0])
-        return np.vstack([top, bottom])
+        return np.block([[self.d2, self.d1], [_dagger(self.d1), self.d0]])
 
 
 @dataclass(frozen=True)
@@ -154,7 +161,7 @@ class CPReport:
 
     ``tradeoff_margin`` is the smallest eigenvalue of the Schur complement
     D2 - D1 D0^{-1} D1^dag; zero margin (within tolerance) with all checks
-    passing is the saturated trade-off.
+    passing is the saturated trade-off.  A stack's report holds arrays.
     """
 
     block_psd: bool
@@ -167,12 +174,12 @@ class CPReport:
 
     def to_dict(self):
         return {
-            "block_psd": self.block_psd,
-            "d0_psd": self.d0_psd,
-            "d2_psd": self.d2_psd,
-            "schur_ok": self.schur_ok,
-            "support_ok": self.support_ok,
-            "tradeoff_margin": self.tradeoff_margin,
+            "block_psd": bool(self.block_psd),
+            "d0_psd": bool(self.d0_psd),
+            "d2_psd": bool(self.d2_psd),
+            "schur_ok": bool(self.schur_ok),
+            "support_ok": bool(self.support_ok),
+            "tradeoff_margin": float(self.tradeoff_margin),
             "verdict": self.verdict.value,
         }
 
@@ -184,43 +191,34 @@ def schur_cp_check(triple: CouplingTriple) -> CPReport:
     semi-definiteness.  Route two checks the equivalent Schur conditions
     {D0 >= 0, D2 - D1 D0^{-1} D1^dag >= 0, (I - D0 D0^{-1}) D1^dag = 0}.
     The two routes must agree; the report carries enough detail for tests
-    to assert that equivalence.
+    to assert that equivalence.  A stack of triples is audited in one pass.
     """
     d2, d1, d0 = triple.d2, triple.d1, triple.d0
-
-    d0_psd = is_psd(d0)
-    d2_psd = is_psd(d2)
-
     d0_pinv = pseudo_inverse(d0)
-    schur = d2 - d1 @ d0_pinv @ d1.conj().T
-    schur = 0.5 * (schur + schur.conj().T)
-    schur_eigs = np.linalg.eigvalsh(schur) if schur.size else np.zeros(0)
-    margin = float(schur_eigs.min()) if schur_eigs.size else 0.0
-    schur_scale = 1.0 + (np.abs(schur_eigs).max() if schur_eigs.size else 0.0)
-    schur_ok = bool(margin >= -RANK_TOL * schur_scale)
+    schur = d2 - d1 @ d0_pinv @ _dagger(d1)
+    schur = 0.5 * (schur + _dagger(schur))
+    schur_eigs = np.linalg.eigvalsh(schur)
+    margin = schur_eigs.min(-1)
+    schur_ok = margin >= -RANK_TOL * (1.0 + np.abs(schur_eigs).max(-1))
 
     # Support condition: columns of D1^dag must lie in the range of D0.
-    residual = (np.eye(d0.shape[0]) - d0 @ d0_pinv) @ d1.conj().T
-    support_scale = 1.0 + (np.abs(d1).max() if d1.size else 0.0)
-    support_ok = bool(np.abs(residual).max() <= 1e3 * RANK_TOL * support_scale)
+    residual = (np.eye(d0.shape[-1]) - d0 @ d0_pinv) @ _dagger(d1)
+    support_ok = _max_abs(residual) <= 1e3 * RANK_TOL * (1.0 + _max_abs(d1))
 
     block_psd = is_psd(triple.block)
 
-    if not block_psd:
-        verdict = Verdict.VIOLATED
-    elif abs(margin) <= SATURATION_TOL * (1.0 + spectral_norm(d2)):
-        verdict = Verdict.SATURATED
-    else:
-        verdict = Verdict.SATISFIED
+    d2_norm = np.abs(np.linalg.eigvalsh(d2)).max(-1, initial=0.0)
+    saturated = np.abs(margin) <= SATURATION_TOL * (1.0 + d2_norm)
+    trade = np.where(saturated, Verdict.SATURATED, Verdict.SATISFIED)
 
     return CPReport(
         block_psd=block_psd,
-        d0_psd=d0_psd,
-        d2_psd=d2_psd,
+        d0_psd=is_psd(d0),
+        d2_psd=is_psd(d2),
         schur_ok=schur_ok,
         support_ok=support_ok,
         tradeoff_margin=margin,
-        verdict=verdict,
+        verdict=np.where(block_psd, trade, Verdict.VIOLATED)[()],
     )
 
 
@@ -231,14 +229,10 @@ def tradeoff_verdict(triple: CouplingTriple) -> Verdict:
     D0 = D1^dag D2^{-1} D1 within ``SATURATION_TOL`` (the purity-preserving regime);
     Satisfied otherwise.
     """
-    if not is_psd(triple.block):
-        return Verdict.VIOLATED
-    d2_pinv = pseudo_inverse(triple.d2)
-    target = triple.d1.conj().T @ d2_pinv @ triple.d1
-    gap = np.abs(triple.d0 - target).max()
-    if gap <= SATURATION_TOL * (1.0 + np.abs(triple.d0).max()):
-        return Verdict.SATURATED
-    return Verdict.SATISFIED
+    target = _dagger(triple.d1) @ pseudo_inverse(triple.d2) @ triple.d1
+    saturated = _max_abs(triple.d0 - target) <= SATURATION_TOL * (1.0 + _max_abs(triple.d0))
+    trade = np.where(saturated, Verdict.SATURATED, Verdict.SATISFIED)
+    return np.where(is_psd(triple.block), trade, Verdict.VIOLATED)[()]
 
 
 def spectral_norm(mats) -> float:

@@ -32,6 +32,7 @@ from cqsim.models import (
     polynomial_cq_model,
     validate_model,
 )
+from cqsim.psd import schur_cp_check
 from cqsim.scenario import parse_scenario_file
 from cqsim.state import (
     HybridState,
@@ -328,6 +329,74 @@ class TestApplyGenerator:
             assert len(audits) == expected_calls
 
 
+class TestModelAudit:
+    @pytest.fixture
+    def cp_checks(self, monkeypatch):
+        """The triples of every `schur_cp_check` call that `validate_model` makes."""
+        calls = []
+
+        def spy(triple):
+            calls.append(triple)
+            return schur_cp_check(triple)
+
+        monkeypatch.setattr(models, "schur_cp_check", spy)
+        return calls
+
+    def test_one_cp_check_names_the_first_violating_q(self, cp_checks):
+        # 4 D2 D0 = 1.2 q^2 < 1 for |q| < 0.913: q = 0.7 and q = 0 violate, and
+        # q = 0.7 is named because it comes first, although q = 0 violates more
+        model = polynomial_cq_model(
+            mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((2, 2)), v_i_matrix=SIGMA_Z,
+            v_i_profile=[0.0, 1.0], d2_coeffs=[0.0, 0.0, 0.3], d0_coeffs=[1.0],
+        )
+        validate_model(model, [2.0, -3.0])
+        with pytest.raises(
+            ModelValidationError,
+            match=r"^coupling triple violates complete positivity at q=0\.7: "
+            r"margin -1\.030e-01 \(need 4\*D2 >= 1/D0\)$",
+        ):
+            validate_model(model, [2.0, 0.7, 0.0, -3.0])
+        assert [triple.d2.shape for triple in cp_checks] == [(2, 1, 1), (4, 1, 1)]
+
+    def test_a_grid_run_makes_two_cp_checks(self, cp_checks, tmp_path):
+        # the gate and the generator each audit the 81 grid points in one call
+        scenario = parse_scenario_file(SCENARIO_DIR / "evolve_qubit_decoherence.yaml")
+        runner.run_scenario(scenario, tmp_path / "out")
+        assert [triple.d2.shape for triple in cp_checks] == [(81, 1, 1)] * 2
+
+    @pytest.mark.parametrize("qs", [[0.0], np.linspace(-5.0, 5.0, 11)])
+    def test_hermiticity_is_judged_at_each_point(self, qs):
+        # dV_I = 2e5 q^2 sigma_z reaches 5e6 at |q| = 5; that must not hide a
+        # non-Hermitian defect of 1e-5 at q = 0
+        base = polynomial_cq_model(
+            mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((2, 2)), v_i_matrix=SIGMA_Z,
+            v_i_profile=[0.0, 0.0, 0.0, 2e5 / 3.0], d2_coeffs=[0.5], d0_coeffs=[1.0],
+        )
+        skew = np.array([[0.0, 1e-5], [0.0, 0.0]])
+
+        def dv_i(q):
+            return base.dv_i(q) + (np.asarray(q) == 0.0)[..., None, None] * skew
+
+        model = dataclasses.replace(base, dv_i=dv_i)
+        with pytest.raises(
+            ModelValidationError, match=r"^dv_i\(q=0\) is not Hermitian: defect 1\.000e-05 "
+        ):
+            validate_model(model, qs)
+
+    def test_measurement_refusal_names_the_signal(self):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        m = models.MeasurementModel(
+            z_op=lambda z: SIGMA_Z + (np.asarray(z) == 0.5)[..., None, None] * skew,
+            k=lambda z: np.ones_like(z),
+        )
+        with pytest.raises(ModelValidationError, match=r"^z_op\(z=0\.5\) is not Hermitian"):
+            m.validate([0.0, 0.5])
+
+    def test_h_q_must_be_one_matrix(self):
+        with pytest.raises(ModelValidationError, match="h_q must be one square matrix"):
+            polynomial_cq_model(mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((3, 2, 2)))
+
+
 class TestBranchGenerator:
     def test_basis_weights_are_the_seeded_normals(self):
         # the literals keep the branch labels of the draws they replace
@@ -490,6 +559,41 @@ class TestBranchGenerator:
             ModelValidationError, match=rf"basis: {name}\(q=4\) has off-diagonal 2\.500e-01$"
         ):
             diagonalize_model(model, np.linspace(-4.0, 4.0, 9))
+
+    def test_every_given_point_is_audited(self):
+        # V_I gains 0.25 sigma_x only for |q - 3| < 0.25: on linspace(-4, 4, 9)
+        # q = 3 is the one point an 8-point probe of the points skipped
+        model = self._fields(
+            qubit_decoherence_model(lam=0.6, d0=1.0),
+            lambda q: 0.25 * (np.abs(q - 3.0) < 0.25),
+            np.zeros_like,
+        )
+        message = (
+            "model is not diagonal in a common q-independent basis: "
+            "v_i(q=3) has off-diagonal 2.500e-01"
+        )
+        with pytest.raises(ModelValidationError, match="^" + re.escape(message) + "$"):
+            diagonalize_model(model, np.linspace(-4.0, 4.0, 9))
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_refusal_names_the_first_failing_matrix_in_qs_order(self, order):
+        # 20001 points fill several audit blocks.  V_I leaves the basis near
+        # q = 3 and above q = 3.5, dV_I above q = 3.5 too: ascending, the
+        # first point near 3 is named; descending, q = 4, with V_I before dV_I
+        model = self._fields(
+            qubit_decoherence_model(lam=0.6, d0=1.0),
+            lambda q: 0.25 * ((np.abs(q - 3.0) < 0.25) | (q > 3.5)),
+            lambda q: 0.5 * (q > 3.5),
+        )
+        qs = np.linspace(-4.0, 4.0, 20001)[::order]
+        first = qs[(np.abs(qs - 3.0) < 0.25) | (qs > 3.5)][0]
+        assert (first == 4.0) == (order == -1)
+        with pytest.raises(
+            ModelValidationError,
+            match="^model is not diagonal in a common q-independent basis: "
+            + re.escape(f"v_i(q={first:g}) has off-diagonal 2.500e-01") + "$",
+        ):
+            diagonalize_model(model, qs)
 
     def test_tolerance_is_relative_to_the_matrix(self):
         # beside a sigma_z of size 1e2 the bound is 1e-10 * 101: an off-diagonal

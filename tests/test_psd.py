@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +8,11 @@ from hypothesis import strategies as st
 
 from cqsim.psd import (
     CouplingTriple,
+    CPReport,
     Verdict,
     is_psd,
     pseudo_inverse,
+    require_hermitian,
     schur_cp_check,
     tradeoff_verdict,
 )
@@ -126,3 +131,73 @@ class TestTradeoffVerdict:
             assert report.verdict is Verdict.VIOLATED
         else:
             assert report.block_psd
+
+
+# ROADMAP item 13's draws: dimension 2-6, a split, a rank and a shift of
+# eps times the spectral radius, which puts blocks on either side of the cone
+# boundary; on 62 of the first 3000 the block and Schur routes disagree
+EPSILONS = (1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12, 0.0)
+
+
+def boundary_blocks(n_draws):
+    """Seeded blocks near the PSD cone's boundary, grouped by (dimension, split)."""
+    groups = {}
+    for seed in range(n_draws):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        split = int(rng.integers(1, n))
+        rank = int(rng.integers(1, n + 1))
+        eps = EPSILONS[int(rng.integers(len(EPSILONS)))]
+        block = random_psd(rng, n, rank=rank)
+        block = block + eps * np.abs(np.linalg.eigvalsh(block)).max() * np.eye(n)
+        groups.setdefault((n, split), []).append(block)
+    return groups
+
+
+def split_triple(block, k):
+    return CouplingTriple(d2=block[..., :k, :k], d1=block[..., :k, k:], d0=block[..., k:, k:])
+
+
+class TestStacks:
+    def test_stacked_results_equal_single_calls_bitwise(self):
+        # batching moves no bit of any field, on the draws where the two
+        # routes disagree too
+        disagreements = 0
+        for (n, k), blocks in boundary_blocks(3000).items():
+            stack = np.stack(blocks)
+            report = schur_cp_check(split_triple(stack, k))
+            verdicts = tradeoff_verdict(split_triple(stack, k))
+            psd, pinv = is_psd(stack), pseudo_inverse(stack[:, k:, k:])
+            for i, block in enumerate(blocks):
+                one = schur_cp_check(split_triple(block, k))
+                for field in dataclasses.fields(CPReport):
+                    single, stacked = getattr(one, field.name), getattr(report, field.name)[i]
+                    if field.name == "verdict":
+                        assert stacked is single
+                    else:
+                        assert np.asarray(stacked).tobytes() == np.asarray(single).tobytes()
+                assert verdicts[i] is tradeoff_verdict(split_triple(block, k))
+                assert psd[i] == is_psd(block)
+                assert pinv[i].tobytes() == pseudo_inverse(block[k:, k:]).tobytes()
+                disagreements += one.block_psd != (one.d0_psd and one.schur_ok and one.support_ok)
+        assert disagreements > 0
+
+    def test_single_report_is_plain_json(self):
+        report = schur_cp_check(CouplingTriple(d2=[[0.25]], d1=[[0.5]], d0=[[2.0]]))
+        assert isinstance(report.verdict, Verdict)
+        out = report.to_dict()
+        assert [type(v) for v in out.values()] == [bool] * 5 + [float, str]
+        assert json.loads(json.dumps(out)) == out
+
+    def test_each_matrix_is_judged_on_its_own_scale(self):
+        # beside a matrix of size 5e6, a defect of 1e-5 in a small one is refused
+        stack = np.stack([5e6 * np.diag([1.0, -1.0]), np.array([[0.0, 1e-5], [0.0, 0.0]])])
+        with pytest.raises(ValueError, match=r"^matrix\[1\] is not Hermitian: defect 1\.000e-05 "):
+            require_hermitian(stack)
+        with pytest.raises(ValueError, match=r"^point 1 is not Hermitian"):
+            require_hermitian(stack, name=lambda at: f"point {at[0]}")
+        assert is_psd(stack[:1, None]).shape == (1, 1)  # any number of leading axes
+
+    def test_stacked_triples_must_share_their_leading_axes(self):
+        with pytest.raises(ValueError, match="conformable"):
+            CouplingTriple(d2=np.ones((3, 1, 1)), d1=np.ones((3, 1, 1)), d0=np.ones((2, 1, 1)))
