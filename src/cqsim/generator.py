@@ -64,7 +64,6 @@ import numpy as np
 from .grids import PhaseGrid, d_dx, d2_dx2, times_real
 from .models import (
     CQModel,
-    DiagonalizedModel,
     MeasurementModel,
     classical_force,
     diagonalize_model,
@@ -295,9 +294,7 @@ def _scratch(shape):
     return scratch
 
 
-def branch_generator(
-    model: CQModel, state: HybridState, diag: DiagonalizedModel | None = None
-) -> np.ndarray:
+def branch_generator(model: CQModel, state: HybridState) -> np.ndarray:
     """Branch-decomposed rate for models diagonal in a fixed basis.
 
     Valid only when [H_q, V_I(q)] = 0 for all q in a common q-independent
@@ -312,8 +309,7 @@ def branch_generator(
     if grid.ndim != 2:
         raise ValueError("branch_generator needs a (q, p) grid with two axes")
     qs = grid.axes[0].points
-    if diag is None:
-        diag = diagonalize_model(model, qs)
+    diag = diagonalize_model(model)
 
     u = diag.basis
     f = np.einsum("ia,...ij,jb->...ab", u.conj(), state.cells, u)
@@ -323,7 +319,7 @@ def branch_generator(
     df_dp = d_dx(f, 1, hp_ax)
     d2f_dp2 = d2_dx2(f, 1, hp_ax)
 
-    lvals = np.asarray(diag.dv_eigs(qs), dtype=float)  # (nq, d)
+    lvals = diag.dv_eigs(qs)  # (nq, d), audited at every q
     vprime = np.asarray(classical_force(model, qs), dtype=float)
     # (a,b)-averaged force d(H_c + Vbar)/dq, per q and branch pair
     force = vprime[:, None, None] + 0.5 * (lvals[:, :, None] + lvals[:, None, :])

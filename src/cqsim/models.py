@@ -11,9 +11,11 @@ in one stacked `psd.schur_cp_check`, before evolution is permitted.
 
 `diagonalize_model` admits a model to the branch-decomposed evolution and
 the branch-pair path weights by one rule: H_q, and V_I(q) and dV_I(q) at
-every one of the caller's points, must each be diagonal in one basis fixed
-by the model alone, within DIAGONAL_TOL = 1e-10 relative to the matrix.
-Both judge V_I and dV_I Hermitian point by point (`psd.require_hermitian`).
+every q whose branch levels are read, must each be diagonal in one basis
+fixed by the model alone, within DIAGONAL_TOL = 1e-10 relative to the
+matrix; `dv_eigs` audits each q before it returns its levels, so no level
+leaves this module unaudited.  Both audits judge V_I and dV_I finite and
+Hermitian point by point (`psd.require_hermitian`).
 
 `MeasurementModel` describes the continuous measurement of a Hermitian
 operator Z with strength k, both optionally dependent on the measurement
@@ -122,13 +124,20 @@ def classical_force(model: CQModel, q):
     return model.dpotential(np.asarray(q, dtype=float))
 
 
-def _matrix_field(fn, qs, d, name, var="q"):
-    out = np.asarray(fn(qs), dtype=complex)
-    want = np.shape(qs) + (d, d)
-    if out.shape != want:
-        raise ModelValidationError(f"{name}({var}) returned shape {out.shape}, expected {want}")
+def _matrix_fields(qs, d, var="q", **fields):
+    """The named fields at ``qs`` as (n, len(fields), d, d), each finite and Hermitian."""
+    names, want = list(fields), np.shape(qs) + (d, d)
+    out = [np.asarray(fn(qs), dtype=complex) for fn in fields.values()]
+    for name, f in zip(names, out):
+        if f.shape != want:
+            raise ModelValidationError(f"{name}({var}) returned shape {f.shape}, expected {want}")
+    out = np.stack(out, axis=1)
+    label = lambda at: f"{names[at[1]]}({var}={qs[at[0]]:g})"
+    if not np.isfinite(out).all():
+        at = np.argwhere(~np.isfinite(out))[0]
+        raise ModelValidationError(f"{label(at)} has a non-finite entry")
     try:
-        require_hermitian(out, name=lambda at: f"{name}({var}={qs[at]:g})")
+        require_hermitian(out, name=label)
     except ValueError as exc:
         raise ModelValidationError(str(exc)) from None
     return out
@@ -137,7 +146,8 @@ def _matrix_field(fn, qs, d, name, var="q"):
 def validate_model(model: CQModel, qs) -> None:
     """Audit a model at every given q; raise ModelValidationError on failure.
 
-    Checks Hermiticity of V_I and dV_I, nonnegativity of D2 and D0, and --
+    Checks that V_I and dV_I are finite and Hermitian and that D2 and D0
+    are nonnegative, naming the first failing q, and --
     when the interaction is switched on -- that the coupling triple
     (D2(q), 1/2, D0(q)) passes one `schur_cp_check` of all the points
     stacked; the refusal names the first violating q.  A model with dV_I
@@ -146,21 +156,21 @@ def validate_model(model: CQModel, qs) -> None:
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     d = model.hilbert_dim
-    _matrix_field(model.v_i, qs, d, "v_i")
-    dv = _matrix_field(model.dv_i, qs, d, "dv_i")
-    d2 = np.asarray(model.d2(qs), dtype=float)
-    d0 = np.asarray(model.d0(qs), dtype=float)
-    if np.any(d2 < 0):
-        raise ModelValidationError("d2(q) must be nonnegative on the sampled range")
-    if np.any(d0 < 0):
-        raise ModelValidationError("d0(q) must be nonnegative on the sampled range")
-    interacting = np.abs(dv).max() > 0.0
-    if not interacting:
+    dv = _matrix_fields(qs, d, v_i=model.v_i, dv_i=model.dv_i)[:, 1]
+    d2 = np.broadcast_to(np.asarray(model.d2(qs), dtype=float), qs.shape)
+    d0 = np.broadcast_to(np.asarray(model.d0(qs), dtype=float), qs.shape)
+    for name, values in (("d2", d2), ("d0", d0)):
+        bad = np.flatnonzero(values < 0)
+        if bad.size:
+            raise ModelValidationError(
+                f"{name}(q={qs[bad[0]]:g}) must be nonnegative, got {values[bad[0]]:g}"
+            )
+    if not np.abs(dv).max() > 0.0:  # no interaction
         return
     report = schur_cp_check(CouplingTriple(
-        d2=np.broadcast_to(d2, qs.shape)[:, None, None],
+        d2=d2[:, None, None],
         d1=np.full(qs.shape + (1, 1), BACKREACTION_COUPLING),
-        d0=np.broadcast_to(d0, qs.shape)[:, None, None],
+        d0=d0[:, None, None],
     ))
     bad = np.flatnonzero(report.verdict == Verdict.VIOLATED)
     if bad.size:
@@ -227,8 +237,8 @@ class DiagonalizedModel:
     """Fixed-basis data of a model that `diagonalize_model` admits.
 
     ``basis`` U maps eigen-components to the original basis.  ``h`` holds
-    the eigenvalues of H_q; ``dv_eigs`` maps q arrays to (..., d)
-    eigenvalue arrays of dV_I in the same fixed order.
+    the eigenvalues of H_q; ``dv_eigs`` audits q arrays and maps them to
+    (..., d) eigenvalue arrays of dV_I in the same fixed order.
     """
 
     basis: np.ndarray
@@ -236,49 +246,53 @@ class DiagonalizedModel:
     dv_eigs: Callable
 
 
-def diagonalize_model(model: CQModel, qs) -> DiagonalizedModel:
+def diagonalize_model(model: CQModel) -> DiagonalizedModel:
     """Extract the fixed eigenbasis u of H_q, V_I(q) and dV_I(q), or refuse.
 
-    The basis and the order of its branches depend on the model alone.  H_q,
-    and V_I(q) and dV_I(q) at every one of the caller's ``qs``, must each be
-    diagonal in u (see DIAGONAL_TOL); else ModelValidationError names the
-    first that is not: H_q, then the points in ``qs`` order, V_I before dV_I.
+    The basis and the order of its branches depend on the model alone.  H_q
+    must be diagonal in u (see DIAGONAL_TOL).  ``dv_eigs(q)`` audits each q
+    it is given first: V_I and dV_I there must be finite, Hermitian and
+    diagonal in u.  ModelValidationError names the first failure: H_q, or
+    the points in flattened ``q`` order, V_I before dV_I.
     """
-    qs = np.atleast_1d(np.asarray(qs, dtype=float))
     d = model.hilbert_dim
 
     # A generic fixed-weight combination splits shared eigenspaces; taken at
     # fixed q values, it orders the branches the same for every caller.
-    v = _matrix_field(model.v_i, _BASIS_QS, d, "v_i")
-    dv = _matrix_field(model.dv_i, _BASIS_QS, d, "dv_i")
-    fixed = [model.h_q, *v, *dv]
+    fields = _matrix_fields(_BASIS_QS, d, v_i=model.v_i, dv_i=model.dv_i)
+    fixed = [model.h_q, *fields[:, 0], *fields[:, 1]]
     _, u = np.linalg.eigh(sum(w * s for w, s in zip(_BASIS_WEIGHTS, fixed, strict=True)))
 
-    # H_q, then V_I(q) and dV_I(q) at each point, in blocks of 256 kB of V_I
-    # that keep the temporaries small; with row-major vec, one product rotates
-    # a block: vec(u^dag M u) = vec(M) @ kron(conj(u), u), here transposed
+    # with row-major vec, one product rotates a stack of matrices:
+    # vec(u^dag M u) = vec(M) @ kron(conj(u), u), here transposed; dv_eigs
+    # rotates blocks of 256 kB of V_I, which keep the temporaries small
     rotate, off_diagonal = np.kron(u.conj(), u), ~np.eye(d, dtype=bool).ravel()
     step = max(1, (1 << 18) // (16 * d * d))
-    for lo in range(0, max(qs.size, 1), step):
-        block = qs[lo : lo + step]
-        v = _matrix_field(model.v_i, block, d, "v_i")
-        dv = _matrix_field(model.dv_i, block, d, "dv_i")
-        mats = np.concatenate([model.h_q[None], np.stack([v, dv], axis=1).reshape(-1, d, d)])
-        size = np.abs(rotate.T @ mats.reshape(-1, d * d).T)  # entries leading: fast maxima
+
+    def rotated(mats, name):
+        """The diagonals (leading) of each u^dag M u; refuses the first M not diagonal in u."""
+        entries = rotate.T @ mats.reshape(-1, d * d).T
+        size = np.abs(entries)  # entries leading: fast maxima
         off = size[off_diagonal].max(0, initial=0.0)
         bad = np.flatnonzero(off > DIAGONAL_TOL * (1.0 + size.max(0)))
         if bad.size:
-            i = bad[0]
-            name = "h_q" if i == 0 else f"{('dv_i', 'v_i')[i % 2]}(q={block[(i - 1) // 2]:g})"
             raise ModelValidationError(
                 "model is not diagonal in a common q-independent basis: "
-                f"{name} has off-diagonal {off[i]:.3e}"
+                f"{name(bad[0])} has off-diagonal {off[bad[0]]:.3e}"
             )
-    h = np.diag(u.conj().T @ model.h_q @ u).real
+        return entries[~off_diagonal].real
+
+    h = rotated(model.h_q, lambda i: "h_q")[:, 0]
 
     def dv_eigs(q):
-        m = np.asarray(model.dv_i(np.asarray(q, dtype=float)), dtype=complex)
-        return np.einsum("ia,...ij,ja->...a", u.conj(), m, u).real
+        flat = np.asarray(q, dtype=float).ravel()
+        levels = np.empty((flat.size, d))
+        for lo in range(0, flat.size, step):
+            block = flat[lo : lo + step]
+            fields = _matrix_fields(block, d, v_i=model.v_i, dv_i=model.dv_i)
+            diagonals = rotated(fields, lambda i: f"{('v_i', 'dv_i')[i % 2]}(q={block[i // 2]:g})")
+            levels[lo : lo + step] = diagonals[:, 1::2].T
+        return levels.reshape(np.shape(q) + (d,))
 
     return DiagonalizedModel(basis=u, h=h, dv_eigs=dv_eigs)
 
@@ -320,7 +334,7 @@ class MeasurementModel:
 
     def validate(self, zs) -> None:
         zs = np.atleast_1d(np.asarray(zs, dtype=float))
-        _matrix_field(self.z_op, zs, self.hilbert_dim, "z_op", "z")
+        _matrix_fields(zs, self.hilbert_dim, "z", z_op=self.z_op)
         k = np.asarray(self.k(zs), dtype=float)
         if np.any(k <= 0):
             bad = int(np.argmin(k))

@@ -19,10 +19,11 @@ All q-dependent coefficients are evaluated at the pre-point (Ito), matching
 the Euler-Maruyama sampler `sample_path_ensemble` (one step for all paths
 at once, path i's noise from the stream keyed (seed, i)); the
 weight/transition-density duality is exact step by step, which is the
-module's core consistency check.  Branch pairs index the fixed eigenbasis of dV_I/dq, whose labels
-depend on the model alone, and stay constant along a path (diagonal
-models).  Functions taking ``diag`` accept a `diagonalize_model` result so
-that a caller evaluating many paths diagonalizes once.
+module's core consistency check.  Branch pairs index the fixed eigenbasis
+of dV_I/dq, whose labels depend on the model alone, and stay constant along
+a path (diagonal models).  Every branch level comes from `dv_eigs` of
+`diagonalize_model`, which audits each q it reads: the sampler refuses a
+model at the first step that leaves the basis, a weight any such path.
 
 A `ClassicalPath` is one path (q, p of shape (n_steps + 1,)) or a batch
 (shape (n_paths, n_steps + 1)); the exponents sum over the last axis, one
@@ -89,8 +90,7 @@ class ClassicalPath:
             if p.shape != q.shape:
                 raise ValueError("p must match the shape of q")
             object.__setattr__(self, "p", p)
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        _check_dt(self.dt)
 
     @property
     def n_steps(self) -> int:
@@ -110,13 +110,11 @@ class BranchPair:
 
 
 def _branch_levels(model: CQModel, qs, pair: BranchPair, diag: Optional[DiagonalizedModel] = None):
-    """Eigenvalues l_a(q), l_b(q) of dV_I/dq along the path."""
-    if diag is None:
-        diag = diagonalize_model(model, np.unique(qs))
+    """Eigenvalues l_a(q), l_b(q) of dV_I/dq along the path, audited at every q."""
     d = model.hilbert_dim
     if pair.a >= d or pair.b >= d:
         raise ValueError(f"branch pair {pair} out of range for Hilbert dimension {d}")
-    levels = np.asarray(diag.dv_eigs(qs), dtype=float)
+    levels = (diag or diagonalize_model(model)).dv_eigs(qs)
     return levels[..., pair.a], levels[..., pair.b]
 
 
@@ -162,17 +160,12 @@ def _positive_d2(model: CQModel, qs):
     return d2
 
 
-def om_action(
-    path: ClassicalPath,
-    model: CQModel,
-    pair: Optional[BranchPair] = None,
-    diag: Optional[DiagonalizedModel] = None,
-) -> float:
+def om_action(path: ClassicalPath, model: CQModel, pair: Optional[BranchPair] = None) -> float:
     """Onsager-Machlup suppression exponent of a constraint-satisfying path."""
     _check_constraint(path, model)
     q_pre = path.q[..., :-1]
     d2 = _positive_d2(model, q_pre)
-    r = (path.p[..., 1:] - path.p[..., :-1]) / path.dt + _drift_force(model, q_pre, pair, diag)
+    r = (path.p[..., 1:] - path.p[..., :-1]) / path.dt + _drift_force(model, q_pre, pair)
     return np.sum(0.5 * path.dt * r * r / d2, axis=-1)
 
 
@@ -182,15 +175,10 @@ def anomalous_term(path: ClassicalPath, model: CQModel) -> float:
     return np.sum(0.5 * np.log(d2), axis=-1)
 
 
-def fv_action(
-    path: ClassicalPath,
-    model: CQModel,
-    pair: BranchPair,
-    diag: Optional[DiagonalizedModel] = None,
-) -> float:
+def fv_action(path: ClassicalPath, model: CQModel, pair: BranchPair) -> float:
     """Feynman-Vernon damping exponent sum dt (D0/2)(l_a - l_b)^2 >= 0."""
     q_pre = path.q[..., :-1]
-    la, lb = _branch_levels(model, q_pre, pair, diag)
+    la, lb = _branch_levels(model, q_pre, pair)
     d0 = np.asarray(model.d0(q_pre), dtype=float)
     return np.sum(path.dt * 0.5 * d0 * (la - lb) ** 2, axis=-1)
 
@@ -226,13 +214,15 @@ def sample_path_ensemble(
     """Ensemble of sampled paths; returns (q, p) arrays of shape (n, steps+1).
 
     Path i draws its noise from the stream keyed (seed, i); ``q0`` and
-    ``p0`` are scalars or per-path arrays.  A ``dt`` that is not a finite
+    ``p0`` are finite scalars or per-path arrays.  A ``dt`` that is not a finite
     number > 0, ``n_steps`` < 0 or ``n_paths`` < 1 is refused with a ValueError.
     """
     _check_dt(dt)
     n_steps = _count("n_steps", n_steps, 0)
     n_paths = _count("n_paths", n_paths, 1)
-    diag = None if pair is None else diagonalize_model(model, np.unique(q0))
+    if not (np.isfinite(q0).all() and np.isfinite(p0).all()):
+        raise ValueError(f"q0 and p0 must be finite, got {q0!r} and {p0!r}")
+    diag = None if pair is None else diagonalize_model(model)
     xis = trajectory_normals(seed, 0, n_paths, n_steps)
     qs = np.empty((n_paths, n_steps + 1))
     ps = np.empty((n_paths, n_steps + 1))
@@ -254,16 +244,17 @@ def config_action(path: ClassicalPath, model: CQModel, pair: Optional[BranchPair
     """Configuration-space weight from the Euler-Lagrange residual.
 
     Uses second differences qddot_k = (q_{k+1} - 2 q_k + q_{k-1})/dt^2 at
-    the interior points; the path must carry no p array.
+    the interior points of each row; the path must carry no p array and at
+    least 3 samples per row.
     """
     if path.p is not None:
         raise ValueError("config_action expects a q-only path (no p array)")
     q = path.q
-    if q.size < 3:
-        raise ValueError("config_action needs at least 3 samples")
+    if q.shape[-1] < 3:
+        raise ValueError("config_action needs at least 3 samples per path")
     dt = path.dt
-    q_in = q[1:-1]
-    qddot = (q[2:] - 2.0 * q[1:-1] + q[:-2]) / (dt * dt)
+    q_in = q[..., 1:-1]
+    qddot = (q[..., 2:] - 2.0 * q_in + q[..., :-2]) / (dt * dt)
     d2 = _positive_d2(model, q_in)
     residual = model.mass * qddot + _drift_force(model, q_in, pair)
-    return float(np.sum(0.5 * dt * residual * residual / d2))
+    return np.sum(0.5 * dt * residual * residual / d2, axis=-1)

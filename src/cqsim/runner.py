@@ -150,7 +150,7 @@ def check_scenario(scenario: Scenario) -> dict:
         )
         validate_model(scenario.model, qs)
         if scenario.initial.get("pair"):
-            diagonalize_model(scenario.model, qs)
+            diagonalize_model(scenario.model).dv_eigs(qs)
     if scenario.run_type == "unravel":
         scenario.model.validate(scenario.grid.axes[0].points)
     if scenario.run_type in ("evolve", "unravel", "sample_paths"):
@@ -300,15 +300,14 @@ def _run_sample_paths(scenario, out_dir):
         model, init["q0"], init["p0"], n_steps, dt, n_paths=n_paths, pair=pair,
         seed=numerics["seed"],
     )
-    diag = None if pair is None else diagonalize_model(model, np.unique(qs[:, :-1]))
     # blocks of ~64k path steps keep the scoring temporaries small
     rows = max(1, (1 << 16) // n_steps)
     exponents = np.empty(n_paths)
     for lo in range(0, n_paths, rows):
         block = ClassicalPath(dt=dt, q=qs[lo : lo + rows], p=ps[lo : lo + rows])
-        block_exp = om_action(block, model, pair, diag=diag) + anomalous_term(block, model)
+        block_exp = om_action(block, model, pair) + anomalous_term(block, model)
         if pair is not None:
-            block_exp += fv_action(block, model, pair, diag=diag)
+            block_exp += fv_action(block, model, pair)
         exponents[lo : lo + rows] = block_exp
     # the raw weight can under/overflow for long paths; the exponent column
     # carries the lossless value
@@ -366,8 +365,10 @@ def compare_artifacts(path_a, path_b, metric="l1") -> float:
     densities (l1 is volume-weighted).  Each dump is read by `load_state`
     and reduced to its grid and marginal; dumps that together hold more
     than `BLOCK_FLOATS` floats are read in two forked workers, which send
-    back only that.
+    back only that.  An unknown ``metric`` is refused before either is read.
     """
+    if metric not in ("l1", "linf"):
+        raise ValueError(f"unknown metric {metric!r} (use l1 or linf)")
     paths = (path_a, path_b)
     if sum(map(dump_floats, paths)) > BLOCK_FLOATS:
         read = _map_chunks(_grid_and_marginal, [(path,) for path in paths])
@@ -376,11 +377,8 @@ def compare_artifacts(path_a, path_b, metric="l1") -> float:
     (grid_a, pa), (grid_b, pb) = read
     if grid_a != grid_b:
         raise ValueError(f"grids differ: {grid_a} vs {grid_b}")
-    if metric == "l1":
-        return float(np.abs(pa - pb).sum() * grid_a.cell_volume)
-    if metric == "linf":
-        return float(np.abs(pa - pb).max())
-    raise ValueError(f"unknown metric {metric!r} (use l1 or linf)")
+    gap = np.abs(pa - pb)
+    return float(gap.sum() * grid_a.cell_volume if metric == "l1" else gap.max())
 
 
 def _grid_and_marginal(path):

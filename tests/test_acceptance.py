@@ -16,7 +16,7 @@ from scipy import stats
 
 from cqsim.generator import apply_generator, branch_generator, cfl_limit, evolve, evolve_measurement, measurement_cfl_limit
 from cqsim.grids import GridAxis, PhaseGrid
-from cqsim.models import constant_measurement_model, diagonalize_model, polynomial_cq_model
+from cqsim.models import constant_measurement_model, polynomial_cq_model
 from cqsim.paths import ClassicalPath, anomalous_term, config_action, om_action, sample_path
 from cqsim.psd import CouplingTriple, Verdict, schur_cp_check, tradeoff_verdict
 from cqsim.runner import run_scenario
@@ -118,7 +118,6 @@ def test_criterion_05_branch_decomposition_oracle():
         d0_coeffs=[0.9],
     )
     grid = PhaseGrid((GridAxis("q", -3.0, 3.0, 25), GridAxis("p", -3.0, 3.0, 27)))
-    diag = diagonalize_model(model, grid.axes[0].points)
     worst = 0.0
     for _ in range(50):
         cells = rng.normal(size=grid.shape + (d, d)) + 1j * rng.normal(size=grid.shape + (d, d))
@@ -126,7 +125,7 @@ def test_criterion_05_branch_decomposition_oracle():
         state = HybridState(grid, cells)
         gap = np.abs(
             apply_generator(model, state)
-            - branch_generator(model, state, diag=diag)
+            - branch_generator(model, state)
         ).max()
         worst = max(worst, gap)
     assert worst < 1e-10, f"single-application gap {worst:.2e}"
@@ -137,7 +136,7 @@ def test_criterion_05_branch_decomposition_oracle():
     dt = 0.4 * cfl_limit(model, grid)
 
     def branch_fn(c, rows, out):
-        out[...] = branch_generator(model, HybridState(grid, c), diag=diag)[rows]
+        out[...] = branch_generator(model, HybridState(grid, c))[rows]
         return out
 
     cf = cb = state.cells

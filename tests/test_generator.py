@@ -383,6 +383,16 @@ class TestModelAudit:
         ):
             validate_model(model, qs)
 
+    @pytest.mark.parametrize("name", ["d2", "d0"])
+    def test_negative_coefficient_names_the_first_q(self, name):
+        # 1 - 0.1 q^2 is negative at |q| = 4 and 5; q = -5 comes first
+        coeffs = {"d2_coeffs": [0.5], "d0_coeffs": [1.0], f"{name}_coeffs": [1.0, 0.0, -0.1]}
+        model = polynomial_cq_model(mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((2, 2)), **coeffs)
+        with pytest.raises(
+            ModelValidationError, match=rf"^{name}\(q=-5\) must be nonnegative, got -1\.5$"
+        ):
+            validate_model(model, np.linspace(-5.0, 5.0, 11))
+
     def test_measurement_refusal_names_the_signal(self):
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
         m = models.MeasurementModel(
@@ -438,21 +448,31 @@ class TestBranchGenerator:
             v_i_matrix=u0 @ np.diag(rng.normal(size=d)) @ u0.conj().T,
             v_i_profile=[0.0, 0.7, 0.2], d2_coeffs=[1.0], d0_coeffs=[1.0],
         )
-        # once the basis is fixed, dv_i may hand dv_eigs any Hermitian field
-        fields = []
-        model = dataclasses.replace(base, dv_i=lambda q: fields[-1] if fields else base.dv_i(q))
-        diag = diagonalize_model(model, np.linspace(-2.0, 2.0, 9))
+        diag = diagonalize_model(base)
         u = diag.basis
         qs = rng.uniform(-2.0, 2.0, size=(6, 5))
-        for field in (base.dv_i(qs), random_hermitian(rng, (6, 5, d, d))):
-            fields.append(field)
-            # the expression dv_eigs replaced: every entry of U^dag M U, then its diagonal
-            oracle = np.einsum("ia,...ij,jb->...ab", u.conj(), field, u).real.diagonal(
-                axis1=-2, axis2=-1
-            )
-            got = diag.dv_eigs(qs)
-            assert got.shape == oracle.shape == (6, 5, d) and got.dtype == oracle.dtype
-            assert got.tobytes() == oracle.tobytes()
+        # the product the audit judges, V_I and dV_I of each point side by side:
+        # vec(u^dag M u) = vec(M) @ kron(conj(u), u); the levels are its diagonal
+        mats = np.stack([base.v_i(qs.ravel()), base.dv_i(qs.ravel())], axis=1)
+        product = np.kron(u.conj(), u).T @ mats.reshape(-1, d * d).T
+        oracle = product[:: d + 1, 1::2].real.T.reshape(6, 5, d)
+        got = diag.dv_eigs(qs)
+        assert got.shape == oracle.shape == (6, 5, d) and got.dtype == oracle.dtype
+        assert got.tobytes() == oracle.tobytes()
+        # every entry of U^dag M U, then its diagonal: the same levels to rounding
+        einsum = np.einsum("ia,...ij,ja->...a", u.conj(), base.dv_i(qs), u).real
+        assert np.abs(got - einsum).max() < 1e-14
+        # once the basis is fixed, a Hermitian field that leaves it is refused
+        # at the first q, not read off
+        fields = []
+        model = dataclasses.replace(base, dv_i=lambda q: fields[-1] if fields else base.dv_i(q))
+        dv_eigs = diagonalize_model(model).dv_eigs
+        fields.append(random_hermitian(rng, (qs.size, d, d)))
+        with pytest.raises(
+            ModelValidationError,
+            match=re.escape(f"basis: dv_i(q={qs.flat[0]:g}) has off-diagonal "),
+        ):
+            dv_eigs(qs)
 
     def test_diagonal_pair_damping_vanishes(self):
         # (a, a) components carry no Feynman-Vernon damping: a pure-dephasing
@@ -495,7 +515,7 @@ class TestBranchGenerator:
             d0_coeffs=[1.0],
         )
         with pytest.raises(ModelValidationError, match="common"):
-            diagonalize_model(model, np.linspace(-3, 3, 5))
+            diagonalize_model(model).dv_eigs(np.linspace(-3, 3, 5))
 
     @staticmethod
     def _fields(base, v_extra, dv_extra):
@@ -535,7 +555,7 @@ class TestBranchGenerator:
             match=r"^model is not diagonal in a common q-independent basis: "
             r"dv_i\(q=2\) has off-diagonal 1\.991e\+00$",
         ):
-            diagonalize_model(model, [2.0])
+            diagonalize_model(model).dv_eigs([2.0])
 
     def test_refusal_names_h_q(self):
         model = polynomial_cq_model(
@@ -543,7 +563,7 @@ class TestBranchGenerator:
             v_i_profile=[0.0, 0.5], d2_coeffs=[0.5], d0_coeffs=[1.0],
         )
         with pytest.raises(ModelValidationError, match=r"basis: h_q has off-diagonal "):
-            diagonalize_model(model, np.linspace(-3, 3, 5))
+            diagonalize_model(model)
 
     @pytest.mark.parametrize("name", ["v_i", "dv_i"])
     def test_refusal_names_the_field_and_q(self, name):
@@ -554,11 +574,11 @@ class TestBranchGenerator:
 
         extra = (step, np.zeros_like) if name == "v_i" else (np.zeros_like, step)
         model = self._fields(qubit_decoherence_model(lam=0.6, d0=1.0), *extra)
-        diagonalize_model(model, np.linspace(-3.0, 3.0, 7))
+        diagonalize_model(model).dv_eigs(np.linspace(-3.0, 3.0, 7))
         with pytest.raises(
             ModelValidationError, match=rf"basis: {name}\(q=4\) has off-diagonal 2\.500e-01$"
         ):
-            diagonalize_model(model, np.linspace(-4.0, 4.0, 9))
+            diagonalize_model(model).dv_eigs(np.linspace(-4.0, 4.0, 9))
 
     def test_every_given_point_is_audited(self):
         # V_I gains 0.25 sigma_x only for |q - 3| < 0.25: on linspace(-4, 4, 9)
@@ -573,7 +593,7 @@ class TestBranchGenerator:
             "v_i(q=3) has off-diagonal 2.500e-01"
         )
         with pytest.raises(ModelValidationError, match="^" + re.escape(message) + "$"):
-            diagonalize_model(model, np.linspace(-4.0, 4.0, 9))
+            diagonalize_model(model).dv_eigs(np.linspace(-4.0, 4.0, 9))
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_refusal_names_the_first_failing_matrix_in_qs_order(self, order):
@@ -593,7 +613,7 @@ class TestBranchGenerator:
             match="^model is not diagonal in a common q-independent basis: "
             + re.escape(f"v_i(q={first:g}) has off-diagonal 2.500e-01") + "$",
         ):
-            diagonalize_model(model, qs)
+            diagonalize_model(model).dv_eigs(qs)
 
     def test_tolerance_is_relative_to_the_matrix(self):
         # beside a sigma_z of size 1e2 the bound is 1e-10 * 101: an off-diagonal
@@ -607,10 +627,26 @@ class TestBranchGenerator:
         for eps, ok in ((1e-9, True), (1e-7, False)):
             model = self._fields(base, lambda q: eps * (np.abs(q - 1.0) < 0.5), np.zeros_like)
             if ok:
-                diagonalize_model(model, qs)
+                diagonalize_model(model).dv_eigs(qs)
             else:
                 with pytest.raises(ModelValidationError, match=r"v_i\(q=1\)"):
-                    diagonalize_model(model, qs)
+                    diagonalize_model(model).dv_eigs(qs)
+
+
+    @pytest.mark.parametrize("name", ["v_i", "dv_i"])
+    def test_non_finite_fields_are_refused(self, name):
+        # NaN passes every comparison of the diagonality rule, so the audit
+        # refuses it first: a NaN q, or a NaN entry of V_I or dV_I at q = 1
+        model = qubit_decoherence_model(lam=0.6, d0=1.0)
+        with pytest.raises(ModelValidationError, match=r"^v_i\(q=nan\) has a non-finite entry$"):
+            diagonalize_model(model).dv_eigs([0.0, np.nan])
+        extra = lambda q: np.where(np.asarray(q) == 1.0, np.nan, 0.0)
+        fields = (extra, np.zeros_like) if name == "v_i" else (np.zeros_like, extra)
+        model = self._fields(model, *fields)
+        with pytest.raises(
+            ModelValidationError, match=rf"^{name}\(q=1\) has a non-finite entry$"
+        ):
+            diagonalize_model(model).dv_eigs([0.0, 1.0])
 
 
 class TestStepping:

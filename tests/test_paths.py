@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from scipy import stats
 
 from cqsim.generator import cfl_limit, evolve
 from cqsim.grids import GridAxis, PhaseGrid
-from cqsim.models import diagonalize_model, polynomial_cq_model
+from cqsim.models import ModelValidationError, diagonalize_model, polynomial_cq_model
 from cqsim.paths import (
     BranchPair,
     ClassicalPath,
@@ -21,7 +24,7 @@ from cqsim.paths import (
 from cqsim.state import classical_marginal, gaussian_product_state, total_trace
 from cqsim.unravel import bin_ensemble
 
-from conftest import SIGMA_Z, free_diffusion_model
+from conftest import SIGMA_X, SIGMA_Z, free_diffusion_model, qubit_decoherence_model
 
 
 def harmonic_model(d2_coeffs=(0.4,), mass=1.0, spring=0.5):
@@ -339,12 +342,12 @@ class TestBranchLabels:
     def test_labels_do_not_depend_on_probe_points(self):
         from cqsim.paths import _drift_force
 
+        # the levels read at a q are the same whichever other q share the call
         model = self.linear_qubit_model()
         qs = np.linspace(-4.0, 4.0, 17)
-        probes = ([-3.0], [-1.0], [0.0], [2.5], np.linspace(-5.0, 5.0, 41))
-        eigs = [diagonalize_model(model, probe).dv_eigs(qs) for probe in probes]
-        for other in eigs[1:]:
-            assert np.array_equal(other, eigs[0])
+        eigs = diagonalize_model(model).dv_eigs(qs)
+        for probe in ([0], [3, 7], [16, 2, 9], slice(None, None, -1)):
+            assert np.array_equal(diagonalize_model(model).dv_eigs(qs[probe]), eigs[probe])
         pair = BranchPair(0, 0)
         forces = [_drift_force(model, np.array([q]), pair)[0] for q in (-3.0, -1.0)]
         assert forces[0] - forces[1] == pytest.approx(-2.0, abs=1e-12)
@@ -363,6 +366,52 @@ class TestBranchLabels:
             for k in range(n_steps)
         )
         assert abs(weight_exp - n_steps * 0.5 * np.log(2.0 * np.pi * dt) - oracle) < 1e-10
+
+
+class TestLevelsAreAuditedWhereRead:
+    # V_I and dV_I gain 0.25 sigma_x for |q - 3| < 0.25, away from the q that
+    # fix the basis; paths from q0 = 2.5 with p0 = 0.5 run into that bump
+    base = qubit_decoherence_model(lam=0.6, d0=1.0)
+    pair = BranchPair(0, 1)
+
+    def bump_model(self):
+        def field(fn):
+            def out(q):
+                bump = 0.25 * (np.abs(np.asarray(q, dtype=float) - 3.0) < 0.25)
+                return fn(q) + bump[..., None, None] * SIGMA_X
+            return out
+        return dataclasses.replace(self.base, v_i=field(self.base.v_i), dv_i=field(self.base.dv_i))
+
+    def visited(self):
+        # until a path enters the bump, the bump model's sampler draws the
+        # base model's paths
+        return sample_path_ensemble(self.base, 2.5, 0.5, 200, 0.01, n_paths=64, pair=self.pair, seed=1)
+
+    @staticmethod
+    def refusal(q):
+        return "^" + re.escape(
+            "model is not diagonal in a common q-independent basis: "
+            f"v_i(q={q:g}) has off-diagonal 2.500e-01"
+        ) + "$"
+
+    def test_sampler_refuses_at_the_first_visited_q_in_the_bump(self):
+        qs, _ = self.visited()
+        inside = np.abs(qs[:, :-1] - 3.0) < 0.25
+        step = np.flatnonzero(inside.any(axis=0))[0]
+        first = qs[np.flatnonzero(inside[:, step])[0], step]
+        with pytest.raises(ModelValidationError, match=self.refusal(first)):
+            sample_path_ensemble(self.bump_model(), 2.5, 0.5, 200, 0.01, n_paths=64,
+                                 pair=self.pair, seed=1)
+
+    def test_weights_refuse_a_path_through_the_bump(self):
+        qs, ps = self.visited()
+        inside = np.abs(qs[:, :-1] - 3.0) < 0.25
+        row = np.flatnonzero(inside.any(axis=1))[0]
+        path = ClassicalPath(dt=0.01, q=qs[row], p=ps[row])
+        first = qs[row, np.flatnonzero(inside[row])[0]]
+        for action in (om_action, fv_action):
+            with pytest.raises(ModelValidationError, match=self.refusal(first)):
+                action(path, self.bump_model(), self.pair)
 
 
 class TestConfigAction:
@@ -482,20 +531,26 @@ class TestPathBatches:
 
     def test_batched_exponents_equal_per_row_calls_bitwise(self):
         model, pair, qs, ps = self.batch()
-        diag = diagonalize_model(model, np.unique(qs[:, :-1]))
         batch = ClassicalPath(dt=0.01, q=qs, p=ps)
         assert batch.n_steps == 30
-        om = om_action(batch, model, pair, diag=diag)
+        om = om_action(batch, model, pair)
         an = anomalous_term(batch, model)
-        fv = fv_action(batch, model, pair, diag=diag)
-        for values in (om, an, fv):
+        fv = fv_action(batch, model, pair)
+        cfg = config_action(ClassicalPath(dt=0.01, q=qs), model, pair)
+        for values in (om, an, fv, cfg):
             assert values.shape == (qs.shape[0],)
         for i in range(qs.shape[0]):
             path = ClassicalPath(dt=0.01, q=qs[i], p=ps[i])
-            assert om[i] == om_action(path, model, pair, diag=diag)
+            assert om[i] == om_action(path, model, pair)
             assert an[i] == anomalous_term(path, model)
-            assert fv[i] == fv_action(path, model, pair, diag=diag)
-            assert isinstance(om_action(path, model, pair, diag=diag), float)
+            assert fv[i] == fv_action(path, model, pair)
+            assert cfg[i] == config_action(ClassicalPath(dt=0.01, q=qs[i]), model, pair)
+            assert isinstance(om_action(path, model, pair), float)
+
+    def test_config_action_needs_three_samples_per_row(self):
+        model = free_diffusion_model()
+        with pytest.raises(ValueError, match="at least 3 samples per path"):
+            config_action(ClassicalPath(dt=0.01, q=np.zeros((2, 2))), model)
 
     def test_one_bad_step_rejects_the_batch_and_names_it(self):
         model, pair, qs, ps = self.batch()
@@ -516,6 +571,10 @@ class TestPathBatches:
             anomalous_term(ClassicalPath(dt=0.01, q=qs, p=ps), model)
         assert err.value.index == 11
 
+    def test_non_finite_dt_is_refused(self):
+        with pytest.raises(ValueError, match=r"^dt must be a finite number > 0, got inf$"):
+            ClassicalPath(dt=np.inf, q=np.zeros(4), p=np.zeros(4))
+
     def test_batch_shape_is_checked(self):
         with pytest.raises(ValueError, match="1-d or 2-d"):
             ClassicalPath(dt=0.01, q=np.zeros((2, 3, 4)))
@@ -532,12 +591,15 @@ class TestPathBatches:
         ({"n_steps": -1}, r"^n_steps must be an integer >= 0, got -1$"),
         ({"n_steps": 2.5}, r"^n_steps must be an integer >= 0, got 2.5$"),
         ({"n_paths": 0}, r"^n_paths must be an integer >= 1, got 0$"),
+        ({"q0": np.nan}, r"^q0 and p0 must be finite, got nan and 0.0$"),
+        ({"p0": [0.0, 0.0, np.inf, 0.0]}, r"^q0 and p0 must be finite, got 0.0 and \[0.0, 0.0, inf, 0.0\]$"),
     ],
-    ids=["zero_dt", "negative_dt", "nan_dt", "negative_steps", "fractional_steps", "no_paths"],
+    ids=["zero_dt", "negative_dt", "nan_dt", "negative_steps", "fractional_steps", "no_paths",
+         "nan_q0", "inf_p0"],
 )
 def test_sample_path_ensemble_refuses_bad_inputs(kwargs, message):
-    args = dict(n_steps=10, dt=0.01, n_paths=4)
+    args = dict(q0=0.0, p0=0.0, n_steps=10, dt=0.01, n_paths=4)
     args.update(kwargs)
     with pytest.raises(ValueError, match=message):
-        sample_path_ensemble(free_diffusion_model(), 0.0, 0.0, args["n_steps"], args["dt"],
-                             n_paths=args["n_paths"], seed=1)
+        sample_path_ensemble(free_diffusion_model(), args["q0"], args["p0"], args["n_steps"],
+                             args["dt"], n_paths=args["n_paths"], seed=1)

@@ -900,3 +900,16 @@ def test_compare_artifacts_l1_linf(tmp_path):
     b = tmp_path / "b" / "final_state.txt"
     assert compare_artifacts(a, b, "l1") == 0.0
     assert compare_artifacts(a, b, "linf") == 0.0
+
+
+def test_compare_artifacts_refuses_an_unknown_metric_before_reading(tmp_path, monkeypatch):
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 9), GridAxis("p", -1.0, 1.0, 9)))
+    dump = tmp_path / "a.txt"
+    save_state(gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5)), dump)
+    reads = []
+    read = runner._grid_and_marginal
+    monkeypatch.setattr(runner, "_grid_and_marginal", lambda path: reads.append(path) or read(path))
+    with pytest.raises(ValueError, match=r"^unknown metric 'l2' \(use l1 or linf\)$"):
+        compare_artifacts(dump, dump, "l2")
+    assert reads == []
+    assert compare_artifacts(dump, dump, "linf") == 0.0 and reads == [dump, dump]
