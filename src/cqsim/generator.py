@@ -24,14 +24,17 @@ and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.
 `_cell_operators` builds both, for either equation, once per (model,
 grid), after auditing the model on the grid's points; a failure is never
 cached.  `apply_generator` evaluates a window of q rows one slab of about
-`_SLAB_BYTES` of cells at a time, through one scratch slab it keeps beside
-the operators.  Every element sees the whole-grid expression's operations,
-so neither the window nor the slab size changes a bit.
+`grids.SLAB_BYTES` of cells at a time, through one scratch slab it keeps
+beside the operators, from the whole grid or from a band of rows that
+holds the window's stencil neighbours.  Every element sees the whole-grid
+expression's operations, so neither the window, the band nor the slab
+size changes a bit.
 
 Time stepping is classical RK4, `_rk4` for both equations.  A step holds
-three grid arrays (the cells, the stage state and the accumulator), sweeps
-its stages through windows of q rows that it cuts itself, and is
-bit-for-bit cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4).  `evolve` and
+two grid arrays (the cells and the accumulator) and a fixed number of
+slab-sized bands: it cuts windows of q rows and sweeps the four stages
+together as a wavefront, and is bit-for-bit cells + (dt/6)(k1 + 2 k2 +
+2 k3 + k4).  `evolve` and
 `evolve_measurement` take a step dt and a whole number of steps, which the
 caller decides; a trace-drift abort reports the probability found in the
 outermost grid cells.
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import PhaseGrid, d_dx, d2_dx2, times_real
+from .grids import PhaseGrid, d_dx, d2_dx2, slab_rows, times_real
 from .models import (
     CQModel,
     MeasurementModel,
@@ -98,11 +101,6 @@ __all__ = [
 
 TRACE_DRIFT_ABORT = 1e-6
 POSITIVITY_ABORT = 1e-7  # 10 x the hybrid-state positivity tolerance
-# Bytes of cells per `apply_generator` slab, per RK4 sweep window and per
-# operator-build chunk (each holds at least one q row, a window two).  It
-# bounds their buffers, and a slab's scratch and rate rows stay in cache
-# between the terms that read them.
-_SLAB_BYTES = 1 << 20
 
 
 class EvolutionError(RuntimeError):
@@ -163,6 +161,15 @@ class EvolutionDiagnostics:
     COLUMNS = ("t", "trace", "min_eig", "purity", "mean_p", "var_p", "coh_01")
 
 
+@dataclass(frozen=True)
+class _Band:
+    """Cells of q rows ``first``, ``first`` + 1, ... of a state on ``grid``: a window's input."""
+
+    grid: PhaseGrid
+    cells: np.ndarray
+    first: int
+
+
 def apply_generator(
     model: CQModel, state: HybridState, rows=None, out=None
 ) -> np.ndarray:
@@ -170,7 +177,10 @@ def apply_generator(
 
     ``rows`` is a slice of the first (q) axis, all rows when None; ``out``
     (a new array when None) must have the shape of ``state.cells[rows]``,
-    be C-contiguous and not overlap the cells; it is returned.  The per-q
+    be C-contiguous and not overlap the cells; it is returned.  ``state``
+    may also be a `_Band` of the rows that the q-stencils of ``rows`` read
+    (`_reach`), which is how `_rk4` passes a window's stage state; the
+    operators are indexed by the grid's q row either way.  The per-q
     operators are built (and `validate_model` run on the q points) on the
     first call for a (model, grid) pair and reused while the same model
     and grid keep coming back.  The rows are evaluated one slab at a time
@@ -181,30 +191,48 @@ def apply_generator(
     liou_t, back_t, p_over_m, half_d2 = _operators(model, grid, _cq_operators)
 
     f = state.cells
-    fvec = f.reshape(grid.shape + (-1,))
-    lo, hi, _ = (slice(None) if rows is None else rows).indices(grid.shape[0])
+    first = state.first if isinstance(state, _Band) else 0
+    fvec = f.reshape((len(f),) + grid.shape[1:] + (-1,))
+    nq = grid.shape[0]
+    lo, hi, _ = (slice(None) if rows is None else rows).indices(nq)
+    a, b = _reach(lo, hi, nq)
+    if not first <= a < b <= first + len(f):
+        raise ValueError(
+            f"q rows [{lo}, {hi}) read rows [{a}, {b}), "
+            f"not all in the band [{first}, {first + len(f)})"
+        )
     if out is None:
         out = np.empty((hi - lo,) + f.shape[1:], dtype=complex)
     rate = out.reshape((hi - lo,) + fvec.shape[1:])
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
-    slab = _slab_rows(f)
+    slab = slab_rows(nq, f[0].nbytes)
     scratch = _scratch((slab,) + fvec.shape[1:])
 
     for start in range(lo, hi, slab):
         q = slice(start, min(start + slab, hi))
+        fq = slice(q.start - first, q.stop - first)  # the same rows of the band
         r, d = rate[start - lo : q.stop - lo], scratch[: q.stop - start]
         # the back-reaction product first, then fvec @ L(q)^T added to it:
         # addition commutes, so each element gets the bits of their sum
-        np.matmul(d_dx(fvec, 1, hp_ax, out=d, rows=q), back_t[q], out=r)
-        r += np.matmul(fvec[q], liou_t[q], out=d)
-        r -= times_real(d_dx(fvec, 0, hq_ax, out=d, rows=q), p_over_m)
-        r += times_real(d2_dx2(fvec, 1, hp_ax, out=d, rows=q), half_d2[q])
+        np.matmul(d_dx(fvec, 1, hp_ax, out=d, rows=fq), back_t[q], out=r)
+        r += np.matmul(fvec[fq], liou_t[q], out=d)
+        r -= times_real(d_dx(fvec, 0, hq_ax, out=d, rows=fq), p_over_m)
+        r += times_real(d2_dx2(fvec, 1, hp_ax, out=d, rows=fq), half_d2[q])
     return out
 
 
-def _slab_rows(cells):
-    """q rows per `apply_generator` slab: about `_SLAB_BYTES` of cells, at least one row."""
-    return min(len(cells), max(1, _SLAB_BYTES // cells[0].nbytes))
+def _reach(lo, hi, n):
+    """The q rows [a, b) that the q-stencils of rows [lo, hi) of an n-row grid read.
+
+    An inner row reads its two neighbours; the edge rows 0 and n-1 read the
+    two rows inward.  A band holding these rows starts before the window
+    unless the window starts at row 0, and ends after it unless the window
+    ends at row n, so the stencils put edge rules on the grid's edge rows
+    only.
+    """
+    a = min(lo - 1, n - 3) if hi == n else lo - 1
+    b = max(hi + 1, 3) if lo == 0 else hi + 1
+    return max(a, 0), min(b, n)
 
 
 def _cq_operators(model: CQModel, grid: PhaseGrid):
@@ -234,7 +262,7 @@ def _cell_operators(h, hbar, lop, d0, force):
              + D0(x)(L kron L^T - (1/2)(L^2 kron I + I kron (L^2)^T)),
       B(x) = V'(x) I + (1/2)(L kron I + I kron L^T).
 
-    A chunk of about `_SLAB_BYTES` per operator is evaluated at a time,
+    A chunk of about `SLAB_BYTES` per operator is evaluated at a time,
     straight into the returned arrays: no operator-sized temporary exists.
     """
     lop = np.asarray(lop, dtype=complex)
@@ -245,7 +273,7 @@ def _cell_operators(h, hbar, lop, d0, force):
     commutator = (-1j / hbar) * (_kron(h, eye) - _kron(eye, h.T))
     liou_t = np.empty((n, d * d, d * d), dtype=complex)
     back_t = np.empty_like(liou_t)
-    chunk = max(1, _SLAB_BYTES // liou_t[0].nbytes)
+    chunk = slab_rows(n, liou_t[0].nbytes)
     for lo in range(0, n, chunk):
         x = slice(lo, lo + chunk)
         lx, l2x = lop[x], l2[x]
@@ -282,6 +310,11 @@ def _operators(model, grid, build):
         ops = build(model, grid)
         _memo = (model, grid, ops, None)
     return ops
+
+
+def _forget_operators():
+    global _memo
+    _memo = (None, None, None, None)
 
 
 def _scratch(shape):
@@ -442,44 +475,71 @@ def measurement_cfl_limit(m: MeasurementModel, grid: PhaseGrid) -> float:
 
 
 def _rk4(rate_fn, cells, dt, height):
-    """One classical RK4 step of ``cells`` through three grid arrays.
+    """One classical RK4 step of ``cells``, holding one new grid array.
 
-    ``rate_fn(cells, rows, out)`` writes the rate of q rows ``rows`` (all
-    rows for ``slice(None)``) into the C-contiguous ``out`` and returns
-    it.  k1 is written straight into the accumulator, the stage state is
-    formed in a second array, and ``cells`` is never written.  k2, k3 and
-    k4 are swept in windows of ``height`` q rows (the last may hold fewer),
-    which take turns in two rate buffers (one, for a one-window grid).  For
-    k2 and k3 a window's stage rows cells + h k and accumulator rows += 2 k
-    are written one window behind the sweep, once the next window has read
-    the old stage rows as q-stencil neighbours; the edge stencil of the last
-    row n-1 reads row n-3, so a window holds at least two rows.  Every
-    element sees the operations of cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in
-    that order, so a step is bit-for-bit that expression.
+    ``rate_fn(band, first, rows, out)`` writes the rate of q rows ``rows``
+    into the C-contiguous ``out`` and returns it, reading the stage state
+    from ``band``, which holds q rows first, first + 1, ...: at least the
+    rows that the q-stencils of ``rows`` read (`_reach`).  The grid is cut
+    into windows of ``height`` q rows (the last may hold fewer), and one
+    sweep carries the four stages as a wavefront: while window i gets k1,
+    windows i-1, i-2 and i-3 get k2, k3 and k4.  k1 reads ``cells``, which
+    is never written, and goes straight into the accumulator, the step's
+    one grid array.  A window's stage rows cells + h k go into its band,
+    which also holds copies of the neighbour rows its stencils read, traded
+    with the adjacent bands as each stage's rows appear; four band buffers
+    serve the windows in turn (one, as tall as the grid, for a one-window
+    grid).  The edge
+    stencils read two rows inward, so every window but the last holds at
+    least two rows and a band's outer rows lie in the adjacent windows.
+    Every element sees the operations of cells + (dt/6)(k1 + 2 k2 + 2 k3 +
+    k4) in that order, so a step is bit-for-bit that expression.
     """
     nq = len(cells)
     height = min(nq, max(2, height))
-    windows = [slice(lo, min(lo + height, nq)) for lo in range(0, nq, height)]
-    bufs = [np.empty((height,) + cells.shape[1:], dtype=complex) for _ in windows[:2]]
-    acc = rate_fn(cells, slice(None), np.empty(cells.shape, dtype=complex))
-    stage = np.empty(cells.shape, dtype=complex)
-    np.add(cells, np.multiply(acc, 0.5 * dt, out=stage), out=stage)
+    windows = [(lo, min(lo + height, nq)) for lo in range(0, nq, height)]
+    bands = [_reach(lo, hi, nq) for lo, hi in windows]
+    band_rows = max(b - a for a, b in bands)
+    pool = [np.empty((band_rows,) + cells.shape[1:], dtype=complex) for _ in windows[:4]]
+    k = np.empty((height,) + cells.shape[1:], dtype=complex)
+    acc = np.empty(cells.shape, dtype=complex)
 
-    def fold(rows, k, h):
-        s = stage[rows]
-        np.add(cells[rows], np.multiply(k, h, out=s), out=s)
-        acc[rows] += np.multiply(k, 2.0, out=k)
+    def band(j):
+        a, b = bands[j]
+        return pool[j % len(pool)][: b - a]
 
-    for h in (0.5 * dt, dt):
-        for i, rows in enumerate(windows):
-            k = rate_fn(stage, rows, bufs[i % len(bufs)][: rows.stop - rows.start])
-            if i:
-                fold(windows[i - 1], bufs[(i - 1) % len(bufs)], h)
-        fold(windows[-1], k, h)
-    for rows in windows:
-        acc[rows] += rate_fn(stage, rows, bufs[0][: rows.stop - rows.start])
-    acc *= dt / 6.0
-    acc += cells
+    def stage_rows(j, rate, h):
+        # window j's rows of its next stage, then the rows that bands j-1
+        # and j read of each other's window: band j-1 took this stage one
+        # sweep step earlier and keeps it until its own next rate
+        (lo, hi), a = windows[j], bands[j][0]
+        rows = band(j)[lo - a : hi - a]
+        np.add(cells[lo:hi], np.multiply(rate, h, out=rows), out=rows)
+        if j:
+            pa, pb = bands[j - 1]
+            band(j)[: lo - a] = band(j - 1)[a - pa : lo - pa]
+            band(j - 1)[lo - pa :] = band(j)[lo - a : pb - a]
+
+    steps = (0.5 * dt, 0.5 * dt, dt)  # the stage step h after k1, k2, k3
+    for t in range(len(windows) + 3):
+        for s in range(4):
+            j = t - s  # k_{s+1} on window j
+            if not 0 <= j < len(windows):
+                continue
+            (lo, hi), (a, b) = windows[j], bands[j]
+            if s == 0:
+                r = rate_fn(cells[a:b], a, slice(lo, hi), acc[lo:hi])
+            else:
+                r = rate_fn(band(j), a, slice(lo, hi), k[: hi - lo])
+            if s < 3:
+                stage_rows(j, r, steps[s])
+            if s in (1, 2):
+                acc[lo:hi] += np.multiply(r, 2.0, out=r)
+            elif s == 3:
+                done = acc[lo:hi]
+                done += r
+                done *= dt / 6.0
+                done += cells[lo:hi]
     return acc
 
 
@@ -488,24 +548,25 @@ def _stepper(model, state: HybridState, dt: float):
 
     Audits the model by building its operators, then requires 0 < dt <= the
     CFL-style limit.  The kernel is looked up when the rate function is
-    called.  The CQ kernel's windows are its slabs; the measurement kernel
-    takes the whole grid as its one window, since its drift differentiates
-    the whole flux.
+    called.  The CQ kernel's windows are its slabs and it reads a window's
+    band; the measurement kernel takes the whole grid as its one window,
+    whose band is the whole grid, since its drift differentiates the whole
+    flux.
     """
     grid = state.grid
     if isinstance(model, MeasurementModel):
         _operators(model, grid, _measurement_operators)
         height = grid.shape[0]
 
-        def rate_fn(cells, rows, out):
-            return measurement_generator(model, HybridState(grid, cells), rows, out)
+        def rate_fn(band, first, rows, out):
+            return measurement_generator(model, HybridState(grid, band), rows, out)
 
     else:
         _operators(model, grid, _cq_operators)
-        height = _slab_rows(state.cells)
+        height = slab_rows(grid.shape[0], state.cells[0].nbytes)
 
-        def rate_fn(cells, rows, out):
-            return apply_generator(model, HybridState(grid, cells), rows, out)
+        def rate_fn(band, first, rows, out):
+            return apply_generator(model, _Band(grid, band, first), rows, out)
 
     limit = cfl_limit(model, grid)
     _check_dt(dt)
@@ -554,7 +615,10 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
 
     ``initial`` is a one-item list holding the initial state, which the
     loop takes out: when the caller kept no reference either, the initial
-    cells are freed as soon as the first step has consumed them.
+    cells are freed as soon as the first step has consumed them.  The
+    operator memo is emptied when the run ends, so that the operators do
+    not stay resident beside the final state (nor in the forked workers
+    that dump it).
     """
     n_steps = _count("n_steps", n_steps, 0)
     stride = _count("stride", stride, 1)
@@ -570,7 +634,7 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
         cells = _rk4(rate_fn, cells, dt, height)
         if step % stride == 0 or step == n_steps:
             # no reference to the recorded state outlives this block: the
-            # next step would otherwise hold a fourth grid array
+            # next step would otherwise hold a third grid array
             diags.record(step * dt, HybridState(grid, cells))
             if not np.isfinite(diags.trace[-1]):
                 raise EvolutionError("non-finite total trace encountered", diags)
@@ -589,6 +653,7 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
                     f"at t={step * dt:g}, {_most_negative_cell(HybridState(grid, cells))}",
                     diags,
                 )
+    _forget_operators()
     return HybridState(grid, cells), diags
 
 

@@ -31,6 +31,12 @@ __all__ = ["GridAxis", "PhaseGrid"]
 
 # Stencils are 3 points wide; axes shorter than this cannot be differenced.
 MIN_POINTS = 3
+# Bytes of cells per slab: the unit in which a kernel works through the
+# first-axis rows of a grid (the generator's rate slabs, RK4 windows and
+# operator chunks, the positivity monitor's eigenvalue slabs).  It bounds
+# their buffers and temporaries, and a slab's rows stay in cache between
+# the terms that read them.
+SLAB_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,11 @@ class PhaseGrid:
         ax = self.axis(name)
         h = ax.spacing
         return np.linspace(ax.lo - 0.5 * h, ax.hi + 0.5 * h, ax.n + 1)
+
+
+def slab_rows(n: int, row_bytes: int) -> int:
+    """Rows per slab of ``row_bytes``-byte rows: about `SLAB_BYTES`, at least 1, at most ``n``."""
+    return min(n, max(1, SLAB_BYTES // row_bytes))
 
 
 def d_dx(f: np.ndarray, axis: int, spacing: float, out=None, rows=None) -> np.ndarray:

@@ -27,7 +27,9 @@ model at the first step that leaves the basis, a weight any such path.
 
 A `ClassicalPath` is one path (q, p of shape (n_steps + 1,)) or a batch
 (shape (n_paths, n_steps + 1)); the exponents sum over the last axis, one
-value per row, each bit-equal to scoring that row alone.
+value per row, each bit-equal to scoring that row alone.  `path_exponent`
+scores OM + anomalous (+ FV for a pair) in one pass that reads D2 and the
+branch levels once, with the bits of the three separate calls' sum.
 
 Configuration-space weights replace the residual by the Euler-Lagrange
 defect m qddot + dV/dq + averaged force, with qddot the central second
@@ -56,6 +58,7 @@ __all__ = [
     "om_action",
     "anomalous_term",
     "fv_action",
+    "path_exponent",
     "sample_path",
     "sample_path_ensemble",
     "config_action",
@@ -119,12 +122,16 @@ def _branch_levels(model: CQModel, qs, pair: BranchPair, diag: Optional[Diagonal
 
 
 def _drift_force(
-    model: CQModel, qs, pair: Optional[BranchPair], diag: Optional[DiagonalizedModel] = None
+    model: CQModel,
+    qs,
+    pair: Optional[BranchPair],
+    diag: Optional[DiagonalizedModel] = None,
+    levels=None,
 ):
-    """dH_c/dq plus the branch-averaged interaction force."""
+    """dH_c/dq plus the branch-averaged interaction force (of ``levels``, when already read)."""
     force = np.asarray(model.dpotential(qs), dtype=float)
     if pair is not None:
-        la, lb = _branch_levels(model, qs, pair, diag)
+        la, lb = levels or _branch_levels(model, qs, pair, diag)
         force = force + 0.5 * (la + lb)
     return force
 
@@ -164,22 +171,49 @@ def om_action(path: ClassicalPath, model: CQModel, pair: Optional[BranchPair] = 
     """Onsager-Machlup suppression exponent of a constraint-satisfying path."""
     _check_constraint(path, model)
     q_pre = path.q[..., :-1]
-    d2 = _positive_d2(model, q_pre)
-    r = (path.p[..., 1:] - path.p[..., :-1]) / path.dt + _drift_force(model, q_pre, pair)
-    return np.sum(0.5 * path.dt * r * r / d2, axis=-1)
+    return _om_sum(path, model, pair, _positive_d2(model, q_pre))
 
 
 def anomalous_term(path: ClassicalPath, model: CQModel) -> float:
     """Per-step (1/2) log D2(q_k); the state-dependent measure contribution."""
-    d2 = _positive_d2(model, path.q[..., :-1])
-    return np.sum(0.5 * np.log(d2), axis=-1)
+    return _anomalous_sum(_positive_d2(model, path.q[..., :-1]))
 
 
 def fv_action(path: ClassicalPath, model: CQModel, pair: BranchPair) -> float:
     """Feynman-Vernon damping exponent sum dt (D0/2)(l_a - l_b)^2 >= 0."""
+    return _fv_sum(path, model, _branch_levels(model, path.q[..., :-1], pair))
+
+
+def path_exponent(path: ClassicalPath, model: CQModel, pair: Optional[BranchPair] = None):
+    """om_action + anomalous_term, + fv_action for a pair, in that order of addition.
+
+    D2 and the branch levels are read (and the levels audited) once for the
+    three; each value has the bits of the three calls' sum.
+    """
+    _check_constraint(path, model)
     q_pre = path.q[..., :-1]
-    la, lb = _branch_levels(model, q_pre, pair)
-    d0 = np.asarray(model.d0(q_pre), dtype=float)
+    d2 = _positive_d2(model, q_pre)
+    levels = None if pair is None else _branch_levels(model, q_pre, pair)
+    total = _om_sum(path, model, pair, d2, levels) + _anomalous_sum(d2)
+    if pair is not None:
+        total += _fv_sum(path, model, levels)
+    return total
+
+
+def _om_sum(path, model, pair, d2, levels=None):
+    q_pre = path.q[..., :-1]
+    force = _drift_force(model, q_pre, pair, levels=levels)
+    r = (path.p[..., 1:] - path.p[..., :-1]) / path.dt + force
+    return np.sum(0.5 * path.dt * r * r / d2, axis=-1)
+
+
+def _anomalous_sum(d2):
+    return np.sum(0.5 * np.log(d2), axis=-1)
+
+
+def _fv_sum(path, model, levels):
+    la, lb = levels
+    d0 = np.asarray(model.d0(path.q[..., :-1]), dtype=float)
     return np.sum(path.dt * 0.5 * d0 * (la - lb) ** 2, axis=-1)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .generator import EvolutionError, cfl_terms, evolve, evolve_measurement
 from .models import ModelValidationError, diagonalize_model, validate_model
-from .paths import BranchPair, anomalous_term, fv_action, om_action, sample_path_ensemble, ClassicalPath
+from .paths import BranchPair, ClassicalPath, path_exponent, sample_path_ensemble
 from .pool import _map_chunks
 from .psd import schur_cp_check, tradeoff_verdict
 from .scenario import Scenario
@@ -305,10 +305,7 @@ def _run_sample_paths(scenario, out_dir):
     exponents = np.empty(n_paths)
     for lo in range(0, n_paths, rows):
         block = ClassicalPath(dt=dt, q=qs[lo : lo + rows], p=ps[lo : lo + rows])
-        block_exp = om_action(block, model, pair) + anomalous_term(block, model)
-        if pair is not None:
-            block_exp += fv_action(block, model, pair)
-        exponents[lo : lo + rows] = block_exp
+        exponents[lo : lo + rows] = path_exponent(block, model, pair)
     # the raw weight can under/overflow for long paths; the exponent column
     # carries the lossless value
     _write_csv(

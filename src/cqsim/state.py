@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .grids import PhaseGrid, GridAxis
+from .grids import PhaseGrid, GridAxis, slab_rows
 from .pool import _map_chunks
 
 __all__ = [
@@ -144,9 +144,20 @@ def coherence(state: HybridState, i: int, j: int) -> np.ndarray:
 
 
 def cell_min_eigenvalues(state: HybridState) -> np.ndarray:
-    """Each cell's smallest eigenvalue (of its Hermitian part), shaped like the grid."""
-    herm = 0.5 * (state.cells + np.conj(np.swapaxes(state.cells, -1, -2)))
-    return np.linalg.eigvalsh(herm)[..., 0]
+    """Each cell's smallest eigenvalue (of its Hermitian part), shaped like the grid.
+
+    The Hermitian parts are formed and diagonalized one slab of first-axis
+    rows at a time, so no grid-sized temporary exists; each cell's numbers
+    are those of the whole-grid expression.
+    """
+    cells = state.cells
+    low = np.empty(cells.shape[:-2])
+    step = slab_rows(len(cells), cells[0].nbytes)
+    for lo in range(0, len(cells), step):
+        c = cells[lo : lo + step]
+        herm = 0.5 * (c + np.conj(np.swapaxes(c, -1, -2)))
+        low[lo : lo + step] = np.linalg.eigvalsh(herm)[..., 0]
+    return low
 
 
 def min_cell_eigenvalue(state: HybridState) -> float:

@@ -95,7 +95,7 @@ def trajectory_normals(master_seed: int, start: int, n_rows: int, n_draws: int) 
     for i in range(n_rows):
         key[1] = start + i
         bits.state = fresh
-        out[i] = rng.standard_normal(n_draws)
+        rng.standard_normal(out=out[i])
     return out
 
 

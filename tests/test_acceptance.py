@@ -135,14 +135,15 @@ def test_criterion_05_branch_decomposition_oracle():
     state = gaussian_product_state(grid, (0, 0), (0.6, 0.6), rho_q=np.full((d, d), 1.0 / d))
     dt = 0.4 * cfl_limit(model, grid)
 
-    def branch_fn(c, rows, out):
+    def branch_fn(c, first, rows, out):
         out[...] = branch_generator(model, HybridState(grid, c))[rows]
         return out
 
     cf = cb = state.cells
     for _ in range(100):
         cf = step_rk4(model, HybridState(grid, cf), dt).cells
-        # the branch rate of the whole grid is one window, as tall as the grid
+        # the branch rate of the whole grid is one window, as tall as the grid,
+        # whose band is the whole grid (first = 0)
         cb = _rk4(branch_fn, cb, dt, grid.shape[0])
     drift = np.abs(cf - cb).max()
     assert drift < 1e-8, f"100-step drift {drift:.2e}"

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqsim import generator, runner
+from cqsim import generator, grids, runner
 from cqsim.generator import (
     EvolutionError,
     _cq_operators,
@@ -1133,24 +1133,34 @@ class TestInPlaceKernel:
         dt = 0.4 * cfl_limit(model, state.grid)
         rate_fn = lambda cells: apply_generator(model, HybridState(state.grid, cells))
         want = allocating_rk4(rate_fn, state.cells, dt).tobytes()
-        windows = []
+        # the allocating step's four stage states, to tell which one a band holds
+        stages = [state.cells]
+        for h in (0.5 * dt, 0.5 * dt, dt):
+            stages.append(state.cells + h * rate_fn(stages[-1]))
+        evaluated = []
         kernel = generator.apply_generator
 
-        def spy(model, state, rows, out):
-            windows.append(rows.indices(n)[:2])
-            return kernel(model, state, rows, out)
+        def spy(model, band, rows, out):
+            held = band.cells.tobytes()
+            rows_of = lambda stage: stage[band.first : band.first + len(band.cells)].tobytes()
+            matches = [s for s, stage in enumerate(stages) if rows_of(stage) == held]
+            evaluated.append((matches, rows.indices(n)[:2]))
+            return kernel(model, band, rows, out)
 
         monkeypatch.setattr(generator, "apply_generator", spy)
-        # one-row slabs still sweep two rows at a time; 3 rows leave a
-        # shorter last window for some n
-        for rows in (1, 2, 3):
-            monkeypatch.setattr(generator, "_SLAB_BYTES", rows * state.cells[0].nbytes)
-            windows.clear()
+        # one-row slabs still sweep two rows at a time; 2, 3 and 5 rows leave
+        # a shorter last window, of one row for some n; n rows are one window
+        for rows in (1, 2, 3, 5, n):
+            monkeypatch.setattr(grids, "SLAB_BYTES", rows * state.cells[0].nbytes)
+            evaluated.clear()
             assert step_rk4(model, state, dt).cells.tobytes() == want
-            size = max(2, rows)
+            size = min(n, max(2, rows))
             sweep = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-            # k1 over the whole grid, then k2, k3 and k4 window by window
-            assert windows == [(0, n)] + 3 * sweep
+            # each band holds the rows of exactly one stage, and each stage
+            # is evaluated once on each window
+            assert all(len(matches) == 1 for matches, _ in evaluated)
+            got = sorted((matches[0], window) for matches, window in evaluated)
+            assert got == sorted((s, window) for s in range(4) for window in sweep)
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("n", [3, 4, 41])
@@ -1183,29 +1193,56 @@ class TestInPlaceKernel:
         final, _ = evolve_measurement(m, state, dt, 3, stride=1)
         assert final.cells.tobytes() == want.tobytes()
 
-    def test_step_holds_three_grid_arrays(self, monkeypatch):
-        model, state = kernel_case(8, 8, 101, False)
-        cells = np.ascontiguousarray(state.cells)
-        grid_bytes = cells.nbytes
-        row_bytes = cells[0].nbytes
-        slab_bytes = generator._slab_rows(cells) * row_bytes
-        assert grid_bytes > 8 * slab_bytes
-        dt = 0.4 * cfl_limit(model, state.grid)
-        # the operators are built inside the step
-        monkeypatch.setattr(generator, "_memo", (None, None, None, None))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            stepped = step_rk4(model, HybridState(state.grid, cells), dt)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        operators = sum(op.nbytes for op in generator._memo[2])
-        # the input cells are not counted: accumulator and stage state, two
-        # window buffers, the kernel's scratch, and a few rows of stencil
-        # edge temporaries
-        assert peak < 2 * grid_bytes + operators + 3 * slab_bytes + 8 * row_bytes
-        assert stepped.cells.nbytes == grid_bytes
+    def test_evolve_matches_allocating_rk4_on_many_windows(self, monkeypatch):
+        grid = PhaseGrid((GridAxis("q", -4.0, 4.0, 41), GridAxis("p", -4.0, 4.0, 41)))
+        model = qubit_decoherence_model(lam=0.6, d0=1.0)
+        state = gaussian_product_state(
+            grid, (0.3, -0.2), (0.6, 0.6), rho_q=np.array([[0.6, 0.3], [0.3, 0.4]])
+        )
+        # windows of three rows: 14 windows, the last of two rows
+        monkeypatch.setattr(grids, "SLAB_BYTES", 3 * state.cells[0].nbytes)
+        dt = 0.4 * cfl_limit(model, grid)
+        rate_fn = lambda cells: apply_generator(model, HybridState(grid, cells))
+        want = state.cells
+        for _ in range(4):
+            want = allocating_rk4(rate_fn, want, dt)
+        final, _ = evolve(model, state, dt, 4, stride=2)
+        assert final.cells.tobytes() == want.tobytes()
+
+    def test_step_holds_one_grid_array(self, monkeypatch):
+        # one grid width, two heights: beyond its one new grid array, a step
+        # holds a fixed number of slabs
+        rng = np.random.default_rng(23)
+        model = random_cq_model(rng, 8)
+        row_bytes = 41 * 64 * 16
+        slab_bytes = 3 * row_bytes
+        band_bytes = slab_bytes + 2 * row_bytes  # a window and its neighbour rows
+        monkeypatch.setattr(grids, "SLAB_BYTES", slab_bytes)
+        held = []
+        for nq in (40, 120):
+            grid = PhaseGrid((GridAxis("q", -3.0, 2.5, nq), GridAxis("p", -2.0, 3.0, 41)))
+            cells = random_hermitian(rng, grid.shape + (8, 8))
+            assert not cells.flags.c_contiguous  # k1 reads a copy of one band at a time
+            cells.flags.writeable = False  # the input cells are never written
+            grid_bytes = cells.nbytes
+            assert grid_bytes > 12 * slab_bytes
+            dt = 0.4 * cfl_limit(model, grid)
+            # the operators (and the audit's temporaries) come before the step
+            _operators(model, grid, _cq_operators)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                stepped = step_rk4(model, HybridState(grid, cells), dt)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert stepped.cells.nbytes == grid_bytes
+            held.append(peak - grid_bytes)
+        # the accumulator, then four bands, the rate window, the kernel's
+        # scratch, k1's band of the input cells and a few rows of kernel
+        # temporaries
+        assert max(held) < 5 * band_bytes + 2 * slab_bytes + 8 * row_bytes, held
+        assert abs(held[1] - held[0]) < row_bytes, held
 
     def test_operator_build_has_no_operator_sized_temporary(self):
         model, state = kernel_case(8, 8, 101, False)
@@ -1217,7 +1254,7 @@ class TestInPlaceKernel:
         finally:
             tracemalloc.stop()
         outputs = sum(op.nbytes for op in ops)
-        assert outputs > 8 * generator._SLAB_BYTES
+        assert outputs > 8 * grids.SLAB_BYTES
         assert peak < 1.5 * outputs
 
     @pytest.mark.parametrize("levels,d", [(2, 2), (8, 8), (1, 2)])
@@ -1226,7 +1263,7 @@ class TestInPlaceKernel:
         want = [op.tobytes() for op in whole_grid_cq_operators(model, state.grid)]
         # chunks of one, and of three q rows (a shorter last chunk)
         for rows in (1, 3):
-            monkeypatch.setattr(generator, "_SLAB_BYTES", rows * 16 * d**4)
+            monkeypatch.setattr(grids, "SLAB_BYTES", rows * 16 * d**4)
             assert [op.tobytes() for op in _cq_operators(model, state.grid)[:2]] == want
 
     def test_rates_are_new_arrays(self):
@@ -1276,7 +1313,7 @@ class TestInPlaceKernel:
         rates = {}
         # 2 and 3 rows leave a shorter last slab for some n; n rows is the whole grid
         for rows in (1, 2, 3, n):
-            monkeypatch.setattr(generator, "_SLAB_BYTES", rows * state.cells[0].nbytes)
+            monkeypatch.setattr(grids, "SLAB_BYTES", rows * state.cells[0].nbytes)
             windows.clear()
             rates[rows] = apply_generator(model, state)
             slabs = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
@@ -1290,7 +1327,7 @@ class TestInPlaceKernel:
         # C-ordered cells, as every RK4 stage has: their vec view needs no copy
         state = HybridState(state.grid, np.ascontiguousarray(state.cells))
         grid_bytes = state.cells.nbytes
-        assert grid_bytes > 8 * generator._SLAB_BYTES
+        assert grid_bytes > 8 * grids.SLAB_BYTES
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1304,7 +1341,7 @@ class TestInPlaceKernel:
             base = tracemalloc.get_traced_memory()[0]
             rate = apply_generator(model, state)
             peak = tracemalloc.get_traced_memory()[1] - base
-            assert peak < grid_bytes + 4 * generator._SLAB_BYTES
+            assert peak < grid_bytes + 4 * grids.SLAB_BYTES
         finally:
             tracemalloc.stop()
 
@@ -1313,7 +1350,8 @@ class TestInPlaceKernel:
         state = HybridState(state.grid, np.ascontiguousarray(state.cells))
         out = np.empty_like(state.cells)
         first = apply_generator(model, state, out=out).copy()
-        slab_bytes = generator._slab_rows(state.cells) * state.cells[0].nbytes
+        row_bytes = state.cells[0].nbytes
+        slab_bytes = grids.slab_rows(len(state.cells), row_bytes) * row_bytes
         tracemalloc.start()
         try:
             apply_generator(model, state, out=out)
@@ -1349,6 +1387,14 @@ class TestInPlaceKernel:
                dt, 7, stride=3)
         assert len(recorded) == 4 and len(stale) == 7
         assert stale == [0] * 7
+
+    def test_evolve_lets_go_of_its_operators(self, small_grid):
+        # they would stay resident beside the final state, and in the
+        # workers that fork to dump it
+        model = qubit_decoherence_model(lam=0.6, d0=1.0)
+        state = gaussian_product_state(small_grid, (0, 0), (0.45, 0.45), rho_q=np.eye(2) / 2)
+        evolve(model, state, 0.4 * cfl_limit(model, small_grid), 2)
+        assert generator._memo == (None, None, None, None)
 
     def test_runner_frees_the_initial_cells_after_the_first_step(self, monkeypatch, tmp_path):
         initial = []

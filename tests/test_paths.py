@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cqsim import paths, runner
 from cqsim.generator import cfl_limit, evolve
 from cqsim.grids import GridAxis, PhaseGrid
 from cqsim.models import ModelValidationError, diagonalize_model, polynomial_cq_model
@@ -18,13 +20,18 @@ from cqsim.paths import (
     config_action,
     fv_action,
     om_action,
+    path_exponent,
     sample_path,
     sample_path_ensemble,
 )
+from cqsim.scenario import parse_scenario_file
 from cqsim.state import classical_marginal, gaussian_product_state, total_trace
 from cqsim.unravel import bin_ensemble
 
 from conftest import SIGMA_X, SIGMA_Z, free_diffusion_model, qubit_decoherence_model
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def harmonic_model(d2_coeffs=(0.4,), mass=1.0, spring=0.5):
@@ -409,9 +416,47 @@ class TestLevelsAreAuditedWhereRead:
         row = np.flatnonzero(inside.any(axis=1))[0]
         path = ClassicalPath(dt=0.01, q=qs[row], p=ps[row])
         first = qs[row, np.flatnonzero(inside[row])[0]]
-        for action in (om_action, fv_action):
+        for action in (om_action, fv_action, path_exponent):
             with pytest.raises(ModelValidationError, match=self.refusal(first)):
                 action(path, self.bump_model(), self.pair)
+
+
+class TestPathExponent:
+    @pytest.mark.parametrize("pair", [None, BranchPair(0, 1)])
+    def test_is_the_sum_of_the_three_weights_bitwise(self, pair):
+        model = qubit_decoherence_model(lam=0.6, d0=1.0, d2=0.4)
+        qs, ps = sample_path_ensemble(model, 0.1, -0.2, 50, 0.01, n_paths=7, pair=pair, seed=3)
+        for path in (ClassicalPath(dt=0.01, q=qs, p=ps), ClassicalPath(dt=0.01, q=qs[2], p=ps[2])):
+            want = om_action(path, model, pair) + anomalous_term(path, model)
+            if pair is not None:
+                want += fv_action(path, model, pair)
+            got = path_exponent(path, model, pair)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_a_sample_paths_run_reads_the_levels_once_per_block(self, monkeypatch, tmp_path):
+        text = (SCENARIO_DIR / "sample_paths_qdep.yaml").read_text()
+        # three scored blocks of 655, 655 and 190 paths of 100 steps
+        path = tmp_path / "three_blocks.yaml"
+        path.write_text(text.replace("n_paths: 300", "n_paths: 1500"))
+        shapes = []
+        build = paths.diagonalize_model
+
+        def spy(model):
+            diag = build(model)
+
+            def dv_eigs(qs):
+                shapes.append(np.shape(qs))
+                return diag.dv_eigs(qs)
+
+            return dataclasses.replace(diag, dv_eigs=dv_eigs)
+
+        monkeypatch.setattr(paths, "diagonalize_model", spy)
+        out = tmp_path / "out"
+        out.mkdir()
+        runner.run_scenario(parse_scenario_file(str(path)), out)
+        # the sampler reads one step of every path at a time, the scorer
+        # one block of pre-points
+        assert shapes == [(1500,)] * 100 + [(655, 100), (655, 100), (190, 100)]
 
 
 class TestConfigAction:

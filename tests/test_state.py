@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cqsim import runner
+from cqsim import grids, runner
 from cqsim import state as state_module
 from cqsim.cli import main
 from cqsim.grids import GridAxis, PhaseGrid
@@ -175,6 +175,40 @@ def test_cell_min_eigenvalues_are_each_cells_lowest(small_grid):
     for index in np.ndindex(small_grid.shape):
         assert low[index] == np.linalg.eigvalsh(herm[index])[0]
     assert min_cell_eigenvalue(state) == low.min()
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (7,)])
+def test_cell_min_eigenvalues_are_the_whole_grid_expression_in_any_slabs(shape, monkeypatch):
+    rng = np.random.default_rng(9)
+    grid = PhaseGrid(tuple(GridAxis(name, -1.0, 1.0, n) for name, n in zip("qp", shape)))
+    cells = rng.normal(size=shape + (4, 4)) + 1j * rng.normal(size=shape + (4, 4))
+    state = HybridState(grid, cells)
+    herm = 0.5 * (cells + np.conj(np.swapaxes(cells, -1, -2)))
+    want = np.linalg.eigvalsh(herm)[..., 0].tobytes()
+    # 2 and 3 rows leave a last slab of one row; 7 rows are the whole grid
+    for rows in (1, 2, 3, 7):
+        monkeypatch.setattr(grids, "SLAB_BYTES", rows * cells[0].nbytes)
+        assert cell_min_eigenvalues(state).tobytes() == want
+
+
+def test_cell_min_eigenvalues_hold_a_few_slabs(monkeypatch):
+    rng = np.random.default_rng(10)
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 60), GridAxis("p", -1.0, 1.0, 41)))
+    cells = rng.normal(size=grid.shape + (8, 8)) + 1j * rng.normal(size=grid.shape + (8, 8))
+    state = HybridState(grid, cells)
+    slab_bytes = 3 * cells[0].nbytes
+    monkeypatch.setattr(grids, "SLAB_BYTES", slab_bytes)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        low = cell_min_eigenvalues(state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the result and a few slabs of temporaries (Hermitian part, its
+    # terms, eigenvalues); the whole-grid expression held grid-sized ones
+    assert peak < low.nbytes + 6 * slab_bytes
+    assert cells.nbytes > 12 * slab_bytes
 
 
 def test_serialization_roundtrip(tmp_path):
