@@ -21,14 +21,16 @@ cells viewed as fvec of shape (nq, np, d^2) (row-major vec of each cell),
 
 where the d^2 x d^2 Liouvillian L(q) holds the commutator and dissipator
 and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.
-`_cell_operators` builds both, for either equation, once per (model,
-grid), after auditing the model on the grid's points; a failure is never
-cached.  `apply_generator` evaluates a window of q rows one slab of about
-`grids.SLAB_BYTES` of cells at a time, through one scratch slab it keeps
-beside the operators, from the whole grid or from a band of rows that
-holds the window's stencil neighbours.  Every element sees the whole-grid
-expression's operations, so neither the window, the band nor the slab
-size changes a bit.
+`_cell_operators` builds both, for either equation.  The CQ kernel keeps
+only their compact per-q inputs, once per (model, grid), after auditing
+the model on the grid's points (a failure is never cached), and builds
+the superoperators of one window of q rows at a time, keeping the last
+four built: the windows of `_rk4`'s wavefront.  `apply_generator`
+evaluates a window one slab of about `grids.SLAB_BYTES` of cells at a
+time, through one scratch slab it keeps beside the inputs, from the whole
+grid or from a band of rows that holds the window's stencil neighbours.
+Every element sees the whole-grid expression's operations, so neither the
+window, the band nor the slab size changes a bit.
 
 Time stepping is classical RK4, `_rk4` for both equations.  A step holds
 two grid arrays (the cells and the accumulator) and a fixed number of
@@ -180,15 +182,19 @@ def apply_generator(
     be C-contiguous and not overlap the cells; it is returned.  ``state``
     may also be a `_Band` of the rows that the q-stencils of ``rows`` read
     (`_reach`), which is how `_rk4` passes a window's stage state; the
-    operators are indexed by the grid's q row either way.  The per-q
-    operators are built (and `validate_model` run on the q points) on the
-    first call for a (model, grid) pair and reused while the same model
-    and grid keep coming back.  The rows are evaluated one slab at a time
-    through one slab-sized scratch buffer, kept beside the operators; the
-    q-transport of a slab reads the cells of its neighbour rows.
+    operators are indexed by the grid's q row either way.  On the first
+    call for a (model, grid) pair `validate_model` audits the q points and
+    the compact per-q inputs are kept (`_cq_operators`); they are reused
+    while the same model and grid keep coming back.  The rows are cut into
+    windows of `_rk4`'s height, and each window's superoperators are built
+    from those inputs (`_window_operators`), or taken from the last four
+    windows built.  A window is evaluated one slab at a time through one
+    slab-sized scratch buffer, kept beside the inputs; the q-transport of
+    a slab reads the cells of its neighbour rows.
     """
     grid = state.grid
-    liou_t, back_t, p_over_m, half_d2 = _operators(model, grid, _cq_operators)
+    ops = _operators(model, grid, _cq_operators)
+    p_over_m, half_d2 = ops[3:]
 
     f = state.cells
     first = state.first if isinstance(state, _Band) else 0
@@ -207,17 +213,22 @@ def apply_generator(
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
     slab = slab_rows(nq, f[0].nbytes)
     scratch = _scratch((slab,) + fvec.shape[1:])
+    height = min(nq, max(2, slab))  # `_rk4`'s window height for these rows
 
-    for start in range(lo, hi, slab):
-        q = slice(start, min(start + slab, hi))
-        fq = slice(q.start - first, q.stop - first)  # the same rows of the band
-        r, d = rate[start - lo : q.stop - lo], scratch[: q.stop - start]
-        # the back-reaction product first, then fvec @ L(q)^T added to it:
-        # addition commutes, so each element gets the bits of their sum
-        np.matmul(d_dx(fvec, 1, hp_ax, out=d, rows=fq), back_t[q], out=r)
-        r += np.matmul(fvec[fq], liou_t[q], out=d)
-        r -= times_real(d_dx(fvec, 0, hq_ax, out=d, rows=fq), p_over_m)
-        r += times_real(d2_dx2(fvec, 1, hp_ax, out=d, rows=fq), half_d2[q])
+    for w in range(lo, hi, height):
+        end = min(w + height, hi)
+        liou_t, back_t = _window_operators(model, ops, w, end)
+        for start in range(w, end, slab):
+            q = slice(start, min(start + slab, end))
+            fq = slice(q.start - first, q.stop - first)  # the same rows of the band
+            o = slice(q.start - w, q.stop - w)  # and of the window's operators
+            r, d = rate[start - lo : q.stop - lo], scratch[: q.stop - start]
+            # the back-reaction product first, then fvec @ L(q)^T added to
+            # it: addition commutes, so each element gets the bits of their sum
+            np.matmul(d_dx(fvec, 1, hp_ax, out=d, rows=fq), back_t[o], out=r)
+            r += np.matmul(fvec[fq], liou_t[o], out=d)
+            r -= times_real(d_dx(fvec, 0, hq_ax, out=d, rows=fq), p_over_m)
+            r += times_real(d2_dx2(fvec, 1, hp_ax, out=d, rows=fq), half_d2[q])
     return out
 
 
@@ -236,20 +247,43 @@ def _reach(lo, hi, n):
 
 
 def _cq_operators(model: CQModel, grid: PhaseGrid):
-    """Per-q operators of `apply_generator`, broadcastable against (nq, np, d^2) cells.
+    """The compact per-q inputs of `apply_generator`'s operators, after auditing the model.
 
-    (L(q)^T, B(q)^T), the `_cell_operators` of H_q, L = dV_I/dq, D0(q) and
-    the force V'(q), then p/m and D2(q)/2.
+    L = dV_I/dq, D0(q) and the force V'(q), from which `_window_operators`
+    builds a window's superoperators, then p/m and D2(q)/2, broadcastable
+    against (nq, np, d^2) cells: about d^2 complex numbers per q row, where
+    the superoperators would take 2 d^4.
     """
     if grid.ndim != 2:
         raise ValueError("apply_generator needs a (q, p) grid with two axes")
     qs = grid.axes[0].points
     validate_model(model, qs)
-    force = classical_force(model, qs)
-    liou_t, back_t = _cell_operators(model.h_q, model.hbar, model.dv_i(qs), model.d0(qs), force)
+    lop = np.asarray(model.dv_i(qs), dtype=complex)
+    d0 = np.asarray(model.d0(qs), dtype=float)
+    force = np.asarray(classical_force(model, qs), dtype=float)
     p_over_m = (grid.axes[1].points / model.mass)[None, :, None]
     half_d2 = 0.5 * np.asarray(model.d2(qs), dtype=float)[:, None, None]
-    return liou_t, back_t, p_over_m, half_d2
+    return lop, d0, force, p_over_m, half_d2
+
+
+def _window_operators(model: CQModel, ops, lo, hi):
+    """(L(q)^T, B(q)^T) of q rows [lo, hi): the `_cell_operators` of H_q and ``ops``' rows.
+
+    The memo entry keeps the last `WINDOWS_KEPT` windows built, the oldest
+    giving way to a new one.  `_rk4`'s wavefront evaluates window j at
+    sweep steps j to j + 3, so each window is built once per step.
+    """
+    windows = _memo[4]
+    built = windows.get((lo, hi))
+    if built is None:
+        if len(windows) == WINDOWS_KEPT:
+            del windows[next(iter(windows))]
+        lop, d0, force = ops[:3]
+        x = slice(lo, hi)
+        built = windows[lo, hi] = _cell_operators(
+            model.h_q, model.hbar, lop[x], d0[x], force[x]
+        )
+    return built
 
 
 def _cell_operators(h, hbar, lop, d0, force):
@@ -299,31 +333,36 @@ def _kron(a, b):
 
 # One entry: every RK4 stage of a run asks for the same (model, grid), and
 # models are frozen with read-only matrices, so identity is a sound key.
-# Beside the operators it keeps `apply_generator`'s slab scratch buffer.
-_memo = (None, None, None, None)
+# Beside the kernel's inputs it keeps `apply_generator`'s slab scratch buffer
+# and the windows of operators that `_window_operators` built last, in the
+# order they were built.
+_memo = (None, None, None, None, None)
+
+# The RK4 wavefront has a window at each of its four stages.
+WINDOWS_KEPT = 4
 
 
 def _operators(model, grid, build):
     global _memo
-    cached_model, cached_grid, ops, _ = _memo
+    cached_model, cached_grid, ops = _memo[:3]
     if cached_model is not model or cached_grid != grid:
         ops = build(model, grid)
-        _memo = (model, grid, ops, None)
+        _memo = (model, grid, ops, None, {})
     return ops
 
 
 def _forget_operators():
     global _memo
-    _memo = (None, None, None, None)
+    _memo = (None, None, None, None, None)
 
 
 def _scratch(shape):
     """An uninitialized complex array of ``shape``, kept in the memo entry for the next call."""
     global _memo
-    model, grid, ops, scratch = _memo
+    model, grid, ops, scratch, windows = _memo
     if scratch is None or scratch.shape != shape:
         scratch = np.empty(shape, dtype=complex)
-        _memo = (model, grid, ops, scratch)
+        _memo = (model, grid, ops, scratch, windows)
     return scratch
 
 
@@ -546,7 +585,7 @@ def _rk4(rate_fn, cells, dt, height):
 def _stepper(model, state: HybridState, dt: float):
     """(rate_fn, window height) of `_rk4` for ``model`` on ``state``'s grid, for an admissible dt.
 
-    Audits the model by building its operators, then requires 0 < dt <= the
+    Audits the model by building its kernel's inputs, then requires 0 < dt <= the
     CFL-style limit.  The kernel is looked up when the rate function is
     called.  The CQ kernel's windows are its slabs and it reads a window's
     band; the measurement kernel takes the whole grid as its one window,

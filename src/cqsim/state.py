@@ -23,10 +23,10 @@ file and starts no pool.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import operator
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -190,11 +190,12 @@ def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> Hybr
     if not (np.all(np.isfinite(rho_q)) and tr > 0.0):
         raise ValueError(f"rho_q must be finite with a trace > 0, got trace {tr}")
     rho_q = rho_q / tr
-    state = HybridState(grid, weight[..., None, None] * rho_q)
-    total = total_trace(state)
+    cells = weight[..., None, None] * rho_q
+    total = total_trace(HybridState(grid, cells))
     if not total > 0.0:
         raise ValueError(f"cannot normalize state with total trace {total}")
-    return HybridState(grid, state.cells / total)
+    cells /= total  # in place: the bits of cells / total, and one cells-sized array
+    return HybridState(grid, cells)
 
 
 # -- columnar text serialization -------------------------------------------
@@ -210,11 +211,42 @@ FLOAT_FMT = "%.17g"
 # Floats per block of state text IO.  Work of one block or less starts no
 # pool: 121^2 cells at d = 2 are 146410 floats.
 BLOCK_FLOATS = 1 << 19
+# Floats formatted into one string of table text.  While formatted they take
+# about 70 bytes each (Python floats and text), so a dump written in-process
+# holds a fraction of a slab more than a row-at-a-time writer would.
+TEXT_FLOATS = 1 << 12
 
 
 def write_table(fh, header_lines, table):
-    """Write ``header_lines``, then one FLOAT_FMT row per table row, to a file name or stream."""
-    np.savetxt(fh, table, fmt=FLOAT_FMT, delimiter=",", header="\n".join(header_lines), comments="")
+    """Write ``header_lines``, then one FLOAT_FMT row per table row, to a file name or stream.
+
+    The bytes of ``np.savetxt(fh, table, fmt=FLOAT_FMT, delimiter=",",
+    header="\\n".join(header_lines), comments="")``: a 1-D table is one
+    column, and an empty header writes no line.
+    """
+    if isinstance(fh, (str, os.PathLike)):
+        with open(fh, "w") as out:
+            out.writelines(_table_text(header_lines, table))
+    else:
+        fh.writelines(_table_text(header_lines, table))
+
+
+def _table_text(header_lines, table):
+    """The text `write_table` writes, as strings of about `TEXT_FLOATS` table entries each.
+
+    A row is one FLOAT_FMT ``%`` over a row of ``tolist()``: the same
+    numbers as numpy's float64 scalars, so the same text.
+    """
+    table = np.asarray(table)
+    if table.ndim == 1:
+        table = table[:, None]
+    header = "\n".join(header_lines)
+    if header:
+        yield header + "\n"
+    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    step = max(1, TEXT_FLOATS // table.shape[1])
+    for lo in range(0, len(table), step):
+        yield "".join([row % tuple(values) for values in table[lo : lo + step].tolist()])
 
 
 def scenario_json(resolved) -> str:
@@ -269,7 +301,7 @@ def _write_state(fh, state, scenario):
     blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     if len(blocks) == 1:
         # no pool, so no copy of the text either
-        _write_block(fh, header, coords, entries, 0, n)
+        fh.writelines(_block_lines(header, coords, entries, 0, n))
         return
     # the header is block 0's text, so nothing is buffered in fh when the
     # pool forks
@@ -277,17 +309,15 @@ def _write_state(fh, state, scenario):
         fh.write(text)
 
 
-def _write_block(out, header, coords, entries, lo, hi):
-    """`write_table` of dump rows lo..hi-1 to the stream ``out``, after ``header`` at row 0."""
+def _block_lines(header, coords, entries, lo, hi):
+    """The `_table_text` strings of dump rows lo..hi-1, after ``header`` at row 0."""
     table = np.column_stack([c[lo:hi] for c in coords] + [entries[lo:hi]])
-    write_table(out, header if lo == 0 else [], table)
+    return _table_text(header if lo == 0 else [], table)
 
 
 def _block_text(header, coords, entries, lo, hi):
-    """The text `_write_block` writes of dump rows lo..hi-1."""
-    out = io.StringIO()
-    _write_block(out, header, coords, entries, lo, hi)
-    return out.getvalue()
+    """The text of dump rows lo..hi-1, after ``header`` at row 0, as one string."""
+    return "".join(_block_lines(header, coords, entries, lo, hi))
 
 
 def _state_columns(grid, d):

@@ -203,7 +203,7 @@ class TestSuperoperatorKernel:
         rng = np.random.default_rng(d)
         grid = PhaseGrid((GridAxis("q", -3.0, 3.0, 7), GridAxis("p", -3.0, 3.0, 5)))
         model = random_cq_model(rng, d)
-        liou = np.swapaxes(_cq_operators(model, grid)[0], -1, -2)  # (nq, d^2, d^2)
+        liou = np.swapaxes(whole_grid_cq_operators(model, grid)[0], -1, -2)  # (nq, d^2, d^2)
         scale = np.abs(liou).max()
         vec_eye = np.eye(d).reshape(-1)
         assert np.abs(vec_eye @ liou).max() <= 1e-13 * scale
@@ -1009,7 +1009,9 @@ def allocating_d2_dx2(f, axis, spacing):
 
 def allocating_rate(model, state):
     grid = state.grid
-    liou_t, back_t, p_over_m, half_d2 = _operators(model, grid, _cq_operators)
+    liou_t, back_t = whole_grid_cq_operators(model, grid)
+    p_over_m = (grid.axes[1].points / model.mass)[None, :, None]
+    half_d2 = 0.5 * np.asarray(model.d2(grid.axes[0].points), dtype=float)[:, None, None]
     fvec = state.cells.reshape(grid.shape + (-1,))
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
     product = np.matmul if model.hilbert_dim > 1 else np.multiply
@@ -1064,20 +1066,24 @@ def measurement_kernel_case(d, n, real):
 
 
 def whole_grid_cq_operators(model, grid):
-    """`_cq_operators` as one whole-grid expression per operator."""
+    """(L(q)^T, B(q)^T) at every q of the grid, one np.kron per product: no kernel code.
+
+    L = dV_I/dq; L^2 is one batched product over the whole grid.
+    """
     qs = grid.axes[0].points
     eye = np.eye(model.hilbert_dim)
     lop = np.asarray(model.dv_i(qs), dtype=complex)
     l2 = lop @ lop
-    d0_of_q = np.asarray(model.d0(qs), dtype=float)[:, None, None]
-    vprime = np.asarray(classical_force(model, qs), dtype=float)[:, None, None]
     h = model.h_q
-    kron, t = generator._kron, generator._t
-    liou = (-1j / model.hbar) * (kron(h, eye) - kron(eye, h.T)) + d0_of_q * (
-        kron(lop, t(lop)) - 0.5 * (kron(l2, eye) + kron(eye, t(l2)))
-    )
-    back = vprime * np.eye(eye.size) + 0.5 * (kron(lop, eye) + kron(eye, t(lop)))
-    return t(liou).copy(), t(back).copy()
+    commutator = (-1j / model.hbar) * (np.kron(h, eye) - np.kron(eye, h.T))
+    liou, back = [], []
+    for lx, l2x, d0x, fx in zip(lop, l2, model.d0(qs), classical_force(model, qs)):
+        liou.append(
+            commutator
+            + float(d0x) * (np.kron(lx, lx.T) - 0.5 * (np.kron(l2x, eye) + np.kron(eye, l2x.T)))
+        )
+        back.append(float(fx) * np.eye(eye.size) + 0.5 * (np.kron(lx, eye) + np.kron(eye, lx.T)))
+    return tuple(np.ascontiguousarray(np.swapaxes(op, -1, -2)) for op in (liou, back))
 
 
 class TestInPlaceKernel:
@@ -1210,13 +1216,15 @@ class TestInPlaceKernel:
         assert final.cells.tobytes() == want.tobytes()
 
     def test_step_holds_one_grid_array(self, monkeypatch):
-        # one grid width, two heights: beyond its one new grid array, a step
-        # holds a fixed number of slabs
+        # one grid width, two heights: beyond its one new grid array and the
+        # compact per-q inputs of the operators, a step holds a fixed number
+        # of slabs and the operators of four windows
         rng = np.random.default_rng(23)
         model = random_cq_model(rng, 8)
         row_bytes = 41 * 64 * 16
         slab_bytes = 3 * row_bytes
         band_bytes = slab_bytes + 2 * row_bytes  # a window and its neighbour rows
+        window_bytes = 3 * 2 * 64 * 64 * 16  # L(q)^T and B(q)^T of a window's q rows
         monkeypatch.setattr(grids, "SLAB_BYTES", slab_bytes)
         held = []
         for nq in (40, 120):
@@ -1227,29 +1235,40 @@ class TestInPlaceKernel:
             grid_bytes = cells.nbytes
             assert grid_bytes > 12 * slab_bytes
             dt = 0.4 * cfl_limit(model, grid)
-            # the operators (and the audit's temporaries) come before the step
-            _operators(model, grid, _cq_operators)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
+                # the audit, which keeps the compact per-q inputs
+                _operators(model, grid, _cq_operators)
+                inputs = tracemalloc.get_traced_memory()[0] - base
+                tracemalloc.reset_peak()
                 stepped = step_rk4(model, HybridState(grid, cells), dt)
-                peak = tracemalloc.get_traced_memory()[1] - base
+                peak = tracemalloc.get_traced_memory()[1] - base - inputs
             finally:
                 tracemalloc.stop()
+            # 2 d^2 complex numbers a q row at most, where the operators take 2 d^4
+            assert inputs < nq * 2 * 64 * 16, inputs
             assert stepped.cells.nbytes == grid_bytes
+            assert len(generator._memo[4]) == 4
             held.append(peak - grid_bytes)
-        # the accumulator, then four bands, the rate window, the kernel's
-        # scratch, k1's band of the input cells and a few rows of kernel
-        # temporaries
-        assert max(held) < 5 * band_bytes + 2 * slab_bytes + 8 * row_bytes, held
+        # the accumulator, then the operators of the four windows in flight
+        # and one window's build temporaries, four bands, the rate window,
+        # the kernel's scratch, k1's band of the input cells and a few rows
+        # of kernel temporaries
+        bound = 4 * window_bytes + 3 * window_bytes
+        bound += 5 * band_bytes + 2 * slab_bytes + 8 * row_bytes
+        assert max(held) < bound, held
         assert abs(held[1] - held[0]) < row_bytes, held
 
     def test_operator_build_has_no_operator_sized_temporary(self):
+        # the measurement kernel builds its whole signal grid's operators at
+        # once; here the CQ ones of 101 q rows
         model, state = kernel_case(8, 8, 101, False)
+        lop, d0, force = _cq_operators(model, state.grid)[:3]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            ops = _cq_operators(model, state.grid)
+            ops = generator._cell_operators(model.h_q, model.hbar, lop, d0, force)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1258,13 +1277,45 @@ class TestInPlaceKernel:
         assert peak < 1.5 * outputs
 
     @pytest.mark.parametrize("levels,d", [(2, 2), (8, 8), (1, 2)])
-    def test_chunked_operators_match_the_whole_grid_expression(self, levels, d, monkeypatch):
+    def test_chunked_operators_match_the_whole_grid_expression(self, levels, d):
+        # random_cq_model's D0 and L depend on q, so a window of the wrong
+        # rows would not match
         model, state = kernel_case(levels, d, 41, False)
-        want = [op.tobytes() for op in whole_grid_cq_operators(model, state.grid)]
-        # chunks of one, and of three q rows (a shorter last chunk)
+        want = whole_grid_cq_operators(model, state.grid)
+        ops = _operators(model, state.grid, _cq_operators)
+        # windows of one, and of three q rows (a shorter last window)
         for rows in (1, 3):
-            monkeypatch.setattr(grids, "SLAB_BYTES", rows * 16 * d**4)
-            assert [op.tobytes() for op in _cq_operators(model, state.grid)[:2]] == want
+            for lo in range(0, 41, rows):
+                hi = min(lo + rows, 41)
+                got = generator._window_operators(model, ops, lo, hi)
+                assert [op.tobytes() for op in got] == [op[lo:hi].tobytes() for op in want]
+
+    @pytest.mark.parametrize("levels,d", [(2, 2), (8, 8)])
+    def test_each_window_is_built_once_per_step(self, levels, d, monkeypatch):
+        n = 41
+        model, state = kernel_case(levels, d, n, False)
+        dt = 0.4 * cfl_limit(model, state.grid)
+        built = []
+        build = generator._cell_operators
+
+        def spy(h, hbar, lop, d0, force):
+            built.append(len(lop))
+            return build(h, hbar, lop, d0, force)
+
+        monkeypatch.setattr(generator, "_cell_operators", spy)
+        for rows in (1, 2, 3, 5, n):
+            monkeypatch.setattr(grids, "SLAB_BYTES", rows * state.cells[0].nbytes)
+            generator._forget_operators()
+            size = min(n, max(2, rows))
+            windows = [min(size, n - lo) for lo in range(0, n, size)]
+            built.clear()
+            step_rk4(model, state, dt)
+            assert built == windows
+            # a second step builds them again, unless the four kept are all
+            # of them: a one-window grid is built once per run
+            built.clear()
+            step_rk4(model, state, dt)
+            assert built == ([] if len(windows) <= 4 else windows)
 
     def test_rates_are_new_arrays(self):
         model, state = kernel_case(2, 2, 9, False)
@@ -1326,40 +1377,54 @@ class TestInPlaceKernel:
         model, state = kernel_case(8, 8, 101, False)
         # C-ordered cells, as every RK4 stage has: their vec view needs no copy
         state = HybridState(state.grid, np.ascontiguousarray(state.cells))
-        grid_bytes = state.cells.nbytes
+        nq, grid_bytes = len(state.cells), state.cells.nbytes
         assert grid_bytes > 8 * grids.SLAB_BYTES
+        rows = grids.slab_rows(nq, state.cells[0].nbytes)  # a window's q rows
+        window_bytes = rows * 2 * 64 * 64 * 16  # its L(q)^T and B(q)^T
         tracemalloc.start()
         try:
+            # the first call audits the model and builds every window
             before = tracemalloc.get_traced_memory()[0]
             rate = apply_generator(model, state)
             del rate
             kept = tracemalloc.get_traced_memory()[0] - before
-            operators = sum(op.nbytes for op in generator._memo[2])
-            assert kept < operators + grid_bytes / 4
-            # a later call: the rate, plus slab buffers and row temporaries
+            inputs = sum(a.nbytes for a in generator._memo[2])
+            windows = generator._memo[4]
+            ring = sum(op.nbytes for ops in windows.values() for op in ops)
+            # the last four windows built, and 2 d^2 complex numbers a q row at
+            # most: nothing of nq d^4
+            assert list(windows) == [(lo, min(lo + rows, nq)) for lo in range(0, nq, rows)][-4:]
+            assert ring <= 4 * window_bytes
+            assert inputs < nq * 2 * 64 * 16
+            assert kept < inputs + ring + grid_bytes / 4
+            # a later call builds every window again: the rate, plus slab
+            # buffers, row temporaries and one window's build temporaries
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             rate = apply_generator(model, state)
             peak = tracemalloc.get_traced_memory()[1] - base
-            assert peak < grid_bytes + 4 * grids.SLAB_BYTES
+            assert peak < grid_bytes + 4 * grids.SLAB_BYTES + 3 * window_bytes
         finally:
             tracemalloc.stop()
 
     def test_scratch_slab_is_kept_between_calls(self):
         model, state = kernel_case(8, 8, 101, False)
         state = HybridState(state.grid, np.ascontiguousarray(state.cells))
-        out = np.empty_like(state.cells)
-        first = apply_generator(model, state, out=out).copy()
         row_bytes = state.cells[0].nbytes
-        slab_bytes = grids.slab_rows(len(state.cells), row_bytes) * row_bytes
+        rows = grids.slab_rows(len(state.cells), row_bytes)
+        window = slice(rows, 2 * rows)  # one window of `_rk4`'s sweep
+        out = np.empty_like(state.cells[window])
+        first = apply_generator(model, state, window, out).copy()
         tracemalloc.start()
         try:
-            apply_generator(model, state, out=out)
+            apply_generator(model, state, window, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # only stencil edge-row temporaries: the slab buffer is the memo's
-        assert peak < slab_bytes / 2
+        # only stencil edge-row temporaries: the slab buffer and the window's
+        # operators are the memo's, which holds at most four windows
+        assert list(generator._memo[4]) == [(rows, 2 * rows)]
+        assert peak < rows * row_bytes / 2
         assert out.tobytes() == first.tobytes()
 
     def test_recorded_cells_are_freed_after_the_next_step(self, monkeypatch, small_grid):
@@ -1394,7 +1459,7 @@ class TestInPlaceKernel:
         model = qubit_decoherence_model(lam=0.6, d0=1.0)
         state = gaussian_product_state(small_grid, (0, 0), (0.45, 0.45), rho_q=np.eye(2) / 2)
         evolve(model, state, 0.4 * cfl_limit(model, small_grid), 2)
-        assert generator._memo == (None, None, None, None)
+        assert all(item is None for item in generator._memo)
 
     def test_runner_frees_the_initial_cells_after_the_first_step(self, monkeypatch, tmp_path):
         initial = []

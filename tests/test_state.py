@@ -111,6 +111,62 @@ def test_truncated_gaussian_has_unit_trace(small_grid):
     assert total_trace(state) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_building_a_state_holds_one_cells_array():
+    grid = PhaseGrid((GridAxis("q", -3.0, 3.0, 61), GridAxis("p", -3.0, 3.0, 61)))
+    centers, sigmas = (0.2, -0.1), (0.8, 0.9)
+    rho_q = np.full((8, 8), 1.0 / 8 + 0.0j)  # trace 1
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state = gaussian_product_state(grid, centers, sigmas, rho_q=rho_q)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the cells and a few grid-sized Gaussian factors and traces (a cells
+    # array is 128 of those at d = 8): the normalization divides in place
+    assert peak < state.cells.nbytes + 16 * grid.shape[0] * grid.shape[1] * 8, peak
+    # the bits of the division into a new array
+    weight = np.ones(grid.shape)
+    for mesh, c, s in zip(grid.meshes(), centers, sigmas):
+        weight = weight * np.exp(-0.5 * ((mesh - c) / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
+    cells = weight[..., None, None] * rho_q
+    want = cells / total_trace(HybridState(grid, cells))
+    assert state.cells.tobytes() == want.tobytes()
+
+
+WRITE_TABLE_CASES = {
+    "headers": (["# a", "# b c", "x,y"], np.arange(12.0).reshape(4, 3) / 7.0),
+    "no-header": ([], np.array([[1.5, -2.25], [3.0, 4.0]])),
+    "empty-header-line": ([""], np.array([[1.0, 2.0]])),
+    "zero-rows": (["# h"], np.empty((0, 3))),
+    "one-column": (["# h"], np.array([[0.1], [0.2], [0.3]])),
+    "one-dimensional": (["# h"], np.array([0.1, -0.2, 0.3])),
+    "signed-zero": ([], np.array([[-0.0, 0.0], [0.0, -0.0]])),
+    "non-finite": (["# h"], np.array([[np.inf, -np.inf, np.nan, -np.nan]])),
+    "extreme-exponents": ([], np.array([[5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                                         1e-300, 1e300, 123456789012345680.0, 1e16, 1e-5]])),
+    "integers": (["# h"], np.array([[1, -2, 3]])),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITE_TABLE_CASES))
+def test_write_table_writes_the_bytes_of_savetxt(tmp_path, monkeypatch, case):
+    header_lines, table = WRITE_TABLE_CASES[case]
+    want = io.StringIO()
+    np.savetxt(want, table, fmt="%.17g", delimiter=",", header="\n".join(header_lines),
+               comments="")
+    stream = io.StringIO()
+    state_module.write_table(stream, header_lines, table)
+    assert stream.getvalue() == want.getvalue()
+    # to a file name, and in strings of one row each
+    monkeypatch.setattr(state_module, "TEXT_FLOATS", 1)
+    path = tmp_path / "table.csv"
+    state_module.write_table(path, header_lines, table)
+    assert path.read_bytes() == want.getvalue().encode()
+    state_module.write_table(str(path), header_lines, table)
+    assert path.read_bytes() == want.getvalue().encode()
+
+
 @pytest.mark.parametrize(
     "rho_q",
     [[[np.nan]], [[np.inf]], [[-1.0]], [[0.0]], [[0.5, np.nan], [np.nan, 0.5]]],
