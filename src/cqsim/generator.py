@@ -21,16 +21,17 @@ cells viewed as fvec of shape (nq, np, d^2) (row-major vec of each cell),
 
 where the d^2 x d^2 Liouvillian L(q) holds the commutator and dissipator
 and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.
-`_cell_operators` builds both, for either equation.  The CQ kernel keeps
-only their compact per-q inputs, once per (model, grid), after auditing
-the model on the grid's points (a failure is never cached), and builds
-the superoperators of one window of q rows at a time, keeping the last
-four built: the windows of `_rk4`'s wavefront.  `apply_generator`
-evaluates a window one slab of about `grids.SLAB_BYTES` of cells at a
-time, through one scratch slab it keeps beside the inputs, from the whole
-grid or from a band of rows that holds the window's stencil neighbours.
-Every element sees the whole-grid expression's operations, so neither the
-window, the band nor the slab size changes a bit.
+`_cell_operators` builds both, for either equation.  A run's kernel
+(`_Kernel`) is built once per run, auditing the model on the grid's
+points; it keeps only the compact per-point inputs, and builds the
+superoperators of one window of rows at a time, keeping the last four
+built (the windows of `_rk4`'s wavefront) and one scratch slab.  A direct
+call on a plain state builds, and audits, a fresh kernel.
+`apply_generator` evaluates a window one slab of about `grids.SLAB_BYTES`
+of cells at a time, from the whole grid or from a band of rows that holds
+the window's stencil neighbours.  Every element sees the whole-grid
+expression's operations, so neither the window, the band nor the slab
+size changes a bit.
 
 Time stepping is classical RK4, `_rk4` for both equations.  A step holds
 two grid arrays (the cells and the accumulator) and a fixed number of
@@ -50,19 +51,19 @@ oracle: where applicable, it must agree with `apply_generator` cellwise.
 `measurement_generator` evaluates the linear master equation of an ideal
 continuous measurement on a one-axis signal grid: the saturated special
 case of the CQ equation along z, used for cross-validation against
-stochastic unraveling.  Its operators come from the same builder with
-L = Z, D0 = 2k, H = h and no force -- the superoperator -k(z)[Z,[Z,.]]
-- (i/hbar)[H,.] and the drift -d(fvec @ A(z)^T)/dz, A(z) = (1/2)(Z kron I
-+ I kron Z^T) -- beside the diffusion (1/2) d^2(D2 varrho)/dz^2 with
-D2 = 1/(8k).  Its drift differentiates the flux of the whole grid, so its
-RK4 sweep is one window.  Both equations share one set of named step
-limits, `cfl_terms`, whose minimum is `cfl_limit`.
+stochastic unraveling.  Its kernel builds with L = Z, D0 = 2k, H = h and
+no force -- the superoperator -k(z)[Z,[Z,.]] - (i/hbar)[H,.] and the drift
+-d(fvec @ A(z)^T)/dz, A(z) = (1/2)(Z kron I + I kron Z^T) -- beside the
+diffusion (1/2) d^2(D2 varrho)/dz^2 with D2 = 1/(8k).  Its drift
+differentiates the flux of the whole grid, so the kernel's one window,
+and its RK4 sweep's, is the whole grid.  Both equations share one set of
+named step limits, `cfl_terms`, whose minimum is `cfl_limit`.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,11 +166,12 @@ class EvolutionDiagnostics:
 
 @dataclass(frozen=True)
 class _Band:
-    """Cells of q rows ``first``, ``first`` + 1, ... of a state on ``grid``: a window's input."""
+    """Cells of q rows ``first``, ``first`` + 1, ... of a state on ``grid``, and the run's kernel."""
 
     grid: PhaseGrid
     cells: np.ndarray
     first: int
+    kernel: _Kernel
 
 
 def apply_generator(
@@ -181,23 +183,20 @@ def apply_generator(
     (a new array when None) must have the shape of ``state.cells[rows]``,
     be C-contiguous and not overlap the cells; it is returned.  ``state``
     may also be a `_Band` of the rows that the q-stencils of ``rows`` read
-    (`_reach`), which is how `_rk4` passes a window's stage state; the
-    operators are indexed by the grid's q row either way.  On the first
-    call for a (model, grid) pair `validate_model` audits the q points and
-    the compact per-q inputs are kept (`_cq_operators`); they are reused
-    while the same model and grid keep coming back.  The rows are cut into
-    windows of `_rk4`'s height, and each window's superoperators are built
-    from those inputs (`_window_operators`), or taken from the last four
-    windows built.  A window is evaluated one slab at a time through one
-    slab-sized scratch buffer, kept beside the inputs; the q-transport of
-    a slab reads the cells of its neighbour rows.
+    (`_reach`), which is how `_rk4` passes a window's stage state together
+    with the run's kernel; for a plain state, `validate_model` audits the
+    model on the q points as a fresh kernel is built (`_cq_kernel`), so a
+    direct call audits its model every time.  The rows are cut into
+    windows of `_rk4`'s height, and the kernel builds each window's
+    superoperators or takes them from the last four it built.  A window is
+    evaluated one slab at a time through the kernel's slab-sized scratch
+    buffer; the q-transport of a slab reads the cells of its neighbour rows.
     """
-    grid = state.grid
-    ops = _operators(model, grid, _cq_operators)
-    p_over_m, half_d2 = ops[3:]
+    kernel, first = _kernel(_cq_kernel, model, state)
+    p_over_m, half_d2 = kernel.coeffs
 
+    grid = state.grid
     f = state.cells
-    first = state.first if isinstance(state, _Band) else 0
     fvec = f.reshape((len(f),) + grid.shape[1:] + (-1,))
     nq = grid.shape[0]
     lo, hi, _ = (slice(None) if rows is None else rows).indices(nq)
@@ -212,12 +211,12 @@ def apply_generator(
     rate = out.reshape((hi - lo,) + fvec.shape[1:])
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
     slab = slab_rows(nq, f[0].nbytes)
-    scratch = _scratch((slab,) + fvec.shape[1:])
+    scratch = kernel.scratch((slab,) + fvec.shape[1:])
     height = min(nq, max(2, slab))  # `_rk4`'s window height for these rows
 
     for w in range(lo, hi, height):
         end = min(w + height, hi)
-        liou_t, back_t = _window_operators(model, ops, w, end)
+        liou_t, back_t = kernel.window(w, end)
         for start in range(w, end, slab):
             q = slice(start, min(start + slab, end))
             fq = slice(q.start - first, q.stop - first)  # the same rows of the band
@@ -246,13 +245,64 @@ def _reach(lo, hi, n):
     return max(a, 0), min(b, n)
 
 
-def _cq_operators(model: CQModel, grid: PhaseGrid):
-    """The compact per-q inputs of `apply_generator`'s operators, after auditing the model.
+# The RK4 wavefront has a window at each of its four stages.
+WINDOWS_KEPT = 4
 
-    L = dV_I/dq, D0(q) and the force V'(q), from which `_window_operators`
-    builds a window's superoperators, then p/m and D2(q)/2, broadcastable
-    against (nq, np, d^2) cells: about d^2 complex numbers per q row, where
-    the superoperators would take 2 d^4.
+
+@dataclass(eq=False)
+class _Kernel:
+    """A run's audited per-point inputs, the last `WINDOWS_KEPT` windows built from them, a slab.
+
+    ``lop``, ``d0`` and ``force`` are L, D0 and V' at each point of the
+    grid's first axis, about d^2 complex numbers a point, where a point's
+    superoperators take 2 d^4; ``coeffs`` the equation's other coefficients.
+    """
+
+    h: np.ndarray
+    hbar: float
+    lop: np.ndarray
+    d0: np.ndarray
+    force: np.ndarray
+    coeffs: tuple
+    windows: dict = field(default_factory=dict)
+    slab: np.ndarray | None = None
+
+    def window(self, lo, hi):
+        """The `_cell_operators` of rows [lo, hi), built, or kept from an earlier call.
+
+        The oldest window kept gives way to a new one.  `_rk4`'s wavefront
+        evaluates window j at sweep steps j to j + 3, so each window is
+        built once per step, and a one-window grid once per run.
+        """
+        built = self.windows.get((lo, hi))
+        if built is None:
+            if len(self.windows) == WINDOWS_KEPT:
+                del self.windows[next(iter(self.windows))]
+            x = slice(lo, hi)
+            built = self.windows[lo, hi] = _cell_operators(
+                self.h, self.hbar, self.lop[x], self.d0[x], self.force[x]
+            )
+        return built
+
+    def scratch(self, shape):
+        """An uninitialized complex array of ``shape``, kept for the next call."""
+        if self.slab is None or self.slab.shape != shape:
+            self.slab = np.empty(shape, dtype=complex)
+        return self.slab
+
+
+def _kernel(build, model, state):
+    """(kernel, first q row) of ``state``: a `_Band`'s, or a fresh ``build(model, grid)``."""
+    if isinstance(state, _Band):
+        return state.kernel, state.first
+    return build(model, state.grid), 0
+
+
+def _cq_kernel(model: CQModel, grid: PhaseGrid) -> _Kernel:
+    """`apply_generator`'s kernel of ``model`` on ``grid``, after auditing the model.
+
+    L = dV_I/dq, D0(q) and V'(q); p/m and D2(q)/2, broadcastable against
+    (nq, np, d^2) cells.
     """
     if grid.ndim != 2:
         raise ValueError("apply_generator needs a (q, p) grid with two axes")
@@ -263,27 +313,7 @@ def _cq_operators(model: CQModel, grid: PhaseGrid):
     force = np.asarray(classical_force(model, qs), dtype=float)
     p_over_m = (grid.axes[1].points / model.mass)[None, :, None]
     half_d2 = 0.5 * np.asarray(model.d2(qs), dtype=float)[:, None, None]
-    return lop, d0, force, p_over_m, half_d2
-
-
-def _window_operators(model: CQModel, ops, lo, hi):
-    """(L(q)^T, B(q)^T) of q rows [lo, hi): the `_cell_operators` of H_q and ``ops``' rows.
-
-    The memo entry keeps the last `WINDOWS_KEPT` windows built, the oldest
-    giving way to a new one.  `_rk4`'s wavefront evaluates window j at
-    sweep steps j to j + 3, so each window is built once per step.
-    """
-    windows = _memo[4]
-    built = windows.get((lo, hi))
-    if built is None:
-        if len(windows) == WINDOWS_KEPT:
-            del windows[next(iter(windows))]
-        lop, d0, force = ops[:3]
-        x = slice(lo, hi)
-        built = windows[lo, hi] = _cell_operators(
-            model.h_q, model.hbar, lop[x], d0[x], force[x]
-        )
-    return built
+    return _Kernel(model.h_q, model.hbar, lop, d0, force, (p_over_m, half_d2))
 
 
 def _cell_operators(h, hbar, lop, d0, force):
@@ -329,41 +359,6 @@ def _kron(a, b):
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     n, m = a.shape[-1], b.shape[-1]
     return out.reshape(out.shape[:-4] + (n * m, n * m))
-
-
-# One entry: every RK4 stage of a run asks for the same (model, grid), and
-# models are frozen with read-only matrices, so identity is a sound key.
-# Beside the kernel's inputs it keeps `apply_generator`'s slab scratch buffer
-# and the windows of operators that `_window_operators` built last, in the
-# order they were built.
-_memo = (None, None, None, None, None)
-
-# The RK4 wavefront has a window at each of its four stages.
-WINDOWS_KEPT = 4
-
-
-def _operators(model, grid, build):
-    global _memo
-    cached_model, cached_grid, ops = _memo[:3]
-    if cached_model is not model or cached_grid != grid:
-        ops = build(model, grid)
-        _memo = (model, grid, ops, None, {})
-    return ops
-
-
-def _forget_operators():
-    global _memo
-    _memo = (None, None, None, None, None)
-
-
-def _scratch(shape):
-    """An uninitialized complex array of ``shape``, kept in the memo entry for the next call."""
-    global _memo
-    model, grid, ops, scratch, windows = _memo
-    if scratch is None or scratch.shape != shape:
-        scratch = np.empty(shape, dtype=complex)
-        _memo = (model, grid, ops, scratch, windows)
-    return scratch
 
 
 def branch_generator(model: CQModel, state: HybridState) -> np.ndarray:
@@ -422,11 +417,14 @@ def measurement_generator(
 
     The drift sign follows from the signal equation dz = <Z> dt + noise;
     the couplings D0 = 2k, D2 = 1/(8k) saturate the trade-off.  ``rows``
-    and ``out`` are as for `apply_generator`; the drift differentiates the
-    flux of the whole grid, so a call always forms that.
+    and ``out`` are as for `apply_generator`, and so is ``state``, except
+    that a `_Band` holds the whole grid: the drift differentiates the flux
+    of the whole grid, so the kernel's one window is the whole grid.
     """
+    kernel, _ = _kernel(_measurement_kernel, m, state)
+    (d2_of_z,) = kernel.coeffs
     grid = state.grid
-    sup_t, flux_t, d2_of_z = _operators(m, grid, _measurement_operators)
+    sup_t, flux_t = kernel.window(0, grid.shape[0])
     h_ax = grid.axes[0].spacing
     f = state.cells
     fvec = f.reshape(grid.shape + (1, -1))
@@ -440,20 +438,20 @@ def measurement_generator(
     return out
 
 
-def _measurement_operators(m: MeasurementModel, grid: PhaseGrid):
-    """Per-z operators of `measurement_generator`, broadcastable against (nz, 1, d^2) cells.
+def _measurement_kernel(m: MeasurementModel, grid: PhaseGrid) -> _Kernel:
+    """`measurement_generator`'s kernel of ``m`` on ``grid``, after auditing the model.
 
-    (M(z)^T, A(z)^T), the `_cell_operators` with L = Z(z), D0 = 2k(z), H = h
-    (zero when absent) and no force, so M(z) = -k(z)[Z,[Z,.]] - (i/hbar)[H,.];
-    then D2(z).
+    L = Z(z), D0 = 2k(z), H = h (zero when absent) and no force, so its
+    window holds (M(z)^T, A(z)^T) with M(z) = -k(z)[Z,[Z,.]] - (i/hbar)[H,.];
+    its coefficient is D2(z), broadcastable against (nz, 1, d^2) cells.
     """
     if grid.ndim != 1:
         raise ValueError("measurement_generator needs a single-axis signal grid")
     zs = grid.axes[0].points
     m.validate(zs)
     h = np.zeros((m.hilbert_dim, m.hilbert_dim)) if m.h is None else m.h
-    sup_t, flux_t = _cell_operators(h, m.hbar, m.z_op(zs), m.d0(zs), np.zeros(len(zs)))
-    return sup_t, flux_t, np.asarray(m.d2(zs), dtype=float)[:, None, None]
+    lop, d2_of_z = np.asarray(m.z_op(zs), dtype=complex), m.d2(zs)[:, None, None]
+    return _Kernel(h, m.hbar, lop, m.d0(zs), np.zeros(len(zs)), (d2_of_z,))
 
 
 # -- time stepping -----------------------------------------------------------
@@ -585,27 +583,23 @@ def _rk4(rate_fn, cells, dt, height):
 def _stepper(model, state: HybridState, dt: float):
     """(rate_fn, window height) of `_rk4` for ``model`` on ``state``'s grid, for an admissible dt.
 
-    Audits the model by building its kernel's inputs, then requires 0 < dt <= the
-    CFL-style limit.  The kernel is looked up when the rate function is
-    called.  The CQ kernel's windows are its slabs and it reads a window's
-    band; the measurement kernel takes the whole grid as its one window,
-    whose band is the whole grid, since its drift differentiates the whole
-    flux.
+    Builds the run's kernel, which audits the model, then requires
+    0 < dt <= the CFL-style limit.  The rate function hands the kernel to
+    the module's `apply_generator` or `measurement_generator` with each
+    window's band.  The CQ kernel's windows are its slabs; the measurement
+    kernel takes the whole grid as its one window, whose band is the whole
+    grid, since its drift differentiates the whole flux.
     """
     grid = state.grid
     if isinstance(model, MeasurementModel):
-        _operators(model, grid, _measurement_operators)
-        height = grid.shape[0]
-
-        def rate_fn(band, first, rows, out):
-            return measurement_generator(model, HybridState(grid, band), rows, out)
-
+        build, generate, height = _measurement_kernel, measurement_generator, grid.shape[0]
     else:
-        _operators(model, grid, _cq_operators)
+        build, generate = _cq_kernel, apply_generator
         height = slab_rows(grid.shape[0], state.cells[0].nbytes)
+    kernel = build(model, grid)
 
-        def rate_fn(band, first, rows, out):
-            return apply_generator(model, _Band(grid, band, first), rows, out)
+    def rate_fn(band, first, rows, out):
+        return generate(model, _Band(grid, band, first, kernel), rows, out)
 
     limit = cfl_limit(model, grid)
     _check_dt(dt)
@@ -655,9 +649,9 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
     ``initial`` is a one-item list holding the initial state, which the
     loop takes out: when the caller kept no reference either, the initial
     cells are freed as soon as the first step has consumed them.  The
-    operator memo is emptied when the run ends, so that the operators do
-    not stay resident beside the final state (nor in the forked workers
-    that dump it).
+    run's kernel (`_stepper`) goes with the loop's frame when it returns
+    or raises, so its operators do not stay resident beside the final
+    state (nor in the forked workers that dump it).
     """
     n_steps = _count("n_steps", n_steps, 0)
     stride = _count("stride", stride, 1)
@@ -692,7 +686,6 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
                     f"at t={step * dt:g}, {_most_negative_cell(HybridState(grid, cells))}",
                     diags,
                 )
-    _forget_operators()
     return HybridState(grid, cells), diags
 
 

@@ -110,7 +110,7 @@ class CQModel:
         h_q = require_hermitian(self.h_q, name="h_q")
         if h_q.ndim != 2:
             raise ModelValidationError(f"h_q must be one square matrix, got shape {h_q.shape}")
-        # read-only: the generator caches operators built from it per model
+        # read-only: a run's kernel holds it, and its operators are built from it
         h_q.setflags(write=False)
         object.__setattr__(self, "h_q", h_q)
 

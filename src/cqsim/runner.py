@@ -264,13 +264,17 @@ def _run_unravel(scenario, out_dir):
         except EvolutionError as exc:
             raise RunFailure(str(exc)) from exc
         ref_density = classical_marginal(ref)
-        rows = []
+        # N = 100, 1000, ... below the ensemble size, then the whole ensemble
+        sizes = []
         n = 100
-        while n <= n_traj:
+        while n < n_traj:
+            sizes.append(n)
+            n *= 10
+        rows = []
+        for n in sizes + [n_traj]:
             sub = bin_ensemble(result.z[:n], result.psi[:n], grid)
             l1 = float(np.abs(classical_marginal(sub) - ref_density).sum() * grid.cell_volume)
             rows.append((n, l1))
-            n *= 10
         _write_csv(os.path.join(out_dir, "convergence.csv"), [prov], ("n", "l1"), rows)
 
     traj = result.first

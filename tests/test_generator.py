@@ -10,9 +10,9 @@ import pytest
 from cqsim import generator, grids, runner
 from cqsim.generator import (
     EvolutionError,
-    _cq_operators,
-    _measurement_operators,
-    _operators,
+    _Band,
+    _cq_kernel,
+    _measurement_kernel,
     apply_generator,
     branch_generator,
     cfl_limit,
@@ -313,12 +313,15 @@ class TestApplyGenerator:
         validate_model(free_diffusion_model(), np.linspace(-3, 3, 7))
 
     def test_audits_each_model_and_grid_once(self, small_grid, audits):
-        model = qubit_decoherence_model()  # a fresh model is never in the operator memo
-        state = gaussian_product_state(small_grid, (0, 0), (0.7, 0.7), rho_q=np.eye(2) / 2)
+        # once per run, however many steps; a direct call audits every time
+        model = qubit_decoherence_model()
+        state = gaussian_product_state(small_grid, (0, 0), (0.45, 0.45), rho_q=np.eye(2) / 2)
+        evolve(model, state, 0.4 * cfl_limit(model, small_grid), 5, stride=2)
+        assert len(audits) == 1
         for _ in range(3):
             apply_generator(model, state)
         step_rk4(model, state, 0.4 * cfl_limit(model, small_grid))
-        assert len(audits) == 1
+        assert len(audits) == 5
 
     def test_failed_audit_is_not_cached(self, small_grid, audits):
         bad = qubit_decoherence_model(d0=1.0, d2=0.1)  # 4 D2 D0 = 0.4 < 1
@@ -826,7 +829,9 @@ class TestMeasurementGenerator:
             z_feedback=0.2 * random_hermitian(rng, (d, d)),
             k_slope=0.1,
         )
-        sup_t, flux_t, d2_of_z = _measurement_operators(m, grid)
+        kernel = _measurement_kernel(m, grid)
+        sup_t, flux_t = kernel.window(0, grid.shape[0])
+        (d2_of_z,) = kernel.coeffs
         for got, want in zip((sup_t, flux_t), kron_measurement_operators(m, grid)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-15 * (1.0 + np.abs(want).max())
@@ -835,7 +840,7 @@ class TestMeasurementGenerator:
     def test_shipped_feedback_operators_equal_the_kronecker_expressions(self):
         # sigma_z with k(z) = 1 + 0.3 z: the same values (zeros may differ in sign)
         scenario = parse_scenario_file(SCENARIO_DIR / "unravel_feedback.yaml")
-        got = _measurement_operators(scenario.model, scenario.grid)[:2]
+        got = _measurement_kernel(scenario.model, scenario.grid).window(0, scenario.grid.shape[0])
         for op, want in zip(got, kron_measurement_operators(scenario.model, scenario.grid)):
             assert np.array_equal(op, want)
 
@@ -1226,6 +1231,14 @@ class TestInPlaceKernel:
         band_bytes = slab_bytes + 2 * row_bytes  # a window and its neighbour rows
         window_bytes = 3 * 2 * 64 * 64 * 16  # L(q)^T and B(q)^T of a window's q rows
         monkeypatch.setattr(grids, "SLAB_BYTES", slab_bytes)
+        kernels = []
+        build = generator._cq_kernel
+
+        def spy(*args):
+            kernels.append(build(*args))
+            return kernels[-1]
+
+        monkeypatch.setattr(generator, "_cq_kernel", spy)
         held = []
         for nq in (40, 120):
             grid = PhaseGrid((GridAxis("q", -3.0, 2.5, nq), GridAxis("p", -2.0, 3.0, 41)))
@@ -1238,10 +1251,12 @@ class TestInPlaceKernel:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                # the audit, which keeps the compact per-q inputs
-                _operators(model, grid, _cq_operators)
+                # the audit, which keeps the compact per-q inputs in the kernel
+                kernel = build(model, grid)
                 inputs = tracemalloc.get_traced_memory()[0] - base
+                del kernel
                 tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
                 stepped = step_rk4(model, HybridState(grid, cells), dt)
                 peak = tracemalloc.get_traced_memory()[1] - base - inputs
             finally:
@@ -1249,7 +1264,7 @@ class TestInPlaceKernel:
             # 2 d^2 complex numbers a q row at most, where the operators take 2 d^4
             assert inputs < nq * 2 * 64 * 16, inputs
             assert stepped.cells.nbytes == grid_bytes
-            assert len(generator._memo[4]) == 4
+            assert len(kernels[-1].windows) == 4
             held.append(peak - grid_bytes)
         # the accumulator, then the operators of the four windows in flight
         # and one window's build temporaries, four bands, the rate window,
@@ -1264,7 +1279,8 @@ class TestInPlaceKernel:
         # the measurement kernel builds its whole signal grid's operators at
         # once; here the CQ ones of 101 q rows
         model, state = kernel_case(8, 8, 101, False)
-        lop, d0, force = _cq_operators(model, state.grid)[:3]
+        kernel = _cq_kernel(model, state.grid)
+        lop, d0, force = kernel.lop, kernel.d0, kernel.force
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1282,18 +1298,19 @@ class TestInPlaceKernel:
         # rows would not match
         model, state = kernel_case(levels, d, 41, False)
         want = whole_grid_cq_operators(model, state.grid)
-        ops = _operators(model, state.grid, _cq_operators)
+        kernel = _cq_kernel(model, state.grid)
         # windows of one, and of three q rows (a shorter last window)
         for rows in (1, 3):
             for lo in range(0, 41, rows):
                 hi = min(lo + rows, 41)
-                got = generator._window_operators(model, ops, lo, hi)
+                got = kernel.window(lo, hi)
                 assert [op.tobytes() for op in got] == [op[lo:hi].tobytes() for op in want]
 
     @pytest.mark.parametrize("levels,d", [(2, 2), (8, 8)])
     def test_each_window_is_built_once_per_step(self, levels, d, monkeypatch):
         n = 41
         model, state = kernel_case(levels, d, n, False)
+        state = gaussian_product_state(state.grid, (0.0, 0.5), (0.4, 0.4), rho_q=np.eye(d) / d)
         dt = 0.4 * cfl_limit(model, state.grid)
         built = []
         build = generator._cell_operators
@@ -1305,17 +1322,13 @@ class TestInPlaceKernel:
         monkeypatch.setattr(generator, "_cell_operators", spy)
         for rows in (1, 2, 3, 5, n):
             monkeypatch.setattr(grids, "SLAB_BYTES", rows * state.cells[0].nbytes)
-            generator._forget_operators()
             size = min(n, max(2, rows))
             windows = [min(size, n - lo) for lo in range(0, n, size)]
             built.clear()
-            step_rk4(model, state, dt)
-            assert built == windows
-            # a second step builds them again, unless the four kept are all
-            # of them: a one-window grid is built once per run
-            built.clear()
-            step_rk4(model, state, dt)
-            assert built == ([] if len(windows) <= 4 else windows)
+            evolve(model, state, dt, 2)
+            # the second step builds them again, unless the four kept are
+            # all of them: a one-window grid is built once per run
+            assert built == (windows if len(windows) <= 4 else 2 * windows)
 
     def test_rates_are_new_arrays(self):
         model, state = kernel_case(2, 2, 9, False)
@@ -1383,25 +1396,28 @@ class TestInPlaceKernel:
         window_bytes = rows * 2 * 64 * 64 * 16  # its L(q)^T and B(q)^T
         tracemalloc.start()
         try:
-            # the first call audits the model and builds every window
+            # a direct call audits the model and builds a kernel and every
+            # window, and keeps none of them
             before = tracemalloc.get_traced_memory()[0]
             rate = apply_generator(model, state)
             del rate
             kept = tracemalloc.get_traced_memory()[0] - before
-            inputs = sum(a.nbytes for a in generator._memo[2])
-            windows = generator._memo[4]
+            assert kept < state.cells[0].nbytes / 4, kept
+            # a run's kernel keeps the last four windows built, and 2 d^2
+            # complex numbers a q row at most: nothing of nq d^4
+            band = _Band(state.grid, state.cells, 0, _cq_kernel(model, state.grid))
+            apply_generator(model, band)
+            windows = band.kernel.windows
+            inputs = sum(a.nbytes for a in (band.kernel.lop, band.kernel.d0, band.kernel.force))
             ring = sum(op.nbytes for ops in windows.values() for op in ops)
-            # the last four windows built, and 2 d^2 complex numbers a q row at
-            # most: nothing of nq d^4
             assert list(windows) == [(lo, min(lo + rows, nq)) for lo in range(0, nq, rows)][-4:]
             assert ring <= 4 * window_bytes
             assert inputs < nq * 2 * 64 * 16
-            assert kept < inputs + ring + grid_bytes / 4
             # a later call builds every window again: the rate, plus slab
             # buffers, row temporaries and one window's build temporaries
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            rate = apply_generator(model, state)
+            rate = apply_generator(model, band)
             peak = tracemalloc.get_traced_memory()[1] - base
             assert peak < grid_bytes + 4 * grids.SLAB_BYTES + 3 * window_bytes
         finally:
@@ -1413,17 +1429,19 @@ class TestInPlaceKernel:
         row_bytes = state.cells[0].nbytes
         rows = grids.slab_rows(len(state.cells), row_bytes)
         window = slice(rows, 2 * rows)  # one window of `_rk4`'s sweep
+        kernel = _cq_kernel(model, state.grid)
+        band = _Band(state.grid, state.cells, 0, kernel)
         out = np.empty_like(state.cells[window])
-        first = apply_generator(model, state, window, out).copy()
+        first = apply_generator(model, band, window, out).copy()
         tracemalloc.start()
         try:
-            apply_generator(model, state, window, out)
+            apply_generator(model, band, window, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # only stencil edge-row temporaries: the slab buffer and the window's
-        # operators are the memo's, which holds at most four windows
-        assert list(generator._memo[4]) == [(rows, 2 * rows)]
+        # operators are the kernel's, which holds at most four windows
+        assert list(kernel.windows) == [(rows, 2 * rows)]
         assert peak < rows * row_bytes / 2
         assert out.tobytes() == first.tobytes()
 
@@ -1453,13 +1471,26 @@ class TestInPlaceKernel:
         assert len(recorded) == 4 and len(stale) == 7
         assert stale == [0] * 7
 
-    def test_evolve_lets_go_of_its_operators(self, small_grid):
+    def test_evolve_lets_go_of_its_operators(self, small_grid, monkeypatch):
         # they would stay resident beside the final state, and in the
-        # workers that fork to dump it
+        # workers that fork to dump it; or, after an abort, until the next run
+        kernels = []
+        build = generator._cq_kernel
+
+        def spy(*args):
+            kernel = build(*args)
+            kernels.append(weakref.ref(kernel))
+            return kernel
+
+        monkeypatch.setattr(generator, "_cq_kernel", spy)
         model = qubit_decoherence_model(lam=0.6, d0=1.0)
         state = gaussian_product_state(small_grid, (0, 0), (0.45, 0.45), rho_q=np.eye(2) / 2)
-        evolve(model, state, 0.4 * cfl_limit(model, small_grid), 2)
-        assert all(item is None for item in generator._memo)
+        dt = 0.4 * cfl_limit(model, small_grid)
+        evolve(model, state, dt, 2)
+        assert len(kernels) == 1 and kernels[0]() is None
+        with pytest.raises(EvolutionError, match="trace drift"):
+            evolve(model, state, dt, 2, stride=1, trace_abort=1e-15)
+        assert len(kernels) == 2 and kernels[1]() is None
 
     def test_runner_frees_the_initial_cells_after_the_first_step(self, monkeypatch, tmp_path):
         initial = []

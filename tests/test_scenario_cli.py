@@ -393,6 +393,15 @@ class TestShippedScenarios:
             assert len(provenance) == 1, name
             assert json.loads(provenance[0][len("# scenario "):])["numerics"]["seed"] == 8, name
 
+    @pytest.mark.parametrize("n_traj,sizes", [(250, [100, 250]), (50, [50]), (1000, [100, 1000])])
+    def test_convergence_table_ends_at_the_whole_ensemble(self, n_traj, sizes, tmp_path):
+        text, _ = with_key("unravel_qubit.yaml", "numerics", "n_trajectories", n_traj)
+        path = tmp_path / "unravel.yaml"
+        path.write_text(text)
+        run_scenario(parse_scenario_file(path), tmp_path / "out")
+        table = read_table(tmp_path / "out" / "convergence.csv")
+        assert table[:, 0].tolist() == sizes
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_is_refused_before_out(self, seed, tmp_path, capsys):
         path = SCENARIO_DIR / "unravel_qubit.yaml"
