@@ -21,26 +21,26 @@ cells viewed as fvec of shape (nq, np, d^2) (row-major vec of each cell),
 
 where the d^2 x d^2 Liouvillian L(q) holds the commutator and dissipator
 and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.
-`_cell_operators` builds both, for either equation.  A run's kernel
-(`_Kernel`) is built once per run, auditing the model on the grid's
-points; it keeps only the compact per-point inputs, and builds the
-superoperators of one window of rows at a time, keeping the last four
-built (the windows of `_rk4`'s wavefront) and one scratch slab.  A direct
-call on a plain state builds, and audits, a fresh kernel.
-`apply_generator` evaluates a window one slab of about `grids.SLAB_BYTES`
-of cells at a time, from the whole grid or from a band of rows that holds
-the window's stencil neighbours.  Every element sees the whole-grid
-expression's operations, so neither the window, the band nor the slab
-size changes a bit.
+`_cell_operators` builds both, for either equation.
 
-Time stepping is classical RK4, `_rk4` for both equations.  A step holds
-two grid arrays (the cells and the accumulator) and a fixed number of
-slab-sized bands: it cuts windows of q rows and sweeps the four stages
-together as a wavefront, and is bit-for-bit cells + (dt/6)(k1 + 2 k2 +
-2 k3 + k4).  `evolve` and
-`evolve_measurement` take a step dt and a whole number of steps, which the
-caller decides; a trace-drift abort reports the probability found in the
-outermost grid cells.
+The equation is local, so both grid kernels take a model and a state and
+return the state's rate, a new array.  Each builds, and audits, a fresh
+kernel (`_Kernel`): the compact per-point inputs of the superoperators and
+the height of a window of q rows, about `grids.SLAB_BYTES` of cells.  It
+builds the superoperators of one window at a time, keeping the last four
+built (the windows of `_rk4`'s wavefront) and one window-sized scratch
+buffer, and a window is evaluated in one pass.  Every element sees the
+whole-grid expression's operations, so the window height changes no bit.
+
+Time stepping is classical RK4, `_rk4` for both equations.  A run builds
+its kernel once and hands it each window of the sweep in a `_Band`, with
+the rows of the window's stencil neighbours and the buffer its rate goes
+into.  A step holds two grid arrays (the cells and the accumulator) and a
+fixed number of window-sized bands: it sweeps the four stages together as
+a wavefront, and is bit-for-bit cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4).
+`evolve` and `evolve_measurement` take a step dt and a whole number of
+steps, which the caller decides; a trace-drift abort reports the
+probability found in the outermost grid cells.
 
 `branch_generator` provides an independent evolution route for models
 diagonal in a fixed basis: each matrix element varrho_ab is transported by
@@ -166,68 +166,52 @@ class EvolutionDiagnostics:
 
 @dataclass(frozen=True)
 class _Band:
-    """Cells of q rows ``first``, ``first`` + 1, ... of a state on ``grid``, and the run's kernel."""
+    """A window of `_rk4`'s sweep: q rows ``rows`` of a stage state, and their rate's ``out``.
+
+    ``cells`` holds q rows ``first``, ``first`` + 1, ...: at least the rows
+    that the q-stencils of ``rows`` read (`_reach`).  ``out`` is
+    C-contiguous, of the shape of the window's cells, and ``kernel`` is
+    the run's.
+    """
 
     grid: PhaseGrid
     cells: np.ndarray
     first: int
     kernel: _Kernel
+    rows: slice
+    out: np.ndarray
 
 
-def apply_generator(
-    model: CQModel, state: HybridState, rows=None, out=None
-) -> np.ndarray:
-    """Evaluate d varrho/dt on q rows ``rows`` of the grid, written into ``out``.
+def apply_generator(model: CQModel, state: HybridState) -> np.ndarray:
+    """d varrho/dt of ``state`` under ``model``: a new C-contiguous array of the cells' shape.
 
-    ``rows`` is a slice of the first (q) axis, all rows when None; ``out``
-    (a new array when None) must have the shape of ``state.cells[rows]``,
-    be C-contiguous and not overlap the cells; it is returned.  ``state``
-    may also be a `_Band` of the rows that the q-stencils of ``rows`` read
-    (`_reach`), which is how `_rk4` passes a window's stage state together
-    with the run's kernel; for a plain state, `validate_model` audits the
-    model on the q points as a fresh kernel is built (`_cq_kernel`), so a
-    direct call audits its model every time.  The rows are cut into
-    windows of `_rk4`'s height, and the kernel builds each window's
-    superoperators or takes them from the last four it built.  A window is
-    evaluated one slab at a time through the kernel's slab-sized scratch
-    buffer; the q-transport of a slab reads the cells of its neighbour rows.
+    `validate_model` audits the model on the q points as a fresh kernel is
+    built (`_cq_kernel`), so a direct call audits its model every time.
+    The rows are evaluated one window of the kernel's height at a time: the
+    kernel builds the window's superoperators or takes them from the last
+    four it built.  ``state`` may also be a `_Band`, through which `_rk4`
+    asks for one window's rate with the run's kernel (`_request`).
     """
-    kernel, first = _kernel(_cq_kernel, model, state)
+    kernel, first, rows, out = _request(_cq_kernel, model, state)
     p_over_m, half_d2 = kernel.coeffs
-
     grid = state.grid
     f = state.cells
     fvec = f.reshape((len(f),) + grid.shape[1:] + (-1,))
-    nq = grid.shape[0]
-    lo, hi, _ = (slice(None) if rows is None else rows).indices(nq)
-    a, b = _reach(lo, hi, nq)
-    if not first <= a < b <= first + len(f):
-        raise ValueError(
-            f"q rows [{lo}, {hi}) read rows [{a}, {b}), "
-            f"not all in the band [{first}, {first + len(f)})"
-        )
-    if out is None:
-        out = np.empty((hi - lo,) + f.shape[1:], dtype=complex)
-    rate = out.reshape((hi - lo,) + fvec.shape[1:])
+    rate = out.reshape((len(out),) + fvec.shape[1:])
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
-    slab = slab_rows(nq, f[0].nbytes)
-    scratch = kernel.scratch((slab,) + fvec.shape[1:])
-    height = min(nq, max(2, slab))  # `_rk4`'s window height for these rows
+    scratch = kernel.scratch((kernel.height,) + fvec.shape[1:])
 
-    for w in range(lo, hi, height):
-        end = min(w + height, hi)
-        liou_t, back_t = kernel.window(w, end)
-        for start in range(w, end, slab):
-            q = slice(start, min(start + slab, end))
-            fq = slice(q.start - first, q.stop - first)  # the same rows of the band
-            o = slice(q.start - w, q.stop - w)  # and of the window's operators
-            r, d = rate[start - lo : q.stop - lo], scratch[: q.stop - start]
-            # the back-reaction product first, then fvec @ L(q)^T added to
-            # it: addition commutes, so each element gets the bits of their sum
-            np.matmul(d_dx(fvec, 1, hp_ax, out=d, rows=fq), back_t[o], out=r)
-            r += np.matmul(fvec[fq], liou_t[o], out=d)
-            r -= times_real(d_dx(fvec, 0, hq_ax, out=d, rows=fq), p_over_m)
-            r += times_real(d2_dx2(fvec, 1, hp_ax, out=d, rows=fq), half_d2[q])
+    for lo in range(rows.start, rows.stop, kernel.height):
+        hi = min(lo + kernel.height, rows.stop)
+        liou_t, back_t = kernel.window(lo, hi)
+        q = slice(lo - first, hi - first)  # the window's rows of the band
+        r, d = rate[lo - rows.start : hi - rows.start], scratch[: hi - lo]
+        # the back-reaction product first, then fvec @ L(q)^T added to
+        # it: addition commutes, so each element gets the bits of their sum
+        np.matmul(d_dx(fvec, 1, hp_ax, out=d, rows=q), back_t, out=r)
+        r += np.matmul(fvec[q], liou_t, out=d)
+        r -= times_real(d_dx(fvec, 0, hq_ax, out=d, rows=q), p_over_m)
+        r += times_real(d2_dx2(fvec, 1, hp_ax, out=d, rows=q), half_d2[lo:hi])
     return out
 
 
@@ -255,7 +239,8 @@ class _Kernel:
 
     ``lop``, ``d0`` and ``force`` are L, D0 and V' at each point of the
     grid's first axis, about d^2 complex numbers a point, where a point's
-    superoperators take 2 d^4; ``coeffs`` the equation's other coefficients.
+    superoperators take 2 d^4; ``coeffs`` the equation's other coefficients;
+    ``height`` the q rows of a window (a grid's last window may hold fewer).
     """
 
     h: np.ndarray
@@ -264,6 +249,7 @@ class _Kernel:
     d0: np.ndarray
     force: np.ndarray
     coeffs: tuple
+    height: int
     windows: dict = field(default_factory=dict)
     slab: np.ndarray | None = None
 
@@ -291,18 +277,34 @@ class _Kernel:
         return self.slab
 
 
-def _kernel(build, model, state):
-    """(kernel, first q row) of ``state``: a `_Band`'s, or a fresh ``build(model, grid)``."""
-    if isinstance(state, _Band):
-        return state.kernel, state.first
-    return build(model, state.grid), 0
+def _request(build, model, state):
+    """(kernel, first q row of the cells, q rows asked for, out) of a rate of ``state``.
+
+    A `_Band`'s own, once its cells are found to hold the rows that the
+    q-stencils of its window read; for a plain state, a fresh
+    ``build(model, grid)``, all rows and a new array.
+    """
+    if not isinstance(state, _Band):
+        f = state.cells
+        return build(model, state.grid), 0, slice(0, len(f)), np.empty(f.shape, dtype=complex)
+    nq, first, end = state.grid.shape[0], state.first, state.first + len(state.cells)
+    lo, hi, _ = state.rows.indices(nq)
+    a, b = _reach(lo, hi, nq)
+    if not first <= a < b <= end:
+        raise ValueError(
+            f"q rows [{lo}, {hi}) read rows [{a}, {b}), not all in the band [{first}, {end})"
+        )
+    return state.kernel, first, slice(lo, hi), state.out
 
 
 def _cq_kernel(model: CQModel, grid: PhaseGrid) -> _Kernel:
     """`apply_generator`'s kernel of ``model`` on ``grid``, after auditing the model.
 
     L = dV_I/dq, D0(q) and V'(q); p/m and D2(q)/2, broadcastable against
-    (nq, np, d^2) cells.
+    (nq, np, d^2) cells.  A window is a slab of cells (`slab_rows`), and at
+    least two rows: the edge stencils read two rows inward, so every window
+    of `_rk4`'s sweep but the last holds at least two, and a band's outer
+    rows lie in the adjacent windows.
     """
     if grid.ndim != 2:
         raise ValueError("apply_generator needs a (q, p) grid with two axes")
@@ -313,7 +315,9 @@ def _cq_kernel(model: CQModel, grid: PhaseGrid) -> _Kernel:
     force = np.asarray(classical_force(model, qs), dtype=float)
     p_over_m = (grid.axes[1].points / model.mass)[None, :, None]
     half_d2 = 0.5 * np.asarray(model.d2(qs), dtype=float)[:, None, None]
-    return _Kernel(model.h_q, model.hbar, lop, d0, force, (p_over_m, half_d2))
+    nq = len(qs)
+    height = min(nq, max(2, slab_rows(nq, grid.shape[1] * lop[0].nbytes)))
+    return _Kernel(model.h_q, model.hbar, lop, d0, force, (p_over_m, half_d2), height)
 
 
 def _cell_operators(h, hbar, lop, d0, force):
@@ -407,32 +411,25 @@ def branch_generator(model: CQModel, state: HybridState) -> np.ndarray:
     return np.einsum("ai,...ij,bj->...ab", u, rate, u.conj())
 
 
-def measurement_generator(
-    m: MeasurementModel, state: HybridState, rows=None, out=None
-) -> np.ndarray:
+def measurement_generator(m: MeasurementModel, state: HybridState) -> np.ndarray:
     """Rate of the linear measurement master equation on a 1-axis signal grid.
 
     d varrho/dt = -(1/2) d({Z, varrho})/dz + (1/2) d^2(D2(z) varrho)/dz^2
                   - k(z) [Z, [Z, varrho]] - (i/hbar)[H, varrho].
 
     The drift sign follows from the signal equation dz = <Z> dt + noise;
-    the couplings D0 = 2k, D2 = 1/(8k) saturate the trade-off.  ``rows``
-    and ``out`` are as for `apply_generator`, and so is ``state``, except
-    that a `_Band` holds the whole grid: the drift differentiates the flux
-    of the whole grid, so the kernel's one window is the whole grid.
+    the couplings D0 = 2k, D2 = 1/(8k) saturate the trade-off.  The rate
+    and ``state`` are as for `apply_generator`, except that a `_Band`
+    holds the whole grid: the drift differentiates the flux of the whole
+    grid, so the kernel's one window is the whole grid.
     """
-    kernel, _ = _kernel(_measurement_kernel, m, state)
+    kernel, _, rows, out = _request(_measurement_kernel, m, state)
     (d2_of_z,) = kernel.coeffs
     grid = state.grid
     sup_t, flux_t = kernel.window(0, grid.shape[0])
     h_ax = grid.axes[0].spacing
-    f = state.cells
-    fvec = f.reshape(grid.shape + (1, -1))
-    rows = slice(None) if rows is None else rows
-    lo, hi, _ = rows.indices(grid.shape[0])
-    if out is None:
-        out = np.empty((hi - lo,) + f.shape[1:], dtype=complex)
-    rate = np.matmul(fvec[rows], sup_t[rows], out=out.reshape((hi - lo,) + fvec.shape[1:]))
+    fvec = state.cells.reshape(grid.shape + (1, -1))
+    rate = np.matmul(fvec[rows], sup_t[rows], out=out.reshape((len(out),) + fvec.shape[1:]))
     rate -= d_dx(fvec @ flux_t, 0, h_ax, rows=rows)
     rate += 0.5 * d2_dx2(d2_of_z * fvec, 0, h_ax, rows=rows)
     return out
@@ -443,7 +440,8 @@ def _measurement_kernel(m: MeasurementModel, grid: PhaseGrid) -> _Kernel:
 
     L = Z(z), D0 = 2k(z), H = h (zero when absent) and no force, so its
     window holds (M(z)^T, A(z)^T) with M(z) = -k(z)[Z,[Z,.]] - (i/hbar)[H,.];
-    its coefficient is D2(z), broadcastable against (nz, 1, d^2) cells.
+    its coefficient is D2(z), broadcastable against (nz, 1, d^2) cells,
+    and its one window is the whole signal grid.
     """
     if grid.ndim != 1:
         raise ValueError("measurement_generator needs a single-axis signal grid")
@@ -451,7 +449,7 @@ def _measurement_kernel(m: MeasurementModel, grid: PhaseGrid) -> _Kernel:
     m.validate(zs)
     h = np.zeros((m.hilbert_dim, m.hilbert_dim)) if m.h is None else m.h
     lop, d2_of_z = np.asarray(m.z_op(zs), dtype=complex), m.d2(zs)[:, None, None]
-    return _Kernel(h, m.hbar, lop, m.d0(zs), np.zeros(len(zs)), (d2_of_z,))
+    return _Kernel(h, m.hbar, lop, m.d0(zs), np.zeros(len(zs)), (d2_of_z,), len(zs))
 
 
 # -- time stepping -----------------------------------------------------------
@@ -515,25 +513,22 @@ def _rk4(rate_fn, cells, dt, height):
     """One classical RK4 step of ``cells``, holding one new grid array.
 
     ``rate_fn(band, first, rows, out)`` writes the rate of q rows ``rows``
-    into the C-contiguous ``out`` and returns it, reading the stage state
-    from ``band``, which holds q rows first, first + 1, ...: at least the
-    rows that the q-stencils of ``rows`` read (`_reach`).  The grid is cut
-    into windows of ``height`` q rows (the last may hold fewer), and one
-    sweep carries the four stages as a wavefront: while window i gets k1,
-    windows i-1, i-2 and i-3 get k2, k3 and k4.  k1 reads ``cells``, which
-    is never written, and goes straight into the accumulator, the step's
-    one grid array.  A window's stage rows cells + h k go into its band,
-    which also holds copies of the neighbour rows its stencils read, traded
-    with the adjacent bands as each stage's rows appear; four band buffers
-    serve the windows in turn (one, as tall as the grid, for a one-window
-    grid).  The edge
-    stencils read two rows inward, so every window but the last holds at
-    least two rows and a band's outer rows lie in the adjacent windows.
-    Every element sees the operations of cells + (dt/6)(k1 + 2 k2 + 2 k3 +
-    k4) in that order, so a step is bit-for-bit that expression.
+    into ``out`` and returns it, reading the stage state from ``band``,
+    which holds q rows first, first + 1, ...: at least the rows that the
+    q-stencils of ``rows`` read (`_reach`).  The grid is cut into windows
+    of ``height`` q rows, the kernel's (`_Kernel`), and one sweep carries
+    the four stages as a wavefront: while window i gets k1, windows i-1,
+    i-2 and i-3 get k2, k3 and k4.  k1 reads ``cells``, which is never
+    written, and goes straight into the accumulator, the step's one grid
+    array; k2-k4 go into one window-sized stage buffer.  A window's stage
+    rows cells + h k go into its band, which also holds copies of the
+    neighbour rows its stencils read, traded with the adjacent bands as
+    each stage's rows appear; four band buffers serve the windows in turn
+    (one, as tall as the grid, for a one-window grid).  Every element sees
+    the operations of cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in that order,
+    so a step is bit-for-bit that expression.
     """
     nq = len(cells)
-    height = min(nq, max(2, height))
     windows = [(lo, min(lo + height, nq)) for lo in range(0, nq, height)]
     bands = [_reach(lo, hi, nq) for lo, hi in windows]
     band_rows = max(b - a for a, b in bands)
@@ -583,29 +578,26 @@ def _rk4(rate_fn, cells, dt, height):
 def _stepper(model, state: HybridState, dt: float):
     """(rate_fn, window height) of `_rk4` for ``model`` on ``state``'s grid, for an admissible dt.
 
-    Builds the run's kernel, which audits the model, then requires
-    0 < dt <= the CFL-style limit.  The rate function hands the kernel to
-    the module's `apply_generator` or `measurement_generator` with each
-    window's band.  The CQ kernel's windows are its slabs; the measurement
-    kernel takes the whole grid as its one window, whose band is the whole
-    grid, since its drift differentiates the whole flux.
+    Builds the run's kernel, which audits the model and sets the window
+    height, then requires 0 < dt <= the CFL-style limit.  The rate function
+    hands each window to the module's `apply_generator` or
+    `measurement_generator` as a `_Band`.
     """
     grid = state.grid
     if isinstance(model, MeasurementModel):
-        build, generate, height = _measurement_kernel, measurement_generator, grid.shape[0]
+        build, generate = _measurement_kernel, measurement_generator
     else:
         build, generate = _cq_kernel, apply_generator
-        height = slab_rows(grid.shape[0], state.cells[0].nbytes)
     kernel = build(model, grid)
 
     def rate_fn(band, first, rows, out):
-        return generate(model, _Band(grid, band, first, kernel), rows, out)
+        return generate(model, _Band(grid, band, first, kernel, rows, out))
 
     limit = cfl_limit(model, grid)
     _check_dt(dt)
     if dt > limit:
         raise ValueError(f"dt={float(dt)!r} exceeds the CFL-style limit {limit!r}")
-    return rate_fn, height
+    return rate_fn, kernel.height
 
 
 def step_rk4(model: CQModel, state: HybridState, dt: float) -> HybridState:

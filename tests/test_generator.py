@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 import tracemalloc
 import weakref
@@ -1151,12 +1152,12 @@ class TestInPlaceKernel:
         evaluated = []
         kernel = generator.apply_generator
 
-        def spy(model, band, rows, out):
+        def spy(model, band):
             held = band.cells.tobytes()
             rows_of = lambda stage: stage[band.first : band.first + len(band.cells)].tobytes()
             matches = [s for s, stage in enumerate(stages) if rows_of(stage) == held]
-            evaluated.append((matches, rows.indices(n)[:2]))
-            return kernel(model, band, rows, out)
+            evaluated.append((matches, band.rows.indices(n)[:2]))
+            return kernel(model, band)
 
         monkeypatch.setattr(generator, "apply_generator", spy)
         # one-row slabs still sweep two rows at a time; 2, 3 and 5 rows leave
@@ -1182,10 +1183,12 @@ class TestInPlaceKernel:
         rate_fn = lambda cells: measurement_generator(m, HybridState(state.grid, cells))
         want = allocating_rk4(rate_fn, state.cells, dt)
         assert step_rk4(m, state, dt).cells.tobytes() == want.tobytes()
-        # the window form of the kernel gives the rows of the whole-grid rate
+        # a band's window of the kernel gives the rows of the whole-grid rate
         whole = rate_fn(state.cells)
         out = np.full((n - 1,) + state.cells.shape[1:], np.nan, dtype=complex)
-        assert measurement_generator(m, state, slice(1, n), out) is out
+        kernel = _measurement_kernel(m, state.grid)
+        band = _Band(state.grid, state.cells, 0, kernel, slice(1, n), out)
+        assert measurement_generator(m, band) is out
         assert out.tobytes() == whole[1:].tobytes()
 
     def test_evolve_measurement_matches_allocating_rk4(self):
@@ -1330,6 +1333,23 @@ class TestInPlaceKernel:
             # all of them: a one-window grid is built once per run
             assert built == (windows if len(windows) <= 4 else 2 * windows)
 
+    def test_kernels_take_a_model_and_a_state(self):
+        # a window's rows and its output buffer are `_rk4`'s, carried by a `_Band`
+        assert list(inspect.signature(apply_generator).parameters) == ["model", "state"]
+        assert list(inspect.signature(measurement_generator).parameters) == ["m", "state"]
+        model, state = kernel_case(2, 2, 9, False)
+        m, signal = measurement_kernel_case(2, 9, False)
+        for rate, given in ((apply_generator(model, state), state),
+                            (measurement_generator(m, signal), signal)):
+            assert rate.flags.c_contiguous and rate.flags.owndata
+            assert rate.shape == given.cells.shape
+        # a band without a row that its window's q-stencils read is refused
+        kernel = _cq_kernel(model, state.grid)
+        out = np.empty((2, 9, 2, 2), dtype=complex)
+        band = _Band(state.grid, state.cells[3:6], 3, kernel, slice(3, 5), out)
+        with pytest.raises(ValueError, match=r"read rows \[2, 6\), not all in the band \[3, 6\)"):
+            apply_generator(model, band)
+
     def test_rates_are_new_arrays(self):
         model, state = kernel_case(2, 2, 9, False)
         first = apply_generator(model, state)
@@ -1375,13 +1395,16 @@ class TestInPlaceKernel:
 
         monkeypatch.setattr(generator, "d_dx", spy)
         rates = {}
-        # 2 and 3 rows leave a shorter last slab for some n; n rows is the whole grid
+        # one-row slabs are windows of two rows; 2 and 3 rows leave a
+        # shorter last window for some n; n rows is the whole grid
         for rows in (1, 2, 3, n):
             monkeypatch.setattr(grids, "SLAB_BYTES", rows * state.cells[0].nbytes)
             windows.clear()
             rates[rows] = apply_generator(model, state)
-            slabs = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-            assert windows == [w for slab in slabs for w in (slab, slab)]
+            size = min(n, max(2, rows))
+            sweep = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+            # one pass a window: its p and q derivatives
+            assert windows == [w for window in sweep for w in (window, window)]
         assert np.array_equal(rates[n], allocating_rate(model, state))
         for rows in (1, 2, 3):
             assert rates[rows].tobytes() == rates[n].tobytes()
@@ -1405,7 +1428,9 @@ class TestInPlaceKernel:
             assert kept < state.cells[0].nbytes / 4, kept
             # a run's kernel keeps the last four windows built, and 2 d^2
             # complex numbers a q row at most: nothing of nq d^4
-            band = _Band(state.grid, state.cells, 0, _cq_kernel(model, state.grid))
+            kernel = _cq_kernel(model, state.grid)
+            whole = slice(0, nq)
+            band = _Band(state.grid, state.cells, 0, kernel, whole, np.empty_like(state.cells))
             apply_generator(model, band)
             windows = band.kernel.windows
             inputs = sum(a.nbytes for a in (band.kernel.lop, band.kernel.d0, band.kernel.force))
@@ -1417,7 +1442,8 @@ class TestInPlaceKernel:
             # buffers, row temporaries and one window's build temporaries
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            rate = apply_generator(model, band)
+            out = np.empty_like(state.cells)
+            rate = apply_generator(model, _Band(state.grid, state.cells, 0, kernel, whole, out))
             peak = tracemalloc.get_traced_memory()[1] - base
             assert peak < grid_bytes + 4 * grids.SLAB_BYTES + 3 * window_bytes
         finally:
@@ -1430,12 +1456,12 @@ class TestInPlaceKernel:
         rows = grids.slab_rows(len(state.cells), row_bytes)
         window = slice(rows, 2 * rows)  # one window of `_rk4`'s sweep
         kernel = _cq_kernel(model, state.grid)
-        band = _Band(state.grid, state.cells, 0, kernel)
         out = np.empty_like(state.cells[window])
-        first = apply_generator(model, band, window, out).copy()
+        band = _Band(state.grid, state.cells, 0, kernel, window, out)
+        first = apply_generator(model, band).copy()
         tracemalloc.start()
         try:
-            apply_generator(model, band, window, out)
+            apply_generator(model, band)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
