@@ -4,14 +4,16 @@
 
     d varrho/dt = {H_c, varrho} - (i/hbar)[H_q, varrho]
                   + (1/2) d^2(D2(q) varrho)/dp^2
-                  + (1/2)({V_I, varrho} - {varrho, V_I})
+                  + (1/2){L(q), d varrho/dp}
                   + D0(q) (L varrho L - (1/2){L^2, varrho}),   L = dV_I/dq
 
 cellwise with 2nd-order central differences (one-sided at the grid
-edges).  The symmetrized Poisson term is the Alexandrov-Gerasimenko
-back-reaction; for p-independent V_I it reduces to the anticommutator
-(1/2){dV_I/dq, d varrho/dp}.  The n = 2 diffusion term carries the 1/n!
-normalization, so a classical increment has variance D2 * dt.
+edges), where {H_c, varrho} = V'(q) d varrho/dp - (p/m) d varrho/dq.  It
+is the general completely positive CQ master equation with Hamiltonian
+H_q, one Lindblad operator L and back-reaction coupling D1 = 1/2: it reads
+V', H_q, L, D2 and D0, never V(q) or V_I(q).  The n = 2 diffusion term
+carries the 1/n! normalization, so a classical increment has variance
+D2 * dt.
 
 The kernel is stencil transport plus a per-cell superoperator.  With the
 cells viewed as fvec of shape (nq, np, d^2) (row-major vec of each cell),
@@ -368,13 +370,15 @@ def _kron(a, b):
 def branch_generator(model: CQModel, state: HybridState) -> np.ndarray:
     """Branch-decomposed rate for models diagonal in a fixed basis.
 
-    Valid only when [H_q, V_I(q)] = 0 for all q in a common q-independent
-    eigenbasis; refuses otherwise.  In that basis each component obeys
+    Valid only when H_q and L(q) = dV_I/dq at every q are diagonal in one
+    q-independent basis; refuses otherwise.  In that basis, with h_a the
+    levels of H_q and l_a(q) those of L, each component obeys
 
-      d varrho_ab/dt = {H_c + (V^a + V^b)/2, varrho_ab}
+      d varrho_ab/dt = (V' + (l_a + l_b)/2) d varrho_ab/dp
+                       - (p/m) d varrho_ab/dq
                        + (1/2) d^2(D2 varrho_ab)/dp^2
                        - (i/hbar)(h_a - h_b) varrho_ab
-                       - (D0/2)(dV^a/dq - dV^b/dq)^2 varrho_ab.
+                       - (D0/2)(l_a - l_b)^2 varrho_ab.
     """
     grid = state.grid
     if grid.ndim != 2:
@@ -392,7 +396,7 @@ def branch_generator(model: CQModel, state: HybridState) -> np.ndarray:
 
     lvals = diag.dv_eigs(qs)  # (nq, d), audited at every q
     vprime = np.asarray(classical_force(model, qs), dtype=float)
-    # (a,b)-averaged force d(H_c + Vbar)/dq, per q and branch pair
+    # (a,b)-averaged force V' + (l_a + l_b)/2, per q and branch pair
     force = vprime[:, None, None] + 0.5 * (lvals[:, :, None] + lvals[:, None, :])
     p_over_m = (grid.axes[1].points / model.mass)[None, :, None, None]
 

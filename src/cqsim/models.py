@@ -1,21 +1,22 @@
 """Model definitions: what a concrete hybrid master equation consists of.
 
 `CQModel` fixes one continuous classical-quantum master equation on phase
-space: a classical Hamiltonian H_c = p^2/2m + V(q), a quantum Hamiltonian
-H_q, a Hermitian interaction potential V_I(q) whose q-derivative plays the
-role of the Lindblad operator (back-reaction coupling fixed to 1/2), a
+space by the inputs it reads (see `generator`): the mass m and force V'(q)
+of H_c = p^2/2m + V(q), a quantum Hamiltonian H_q, a Hermitian Lindblad
+operator L(q) = dV_I/dq (back-reaction coupling D1 = 1/2), a
 momentum-diffusion coefficient D2(q) and a Lindbladian coupling D0(q).
+V(q) and V_I(q) enter only through V' and L, so a model carries neither.
 Complete positivity requires 4 D2(q) >= 1/D0(q) wherever the interaction
 is switched on; `validate_model` audits this at every point it is given,
 in one stacked `psd.schur_cp_check`, before evolution is permitted.
 
 `diagonalize_model` admits a model to the branch-decomposed evolution and
-the branch-pair path weights by one rule: H_q, and V_I(q) and dV_I(q) at
-every q whose branch levels are read, must each be diagonal in one basis
-fixed by the model alone, within DIAGONAL_TOL = 1e-10 relative to the
-matrix; `dv_eigs` audits each q before it returns its levels, so no level
-leaves this module unaudited.  Both audits judge V_I and dV_I finite and
-Hermitian point by point (`psd.require_hermitian`).
+the branch-pair path weights by one rule: H_q, and dV_I(q) at every q
+whose branch levels are read, must each be diagonal in one basis fixed by
+the model alone, within DIAGONAL_TOL = 1e-10 relative to the matrix;
+`dv_eigs` audits each q before it returns its levels, so no level leaves
+this module unaudited.  Both audits judge dV_I finite and Hermitian point
+by point (`psd.require_hermitian`).
 
 `MeasurementModel` describes the continuous measurement of a Hermitian
 operator Z with strength k, both optionally dependent on the measurement
@@ -24,10 +25,9 @@ D1 = 1/2, D0 = 2k, D2 = 1/(8k), which saturate the trade-off.
 
 `ToyParams` collects the parameters of the zero-dimensional toy theory.
 
-Potentials and couplings are supplied as numpy-vectorized callables; the
-derivative of V_I is supplied analytically so the Lindblad operator stays
-exactly Hermitian.  Helper constructors build models from polynomial
-coefficient lists, deriving the derivatives analytically.
+Callables are numpy-vectorized, and L is analytic so it stays exactly
+Hermitian: `polynomial_cq_model` derives V' and L = profile'(q) M from
+coefficient lists for V(q) and V_I(q) = profile(q) M.
 """
 
 from __future__ import annotations
@@ -54,25 +54,22 @@ __all__ = [
 ]
 
 # The master equation fixes the back-reaction block D1 = 1/2 once the
-# Lindblad operator is chosen as dV_I/dq.
+# Lindblad operator is chosen as L = dV_I/dq.
 BACKREACTION_COUPLING = 0.5
 
-# H_q, V_I(q) and dV_I(q) count as diagonal in a model's fixed basis u when
-# no off-diagonal entry of u^dag M u exceeds DIAGONAL_TOL * (1 + max|u^dag M u|).
+# H_q and dV_I(q) count as diagonal in a model's fixed basis u when no
+# off-diagonal entry of u^dag M u exceeds DIAGONAL_TOL * (1 + max|u^dag M u|).
 DIAGONAL_TOL = 1e-10
 
-# Fixed q values whose V_I and dV_I, with H_q, build the combination that
-# fixes the branch basis and its order, so labels depend on the model alone.
+# Fixed q values whose dV_I, with H_q, builds the combination that fixes
+# the branch basis and its order, so labels depend on the model alone.
 _BASIS_QS = np.array([-1.37, 0.41, 2.23])
-# One weight per matrix of that combination (H_q, then V_I and dV_I at each
-# of _BASIS_QS): the first seven normal draws of
-# np.random.default_rng(20230817), written out so that no call pays for
-# a generator.
+# One weight per matrix of that combination (H_q, then dV_I at each of
+# _BASIS_QS): normal draws 0, 4, 5 and 6 of np.random.default_rng(20230817),
+# which keep the branch labels those matrices have always had, written out
+# so that no call pays for a generator.
 _BASIS_WEIGHTS = (
     -0.4812556804272031,
-    1.1060938679505348,
-    1.7290790220211196,
-    -0.04204650136231247,
     -0.6279832719697106,
     -1.0687199177974025,
     0.037897669918088114,
@@ -80,23 +77,21 @@ _BASIS_WEIGHTS = (
 
 
 class ModelValidationError(ValueError):
-    """The model fails an invariant (non-Hermitian V_I, CP violation, ...)."""
+    """The model fails an invariant (non-finite V', non-Hermitian dV_I, CP violation, ...)."""
 
 
 @dataclass(frozen=True)
 class CQModel:
     """One concrete continuous CQ master equation (see module docstring).
 
-    ``potential``/``dpotential`` are V(q) and its analytic derivative;
-    ``v_i``/``dv_i`` map an array of q values to (..., d, d) Hermitian
-    matrices; ``d2`` and ``d0`` map q to nonnegative coefficients.
+    ``dpotential`` maps q to the force V'(q); ``dv_i`` maps an array of q
+    values to (..., d, d) Hermitian matrices, the Lindblad operator
+    L(q) = dV_I/dq; ``d2`` and ``d0`` map q to nonnegative coefficients.
     """
 
     mass: float
-    potential: Callable
     dpotential: Callable
     h_q: np.ndarray
-    v_i: Callable
     dv_i: Callable
     d2: Callable
     d0: Callable
@@ -124,18 +119,14 @@ def classical_force(model: CQModel, q):
     return model.dpotential(np.asarray(q, dtype=float))
 
 
-def _matrix_fields(qs, d, var="q", **fields):
-    """The named fields at ``qs`` as (n, len(fields), d, d), each finite and Hermitian."""
-    names, want = list(fields), np.shape(qs) + (d, d)
-    out = [np.asarray(fn(qs), dtype=complex) for fn in fields.values()]
-    for name, f in zip(names, out):
-        if f.shape != want:
-            raise ModelValidationError(f"{name}({var}) returned shape {f.shape}, expected {want}")
-    out = np.stack(out, axis=1)
-    label = lambda at: f"{names[at[1]]}({var}={qs[at[0]]:g})"
+def _matrix_field(qs, d, name, fn, var="q"):
+    """``fn`` at ``qs`` as (n, d, d), finite and Hermitian; a refusal names ``name`` and the point."""
+    out, want = np.asarray(fn(qs), dtype=complex), np.shape(qs) + (d, d)
+    if out.shape != want:
+        raise ModelValidationError(f"{name}({var}) returned shape {out.shape}, expected {want}")
+    label = lambda at: f"{name}({var}={qs[at[0]]:g})"
     if not np.isfinite(out).all():
-        at = np.argwhere(~np.isfinite(out))[0]
-        raise ModelValidationError(f"{label(at)} has a non-finite entry")
+        raise ModelValidationError(f"{label(np.argwhere(~np.isfinite(out))[0])} has a non-finite entry")
     try:
         require_hermitian(out, name=label)
     except ValueError as exc:
@@ -146,25 +137,26 @@ def _matrix_fields(qs, d, var="q", **fields):
 def validate_model(model: CQModel, qs) -> None:
     """Audit a model at every given q; raise ModelValidationError on failure.
 
-    Checks that V_I and dV_I are finite and Hermitian and that D2 and D0
-    are nonnegative, naming the first failing q, and --
-    when the interaction is switched on -- that the coupling triple
-    (D2(q), 1/2, D0(q)) passes one `schur_cp_check` of all the points
-    stacked; the refusal names the first violating q.  A model with dV_I
-    identically zero has no back-reaction and no Lindblad sector, so only
-    D2 >= 0 is demanded there.
+    Checks that dV_I is finite and Hermitian, that V', D2 and D0 are
+    finite and that D2 and D0 are nonnegative, naming the coefficient and
+    the first failing q, and -- when the interaction is switched on --
+    that the coupling triple (D2(q), 1/2, D0(q)) passes one
+    `schur_cp_check` of all the points stacked; the refusal names the
+    first violating q.  A model with dV_I identically zero has no
+    back-reaction and no Lindblad sector, so only D2 >= 0 is demanded
+    there.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
-    d = model.hilbert_dim
-    dv = _matrix_fields(qs, d, v_i=model.v_i, dv_i=model.dv_i)[:, 1]
-    d2 = np.broadcast_to(np.asarray(model.d2(qs), dtype=float), qs.shape)
-    d0 = np.broadcast_to(np.asarray(model.d0(qs), dtype=float), qs.shape)
-    for name, values in (("d2", d2), ("d0", d0)):
-        bad = np.flatnonzero(values < 0)
+    dv = _matrix_field(qs, model.hilbert_dim, "dv_i", model.dv_i)
+    values = {}
+    for name, fn in (("dpotential", model.dpotential), ("d2", model.d2), ("d0", model.d0)):
+        v = values[name] = np.broadcast_to(np.asarray(fn(qs), dtype=float), qs.shape)
+        # the force takes either sign; D2 and D0 are nonnegative
+        bad = np.flatnonzero(~np.isfinite(v) | ((v < 0) & (name != "dpotential")))
         if bad.size:
-            raise ModelValidationError(
-                f"{name}(q={qs[bad[0]]:g}) must be nonnegative, got {values[bad[0]]:g}"
-            )
+            need = "nonnegative" if np.isfinite(v[bad[0]]) else "finite"
+            raise ModelValidationError(f"{name}(q={qs[bad[0]]:g}) must be {need}, got {v[bad[0]]:g}")
+    d2, d0 = values["d2"], values["d0"]
     if not np.abs(dv).max() > 0.0:  # no interaction
         return
     report = schur_cp_check(CouplingTriple(
@@ -192,15 +184,14 @@ def polynomial_cq_model(
 ) -> CQModel:
     """Build a CQModel from polynomial coefficient lists (low order first).
 
-    V_I(q) = profile(q) * M with M a fixed Hermitian matrix, so the
-    analytic derivative is profile'(q) * M.
+    The model keeps the force V' of the potential and, for
+    V_I(q) = profile(q) * M with M a fixed Hermitian matrix, the Lindblad
+    operator L(q) = profile'(q) * M, both derived analytically.
     """
     h_q = require_hermitian(h_q, name="h_q")
     d = h_q.shape[0]
-    v = Polynomial(list(potential_coeffs))
-    dv = v.deriv()
-    prof = Polynomial(list(v_i_profile))
-    dprof = prof.deriv()
+    dv = Polynomial(list(potential_coeffs)).deriv()
+    dprof = Polynomial(list(v_i_profile)).deriv()
     if v_i_matrix is None:
         m = np.zeros((d, d), dtype=complex)
     else:
@@ -210,18 +201,13 @@ def polynomial_cq_model(
     d2p = Polynomial(list(d2_coeffs))
     d0p = Polynomial(list(d0_coeffs))
 
-    def v_i(q):
-        return prof(np.asarray(q, dtype=float))[..., None, None] * m
-
     def dv_i(q):
         return dprof(np.asarray(q, dtype=float))[..., None, None] * m
 
     return CQModel(
         mass=mass,
-        potential=lambda q: v(np.asarray(q, dtype=float)),
         dpotential=lambda q: dv(np.asarray(q, dtype=float)),
         h_q=h_q,
-        v_i=v_i,
         dv_i=dv_i,
         d2=lambda q: d2p(np.asarray(q, dtype=float)),
         d0=lambda q: d0p(np.asarray(q, dtype=float)),
@@ -247,25 +233,24 @@ class DiagonalizedModel:
 
 
 def diagonalize_model(model: CQModel) -> DiagonalizedModel:
-    """Extract the fixed eigenbasis u of H_q, V_I(q) and dV_I(q), or refuse.
+    """Extract the fixed eigenbasis u of H_q and dV_I(q), or refuse.
 
     The basis and the order of its branches depend on the model alone.  H_q
     must be diagonal in u (see DIAGONAL_TOL).  ``dv_eigs(q)`` audits each q
-    it is given first: V_I and dV_I there must be finite, Hermitian and
-    diagonal in u.  ModelValidationError names the first failure: H_q, or
-    the points in flattened ``q`` order, V_I before dV_I.
+    it is given first: dV_I there must be finite, Hermitian and diagonal
+    in u.  ModelValidationError names the first failure: H_q, or the first
+    failing point in flattened ``q`` order.
     """
     d = model.hilbert_dim
 
     # A generic fixed-weight combination splits shared eigenspaces; taken at
     # fixed q values, it orders the branches the same for every caller.
-    fields = _matrix_fields(_BASIS_QS, d, v_i=model.v_i, dv_i=model.dv_i)
-    fixed = [model.h_q, *fields[:, 0], *fields[:, 1]]
+    fixed = [model.h_q, *_matrix_field(_BASIS_QS, d, "dv_i", model.dv_i)]
     _, u = np.linalg.eigh(sum(w * s for w, s in zip(_BASIS_WEIGHTS, fixed, strict=True)))
 
     # with row-major vec, one product rotates a stack of matrices:
     # vec(u^dag M u) = vec(M) @ kron(conj(u), u), here transposed; dv_eigs
-    # rotates blocks of 256 kB of V_I, which keep the temporaries small
+    # rotates blocks of 256 kB of dV_I, which keep the temporaries small
     rotate, off_diagonal = np.kron(u.conj(), u), ~np.eye(d, dtype=bool).ravel()
     step = max(1, (1 << 18) // (16 * d * d))
 
@@ -289,9 +274,8 @@ def diagonalize_model(model: CQModel) -> DiagonalizedModel:
         levels = np.empty((flat.size, d))
         for lo in range(0, flat.size, step):
             block = flat[lo : lo + step]
-            fields = _matrix_fields(block, d, v_i=model.v_i, dv_i=model.dv_i)
-            diagonals = rotated(fields, lambda i: f"{('v_i', 'dv_i')[i % 2]}(q={block[i // 2]:g})")
-            levels[lo : lo + step] = diagonals[:, 1::2].T
+            dv = _matrix_field(block, d, "dv_i", model.dv_i)
+            levels[lo : lo + step] = rotated(dv, lambda i: f"dv_i(q={block[i]:g})").T
         return levels.reshape(np.shape(q) + (d,))
 
     return DiagonalizedModel(basis=u, h=h, dv_eigs=dv_eigs)
@@ -334,12 +318,13 @@ class MeasurementModel:
 
     def validate(self, zs) -> None:
         zs = np.atleast_1d(np.asarray(zs, dtype=float))
-        _matrix_fields(zs, self.hilbert_dim, "z", z_op=self.z_op)
-        k = np.asarray(self.k(zs), dtype=float)
-        if np.any(k <= 0):
-            bad = int(np.argmin(k))
+        _matrix_field(zs, self.hilbert_dim, "z_op", self.z_op, var="z")
+        k = np.broadcast_to(np.asarray(self.k(zs), dtype=float), zs.shape)
+        bad = np.flatnonzero(~(np.isfinite(k) & (k > 0)))
+        if bad.size:
+            need = "positive" if np.isfinite(k[bad[0]]) else "finite"
             raise ModelValidationError(
-                f"measurement strength k(z) must be positive, got k({zs[bad]:g}) = {k[bad]:g}"
+                f"measurement strength k(z) must be {need}, got k({zs[bad[0]]:g}) = {k[bad[0]]:g}"
             )
 
 

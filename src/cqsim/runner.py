@@ -272,7 +272,7 @@ def _run_unravel(scenario, out_dir):
             n *= 10
         rows = []
         for n in sizes + [n_traj]:
-            sub = bin_ensemble(result.z[:n], result.psi[:n], grid)
+            sub = binned if n == n_traj else bin_ensemble(result.z[:n], result.psi[:n], grid)
             l1 = float(np.abs(classical_marginal(sub) - ref_density).sum() * grid.cell_volume)
             rows.append((n, l1))
         _write_csv(os.path.join(out_dir, "convergence.csv"), [prov], ("n", "l1"), rows)

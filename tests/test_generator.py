@@ -397,6 +397,41 @@ class TestModelAudit:
         ):
             validate_model(model, np.linspace(-5.0, 5.0, 11))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["dpotential", "d2", "d0"])
+    def test_non_finite_coefficient_names_the_first_q(self, name, bad):
+        # the coefficient turns non-finite above q = 1; q = 1.5 comes first.  A
+        # run is refused by the same audit, before any arithmetic warns
+        base = qubit_decoherence_model(lam=0.6, d0=1.0)
+        fn = getattr(base, name)
+        model = dataclasses.replace(
+            base, **{name: lambda q: np.where(np.asarray(q) > 1.0, bad, fn(q))}
+        )
+        message = rf"^{name}\(q=1\.5\) must be finite, got {bad}$"
+        with pytest.raises(ModelValidationError, match=message):
+            validate_model(model, np.linspace(-2.0, 2.0, 9))
+        grid = PhaseGrid((GridAxis("q", -2, 2, 9), GridAxis("p", -2, 2, 9)))
+        state = gaussian_product_state(grid, (0, 0), (0.7, 0.7), rho_q=np.diag([0.5, 0.5]))
+        with pytest.raises(ModelValidationError, match=message):
+            evolve(model, state, 1e-3, 1)
+
+    @pytest.mark.parametrize("slope", [np.nan, np.inf, -1.0])
+    def test_measurement_strength_refusal_names_the_first_z(self, slope):
+        # k = slope * z above z = 0.2: z = 0.5 is named, not the most negative
+        # z = 1; a run is refused by the same audit, before any arithmetic warns
+        m = models.MeasurementModel(
+            z_op=lambda z: np.broadcast_to(SIGMA_Z, np.shape(z) + (2, 2)),
+            k=lambda z: np.where(np.asarray(z) > 0.2, slope * np.maximum(z, 0.2), 1.0),
+        )
+        need = "positive" if np.isfinite(slope) else "finite"
+        message = rf"^measurement strength k\(z\) must be {need}, got k\(0\.5\) = {0.5 * slope:g}$"
+        with pytest.raises(ModelValidationError, match=message):
+            m.validate([-0.5, 0.0, 0.5, 1.0])
+        grid = PhaseGrid((GridAxis("z", -1, 1, 5),))
+        state = gaussian_product_state(grid, (0.0,), (0.5,), rho_q=np.diag([0.5, 0.5]))
+        with pytest.raises(ModelValidationError, match=message):
+            evolve_measurement(m, state, 1e-3, 1)
+
     def test_measurement_refusal_names_the_signal(self):
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
         m = models.MeasurementModel(
@@ -413,9 +448,15 @@ class TestModelAudit:
 
 class TestBranchGenerator:
     def test_basis_weights_are_the_seeded_normals(self):
-        # the literals keep the branch labels of the draws they replace
+        # the literals keep the branch labels of the draws they replace: those
+        # of H_q and of dV_I at the three fixed q, draws 0 and 4-6
         rng = np.random.default_rng(20230817)
-        assert models._BASIS_WEIGHTS == tuple(rng.normal() for _ in range(7))
+        draws = [rng.normal() for _ in range(7)]
+        assert models._BASIS_WEIGHTS == tuple(draws[i] for i in (0, 4, 5, 6))
+
+    def test_a_model_carries_only_what_its_equation_reads(self):
+        names = tuple(f.name for f in dataclasses.fields(models.CQModel))
+        assert names == ("mass", "dpotential", "h_q", "dv_i", "d2", "d0", "hbar")
 
     def test_matches_full_generator_on_random_diagonal_models(self):
         rng = np.random.default_rng(99)
@@ -455,11 +496,10 @@ class TestBranchGenerator:
         diag = diagonalize_model(base)
         u = diag.basis
         qs = rng.uniform(-2.0, 2.0, size=(6, 5))
-        # the product the audit judges, V_I and dV_I of each point side by side:
+        # the product the audit judges, dV_I of each point:
         # vec(u^dag M u) = vec(M) @ kron(conj(u), u); the levels are its diagonal
-        mats = np.stack([base.v_i(qs.ravel()), base.dv_i(qs.ravel())], axis=1)
-        product = np.kron(u.conj(), u).T @ mats.reshape(-1, d * d).T
-        oracle = product[:: d + 1, 1::2].real.T.reshape(6, 5, d)
+        product = np.kron(u.conj(), u).T @ base.dv_i(qs.ravel()).reshape(-1, d * d).T
+        oracle = product[:: d + 1].real.T.reshape(6, 5, d)
         got = diag.dv_eigs(qs)
         assert got.shape == oracle.shape == (6, 5, d) and got.dtype == oracle.dtype
         assert got.tobytes() == oracle.tobytes()
@@ -522,22 +562,18 @@ class TestBranchGenerator:
             diagonalize_model(model).dv_eigs(np.linspace(-3, 3, 5))
 
     @staticmethod
-    def _fields(base, v_extra, dv_extra):
-        """``base`` with sigma_x terms v_extra(q), dv_extra(q) added to V_I and dV_I."""
-        def field(fn, extra):
-            def out(q):
-                q = np.asarray(q, dtype=float)
-                return fn(q) + np.asarray(extra(q), dtype=float)[..., None, None] * SIGMA_X
-            return out
-        return dataclasses.replace(
-            base, v_i=field(base.v_i, v_extra), dv_i=field(base.dv_i, dv_extra)
-        )
+    def _fields(base, extra):
+        """``base`` with a sigma_x term extra(q) added to dV_I."""
+        def dv_i(q):
+            q = np.asarray(q, dtype=float)
+            return base.dv_i(q) + np.asarray(extra(q), dtype=float)[..., None, None] * SIGMA_X
+        return dataclasses.replace(base, dv_i=dv_i)
 
     def test_refuses_dv_i_that_leaves_the_basis(self):
-        # V_I(q) = q(q - 2) sigma_z for q >= 0 and q sigma_x below, H_q = 0: at
-        # q = 2, V_I vanishes and every matrix there commutes, but dV_I = 2 sigma_z
-        # is not diagonal in the basis the model fixes; its branch levels are
-        # +-2, not the +-0.191 that basis would read off
+        # dV_I(q) = (2q - 2) sigma_z for q >= 0 and sigma_x below, H_q = 0: the
+        # sigma_x at q = -1.37 tilts the basis the model fixes, so at q = 2,
+        # dV_I = 2 sigma_z is not diagonal in it; its branch levels are +-2,
+        # not the -+1.814 that basis would read off
         base = polynomial_cq_model(
             mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((2, 2)), v_i_matrix=SIGMA_Z,
             v_i_profile=[0.0, -2.0, 1.0], d2_coeffs=[0.5], d0_coeffs=[1.0],
@@ -550,14 +586,12 @@ class TestBranchGenerator:
             return out
 
         model = dataclasses.replace(
-            base,
-            v_i=piecewise(base.v_i, lambda q: q[..., None, None] * SIGMA_X),
-            dv_i=piecewise(base.dv_i, lambda q: np.ones_like(q)[..., None, None] * SIGMA_X),
+            base, dv_i=piecewise(base.dv_i, lambda q: np.ones_like(q)[..., None, None] * SIGMA_X)
         )
         with pytest.raises(
             ModelValidationError,
             match=r"^model is not diagonal in a common q-independent basis: "
-            r"dv_i\(q=2\) has off-diagonal 1\.991e\+00$",
+            r"dv_i\(q=2\) has off-diagonal 8\.413e-01$",
         ):
             diagonalize_model(model).dv_eigs([2.0])
 
@@ -569,15 +603,11 @@ class TestBranchGenerator:
         with pytest.raises(ModelValidationError, match=r"basis: h_q has off-diagonal "):
             diagonalize_model(model)
 
-    @pytest.mark.parametrize("name", ["v_i", "dv_i"])
+    @pytest.mark.parametrize("name", ["dv_i"])
     def test_refusal_names_the_field_and_q(self, name):
         # a sigma_x term switched on above q = 3, away from the points that fix
-        # the basis, in V_I or in dV_I alone; q = 4 is the first probe it reaches
-        def step(q):
-            return 0.25 * (q > 3.0)
-
-        extra = (step, np.zeros_like) if name == "v_i" else (np.zeros_like, step)
-        model = self._fields(qubit_decoherence_model(lam=0.6, d0=1.0), *extra)
+        # the basis; q = 4 is the first probe it reaches
+        model = self._fields(qubit_decoherence_model(lam=0.6, d0=1.0), lambda q: 0.25 * (q > 3.0))
         diagonalize_model(model).dv_eigs(np.linspace(-3.0, 3.0, 7))
         with pytest.raises(
             ModelValidationError, match=rf"basis: {name}\(q=4\) has off-diagonal 2\.500e-01$"
@@ -585,29 +615,26 @@ class TestBranchGenerator:
             diagonalize_model(model).dv_eigs(np.linspace(-4.0, 4.0, 9))
 
     def test_every_given_point_is_audited(self):
-        # V_I gains 0.25 sigma_x only for |q - 3| < 0.25: on linspace(-4, 4, 9)
+        # dV_I gains 0.25 sigma_x only for |q - 3| < 0.25: on linspace(-4, 4, 9)
         # q = 3 is the one point an 8-point probe of the points skipped
         model = self._fields(
-            qubit_decoherence_model(lam=0.6, d0=1.0),
-            lambda q: 0.25 * (np.abs(q - 3.0) < 0.25),
-            np.zeros_like,
+            qubit_decoherence_model(lam=0.6, d0=1.0), lambda q: 0.25 * (np.abs(q - 3.0) < 0.25)
         )
         message = (
             "model is not diagonal in a common q-independent basis: "
-            "v_i(q=3) has off-diagonal 2.500e-01"
+            "dv_i(q=3) has off-diagonal 2.500e-01"
         )
         with pytest.raises(ModelValidationError, match="^" + re.escape(message) + "$"):
             diagonalize_model(model).dv_eigs(np.linspace(-4.0, 4.0, 9))
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_refusal_names_the_first_failing_matrix_in_qs_order(self, order):
-        # 20001 points fill several audit blocks.  V_I leaves the basis near
-        # q = 3 and above q = 3.5, dV_I above q = 3.5 too: ascending, the
-        # first point near 3 is named; descending, q = 4, with V_I before dV_I
+        # 20001 points fill several audit blocks.  dV_I leaves the basis near
+        # q = 3 and above q = 3.5: ascending, the first point near 3 is named;
+        # descending, q = 4
         model = self._fields(
             qubit_decoherence_model(lam=0.6, d0=1.0),
             lambda q: 0.25 * ((np.abs(q - 3.0) < 0.25) | (q > 3.5)),
-            lambda q: 0.5 * (q > 3.5),
         )
         qs = np.linspace(-4.0, 4.0, 20001)[::order]
         first = qs[(np.abs(qs - 3.0) < 0.25) | (qs > 3.5)][0]
@@ -615,7 +642,7 @@ class TestBranchGenerator:
         with pytest.raises(
             ModelValidationError,
             match="^model is not diagonal in a common q-independent basis: "
-            + re.escape(f"v_i(q={first:g}) has off-diagonal 2.500e-01") + "$",
+            + re.escape(f"dv_i(q={first:g}) has off-diagonal 2.500e-01") + "$",
         ):
             diagonalize_model(model).dv_eigs(qs)
 
@@ -629,24 +656,22 @@ class TestBranchGenerator:
         )
         qs = np.array([1.0])
         for eps, ok in ((1e-9, True), (1e-7, False)):
-            model = self._fields(base, lambda q: eps * (np.abs(q - 1.0) < 0.5), np.zeros_like)
+            model = self._fields(base, lambda q: eps * (np.abs(q - 1.0) < 0.5))
             if ok:
                 diagonalize_model(model).dv_eigs(qs)
             else:
-                with pytest.raises(ModelValidationError, match=r"v_i\(q=1\)"):
+                with pytest.raises(ModelValidationError, match=r"basis: dv_i\(q=1\)"):
                     diagonalize_model(model).dv_eigs(qs)
 
 
-    @pytest.mark.parametrize("name", ["v_i", "dv_i"])
+    @pytest.mark.parametrize("name", ["dv_i"])
     def test_non_finite_fields_are_refused(self, name):
         # NaN passes every comparison of the diagonality rule, so the audit
-        # refuses it first: a NaN q, or a NaN entry of V_I or dV_I at q = 1
+        # refuses it first: a NaN q, or a NaN entry of dV_I at q = 1
         model = qubit_decoherence_model(lam=0.6, d0=1.0)
-        with pytest.raises(ModelValidationError, match=r"^v_i\(q=nan\) has a non-finite entry$"):
+        with pytest.raises(ModelValidationError, match=r"^dv_i\(q=nan\) has a non-finite entry$"):
             diagonalize_model(model).dv_eigs([0.0, np.nan])
-        extra = lambda q: np.where(np.asarray(q) == 1.0, np.nan, 0.0)
-        fields = (extra, np.zeros_like) if name == "v_i" else (np.zeros_like, extra)
-        model = self._fields(model, *fields)
+        model = self._fields(model, lambda q: np.where(np.asarray(q) == 1.0, np.nan, 0.0))
         with pytest.raises(
             ModelValidationError, match=rf"^{name}\(q=1\) has a non-finite entry$"
         ):

@@ -376,18 +376,16 @@ class TestBranchLabels:
 
 
 class TestLevelsAreAuditedWhereRead:
-    # V_I and dV_I gain 0.25 sigma_x for |q - 3| < 0.25, away from the q that
-    # fix the basis; paths from q0 = 2.5 with p0 = 0.5 run into that bump
+    # dV_I gains 0.25 sigma_x for |q - 3| < 0.25, away from the q that fix
+    # the basis; paths from q0 = 2.5 with p0 = 0.5 run into that bump
     base = qubit_decoherence_model(lam=0.6, d0=1.0)
     pair = BranchPair(0, 1)
 
     def bump_model(self):
-        def field(fn):
-            def out(q):
-                bump = 0.25 * (np.abs(np.asarray(q, dtype=float) - 3.0) < 0.25)
-                return fn(q) + bump[..., None, None] * SIGMA_X
-            return out
-        return dataclasses.replace(self.base, v_i=field(self.base.v_i), dv_i=field(self.base.dv_i))
+        def dv_i(q):
+            bump = 0.25 * (np.abs(np.asarray(q, dtype=float) - 3.0) < 0.25)
+            return self.base.dv_i(q) + bump[..., None, None] * SIGMA_X
+        return dataclasses.replace(self.base, dv_i=dv_i)
 
     def visited(self):
         # until a path enters the bump, the bump model's sampler draws the
@@ -398,7 +396,7 @@ class TestLevelsAreAuditedWhereRead:
     def refusal(q):
         return "^" + re.escape(
             "model is not diagonal in a common q-independent basis: "
-            f"v_i(q={q:g}) has off-diagonal 2.500e-01"
+            f"dv_i(q={q:g}) has off-diagonal 2.500e-01"
         ) + "$"
 
     def test_sampler_refuses_at_the_first_visited_q_in_the_bump(self):
