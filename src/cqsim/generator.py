@@ -73,6 +73,7 @@ from .grids import PhaseGrid, d_dx, d2_dx2, slab_rows, times_real
 from .models import (
     CQModel,
     MeasurementModel,
+    ModelValidationError,
     classical_force,
     diagonalize_model,
     validate_model,
@@ -477,24 +478,31 @@ def cfl_terms(model: CQModel | MeasurementModel, grid: PhaseGrid) -> dict:
     L = dV_I/dq and the force is max|V'| + ||L||.  A `MeasurementModel`'s
     equation is the same along its signal axis z, with L = Z, D0 = 2k,
     D2 = 1/(8k), H = h, the signal drift ||Z|| as force and no transport.
+    A coefficient that is not finite at a grid point (V', L, D2 or D0) is
+    refused with a ModelValidationError naming it and the first such point.
     """
     xs = grid.axes[0].points
     # dp: the spacing of the axis that diffusion and force act along (p, or z)
     if isinstance(model, MeasurementModel):
         dp = grid.axes[0].spacing
-        lop, h, drift, transport = model.z_op(xs), model.h, 0.0, None
+        var, lname, lop, h, force, transport = "z", "z_op", model.z_op(xs), model.h, 0.0, None
     else:
         dq, dp = grid.axes[0].spacing, grid.axes[1].spacing
-        lop, h = model.dv_i(xs), model.h_q
-        drift = float(np.max(np.abs(classical_force(model, xs))))
+        var, lname, lop, h = "q", "dv_i", model.dv_i(xs), model.h_q
+        force = classical_force(model, xs)
         pmax = float(np.max(np.abs(grid.axes[1].points)))
         transport = dq * model.mass / pmax if np.isfinite(model.mass) and pmax > 0 else None
+    d2, d0 = model.d2(xs), model.d0(xs)
+    for name, values in (("dpotential", force), (lname, lop), ("d2", d2), ("d0", d0)):
+        bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
+        if len(bad):
+            raise ModelValidationError(f"{name}({var}={xs[bad[0][0]]:g}) is not finite")
     terms = {}
-    d2max = float(np.max(model.d2(xs)))
+    d2max = float(np.max(d2))
     if d2max > 0:
         terms["diffusion"] = dp**2 / d2max
     lmax = spectral_norm(np.asarray(lop, dtype=complex))
-    fmax = drift + lmax
+    fmax = float(np.max(np.abs(force))) + lmax
     if fmax > 0:
         terms["force"] = dp / fmax
     hnorm = 0.0 if h is None else spectral_norm(h)
@@ -502,7 +510,7 @@ def cfl_terms(model: CQModel | MeasurementModel, grid: PhaseGrid) -> dict:
         terms["hamiltonian"] = model.hbar / hnorm
     if transport is not None:
         terms["transport"] = transport
-    d0max = float(np.max(model.d0(xs)))
+    d0max = float(np.max(d0))
     if d0max > 0 and lmax > 0:
         terms["dissipator"] = 1.0 / (2.0 * d0max * (2.0 * lmax) ** 2)
     return terms

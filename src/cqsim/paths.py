@@ -158,10 +158,12 @@ def _check_constraint(path: ClassicalPath, model: CQModel):
 
 def _positive_d2(model: CQModel, qs):
     d2 = np.asarray(model.d2(qs), dtype=float)
-    if np.any(d2 <= 0.0):
-        where, step, row = _first_bad(d2 <= 0.0)
+    bad = ~((d2 > 0.0) & (d2 < np.inf))
+    if np.any(bad):
+        where, step, row = _first_bad(bad)
+        what = "<= 0" if d2[where] <= 0.0 else "not finite"
         raise PathRejectedError(
-            f"D2(q) <= 0 at step {step}{row} (q={qs[where]:g}); positive-eigenvalue branch only",
+            f"D2(q) {what} at step {step}{row} (q={qs[where]:g}); positive-eigenvalue branch only",
             index=step,
         )
     return d2
@@ -249,7 +251,9 @@ def sample_path_ensemble(
 
     Path i draws its noise from the stream keyed (seed, i); ``q0`` and
     ``p0`` are finite scalars or per-path arrays.  A ``dt`` that is not a finite
-    number > 0, ``n_steps`` < 0 or ``n_paths`` < 1 is refused with a ValueError.
+    number > 0, ``n_steps`` < 0 or ``n_paths`` < 1 is refused with a ValueError,
+    and a D2(q) that is not finite and > 0 at a visited q with a
+    PathRejectedError that names the step, the path and q.
     """
     _check_dt(dt)
     n_steps = _count("n_steps", n_steps, 0)
@@ -266,8 +270,10 @@ def sample_path_ensemble(
         qk = qs[:, k]
         pk = ps[:, k]
         d2 = np.asarray(model.d2(qk), dtype=float)
-        if np.any(d2 <= 0.0):
-            raise PathRejectedError(f"D2(q) <= 0 visited at step {k}", index=k)
+        if not 0.0 < d2.min() <= d2.max() < np.inf:  # NaN fails too: min and max propagate it
+            i = int(np.argmax(~((d2 > 0.0) & (d2 < np.inf))))
+            what = "<= 0" if d2.flat[i] <= 0.0 else "not finite"
+            raise PathRejectedError(f"D2(q) {what} at step {k} of path {i} (q={qk[i]:g})", index=k)
         force = _drift_force(model, qk, pair, diag)
         ps[:, k + 1] = pk - force * dt + np.sqrt(d2 * dt) * xis[:, k]
         qs[:, k + 1] = qk + (pk / model.mass) * dt

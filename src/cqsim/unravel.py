@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -115,13 +114,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Final-time snapshot of an ensemble, row 0's history, optional signal history."""
+    """Final-time snapshot of an ensemble and row 0's history: what a run reads."""
 
     z: np.ndarray  # (n,)
     psi: np.ndarray  # (n, d)
     first: Trajectory  # row 0, every step
     max_norm_defect: float  # largest |  ||psi_raw|| - 1 | over all rows and steps
-    z_series: Optional[np.ndarray] = None  # (n, n_recorded) signal history
 
 
 def _step_arrays(m: MeasurementModel, psi, z, dt, xi):
@@ -131,9 +129,10 @@ def _step_arrays(m: MeasurementModel, psi, z, dt, xi):
     long contiguous loop, with z_op(z) copied to a (d, d, n) array.
     """
     k = np.asarray(m.k(z), dtype=float)
-    if np.any(k <= 0.0):
-        bad = z[np.argmin(k)]
-        raise ValueError(f"measurement strength k(z) <= 0 at visited z={bad:g}")
+    if not 0.0 < k.min() <= k.max() < np.inf:  # NaN fails too: min and max propagate it
+        at = int(np.argmax(~((k > 0.0) & (k < np.inf))))
+        what = "<= 0" if k.flat[at] <= 0.0 else "not finite"
+        raise ValueError(f"measurement strength k(z) {what} at visited z={z[at]:g}")
     z_op = np.asarray(m.z_op(z), dtype=complex).transpose(1, 2, 0).copy()
     d_xi = xi * np.sqrt(dt)
 
@@ -178,26 +177,24 @@ def run_ensemble(
     n_steps,
     master_seed,
     n_trajectories,
-    signal_stride=0,
     z0_sigma=0.0,
 ) -> EnsembleResult:
     """Integrate an ensemble with per-trajectory Philox streams.
 
-    ``signal_stride`` > 0 records the signal every that many steps (plus the
-    endpoints) for moment estimation.  ``z0_sigma`` > 0 draws each initial
-    signal from N(z0, z0_sigma^2) with the first draw of its row's stream.
-    Trajectories are integrated in chunks of fixed size by `_integrate_chunk`,
-    in forked workers when there are several chunks and CPUs (see
-    `_map_chunks`), and the chunks' results are put together in chunk order;
-    row 0's signal, state and norm defect are recorded at every step as
-    ``first``.  A ``psi0`` that does not fit the model's levels, or is not
+    Returns every row's final signal ``z`` and state ``psi``, row 0's
+    signal, state and norm defect at every step as ``first``, and the
+    largest norm defect over all rows and steps.  ``z0_sigma`` > 0 draws
+    each initial signal from N(z0, z0_sigma^2) with the first draw of its
+    row's stream.  Trajectories are integrated in chunks of fixed size by
+    `_integrate_chunk`, in forked workers when there are several chunks and
+    CPUs (see `_map_chunks`), and the chunks' results are put together in
+    chunk order.  A ``psi0`` that does not fit the model's levels, or is not
     finite, or has no norm, a ``dt`` that is not a finite number > 0 and a
     count that is not a whole number in range are refused with a ValueError.
     """
     _check_dt(dt)
     n_steps = _count("n_steps", n_steps, 0)
     n = _count("n_trajectories", n_trajectories, 1)
-    signal_stride = _count("signal_stride", signal_stride, 0)
     psi0 = np.asarray(psi0, dtype=complex)
     d = m.hilbert_dim
     if psi0.shape != (d,):
@@ -208,23 +205,16 @@ def run_ensemble(
     if not 0.0 < norm < np.inf:
         raise ValueError(f"psi0 must have a finite nonzero norm, got {norm:g}")
     psi0 = psi0 / norm
-    record_idx = None
-    if signal_stride > 0:
-        record_idx = np.unique(np.r_[0, np.arange(signal_stride, n_steps, signal_stride), n_steps])
 
-    job = partial(_integrate_chunk, m, psi0, float(z0), dt, n_steps, master_seed, z0_sigma,
-                  record_idx)
+    job = partial(_integrate_chunk, m, psi0, float(z0), dt, n_steps, master_seed, z0_sigma)
     bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     z_final = np.empty(n)
     psi_final = np.empty((n, d), dtype=complex)
-    z_series = None if record_idx is None else np.empty((n, record_idx.size))
     worst = 0.0
-    for (lo, hi), (z, psi, chunk_worst, series, first) in zip(bounds, _map_chunks(job, bounds)):
+    for (lo, hi), (z, psi, chunk_worst, first) in zip(bounds, _map_chunks(job, bounds)):
         z_final[lo:hi] = z
         psi_final[lo:hi] = psi
         worst = max(worst, chunk_worst)
-        if z_series is not None:
-            z_series[lo:hi] = series
         if lo == 0:
             first_z, first_psi, defects = first
 
@@ -233,16 +223,15 @@ def run_ensemble(
         psi=psi_final,
         first=Trajectory(np.arange(n_steps + 1) * dt, first_z, first_psi, defects),
         max_norm_defect=float(worst),
-        z_series=z_series,
     )
 
 
-def _integrate_chunk(m, psi0, z0, dt, n_steps, master_seed, z0_sigma, record_idx, lo, hi):
+def _integrate_chunk(m, psi0, z0, dt, n_steps, master_seed, z0_sigma, lo, hi):
     """Integrate rows lo..hi-1 of an ensemble: the one Euler-Maruyama loop.
 
-    Returns (z (rows,), psi (rows, d), worst |norm - 1|, the recorded signal
-    columns (rows, record_idx.size) or None, and for the chunk at lo = 0 row
-    0's (z, psi, norm defect) at every step, else None).
+    Returns (z (rows,), psi (rows, d), worst |norm - 1|, and for the chunk
+    at lo = 0 row 0's (z, psi, norm defect) at every step, else None).  Row
+    0's history is the only thing recorded along the way.
     """
     xis = trajectory_normals(master_seed, lo, hi - lo, n_steps + (z0_sigma > 0.0))
     z = np.full(hi - lo, z0)
@@ -255,12 +244,6 @@ def _integrate_chunk(m, psi0, z0, dt, n_steps, master_seed, z0_sigma, record_idx
         first_psi = np.empty((n_steps + 1, psi0.size), dtype=complex)
         defects = np.empty(n_steps)
         first_z[0], first_psi[0] = z[0], psi[:, 0]
-    series = None
-    if record_idx is not None:
-        # record_idx starts at step 0
-        series = np.empty((hi - lo, record_idx.size))
-        series[:, 0] = z
-        col = 1
     worst = 0.0
     for step in range(n_steps):
         psi, z, norms = _step_arrays(m, psi, z, dt, xis[:, step])
@@ -269,10 +252,7 @@ def _integrate_chunk(m, psi0, z0, dt, n_steps, master_seed, z0_sigma, record_idx
         if lo == 0:
             first_z[step + 1], first_psi[step + 1] = z[0], psi[:, 0]
             defects[step] = abs(norms[0] - 1.0)
-        if series is not None and col < record_idx.size and record_idx[col] == step + 1:
-            series[:, col] = z
-            col += 1
-    return z, psi.T, worst, series, (first_z, first_psi, defects) if lo == 0 else None
+    return z, psi.T, worst, (first_z, first_psi, defects) if lo == 0 else None
 
 
 def _locate(z, grid: PhaseGrid):
@@ -346,23 +326,22 @@ def bin_ensemble(z, psi, grid: PhaseGrid, weights=None) -> HybridState:
     return HybridState(grid, cells)
 
 
-def estimate_km_moments(z_series, dt, n_bins=20, bin_range=None):
+def estimate_km_moments(z_series, dt, n_bins=20):
     """Empirical Kramers-Moyal drift and diffusion, binned over z.
 
     Per bin, D1 = mean(dz)/dt and D2 = Var(dz)/dt, conditioned on the bin
     of the pre-step value (second moment convention: variance D2*dt).
     ``z_series`` is a signal array, one row per trajectory sampled at the
-    lag ``dt`` (a 1-d array is one trajectory).
+    lag ``dt`` (a 1-d array is one trajectory, such as `Trajectory.z`); the
+    ``n_bins`` equal bins span its pre-step values.
     Returns (bin_centers, d1, d2, counts); empty bins hold NaN.
     """
     z_series = np.atleast_2d(np.asarray(z_series, dtype=float))
     starts = z_series[:, :-1].ravel()
     increments = (z_series[:, 1:] - z_series[:, :-1]).ravel()
-    if bin_range is None:
-        # the largest start must lie below the last edge, also where 1e-12 rounds away
-        top = starts.max()
-        bin_range = (starts.min(), max(top + 1e-12, np.nextafter(top, np.inf)))
-    edges = np.linspace(bin_range[0], bin_range[1], n_bins + 1)
+    # the largest start must lie below the last edge, also where 1e-12 rounds away
+    top = starts.max()
+    edges = np.linspace(starts.min(), max(top + 1e-12, np.nextafter(top, np.inf)), n_bins + 1)
     centers = 0.5 * (edges[1:] + edges[:-1])
     which = np.digitize(starts, edges) - 1
     d1 = np.full(n_bins, np.nan)

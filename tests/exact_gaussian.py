@@ -1,23 +1,32 @@
-"""Exact populations of both grid equations for Gaussian data, from the continuum.
+"""The exact state of both grid equations for Gaussian data, from the continuum.
 
 Independent of the kernels they check: nothing here comes from
-`cqsim.generator`.  Only populations are given, because they see neither
-D0 nor the unitary part.
+`cqsim.generator`.
 
-CQ family: V = 0, V_I = q L with L diagonal, H_q diagonal, constant D2
-and D0.  Population a drifts under the constant force -l_a and diffuses
-in p, so from a Gaussian of mean (q0, p0) and covariance
-Sigma0 = diag(sigma_q^2, sigma_p^2) it stays a Gaussian with
+CQ family: V' = c1 + 2 c2 q, L = dV_I/dq and H_q constant and diagonal
+(levels l_a and h_a), constant D2 and D0.  From rho_q times a Gaussian of
+mean (q0, p0) and covariance Sigma0 = diag(sigma_q^2, sigma_p^2), each
+branch pair (a, b) evolves on its own:
 
-    mean       (q0 + p0 t/m - l_a t^2/2m,  p0 - l_a t),
-    covariance Phi Sigma0 Phi^T + D2 [[t^3/3m^2, t^2/2m], [t^2/2m, t]],
+    rho_ab(t) = rho_ab(0) exp(-i (h_a - h_b) t / hbar - (D0/2) (l_a - l_b)^2 t)
+                N(mu_ab(t), Sigma(t)),
 
-Phi = [[1, t/m], [0, 1]].  Measurement family: constant diagonal Z,
-constant k and diagonal h.  Population a drifts at z_a and diffuses with
-D2 = 1/(8k): a Gaussian N(z0 + z_a t, sigma0^2 + t/(8k)).
+    mu'    = A mu + (0, -(c1 + (l_a + l_b)/2)),     A = [[0, 1/m], [-2 c2, 0]],
+    Sigma' = A Sigma + Sigma A^T + diag(0, D2),
+
+so the mean follows Hamilton's equations under the force V' + (l_a + l_b)/2
+and the covariance the Lyapunov equation; both are solved by a matrix
+exponential (Van Loan's method for Sigma).  Measurement family: constant
+diagonal Z (levels z_a), constant k and diagonal h.  It is the same
+equation along the signal axis with L = Z, D0 = 2k, D2 = 1/(8k), no
+transport and the drift (z_a + z_b)/2 in place of the force: pair (a, b)
+is damped at k (z_a - z_b)^2, turns at (h_a - h_b)/hbar, and is a Gaussian
+N(z0 + (z_a + z_b) t/2, sigma0^2 + t/(8k)).  The populations are the
+diagonals of these states.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 from cqsim.models import CQModel, MeasurementModel
 
@@ -36,6 +45,16 @@ def _diagonal(matrix, name):
     return np.diag(matrix).real
 
 
+def _affine(xs, values, name):
+    """(c1, c2) with values = c1 + 2 c2 x at the points xs; anything else is refused."""
+    values = np.asarray(values, dtype=float)
+    slope = (values[-1] - values[0]) / (xs[-1] - xs[0])
+    c1 = values[0] - slope * xs[0]
+    if np.abs(c1 + slope * xs - values).max() > 1e-9 * (1.0 + np.abs(values).max()):
+        raise ValueError(f"{name} must be affine")
+    return c1, slope / 2.0
+
+
 def _gaussian(x, mean, cov):
     """The density of N(mean, cov) at the points x (..., k)."""
     dev = x - mean
@@ -43,44 +62,71 @@ def _gaussian(x, mean, cov):
     return np.exp(-0.5 * form) / np.sqrt(np.linalg.det(2.0 * np.pi * cov))
 
 
-def cq_populations(model: CQModel, grid, t, centers, sigmas, weights):
-    """Populations (nq, np, d) at time t of the CQ family, from weights w_a times N(centers, diag(sigmas^2)).
+def _pairs(points, t, rho0, h, hbar, levels, d0, mean, cov):
+    """Cells (..., d, d) at the points (..., k): the one formula of both families.
+
+    Pair (a, b) is rho0_ab exp(-i(h_a - h_b)t/hbar - (d0/2)(l_a - l_b)^2 t)
+    times N(mean((l_a + l_b)/2), cov).
+    """
+    d = len(levels)
+    cells = np.empty(points.shape[:-1] + (d, d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            rate = 1j * (h[a] - h[b]) / hbar + 0.5 * d0 * (levels[a] - levels[b]) ** 2
+            density = _gaussian(points, mean(0.5 * (levels[a] + levels[b])), cov)
+            cells[..., a, b] = rho0[a, b] * np.exp(-rate * t) * density
+    return cells
+
+
+def cq_state(model: CQModel, grid, t, centers, sigmas, rho_q):
+    """Cells (nq, np, d, d) at time t of the CQ family, from rho_q (trace 1) times N(centers, diag(sigmas^2)).
 
     Refuses a model outside the family, as probed at the grid's q points.
     """
     qs = grid.axes[0].points
-    if np.any(model.dpotential(qs)):
-        raise ValueError("V must be 0")
+    c1, c2 = _affine(qs, model.dpotential(qs), "V'")
     levels = _diagonal(_constant(model.dv_i(qs), "dV_I/dq"), "dV_I/dq")
-    _diagonal(model.h_q, "H_q")
+    h = _diagonal(model.h_q, "H_q")
     d2 = _constant(model.d2(qs), "D2")
-    _constant(model.d0(qs), "D0")
-    m = model.mass
-    (q0, p0), (sq, sp) = centers, sigmas
-    phi = np.array([[1.0, t / m], [0.0, 1.0]])
-    noise = d2 * np.array([[t**3 / (3 * m**2), t**2 / (2 * m)], [t**2 / (2 * m), t]])
-    cov = phi @ np.diag([sq**2, sp**2]) @ phi.T + noise
+    d0 = _constant(model.d0(qs), "D0")
+    a = np.array([[0.0, 1.0 / model.mass], [-2.0 * c2, 0.0]])
+    # expm([[-A, Q], [0, A^T]] t) = [[., F], [0, e^(A^T t)]], and e^(A t) F is
+    # the noise's covariance, the integral of e^(A s) Q e^(A^T s) over [0, t]
+    van_loan = expm(t * np.block([[-a, np.diag([0.0, d2])], [np.zeros((2, 2)), a.T]]))
+    phi = van_loan[2:, 2:].T
+    cov = phi @ np.diag(np.square(sigmas)) @ phi.T + phi @ van_loan[:2, 2:]
+
+    def mean(level):
+        # (mu, 1)' = [[A, b], [0, 0]] (mu, 1), with b = (0, -(c1 + level))
+        drift = np.zeros((3, 3))
+        drift[:2, :2], drift[1, 2] = a, -(c1 + level)
+        return (expm(t * drift) @ np.append(centers, 1.0))[:2]
+
     points = np.stack(grid.meshes(), axis=-1)
-    return np.stack(
-        [
-            w * _gaussian(points, [q0 + p0 * t / m - l * t**2 / (2 * m), p0 - l * t], cov)
-            for w, l in zip(weights, levels)
-        ],
-        axis=-1,
-    )
+    return _pairs(points, t, np.asarray(rho_q), h, model.hbar, levels, d0, mean, cov)
 
 
-def measurement_populations(m: MeasurementModel, grid, t, z0, sigma0, weights):
-    """Populations (nz, d) at time t of the measurement family, from weights w_a times N(z0, sigma0^2).
+def measurement_state(m: MeasurementModel, grid, t, z0, sigma0, rho_q):
+    """Cells (nz, d, d) at time t of the measurement family, from rho_q (trace 1) times N(z0, sigma0^2).
 
     Refuses a model outside the family, as probed at the grid's z points.
     """
     zs = grid.axes[0].points
     levels = _diagonal(_constant(m.z_op(zs), "Z"), "Z")
     k = _constant(m.k(zs), "k")
-    if m.h is not None:
-        _diagonal(m.h, "h")
-    var = np.array([[sigma0**2 + t / (8.0 * k)]])
-    return np.stack(
-        [w * _gaussian(zs[:, None], [z0 + z * t], var) for w, z in zip(weights, levels)], axis=-1
-    )
+    h = np.zeros(len(levels)) if m.h is None else _diagonal(m.h, "h")
+    cov = np.array([[sigma0**2 + t / (8.0 * k)]])
+    return _pairs(zs[:, None], t, np.asarray(rho_q), h, m.hbar, levels, 2.0 * k,
+                  lambda level: [z0 + level * t], cov)
+
+
+def cq_populations(model: CQModel, grid, t, centers, sigmas, weights):
+    """Populations (nq, np, d): the diagonal of `cq_state` from rho_q = diag(weights)."""
+    cells = cq_state(model, grid, t, centers, sigmas, np.diag(weights))
+    return np.diagonal(cells, axis1=-2, axis2=-1).real
+
+
+def measurement_populations(m: MeasurementModel, grid, t, z0, sigma0, weights):
+    """Populations (nz, d): the diagonal of `measurement_state` from rho_q = diag(weights)."""
+    cells = measurement_state(m, grid, t, z0, sigma0, np.diag(weights))
+    return np.diagonal(cells, axis1=-2, axis2=-1).real

@@ -414,6 +414,9 @@ class TestModelAudit:
         state = gaussian_product_state(grid, (0, 0), (0.7, 0.7), rho_q=np.diag([0.5, 0.5]))
         with pytest.raises(ModelValidationError, match=message):
             evolve(model, state, 1e-3, 1)
+        # the step limits refuse it too, rather than drop the term it sets
+        with pytest.raises(ModelValidationError, match=rf"^{name}\(q=1\.5\) is not finite$"):
+            cfl_limit(model, grid)
 
     @pytest.mark.parametrize("slope", [np.nan, np.inf, -1.0])
     def test_measurement_strength_refusal_names_the_first_z(self, slope):
@@ -431,6 +434,25 @@ class TestModelAudit:
         state = gaussian_product_state(grid, (0.0,), (0.5,), rho_q=np.diag([0.5, 0.5]))
         with pytest.raises(ModelValidationError, match=message):
             evolve_measurement(m, state, 1e-3, 1)
+        if not np.isfinite(slope):
+            # the step limits refuse it as D2 = 1/(8k) (NaN) or D0 = 2k (inf)
+            name = "d2" if np.isnan(slope) else "d0"
+            with pytest.raises(ModelValidationError, match=rf"^{name}\(z=0\.5\) is not finite$"):
+                cfl_limit(m, grid)
+
+    def test_step_limits_refuse_a_non_finite_operator(self):
+        base = qubit_decoherence_model(lam=0.6, d0=1.0)
+        model = dataclasses.replace(base, dv_i=lambda q: np.where(
+            np.asarray(q)[..., None, None] > 1.0, np.nan, base.dv_i(q)))
+        grid = PhaseGrid((GridAxis("q", -2, 2, 9), GridAxis("p", -2, 2, 9)))
+        with pytest.raises(ModelValidationError, match=r"^dv_i\(q=1\.5\) is not finite$"):
+            cfl_limit(model, grid)
+        m = models.MeasurementModel(
+            z_op=lambda z: np.where(np.asarray(z)[..., None, None] > 1.0, np.nan, SIGMA_Z),
+            k=lambda z: np.ones_like(z),
+        )
+        with pytest.raises(ModelValidationError, match=r"^z_op\(z=1\.5\) is not finite$"):
+            cfl_limit(m, PhaseGrid((GridAxis("z", -2, 2, 9),)))
 
     def test_measurement_refusal_names_the_signal(self):
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -613,6 +613,11 @@ class TestPathBatches:
         with pytest.raises(PathRejectedError, match="D2\\(q\\) <= 0 at step 11 of path 2") as err:
             anomalous_term(ClassicalPath(dt=0.01, q=qs, p=ps), model)
         assert err.value.index == 11
+        # a D2 that is not finite is refused, not carried into the sums
+        nan_model = dataclasses.replace(
+            model, d2=lambda q: np.where(np.asarray(q) > 0.3, np.nan, 1.0))
+        with pytest.raises(PathRejectedError, match="D2\\(q\\) not finite at step 11 of path 2"):
+            anomalous_term(ClassicalPath(dt=0.01, q=qs, p=ps), nan_model)
 
     def test_non_finite_dt_is_refused(self):
         with pytest.raises(ValueError, match=r"^dt must be a finite number > 0, got inf$"):
@@ -646,3 +651,14 @@ def test_sample_path_ensemble_refuses_bad_inputs(kwargs, message):
     with pytest.raises(ValueError, match=message):
         sample_path_ensemble(free_diffusion_model(), args["q0"], args["p0"], args["n_steps"],
                              args["dt"], n_paths=args["n_paths"], seed=1)
+
+
+@pytest.mark.parametrize("bad, what", [(np.nan, "not finite"), (np.inf, "not finite"), (-1.0, "<= 0")])
+def test_sampler_refuses_a_visited_d2_that_is_not_finite_and_positive(bad, what):
+    # D2 = bad above q = 0.25; at p0 = 10 every path first visits it at step 3 (q ~ 0.3)
+    model = dataclasses.replace(
+        free_diffusion_model(), d2=lambda q: np.where(np.asarray(q) > 0.25, bad, 0.5))
+    message = rf"^D2\(q\) {what} at step 3 of path 0 \(q=0\.3"
+    with pytest.raises(PathRejectedError, match=message) as err:
+        sample_path_ensemble(model, 0.0, 10.0, 10, 0.01, n_paths=4, seed=1)
+    assert err.value.index == 3

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import re
 
@@ -9,6 +11,7 @@ from cqsim.models import MeasurementModel, constant_measurement_model
 from cqsim.state import classical_marginal, total_trace
 from cqsim.unravel import (
     _CHUNK,
+    EnsembleResult,
     _step_arrays,
     bin_ensemble,
     estimate_km_moments,
@@ -49,6 +52,23 @@ def test_nonpositive_strength_aborts():
     )
     with pytest.raises(ValueError, match="k\\(z\\)"):
         _step_arrays(m, np.array([[1.0], [0.0]]), np.array([-0.5]), 1e-3, np.array([0.1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_strength_is_refused_not_propagated(bad):
+    # k = bad above z = 0.05: a NaN row would pass unnoticed (max_norm_defect
+    # drops NaN), and binning it would blame the grid
+    m = MeasurementModel(
+        z_op=lambda z: np.broadcast_to(SIGMA_Z, np.shape(z) + (2, 2)),
+        k=lambda z: np.where(np.asarray(z) > 0.05, bad, 1.0),
+        hilbert_dim=2,
+    )
+    psi = np.tile(PLUS[:, None] + 0j, 3)
+    message = r"^measurement strength k\(z\) not finite at visited z=0\.1$"
+    with pytest.raises(ValueError, match=message):
+        _step_arrays(m, psi, np.array([0.0, 0.1, 0.2]), 1e-3, np.zeros(3))
+    with pytest.raises(ValueError, match=r"^measurement strength k\(z\) not finite at visited z="):
+        run_ensemble(m, PLUS, 0.0, 1e-3, 50, master_seed=3, n_trajectories=50)
 
 
 def test_trajectory_determinism_bitwise():
@@ -266,16 +286,15 @@ class TestKramersMoyal:
 
     def test_zero_measurement_control(self):
         # Z = c * identity: pure drift at c, no state change at all
-        c, k, dt = 0.7, 1.5, 1e-3
+        c, k, dt, n_steps, n = 0.7, 1.5, 1e-3, 100, 2000
         m = constant_measurement_model(c * np.eye(2), k=k)
-        res = run_ensemble(
-            m, PLUS, 0.0, dt, 10_000, master_seed=13, n_trajectories=20, signal_stride=1
-        )
+        res = run_ensemble(m, PLUS, 0.0, dt, n_steps, master_seed=13, n_trajectories=n)
         assert np.abs(res.psi - PLUS).max() < 1e-12  # no decoherence, purity 1
-        _, d1, _, counts = estimate_km_moments(res.z_series, dt, n_bins=8)
-        pooled = np.nansum(d1 * counts) / counts.sum()
-        sigma = 1.0 / np.sqrt(8.0 * k * dt * counts.sum())
-        assert pooled == pytest.approx(c, abs=3.0 * sigma)
+        # the drift from the final signals, mean(z_T - z0) / T: over a total
+        # time n T = 200 its standard error is 1 / sqrt(8 k n T)
+        t = n_steps * dt
+        sigma = 1.0 / np.sqrt(8.0 * k * n * t)
+        assert res.z.mean() / t == pytest.approx(c, abs=3.0 * sigma)
 
     @pytest.mark.parametrize("offset", [0.0, 1e5, -1e5, 1e9])
     def test_default_range_counts_the_largest_start(self, offset):
@@ -307,10 +326,9 @@ def test_ensemble_first_is_row_zero_of_a_long_ensemble(z0_sigma):
     m = constant_measurement_model(SIGMA_Z, 1.0, h=0.5 * np.array([[0, 1], [1, 0]]), k_slope=0.2)
     n_steps, dt = 40, 1e-3
     res = run_ensemble(m, PLUS, 0.1, dt, n_steps, master_seed=21, n_trajectories=_CHUNK + 3,
-                       signal_stride=1, z0_sigma=z0_sigma)
+                       z0_sigma=z0_sigma)
     first = res.first
     assert np.array_equal(first.times, np.arange(n_steps + 1) * dt)
-    assert np.array_equal(first.z, res.z_series[0])
     assert first.z[-1] == res.z[0] and np.array_equal(first.psi[-1], res.psi[0])
     # bit for bit the single-row steps on the (master_seed, 0) stream
     rng = trajectory_rng(21, 0)
@@ -381,23 +399,22 @@ _H3 = np.array([[0.3, 0.1 - 0.2j, 0.0], [0.1 + 0.2j, 0.0, 1j], [0.0, -1j, -0.4]]
 
 
 @pytest.mark.parametrize(
-    "m, psi0, n, n_steps, signal_stride, z0_sigma",
+    "m, psi0, n, n_steps, z0_sigma",
     [
         (constant_measurement_model(_Z3, 1.2, h=_H3, z_feedback=_F3, k_slope=0.1),
-         np.array([0.6, 0.3j, -0.5 + 0.2j]), 9, 40, 0, 0.0),
-        (constant_measurement_model(SIGMA_Z, 1.0), np.array([1.0, 0.0]), 9, 40, 0, 0.0),
+         np.array([0.6, 0.3j, -0.5 + 0.2j]), 9, 40, 0.0),
+        (constant_measurement_model(SIGMA_Z, 1.0), np.array([1.0, 0.0]), 9, 40, 0.0),
         (constant_measurement_model(_Z3, 0.7, h=np.zeros((3, 3))), np.array([0.0, -1j, 0.0]),
-         9, 40, 5, 0.0),
+         9, 40, 0.0),
         (constant_measurement_model(SIGMA_Z, 1.0, h=0.5 * np.array([[0, 1], [1, 0]]), k_slope=0.2),
-         np.array([0.8, 0.6]), 2 * _CHUNK + 5, 20, 7, 0.3),
+         np.array([0.8, 0.6]), 2 * _CHUNK + 5, 20, 0.3),
     ],
     ids=["d3_complex_feedback", "eigenstate", "d3_eigenstate", "three_chunks"],
 )
-def test_ensemble_matches_frozen_row_major_step_bitwise(m, psi0, n, n_steps, signal_stride,
-                                                        z0_sigma):
+def test_ensemble_matches_frozen_row_major_step_bitwise(m, psi0, n, n_steps, z0_sigma):
     dt = 1e-3
     res = run_ensemble(m, psi0, 0.1, dt, n_steps, master_seed=77, n_trajectories=n,
-                       signal_stride=signal_stride, z0_sigma=z0_sigma)
+                       z0_sigma=z0_sigma)
     zs, psis, defects = _frozen_histories(m, psi0, 0.1, dt, n_steps, 77, n, z0_sigma)
     assert _same_bits(res.z, zs[-1]) and _same_bits(res.psi, psis[-1])
     first = res.first
@@ -405,11 +422,13 @@ def test_ensemble_matches_frozen_row_major_step_bitwise(m, psi0, n, n_steps, sig
     assert _same_bits(first.z, zs[:, 0]) and _same_bits(first.psi, psis[:, 0])
     assert _same_bits(first.norm_defect, defects[:, 0])
     assert res.max_norm_defect == defects.max()
-    if signal_stride:
-        cols = np.unique(np.r_[0, np.arange(signal_stride, n_steps, signal_stride), n_steps])
-        assert _same_bits(res.z_series, np.ascontiguousarray(zs[cols].T))
-    else:
-        assert res.z_series is None
+
+
+def test_ensemble_result_holds_what_a_run_reads():
+    # the final (signal, state) pairs, row 0's history and the worst norm defect
+    fields = [f.name for f in dataclasses.fields(EnsembleResult)]
+    assert fields == ["z", "psi", "first", "max_norm_defect"]
+    assert "signal_stride" not in inspect.signature(run_ensemble).parameters
 
 
 # -- chunks in forked workers: the same bits as one process --------------------
@@ -420,13 +439,12 @@ def _assert_same_ensemble(a, b):
     assert _same_bits(a.first.z, b.first.z) and _same_bits(a.first.psi, b.first.psi)
     assert _same_bits(a.first.norm_defect, b.first.norm_defect)
     assert a.max_norm_defect == b.max_norm_defect
-    assert (a.z_series is None and b.z_series is None) or _same_bits(a.z_series, b.z_series)
 
 
 _POOL_CASE = dict(
     m=constant_measurement_model(SIGMA_Z, 1.0, h=0.5 * SIGMA_X, k_slope=0.2),
     psi0=np.array([0.8, 0.6]), z0=0.1, dt=1e-3, n_steps=20, master_seed=77,
-    n_trajectories=2 * _CHUNK + 5, signal_stride=7, z0_sigma=0.3,
+    n_trajectories=2 * _CHUNK + 5, z0_sigma=0.3,
 )
 
 
