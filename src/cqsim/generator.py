@@ -15,14 +15,27 @@ V', H_q, L, D2 and D0, never V(q) or V_I(q).  The n = 2 diffusion term
 carries the 1/n! normalization, so a classical increment has variance
 D2 * dt.
 
-The kernel is stencil transport plus a per-cell superoperator.  With the
-cells viewed as fvec of shape (nq, np, d^2) (row-major vec of each cell),
+Both grid equations evolve each cell's Hermitian part, in real
+coordinates.  The equation is linear and maps Hermitian cells to Hermitian
+cells, and its stencils and coefficients are real, so on the real vector
+space of Hermitian matrices it is real (the coherence-vector picture of a
+Lindbladian).  A cell's coordinates (`_real_coordinates`) are the d x d
+floats Re varrho_ij on and above the diagonal and Im varrho_ij below it:
+half the numbers of the complex cell, exact both ways for an exactly
+Hermitian cell.  The steps carry these coordinates; the diagnostics and
+the final state convert back to Hermitian cells (`_hermitian_cells`),
+which are so exactly Hermitian.
 
-    rate = fvec @ L(q)^T + (d fvec/dp) @ B(q)^T - (p/m) d fvec/dq
+The kernel is stencil transport plus a per-cell superoperator.  With the
+coordinates viewed as fvec of shape (nq, np, d^2) (row-major in each cell),
+
+    rate = fvec @ L'(q)^T + (d fvec/dp) @ B'(q)^T - (p/m) d fvec/dq
            + (1/2) D2(q) d^2 fvec/dp^2,
 
-where the d^2 x d^2 Liouvillian L(q) holds the commutator and dissipator
-and B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.
+where L' = T L T^-1 and B' = T B T^-1 are real d^2 x d^2 matrices: T
+takes the row-major vec of a Hermitian cell to its coordinates, the
+Liouvillian L(q) holds the commutator and dissipator and
+B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.
 `_cell_operators` builds both, for either equation.
 
 The equation is local, so both grid kernels take a model and a state and
@@ -34,12 +47,13 @@ built (the windows of `_rk4`'s wavefront) and one window-sized scratch
 buffer, and a window is evaluated in one pass.  Every element sees the
 whole-grid expression's operations, so the window height changes no bit.
 
-Time stepping is classical RK4, `_rk4` for both equations.  A run builds
-its kernel once and hands it each window of the sweep in a `_Band`, with
-the rows of the window's stencil neighbours and the buffer its rate goes
-into.  A step holds two grid arrays (the cells and the accumulator) and a
-fixed number of window-sized bands: it sweeps the four stages together as
-a wavefront, and is bit-for-bit cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4).
+Time stepping is classical RK4 of the real coordinates, `_rk4` for both
+equations.  A run builds its kernel once and hands it each window of the
+sweep in a `_Band`, with the rows of the window's stencil neighbours and
+the buffer its rate goes into.  A step holds two grid arrays of floats (the
+coordinates and the accumulator) and a fixed number of window-sized bands:
+it sweeps the four stages together as a wavefront, and is bit-for-bit
+cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4).
 `evolve` and `evolve_measurement` take a step dt and a whole number of
 steps, which the caller decides; a trace-drift abort reports the
 probability found in the outermost grid cells.
@@ -55,7 +69,8 @@ continuous measurement on a one-axis signal grid: the saturated special
 case of the CQ equation along z, used for cross-validation against
 stochastic unraveling.  Its kernel builds with L = Z, D0 = 2k, H = h and
 no force -- the superoperator -k(z)[Z,[Z,.]] - (i/hbar)[H,.] and the drift
--d(fvec @ A(z)^T)/dz, A(z) = (1/2)(Z kron I + I kron Z^T) -- beside the
+-d(fvec @ A'(z)^T)/dz, A(z) = (1/2)(Z kron I + I kron Z^T), both in real
+coordinates -- beside the
 diffusion (1/2) d^2(D2 varrho)/dz^2 with D2 = 1/(8k).  Its drift
 differentiates the flux of the whole grid, so the kernel's one window,
 and its RK4 sweep's, is the whole grid.  Both equations share one set of
@@ -64,12 +79,13 @@ named step limits, `cfl_terms`, whose minimum is `cfl_limit`.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import PhaseGrid, d_dx, d2_dx2, slab_rows, times_real
+from .grids import PhaseGrid, d_dx, d2_dx2, slab_rows
 from .models import (
     CQModel,
     MeasurementModel,
@@ -171,10 +187,11 @@ class EvolutionDiagnostics:
 class _Band:
     """A window of `_rk4`'s sweep: q rows ``rows`` of a stage state, and their rate's ``out``.
 
-    ``cells`` holds q rows ``first``, ``first`` + 1, ...: at least the rows
-    that the q-stencils of ``rows`` read (`_reach`).  ``out`` is
-    C-contiguous, of the shape of the window's cells, and ``kernel`` is
-    the run's.
+    ``cells`` holds the real coordinates (`_real_coordinates`) of q rows
+    ``first``, ``first`` + 1, ..., q rows first and p second: at least the
+    rows that the q-stencils of ``rows`` read (`_reach`).  ``out`` is a
+    C-contiguous float array of the shape of the window's cells, and
+    ``kernel`` is the run's.
     """
 
     grid: PhaseGrid
@@ -188,19 +205,22 @@ class _Band:
 def apply_generator(model: CQModel, state: HybridState) -> np.ndarray:
     """d varrho/dt of ``state`` under ``model``: a new C-contiguous array of the cells' shape.
 
+    The rate is that of the cells' Hermitian parts, evaluated in their real
+    coordinates (`_real_coordinates`) and returned as Hermitian cells.
     `validate_model` audits the model on the q points as a fresh kernel is
     built (`_cq_kernel`), so a direct call audits its model every time.
     The rows are evaluated one window of the kernel's height at a time: the
     kernel builds the window's superoperators or takes them from the last
-    four it built.  ``state`` may also be a `_Band`, through which `_rk4`
-    asks for one window's rate with the run's kernel (`_request`).
+    four it built.  ``state`` may also be a `_Band` of real coordinates,
+    through which `_rk4` asks for one window's rate with the run's kernel
+    (`_request`); the rate then goes into the band's ``out``.
     """
-    kernel, first, rows, out = _request(_cq_kernel, model, state)
+    band = _request(_cq_kernel, model, state)
+    kernel, first, rows, grid = band.kernel, band.first, band.rows, band.grid
     p_over_m, half_d2 = kernel.coeffs
-    grid = state.grid
-    f = state.cells
+    f = band.cells
     fvec = f.reshape((len(f),) + grid.shape[1:] + (-1,))
-    rate = out.reshape((len(out),) + fvec.shape[1:])
+    rate = band.out.reshape((len(band.out),) + fvec.shape[1:])
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
     scratch = kernel.scratch((kernel.height,) + fvec.shape[1:])
 
@@ -213,9 +233,9 @@ def apply_generator(model: CQModel, state: HybridState) -> np.ndarray:
         # it: addition commutes, so each element gets the bits of their sum
         np.matmul(d_dx(fvec, 1, hp_ax, out=d, rows=q), back_t, out=r)
         r += np.matmul(fvec[q], liou_t, out=d)
-        r -= times_real(d_dx(fvec, 0, hq_ax, out=d, rows=q), p_over_m)
-        r += times_real(d2_dx2(fvec, 1, hp_ax, out=d, rows=q), half_d2[lo:hi])
-    return out
+        r -= np.multiply(d_dx(fvec, 0, hq_ax, out=d, rows=q), p_over_m, out=d)
+        r += np.multiply(d2_dx2(fvec, 1, hp_ax, out=d, rows=q), half_d2[lo:hi], out=d)
+    return _answer(state, band)
 
 
 def _reach(lo, hi, n):
@@ -242,8 +262,11 @@ class _Kernel:
 
     ``lop``, ``d0`` and ``force`` are L, D0 and V' at each point of the
     grid's first axis, about d^2 complex numbers a point, where a point's
-    superoperators take 2 d^4; ``coeffs`` the equation's other coefficients;
-    ``height`` the q rows of a window (a grid's last window may hold fewer).
+    real superoperators take 2 d^4 floats; ``coeffs`` the equation's other
+    coefficients; ``height`` the q rows of a window (a grid's last window
+    may hold fewer), about `grids.SLAB_BYTES` of real coordinates.  The
+    windows and the slab, the kernel's float scratch buffer, act on real
+    coordinates.
     """
 
     h: np.ndarray
@@ -274,22 +297,24 @@ class _Kernel:
         return built
 
     def scratch(self, shape):
-        """An uninitialized complex array of ``shape``, kept for the next call."""
+        """An uninitialized float array of ``shape``, kept for the next call."""
         if self.slab is None or self.slab.shape != shape:
-            self.slab = np.empty(shape, dtype=complex)
+            self.slab = np.empty(shape)
         return self.slab
 
 
 def _request(build, model, state):
-    """(kernel, first q row of the cells, q rows asked for, out) of a rate of ``state``.
+    """The `_Band` that a rate of ``state`` is evaluated on, with its rows as ``slice(lo, hi)``.
 
     A `_Band`'s own, once its cells are found to hold the rows that the
-    q-stencils of its window read; for a plain state, a fresh
-    ``build(model, grid)``, all rows and a new array.
+    q-stencils of its window read; for a plain state, its real coordinates
+    as one band of all rows, with a fresh ``build(model, grid)`` and a new
+    ``out``.
     """
     if not isinstance(state, _Band):
-        f = state.cells
-        return build(model, state.grid), 0, slice(0, len(f)), np.empty(f.shape, dtype=complex)
+        kernel = build(model, state.grid)
+        x = _real_coordinates(state.cells)
+        return _Band(state.grid, x, 0, kernel, slice(0, len(x)), np.empty(x.shape))
     nq, first, end = state.grid.shape[0], state.first, state.first + len(state.cells)
     lo, hi, _ = state.rows.indices(nq)
     a, b = _reach(lo, hi, nq)
@@ -297,7 +322,60 @@ def _request(build, model, state):
         raise ValueError(
             f"q rows [{lo}, {hi}) read rows [{a}, {b}), not all in the band [{first}, {end})"
         )
-    return state.kernel, first, slice(lo, hi), state.out
+    return replace(state, rows=slice(lo, hi))
+
+
+def _answer(state, band):
+    """``band.out`` for a `_Band` ``state``; for a plain state, the Hermitian cells it holds."""
+    return band.out if isinstance(state, _Band) else _hermitian_cells(band.out)
+
+
+def _triangles(d):
+    """(lower, diagonal): the masks of the entries of a d x d matrix below and on its diagonal."""
+    i, j = np.indices((d, d))
+    return i > j, i == j
+
+
+def _real_coordinates(cells):
+    """The real coordinates of the Hermitian parts of ``cells`` (..., d, d): floats of that shape.
+
+    A cell's coordinates are the real parts of H = (c + c^dagger)/2 on and
+    above the diagonal and its imaginary parts below it.  For an exactly
+    Hermitian cell each is the entry's own real or imaginary part, bit for
+    bit.  They are formed one slab of first-axis rows at a time, so no
+    grid-sized temporary exists.
+    """
+    lower, _ = _triangles(cells.shape[-1])
+    x = np.empty(cells.shape)
+    step = slab_rows(len(cells), cells[0].nbytes)
+    for lo in range(0, len(cells), step):
+        c, xs = cells[lo : lo + step], x[lo : lo + step]
+        # the real and imaginary parts of c + c^dagger
+        np.add(c.real, _t(c.real), out=xs)
+        np.subtract(c.imag, _t(c.imag), out=xs, where=lower)
+        xs *= 0.5
+    return x
+
+
+def _hermitian_cells(x):
+    """The Hermitian cells (..., d, d) of the real coordinates ``x``, one slab at a time.
+
+    The cells are exactly Hermitian, and no imaginary part is -0: a zero
+    comes back as +0, any other coordinate bit for bit.
+    """
+    lower, diagonal = _triangles(x.shape[-1])
+    upper = ~(lower | diagonal)
+    cells = np.empty(x.shape, dtype=complex)
+    step = slab_rows(len(x), cells[0].nbytes)
+    for lo in range(0, len(x), step):
+        re, im, xs = cells.real[lo : lo + step], cells.imag[lo : lo + step], x[lo : lo + step]
+        np.copyto(re, xs)
+        np.copyto(re, _t(xs), where=lower)
+        # y + 0.0 and 0.0 - y are y and -y, with a zero as +0
+        np.add(xs, 0.0, out=im, where=lower)
+        np.subtract(0.0, _t(xs), out=im, where=upper)
+        np.copyto(im, 0.0, where=diagonal)
+    return cells
 
 
 def _cq_kernel(model: CQModel, grid: PhaseGrid) -> _Kernel:
@@ -319,22 +397,27 @@ def _cq_kernel(model: CQModel, grid: PhaseGrid) -> _Kernel:
     p_over_m = (grid.axes[1].points / model.mass)[None, :, None]
     half_d2 = 0.5 * np.asarray(model.d2(qs), dtype=float)[:, None, None]
     nq = len(qs)
-    height = min(nq, max(2, slab_rows(nq, grid.shape[1] * lop[0].nbytes)))
+    # a q row of cells holds grid.shape[1] d^2 float64 coordinates
+    height = min(nq, max(2, slab_rows(nq, grid.shape[1] * lop[0].size * 8)))
     return _Kernel(model.h_q, model.hbar, lop, d0, force, (p_over_m, half_d2), height)
 
 
 def _cell_operators(h, hbar, lop, d0, force):
-    """L(x)^T and B(x)^T at each grid point x, in the row-major vec basis.
+    """L(x)'^T and B(x)'^T at each grid point x: the superoperators in real coordinates.
 
     For the Hamiltonian ``h`` and per point L = ``lop``, real D0 = ``d0``
-    and V' = ``force``, with vec(A X C) = (A kron C^T) vec(X):
+    and V' = ``force``, with vec(A X C) = (A kron C^T) vec(X) on row-major
+    vecs:
 
       L(x) = -(i/hbar)(H kron I - I kron H^T)
              + D0(x)(L kron L^T - (1/2)(L^2 kron I + I kron (L^2)^T)),
       B(x) = V'(x) I + (1/2)(L kron I + I kron L^T).
 
-    A chunk of about `SLAB_BYTES` per operator is evaluated at a time,
-    straight into the returned arrays: no operator-sized temporary exists.
+    Both map Hermitian cells to Hermitian cells, so on the cells' real
+    coordinates they act as the real matrices L' = T L T^-1 and
+    B' = T B T^-1 (`_real_form`).  A chunk of about `SLAB_BYTES` of the
+    complex operators is evaluated at a time, straight into the returned
+    float arrays: no operator-sized temporary exists.
     """
     lop = np.asarray(lop, dtype=complex)
     n, d = lop.shape[0], lop.shape[-1]
@@ -342,18 +425,53 @@ def _cell_operators(h, hbar, lop, d0, force):
     l2 = lop @ lop
     d0, force = (np.asarray(c, dtype=float)[:, None, None] for c in (d0, force))
     commutator = (-1j / hbar) * (_kron(h, eye) - _kron(eye, h.T))
-    liou_t = np.empty((n, d * d, d * d), dtype=complex)
+    liou_t = np.empty((n, d * d, d * d))
     back_t = np.empty_like(liou_t)
-    chunk = slab_rows(n, liou_t[0].nbytes)
+    # each complex temporary of a chunk takes about SLAB_BYTES / 2
+    chunk = slab_rows(n, 4 * liou_t[0].nbytes)
     for lo in range(0, n, chunk):
         x = slice(lo, lo + chunk)
         lx, l2x = lop[x], l2[x]
-        liou_t[x] = _t(
+        liou_t[x] = _t(_real_form(
             commutator
             + d0[x] * (_kron(lx, _t(lx)) - 0.5 * (_kron(l2x, eye) + _kron(eye, _t(l2x))))
-        )
-        back_t[x] = _t(force[x] * np.eye(d * d) + 0.5 * (_kron(lx, eye) + _kron(eye, _t(lx))))
+        ))
+        back_t[x] = _t(_real_form(
+            force[x] * np.eye(d * d) + 0.5 * (_kron(lx, eye) + _kron(eye, _t(lx)))
+        ))
     return liou_t, back_t
+
+
+def _real_form(m):
+    """T m T^-1 for superoperators ``m`` (..., d^2, d^2) on row-major vecs: a float array.
+
+    T takes vec(rho) of a Hermitian rho to its real coordinates
+    (`_real_coordinates`): row ij of T is (e_ij + e_ji)/2 above the
+    diagonal, (e_ij - e_ji)/(2i) below it and e_ii on it; column ij of
+    T^-1 is e_ij + e_ji above, i(e_ij - e_ji) below and e_ii on it.  Each
+    entry of T m T^-1 is so half a sum of at most four entries of m, and
+    its real part is formed from the real and imaginary parts of m alone.
+    For an m that maps Hermitian matrices to Hermitian matrices T m T^-1
+    is real: its imaginary part, roundoff, is dropped.
+    """
+    n = m.shape[-1]
+    d = math.isqrt(n)
+    lower, diagonal = _triangles(d)
+    # rows ij and ji of m: twice the real and imaginary parts of T m
+    rows = m.reshape(m.shape[:-2] + (d, d, n))
+    flipped = np.swapaxes(rows, -3, -2)
+    below = lower[:, :, None]
+    re = np.add(rows.real, flipped.real)
+    np.subtract(rows.imag, flipped.imag, out=re, where=below)
+    im = np.add(rows.imag, flipped.imag)
+    np.subtract(flipped.real, rows.real, out=im, where=below)
+    # columns ij and ji of T m, then the real part of the product by T^-1
+    re, im = (part.reshape(m.shape[:-1] + (d, d)) for part in (re, im))
+    out = re + _t(re)
+    np.copyto(out, re, where=diagonal)
+    np.subtract(_t(im), im, out=out, where=lower)
+    out *= 0.5
+    return out.reshape(m.shape)
 
 
 def _t(a):
@@ -428,24 +546,25 @@ def measurement_generator(m: MeasurementModel, state: HybridState) -> np.ndarray
     holds the whole grid: the drift differentiates the flux of the whole
     grid, so the kernel's one window is the whole grid.
     """
-    kernel, _, rows, out = _request(_measurement_kernel, m, state)
-    (d2_of_z,) = kernel.coeffs
-    grid = state.grid
-    sup_t, flux_t = kernel.window(0, grid.shape[0])
+    band = _request(_measurement_kernel, m, state)
+    (d2_of_z,) = band.kernel.coeffs
+    grid, rows, out = band.grid, band.rows, band.out
+    sup_t, flux_t = band.kernel.window(0, grid.shape[0])
     h_ax = grid.axes[0].spacing
-    fvec = state.cells.reshape(grid.shape + (1, -1))
+    fvec = band.cells.reshape(grid.shape + (1, -1))
     rate = np.matmul(fvec[rows], sup_t[rows], out=out.reshape((len(out),) + fvec.shape[1:]))
     rate -= d_dx(fvec @ flux_t, 0, h_ax, rows=rows)
     rate += 0.5 * d2_dx2(d2_of_z * fvec, 0, h_ax, rows=rows)
-    return out
+    return _answer(state, band)
 
 
 def _measurement_kernel(m: MeasurementModel, grid: PhaseGrid) -> _Kernel:
     """`measurement_generator`'s kernel of ``m`` on ``grid``, after auditing the model.
 
     L = Z(z), D0 = 2k(z), H = h (zero when absent) and no force, so its
-    window holds (M(z)^T, A(z)^T) with M(z) = -k(z)[Z,[Z,.]] - (i/hbar)[H,.];
-    its coefficient is D2(z), broadcastable against (nz, 1, d^2) cells,
+    window holds (M'(z)^T, A'(z)^T), the real forms of
+    M(z) = -k(z)[Z,[Z,.]] - (i/hbar)[H,.] and of the drift's A(z); its
+    coefficient is D2(z), broadcastable against (nz, 1, d^2) cells,
     and its one window is the whole signal grid.
     """
     if grid.ndim != 1:
@@ -478,14 +597,18 @@ def cfl_terms(model: CQModel | MeasurementModel, grid: PhaseGrid) -> dict:
     L = dV_I/dq and the force is max|V'| + ||L||.  A `MeasurementModel`'s
     equation is the same along its signal axis z, with L = Z, D0 = 2k,
     D2 = 1/(8k), H = h, the signal drift ||Z|| as force and no transport.
-    A coefficient that is not finite at a grid point (V', L, D2 or D0) is
-    refused with a ModelValidationError naming it and the first such point.
+    A coefficient that is not finite at a grid point (V', L, D2 or D0), a
+    negative D2 or D0, and a measurement strength k <= 0 (refused before
+    D2 = 1/(8k) is formed) are refused with a ModelValidationError naming
+    the coefficient and the first such point.
     """
     xs = grid.axes[0].points
     # dp: the spacing of the axis that diffusion and force act along (p, or z)
     if isinstance(model, MeasurementModel):
         dp = grid.axes[0].spacing
         var, lname, lop, h, force, transport = "z", "z_op", model.z_op(xs), model.h, 0.0, None
+        k = np.broadcast_to(np.asarray(model.k(xs), dtype=float), xs.shape)
+        _refuse_first("k", var, xs, k, k <= 0, "must be positive, got {:g}")
     else:
         dq, dp = grid.axes[0].spacing, grid.axes[1].spacing
         var, lname, lop, h = "q", "dv_i", model.dv_i(xs), model.h_q
@@ -494,9 +617,11 @@ def cfl_terms(model: CQModel | MeasurementModel, grid: PhaseGrid) -> dict:
         transport = dq * model.mass / pmax if np.isfinite(model.mass) and pmax > 0 else None
     d2, d0 = model.d2(xs), model.d0(xs)
     for name, values in (("dpotential", force), (lname, lop), ("d2", d2), ("d0", d0)):
-        bad = np.argwhere(~np.isfinite(np.atleast_1d(values)))
-        if len(bad):
-            raise ModelValidationError(f"{name}({var}={xs[bad[0][0]]:g}) is not finite")
+        values = np.atleast_1d(values)
+        _refuse_first(name, var, xs, values, ~np.isfinite(values), "is not finite")
+    for name, values in (("d2", d2), ("d0", d0)):
+        values = np.broadcast_to(values, xs.shape)
+        _refuse_first(name, var, xs, values, values < 0, "must be nonnegative, got {:g}")
     terms = {}
     d2max = float(np.max(d2))
     if d2max > 0:
@@ -516,13 +641,30 @@ def cfl_terms(model: CQModel | MeasurementModel, grid: PhaseGrid) -> dict:
     return terms
 
 
+def _refuse_first(name, var, xs, values, bad, problem):
+    """A ModelValidationError naming ``name`` at the first point of ``xs`` where ``bad`` holds.
+
+    ``bad`` has a leading axis along ``xs``; ``problem`` is formatted with
+    the value of ``values`` there.
+    """
+    where = np.argwhere(bad)
+    if len(where):
+        first = tuple(where[0])
+        detail = problem.format(values[first])
+        raise ModelValidationError(f"{name}({var}={xs[first[0]]:g}) {detail}")
+
+
 def measurement_cfl_limit(m: MeasurementModel, grid: PhaseGrid) -> float:
     """`cfl_limit` of the measurement equation on its signal grid."""
     return cfl_limit(m, grid)
 
 
 def _rk4(rate_fn, cells, dt, height):
-    """One classical RK4 step of ``cells``, holding one new grid array.
+    """One classical RK4 step of ``cells``, holding one new grid array of their dtype.
+
+    The grid equations step the real coordinates of their cells
+    (`_real_coordinates`), float arrays; the arithmetic is elementwise, so
+    any dtype steps alike.
 
     ``rate_fn(band, first, rows, out)`` writes the rate of q rows ``rows``
     into ``out`` and returns it, reading the stage state from ``band``,
@@ -544,9 +686,9 @@ def _rk4(rate_fn, cells, dt, height):
     windows = [(lo, min(lo + height, nq)) for lo in range(0, nq, height)]
     bands = [_reach(lo, hi, nq) for lo, hi in windows]
     band_rows = max(b - a for a, b in bands)
-    pool = [np.empty((band_rows,) + cells.shape[1:], dtype=complex) for _ in windows[:4]]
-    k = np.empty((height,) + cells.shape[1:], dtype=complex)
-    acc = np.empty(cells.shape, dtype=complex)
+    pool = [np.empty((band_rows,) + cells.shape[1:], dtype=cells.dtype) for _ in windows[:4]]
+    k = np.empty((height,) + cells.shape[1:], dtype=cells.dtype)
+    acc = np.empty(cells.shape, dtype=cells.dtype)
 
     def band(j):
         a, b = bands[j]
@@ -613,9 +755,14 @@ def _stepper(model, state: HybridState, dt: float):
 
 
 def step_rk4(model: CQModel, state: HybridState, dt: float) -> HybridState:
-    """One classical 4th-order Runge-Kutta step of the full generator."""
+    """One classical 4th-order Runge-Kutta step of the full generator, in real coordinates.
+
+    The step is taken on the real coordinates of the cells' Hermitian parts,
+    and the stepped state's cells are exactly Hermitian.
+    """
     rate_fn, height = _stepper(model, state, dt)
-    return HybridState(state.grid, _rk4(rate_fn, state.cells, dt, height))
+    x = _rk4(rate_fn, _real_coordinates(state.cells), dt, height)
+    return HybridState(state.grid, _hermitian_cells(x))
 
 
 def _count(name, value, least):
@@ -651,11 +798,14 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
     """The stepping loop of `evolve` and `evolve_measurement`.
 
     ``initial`` is a one-item list holding the initial state, which the
-    loop takes out: when the caller kept no reference either, the initial
-    cells are freed as soon as the first step has consumed them.  The
-    run's kernel (`_stepper`) goes with the loop's frame when it returns
-    or raises, so its operators do not stay resident beside the final
-    state (nor in the forked workers that dump it).
+    loop takes out and converts to the real coordinates of its cells'
+    Hermitian parts (`_real_coordinates`), the cells that the steps carry:
+    when the caller kept no reference either, the initial cells are freed
+    before the first step.  Each recorded state, and the final one, is the
+    Hermitian cells of the coordinates at its time.  The run's kernel
+    (`_stepper`) goes with the loop's frame when it returns or raises, so
+    its operators do not stay resident beside the final state (nor in the
+    forked workers that dump it).
     """
     n_steps = _count("n_steps", n_steps, 0)
     stride = _count("stride", stride, 1)
@@ -665,32 +815,37 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
     diags = EvolutionDiagnostics.empty()
     diags.record(0.0, state)
     initial_trace = diags.trace[0]
-    cells = state.cells
+    if n_steps == 0:
+        return state, diags
+    cells = _real_coordinates(state.cells)
     del state
     for step in range(1, n_steps + 1):
         cells = _rk4(rate_fn, cells, dt, height)
-        if step % stride == 0 or step == n_steps:
-            # no reference to the recorded state outlives this block: the
-            # next step would otherwise hold a third grid array
-            diags.record(step * dt, HybridState(grid, cells))
-            if not np.isfinite(diags.trace[-1]):
-                raise EvolutionError("non-finite total trace encountered", diags)
-            drift = abs(diags.trace[-1] - initial_trace)
-            if drift > trace_abort:
-                raise EvolutionError(
-                    f"trace drift {drift:.3e} exceeds {trace_abort:.1e} "
-                    f"at t={step * dt:g}, with probability "
-                    f"{edge_mass(HybridState(grid, cells)):.3e} "
-                    "in the outermost grid cells",
-                    diags,
-                )
-            if diags.min_eig[-1] < -POSITIVITY_ABORT:
-                raise EvolutionError(
-                    f"negativity {diags.min_eig[-1]:.3e} beyond {POSITIVITY_ABORT:.1e} "
-                    f"at t={step * dt:g}, {_most_negative_cell(HybridState(grid, cells))}",
-                    diags,
-                )
-    return HybridState(grid, cells), diags
+        if step % stride and step != n_steps:
+            continue
+        state = HybridState(grid, _hermitian_cells(cells))
+        diags.record(step * dt, state)
+        if not np.isfinite(diags.trace[-1]):
+            raise EvolutionError("non-finite total trace encountered", diags)
+        drift = abs(diags.trace[-1] - initial_trace)
+        if drift > trace_abort:
+            raise EvolutionError(
+                f"trace drift {drift:.3e} exceeds {trace_abort:.1e} "
+                f"at t={step * dt:g}, with probability {edge_mass(state):.3e} "
+                "in the outermost grid cells",
+                diags,
+            )
+        if diags.min_eig[-1] < -POSITIVITY_ABORT:
+            raise EvolutionError(
+                f"negativity {diags.min_eig[-1]:.3e} beyond {POSITIVITY_ABORT:.1e} "
+                f"at t={step * dt:g}, {_most_negative_cell(state)}",
+                diags,
+            )
+        if step == n_steps:
+            return state, diags
+        # the recorded cells go before the next step, which would otherwise
+        # hold them beside its own grid arrays
+        del state
 
 
 def evolve(
@@ -707,8 +862,10 @@ def evolve(
     ``stride`` steps and at the final time.  ``n_steps`` must be an
     integer >= 0 (0 returns the initial state) and ``stride`` one >= 1;
     anything else raises ValueError, as does a ``trace_abort`` outside
-    (0, LEAK_LIMIT], the cap on boundary leakage.  ``state`` is not
-    referenced after the first step.
+    (0, LEAK_LIMIT], the cap on boundary leakage.  The steps carry the
+    real coordinates of the cells' Hermitian parts, and ``state`` is not
+    referenced after they are formed; every state recorded after a step,
+    and so the final state of a run of n_steps >= 1, is exactly Hermitian.
     """
     if not 0.0 < trace_abort <= LEAK_LIMIT:
         raise ValueError(

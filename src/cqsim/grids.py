@@ -192,29 +192,20 @@ def _fill_edges(out, lo, hi, n, sl, edge):
 
 
 def _divide(out, denom):
-    """``out /= denom`` in place, with the bits of numpy's ``out / denom``.
+    """``out /= denom`` in place, with the bits of numpy's ``out / denom``; returns ``out``.
 
     numpy divides a complex array by the complex ``denom + 0j`` as
-    (re + im * 0) * (1 / denom) and (im - re * 0) * (1 / denom), which
-    `times_real` by 1 / denom reproduces.
+    (re + im * 0) * (1 / denom) and (im - re * 0) * (1 / denom): scaling
+    the float view of a C-contiguous complex ``out`` by 1 / denom gives
+    those numbers (only the sign of a zero can differ) at half the
+    arithmetic.
     """
     if np.iscomplexobj(out):
-        return times_real(out, 1.0 / denom)
-    out /= denom
+        flat = out.view(out.real.dtype)
+        flat *= 1.0 / denom
+    else:
+        out /= denom
     return out
-
-
-def times_real(a: np.ndarray, coeff) -> np.ndarray:
-    """``a *= coeff`` for a C-contiguous complex ``a`` and real ``coeff``; returns ``a``.
-
-    Scaling the float view gives the numbers of the complex product
-    a * (coeff + 0j) (only the sign of a zero can differ) at half the
-    arithmetic.  An array ``coeff`` broadcasts against the float view, so
-    its last axis must have length 1.
-    """
-    flat = a.view(a.real.dtype)
-    flat *= coeff
-    return a
 
 
 def _slicer(ndim: int, axis: int):

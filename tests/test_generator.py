@@ -7,13 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cqsim import generator, grids, runner
 from cqsim.generator import (
     EvolutionError,
     _Band,
     _cq_kernel,
+    _hermitian_cells,
     _measurement_kernel,
+    _real_coordinates,
+    _real_form,
     apply_generator,
     branch_generator,
     cfl_limit,
@@ -454,6 +460,34 @@ class TestModelAudit:
         with pytest.raises(ModelValidationError, match=r"^z_op\(z=1\.5\) is not finite$"):
             cfl_limit(m, PhaseGrid((GridAxis("z", -2, 2, 9),)))
 
+    @pytest.mark.parametrize("value", [-1.0, 0.0])
+    def test_step_limits_refuse_a_strength_that_is_not_positive(self, value):
+        # k(z) = value above z = 1: refused at z = 1.5, before D2 = 1/(8k) is
+        # formed (k = 0 would divide by zero), not read as k = 1's limits
+        m = models.MeasurementModel(
+            z_op=lambda z: np.broadcast_to(SIGMA_Z, np.shape(z) + (2, 2)),
+            k=lambda z: np.where(np.asarray(z) > 1.0, value, 1.0),
+        )
+        grid = PhaseGrid((GridAxis("z", -2, 2, 9),))
+        with pytest.raises(
+            ModelValidationError, match=rf"^k\(z=1\.5\) must be positive, got {value:g}$"
+        ):
+            cfl_limit(m, grid)
+
+    @pytest.mark.parametrize("name", ["d2", "d0"])
+    def test_step_limits_refuse_a_negative_coefficient(self, name):
+        # -0.5 above q = 1: refused at q = 1.5, where max would skip it
+        base = qubit_decoherence_model(lam=0.6, d0=1.0)
+        fn = getattr(base, name)
+        model = dataclasses.replace(
+            base, **{name: lambda q: np.where(np.asarray(q) > 1.0, -0.5, fn(q))}
+        )
+        grid = PhaseGrid((GridAxis("q", -2, 2, 9), GridAxis("p", -2, 2, 9)))
+        with pytest.raises(
+            ModelValidationError, match=rf"^{name}\(q=1\.5\) must be nonnegative, got -0\.5$"
+        ):
+            cfl_limit(model, grid)
+
     def test_measurement_refusal_names_the_signal(self):
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
         m = models.MeasurementModel(
@@ -723,10 +757,11 @@ class TestStepping:
         for _ in range(20):
             state = step_rk4(model, HybridState(small_grid, cells), dt)
             cells = state.cells
-        assert hermiticity_defect(state) < 1e-10
+        # the steps carry real coordinates: the cells are Hermitian by construction
+        assert hermiticity_defect(state) == 0.0
 
     def test_thousand_step_invariants(self):
-        # trace drift <= 1e-6, hermiticity <= 1e-10 and negativity >= -1e-6
+        # trace drift <= 1e-6, exact hermiticity and negativity >= -1e-6
         # over 1000 RK4 steps on a well-contained interacting state
         grid = PhaseGrid((GridAxis("q", -4, 4, 41), GridAxis("p", -4, 4, 41)))
         model = qubit_decoherence_model(lam=0.6, d0=1.0)
@@ -737,7 +772,7 @@ class TestStepping:
         final, diags = evolve(model, state, dt, 1000, stride=100)
         assert abs(diags.trace[-1] - 1.0) <= 1e-6
         assert min(diags.min_eig) >= -1e-6
-        assert hermiticity_defect(final) <= 1e-10
+        assert hermiticity_defect(final) == 0.0
 
     def test_cfl_guard(self, small_grid):
         model = free_diffusion_model(d2=0.5)
@@ -880,7 +915,7 @@ class TestMeasurementGenerator:
         kernel = _measurement_kernel(m, grid)
         sup_t, flux_t = kernel.window(0, grid.shape[0])
         (d2_of_z,) = kernel.coeffs
-        for got, want in zip((sup_t, flux_t), kron_measurement_operators(m, grid)):
+        for got, want in zip((sup_t, flux_t), real_operators(kron_measurement_operators(m, grid))):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-15 * (1.0 + np.abs(want).max())
         assert d2_of_z.tobytes() == m.d2(grid.axes[0].points)[:, None, None].tobytes()
@@ -889,7 +924,8 @@ class TestMeasurementGenerator:
         # sigma_z with k(z) = 1 + 0.3 z: the same values (zeros may differ in sign)
         scenario = parse_scenario_file(SCENARIO_DIR / "unravel_feedback.yaml")
         got = _measurement_kernel(scenario.model, scenario.grid).window(0, scenario.grid.shape[0])
-        for op, want in zip(got, kron_measurement_operators(scenario.model, scenario.grid)):
+        want = real_operators(kron_measurement_operators(scenario.model, scenario.grid))
+        for op, want in zip(got, want):
             assert np.array_equal(op, want)
 
     @pytest.mark.parametrize("kernel", ["measurement_generator", "evolve_measurement"])
@@ -1061,11 +1097,22 @@ def allocating_d2_dx2(f, axis, spacing):
 
 
 def allocating_rate(model, state):
-    grid = state.grid
-    liou_t, back_t = whole_grid_cq_operators(model, grid)
+    """The complex Kronecker reference: the rate of ``state`` from whole-grid operators."""
+    ops = whole_grid_cq_operators(model, state.grid)
+    return _allocating_rate(model, state.grid, state.cells, ops)
+
+
+def allocating_real_rate(model, grid, x):
+    """`allocating_rate` in real coordinates: the rate of ``x`` by the operators' real forms."""
+    ops = real_operators(whole_grid_cq_operators(model, grid))
+    return _allocating_rate(model, grid, x, ops)
+
+
+def _allocating_rate(model, grid, f, ops):
+    liou_t, back_t = ops
     p_over_m = (grid.axes[1].points / model.mass)[None, :, None]
     half_d2 = 0.5 * np.asarray(model.d2(grid.axes[0].points), dtype=float)[:, None, None]
-    fvec = state.cells.reshape(grid.shape + (-1,))
+    fvec = f.reshape(grid.shape + (-1,))
     hq_ax, hp_ax = grid.axes[0].spacing, grid.axes[1].spacing
     product = np.matmul if model.hilbert_dim > 1 else np.multiply
     rate = product(fvec, liou_t)
@@ -1076,7 +1123,28 @@ def allocating_rate(model, state):
     diffusion = allocating_d2_dx2(fvec, 1, hp_ax)
     diffusion *= half_d2
     rate += diffusion
+    return rate.reshape(f.shape)
+
+
+def allocating_measurement_rate(m, state):
+    """The complex Kronecker reference of the measurement equation's rate of ``state``."""
+    grid = state.grid
+    sup_t, flux_t = kron_measurement_operators(m, grid)
+    h = grid.axes[0].spacing
+    d2_of_z = np.asarray(m.d2(grid.axes[0].points), dtype=float)[:, None, None]
+    fvec = state.cells.reshape(grid.shape + (1, -1))
+    rate = fvec @ sup_t - allocating_d_dx(fvec @ flux_t, 0, h)
+    rate += 0.5 * allocating_d2_dx2(d2_of_z * fvec, 0, h)
     return rate.reshape(state.cells.shape)
+
+
+def band_rate(model, grid):
+    """The kernel's rate function of real coordinates x: all rows of x in one `_Band`."""
+    if isinstance(model, models.MeasurementModel):
+        kernel, generate = _measurement_kernel(model, grid), measurement_generator
+    else:
+        kernel, generate = _cq_kernel(model, grid), apply_generator
+    return lambda x: generate(model, _Band(grid, x, 0, kernel, slice(0, len(x)), np.empty(x.shape)))
 
 
 def allocating_rk4(rate_fn, cells, dt):
@@ -1139,6 +1207,100 @@ def whole_grid_cq_operators(model, grid):
     return tuple(np.ascontiguousarray(np.swapaxes(op, -1, -2)) for op in (liou, back))
 
 
+def real_operators(ops):
+    """Transposed superoperators ``ops`` in real coordinates: (T O T^-1)^T of each O^T.
+
+    `_real_form` is checked against the explicit matrices T and T^-1 in
+    `TestRealCoordinates`.
+    """
+    return tuple(np.ascontiguousarray(generator._t(_real_form(generator._t(op)))) for op in ops)
+
+
+def coordinate_matrices(d):
+    """T, which takes vec(rho) of a Hermitian rho to its real coordinates, and T^-1.
+
+    Written entry by entry: coordinate ij is Re rho_ij on and above the
+    diagonal and Im rho_ij below it.
+    """
+    t = np.zeros((d * d, d * d), dtype=complex)
+    t_inv = np.zeros_like(t)
+    for i in range(d):
+        for j in range(d):
+            k, flipped = i * d + j, j * d + i
+            if i == j:
+                t[k, k] = t_inv[k, k] = 1.0
+            elif i < j:  # Re rho_ij = (rho_ij + rho_ji)/2; rho_ij = Re - i Im rho_ji
+                t[k, k] = t[k, flipped] = 0.5
+                t_inv[k, k] = t_inv[flipped, k] = 1.0
+            else:  # Im rho_ij = (rho_ij - rho_ji)/(2i); rho_ij = Re rho_ji + i Im
+                t[k, k], t[k, flipped] = -0.5j, 0.5j
+                t_inv[k, k], t_inv[flipped, k] = 1j, -1j
+    return t, t_inv
+
+
+FINITE = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+class TestRealCoordinates:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 8]), st.data())
+    def test_round_trip(self, d, data):
+        lower = np.tril(np.ones((d, d), dtype=bool), -1)
+        x = data.draw(hnp.arrays(float, (3, d, d), elements=FINITE))
+        cells = _hermitian_cells(x)
+        assert hermiticity_defect(HybridState(PhaseGrid((GridAxis("z", 0, 1, 3),)), cells)) == 0.0
+        assert not np.any(np.signbit(cells.imag) & (cells.imag == 0.0))  # no -0
+        # Hermitian cells round-trip bit for bit; so do the coordinates,
+        # but for a -0 below the diagonal, which comes back as +0
+        back = _real_coordinates(cells)
+        assert back.tobytes() == np.where(lower, x + 0.0, x).tobytes()
+        assert _hermitian_cells(back).tobytes() == cells.tobytes()
+        # any Hermitian cell: its real parts bit for bit, its imaginary parts
+        # too but for a -0, which comes back as +0
+        re = data.draw(hnp.arrays(float, (3, d, d), elements=FINITE))
+        im = data.draw(hnp.arrays(float, (3, d, d), elements=FINITE))
+        diag_im = data.draw(hnp.arrays(float, (3, d), elements=st.sampled_from([0.0, -0.0])))
+        rho = np.empty((3, d, d), dtype=complex)
+        rho.real = np.where(lower, generator._t(re), re)
+        rho.imag = np.where(lower, im, -generator._t(im))
+        rho.imag[:, np.arange(d), np.arange(d)] = diag_im
+        again = _hermitian_cells(_real_coordinates(rho))
+        assert again.real.tobytes() == rho.real.tobytes()
+        assert again.imag.tobytes() == (rho.imag + 0.0).tobytes()
+        # a cell that is not Hermitian maps to its Hermitian part
+        c = re + 1j * im
+        hermitian_part = 0.5 * (c + np.conj(generator._t(c)))
+        assert np.array_equal(_hermitian_cells(_real_coordinates(c)), hermitian_part)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_real_form_is_t_m_t_inverse(self, d):
+        rng = np.random.default_rng(300 + d)
+        grid = PhaseGrid((GridAxis("q", -3.0, 3.0, 5), GridAxis("p", -3.0, 3.0, 5)))
+        t, t_inv = coordinate_matrices(d)
+        for op_t in whole_grid_cq_operators(random_cq_model(rng, d), grid):
+            op = generator._t(op_t)
+            dense = t @ op @ t_inv
+            # the superoperators preserve Hermiticity, so T O T^-1 is real
+            assert np.abs(dense.imag).max() <= 1e-15 * np.abs(op).max()
+            # each entry is half a sum of at most four entries of O, and the
+            # dense products add the same terms and exact zeros: the same
+            # values, but for the sign of a zero
+            assert np.array_equal(_real_form(op), dense.real)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("n", [3, 4, 41])
+    @pytest.mark.parametrize("levels,d", LEVELS_AND_CELLS)
+    def test_kernels_match_the_complex_kronecker_reference(self, levels, d, n, real):
+        model, state = kernel_case(levels, d, n, real)
+        want = allocating_rate(model, state)
+        got = apply_generator(model, state)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        m, signal = measurement_kernel_case(d, n, real)
+        want = allocating_measurement_rate(m, signal)
+        got = measurement_generator(m, signal)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestInPlaceKernel:
     @pytest.mark.parametrize("n", [3, 4, 41])
     def test_stencils_exact_on_quadratics_up_to_the_edges(self, n):
@@ -1177,11 +1339,13 @@ class TestInPlaceKernel:
     @pytest.mark.parametrize("levels,d", LEVELS_AND_CELLS)
     def test_step_matches_allocating_expressions(self, levels, d, shape, n, real):
         model, state = kernel_case(levels, d, n, real, shape)
-        dt = 0.4 * cfl_limit(model, state.grid)
+        grid, x = state.grid, _real_coordinates(state.cells)
+        dt = 0.4 * cfl_limit(model, grid)
         # the same rate values, where only the sign of a zero may differ
-        assert np.array_equal(apply_generator(model, state), allocating_rate(model, state))
-        rate_fn = lambda cells: apply_generator(model, HybridState(state.grid, cells))
-        want = allocating_rk4(rate_fn, state.cells, dt).tobytes()
+        rate = _hermitian_cells(allocating_real_rate(model, grid, x))
+        assert np.array_equal(apply_generator(model, state), rate)
+        rate_fn = band_rate(model, grid)
+        want = _hermitian_cells(allocating_rk4(rate_fn, x, dt)).tobytes()
         assert step_rk4(model, state, dt).cells.tobytes() == want
 
     @pytest.mark.parametrize("n", [3, 4, 41])
@@ -1189,13 +1353,14 @@ class TestInPlaceKernel:
     @pytest.mark.parametrize("levels,d", LEVELS_AND_CELLS)
     def test_sweep_windows_never_change_a_bit(self, levels, d, shape, n, monkeypatch):
         model, state = kernel_case(levels, d, n, False, shape)
+        x = _real_coordinates(state.cells)
         dt = 0.4 * cfl_limit(model, state.grid)
-        rate_fn = lambda cells: apply_generator(model, HybridState(state.grid, cells))
-        want = allocating_rk4(rate_fn, state.cells, dt).tobytes()
+        rate_fn = band_rate(model, state.grid)
+        want = _hermitian_cells(allocating_rk4(rate_fn, x, dt)).tobytes()
         # the allocating step's four stage states, to tell which one a band holds
-        stages = [state.cells]
+        stages = [x]
         for h in (0.5 * dt, 0.5 * dt, dt):
-            stages.append(state.cells + h * rate_fn(stages[-1]))
+            stages.append(x + h * rate_fn(stages[-1]))
         evaluated = []
         kernel = generator.apply_generator
 
@@ -1210,7 +1375,7 @@ class TestInPlaceKernel:
         # one-row slabs still sweep two rows at a time; 2, 3 and 5 rows leave
         # a shorter last window, of one row for some n; n rows are one window
         for rows in (1, 2, 3, 5, n):
-            monkeypatch.setattr(grids, "SLAB_BYTES", rows * state.cells[0].nbytes)
+            monkeypatch.setattr(grids, "SLAB_BYTES", rows * x[0].nbytes)
             evaluated.clear()
             assert step_rk4(model, state, dt).cells.tobytes() == want
             size = min(n, max(2, rows))
@@ -1226,15 +1391,16 @@ class TestInPlaceKernel:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_measurement_step_matches_allocating_expressions(self, d, n, real):
         m, state = measurement_kernel_case(d, n, real)
+        x = _real_coordinates(state.cells)
         dt = 0.4 * measurement_cfl_limit(m, state.grid)
-        rate_fn = lambda cells: measurement_generator(m, HybridState(state.grid, cells))
-        want = allocating_rk4(rate_fn, state.cells, dt)
+        rate_fn = band_rate(m, state.grid)
+        want = _hermitian_cells(allocating_rk4(rate_fn, x, dt))
         assert step_rk4(m, state, dt).cells.tobytes() == want.tobytes()
         # a band's window of the kernel gives the rows of the whole-grid rate
-        whole = rate_fn(state.cells)
-        out = np.full((n - 1,) + state.cells.shape[1:], np.nan, dtype=complex)
+        whole = rate_fn(x)
+        out = np.full((n - 1,) + x.shape[1:], np.nan)
         kernel = _measurement_kernel(m, state.grid)
-        band = _Band(state.grid, state.cells, 0, kernel, slice(1, n), out)
+        band = _Band(state.grid, x, 0, kernel, slice(1, n), out)
         assert measurement_generator(m, band) is out
         assert out.tobytes() == whole[1:].tobytes()
 
@@ -1247,12 +1413,12 @@ class TestInPlaceKernel:
             grid, (0.2,), (0.5,), rho_q=np.array([[0.6, 0.3], [0.3, 0.4]])
         )
         dt = 0.4 * measurement_cfl_limit(m, grid)
-        rate_fn = lambda cells: measurement_generator(m, HybridState(grid, cells))
-        want = state.cells
+        rate_fn = band_rate(m, grid)
+        want = _real_coordinates(state.cells)
         for _ in range(3):
             want = allocating_rk4(rate_fn, want, dt)
         final, _ = evolve_measurement(m, state, dt, 3, stride=1)
-        assert final.cells.tobytes() == want.tobytes()
+        assert final.cells.tobytes() == _hermitian_cells(want).tobytes()
 
     def test_evolve_matches_allocating_rk4_on_many_windows(self, monkeypatch):
         grid = PhaseGrid((GridAxis("q", -4.0, 4.0, 41), GridAxis("p", -4.0, 4.0, 41)))
@@ -1260,26 +1426,26 @@ class TestInPlaceKernel:
         state = gaussian_product_state(
             grid, (0.3, -0.2), (0.6, 0.6), rho_q=np.array([[0.6, 0.3], [0.3, 0.4]])
         )
-        # windows of three rows: 14 windows, the last of two rows
-        monkeypatch.setattr(grids, "SLAB_BYTES", 3 * state.cells[0].nbytes)
         dt = 0.4 * cfl_limit(model, grid)
-        rate_fn = lambda cells: apply_generator(model, HybridState(grid, cells))
-        want = state.cells
+        rate_fn = band_rate(model, grid)  # one window of 41 rows
+        want = _real_coordinates(state.cells)
         for _ in range(4):
             want = allocating_rk4(rate_fn, want, dt)
+        # windows of three rows of real coordinates: 14 windows, the last of two rows
+        monkeypatch.setattr(grids, "SLAB_BYTES", 3 * want[0].nbytes)
         final, _ = evolve(model, state, dt, 4, stride=2)
-        assert final.cells.tobytes() == want.tobytes()
+        assert final.cells.tobytes() == _hermitian_cells(want).tobytes()
 
     def test_step_holds_one_grid_array(self, monkeypatch):
         # one grid width, two heights: beyond its one new grid array and the
-        # compact per-q inputs of the operators, a step holds a fixed number
-        # of slabs and the operators of four windows
+        # compact per-q inputs of the operators, a step of real coordinates
+        # holds a fixed number of slabs and the operators of four windows
         rng = np.random.default_rng(23)
         model = random_cq_model(rng, 8)
-        row_bytes = 41 * 64 * 16
+        row_bytes = 41 * 64 * 8
         slab_bytes = 3 * row_bytes
         band_bytes = slab_bytes + 2 * row_bytes  # a window and its neighbour rows
-        window_bytes = 3 * 2 * 64 * 64 * 16  # L(q)^T and B(q)^T of a window's q rows
+        window_bytes = 3 * 2 * 64 * 64 * 8  # L(q)'^T and B(q)'^T of a window's q rows
         monkeypatch.setattr(grids, "SLAB_BYTES", slab_bytes)
         kernels = []
         build = generator._cq_kernel
@@ -1292,44 +1458,47 @@ class TestInPlaceKernel:
         held = []
         for nq in (40, 120):
             grid = PhaseGrid((GridAxis("q", -3.0, 2.5, nq), GridAxis("p", -2.0, 3.0, 41)))
-            cells = random_hermitian(rng, grid.shape + (8, 8))
-            assert not cells.flags.c_contiguous  # k1 reads a copy of one band at a time
-            cells.flags.writeable = False  # the input cells are never written
-            grid_bytes = cells.nbytes
+            # any real coordinates are those of Hermitian cells
+            x = np.swapaxes(rng.normal(size=(41, nq, 8, 8)), 0, 1)
+            assert not x.flags.c_contiguous  # k1 reads a copy of one band at a time
+            x.flags.writeable = False  # the input cells are never written
+            grid_bytes = x.nbytes
             assert grid_bytes > 12 * slab_bytes
             dt = 0.4 * cfl_limit(model, grid)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 # the audit, which keeps the compact per-q inputs in the kernel
-                kernel = build(model, grid)
+                rate_fn, height = generator._stepper(model, HybridState(grid, np.zeros(
+                    grid.shape + (8, 8), dtype=complex)), dt)
                 inputs = tracemalloc.get_traced_memory()[0] - base
-                del kernel
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                stepped = step_rk4(model, HybridState(grid, cells), dt)
-                peak = tracemalloc.get_traced_memory()[1] - base - inputs
+                stepped = generator._rk4(rate_fn, x, dt, height)
+                peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
             # 2 d^2 complex numbers a q row at most, where the operators take 2 d^4
             assert inputs < nq * 2 * 64 * 16, inputs
-            assert stepped.cells.nbytes == grid_bytes
+            assert stepped.nbytes == grid_bytes
             assert len(kernels[-1].windows) == 4
             held.append(peak - grid_bytes)
         # the accumulator, then the operators of the four windows in flight
-        # and one window's build temporaries, four bands, the rate window,
-        # the kernel's scratch, k1's band of the input cells and a few rows
-        # of kernel temporaries
-        bound = 4 * window_bytes + 3 * window_bytes
+        # and one window's build temporaries (complex: twice the window's
+        # bytes, three times), four bands, the rate window, the kernel's
+        # scratch, k1's band of the input cells and a few rows of kernel
+        # temporaries
+        bound = 4 * window_bytes + 3 * 2 * window_bytes
         bound += 5 * band_bytes + 2 * slab_bytes + 8 * row_bytes
         assert max(held) < bound, held
         assert abs(held[1] - held[0]) < row_bytes, held
 
     def test_operator_build_has_no_operator_sized_temporary(self):
         # the measurement kernel builds its whole signal grid's operators at
-        # once; here the CQ ones of 101 q rows
-        model, state = kernel_case(8, 8, 101, False)
-        kernel = _cq_kernel(model, state.grid)
+        # once; here the CQ ones of 131 q rows, in real coordinates
+        model = random_cq_model(np.random.default_rng(131), 8)
+        grid = PhaseGrid((GridAxis("q", -3.0, 2.5, 131), GridAxis("p", -2.0, 3.0, 3)))
+        kernel = _cq_kernel(model, grid)
         lop, d0, force = kernel.lop, kernel.d0, kernel.force
         tracemalloc.start()
         try:
@@ -1347,7 +1516,7 @@ class TestInPlaceKernel:
         # random_cq_model's D0 and L depend on q, so a window of the wrong
         # rows would not match
         model, state = kernel_case(levels, d, 41, False)
-        want = whole_grid_cq_operators(model, state.grid)
+        want = real_operators(whole_grid_cq_operators(model, state.grid))
         kernel = _cq_kernel(model, state.grid)
         # windows of one, and of three q rows (a shorter last window)
         for rows in (1, 3):
@@ -1370,8 +1539,9 @@ class TestInPlaceKernel:
             return build(h, hbar, lop, d0, force)
 
         monkeypatch.setattr(generator, "_cell_operators", spy)
+        row_bytes = state.cells[0].nbytes // 2  # a q row of real coordinates
         for rows in (1, 2, 3, 5, n):
-            monkeypatch.setattr(grids, "SLAB_BYTES", rows * state.cells[0].nbytes)
+            monkeypatch.setattr(grids, "SLAB_BYTES", rows * row_bytes)
             size = min(n, max(2, rows))
             windows = [min(size, n - lo) for lo in range(0, n, size)]
             built.clear()
@@ -1392,8 +1562,9 @@ class TestInPlaceKernel:
             assert rate.shape == given.cells.shape
         # a band without a row that its window's q-stencils read is refused
         kernel = _cq_kernel(model, state.grid)
-        out = np.empty((2, 9, 2, 2), dtype=complex)
-        band = _Band(state.grid, state.cells[3:6], 3, kernel, slice(3, 5), out)
+        out = np.empty((2, 9, 2, 2))
+        x = _real_coordinates(state.cells)
+        band = _Band(state.grid, x[3:6], 3, kernel, slice(3, 5), out)
         with pytest.raises(ValueError, match=r"read rows \[2, 6\), not all in the band \[3, 6\)"):
             apply_generator(model, band)
 
@@ -1441,29 +1612,31 @@ class TestInPlaceKernel:
             return d_dx(*args, rows=rows, **kwargs)
 
         monkeypatch.setattr(generator, "d_dx", spy)
+        x = _real_coordinates(state.cells)
         rates = {}
         # one-row slabs are windows of two rows; 2 and 3 rows leave a
         # shorter last window for some n; n rows is the whole grid
         for rows in (1, 2, 3, n):
-            monkeypatch.setattr(grids, "SLAB_BYTES", rows * state.cells[0].nbytes)
+            monkeypatch.setattr(grids, "SLAB_BYTES", rows * x[0].nbytes)
             windows.clear()
             rates[rows] = apply_generator(model, state)
             size = min(n, max(2, rows))
             sweep = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
             # one pass a window: its p and q derivatives
             assert windows == [w for window in sweep for w in (window, window)]
-        assert np.array_equal(rates[n], allocating_rate(model, state))
+        want = _hermitian_cells(allocating_real_rate(model, state.grid, x))
+        assert np.array_equal(rates[n], want)
         for rows in (1, 2, 3):
             assert rates[rows].tobytes() == rates[n].tobytes()
 
     def test_no_grid_sized_memory_kept_between_calls(self):
-        model, state = kernel_case(8, 8, 101, False)
-        # C-ordered cells, as every RK4 stage has: their vec view needs no copy
-        state = HybridState(state.grid, np.ascontiguousarray(state.cells))
-        nq, grid_bytes = len(state.cells), state.cells.nbytes
+        model, state = kernel_case(8, 8, 131, False)
+        # C-ordered real coordinates, as every RK4 stage has: their vec view needs no copy
+        x = _real_coordinates(state.cells)
+        nq, grid_bytes = len(x), x.nbytes
         assert grid_bytes > 8 * grids.SLAB_BYTES
-        rows = grids.slab_rows(nq, state.cells[0].nbytes)  # a window's q rows
-        window_bytes = rows * 2 * 64 * 64 * 16  # its L(q)^T and B(q)^T
+        rows = grids.slab_rows(nq, x[0].nbytes)  # a window's q rows
+        window_bytes = rows * 2 * 64 * 64 * 8  # its L(q)'^T and B(q)'^T
         tracemalloc.start()
         try:
             # a direct call audits the model and builds a kernel and every
@@ -1472,12 +1645,12 @@ class TestInPlaceKernel:
             rate = apply_generator(model, state)
             del rate
             kept = tracemalloc.get_traced_memory()[0] - before
-            assert kept < state.cells[0].nbytes / 4, kept
+            assert kept < x[0].nbytes / 4, kept
             # a run's kernel keeps the last four windows built, and 2 d^2
             # complex numbers a q row at most: nothing of nq d^4
             kernel = _cq_kernel(model, state.grid)
             whole = slice(0, nq)
-            band = _Band(state.grid, state.cells, 0, kernel, whole, np.empty_like(state.cells))
+            band = _Band(state.grid, x, 0, kernel, whole, np.empty_like(x))
             apply_generator(model, band)
             windows = band.kernel.windows
             inputs = sum(a.nbytes for a in (band.kernel.lop, band.kernel.d0, band.kernel.force))
@@ -1487,24 +1660,25 @@ class TestInPlaceKernel:
             assert inputs < nq * 2 * 64 * 16
             # a later call builds every window again: the rate, plus slab
             # buffers, row temporaries and one window's build temporaries
+            # (complex, twice its bytes)
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            out = np.empty_like(state.cells)
-            rate = apply_generator(model, _Band(state.grid, state.cells, 0, kernel, whole, out))
+            out = np.empty_like(x)
+            rate = apply_generator(model, _Band(state.grid, x, 0, kernel, whole, out))
             peak = tracemalloc.get_traced_memory()[1] - base
-            assert peak < grid_bytes + 4 * grids.SLAB_BYTES + 3 * window_bytes
+            assert peak < grid_bytes + 4 * grids.SLAB_BYTES + 3 * 2 * window_bytes
         finally:
             tracemalloc.stop()
 
     def test_scratch_slab_is_kept_between_calls(self):
         model, state = kernel_case(8, 8, 101, False)
-        state = HybridState(state.grid, np.ascontiguousarray(state.cells))
-        row_bytes = state.cells[0].nbytes
-        rows = grids.slab_rows(len(state.cells), row_bytes)
+        x = _real_coordinates(state.cells)
+        row_bytes = x[0].nbytes
+        rows = grids.slab_rows(len(x), row_bytes)
         window = slice(rows, 2 * rows)  # one window of `_rk4`'s sweep
         kernel = _cq_kernel(model, state.grid)
-        out = np.empty_like(state.cells[window])
-        band = _Band(state.grid, state.cells, 0, kernel, window, out)
+        out = np.empty_like(x[window])
+        band = _Band(state.grid, x, 0, kernel, window, out)
         first = apply_generator(model, band).copy()
         tracemalloc.start()
         try:
@@ -1586,6 +1760,7 @@ class TestInPlaceKernel:
         path = SCENARIO_DIR / "evolve_qubit_decoherence.yaml"
         runner.run_scenario(parse_scenario_file(str(path)), tmp_path)
         # four rate evaluations per RK4 step (one window: the grid fits one
-        # slab): only the first step reads the initial cells
+        # slab): the steps read the initial cells' real coordinates, and
+        # the initial cells are gone before the first of them
         assert len(alive) == 4 * 25
-        assert alive[:4] == [True] * 4 and not any(alive[4:])
+        assert not any(alive)
