@@ -51,12 +51,15 @@ Time stepping is classical RK4 of the real coordinates, `_rk4` for both
 equations.  A run builds its kernel once and hands it each window of the
 sweep in a `_Band`, with the rows of the window's stencil neighbours and
 the buffer its rate goes into.  A step holds two grid arrays of floats (the
-coordinates and the accumulator) and a fixed number of window-sized bands:
-it sweeps the four stages together as a wavefront, and is bit-for-bit
-cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4).
+coordinates and the caller's accumulator) and a fixed number of
+window-sized bands: it sweeps the four stages together as a wavefront,
+and is bit-for-bit cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4).
 `evolve` and `evolve_measurement` take a step dt and a whole number of
-steps, which the caller decides; a trace-drift abort reports the
-probability found in the outermost grid cells.
+steps, which the caller decides.  A run allocates its two coordinate
+arrays once and swaps them at each step; its diagnostics records read
+them a slab at a time, so the only complex grid array of a run is its
+final state's.  A trace-drift abort reports the probability found in the
+outermost grid cells.
 
 `branch_generator` provides an independent evolution route for models
 diagonal in a fixed basis: each matrix element varrho_ab is transported by
@@ -92,6 +95,7 @@ from .models import (
     ModelValidationError,
     classical_force,
     diagonalize_model,
+    require_finite_hamiltonian,
     validate_model,
 )
 from .psd import spectral_norm
@@ -99,12 +103,10 @@ from .state import (
     LEAK_LIMIT,
     HybridState,
     cell_min_eigenvalues,
-    classical_marginal,
-    coherence,
+    cell_traces,
     edge_mass,
+    marginal_purity,
     min_cell_eigenvalue,
-    purity_of_marginal,
-    total_trace,
 )
 
 __all__ = [
@@ -149,14 +151,39 @@ class EvolutionDiagnostics:
     def empty(cls):
         return cls([], [], [], [], [], [], [])
 
-    def record(self, t, state):
-        p_axis = state.grid.axes[-1]
-        dens = classical_marginal(state)
+    def record(self, t, grid, x):
+        """Append the diagnostics at time ``t`` of the real coordinates ``x`` of cells on ``grid``.
+
+        ``x`` (`_real_coordinates`) is read one slab of first-axis rows at
+        a time: each slab's Hermitian cells (`_hermitian_cells`) give their
+        traces, |varrho_01| and smallest eigenvalues (`min_cell_eigenvalue`),
+        into grid-shaped arrays that the whole-grid reductions read.  The
+        quantum marginal is the Hermitian cell of the coordinates summed
+        over the grid, which is the sum of the cells in the whole grid's
+        order.  So no grid-sized complex array exists, and each column has
+        the bits of the same expressions on the whole grid's cells.  (At
+        d = 1 the sum is ordered otherwise, but a 1 x 1 marginal's purity
+        is 1 whatever its bits.)
+        """
+        traces = np.empty(grid.shape, dtype=complex)
+        coh = np.zeros(grid.shape)  # |varrho_01|, 0 for d = 1
+        low = np.empty(grid.shape)
+        # a slab's work holds about four arrays of its complex cells (the
+        # cells, the Hermitian part and its temporary, eigvalsh's copy):
+        # together about SLAB_BYTES
+        step = slab_rows(len(x), 4 * 2 * x[0].nbytes)
+        for lo in range(0, len(x), step):
+            rows = slice(lo, lo + step)
+            cells = _hermitian_cells(x[rows])
+            traces[rows] = cell_traces(cells)
+            if x.shape[-1] >= 2:
+                np.abs(cells[..., 0, 1], out=coh[rows])
+            min_cell_eigenvalue(cells, out=low[rows])
+        volume = grid.cell_volume
+        dens = traces.real
         # density along the momentum-like (last) axis
-        if state.grid.ndim == 2:
-            dens_p = dens.sum(axis=0) * state.grid.axes[0].spacing
-        else:
-            dens_p = dens
+        p_axis = grid.axes[-1]
+        dens_p = dens.sum(axis=0) * grid.axes[0].spacing if grid.ndim == 2 else dens
         w = dens_p * p_axis.spacing
         total = w.sum()
         pts = p_axis.points
@@ -165,17 +192,14 @@ class EvolutionDiagnostics:
             var_p = float((w * (pts - mean_p) ** 2).sum() / total)
         else:
             mean_p = var_p = float("nan")
-        if state.hilbert_dim >= 2:
-            coh = float(coherence(state, 0, 1).sum() * state.cell_volume)
-        else:
-            coh = 0.0
+        cell_sum = _hermitian_cells(x.sum(axis=tuple(range(grid.ndim)))[None])[0]
         self.t.append(float(t))
-        self.trace.append(total_trace(state))
-        self.min_eig.append(min_cell_eigenvalue(state))
-        self.purity.append(purity_of_marginal(state))
+        self.trace.append(float(dens.sum() * volume))
+        self.min_eig.append(float(low.min()))
+        self.purity.append(marginal_purity(cell_sum, volume))
         self.mean_p.append(mean_p)
         self.var_p.append(var_p)
-        self.coh_01.append(coh)
+        self.coh_01.append(float(coh.sum() * volume))
 
     def table(self):
         return np.column_stack([getattr(self, name) for name in self.COLUMNS])
@@ -597,21 +621,24 @@ def cfl_terms(model: CQModel | MeasurementModel, grid: PhaseGrid) -> dict:
     L = dV_I/dq and the force is max|V'| + ||L||.  A `MeasurementModel`'s
     equation is the same along its signal axis z, with L = Z, D0 = 2k,
     D2 = 1/(8k), H = h, the signal drift ||Z|| as force and no transport.
-    A coefficient that is not finite at a grid point (V', L, D2 or D0), a
-    negative D2 or D0, and a measurement strength k <= 0 (refused before
-    D2 = 1/(8k) is formed) are refused with a ModelValidationError naming
-    the coefficient and the first such point.
+    A Hamiltonian entry that is not finite, a coefficient that is not
+    finite at a grid point (V', L, D2 or D0), a negative D2 or D0, and a
+    measurement strength k <= 0 (refused before D2 = 1/(8k) is formed) are
+    refused with a ModelValidationError naming the Hamiltonian (``h_q``, or
+    ``h``) and the entry, or the coefficient and the first such point.
     """
     xs = grid.axes[0].points
     # dp: the spacing of the axis that diffusion and force act along (p, or z)
     if isinstance(model, MeasurementModel):
         dp = grid.axes[0].spacing
         var, lname, lop, h, force, transport = "z", "z_op", model.z_op(xs), model.h, 0.0, None
+        require_finite_hamiltonian(h, "h")
         k = np.broadcast_to(np.asarray(model.k(xs), dtype=float), xs.shape)
         _refuse_first("k", var, xs, k, k <= 0, "must be positive, got {:g}")
     else:
         dq, dp = grid.axes[0].spacing, grid.axes[1].spacing
         var, lname, lop, h = "q", "dv_i", model.dv_i(xs), model.h_q
+        require_finite_hamiltonian(h, "h_q")
         force = classical_force(model, xs)
         pmax = float(np.max(np.abs(grid.axes[1].points)))
         transport = dq * model.mass / pmax if np.isfinite(model.mass) and pmax > 0 else None
@@ -659,9 +686,11 @@ def measurement_cfl_limit(m: MeasurementModel, grid: PhaseGrid) -> float:
     return cfl_limit(m, grid)
 
 
-def _rk4(rate_fn, cells, dt, height):
-    """One classical RK4 step of ``cells``, holding one new grid array of their dtype.
+def _rk4(rate_fn, cells, dt, height, acc):
+    """One classical RK4 step of ``cells``, written into ``acc`` and returned.
 
+    ``acc`` is the caller's C-contiguous array of the cells' shape and
+    dtype, which does not overlap them: the step allocates no grid array.
     The grid equations step the real coordinates of their cells
     (`_real_coordinates`), float arrays; the arithmetic is elementwise, so
     any dtype steps alike.
@@ -673,12 +702,13 @@ def _rk4(rate_fn, cells, dt, height):
     of ``height`` q rows, the kernel's (`_Kernel`), and one sweep carries
     the four stages as a wavefront: while window i gets k1, windows i-1,
     i-2 and i-3 get k2, k3 and k4.  k1 reads ``cells``, which is never
-    written, and goes straight into the accumulator, the step's one grid
-    array; k2-k4 go into one window-sized stage buffer.  A window's stage
-    rows cells + h k go into its band, which also holds copies of the
-    neighbour rows its stencils read, traded with the adjacent bands as
-    each stage's rows appear; four band buffers serve the windows in turn
-    (one, as tall as the grid, for a one-window grid).  Every element sees
+    written, and goes straight into the accumulator ``acc``, the step's
+    one grid array; k2-k4 go into one window-sized stage buffer.  A
+    window's stage rows cells + h k go into its band, which also holds
+    copies of the neighbour rows its stencils read, traded with the
+    adjacent bands as each stage's rows appear; four band buffers serve
+    the windows in turn (one, as tall as the grid, for a one-window
+    grid).  Every element sees
     the operations of cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in that order,
     so a step is bit-for-bit that expression.
     """
@@ -688,7 +718,6 @@ def _rk4(rate_fn, cells, dt, height):
     band_rows = max(b - a for a, b in bands)
     pool = [np.empty((band_rows,) + cells.shape[1:], dtype=cells.dtype) for _ in windows[:4]]
     k = np.empty((height,) + cells.shape[1:], dtype=cells.dtype)
-    acc = np.empty(cells.shape, dtype=cells.dtype)
 
     def band(j):
         a, b = bands[j]
@@ -761,7 +790,8 @@ def step_rk4(model: CQModel, state: HybridState, dt: float) -> HybridState:
     and the stepped state's cells are exactly Hermitian.
     """
     rate_fn, height = _stepper(model, state, dt)
-    x = _rk4(rate_fn, _real_coordinates(state.cells), dt, height)
+    x = _real_coordinates(state.cells)
+    x = _rk4(rate_fn, x, dt, height, np.empty(x.shape))
     return HybridState(state.grid, _hermitian_cells(x))
 
 
@@ -799,10 +829,14 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
 
     ``initial`` is a one-item list holding the initial state, which the
     loop takes out and converts to the real coordinates of its cells'
-    Hermitian parts (`_real_coordinates`), the cells that the steps carry:
-    when the caller kept no reference either, the initial cells are freed
-    before the first step.  Each recorded state, and the final one, is the
-    Hermitian cells of the coordinates at its time.  The run's kernel
+    Hermitian parts (`_real_coordinates`), the cells that the steps carry.
+    The t = 0 record reads those coordinates; when the caller kept no
+    reference either, the initial cells are freed before the first step.
+    The run then holds two coordinate arrays, allocated once: each step
+    reads one and writes the other (`_rk4`), and each record reads the
+    step's output a slab at a time (`EvolutionDiagnostics.record`).  The
+    final state's Hermitian cells are formed only after the spare array is
+    freed, and an abort forms them only for its message.  The run's kernel
     (`_stepper`) goes with the loop's frame when it returns or raises, so
     its operators do not stay resident beside the final state (nor in the
     forked workers that dump it).
@@ -812,23 +846,24 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
     state = initial.pop()
     grid = state.grid
     rate_fn, height = _stepper(model, state, dt)
+    x = _real_coordinates(state.cells)
     diags = EvolutionDiagnostics.empty()
-    diags.record(0.0, state)
-    initial_trace = diags.trace[0]
+    diags.record(0.0, grid, x)
     if n_steps == 0:
         return state, diags
-    cells = _real_coordinates(state.cells)
     del state
+    initial_trace = diags.trace[0]
+    spare = np.empty(x.shape)
     for step in range(1, n_steps + 1):
-        cells = _rk4(rate_fn, cells, dt, height)
+        x, spare = _rk4(rate_fn, x, dt, height, spare), x
         if step % stride and step != n_steps:
             continue
-        state = HybridState(grid, _hermitian_cells(cells))
-        diags.record(step * dt, state)
+        diags.record(step * dt, grid, x)
         if not np.isfinite(diags.trace[-1]):
             raise EvolutionError("non-finite total trace encountered", diags)
         drift = abs(diags.trace[-1] - initial_trace)
         if drift > trace_abort:
+            state = HybridState(grid, _hermitian_cells(x))
             raise EvolutionError(
                 f"trace drift {drift:.3e} exceeds {trace_abort:.1e} "
                 f"at t={step * dt:g}, with probability {edge_mass(state):.3e} "
@@ -836,16 +871,14 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
                 diags,
             )
         if diags.min_eig[-1] < -POSITIVITY_ABORT:
+            state = HybridState(grid, _hermitian_cells(x))
             raise EvolutionError(
                 f"negativity {diags.min_eig[-1]:.3e} beyond {POSITIVITY_ABORT:.1e} "
                 f"at t={step * dt:g}, {_most_negative_cell(state)}",
                 diags,
             )
-        if step == n_steps:
-            return state, diags
-        # the recorded cells go before the next step, which would otherwise
-        # hold them beside its own grid arrays
-        del state
+    del spare, rate_fn
+    return HybridState(grid, _hermitian_cells(x)), diags
 
 
 def evolve(
@@ -863,9 +896,12 @@ def evolve(
     integer >= 0 (0 returns the initial state) and ``stride`` one >= 1;
     anything else raises ValueError, as does a ``trace_abort`` outside
     (0, LEAK_LIMIT], the cap on boundary leakage.  The steps carry the
-    real coordinates of the cells' Hermitian parts, and ``state`` is not
-    referenced after they are formed; every state recorded after a step,
-    and so the final state of a run of n_steps >= 1, is exactly Hermitian.
+    real coordinates of the cells' Hermitian parts, and the diagnostics
+    are those of the Hermitian parts, t = 0's included; ``state`` is not
+    referenced after its coordinates are formed and recorded.  A run holds
+    two coordinate arrays for its whole length, which its records read a
+    slab at a time; the final state's cells, exactly Hermitian for
+    n_steps >= 1, are formed after the spare array is freed.
     """
     if not 0.0 < trace_abort <= LEAK_LIMIT:
         raise ValueError(

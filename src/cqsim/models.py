@@ -119,6 +119,17 @@ def classical_force(model: CQModel, q):
     return model.dpotential(np.asarray(q, dtype=float))
 
 
+def require_finite_hamiltonian(h, name):
+    """Refuse a Hamiltonian ``h`` with an entry that is not finite, naming ``name`` and the entry.
+
+    None (no Hamiltonian) passes.  `require_hermitian` lets such an entry
+    through, since a NaN defect exceeds no tolerance.
+    """
+    if h is not None and not np.isfinite(h).all():
+        i, j = np.argwhere(~np.isfinite(h))[0]
+        raise ModelValidationError(f"{name}[{i}, {j}] is not finite, got {h[i, j]}")
+
+
 def _matrix_field(qs, d, name, fn, var="q"):
     """``fn`` at ``qs`` as (n, d, d), finite and Hermitian; a refusal names ``name`` and the point."""
     out, want = np.asarray(fn(qs), dtype=complex), np.shape(qs) + (d, d)
@@ -137,15 +148,16 @@ def _matrix_field(qs, d, name, fn, var="q"):
 def validate_model(model: CQModel, qs) -> None:
     """Audit a model at every given q; raise ModelValidationError on failure.
 
-    Checks that dV_I is finite and Hermitian, that V', D2 and D0 are
-    finite and that D2 and D0 are nonnegative, naming the coefficient and
-    the first failing q, and -- when the interaction is switched on --
-    that the coupling triple (D2(q), 1/2, D0(q)) passes one
-    `schur_cp_check` of all the points stacked; the refusal names the
-    first violating q.  A model with dV_I identically zero has no
+    Checks that H_q is finite, that dV_I is finite and Hermitian, that
+    V', D2 and D0 are finite and that D2 and D0 are nonnegative, naming
+    the coefficient and the first failing entry or q, and -- when the
+    interaction is switched on -- that the coupling triple
+    (D2(q), 1/2, D0(q)) passes one `schur_cp_check` of all the points
+    stacked; the refusal names the first violating q.  A model with dV_I identically zero has no
     back-reaction and no Lindblad sector, so only D2 >= 0 is demanded
     there.
     """
+    require_finite_hamiltonian(model.h_q, "h_q")
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
     dv = _matrix_field(qs, model.hilbert_dim, "dv_i", model.dv_i)
     values = {}
@@ -317,6 +329,8 @@ class MeasurementModel:
         return 1.0 / (8.0 * np.asarray(self.k(z), dtype=float))
 
     def validate(self, zs) -> None:
+        """Audit ``h`` (finite), and Z (finite, Hermitian) and k (finite, > 0) at each of ``zs``."""
+        require_finite_hamiltonian(self.h, "h")
         zs = np.atleast_1d(np.asarray(zs, dtype=float))
         _matrix_field(zs, self.hilbert_dim, "z_op", self.z_op, var="z")
         k = np.broadcast_to(np.asarray(self.k(zs), dtype=float), zs.shape)

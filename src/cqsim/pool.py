@@ -1,10 +1,13 @@
 """Ordered map over independent jobs, in forked worker processes.
 
-cqsim's one process pool: the unravel ensemble's chunks, the blocks of a
+cqsim's one process pool: the unravel ensemble's chunks, the jobs of a
 state dump being written and the two dumps `cqsim compare` reads all go
 through `_map_chunks`.  Each job's result depends only on its arguments,
 and results come back in job order, so an output never depends on the
-number of workers.
+number of workers.  Every job is submitted at once; a result that comes
+back before its turn waits in this process, so what waits is bounded by
+the size of a job's result, which the caller chooses (a dump's jobs are
+small for that reason), not by the number of jobs.
 """
 
 from __future__ import annotations

@@ -14,11 +14,12 @@ total trace, which diagnostics monitor during evolution.
 States are immutable snapshots: evolution produces new instances and cells
 may be read concurrently.
 
-A state dump is text, formatted a block of `BLOCK_FLOATS` floats at a
-time.  The blocks of a dump larger than one block are formatted in forked
-workers (`pool._map_chunks`) and written in order, so a dump's bytes do not
-depend on the number of workers; a smaller dump is written straight to its
-file and starts no pool.
+A state dump is text.  A dump of at most `BLOCK_FLOATS` floats is written
+straight to its file and starts no pool; a larger one is formatted in
+forked workers (`pool._map_chunks`), in jobs of `JOB_FLOATS` floats, and
+written in order, so a dump's bytes depend on neither the number of
+workers nor the job size.  The main process then holds the text of a few
+jobs at a time, never that of the whole dump.
 """
 
 from __future__ import annotations
@@ -104,13 +105,17 @@ def hermiticity_defect(state: HybridState) -> float:
 
 def total_trace(state: HybridState) -> float:
     """Volume-weighted total trace; 1 for a normalized state."""
-    tr = np.einsum("...ii->...", state.cells)
-    return float(tr.real.sum() * state.cell_volume)
+    return float(cell_traces(state.cells).real.sum() * state.cell_volume)
 
 
 def classical_marginal(state: HybridState) -> np.ndarray:
     """Probability density p(z) = Tr varrho(z) over the grid."""
-    return np.einsum("...ii->...", state.cells).real
+    return cell_traces(state.cells).real
+
+
+def cell_traces(cells) -> np.ndarray:
+    """The complex trace of each of the cells (..., d, d)."""
+    return np.einsum("...ii->...", cells)
 
 
 def edge_mass(state: HybridState) -> float:
@@ -123,14 +128,23 @@ def edge_mass(state: HybridState) -> float:
 
 def quantum_marginal(state: HybridState) -> np.ndarray:
     """The d x d density matrix obtained by integrating out the grid."""
-    axes = tuple(range(state.grid.ndim))
-    rho = state.cells.sum(axis=axes) * state.cell_volume
+    return _marginal(state.cells.sum(axis=tuple(range(state.grid.ndim))), state.cell_volume)
+
+
+def _marginal(cell_sum, cell_volume):
+    """The quantum marginal of cells whose sum over the grid is ``cell_sum``."""
+    rho = cell_sum * cell_volume
     return 0.5 * (rho + rho.conj().T)
 
 
 def purity_of_marginal(state: HybridState) -> float:
     """Tr(rho^2) of the trace-normalized quantum marginal, in [0, 1]."""
-    rho = quantum_marginal(state)
+    return marginal_purity(state.cells.sum(axis=tuple(range(state.grid.ndim))), state.cell_volume)
+
+
+def marginal_purity(cell_sum, cell_volume) -> float:
+    """`purity_of_marginal` of cells whose sum over the grid is ``cell_sum``."""
+    rho = _marginal(cell_sum, cell_volume)
     tr = np.trace(rho).real
     if tr == 0.0:
         return 0.0
@@ -144,25 +158,30 @@ def coherence(state: HybridState, i: int, j: int) -> np.ndarray:
 
 
 def cell_min_eigenvalues(state: HybridState) -> np.ndarray:
-    """Each cell's smallest eigenvalue (of its Hermitian part), shaped like the grid.
+    """Each cell's smallest eigenvalue (of its Hermitian part), shaped like the grid."""
+    low = np.empty(state.grid.shape)
+    min_cell_eigenvalue(state, out=low)
+    return low
 
-    The Hermitian parts are formed and diagonalized one slab of first-axis
-    rows at a time, so no grid-sized temporary exists; each cell's numbers
-    are those of the whole-grid expression.
+
+def min_cell_eigenvalue(state, out=None) -> float:
+    """Smallest eigenvalue over all cell matrices (positivity monitor).
+
+    ``state`` is a HybridState or an array of cells (..., d, d), such as
+    one slab of an evolution's record.  The Hermitian parts are formed and
+    diagonalized one slab of first-axis rows at a time, so no grid-sized
+    temporary exists; each cell's numbers are those of the whole-grid
+    expression.  ``out``, of the cells' leading shape, receives each cell's
+    smallest eigenvalue.
     """
-    cells = state.cells
-    low = np.empty(cells.shape[:-2])
+    cells = state.cells if isinstance(state, HybridState) else state
+    low = np.empty(cells.shape[:-2]) if out is None else out
     step = slab_rows(len(cells), cells[0].nbytes)
     for lo in range(0, len(cells), step):
         c = cells[lo : lo + step]
         herm = 0.5 * (c + np.conj(np.swapaxes(c, -1, -2)))
         low[lo : lo + step] = np.linalg.eigvalsh(herm)[..., 0]
-    return low
-
-
-def min_cell_eigenvalue(state: HybridState) -> float:
-    """Smallest eigenvalue over all cell matrices (positivity monitor)."""
-    return float(cell_min_eigenvalues(state).min())
+    return float(low.min())
 
 
 def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> HybridState:
@@ -208,9 +227,12 @@ def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> Hybr
 # and, for provenance, an optional resolved-scenario JSON blob.
 
 FLOAT_FMT = "%.17g"
-# Floats per block of state text IO.  Work of one block or less starts no
-# pool: 121^2 cells at d = 2 are 146410 floats.
+# State text IO of at most this many floats runs in this process and starts
+# no pool: 121^2 cells at d = 2 are 146410 floats.
 BLOCK_FLOATS = 1 << 19
+# Floats per job of a pooled dump: the text that waits in the main process
+# to be written comes a job, about a megabyte, at a time.
+JOB_FLOATS = 1 << 16
 # Floats formatted into one string of table text.  While formatted they take
 # about 70 bytes each (Python floats and text), so a dump written in-process
 # holds a fraction of a slab more than a row-at-a-time writer would.
@@ -275,12 +297,15 @@ def save_state(state: HybridState, path, scenario=None):
 
 
 def _write_state(fh, state, scenario):
-    """Write the dump of ``state`` to the stream ``fh``, in blocks of about `BLOCK_FLOATS`.
+    """Write the dump of ``state`` to the stream ``fh``, the bytes of one whole-table `write_table`.
 
-    Each block is the rows of one whole-table `write_table`, so the bytes
-    are the same and no table larger than a block is built.  A dump of one
-    block is written straight to ``fh``; the blocks of a larger one are
-    formatted by `_map_chunks`, in forked workers, and written in order.
+    A dump of at most `BLOCK_FLOATS` floats is written straight to ``fh``.
+    A larger one is cut into jobs of about `JOB_FLOATS` floats, each the
+    rows of one whole-table `write_table`, so the bytes are the same; the
+    jobs are formatted by `_map_chunks`, in forked workers, and written in
+    order.  No table larger than a block is built, and the main process
+    holds the text of the jobs that have come back and wait their turn:
+    a few jobs' text, however large the dump.
     """
     meta = {
         "axes": [
@@ -297,15 +322,16 @@ def _write_state(fh, state, scenario):
     coords = [m.reshape(-1) for m in state.grid.meshes()]
     n = coords[0].size
     entries = state.cells.reshape(n, d * d).view(float)
-    rows = max(1, BLOCK_FLOATS // (len(coords) + entries.shape[1]))
-    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-    if len(blocks) == 1:
+    width = len(coords) + entries.shape[1]
+    if n * width <= BLOCK_FLOATS:
         # no pool, so no copy of the text either
         fh.writelines(_block_lines(header, coords, entries, 0, n))
         return
-    # the header is block 0's text, so nothing is buffered in fh when the
+    rows = max(1, JOB_FLOATS // width)
+    jobs = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    # the header is job 0's text, so nothing is buffered in fh when the
     # pool forks
-    for text in _map_chunks(partial(_block_text, header, coords, entries), blocks):
+    for text in _map_chunks(partial(_block_text, header, coords, entries), jobs):
         fh.write(text)
 
 

@@ -144,7 +144,7 @@ def test_criterion_05_branch_decomposition_oracle():
         cf = step_rk4(model, HybridState(grid, cf), dt).cells
         # the branch rate of the whole grid is one window, as tall as the grid,
         # whose band is the whole grid (first = 0)
-        cb = _rk4(branch_fn, cb, dt, grid.shape[0])
+        cb = _rk4(branch_fn, cb, dt, grid.shape[0], np.empty_like(cb))
     drift = np.abs(cf - cb).max()
     assert drift < 1e-8, f"100-step drift {drift:.2e}"
     report(5, f"branch oracle gap {worst:.2e} single / {drift:.2e} after 100 RK4 steps")

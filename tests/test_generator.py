@@ -44,10 +44,12 @@ from cqsim.scenario import parse_scenario_file
 from cqsim.state import (
     HybridState,
     classical_marginal,
+    coherence,
     edge_mass,
     gaussian_product_state,
     hermiticity_defect,
     min_cell_eigenvalue,
+    purity_of_marginal,
     total_trace,
 )
 
@@ -459,6 +461,32 @@ class TestModelAudit:
         )
         with pytest.raises(ModelValidationError, match=r"^z_op\(z=1\.5\) is not finite$"):
             cfl_limit(m, PhaseGrid((GridAxis("z", -2, 2, 9),)))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_non_finite_hamiltonian_is_refused_by_name(self, entry):
+        # a NaN entry passes require_hermitian (a NaN defect exceeds no
+        # tolerance), and NaN > 0 would drop the step limits' hamiltonian
+        # term: a run would go on until its trace was NaN.  Every audit
+        # names it, before any arithmetic warns
+        h = np.zeros((2, 2))
+        h[entry] = h[entry[::-1]] = np.nan
+        message = rf"^{{}}\[{entry[0]}, {entry[1]}\] is not finite, got "
+        model = dataclasses.replace(qubit_decoherence_model(lam=0.6, d0=1.0), h_q=h)
+        grid = PhaseGrid((GridAxis("q", -2, 2, 9), GridAxis("p", -2, 2, 9)))
+        state = gaussian_product_state(grid, (0, 0), (0.7, 0.7), rho_q=np.diag([0.5, 0.5]))
+        m = constant_measurement_model(SIGMA_Z, 1.0, h=h)
+        signal = PhaseGrid((GridAxis("z", -1, 1, 5),))
+        signal_state = gaussian_product_state(signal, (0.0,), (0.5,), rho_q=np.diag([0.5, 0.5]))
+        for name, refused in (
+            ("h_q", lambda: validate_model(model, grid.axes[0].points)),
+            ("h_q", lambda: cfl_limit(model, grid)),
+            ("h_q", lambda: evolve(model, state, 1e-3, 1)),
+            ("h", lambda: m.validate(signal.axes[0].points)),
+            ("h", lambda: cfl_limit(m, signal)),
+            ("h", lambda: evolve_measurement(m, signal_state, 1e-3, 1)),
+        ):
+            with pytest.raises(ModelValidationError, match=message.format(name)):
+                refused()
 
     @pytest.mark.parametrize("value", [-1.0, 0.0])
     def test_step_limits_refuse_a_strength_that_is_not_positive(self, value):
@@ -1138,6 +1166,21 @@ def allocating_measurement_rate(m, state):
     return rate.reshape(state.cells.shape)
 
 
+def whole_grid_record(t, state):
+    """A diagnostics row computed from ``state``'s whole grid of cells: the record's reference."""
+    grid, vol = state.grid, state.cell_volume
+    dens = classical_marginal(state)
+    dens_p = dens.sum(axis=0) * grid.axes[0].spacing if grid.ndim == 2 else dens
+    w, pts = dens_p * grid.axes[-1].spacing, grid.axes[-1].points
+    total = w.sum()
+    mean_p = (w * pts).sum() / total if total > 0 else np.nan
+    var_p = (w * (pts - mean_p) ** 2).sum() / total if total > 0 else np.nan
+    coh = coherence(state, 0, 1).sum() * vol if state.hilbert_dim >= 2 else 0.0
+    row = (t, total_trace(state), min_cell_eigenvalue(state), purity_of_marginal(state),
+           mean_p, var_p, coh)
+    return np.array([row], dtype=float)
+
+
 def band_rate(model, grid):
     """The kernel's rate function of real coordinates x: all rows of x in one `_Band`."""
     if isinstance(model, models.MeasurementModel):
@@ -1437,9 +1480,10 @@ class TestInPlaceKernel:
         assert final.cells.tobytes() == _hermitian_cells(want).tobytes()
 
     def test_step_holds_one_grid_array(self, monkeypatch):
-        # one grid width, two heights: beyond its one new grid array and the
-        # compact per-q inputs of the operators, a step of real coordinates
-        # holds a fixed number of slabs and the operators of four windows
+        # one grid width, two heights: beyond its one grid array, the
+        # caller's accumulator, and the compact per-q inputs of the
+        # operators, a step of real coordinates holds a fixed number of
+        # slabs and the operators of four windows
         rng = np.random.default_rng(23)
         model = random_cq_model(rng, 8)
         row_bytes = 41 * 64 * 8
@@ -1472,26 +1516,114 @@ class TestInPlaceKernel:
                 rate_fn, height = generator._stepper(model, HybridState(grid, np.zeros(
                     grid.shape + (8, 8), dtype=complex)), dt)
                 inputs = tracemalloc.get_traced_memory()[0] - base
+                acc = np.empty(x.shape)
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                stepped = generator._rk4(rate_fn, x, dt, height)
+                stepped = generator._rk4(rate_fn, x, dt, height, acc)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
             # 2 d^2 complex numbers a q row at most, where the operators take 2 d^4
             assert inputs < nq * 2 * 64 * 16, inputs
-            assert stepped.nbytes == grid_bytes
+            assert stepped is acc and acc.nbytes == grid_bytes
             assert len(kernels[-1].windows) == 4
-            held.append(peak - grid_bytes)
-        # the accumulator, then the operators of the four windows in flight
-        # and one window's build temporaries (complex: twice the window's
-        # bytes, three times), four bands, the rate window, the kernel's
-        # scratch, k1's band of the input cells and a few rows of kernel
-        # temporaries
+            held.append(peak)
+        # the step allocates no grid array: the operators of the four
+        # windows in flight and one window's build temporaries (complex:
+        # twice the window's bytes, three times), four bands, the rate
+        # window, the kernel's scratch, k1's band of the input cells and a
+        # few rows of kernel temporaries
         bound = 4 * window_bytes + 3 * 2 * window_bytes
         bound += 5 * band_bytes + 2 * slab_bytes + 8 * row_bytes
         assert max(held) < bound, held
         assert abs(held[1] - held[0]) < row_bytes, held
+
+    def test_evolve_holds_two_coordinate_arrays(self, monkeypatch):
+        # a stride-1 run on 67 windows of three q rows: the steps alternate
+        # between two coordinate arrays and each record reads one a slab at
+        # a time, so no complex grid array exists before the final state's
+        rng = np.random.default_rng(29)
+        model = random_cq_model(rng, 8)
+        nq, row_bytes = 200, 41 * 64 * 8  # a q row of real coordinates
+        slab_bytes = 3 * row_bytes
+        band_bytes = slab_bytes + 2 * row_bytes
+        window_bytes = 3 * 2 * 64 * 64 * 8
+        monkeypatch.setattr(grids, "SLAB_BYTES", slab_bytes)
+        grid = PhaseGrid((GridAxis("q", -3.0, 2.5, nq), GridAxis("p", -2.0, 3.0, 41)))
+        state = gaussian_product_state(grid, (-0.25, 0.5), (0.5, 0.5), rho_q=np.eye(8) / 8)
+        grid_bytes = state.cells.nbytes // 2
+        dt = 0.4 * cfl_limit(model, grid)
+        before = []
+        to_cells = generator._hermitian_cells
+
+        def spy(x):
+            if len(x) == nq:  # the final state's, not a record's slab
+                before.append(tracemalloc.get_traced_memory()[1] - base)
+            return to_cells(x)
+
+        monkeypatch.setattr(generator, "_hermitian_cells", spy)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            # the random model leaks 1.5e-6 of the trace in two steps of this coarse grid
+            final, diags = evolve(model, state, dt, 2, stride=1, trace_abort=1e-4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(diags.t) == 3 and len(before) == 1
+        # test_step_holds_one_grid_array's step slack; a record's grid-shaped
+        # traces, |varrho_01| and eigenvalues (32 bytes a cell) and a few
+        # slabs of complex cells; the kernel's per-q inputs
+        slack = 4 * window_bytes + 3 * 2 * window_bytes
+        slack += 5 * band_bytes + 2 * slab_bytes + 8 * row_bytes
+        slack += 32 * nq * 41 + 8 * 2 * row_bytes + nq * 2 * 64 * 16
+        assert before[0] < 2 * grid_bytes + slack, (before, grid_bytes)
+        # the spare array and the kernel's windows go before the final
+        # cells are formed (10.4 and 12.7 MB were measured, for 4.2 MB
+        # coordinate arrays)
+        final_bytes = grid_bytes + final.cells.nbytes + 32 * nq * 41 + 8 * row_bytes
+        assert peak < max(before[0], final_bytes), (peak, grid_bytes)
+
+    @pytest.mark.parametrize("rows", [1, 3, 41])
+    def test_rk4_writes_into_the_callers_buffer(self, rows, monkeypatch):
+        model, state = kernel_case(8, 8, 41, False)
+        x = _real_coordinates(state.cells)
+        dt = 0.4 * cfl_limit(model, state.grid)
+        want = allocating_rk4(band_rate(model, state.grid), x, dt)
+        monkeypatch.setattr(grids, "SLAB_BYTES", rows * x[0].nbytes)
+        rate_fn, height = generator._stepper(model, state, dt)
+        acc = np.full(x.shape, np.nan)
+        assert generator._rk4(rate_fn, x, dt, height, acc) is acc
+        assert acc.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("axes", [1, 2])
+    def test_record_has_the_bits_of_the_whole_grid_expressions(self, axes, d, monkeypatch):
+        rng = np.random.default_rng(10 * axes + d)
+        grid = PhaseGrid((GridAxis("q", -3.0, 2.5, 23), GridAxis("p", -2.0, 3.0, 26))[:axes])
+        # exactly Hermitian cells of positive trace and widely spread
+        # magnitudes, as a run records
+        x = rng.normal(size=grid.shape + (d, d)) + 3.0 * np.eye(d)
+        x *= np.exp(rng.normal(size=grid.shape + (1, 1)))
+        state = HybridState(grid, _hermitian_cells(x))
+        slabs = []
+        to_cells = generator._hermitian_cells
+
+        def spy(y):
+            slabs.append(len(y))
+            return to_cells(y)
+
+        monkeypatch.setattr(generator, "_hermitian_cells", spy)
+        for rows in (1, 2, 5, 23):
+            # a record's slab is a quarter of SLAB_BYTES of complex cells
+            monkeypatch.setattr(grids, "SLAB_BYTES", 4 * rows * state.cells[0].nbytes)
+            diags = generator.EvolutionDiagnostics.empty()
+            slabs.clear()
+            diags.record(0.25, grid, x)
+            # the slabs of complex cells, then the one cell of the marginal
+            assert slabs == [min(rows, 23 - lo) for lo in range(0, 23, rows)] + [1]
+            assert diags.table().tobytes() == whole_grid_record(0.25, state).tobytes()
+        assert np.isfinite(diags.table()).all()
 
     def test_operator_build_has_no_operator_sized_temporary(self):
         # the measurement kernel builds its whole signal grid's operators at
@@ -1693,30 +1825,56 @@ class TestInPlaceKernel:
         assert out.tobytes() == first.tobytes()
 
     def test_recorded_cells_are_freed_after_the_next_step(self, monkeypatch, small_grid):
+        # a record makes the Hermitian cells of one slab at a time, and none
+        # outlives it; the steps alternate between the run's two coordinate
+        # arrays, and each record reads the step's output
         model = qubit_decoherence_model(lam=0.6, d0=1.0)
-        recorded = []
+        made, inside = [], []
+        to_cells = generator._hermitian_cells
+
+        def spy_cells(x):
+            cells = to_cells(x)
+            if inside:
+                made.append(weakref.ref(cells))
+            return cells
+
+        read = []
         record = generator.EvolutionDiagnostics.record
 
-        def spy_record(self, t, state):
-            recorded.append(weakref.ref(state.cells))
-            return record(self, t, state)
+        def spy_record(self, t, grid, x):
+            inside.append(True)
+            try:
+                return record(self, t, grid, x)
+            finally:
+                inside.pop()
+                read.append(x)
+                stale.append(sum(ref() is not None for ref in made))
 
-        stale = []
+        stale, steps = [], []
         rk4 = generator._rk4
 
-        def spy_step(rate_fn, cells, dt, height):
-            # a step reads its input cells; every cells recorded before them are garbage
-            stale.append(sum(ref() is not None and ref() is not cells for ref in recorded))
-            return rk4(rate_fn, cells, dt, height)
+        def spy_step(rate_fn, cells, dt, height, acc):
+            steps.append((cells, acc))
+            return rk4(rate_fn, cells, dt, height, acc)
 
+        monkeypatch.setattr(generator, "_hermitian_cells", spy_cells)
         monkeypatch.setattr(generator.EvolutionDiagnostics, "record", spy_record)
         monkeypatch.setattr(generator, "_rk4", spy_step)
+        # record slabs of 3 rows of complex cells, a quarter of SLAB_BYTES
+        monkeypatch.setattr(grids, "SLAB_BYTES", 4 * 3 * 41 * 4 * 16)
         dt = 0.4 * cfl_limit(model, small_grid)
         rho_q = np.array([[0.6, 0.3], [0.3, 0.4]])
         evolve(model, gaussian_product_state(small_grid, (0, 0), (0.45, 0.45), rho_q=rho_q),
                dt, 7, stride=3)
-        assert len(recorded) == 4 and len(stale) == 7
-        assert stale == [0] * 7
+        assert len(read) == 4 and len(steps) == 7
+        assert stale == [0] * 4 and len(made) == 4 * 14 + 4  # 14 slabs and the marginal
+        first, second = steps[0]
+        assert read[0] is first
+        for n, (cells, acc) in enumerate(steps):
+            want = (first, second) if n % 2 == 0 else (second, first)
+            assert cells is want[0] and acc is want[1]
+        # the records at steps 3, 6 and 7
+        assert all(x is steps[n][1] for x, n in zip(read[1:], (2, 5, 6)))
 
     def test_evolve_lets_go_of_its_operators(self, small_grid, monkeypatch):
         # they would stay resident beside the final state, and in the

@@ -297,9 +297,18 @@ def test_serialization_single_axis_grid(tmp_path):
     assert total_trace(loaded) == pytest.approx(1.0)
 
 
-# (grid points per axis, hilbert_dim, BLOCK_FLOATS or None for the default, blocks)
-BLOCK_CASES = {"7-rows": (9, 2, 70, 12), "one-block": (9, 2, 810, 1), "default": (70, 8, None, 2)}
+# (grid points per axis, hilbert_dim, BLOCK_FLOATS and JOB_FLOATS or None for
+# the defaults, jobs; 0 when the dump is written in this process)
+BLOCK_CASES = {"7-rows": (9, 2, 70, 70, 12), "one-block": (9, 2, 810, None, 0),
+               "default": (70, 8, None, None, 10)}
 WRITERS = [(case, where) for where in ("this-process", "one-cpu", "daemon") for case in BLOCK_CASES]
+
+
+def random_state(n, d, seed=5):
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, n), GridAxis("p", -2.0, 2.0, n)))
+    rng = np.random.default_rng(seed)
+    shape = grid.shape + (d, d)
+    return HybridState(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
 @pytest.mark.parametrize(
@@ -307,17 +316,21 @@ WRITERS = [(case, where) for where in ("this-process", "one-cpu", "daemon") for 
     ids=[case if where == "this-process" else f"{case}-{where}" for case, where in WRITERS],
 )
 def test_state_written_in_blocks_is_the_whole_table(tmp_path, monkeypatch, case, where):
-    n, d, block, blocks = BLOCK_CASES[case]
-    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, n), GridAxis("p", -2.0, 2.0, n)))
-    rng = np.random.default_rng(5)
-    shape = grid.shape + (d, d)
-    cells = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    state = HybridState(grid, cells)
+    n, d, block, job, jobs = BLOCK_CASES[case]
+    state = random_state(n, d)
+    grid, cells = state.grid, state.cells
     if block:
         monkeypatch.setattr(state_module, "BLOCK_FLOATS", block)
-    rows = state_module.BLOCK_FLOATS // (2 + 2 * d * d)
-    # several blocks end in a shorter one
-    assert -(-n * n // rows) == blocks and (blocks == 1 or n * n % rows)
+    if job:
+        monkeypatch.setattr(state_module, "JOB_FLOATS", job)
+    width = 2 + 2 * d * d
+    rows = state_module.JOB_FLOATS // width
+    # a dump of one block is written in this process; several jobs end in a shorter one
+    if jobs:
+        assert n * n * width > state_module.BLOCK_FLOATS
+        assert -(-n * n // rows) == jobs and n * n % rows
+    else:
+        assert n * n * width <= state_module.BLOCK_FLOATS
     pids = record_pids(monkeypatch, state_module, "_block_text", tmp_path / "pids")
     scenario = {"run": "evolve"}
     path = tmp_path / "state.txt"
@@ -339,15 +352,52 @@ def test_state_written_in_blocks_is_the_whole_table(tmp_path, monkeypatch, case,
         fmt="%.17g", delimiter=",", header="\n".join(text.splitlines()[:3]), comments="",
     )
     assert path.read_bytes() == whole.getvalue().encode()
-    # a one-block dump is written straight to its file; the blocks of a larger
+    # a one-block dump is written straight to its file; the jobs of a larger
     # one are formatted in forked workers, or in the writer when it has one
     # CPU or is daemonic
-    if blocks == 1:
+    if not jobs:
         assert pids() == []
     elif where == "this-process" and len(os.sched_getaffinity(0)) > 1:
-        assert len(pids()) == blocks and writer not in pids()
+        assert len(pids()) == jobs and writer not in pids()
     else:
-        assert pids() == [writer] * blocks
+        assert pids() == [writer] * jobs
+
+
+def test_pooled_dump_holds_a_few_jobs_text(tmp_path):
+    # 70^2 cells at d = 8 are 637000 floats, more than a block: pooled jobs
+    state = random_state(70, 8)
+    path = tmp_path / "state.txt"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_state(state, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    jobs = -(-70 * 70 // (state_module.JOB_FLOATS // 130))
+    job_text = path.stat().st_size / jobs  # 1.3 MB
+    # the jobs that came back and wait to be written, each as text and in
+    # its pickle, and one being encoded to the file: 5.4-7.1 MB were
+    # measured, where blocks of BLOCK_FLOATS floats took 24.5-26.1 MB
+    assert jobs == 10 and peak < 8 * job_text, (peak, job_text)
+
+
+@pytest.mark.parametrize("job", [130, 911, 2000])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pooled_dump_bytes_do_not_depend_on_jobs_or_workers(tmp_path, monkeypatch, job, workers):
+    state = random_state(13, 3, seed=job)
+    path, want = tmp_path / "pooled.txt", tmp_path / "in_process.txt"
+    save_state(state, want)  # 169 rows of 20 floats: one block
+    monkeypatch.setattr(state_module, "BLOCK_FLOATS", 0)
+    monkeypatch.setattr(state_module, "JOB_FLOATS", job)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    pids = record_pids(monkeypatch, state_module, "_block_text", tmp_path / "pids")
+    save_state(state, path)
+    assert path.read_bytes() == want.read_bytes()
+    jobs = -(-169 // max(1, job // 20))
+    # a worker may take several jobs before another starts
+    assert len(pids()) == jobs and len(set(pids())) <= min(workers, jobs)
+    assert jobs > 1 and (set(pids()) == {os.getpid()}) == (workers == 1)
 
 
 def test_load_state_holds_one_table(tmp_path):
