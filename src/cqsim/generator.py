@@ -10,10 +10,10 @@
 cellwise with 2nd-order central differences (one-sided at the grid
 edges), where {H_c, varrho} = V'(q) d varrho/dp - (p/m) d varrho/dq.  It
 is the general completely positive CQ master equation with Hamiltonian
-H_q, one Lindblad operator L and back-reaction coupling D1 = 1/2: it reads
-V', H_q, L, D2 and D0, never V(q) or V_I(q).  The n = 2 diffusion term
-carries the 1/n! normalization, so a classical increment has variance
-D2 * dt.
+H_q, L(q) = sum_a c_a(q) M_a of fixed channels (`models.CQModel`) and
+back-reaction coupling D1 = 1/2: it reads V', H_q, the channels, D2 and
+D0, never V(q) or V_I(q).  The n = 2 diffusion term carries the 1/n!
+normalization, so a classical increment has variance D2 * dt.
 
 Both grid equations evolve each cell's Hermitian part, in real
 coordinates.  The equation is linear and maps Hermitian cells to Hermitian
@@ -35,17 +35,18 @@ coordinates viewed as fvec of shape (nq, np, d^2) (row-major in each cell),
 where L' = T L T^-1 and B' = T B T^-1 are real d^2 x d^2 matrices: T
 takes the row-major vec of a Hermitian cell to its coordinates, the
 Liouvillian L(q) holds the commutator and dissipator and
-B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.
-`_cell_operators` builds both, for either equation.
+B(q) = V'(q) I + (1/2)(L kron I + I kron L^T) the back-reaction.  With L
+a sum of channels, each is a combination of fixed real matrices (`_kernel`):
+L'(q) = C' + sum_{a <= b} D0 c_a c_b(q) K'_ab and B'(q) = V' I + sum c_a A'_a.
 
 The equation is local, so both grid kernels take a model and a state and
 return the state's rate, a new array.  Each builds, and audits, a fresh
-kernel (`_Kernel`): the compact per-point inputs of the superoperators and
-the height of a window of q rows, about `grids.SLAB_BYTES` of cells.  It
-builds the superoperators of one window at a time, keeping the last four
-built (the windows of `_rk4`'s wavefront) and one window-sized scratch
-buffer, and a window is evaluated in one pass.  Every element sees the
-whole-grid expression's operations, so the window height changes no bit.
+kernel (`_Kernel`): the fixed matrices, their weights at each point and
+the height of a window of q rows, about `grids.SLAB_BYTES` of cells.  Each
+evaluation of a window builds its operators into the kernel's two
+window-sized buffers, beside one window-sized scratch buffer, and a window
+is evaluated in one pass.  Every element sees the whole-grid expression's
+operations, so the window height changes no bit.
 
 Time stepping is classical RK4 of the real coordinates, `_rk4` for both
 equations.  A run builds its kernel once and hands it each window of the
@@ -84,7 +85,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,7 +96,7 @@ from .models import (
     ModelValidationError,
     classical_force,
     diagonalize_model,
-    require_finite_hamiltonian,
+    profile_values,
     validate_model,
 )
 from .psd import spectral_norm
@@ -233,11 +234,11 @@ def apply_generator(model: CQModel, state: HybridState) -> np.ndarray:
     coordinates (`_real_coordinates`) and returned as Hermitian cells.
     `validate_model` audits the model on the q points as a fresh kernel is
     built (`_cq_kernel`), so a direct call audits its model every time.
-    The rows are evaluated one window of the kernel's height at a time: the
-    kernel builds the window's superoperators or takes them from the last
-    four it built.  ``state`` may also be a `_Band` of real coordinates,
-    through which `_rk4` asks for one window's rate with the run's kernel
-    (`_request`); the rate then goes into the band's ``out``.
+    The rows are evaluated one window of the kernel's height at a time, with
+    the superoperators the kernel builds for it.  ``state`` may also be a
+    `_Band` of real coordinates, through which `_rk4` asks for one window's
+    rate with the run's kernel (`_request`); the rate then goes into the
+    band's ``out``.
     """
     band = _request(_cq_kernel, model, state)
     kernel, first, rows, grid = band.kernel, band.first, band.rows, band.grid
@@ -276,55 +277,58 @@ def _reach(lo, hi, n):
     return max(a, 0), min(b, n)
 
 
-# The RK4 wavefront has a window at each of its four stages.
-WINDOWS_KEPT = 4
-
-
 @dataclass(eq=False)
 class _Kernel:
-    """A run's audited per-point inputs, the last `WINDOWS_KEPT` windows built from them, a slab.
+    """A run's audited operator inputs (`_kernel`), two window-sized operator buffers, a slab.
 
-    ``lop``, ``d0`` and ``force`` are L, D0 and V' at each point of the
-    grid's first axis, about d^2 complex numbers a point, where a point's
-    real superoperators take 2 d^4 floats; ``coeffs`` the equation's other
-    coefficients; ``height`` the q rows of a window (a grid's last window
-    may hold fewer), about `grids.SLAB_BYTES` of real coordinates.  The
-    windows and the slab, the kernel's float scratch buffer, act on real
-    coordinates.
+    ``fixed`` is (C'^T, the K'_ab^T, the A'_a^T) and ``weights`` their
+    weights at each point of the grid's first axis, ``force`` V' there;
+    ``coeffs`` the equation's other coefficients; ``height`` the q rows of
+    a window (a grid's last window may hold fewer), about
+    `grids.SLAB_BYTES` of real coordinates.  `window` builds into ``ops``;
+    the slab is the kernel's float scratch buffer.
     """
 
-    h: np.ndarray
-    hbar: float
-    lop: np.ndarray
-    d0: np.ndarray
+    fixed: tuple
+    weights: tuple
     force: np.ndarray
     coeffs: tuple
     height: int
-    windows: dict = field(default_factory=dict)
+    ops: tuple
     slab: np.ndarray | None = None
 
     def window(self, lo, hi):
-        """The `_cell_operators` of rows [lo, hi), built, or kept from an earlier call.
+        """(L'^T, B'^T) of rows [lo, hi), built into ``ops`` (valid until the next call).
 
-        The oldest window kept gives way to a new one.  `_rk4`'s wavefront
-        evaluates window j at sweep steps j to j + 3, so each window is
-        built once per step, and a one-window grid once per run.
+        The weighted terms (`_weighted_sum`), then C'^T, or V' on the
+        diagonal: every element sees the same operations whatever the rows.
         """
-        built = self.windows.get((lo, hi))
-        if built is None:
-            if len(self.windows) == WINDOWS_KEPT:
-                del self.windows[next(iter(self.windows))]
-            x = slice(lo, hi)
-            built = self.windows[lo, hi] = _cell_operators(
-                self.h, self.hbar, self.lop[x], self.d0[x], self.force[x]
-            )
-        return built
+        x = slice(lo, hi)
+        (base, pairs, drifts), (w, c) = self.fixed, self.weights
+        liou, back = (op[: hi - lo] for op in self.ops)
+        _weighted_sum(liou, w[x], pairs)
+        liou += base
+        _weighted_sum(back, c[x], drifts)
+        diagonal = back.reshape(hi - lo, -1)[:, :: base.shape[0] + 1]
+        diagonal += self.force[x, None]
+        return liou, back
 
     def scratch(self, shape):
         """An uninitialized float array of ``shape``, kept for the next call."""
         if self.slab is None or self.slab.shape != shape:
             self.slab = np.empty(shape)
         return self.slab
+
+
+def _weighted_sum(out, weights, mats):
+    """``out`` = sum_p weights[:, p] mats[p], term by term (0 for none), the first in place."""
+    if not len(mats):
+        out.fill(0.0)
+    for p, m in enumerate(mats):
+        if p == 0:
+            np.multiply(weights[:, 0, None, None], m, out=out)
+        else:
+            out += weights[:, p, None, None] * m
 
 
 def _request(build, model, state):
@@ -405,65 +409,61 @@ def _hermitian_cells(x):
 def _cq_kernel(model: CQModel, grid: PhaseGrid) -> _Kernel:
     """`apply_generator`'s kernel of ``model`` on ``grid``, after auditing the model.
 
-    L = dV_I/dq, D0(q) and V'(q); p/m and D2(q)/2, broadcastable against
-    (nq, np, d^2) cells.  A window is a slab of cells (`slab_rows`), and at
-    least two rows: the edge stencils read two rows inward, so every window
-    of `_rk4`'s sweep but the last holds at least two, and a band's outer
-    rows lie in the adjacent windows.
+    `_kernel` of the channels, D0(q) and V'(q); p/m and D2(q)/2,
+    broadcastable against (nq, np, d^2) cells.  A window is a slab of cells
+    (`slab_rows`), and at least two rows: the edge stencils read two rows
+    inward, so every window of `_rk4`'s sweep but the last holds at least
+    two, and a band's outer rows lie in the adjacent windows.
     """
     if grid.ndim != 2:
         raise ValueError("apply_generator needs a (q, p) grid with two axes")
     qs = grid.axes[0].points
     validate_model(model, qs)
-    lop = np.asarray(model.dv_i(qs), dtype=complex)
-    d0 = np.asarray(model.d0(qs), dtype=float)
-    force = np.asarray(classical_force(model, qs), dtype=float)
     p_over_m = (grid.axes[1].points / model.mass)[None, :, None]
     half_d2 = 0.5 * np.asarray(model.d2(qs), dtype=float)[:, None, None]
     nq = len(qs)
     # a q row of cells holds grid.shape[1] d^2 float64 coordinates
-    height = min(nq, max(2, slab_rows(nq, grid.shape[1] * lop[0].size * 8)))
-    return _Kernel(model.h_q, model.hbar, lop, d0, force, (p_over_m, half_d2), height)
+    height = min(nq, max(2, slab_rows(nq, grid.shape[1] * model.hilbert_dim**2 * 8)))
+    force = np.asarray(classical_force(model, qs), dtype=float)
+    return _kernel(model.h_q, model.hbar, model.channels, qs, model.d0(qs), force,
+                   (p_over_m, half_d2), height)
 
 
-def _cell_operators(h, hbar, lop, d0, force):
-    """L(x)'^T and B(x)'^T at each grid point x: the superoperators in real coordinates.
+def _kernel(h, hbar, channels, xs, d0, force, coeffs, height):
+    """The `_Kernel` of Hamiltonian ``h`` and ``channels`` (M_a, c_a) at the points ``xs``.
 
-    For the Hamiltonian ``h`` and per point L = ``lop``, real D0 = ``d0``
-    and V' = ``force``, with vec(A X C) = (A kron C^T) vec(X) on row-major
-    vecs:
+    With vec(A X C) = (A kron C^T) vec(X) on row-major vecs, its fixed
+    matrices are the real forms (`_real_form`) of
 
-      L(x) = -(i/hbar)(H kron I - I kron H^T)
-             + D0(x)(L kron L^T - (1/2)(L^2 kron I + I kron (L^2)^T)),
-      B(x) = V'(x) I + (1/2)(L kron I + I kron L^T).
+      C = -(i/hbar)(H kron I - I kron H^T),
+      K_ab = S_ab + S_ba (K_aa = S_aa),
+          S_ab = M_a kron M_b^T - (1/2)(M_a M_b kron I + I kron (M_a M_b)^T),
+      A_a = (1/2)(M_a kron I + I kron M_a^T),
 
-    Both map Hermitian cells to Hermitian cells, so on the cells' real
-    coordinates they act as the real matrices L' = T L T^-1 and
-    B' = T B T^-1 (`_real_form`).  A chunk of about `SLAB_BYTES` of the
-    complex operators is evaluated at a time, straight into the returned
-    float arrays: no operator-sized temporary exists.
+    so that, with L = sum c_a M_a, D0 = ``d0`` and V' = ``force``, the
+    Liouvillian is C + sum_{a <= b} D0 c_a c_b K_ab and the back-reaction
+    V' I + sum c_a A_a at each point.
     """
-    lop = np.asarray(lop, dtype=complex)
-    n, d = lop.shape[0], lop.shape[-1]
+    d = h.shape[0]
     eye = np.eye(d)
-    l2 = lop @ lop
-    d0, force = (np.asarray(c, dtype=float)[:, None, None] for c in (d0, force))
-    commutator = (-1j / hbar) * (_kron(h, eye) - _kron(eye, h.T))
-    liou_t = np.empty((n, d * d, d * d))
-    back_t = np.empty_like(liou_t)
-    # each complex temporary of a chunk takes about SLAB_BYTES / 2
-    chunk = slab_rows(n, 4 * liou_t[0].nbytes)
-    for lo in range(0, n, chunk):
-        x = slice(lo, lo + chunk)
-        lx, l2x = lop[x], l2[x]
-        liou_t[x] = _t(_real_form(
-            commutator
-            + d0[x] * (_kron(lx, _t(lx)) - 0.5 * (_kron(l2x, eye) + _kron(eye, _t(l2x))))
-        ))
-        back_t[x] = _t(_real_form(
-            force[x] * np.eye(d * d) + 0.5 * (_kron(lx, eye) + _kron(eye, _t(lx)))
-        ))
-    return liou_t, back_t
+    ms = [m for m, _ in channels]
+    c = profile_values(channels, xs)
+    pairs = [(a, b) for b in range(len(ms)) for a in range(b + 1)]
+
+    def cross(a, b):
+        mm = ms[a] @ ms[b]
+        return _kron(ms[a], ms[b].T) - 0.5 * (_kron(mm, eye) + _kron(eye, mm.T))
+
+    def real_t(ops):
+        ops = np.asarray(ops, dtype=complex).reshape(-1, d * d, d * d)
+        return np.ascontiguousarray(_t(_real_form(ops)))
+
+    base = real_t((-1j / hbar) * (_kron(h, eye) - _kron(eye, h.T)))[0]
+    k = real_t([cross(a, a) if a == b else cross(a, b) + cross(b, a) for a, b in pairs])
+    drift = real_t([0.5 * (_kron(m, eye) + _kron(eye, m.T)) for m in ms])
+    pair_weights = np.array([d0 * (c[a] * c[b]) for a, b in pairs]).reshape(len(pairs), len(xs)).T
+    ops = tuple(np.empty((height, d * d, d * d)) for _ in range(2))
+    return _Kernel((base, k, drift), (pair_weights, c.T), force, coeffs, height, ops)
 
 
 def _real_form(m):
@@ -596,8 +596,8 @@ def _measurement_kernel(m: MeasurementModel, grid: PhaseGrid) -> _Kernel:
     zs = grid.axes[0].points
     m.validate(zs)
     h = np.zeros((m.hilbert_dim, m.hilbert_dim)) if m.h is None else m.h
-    lop, d2_of_z = np.asarray(m.z_op(zs), dtype=complex), m.d2(zs)[:, None, None]
-    return _Kernel(h, m.hbar, lop, m.d0(zs), np.zeros(len(zs)), (d2_of_z,), len(zs))
+    d2_of_z = m.d2(zs)[:, None, None]
+    return _kernel(h, m.hbar, m.channels, zs, m.d0(zs), np.zeros(len(zs)), (d2_of_z,), len(zs))
 
 
 # -- time stepping -----------------------------------------------------------
@@ -621,29 +621,29 @@ def cfl_terms(model: CQModel | MeasurementModel, grid: PhaseGrid) -> dict:
     L = dV_I/dq and the force is max|V'| + ||L||.  A `MeasurementModel`'s
     equation is the same along its signal axis z, with L = Z, D0 = 2k,
     D2 = 1/(8k), H = h, the signal drift ||Z|| as force and no transport.
-    A Hamiltonian entry that is not finite, a coefficient that is not
-    finite at a grid point (V', L, D2 or D0), a negative D2 or D0, and a
-    measurement strength k <= 0 (refused before D2 = 1/(8k) is formed) are
-    refused with a ModelValidationError naming the Hamiltonian (``h_q``, or
-    ``h``) and the entry, or the coefficient and the first such point.
+    A channel profile that is not finite at a grid point is refused as
+    `profile_values` does; a coefficient that is not finite there (V', D2
+    or D0), a negative D2 or D0, and a measurement strength k <= 0 (refused
+    before D2 = 1/(8k) is formed) are refused with a ModelValidationError
+    naming the coefficient and the first such point.
     """
     xs = grid.axes[0].points
+    var = "z" if isinstance(model, MeasurementModel) else "q"
+    profile_values(model.channels, xs, var)
     # dp: the spacing of the axis that diffusion and force act along (p, or z)
     if isinstance(model, MeasurementModel):
         dp = grid.axes[0].spacing
-        var, lname, lop, h, force, transport = "z", "z_op", model.z_op(xs), model.h, 0.0, None
-        require_finite_hamiltonian(h, "h")
+        lop, h, force, transport = model.z_op(xs), model.h, 0.0, None
         k = np.broadcast_to(np.asarray(model.k(xs), dtype=float), xs.shape)
         _refuse_first("k", var, xs, k, k <= 0, "must be positive, got {:g}")
     else:
         dq, dp = grid.axes[0].spacing, grid.axes[1].spacing
-        var, lname, lop, h = "q", "dv_i", model.dv_i(xs), model.h_q
-        require_finite_hamiltonian(h, "h_q")
+        lop, h = model.lindblad(xs), model.h_q
         force = classical_force(model, xs)
         pmax = float(np.max(np.abs(grid.axes[1].points)))
         transport = dq * model.mass / pmax if np.isfinite(model.mass) and pmax > 0 else None
     d2, d0 = model.d2(xs), model.d0(xs)
-    for name, values in (("dpotential", force), (lname, lop), ("d2", d2), ("d0", d0)):
+    for name, values in (("dpotential", force), ("d2", d2), ("d0", d0)):
         values = np.atleast_1d(values)
         _refuse_first(name, var, xs, values, ~np.isfinite(values), "is not finite")
     for name, values in (("d2", d2), ("d0", d0)):

@@ -6,28 +6,30 @@ of H_c = p^2/2m + V(q), a quantum Hamiltonian H_q, a Hermitian Lindblad
 operator L(q) = dV_I/dq (back-reaction coupling D1 = 1/2), a
 momentum-diffusion coefficient D2(q) and a Lindbladian coupling D0(q).
 V(q) and V_I(q) enter only through V' and L, so a model carries neither.
-Complete positivity requires 4 D2(q) >= 1/D0(q) wherever the interaction
-is switched on; `validate_model` audits this at every point it is given,
-in one stacked `psd.schur_cp_check`, before evolution is permitted.
+As in the general CQ master equation, L is a sum of fixed channels,
+L(q) = sum_a c_a(q) M_a: a fixed Hermitian matrix M_a, audited (finite,
+Hermitian) and made read-only at construction like H_q, and a real
+profile c_a, whose values are refused by name where read if not finite
+(`profile_values`).  Complete positivity requires 4 D2(q) >= 1/D0(q)
+wherever the interaction is switched on; `validate_model` audits this at
+every point it is given, in one stacked `psd.schur_cp_check`, before
+evolution is permitted.
 
 `diagonalize_model` admits a model to the branch-decomposed evolution and
-the branch-pair path weights by one rule: H_q, and dV_I(q) at every q
-whose branch levels are read, must each be diagonal in one basis fixed by
-the model alone, within DIAGONAL_TOL = 1e-10 relative to the matrix;
-`dv_eigs` audits each q before it returns its levels, so no level leaves
-this module unaudited.  Both audits judge dV_I finite and Hermitian point
-by point (`psd.require_hermitian`).
+the branch-pair path weights by one rule, decided once: H_q and every M_a
+must be diagonal in the eigenbasis of a fixed generic combination of
+them, within DIAGONAL_TOL = 1e-10 relative to the matrix, so they must
+commute.  The levels of L are then sum_a c_a(q) m_a, with m_a those of M_a.
 
 `MeasurementModel` describes the continuous measurement of a Hermitian
-operator Z with strength k, both optionally dependent on the measurement
-signal (closed-loop feedback).  Its induced couplings are
-D1 = 1/2, D0 = 2k, D2 = 1/(8k), which saturate the trade-off.
+operator Z(z) = sum_a c_a(z) M_a with strength k, both optionally
+dependent on the measurement signal (closed-loop feedback).  Its induced
+couplings are D1 = 1/2, D0 = 2k, D2 = 1/(8k), which saturate the trade-off.
 
 `ToyParams` collects the parameters of the zero-dimensional toy theory.
 
-Callables are numpy-vectorized, and L is analytic so it stays exactly
-Hermitian: `polynomial_cq_model` derives V' and L = profile'(q) M from
-coefficient lists for V(q) and V_I(q) = profile(q) M.
+Callables are numpy-vectorized: `polynomial_cq_model` derives V' and the
+channel (M, profile') from coefficient lists for V(q) and V_I(q) = profile(q) M.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "ModelValidationError",
     "validate_model",
     "classical_force",
+    "profile_values",
     "polynomial_cq_model",
     "constant_measurement_model",
     "diagonalize_model",
@@ -57,42 +60,67 @@ __all__ = [
 # Lindblad operator is chosen as L = dV_I/dq.
 BACKREACTION_COUPLING = 0.5
 
-# H_q and dV_I(q) count as diagonal in a model's fixed basis u when no
+# H_q and each M_a count as diagonal in a model's fixed basis u when no
 # off-diagonal entry of u^dag M u exceeds DIAGONAL_TOL * (1 + max|u^dag M u|).
 DIAGONAL_TOL = 1e-10
 
-# Fixed q values whose dV_I, with H_q, builds the combination that fixes
-# the branch basis and its order, so labels depend on the model alone.
-_BASIS_QS = np.array([-1.37, 0.41, 2.23])
-# One weight per matrix of that combination (H_q, then dV_I at each of
-# _BASIS_QS): normal draws 0, 4, 5 and 6 of np.random.default_rng(20230817),
-# which keep the branch labels those matrices have always had, written out
-# so that no call pays for a generator.
-_BASIS_WEIGHTS = (
-    -0.4812556804272031,
-    -0.6279832719697106,
-    -1.0687199177974025,
-    0.037897669918088114,
-)
-
-
 class ModelValidationError(ValueError):
-    """The model fails an invariant (non-finite V', non-Hermitian dV_I, CP violation, ...)."""
+    """The model fails an invariant (non-finite V', a non-Hermitian channel, CP violation, ...)."""
+
+
+def _audit_channels(channels, d):
+    """``channels`` as a tuple of (read-only M, profile), each M a finite Hermitian d x d matrix."""
+    audited = []
+    for i, (m, profile) in enumerate(channels):
+        m = require_hermitian(m, name=f"channel {i} matrix")
+        if m.shape != (d, d):
+            raise ModelValidationError(f"channel {i} matrix must be {d} x {d}, got shape {m.shape}")
+        m.setflags(write=False)
+        audited.append((m, profile))
+    return tuple(audited)
+
+
+def _channel_sum(channels, x, d):
+    """sum_a c_a(x) M_a at each of ``x``: (..., d, d), a read-only view where it is constant."""
+    x = np.asarray(x, dtype=float)
+    terms = [np.asarray(profile(x), dtype=float)[..., None, None] * m for m, profile in channels]
+    total = sum(terms[1:], terms[0]) if terms else np.zeros((d, d), dtype=complex)
+    return np.broadcast_to(total, x.shape + (d, d))
+
+
+def profile_values(channels, xs, var="q"):
+    """Each channel's profile at ``xs``: floats of shape (len(channels),) + xs.shape.
+
+    A value that is not finite is refused with a ModelValidationError that
+    names the first such channel and its first such point.
+    """
+    xs = np.asarray(xs, dtype=float)
+    values = np.empty((len(channels),) + xs.shape)
+    for i, (_, profile) in enumerate(channels):
+        values[i] = np.asarray(profile(xs), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(values[i]))
+        if bad.size:
+            raise ModelValidationError(
+                f"channel {i} profile({var}={xs.flat[bad[0]]:g}) must be finite, "
+                f"got {values[i].flat[bad[0]]:g}"
+            )
+    return values
 
 
 @dataclass(frozen=True)
 class CQModel:
     """One concrete continuous CQ master equation (see module docstring).
 
-    ``dpotential`` maps q to the force V'(q); ``dv_i`` maps an array of q
-    values to (..., d, d) Hermitian matrices, the Lindblad operator
-    L(q) = dV_I/dq; ``d2`` and ``d0`` map q to nonnegative coefficients.
+    ``dpotential`` maps q to the force V'(q); ``channels`` is a tuple of
+    (M, c), a Hermitian d x d matrix and a profile of q, the terms of
+    L(q) = dV_I/dq (`lindblad`); ``d2`` and ``d0`` map q to nonnegative
+    coefficients.
     """
 
     mass: float
     dpotential: Callable
     h_q: np.ndarray
-    dv_i: Callable
+    channels: tuple
     d2: Callable
     d0: Callable
     hbar: float = 1.0
@@ -108,10 +136,15 @@ class CQModel:
         # read-only: a run's kernel holds it, and its operators are built from it
         h_q.setflags(write=False)
         object.__setattr__(self, "h_q", h_q)
+        object.__setattr__(self, "channels", _audit_channels(self.channels, h_q.shape[0]))
 
     @property
     def hilbert_dim(self) -> int:
         return self.h_q.shape[0]
+
+    def lindblad(self, q):
+        """L(q) = sum_a c_a(q) M_a at each q: (..., d, d) complex."""
+        return _channel_sum(self.channels, q, self.hilbert_dim)
 
 
 def classical_force(model: CQModel, q):
@@ -119,47 +152,20 @@ def classical_force(model: CQModel, q):
     return model.dpotential(np.asarray(q, dtype=float))
 
 
-def require_finite_hamiltonian(h, name):
-    """Refuse a Hamiltonian ``h`` with an entry that is not finite, naming ``name`` and the entry.
-
-    None (no Hamiltonian) passes.  `require_hermitian` lets such an entry
-    through, since a NaN defect exceeds no tolerance.
-    """
-    if h is not None and not np.isfinite(h).all():
-        i, j = np.argwhere(~np.isfinite(h))[0]
-        raise ModelValidationError(f"{name}[{i}, {j}] is not finite, got {h[i, j]}")
-
-
-def _matrix_field(qs, d, name, fn, var="q"):
-    """``fn`` at ``qs`` as (n, d, d), finite and Hermitian; a refusal names ``name`` and the point."""
-    out, want = np.asarray(fn(qs), dtype=complex), np.shape(qs) + (d, d)
-    if out.shape != want:
-        raise ModelValidationError(f"{name}({var}) returned shape {out.shape}, expected {want}")
-    label = lambda at: f"{name}({var}={qs[at[0]]:g})"
-    if not np.isfinite(out).all():
-        raise ModelValidationError(f"{label(np.argwhere(~np.isfinite(out))[0])} has a non-finite entry")
-    try:
-        require_hermitian(out, name=label)
-    except ValueError as exc:
-        raise ModelValidationError(str(exc)) from None
-    return out
-
-
 def validate_model(model: CQModel, qs) -> None:
     """Audit a model at every given q; raise ModelValidationError on failure.
 
-    Checks that H_q is finite, that dV_I is finite and Hermitian, that
-    V', D2 and D0 are finite and that D2 and D0 are nonnegative, naming
-    the coefficient and the first failing entry or q, and -- when the
-    interaction is switched on -- that the coupling triple
-    (D2(q), 1/2, D0(q)) passes one `schur_cp_check` of all the points
-    stacked; the refusal names the first violating q.  A model with dV_I identically zero has no
-    back-reaction and no Lindblad sector, so only D2 >= 0 is demanded
-    there.
+    Checks that each channel's profile, V', D2 and D0 are finite and that
+    D2 and D0 are nonnegative, naming the channel or coefficient and the
+    first failing q, and -- when the interaction is switched on -- that the
+    coupling triple (D2(q), 1/2, D0(q)) passes one `schur_cp_check` of all
+    the points stacked; the refusal names the first violating q.  A model
+    whose L is zero at every given q has no back-reaction and no Lindblad
+    sector there, so only D2 >= 0 is demanded.  (The fixed matrices were
+    audited when the model was built.)
     """
-    require_finite_hamiltonian(model.h_q, "h_q")
     qs = np.atleast_1d(np.asarray(qs, dtype=float))
-    dv = _matrix_field(qs, model.hilbert_dim, "dv_i", model.dv_i)
+    profile_values(model.channels, qs)
     values = {}
     for name, fn in (("dpotential", model.dpotential), ("d2", model.d2), ("d0", model.d0)):
         v = values[name] = np.broadcast_to(np.asarray(fn(qs), dtype=float), qs.shape)
@@ -169,7 +175,7 @@ def validate_model(model: CQModel, qs) -> None:
             need = "nonnegative" if np.isfinite(v[bad[0]]) else "finite"
             raise ModelValidationError(f"{name}(q={qs[bad[0]]:g}) must be {need}, got {v[bad[0]]:g}")
     d2, d0 = values["d2"], values["d0"]
-    if not np.abs(dv).max() > 0.0:  # no interaction
+    if not np.abs(model.lindblad(qs)).max() > 0.0:  # no interaction
         return
     report = schur_cp_check(CouplingTriple(
         d2=d2[:, None, None],
@@ -197,30 +203,25 @@ def polynomial_cq_model(
     """Build a CQModel from polynomial coefficient lists (low order first).
 
     The model keeps the force V' of the potential and, for
-    V_I(q) = profile(q) * M with M a fixed Hermitian matrix, the Lindblad
-    operator L(q) = profile'(q) * M, both derived analytically.
+    V_I(q) = profile(q) * M with M a fixed Hermitian matrix, the one
+    channel (M, profile'), so L(q) = profile'(q) * M; both derivatives are
+    analytic.  Without ``v_i_matrix`` the model has no channel.
     """
-    h_q = require_hermitian(h_q, name="h_q")
-    d = h_q.shape[0]
     dv = Polynomial(list(potential_coeffs)).deriv()
     dprof = Polynomial(list(v_i_profile)).deriv()
-    if v_i_matrix is None:
-        m = np.zeros((d, d), dtype=complex)
-    else:
-        m = require_hermitian(v_i_matrix, name="v_i_matrix")
-        if m.shape != (d, d):
-            raise ModelValidationError("v_i_matrix dimension must match h_q")
     d2p = Polynomial(list(d2_coeffs))
     d0p = Polynomial(list(d0_coeffs))
-
-    def dv_i(q):
-        return dprof(np.asarray(q, dtype=float))[..., None, None] * m
-
+    channels = ()
+    if v_i_matrix is not None:
+        m = require_hermitian(v_i_matrix, name="v_i_matrix")
+        if m.shape != np.shape(h_q)[:1] * 2:
+            raise ModelValidationError("v_i_matrix dimension must match h_q")
+        channels = ((m, dprof),)
     return CQModel(
         mass=mass,
         dpotential=lambda q: dv(np.asarray(q, dtype=float)),
         h_q=h_q,
-        dv_i=dv_i,
+        channels=channels,
         d2=lambda q: d2p(np.asarray(q, dtype=float)),
         d0=lambda q: d0p(np.asarray(q, dtype=float)),
         hbar=hbar,
@@ -235,8 +236,8 @@ class DiagonalizedModel:
     """Fixed-basis data of a model that `diagonalize_model` admits.
 
     ``basis`` U maps eigen-components to the original basis.  ``h`` holds
-    the eigenvalues of H_q; ``dv_eigs`` audits q arrays and maps them to
-    (..., d) eigenvalue arrays of dV_I in the same fixed order.
+    the eigenvalues of H_q; ``dv_eigs`` maps q arrays to (..., d) arrays of
+    the levels of L(q) = dV_I/dq in the same fixed order.
     """
 
     basis: np.ndarray
@@ -245,50 +246,43 @@ class DiagonalizedModel:
 
 
 def diagonalize_model(model: CQModel) -> DiagonalizedModel:
-    """Extract the fixed eigenbasis u of H_q and dV_I(q), or refuse.
+    """Extract the fixed eigenbasis u of H_q and the channel matrices, or refuse.
 
-    The basis and the order of its branches depend on the model alone.  H_q
-    must be diagonal in u (see DIAGONAL_TOL).  ``dv_eigs(q)`` audits each q
-    it is given first: dV_I there must be finite, Hermitian and diagonal
-    in u.  ModelValidationError names the first failure: H_q, or the first
-    failing point in flattened ``q`` order.
+    u is the eigenbasis of one fixed generic combination of H_q and the M_a,
+    so the basis and the order of its branches depend on the model alone.
+    H_q and every M_a must be diagonal in u (see DIAGONAL_TOL), which holds
+    exactly when they commute; ModelValidationError names the first that is
+    not (``h_q``, or ``channel i``), before any q is read.  ``dv_eigs(q)``
+    is sum_a c_a(q) m_a; it refuses a profile value that is not finite
+    (`profile_values`).
     """
     d = model.hilbert_dim
+    named = [("h_q", model.h_q)] + [(f"channel {i}", m) for i, (m, _) in enumerate(model.channels)]
+    # weights cos 1, cos 2, ... (H_q first): cos k = T_k(cos 1) with cos 1
+    # transcendental, so no rational relation cancels distinct levels, and
+    # the combination splits shared eigenspaces; the same weights order the
+    # branches the same for every caller.  cos 2 < 0 keeps the labels every
+    # shipped model has had (with H_q = 0, branch 0 is M's largest level)
+    weights = np.cos(np.arange(1.0, len(named) + 1.0))
+    _, u = np.linalg.eigh(sum(w * s for w, (_, s) in zip(weights, named, strict=True)))
 
-    # A generic fixed-weight combination splits shared eigenspaces; taken at
-    # fixed q values, it orders the branches the same for every caller.
-    fixed = [model.h_q, *_matrix_field(_BASIS_QS, d, "dv_i", model.dv_i)]
-    _, u = np.linalg.eigh(sum(w * s for w, s in zip(_BASIS_WEIGHTS, fixed, strict=True)))
-
-    # with row-major vec, one product rotates a stack of matrices:
-    # vec(u^dag M u) = vec(M) @ kron(conj(u), u), here transposed; dv_eigs
-    # rotates blocks of 256 kB of dV_I, which keep the temporaries small
-    rotate, off_diagonal = np.kron(u.conj(), u), ~np.eye(d, dtype=bool).ravel()
-    step = max(1, (1 << 18) // (16 * d * d))
-
-    def rotated(mats, name):
-        """The diagonals (leading) of each u^dag M u; refuses the first M not diagonal in u."""
-        entries = rotate.T @ mats.reshape(-1, d * d).T
-        size = np.abs(entries)  # entries leading: fast maxima
-        off = size[off_diagonal].max(0, initial=0.0)
-        bad = np.flatnonzero(off > DIAGONAL_TOL * (1.0 + size.max(0)))
-        if bad.size:
+    diagonals = np.empty((len(named), d))
+    for i, (name, s) in enumerate(named):
+        rotated = u.conj().T @ s @ u
+        off = np.abs(rotated - np.diag(rotated.diagonal())).max()
+        if off > DIAGONAL_TOL * (1.0 + np.abs(rotated).max()):
             raise ModelValidationError(
                 "model is not diagonal in a common q-independent basis: "
-                f"{name(bad[0])} has off-diagonal {off[bad[0]]:.3e}"
+                f"{name} has off-diagonal {off:.3e}"
             )
-        return entries[~off_diagonal].real
-
-    h = rotated(model.h_q, lambda i: "h_q")[:, 0]
+        diagonals[i] = rotated.diagonal().real
+    h, levels = diagonals[0], diagonals[1:]
 
     def dv_eigs(q):
-        flat = np.asarray(q, dtype=float).ravel()
-        levels = np.empty((flat.size, d))
-        for lo in range(0, flat.size, step):
-            block = flat[lo : lo + step]
-            dv = _matrix_field(block, d, "dv_i", model.dv_i)
-            levels[lo : lo + step] = rotated(dv, lambda i: f"dv_i(q={block[i]:g})").T
-        return levels.reshape(np.shape(q) + (d,))
+        out = np.zeros(np.shape(q) + (d,))
+        for c, m in zip(profile_values(model.channels, q), levels):
+            out += c[..., None] * m
+        return out
 
     return DiagonalizedModel(basis=u, h=h, dv_eigs=dv_eigs)
 
@@ -300,27 +294,38 @@ def diagonalize_model(model: CQModel) -> DiagonalizedModel:
 class MeasurementModel:
     """Continuous measurement of a Hermitian operator Z(z) at strength k(z).
 
-    ``z_op`` maps an array of signal values to (..., d, d) Hermitian
-    matrices; ``k`` maps signal values to positive strengths.  ``h`` is an
-    optional unitary part.  The induced master-equation couplings are
-    D1 = 1/2, D0(z) = 2 k(z), D2(z) = 1/(8 k(z)); the trade-off is
-    saturated, so conditional states stay pure.
+    ``channels`` is a nonempty tuple of (M, c), fixed Hermitian d x d
+    matrices and profiles of the signal, with Z(z) = sum c(z) M (`z_op`);
+    ``k`` maps signal values to positive strengths.  ``h`` is an optional
+    unitary part.  The induced master-equation couplings are D1 = 1/2,
+    D0(z) = 2 k(z), D2(z) = 1/(8 k(z)); the trade-off is saturated, so
+    conditional states stay pure.
     """
 
-    z_op: Callable
+    channels: tuple
     k: Callable
     h: Optional[np.ndarray] = None
     hbar: float = 1.0
-    hilbert_dim: int = 0
 
     def __post_init__(self):
+        if not self.channels:
+            raise ModelValidationError("a measurement model needs at least one channel")
+        d = np.shape(self.channels[0][0])[-1]
+        object.__setattr__(self, "channels", _audit_channels(self.channels, d))
         if self.h is not None:
             h = require_hermitian(self.h, name="h")
+            if h.shape != (d, d):
+                raise ModelValidationError(f"h must be {d} x {d}, like Z, got shape {h.shape}")
             h.setflags(write=False)
             object.__setattr__(self, "h", h)
-        if self.hilbert_dim <= 0:
-            probe = np.asarray(self.z_op(np.zeros(1)), dtype=complex)
-            object.__setattr__(self, "hilbert_dim", probe.shape[-1])
+
+    @property
+    def hilbert_dim(self) -> int:
+        return self.channels[0][0].shape[0]
+
+    def z_op(self, z):
+        """Z(z) = sum_a c_a(z) M_a at each signal value: (..., d, d) complex."""
+        return _channel_sum(self.channels, z, self.hilbert_dim)
 
     def d0(self, z):
         return 2.0 * np.asarray(self.k(z), dtype=float)
@@ -329,10 +334,9 @@ class MeasurementModel:
         return 1.0 / (8.0 * np.asarray(self.k(z), dtype=float))
 
     def validate(self, zs) -> None:
-        """Audit ``h`` (finite), and Z (finite, Hermitian) and k (finite, > 0) at each of ``zs``."""
-        require_finite_hamiltonian(self.h, "h")
+        """Audit each channel's profile (finite) and k (finite, > 0) at each of ``zs``."""
         zs = np.atleast_1d(np.asarray(zs, dtype=float))
-        _matrix_field(zs, self.hilbert_dim, "z_op", self.z_op, var="z")
+        profile_values(self.channels, zs, var="z")
         k = np.broadcast_to(np.asarray(self.k(zs), dtype=float), zs.shape)
         bad = np.flatnonzero(~(np.isfinite(k) & (k > 0)))
         if bad.size:
@@ -346,25 +350,20 @@ def constant_measurement_model(z_matrix, k, h=None, hbar=1.0, z_feedback=None,
                                k_slope=0.0) -> MeasurementModel:
     """Measurement model with constant Z and k, or mild linear feedback.
 
-    ``z_feedback`` adds z * Z1 to the measured operator; ``k_slope`` adds
-    k_slope * z to the strength (caller must keep k positive on the
-    visited range).
+    Its channels are (Z0, 1) and, with ``z_feedback`` Z1, (Z1, z): the
+    measured operator Z0 + z * Z1.  ``k_slope`` adds k_slope * z to the
+    strength (caller must keep k positive on the visited range).
     """
-    z0 = require_hermitian(z_matrix, name="z_matrix")
-    z1 = None if z_feedback is None else require_hermitian(z_feedback, name="z_feedback")
+    channels = [(require_hermitian(z_matrix, name="z_matrix"), lambda z: 1.0)]
+    if z_feedback is not None:
+        channels.append((require_hermitian(z_feedback, name="z_feedback"), lambda z: z))
     k0 = float(k)
-
-    def z_op(z):
-        z = np.asarray(z, dtype=float)
-        if z1 is None:
-            return np.broadcast_to(z0, z.shape + z0.shape)  # read-only view, no copy
-        return z0 + z[..., None, None] * z1
 
     def k_fn(z):
         z = np.asarray(z, dtype=float)
         return k0 + k_slope * z
 
-    return MeasurementModel(z_op=z_op, k=k_fn, h=h, hbar=hbar, hilbert_dim=z0.shape[0])
+    return MeasurementModel(channels=tuple(channels), k=k_fn, h=h, hbar=hbar)
 
 
 # -- zero-dimensional toy ------------------------------------------------------

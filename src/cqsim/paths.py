@@ -19,11 +19,11 @@ All q-dependent coefficients are evaluated at the pre-point (Ito), matching
 the Euler-Maruyama sampler `sample_path_ensemble` (one step for all paths
 at once, path i's noise from the stream keyed (seed, i)); the
 weight/transition-density duality is exact step by step, which is the
-module's core consistency check.  Branch pairs index the fixed eigenbasis
-of dV_I/dq, whose labels depend on the model alone, and stay constant along
-a path (diagonal models).  Every branch level comes from `dv_eigs` of
-`diagonalize_model`, which audits each q it reads: the sampler refuses a
-model at the first step that leaves the basis, a weight any such path.
+module's core consistency check.  Branch pairs index the eigenbasis that
+`diagonalize_model` fixes once from the model alone, and stay constant
+along a path.  Every branch level comes from its `dv_eigs`, which checks
+each profile value it reads: the sampler refuses a model at the first step
+that reads a non-finite one, a weight any such path.
 
 A `ClassicalPath` is one path (q, p of shape (n_steps + 1,)) or a batch
 (shape (n_paths, n_steps + 1)); the exponents sum over the last axis, one
@@ -113,7 +113,7 @@ class BranchPair:
 
 
 def _branch_levels(model: CQModel, qs, pair: BranchPair, diag: Optional[DiagonalizedModel] = None):
-    """Eigenvalues l_a(q), l_b(q) of dV_I/dq along the path, audited at every q."""
+    """Eigenvalues l_a(q), l_b(q) of dV_I/dq along the path, each profile value checked finite."""
     d = model.hilbert_dim
     if pair.a >= d or pair.b >= d:
         raise ValueError(f"branch pair {pair} out of range for Hilbert dimension {d}")

@@ -78,22 +78,28 @@ def _max_abs(a):
 
 
 def require_hermitian(m, name="matrix"):
-    """Return ``m`` as a complex square array, rejecting non-Hermitian input.
+    """Return ``m`` as a complex square array, rejecting non-finite or non-Hermitian input.
 
-    The defect ``max|m - m^dag|`` must not exceed ``HERMITICITY_TOL * (1 + max|m|)``;
-    the refusal names the first failing matrix, ``name(index)`` if callable.
+    An entry that is not finite is refused first, before any arithmetic,
+    as ``name[k][i, j]`` (k the index of its matrix in a stack).  The defect
+    ``max|m - m^dag|`` must not exceed ``HERMITICITY_TOL * (1 + max|m|)``;
+    the refusal names the first failing matrix, ``name[k]``.
     """
     a = _as_matrix(m, name)
     if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+        where = "".join(f"[{i}]" for i in at[:-2])
+        raise ValueError(f"{name}{where}[{at[-2]}, {at[-1]}] is not finite, got {a[at]}")
     a_dag = _dagger(a)
     defect = _max_abs(a - a_dag)
     bad = np.argwhere(defect > HERMITICITY_TOL * (1.0 + _max_abs(a)))
     if len(bad):
         at = tuple(bad[0])
-        label = name(at) if callable(name) else name + "".join(f"[{i}]" for i in at)
+        where = "".join(f"[{i}]" for i in at)
         raise ValueError(
-            f"{label} is not Hermitian: defect {defect[at]:.3e} exceeds "
+            f"{name}{where} is not Hermitian: defect {defect[at]:.3e} exceeds "
             f"{HERMITICITY_TOL:.1e}*(1+max|entry|)"
         )
     return 0.5 * (a + a_dag)

@@ -133,7 +133,7 @@ def check_scenario(scenario: Scenario) -> dict:
     cp_check returns its CP report (a Violated verdict is a result, not a
     failure); evolve and sample_paths audit the CQ model on the grid's q
     points, or on 41 points of [-5, 5] without a grid (with a branch pair,
-    diagonalized there too); unravel audits the measurement model on the z
+    it must also be diagonal in one basis); unravel audits the measurement model on the z
     points.  Raises ModelValidationError when the model fails, and
     ValueError when `_plan` does.
     """
@@ -150,7 +150,7 @@ def check_scenario(scenario: Scenario) -> dict:
         )
         validate_model(scenario.model, qs)
         if scenario.initial.get("pair"):
-            diagonalize_model(scenario.model).dv_eigs(qs)
+            diagonalize_model(scenario.model)
     if scenario.run_type == "unravel":
         scenario.model.validate(scenario.grid.axes[0].points)
     if scenario.run_type in ("evolve", "unravel", "sample_paths"):

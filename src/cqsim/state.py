@@ -38,7 +38,6 @@ from .pool import _map_chunks
 
 __all__ = [
     "HybridState",
-    "hermiticity_defect",
     "total_trace",
     "classical_marginal",
     "edge_mass",
@@ -87,7 +86,7 @@ class HybridState:
         return self.grid.cell_volume
 
     def validate(self):
-        defect = hermiticity_defect(self)
+        defect = np.abs(self.cells - np.conj(np.swapaxes(self.cells, -1, -2))).max()
         scale = 1.0 + np.abs(self.cells).max()
         if defect > HERMITICITY_TOL * scale:
             raise ValueError(f"cells not Hermitian: defect {defect:.3e}")
@@ -95,12 +94,6 @@ class HybridState:
         if low < -POSITIVITY_TOL:
             raise ValueError(f"cell negativity {low:.3e} beyond {POSITIVITY_TOL:.1e}")
         return self
-
-
-def hermiticity_defect(state: HybridState) -> float:
-    """Max entrywise deviation of the cells from Hermiticity."""
-    swapped = np.conj(np.swapaxes(state.cells, -1, -2))
-    return float(np.abs(state.cells - swapped).max())
 
 
 def total_trace(state: HybridState) -> float:

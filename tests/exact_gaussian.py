@@ -85,7 +85,7 @@ def cq_state(model: CQModel, grid, t, centers, sigmas, rho_q):
     """
     qs = grid.axes[0].points
     c1, c2 = _affine(qs, model.dpotential(qs), "V'")
-    levels = _diagonal(_constant(model.dv_i(qs), "dV_I/dq"), "dV_I/dq")
+    levels = _diagonal(_constant(model.lindblad(qs), "dV_I/dq"), "dV_I/dq")
     h = _diagonal(model.h_q, "H_q")
     d2 = _constant(model.d2(qs), "D2")
     d0 = _constant(model.d0(qs), "D0")

@@ -47,7 +47,6 @@ from cqsim.state import (
     coherence,
     edge_mass,
     gaussian_product_state,
-    hermiticity_defect,
     min_cell_eigenvalue,
     purity_of_marginal,
     total_trace,
@@ -97,7 +96,7 @@ def batched_matmul_rate(model, state):
     d2_of_q = np.asarray(model.d2(qs), dtype=float)[:, None, None, None]
     rate = rate + 0.5 * d2_of_q * d2f_dp2
 
-    lop = np.asarray(model.dv_i(qs), dtype=complex)[:, None, :, :]
+    lop = np.asarray(model.lindblad(qs), dtype=complex)[:, None, :, :]
     if np.abs(lop).max() > 0.0:
         rate = rate + 0.5 * (lop @ df_dp + df_dp @ lop)
         d0_of_q = np.asarray(model.d0(qs), dtype=float)[:, None, None, None]
@@ -379,21 +378,28 @@ class TestModelAudit:
     @pytest.mark.parametrize("qs", [[0.0], np.linspace(-5.0, 5.0, 11)])
     def test_hermiticity_is_judged_at_each_point(self, qs):
         # dV_I = 2e5 q^2 sigma_z reaches 5e6 at |q| = 5; that must not hide a
-        # non-Hermitian defect of 1e-5 at q = 0
+        # non-Hermitian defect of 1e-5 at q = 0.  L(q) is a sum of fixed
+        # channels, so each channel matrix is judged once, on its own scale,
+        # when the model is built, whatever its profile and the points given
         base = polynomial_cq_model(
             mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((2, 2)), v_i_matrix=SIGMA_Z,
             v_i_profile=[0.0, 0.0, 0.0, 2e5 / 3.0], d2_coeffs=[0.5], d0_coeffs=[1.0],
         )
         skew = np.array([[0.0, 1e-5], [0.0, 0.0]])
-
-        def dv_i(q):
-            return base.dv_i(q) + (np.asarray(q) == 0.0)[..., None, None] * skew
-
-        model = dataclasses.replace(base, dv_i=dv_i)
+        at_zero = (skew, lambda q: (np.asarray(q) == 0.0).astype(float))
         with pytest.raises(
-            ModelValidationError, match=r"^dv_i\(q=0\) is not Hermitian: defect 1\.000e-05 "
+            ValueError, match=r"^channel 1 matrix is not Hermitian: defect 1\.000e-05 "
         ):
-            validate_model(model, qs)
+            dataclasses.replace(base, channels=base.channels + (at_zero,))
+        with pytest.raises(
+            ModelValidationError, match=r"^channel 0 matrix must be 2 x 2, got shape \(3, 3\)$"
+        ):
+            dataclasses.replace(base, channels=((np.eye(3), np.ones_like),))
+        # the admitted model's L is Hermitian, bit for bit, at each given point
+        validate_model(base, qs)
+        lindblad = base.lindblad(np.asarray(qs))
+        np.testing.assert_array_equal(lindblad, np.conj(np.swapaxes(lindblad, -1, -2)))
+        assert np.abs(lindblad).max() == (2e5 * 25.0 if len(qs) > 1 else 0.0)
 
     @pytest.mark.parametrize("name", ["d2", "d0"])
     def test_negative_coefficient_names_the_first_q(self, name):
@@ -431,7 +437,7 @@ class TestModelAudit:
         # k = slope * z above z = 0.2: z = 0.5 is named, not the most negative
         # z = 1; a run is refused by the same audit, before any arithmetic warns
         m = models.MeasurementModel(
-            z_op=lambda z: np.broadcast_to(SIGMA_Z, np.shape(z) + (2, 2)),
+            channels=((SIGMA_Z, lambda z: 1.0),),
             k=lambda z: np.where(np.asarray(z) > 0.2, slope * np.maximum(z, 0.2), 1.0),
         )
         need = "positive" if np.isfinite(slope) else "finite"
@@ -449,51 +455,53 @@ class TestModelAudit:
                 cfl_limit(m, grid)
 
     def test_step_limits_refuse_a_non_finite_operator(self):
+        # L = Z(z) or dV_I/dq turns NaN above 1 through its channel's profile:
+        # refused at the first such grid point, like any other audit of it
         base = qubit_decoherence_model(lam=0.6, d0=1.0)
-        model = dataclasses.replace(base, dv_i=lambda q: np.where(
-            np.asarray(q)[..., None, None] > 1.0, np.nan, base.dv_i(q)))
+        nan_above_1 = lambda x: np.where(np.asarray(x) > 1.0, np.nan, 0.6)
+        model = dataclasses.replace(base, channels=((SIGMA_Z, nan_above_1),))
         grid = PhaseGrid((GridAxis("q", -2, 2, 9), GridAxis("p", -2, 2, 9)))
-        with pytest.raises(ModelValidationError, match=r"^dv_i\(q=1\.5\) is not finite$"):
-            cfl_limit(model, grid)
-        m = models.MeasurementModel(
-            z_op=lambda z: np.where(np.asarray(z)[..., None, None] > 1.0, np.nan, SIGMA_Z),
-            k=lambda z: np.ones_like(z),
-        )
-        with pytest.raises(ModelValidationError, match=r"^z_op\(z=1\.5\) is not finite$"):
-            cfl_limit(m, PhaseGrid((GridAxis("z", -2, 2, 9),)))
+        message = r"^channel 0 profile\({}=1\.5\) must be finite, got nan$"
+        for refused in (lambda: cfl_limit(model, grid),
+                        lambda: validate_model(model, grid.axes[0].points)):
+            with pytest.raises(ModelValidationError, match=message.format("q")):
+                refused()
+        m = models.MeasurementModel(channels=((SIGMA_Z, nan_above_1),), k=lambda z: np.ones_like(z))
+        signal = PhaseGrid((GridAxis("z", -2, 2, 9),))
+        for refused in (lambda: cfl_limit(m, signal), lambda: m.validate(signal.axes[0].points)):
+            with pytest.raises(ModelValidationError, match=message.format("z")):
+                refused()
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
     def test_non_finite_hamiltonian_is_refused_by_name(self, entry):
-        # a NaN entry passes require_hermitian (a NaN defect exceeds no
-        # tolerance), and NaN > 0 would drop the step limits' hamiltonian
-        # term: a run would go on until its trace was NaN.  Every audit
-        # names it, before any arithmetic warns
-        h = np.zeros((2, 2))
-        h[entry] = h[entry[::-1]] = np.nan
-        message = rf"^{{}}\[{entry[0]}, {entry[1]}\] is not finite, got "
-        model = dataclasses.replace(qubit_decoherence_model(lam=0.6, d0=1.0), h_q=h)
-        grid = PhaseGrid((GridAxis("q", -2, 2, 9), GridAxis("p", -2, 2, 9)))
-        state = gaussian_product_state(grid, (0, 0), (0.7, 0.7), rho_q=np.diag([0.5, 0.5]))
-        m = constant_measurement_model(SIGMA_Z, 1.0, h=h)
-        signal = PhaseGrid((GridAxis("z", -1, 1, 5),))
-        signal_state = gaussian_product_state(signal, (0.0,), (0.5,), rho_q=np.diag([0.5, 0.5]))
-        for name, refused in (
-            ("h_q", lambda: validate_model(model, grid.axes[0].points)),
-            ("h_q", lambda: cfl_limit(model, grid)),
-            ("h_q", lambda: evolve(model, state, 1e-3, 1)),
-            ("h", lambda: m.validate(signal.axes[0].points)),
-            ("h", lambda: cfl_limit(m, signal)),
-            ("h", lambda: evolve_measurement(m, signal_state, 1e-3, 1)),
-        ):
-            with pytest.raises(ModelValidationError, match=message.format(name)):
-                refused()
+        # every fixed matrix of a model is refused at construction, by name,
+        # before any arithmetic warns: a NaN would pass the Hermiticity
+        # tolerance (a NaN defect exceeds none), and inf - inf warns
+        for bad in (np.nan, np.inf, -np.inf):
+            h = np.zeros((2, 2))
+            h[entry] = h[entry[::-1]] = bad
+            message = rf"^{{}}\[{entry[0]}, {entry[1]}\] is not finite, got \({bad}\+0j\)$"
+            for name, refused in (
+                ("h_q", lambda: polynomial_cq_model(1.0, [0.0], h)),
+                ("h_q", lambda: dataclasses.replace(qubit_decoherence_model(), h_q=h)),
+                ("v_i_matrix", lambda: polynomial_cq_model(1.0, [0.0], SIGMA_Z, v_i_matrix=h)),
+                ("channel 1 matrix", lambda: dataclasses.replace(
+                    qubit_decoherence_model(), channels=((SIGMA_Z, np.ones_like), (h, np.ones_like)))),
+                ("h", lambda: constant_measurement_model(SIGMA_Z, 1.0, h=h)),
+                ("z_matrix", lambda: constant_measurement_model(h, 1.0)),
+                ("z_feedback", lambda: constant_measurement_model(SIGMA_Z, 1.0, z_feedback=h)),
+                ("channel 0 matrix", lambda: models.MeasurementModel(
+                    channels=((h, np.ones_like),), k=np.ones_like)),
+            ):
+                with pytest.raises(ValueError, match=message.format(re.escape(name))):
+                    refused()
 
     @pytest.mark.parametrize("value", [-1.0, 0.0])
     def test_step_limits_refuse_a_strength_that_is_not_positive(self, value):
         # k(z) = value above z = 1: refused at z = 1.5, before D2 = 1/(8k) is
         # formed (k = 0 would divide by zero), not read as k = 1's limits
         m = models.MeasurementModel(
-            z_op=lambda z: np.broadcast_to(SIGMA_Z, np.shape(z) + (2, 2)),
+            channels=((SIGMA_Z, lambda z: 1.0),),
             k=lambda z: np.where(np.asarray(z) > 1.0, value, 1.0),
         )
         grid = PhaseGrid((GridAxis("z", -2, 2, 9),))
@@ -517,13 +525,23 @@ class TestModelAudit:
             cfl_limit(model, grid)
 
     def test_measurement_refusal_names_the_signal(self):
-        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
         m = models.MeasurementModel(
-            z_op=lambda z: SIGMA_Z + (np.asarray(z) == 0.5)[..., None, None] * skew,
+            channels=((SIGMA_Z, lambda z: np.where(np.asarray(z) == 0.5, np.nan, 1.0)),),
             k=lambda z: np.ones_like(z),
         )
-        with pytest.raises(ModelValidationError, match=r"^z_op\(z=0\.5\) is not Hermitian"):
+        m.validate([0.0, 1.0])
+        with pytest.raises(
+            ModelValidationError, match=r"^channel 0 profile\(z=0\.5\) must be finite, got nan$"
+        ):
             m.validate([0.0, 0.5])
+
+    def test_matrices_must_fit_one_dimension(self):
+        # a 3 x 3 h beside a 2 x 2 Z passed construction and `cqsim check`,
+        # and a run then failed in the kernel with a numpy broadcast error
+        with pytest.raises(ModelValidationError, match=r"^h must be 2 x 2, like Z, got shape \(3, 3\)$"):
+            constant_measurement_model(SIGMA_Z, 1.0, h=np.eye(3))
+        with pytest.raises(ModelValidationError, match=r"^v_i_matrix dimension must match h_q$"):
+            polynomial_cq_model(mass=1.0, potential_coeffs=[0.0], h_q=SIGMA_Z, v_i_matrix=np.eye(3))
 
     def test_h_q_must_be_one_matrix(self):
         with pytest.raises(ModelValidationError, match="h_q must be one square matrix"):
@@ -531,16 +549,17 @@ class TestModelAudit:
 
 
 class TestBranchGenerator:
-    def test_basis_weights_are_the_seeded_normals(self):
-        # the literals keep the branch labels of the draws they replace: those
-        # of H_q and of dV_I at the three fixed q, draws 0 and 4-6
-        rng = np.random.default_rng(20230817)
-        draws = [rng.normal() for _ in range(7)]
-        assert models._BASIS_WEIGHTS == tuple(draws[i] for i in (0, 4, 5, 6))
+    def test_basis_weights_keep_the_shipped_labels(self):
+        # with H_q = 0 and M = sigma_z, branch 0 is the level of M's +1, as
+        # in every shipped model, whatever the sign of the profile: the
+        # labels depend on the matrices alone
+        for lam in (0.5, -0.5):
+            diag = diagonalize_model(qubit_decoherence_model(lam=lam))
+            assert np.array_equal(diag.dv_eigs([0.0, 2.0]), [[lam, -lam], [lam, -lam]])
 
     def test_a_model_carries_only_what_its_equation_reads(self):
         names = tuple(f.name for f in dataclasses.fields(models.CQModel))
-        assert names == ("mass", "dpotential", "h_q", "dv_i", "d2", "d0", "hbar")
+        assert names == ("mass", "dpotential", "h_q", "channels", "d2", "d0", "hbar")
 
     def test_matches_full_generator_on_random_diagonal_models(self):
         rng = np.random.default_rng(99)
@@ -572,35 +591,27 @@ class TestBranchGenerator:
     def test_dv_eigs_is_the_full_product_diagonal_bitwise(self, d):
         rng = np.random.default_rng(40 + d)
         u0, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        diagonal = lambda: u0 @ np.diag(rng.normal(size=d)) @ u0.conj().T
         base = polynomial_cq_model(
-            mass=1.0, potential_coeffs=[0.0], h_q=u0 @ np.diag(rng.normal(size=d)) @ u0.conj().T,
-            v_i_matrix=u0 @ np.diag(rng.normal(size=d)) @ u0.conj().T,
+            mass=1.0, potential_coeffs=[0.0], h_q=diagonal(), v_i_matrix=diagonal(),
             v_i_profile=[0.0, 0.7, 0.2], d2_coeffs=[1.0], d0_coeffs=[1.0],
         )
-        diag = diagonalize_model(base)
+        # a second, commuting channel with another profile
+        model = dataclasses.replace(base, channels=base.channels + ((diagonal(), np.cos),))
+        diag = diagonalize_model(model)
         u = diag.basis
         qs = rng.uniform(-2.0, 2.0, size=(6, 5))
-        # the product the audit judges, dV_I of each point:
-        # vec(u^dag M u) = vec(M) @ kron(conj(u), u); the levels are its diagonal
-        product = np.kron(u.conj(), u).T @ base.dv_i(qs.ravel()).reshape(-1, d * d).T
-        oracle = product[:: d + 1].real.T.reshape(6, 5, d)
+        # each channel's levels m_a are the diagonal of the full product
+        # u^dag M u, and the levels at q are sum_a c_a(q) m_a, in channel order
+        m0, m1 = ((u.conj().T @ m @ u).diagonal().real for m, _ in model.channels)
+        c = [np.asarray(profile(qs), dtype=float) for _, profile in model.channels]
+        oracle = 0.0 + c[0][..., None] * m0 + c[1][..., None] * m1
         got = diag.dv_eigs(qs)
         assert got.shape == oracle.shape == (6, 5, d) and got.dtype == oracle.dtype
         assert got.tobytes() == oracle.tobytes()
-        # every entry of U^dag M U, then its diagonal: the same levels to rounding
-        einsum = np.einsum("ia,...ij,ja->...a", u.conj(), base.dv_i(qs), u).real
+        # every entry of U^dag L U, then its diagonal: the same levels to rounding
+        einsum = np.einsum("ia,...ij,ja->...a", u.conj(), model.lindblad(qs), u).real
         assert np.abs(got - einsum).max() < 1e-14
-        # once the basis is fixed, a Hermitian field that leaves it is refused
-        # at the first q, not read off
-        fields = []
-        model = dataclasses.replace(base, dv_i=lambda q: fields[-1] if fields else base.dv_i(q))
-        dv_eigs = diagonalize_model(model).dv_eigs
-        fields.append(random_hermitian(rng, (qs.size, d, d)))
-        with pytest.raises(
-            ModelValidationError,
-            match=re.escape(f"basis: dv_i(q={qs.flat[0]:g}) has off-diagonal "),
-        ):
-            dv_eigs(qs)
 
     def test_diagonal_pair_damping_vanishes(self):
         # (a, a) components carry no Feynman-Vernon damping: a pure-dephasing
@@ -643,41 +654,38 @@ class TestBranchGenerator:
             d0_coeffs=[1.0],
         )
         with pytest.raises(ModelValidationError, match="common"):
-            diagonalize_model(model).dv_eigs(np.linspace(-3, 3, 5))
+            diagonalize_model(model)
 
     @staticmethod
     def _fields(base, extra):
-        """``base`` with a sigma_x term extra(q) added to dV_I."""
-        def dv_i(q):
-            q = np.asarray(q, dtype=float)
-            return base.dv_i(q) + np.asarray(extra(q), dtype=float)[..., None, None] * SIGMA_X
-        return dataclasses.replace(base, dv_i=dv_i)
+        """``base`` with a second channel, sigma_x with profile extra(q)."""
+        return dataclasses.replace(base, channels=base.channels + ((SIGMA_X, extra),))
 
     def test_refuses_dv_i_that_leaves_the_basis(self):
         # dV_I(q) = (2q - 2) sigma_z for q >= 0 and sigma_x below, H_q = 0: the
-        # sigma_x at q = -1.37 tilts the basis the model fixes, so at q = 2,
-        # dV_I = 2 sigma_z is not diagonal in it; its branch levels are +-2,
-        # not the -+1.814 that basis would read off
+        # two channels do not commute, so the model is refused at once, with
+        # the channel named, before any q is read
         base = polynomial_cq_model(
             mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((2, 2)), v_i_matrix=SIGMA_Z,
             v_i_profile=[0.0, -2.0, 1.0], d2_coeffs=[0.5], d0_coeffs=[1.0],
         )
+        read = []
 
-        def piecewise(fn, below):
-            def out(q):
-                q = np.asarray(q, dtype=float)
-                return np.where((q >= 0)[..., None, None], fn(q), below(q))
-            return out
+        def below(q):
+            read.append(q)
+            return (np.asarray(q) < 0).astype(float)
 
-        model = dataclasses.replace(
-            base, dv_i=piecewise(base.dv_i, lambda q: np.ones_like(q)[..., None, None] * SIGMA_X)
-        )
+        model = dataclasses.replace(base, channels=(
+            (SIGMA_Z, lambda q: np.where(np.asarray(q) >= 0, 2.0 * np.asarray(q) - 2.0, 0.0)),
+            (SIGMA_X, below),
+        ))
         with pytest.raises(
             ModelValidationError,
             match=r"^model is not diagonal in a common q-independent basis: "
-            r"dv_i\(q=2\) has off-diagonal 8\.413e-01$",
+            r"channel 0 has off-diagonal 9\.219e-01$",
         ):
-            diagonalize_model(model).dv_eigs([2.0])
+            diagonalize_model(model)
+        assert read == []
 
     def test_refusal_names_h_q(self):
         model = polynomial_cq_model(
@@ -687,77 +695,102 @@ class TestBranchGenerator:
         with pytest.raises(ModelValidationError, match=r"basis: h_q has off-diagonal "):
             diagonalize_model(model)
 
-    @pytest.mark.parametrize("name", ["dv_i"])
-    def test_refusal_names_the_field_and_q(self, name):
-        # a sigma_x term switched on above q = 3, away from the points that fix
-        # the basis; q = 4 is the first probe it reaches
-        model = self._fields(qubit_decoherence_model(lam=0.6, d0=1.0), lambda q: 0.25 * (q > 3.0))
-        diagonalize_model(model).dv_eigs(np.linspace(-3.0, 3.0, 7))
+    @pytest.mark.parametrize("extra", [np.zeros_like, np.ones_like])
+    def test_refusal_names_the_channel(self, extra):
+        # a sigma_x channel beside sigma_z is refused whatever its profile,
+        # even one that is 0 at every q: the rule reads no q.  Neither is
+        # diagonal in the eigenbasis of their combination, and H_q = 0 is, so
+        # channel 0 is the first named
+        model = self._fields(qubit_decoherence_model(lam=0.6, d0=1.0), extra)
         with pytest.raises(
-            ModelValidationError, match=rf"basis: {name}\(q=4\) has off-diagonal 2\.500e-01$"
+            ModelValidationError,
+            match=r"^model is not diagonal in a common q-independent basis: "
+            r"channel 0 has off-diagonal 9\.219e-01$",
         ):
-            diagonalize_model(model).dv_eigs(np.linspace(-4.0, 4.0, 9))
+            diagonalize_model(model)
+
+    def test_commuting_channels_with_different_profiles_are_admitted(self):
+        # d = 3: H_q, M1 and M2 share an eigenbasis, and their levels vary
+        # differently with q; the branch route agrees with the full generator
+        rng = np.random.default_rng(7)
+        u0, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        diagonal = lambda *levels: u0 @ np.diag(levels) @ u0.conj().T
+        model = models.CQModel(
+            mass=1.3,
+            dpotential=lambda q: 0.4 * np.asarray(q),
+            h_q=diagonal(0.5, -0.2, 0.1),
+            channels=((diagonal(1.0, 0.0, -1.0), lambda q: 0.3 * np.asarray(q)),
+                      (diagonal(0.2, 1.0, -0.5), lambda q: 0.5 + 0.1 * np.asarray(q) ** 2)),
+            d2=lambda q: np.full(np.shape(q), 0.8),
+            d0=lambda q: np.full(np.shape(q), 1.0),
+        )
+        grid = PhaseGrid((GridAxis("q", -3, 3, 21), GridAxis("p", -3, 3, 23)))
+        cells = random_hermitian(rng, grid.shape + (3, 3))
+        state = HybridState(grid, cells)
+        want = apply_generator(model, state)
+        got = branch_generator(model, state)
+        assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
     def test_every_given_point_is_audited(self):
-        # dV_I gains 0.25 sigma_x only for |q - 3| < 0.25: on linspace(-4, 4, 9)
-        # q = 3 is the one point an 8-point probe of the points skipped
-        model = self._fields(
-            qubit_decoherence_model(lam=0.6, d0=1.0), lambda q: 0.25 * (np.abs(q - 3.0) < 0.25)
+        # the second channel's profile is NaN only for |q - 3| < 0.25: on
+        # linspace(-4, 4, 9) q = 3 is the one point an 8-point probe of the
+        # points skipped
+        model = dataclasses.replace(
+            qubit_decoherence_model(lam=0.6, d0=1.0),
+            channels=((SIGMA_Z, lambda q: np.where(np.abs(np.asarray(q) - 3.0) < 0.25, np.nan, 0.6)),),
         )
-        message = (
-            "model is not diagonal in a common q-independent basis: "
-            "dv_i(q=3) has off-diagonal 2.500e-01"
-        )
-        with pytest.raises(ModelValidationError, match="^" + re.escape(message) + "$"):
-            diagonalize_model(model).dv_eigs(np.linspace(-4.0, 4.0, 9))
+        dv_eigs = diagonalize_model(model).dv_eigs
+        with pytest.raises(
+            ModelValidationError, match=r"^channel 0 profile\(q=3\) must be finite, got nan$"
+        ):
+            dv_eigs(np.linspace(-4.0, 4.0, 9))
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_refusal_names_the_first_failing_matrix_in_qs_order(self, order):
-        # 20001 points fill several audit blocks.  dV_I leaves the basis near
-        # q = 3 and above q = 3.5: ascending, the first point near 3 is named;
-        # descending, q = 4
-        model = self._fields(
+        # the profile of L is NaN near q = 3 and above q = 3.5: ascending, the
+        # first point near 3 is named; descending, q = 4
+        bad = lambda q: (np.abs(q - 3.0) < 0.25) | (q > 3.5)
+        model = dataclasses.replace(
             qubit_decoherence_model(lam=0.6, d0=1.0),
-            lambda q: 0.25 * ((np.abs(q - 3.0) < 0.25) | (q > 3.5)),
+            channels=((SIGMA_Z, lambda q: np.where(bad(np.asarray(q)), np.nan, 0.6)),),
         )
         qs = np.linspace(-4.0, 4.0, 20001)[::order]
-        first = qs[(np.abs(qs - 3.0) < 0.25) | (qs > 3.5)][0]
+        first = qs[bad(qs)][0]
         assert (first == 4.0) == (order == -1)
         with pytest.raises(
             ModelValidationError,
-            match="^model is not diagonal in a common q-independent basis: "
-            + re.escape(f"dv_i(q={first:g}) has off-diagonal 2.500e-01") + "$",
+            match="^" + re.escape(f"channel 0 profile(q={first:g}) must be finite, got nan") + "$",
         ):
             diagonalize_model(model).dv_eigs(qs)
 
     def test_tolerance_is_relative_to_the_matrix(self):
-        # beside a sigma_z of size 1e2 the bound is 1e-10 * 101: an off-diagonal
-        # entry of 1e-9 passes and one of 1e-7 does not (near q = 1 only, so
-        # the basis stays that of sigma_z)
-        base = polynomial_cq_model(
-            mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((2, 2)), v_i_matrix=SIGMA_Z,
-            v_i_profile=[0.0, 100.0], d2_coeffs=[0.5], d0_coeffs=[1.0],
-        )
-        qs = np.array([1.0])
+        # H_q = 100 sigma_z and M = 100 sigma_z + eps sigma_x: in the basis of
+        # their combination each has an off-diagonal entry of about 1.7 eps,
+        # against a bound of 1e-10 * 101: eps = 1e-9 passes and 1e-7 does not
         for eps, ok in ((1e-9, True), (1e-7, False)):
-            model = self._fields(base, lambda q: eps * (np.abs(q - 1.0) < 0.5))
+            model = polynomial_cq_model(
+                mass=1.0, potential_coeffs=[0.0], h_q=100.0 * SIGMA_Z,
+                v_i_matrix=100.0 * SIGMA_Z + eps * SIGMA_X,
+                v_i_profile=[0.0, 1.0], d2_coeffs=[0.5], d0_coeffs=[1.0],
+            )
             if ok:
-                diagonalize_model(model).dv_eigs(qs)
+                diagonalize_model(model)
             else:
-                with pytest.raises(ModelValidationError, match=r"basis: dv_i\(q=1\)"):
-                    diagonalize_model(model).dv_eigs(qs)
+                with pytest.raises(ModelValidationError, match=r"basis: h_q has off-diagonal"):
+                    diagonalize_model(model)
 
-
-    @pytest.mark.parametrize("name", ["dv_i"])
-    def test_non_finite_fields_are_refused(self, name):
-        # NaN passes every comparison of the diagonality rule, so the audit
-        # refuses it first: a NaN q, or a NaN entry of dV_I at q = 1
+    def test_non_finite_profile_values_are_refused(self):
+        # NaN passes every comparison, so the levels refuse it by name: a NaN
+        # q, or a NaN profile value at q = 1
         model = qubit_decoherence_model(lam=0.6, d0=1.0)
-        with pytest.raises(ModelValidationError, match=r"^dv_i\(q=nan\) has a non-finite entry$"):
-            diagonalize_model(model).dv_eigs([0.0, np.nan])
-        model = self._fields(model, lambda q: np.where(np.asarray(q) == 1.0, np.nan, 0.0))
         with pytest.raises(
-            ModelValidationError, match=rf"^{name}\(q=1\) has a non-finite entry$"
+            ModelValidationError, match=r"^channel 0 profile\(q=nan\) must be finite, got nan$"
+        ):
+            diagonalize_model(model).dv_eigs([0.0, np.nan])
+        nan_at_1 = lambda q: np.where(np.asarray(q) == 1.0, np.nan, 0.0)
+        model = dataclasses.replace(model, channels=model.channels + ((SIGMA_Z, nan_at_1),))
+        with pytest.raises(
+            ModelValidationError, match=r"^channel 1 profile\(q=1\) must be finite, got nan$"
         ):
             diagonalize_model(model).dv_eigs([0.0, 1.0])
 
@@ -786,7 +819,7 @@ class TestStepping:
             state = step_rk4(model, HybridState(small_grid, cells), dt)
             cells = state.cells
         # the steps carry real coordinates: the cells are Hermitian by construction
-        assert hermiticity_defect(state) == 0.0
+        assert np.array_equal(state.cells, np.conj(np.swapaxes(state.cells, -1, -2)))
 
     def test_thousand_step_invariants(self):
         # trace drift <= 1e-6, exact hermiticity and negativity >= -1e-6
@@ -800,7 +833,7 @@ class TestStepping:
         final, diags = evolve(model, state, dt, 1000, stride=100)
         assert abs(diags.trace[-1] - 1.0) <= 1e-6
         assert min(diags.min_eig) >= -1e-6
-        assert hermiticity_defect(final) == 0.0
+        assert np.array_equal(final.cells, np.conj(np.swapaxes(final.cells, -1, -2)))
 
     def test_cfl_guard(self, small_grid):
         model = free_diffusion_model(d2=0.5)
@@ -1131,9 +1164,23 @@ def allocating_rate(model, state):
 
 
 def allocating_real_rate(model, grid, x):
-    """`allocating_rate` in real coordinates: the rate of ``x`` by the operators' real forms."""
-    ops = real_operators(whole_grid_cq_operators(model, grid))
-    return _allocating_rate(model, grid, x, ops)
+    """`allocating_rate` in real coordinates: the rate of ``x`` by the kernel's operators.
+
+    It checks the in-place sweep, not the operators, which `TestChannelForm`
+    checks against the complex Kronecker products.
+    """
+    return _allocating_rate(model, grid, x, kernel_operators(model, grid))
+
+
+def kernel_operators(model, grid):
+    """The kernel's (L'(q)^T, B'(q)^T) at every q row of ``grid``, copied window by window."""
+    kernel = _cq_kernel(model, grid)
+    nq = grid.shape[0]
+    ops = tuple(np.empty((nq,) + op.shape[1:]) for op in kernel.ops)
+    for lo in range(0, nq, kernel.height):
+        for whole, part in zip(ops, kernel.window(lo, min(lo + kernel.height, nq))):
+            whole[lo : lo + len(part)] = part
+    return ops
 
 
 def _allocating_rate(model, grid, f, ops):
@@ -1236,7 +1283,7 @@ def whole_grid_cq_operators(model, grid):
     """
     qs = grid.axes[0].points
     eye = np.eye(model.hilbert_dim)
-    lop = np.asarray(model.dv_i(qs), dtype=complex)
+    lop = np.asarray(model.lindblad(qs), dtype=complex)
     l2 = lop @ lop
     h = model.h_q
     commutator = (-1j / model.hbar) * (np.kron(h, eye) - np.kron(eye, h.T))
@@ -1291,7 +1338,7 @@ class TestRealCoordinates:
         lower = np.tril(np.ones((d, d), dtype=bool), -1)
         x = data.draw(hnp.arrays(float, (3, d, d), elements=FINITE))
         cells = _hermitian_cells(x)
-        assert hermiticity_defect(HybridState(PhaseGrid((GridAxis("z", 0, 1, 3),)), cells)) == 0.0
+        assert np.array_equal(cells, np.conj(np.swapaxes(cells, -1, -2)))
         assert not np.any(np.signbit(cells.imag) & (cells.imag == 0.0))  # no -0
         # Hermitian cells round-trip bit for bit; so do the coordinates,
         # but for a -0 below the diagonal, which comes back as +0
@@ -1342,6 +1389,86 @@ class TestRealCoordinates:
         want = allocating_measurement_rate(m, signal)
         got = measurement_generator(m, signal)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def channel_model(channels, h_q):
+    """A CQ model with the given channels, and q-dependent V', D2 and D0 inside the CP region."""
+    return models.CQModel(
+        mass=1.3,
+        dpotential=lambda q: 0.4 * np.asarray(q) - 0.1,
+        h_q=h_q,
+        channels=channels,
+        d2=lambda q: 0.6 + 0.05 * np.asarray(q) ** 2,
+        d0=lambda q: 1.0 + 0.1 * np.asarray(q) ** 2,
+    )
+
+
+def two_channel_model():
+    # sigma_z q and sigma_x (1 + q^2): the channels do not commute
+    return channel_model(
+        ((SIGMA_Z, lambda q: np.asarray(q)), (SIGMA_X, lambda q: 1.0 + np.asarray(q) ** 2)),
+        h_q=0.3 * SIGMA_X + 0.2 * SIGMA_Z,
+    )
+
+
+def three_channel_model():
+    rng = np.random.default_rng(33)
+    profiles = (lambda q: 0.3 * np.asarray(q), np.cos, lambda q: 0.5 - 0.2 * np.asarray(q) ** 2)
+    return channel_model(
+        tuple((0.5 * random_hermitian(rng, (3, 3)), c) for c in profiles),
+        h_q=random_hermitian(rng, (3, 3)),
+    )
+
+
+class TestChannelForm:
+    MODELS = pytest.mark.parametrize("make", [two_channel_model, three_channel_model])
+
+    @MODELS
+    def test_window_operators_are_t_l_t_inverse(self, make):
+        # the Liouvillian and the back-reaction of L(q) = sum c(q) M at each
+        # q, from complex Kronecker products and the explicit matrices T and
+        # T^-1, against the kernel's sums of fixed real matrices
+        model = make()
+        grid = PhaseGrid((GridAxis("q", -2.5, 2.0, 11), GridAxis("p", -2.0, 2.0, 5)))
+        d = model.hilbert_dim
+        eye, h = np.eye(d), model.h_q
+        t, t_inv = coordinate_matrices(d)
+        got = [op.copy() for op in _cq_kernel(model, grid).window(0, 11)]
+        for i, q in enumerate(grid.axes[0].points):
+            lop = sum(float(c(q)) * m for m, c in model.channels)
+            assert np.abs(model.lindblad(q) - lop).max() <= 1e-15 * np.abs(lop).max()
+            l2 = lop @ lop
+            liou = -(1j / model.hbar) * (np.kron(h, eye) - np.kron(eye, h.T)) + float(
+                model.d0(q)) * (np.kron(lop, lop.T) - 0.5 * (np.kron(l2, eye) + np.kron(eye, l2.T)))
+            back = float(model.dpotential(q)) * np.eye(d * d) + 0.5 * (
+                np.kron(lop, eye) + np.kron(eye, lop.T))
+            for op, want in zip((liou, back), got):
+                dense = t @ op @ t_inv
+                assert np.abs(dense.imag).max() <= 1e-14 * np.abs(dense).max()
+                assert np.abs(want[i].T - dense.real).max() <= 1e-13 * np.abs(dense.real).max()
+
+    @MODELS
+    def test_rate_matches_batched_matmul_reference(self, make):
+        model = make()
+        rng = np.random.default_rng(model.hilbert_dim)
+        grid = PhaseGrid((GridAxis("q", -3.0, 2.5, 13), GridAxis("p", -2.0, 3.0, 11)))
+        state = HybridState(grid, random_hermitian(rng, grid.shape + (model.hilbert_dim,) * 2))
+        want = batched_matmul_rate(model, state)
+        got = apply_generator(model, state)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_constant_channels_are_their_sum(self):
+        # c1 M1 and c2 M2 as two channels, or M = c1 M1 + c2 M2 as one: the
+        # same L, so the same rate
+        rng = np.random.default_rng(12)
+        m1, m2 = random_hermitian(rng, (3, 3)), random_hermitian(rng, (3, 3))
+        h_q = random_hermitian(rng, (3, 3))
+        two = channel_model(((m1, lambda q: 0.3), (m2, lambda q: -0.45)), h_q)
+        one = channel_model(((0.3 * m1 - 0.45 * m2, np.ones_like),), h_q)
+        grid = PhaseGrid((GridAxis("q", -3.0, 2.5, 13), GridAxis("p", -2.0, 3.0, 11)))
+        state = HybridState(grid, random_hermitian(rng, grid.shape + (3, 3)))
+        want = apply_generator(one, state)
+        assert np.abs(apply_generator(two, state) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestInPlaceKernel:
@@ -1481,9 +1608,9 @@ class TestInPlaceKernel:
 
     def test_step_holds_one_grid_array(self, monkeypatch):
         # one grid width, two heights: beyond its one grid array, the
-        # caller's accumulator, and the compact per-q inputs of the
-        # operators, a step of real coordinates holds a fixed number of
-        # slabs and the operators of four windows
+        # caller's accumulator, and the kernel (the fixed matrices, their
+        # per-q weights and the two window buffers the operators are built
+        # into), a step of real coordinates holds a fixed number of slabs
         rng = np.random.default_rng(23)
         model = random_cq_model(rng, 8)
         row_bytes = 41 * 64 * 8
@@ -1512,7 +1639,7 @@ class TestInPlaceKernel:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                # the audit, which keeps the compact per-q inputs in the kernel
+                # the audit and the kernel
                 rate_fn, height = generator._stepper(model, HybridState(grid, np.zeros(
                     grid.shape + (8, 8), dtype=complex)), dt)
                 inputs = tracemalloc.get_traced_memory()[0] - base
@@ -1523,18 +1650,18 @@ class TestInPlaceKernel:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            # 2 d^2 complex numbers a q row at most, where the operators take 2 d^4
-            assert inputs < nq * 2 * 64 * 16, inputs
+            # three fixed d^4 matrices (C', K' and A'), one window's operators,
+            # a few floats a q row and 16 kB of small objects, where every q
+            # row's operators take 2 d^4
+            assert [op.shape for op in kernels[-1].ops] == [(height, 64, 64)] * 2
+            assert inputs < 3 * 64 * 64 * 8 + window_bytes + nq * 8 * 8 + (1 << 14), inputs
             assert stepped is acc and acc.nbytes == grid_bytes
-            assert len(kernels[-1].windows) == 4
             held.append(peak)
-        # the step allocates no grid array: the operators of the four
-        # windows in flight and one window's build temporaries (complex:
-        # twice the window's bytes, three times), four bands, the rate
+        # the step allocates no grid array, and a one-channel model's
+        # windows are built without a temporary: four bands, the rate
         # window, the kernel's scratch, k1's band of the input cells and a
         # few rows of kernel temporaries
-        bound = 4 * window_bytes + 3 * 2 * window_bytes
-        bound += 5 * band_bytes + 2 * slab_bytes + 8 * row_bytes
+        bound = 5 * band_bytes + 2 * slab_bytes + 8 * row_bytes
         assert max(held) < bound, held
         assert abs(held[1] - held[0]) < row_bytes, held
 
@@ -1571,14 +1698,14 @@ class TestInPlaceKernel:
         finally:
             tracemalloc.stop()
         assert len(diags.t) == 3 and len(before) == 1
-        # test_step_holds_one_grid_array's step slack; a record's grid-shaped
-        # traces, |varrho_01| and eigenvalues (32 bytes a cell) and a few
-        # slabs of complex cells; the kernel's per-q inputs
-        slack = 4 * window_bytes + 3 * 2 * window_bytes
-        slack += 5 * band_bytes + 2 * slab_bytes + 8 * row_bytes
-        slack += 32 * nq * 41 + 8 * 2 * row_bytes + nq * 2 * 64 * 16
+        # test_step_holds_one_grid_array's step slack and kernel; a record's
+        # grid-shaped traces, |varrho_01| and eigenvalues (32 bytes a cell)
+        # and a few slabs of complex cells
+        slack = 5 * band_bytes + 2 * slab_bytes + 8 * row_bytes
+        slack += 3 * 64 * 64 * 8 + window_bytes + nq * 8 * 8 + (1 << 14)
+        slack += 32 * nq * 41 + 8 * 2 * row_bytes
         assert before[0] < 2 * grid_bytes + slack, (before, grid_bytes)
-        # the spare array and the kernel's windows go before the final
+        # the spare array and the kernel go before the final
         # cells are formed (10.4 and 12.7 MB were measured, for 4.2 MB
         # coordinate arrays)
         final_bytes = grid_bytes + final.cells.nbytes + 32 * nq * 41 + 8 * row_bytes
@@ -1626,61 +1753,73 @@ class TestInPlaceKernel:
         assert np.isfinite(diags.table()).all()
 
     def test_operator_build_has_no_operator_sized_temporary(self):
-        # the measurement kernel builds its whole signal grid's operators at
-        # once; here the CQ ones of 131 q rows, in real coordinates
-        model = random_cq_model(np.random.default_rng(131), 8)
+        # 131 q rows of d = 8 fit one window: a one-channel model's operators
+        # are built straight into the kernel's buffers, and each further
+        # channel term takes one window-sized temporary at a time
+        rng = np.random.default_rng(131)
         grid = PhaseGrid((GridAxis("q", -3.0, 2.5, 131), GridAxis("p", -2.0, 3.0, 3)))
-        kernel = _cq_kernel(model, grid)
-        lop, d0, force = kernel.lop, kernel.d0, kernel.force
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            ops = generator._cell_operators(model.h_q, model.hbar, lop, d0, force)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        outputs = sum(op.nbytes for op in ops)
-        assert outputs > 8 * grids.SLAB_BYTES
-        assert peak < 1.5 * outputs
+        one = random_cq_model(rng, 8)
+        three = dataclasses.replace(one, channels=one.channels + tuple(
+            (random_hermitian(rng, (8, 8)), np.cos) for _ in range(2)))
+        for model, temporaries in ((one, 0), (three, 1)):
+            kernel = _cq_kernel(model, grid)
+            assert kernel.height == 131
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ops = kernel.window(0, 131)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            op_bytes = ops[0].nbytes
+            assert op_bytes > 4 * grids.SLAB_BYTES
+            assert all(np.shares_memory(op, buffer) for op, buffer in zip(ops, kernel.ops))
+            # beside numpy's iteration buffers, three of 8192 floats
+            assert temporaries * op_bytes <= peak < temporaries * op_bytes + 4 * 8192 * 8
 
     @pytest.mark.parametrize("levels,d", [(2, 2), (8, 8), (1, 2)])
     def test_chunked_operators_match_the_whole_grid_expression(self, levels, d):
         # random_cq_model's D0 and L depend on q, so a window of the wrong
-        # rows would not match
+        # rows would not match; a window of any height has the bits of the
+        # whole grid's, which match the complex Kronecker products
         model, state = kernel_case(levels, d, 41, False)
-        want = real_operators(whole_grid_cq_operators(model, state.grid))
         kernel = _cq_kernel(model, state.grid)
+        assert kernel.height == 41
+        whole = [op.copy() for op in kernel.window(0, 41)]
+        want = real_operators(whole_grid_cq_operators(model, state.grid))
+        for got, op in zip(whole, want):
+            assert np.abs(got - op).max() <= 1e-13 * np.abs(op).max()
         # windows of one, and of three q rows (a shorter last window)
         for rows in (1, 3):
             for lo in range(0, 41, rows):
                 hi = min(lo + rows, 41)
                 got = kernel.window(lo, hi)
-                assert [op.tobytes() for op in got] == [op[lo:hi].tobytes() for op in want]
+                assert [op.tobytes() for op in got] == [op[lo:hi].tobytes() for op in whole]
 
     @pytest.mark.parametrize("levels,d", [(2, 2), (8, 8)])
-    def test_each_window_is_built_once_per_step(self, levels, d, monkeypatch):
+    def test_each_window_is_built_at_each_evaluation(self, levels, d, monkeypatch):
         n = 41
         model, state = kernel_case(levels, d, n, False)
         state = gaussian_product_state(state.grid, (0.0, 0.5), (0.4, 0.4), rho_q=np.eye(d) / d)
         dt = 0.4 * cfl_limit(model, state.grid)
         built = []
-        build = generator._cell_operators
+        build = generator._Kernel.window
 
-        def spy(h, hbar, lop, d0, force):
-            built.append(len(lop))
-            return build(h, hbar, lop, d0, force)
+        def spy(kernel, lo, hi):
+            built.append((lo, hi))
+            return build(kernel, lo, hi)
 
-        monkeypatch.setattr(generator, "_cell_operators", spy)
+        monkeypatch.setattr(generator._Kernel, "window", spy)
         row_bytes = state.cells[0].nbytes // 2  # a q row of real coordinates
         for rows in (1, 2, 3, 5, n):
             monkeypatch.setattr(grids, "SLAB_BYTES", rows * row_bytes)
             size = min(n, max(2, rows))
-            windows = [min(size, n - lo) for lo in range(0, n, size)]
+            windows = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
             built.clear()
             evolve(model, state, dt, 2)
-            # the second step builds them again, unless the four kept are
-            # all of them: a one-window grid is built once per run
-            assert built == (windows if len(windows) <= 4 else 2 * windows)
+            # a window's operators are built for each of its four stages
+            # of each step, into the same two buffers: nothing is kept
+            assert sorted(built) == sorted(windows * 8)
 
     def test_kernels_take_a_model_and_a_state(self):
         # a window's rows and its output buffer are `_rk4`'s, carried by a `_Band`
@@ -1778,27 +1917,25 @@ class TestInPlaceKernel:
             del rate
             kept = tracemalloc.get_traced_memory()[0] - before
             assert kept < x[0].nbytes / 4, kept
-            # a run's kernel keeps the last four windows built, and 2 d^2
-            # complex numbers a q row at most: nothing of nq d^4
+            # a run's kernel keeps one window's operators, three fixed d^4
+            # matrices and a few floats a q row: nothing of nq d^4
             kernel = _cq_kernel(model, state.grid)
             whole = slice(0, nq)
             band = _Band(state.grid, x, 0, kernel, whole, np.empty_like(x))
             apply_generator(model, band)
-            windows = band.kernel.windows
-            inputs = sum(a.nbytes for a in (band.kernel.lop, band.kernel.d0, band.kernel.force))
-            ring = sum(op.nbytes for ops in windows.values() for op in ops)
-            assert list(windows) == [(lo, min(lo + rows, nq)) for lo in range(0, nq, rows)][-4:]
-            assert ring <= 4 * window_bytes
-            assert inputs < nq * 2 * 64 * 16
-            # a later call builds every window again: the rate, plus slab
-            # buffers, row temporaries and one window's build temporaries
-            # (complex, twice its bytes)
+            held = sum(op.nbytes for op in kernel.ops)
+            fixed = sum(op.nbytes for op in kernel.fixed)
+            inputs = sum(a.nbytes for a in (*kernel.weights, kernel.force))
+            assert held == window_bytes and fixed == 3 * 64 * 64 * 8
+            assert inputs <= nq * 3 * 8
+            # a later call builds every window again, into the same buffers:
+            # the rate, plus slab buffers and row temporaries
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             out = np.empty_like(x)
             rate = apply_generator(model, _Band(state.grid, x, 0, kernel, whole, out))
             peak = tracemalloc.get_traced_memory()[1] - base
-            assert peak < grid_bytes + 4 * grids.SLAB_BYTES + 3 * 2 * window_bytes
+            assert peak < grid_bytes + 4 * grids.SLAB_BYTES
         finally:
             tracemalloc.stop()
 
@@ -1818,9 +1955,9 @@ class TestInPlaceKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # only stencil edge-row temporaries: the slab buffer and the window's
-        # operators are the kernel's, which holds at most four windows
-        assert list(kernel.windows) == [(rows, 2 * rows)]
+        # only stencil edge-row temporaries and numpy's iteration buffers:
+        # the slab buffer and the window's operators are the kernel's, which
+        # builds them into the same two buffers at each call
         assert peak < rows * row_bytes / 2
         assert out.tobytes() == first.tobytes()
 

@@ -376,16 +376,16 @@ class TestBranchLabels:
 
 
 class TestLevelsAreAuditedWhereRead:
-    # dV_I gains 0.25 sigma_x for |q - 3| < 0.25, away from the q that fix
-    # the basis; paths from q0 = 2.5 with p0 = 0.5 run into that bump
+    # a second channel, sigma_z, commutes with the first, so the model is
+    # admitted; its profile is 0, but NaN for |q - 3| < 0.25, and paths from
+    # q0 = 2.5 with p0 = 0.5 run into that bump
     base = qubit_decoherence_model(lam=0.6, d0=1.0)
     pair = BranchPair(0, 1)
 
     def bump_model(self):
-        def dv_i(q):
-            bump = 0.25 * (np.abs(np.asarray(q, dtype=float) - 3.0) < 0.25)
-            return self.base.dv_i(q) + bump[..., None, None] * SIGMA_X
-        return dataclasses.replace(self.base, dv_i=dv_i)
+        def bump(q):
+            return np.where(np.abs(np.asarray(q, dtype=float) - 3.0) < 0.25, np.nan, 0.0)
+        return dataclasses.replace(self.base, channels=self.base.channels + ((SIGMA_Z, bump),))
 
     def visited(self):
         # until a path enters the bump, the bump model's sampler draws the
@@ -394,10 +394,7 @@ class TestLevelsAreAuditedWhereRead:
 
     @staticmethod
     def refusal(q):
-        return "^" + re.escape(
-            "model is not diagonal in a common q-independent basis: "
-            f"dv_i(q={q:g}) has off-diagonal 2.500e-01"
-        ) + "$"
+        return "^" + re.escape(f"channel 1 profile(q={q:g}) must be finite, got nan") + "$"
 
     def test_sampler_refuses_at_the_first_visited_q_in_the_bump(self):
         qs, _ = self.visited()
@@ -417,6 +414,14 @@ class TestLevelsAreAuditedWhereRead:
         for action in (om_action, fv_action, path_exponent):
             with pytest.raises(ModelValidationError, match=self.refusal(first)):
                 action(path, self.bump_model(), self.pair)
+
+    def test_the_gate_refuses_the_bump(self):
+        # a sample_paths scenario without a grid is audited at 41 points of
+        # [-5, 5], of which q = 3 is in the bump
+        scenario = parse_scenario_file(str(SCENARIO_DIR / "sample_paths_qdep.yaml"))
+        scenario = dataclasses.replace(scenario, model=self.bump_model())
+        with pytest.raises(ModelValidationError, match=self.refusal(3.0)):
+            runner.check_scenario(scenario)
 
 
 class TestPathExponent:

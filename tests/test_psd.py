@@ -194,8 +194,8 @@ class TestStacks:
         stack = np.stack([5e6 * np.diag([1.0, -1.0]), np.array([[0.0, 1e-5], [0.0, 0.0]])])
         with pytest.raises(ValueError, match=r"^matrix\[1\] is not Hermitian: defect 1\.000e-05 "):
             require_hermitian(stack)
-        with pytest.raises(ValueError, match=r"^point 1 is not Hermitian"):
-            require_hermitian(stack, name=lambda at: f"point {at[0]}")
+        with pytest.raises(ValueError, match=r"^point\[1\] is not Hermitian"):
+            require_hermitian(stack, name="point")
         assert is_psd(stack[:1, None]).shape == (1, 1)  # any number of leading axes
 
     def test_stacked_triples_must_share_their_leading_axes(self):

@@ -46,9 +46,8 @@ def test_constant_z_op_is_a_read_only_view():
 
 def test_nonpositive_strength_aborts():
     m = MeasurementModel(
-        z_op=lambda z: np.broadcast_to(SIGMA_Z, np.shape(z) + (2, 2)),
+        channels=((SIGMA_Z, lambda z: 1.0),),
         k=lambda z: np.asarray(z, dtype=float),  # k(z) = z crosses zero
-        hilbert_dim=2,
     )
     with pytest.raises(ValueError, match="k\\(z\\)"):
         _step_arrays(m, np.array([[1.0], [0.0]]), np.array([-0.5]), 1e-3, np.array([0.1]))
@@ -59,9 +58,8 @@ def test_non_finite_strength_is_refused_not_propagated(bad):
     # k = bad above z = 0.05: a NaN row would pass unnoticed (max_norm_defect
     # drops NaN), and binning it would blame the grid
     m = MeasurementModel(
-        z_op=lambda z: np.broadcast_to(SIGMA_Z, np.shape(z) + (2, 2)),
+        channels=((SIGMA_Z, lambda z: 1.0),),
         k=lambda z: np.where(np.asarray(z) > 0.05, bad, 1.0),
-        hilbert_dim=2,
     )
     psi = np.tile(PLUS[:, None] + 0j, 3)
     message = r"^measurement strength k\(z\) not finite at visited z=0\.1$"
@@ -469,9 +467,8 @@ def test_first_failing_chunk_raises_its_error():
     bad = z_init[[_CHUNK + 17, 2 * _CHUNK + 3]]
     assert not np.isin(z_init[:_CHUNK], bad).any() and f"{bad[0]:g}" != f"{bad[1]:g}"
     m = MeasurementModel(
-        z_op=lambda z: np.broadcast_to(SIGMA_Z, np.shape(z) + (2, 2)),
+        channels=((SIGMA_Z, lambda z: 1.0),),
         k=lambda z: np.where(np.isin(z, bad), -1.0, 1.0),
-        hilbert_dim=2,
     )
 
     def run():
