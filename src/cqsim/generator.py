@@ -157,7 +157,8 @@ class EvolutionDiagnostics:
 
         ``x`` (`_real_coordinates`) is read one slab of first-axis rows at
         a time: each slab's Hermitian cells (`_hermitian_cells`) give their
-        traces, |varrho_01| and smallest eigenvalues (`min_cell_eigenvalue`),
+        traces, |varrho_01| and smallest eigenvalues (`min_cell_eigenvalue`,
+        which diagonalizes these exactly Hermitian cells as they are),
         into grid-shaped arrays that the whole-grid reductions read.  The
         quantum marginal is the Hermitian cell of the coordinates summed
         over the grid, which is the sum of the cells in the whole grid's
@@ -169,9 +170,8 @@ class EvolutionDiagnostics:
         traces = np.empty(grid.shape, dtype=complex)
         coh = np.zeros(grid.shape)  # |varrho_01|, 0 for d = 1
         low = np.empty(grid.shape)
-        # a slab's work holds about four arrays of its complex cells (the
-        # cells, the Hermitian part and its temporary, eigvalsh's copy):
-        # together about SLAB_BYTES
+        # a slab's work holds two arrays of its complex cells (the cells
+        # and eigvalsh's copy): together about half of SLAB_BYTES
         step = slab_rows(len(x), 4 * 2 * x[0].nbytes)
         for lo in range(0, len(x), step):
             rows = slice(lo, lo + step)
@@ -179,7 +179,7 @@ class EvolutionDiagnostics:
             traces[rows] = cell_traces(cells)
             if x.shape[-1] >= 2:
                 np.abs(cells[..., 0, 1], out=coh[rows])
-            min_cell_eigenvalue(cells, out=low[rows])
+            min_cell_eigenvalue(cells, out=low[rows], hermitian=True)
         volume = grid.cell_volume
         dens = traces.real
         # density along the momentum-like (last) axis

@@ -34,6 +34,7 @@ channel (M, profile') from coefficient lists for V(q) and V_I(q) = profile(q) M.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -251,8 +252,9 @@ def diagonalize_model(model: CQModel) -> DiagonalizedModel:
     u is the eigenbasis of one fixed generic combination of H_q and the M_a,
     so the basis and the order of its branches depend on the model alone.
     H_q and every M_a must be diagonal in u (see DIAGONAL_TOL), which holds
-    exactly when they commute; ModelValidationError names the first that is
-    not (``h_q``, or ``channel i``), before any q is read.  ``dv_eigs(q)``
+    exactly when they commute; ModelValidationError names, before any q is
+    read, the first pair that does not commute (`_non_commuting`), or else
+    the first matrix that is not diagonal (``h_q``, or ``channel i``).  ``dv_eigs(q)``
     is sum_a c_a(q) m_a; it refuses a profile value that is not finite
     (`profile_values`).
     """
@@ -273,7 +275,7 @@ def diagonalize_model(model: CQModel) -> DiagonalizedModel:
         if off > DIAGONAL_TOL * (1.0 + np.abs(rotated).max()):
             raise ModelValidationError(
                 "model is not diagonal in a common q-independent basis: "
-                f"{name} has off-diagonal {off:.3e}"
+                + (_non_commuting(named) or f"{name} has off-diagonal {off:.3e}")
             )
         diagonals[i] = rotated.diagonal().real
     h, levels = diagonals[0], diagonals[1:]
@@ -285,6 +287,17 @@ def diagonalize_model(model: CQModel) -> DiagonalizedModel:
         return out
 
     return DiagonalizedModel(basis=u, h=h, dv_eigs=dv_eigs)
+
+
+def _non_commuting(named):
+    """The refusal "a and b do not commute" of the first pair of ``named`` matrices
+    whose commutator has an entry beyond DIAGONAL_TOL * (1 + max|A|) * (1 + max|B|),
+    or None."""
+    for (name_a, a), (name_b, b) in itertools.combinations(named, 2):
+        gap = np.abs(a @ b - b @ a).max()
+        if gap > DIAGONAL_TOL * (1.0 + np.abs(a).max()) * (1.0 + np.abs(b).max()):
+            return f"{name_a} and {name_b} do not commute"
+    return None
 
 
 # -- continuous measurement ---------------------------------------------------

@@ -14,12 +14,17 @@ total trace, which diagnostics monitor during evolution.
 States are immutable snapshots: evolution produces new instances and cells
 may be read concurrently.
 
-A state dump is text.  A dump of at most `BLOCK_FLOATS` floats is written
-straight to its file and starts no pool; a larger one is formatted in
-forked workers (`pool._map_chunks`), in jobs of `JOB_FLOATS` floats, and
-written in order, so a dump's bytes depend on neither the number of
-workers nor the job size.  The main process then holds the text of a few
-jobs at a time, never that of the whole dump.
+A state dump is text, a FLOAT_FMT table like every artifact table
+(`write_table`).  A numpy kernel (`_fields`) formats `TEXT_FLOATS` floats
+at a time with the bytes of CPython's ``%``, which formats the entries the
+kernel leaves: NaN, +-inf, |x| >= 1e290, and the rare entry whose 17-digit
+rounding lies too near a tie to decide.  A dump of at most `BLOCK_FLOATS`
+floats is written straight to its file and starts no pool; a larger one is
+formatted in forked workers (`pool._map_chunks`), in jobs of `JOB_FLOATS`
+floats, and written in order, so a dump's bytes depend on neither the
+number of workers, the job size nor the kernel's block size.  The main
+process then holds the text of a few jobs at a time, never that of the
+whole dump.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import json
 import operator
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -157,7 +162,7 @@ def cell_min_eigenvalues(state: HybridState) -> np.ndarray:
     return low
 
 
-def min_cell_eigenvalue(state, out=None) -> float:
+def min_cell_eigenvalue(state, out=None, hermitian=False) -> float:
     """Smallest eigenvalue over all cell matrices (positivity monitor).
 
     ``state`` is a HybridState or an array of cells (..., d, d), such as
@@ -165,10 +170,15 @@ def min_cell_eigenvalue(state, out=None) -> float:
     diagonalized one slab of first-axis rows at a time, so no grid-sized
     temporary exists; each cell's numbers are those of the whole-grid
     expression.  ``out``, of the cells' leading shape, receives each cell's
-    smallest eigenvalue.
+    smallest eigenvalue.  ``hermitian`` cells are exactly Hermitian, like
+    a slab of an evolution's record, so each is its own Hermitian part, bit
+    for bit: they are diagonalized as they are, in one call.
     """
     cells = state.cells if isinstance(state, HybridState) else state
     low = np.empty(cells.shape[:-2]) if out is None else out
+    if hermitian:
+        low[...] = np.linalg.eigvalsh(cells)[..., 0]
+        return float(low.min())
     step = slab_rows(len(cells), cells[0].nbytes)
     for lo in range(0, len(cells), step):
         c = cells[lo : lo + step]
@@ -226,9 +236,9 @@ BLOCK_FLOATS = 1 << 19
 # Floats per job of a pooled dump: the text that waits in the main process
 # to be written comes a job, about a megabyte, at a time.
 JOB_FLOATS = 1 << 16
-# Floats formatted into one string of table text.  While formatted they take
-# about 70 bytes each (Python floats and text), so a dump written in-process
-# holds a fraction of a slab more than a row-at-a-time writer would.
+# Floats formatted into one string of table text, by one `_fields` call:
+# their 32-byte fields (128 kB) and temporaries stay in cache, and a dump
+# written in-process holds no more than a row-at-a-time writer would.
 TEXT_FLOATS = 1 << 12
 
 
@@ -249,19 +259,176 @@ def write_table(fh, header_lines, table):
 def _table_text(header_lines, table):
     """The text `write_table` writes, as strings of about `TEXT_FLOATS` table entries each.
 
-    A row is one FLOAT_FMT ``%`` over a row of ``tolist()``: the same
-    numbers as numpy's float64 scalars, so the same text.
+    Each string is the `_fields` of its rows, a separator written into
+    each field's last byte, with every NUL byte then dropped.
     """
-    table = np.asarray(table)
+    table = np.asarray(table, dtype=float)
     if table.ndim == 1:
         table = table[:, None]
     header = "\n".join(header_lines)
     if header:
         yield header + "\n"
-    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
     step = max(1, TEXT_FLOATS // table.shape[1])
     for lo in range(0, len(table), step):
-        yield "".join([row % tuple(values) for values in table[lo : lo + step].tolist()])
+        rows = table[lo : lo + step]
+        fields = _fields(rows.ravel())
+        fields[:, 3] |= _COMMA
+        fields.reshape(rows.shape + (4,))[:, -1, 3] ^= _COMMA ^ _NEWLINE
+        yield fields.tobytes().translate(None, b"\0").decode("ascii")
+
+
+# -- the FLOAT_FMT kernel ---------------------------------------------------
+#
+# `_fields` writes FLOAT_FMT of a float64 block without a Python float per
+# entry.  A finite nonzero |x| < _FAST_MAX is scaled to y = |x| 10^(16-E),
+# with 10^16 <= y < 10^17, in double-double arithmetic (Dekker, Numer. Math.
+# 18, 224 (1971)): |x| times a (hi, lo) pair of 10^(16-E) has an absolute
+# error near 1e-14 at most, so round(y) is the correctly rounded 17-digit
+# significand of |x| unless y's fraction lies within _TIE of 1/2.  Those
+# entries, like NaN, +-inf and |x| >= _FAST_MAX, go through FLOAT_FMT % x, so
+# CPython's formatter is both the kernel's fallback and its test oracle.
+#
+# A field is four little-endian words of NUL-padded ASCII, dropped NULs
+# giving the text: the head word (sign, the "0.000" of a fixed-point value
+# below 1, the first digit and a point), two words of eight more digits, and
+# the exponent suffix with the separator in the last byte.  C's %g picks the
+# layout from the decimal exponent alone: fixed-point for -4 <= E < 17,
+# d.ddd...e+XX otherwise, with trailing zeros after the point dropped.
+
+_FAST_MAX = 1e290  # 134217729 |x| must not overflow in the Dekker split
+_TIE = 1e-9
+_E_MIN = -330  # the suffix table's first exponent
+# 10^k for k in [_K_MIN, _K_MAX] covers the scaling exponent 16 - E of every
+# |x| in [5e-324, _FAST_MAX), after E's correction; 10^k above 10^_SHIFT_K
+# is stored divided by 2^200, and |x| multiplied by it, so that neither the
+# table nor its split overflows
+_K_MIN, _K_MAX, _SHIFT_K = -280, 345, 280
+# a field's words are read as bytes in little-endian order on every host
+_WORD = np.dtype("<u8")
+_COMMA = _WORD.type(ord(",") << 56)
+_NEWLINE = _WORD.type(ord("\n") << 56)
+
+
+def _word(text: bytes):
+    """The value of a `_WORD` whose bytes are ``text`` (at most 8), NUL-padded."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+@cache
+def _kernel_tables():
+    """The kernel's lookup tables, built on its first call (not at import).
+
+    The scales and the (hi, head, tail, lo) of each 10^k, from exact
+    rationals: hi + lo is 10^k to about 2^-106, and head + tail is hi split
+    into halves of 26 bits; then four-digit words and their trailing zeros,
+    masks keeping a word's first 8 - j digits, exponent suffixes and head
+    words.
+    """
+    split = 134217729.0  # 2^27 + 1
+    columns = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        shift = 200 if k > _SHIFT_K else 0
+        # 10^k / 2^shift = num / den; int / int is correctly rounded
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0) << shift
+        hi = num / den
+        n, d = hi.as_integer_ratio()
+        t = split * hi
+        head = t - (t - hi)
+        columns.append((2.0**shift, hi, head, hi - head, (num * d - n * den) / (den * d)))
+    pow10 = tuple(np.array(column) for column in zip(*columns))
+    text = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), dtype=np.uint8).reshape(-1, 4)
+    quads = text.view("<u4")[:, 0].astype(_WORD)
+    nonzero = text[:, ::-1] != ord("0")
+    zeros = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), 4).astype(np.int8)
+    masks = np.array([_word(b"\xff" * (8 - j)) for j in range(9)], dtype=_WORD)
+    suffixes = np.array([_word(b"e%+03d" % e) for e in range(_E_MIN, 310)] + [0], dtype=_WORD)
+    # indexed by 100 sign + 20 p + 2 first digit + point, where p = -E for a
+    # fixed-point value below 1 ("0.", "0.0", ...) and 0 otherwise
+    heads = np.array([_word(sign + b"\0" * (5 - len(pre)) + pre + b"%d" % d + point)
+                      for sign in (b"\0", b"-") for pre in (b"", b"0.", b"0.0", b"0.00", b"0.000")
+                      for d in range(10) for point in (b"\0", b".")], dtype=_WORD)
+    return pow10, quads, zeros, masks, suffixes, heads
+
+
+def _scaled(a, e):
+    """a 10^(16 - e) as a double-double (hi, lo): an exact product, then one rounded term."""
+    scale, hi, head, tail, lo = (np.take(t, 16 - _K_MIN - e) for t in _kernel_tables()[0])
+    x = a * scale
+    t = 134217729.0 * x
+    x_head = t - (t - x)
+    x_tail = x - x_head
+    p = x * hi
+    err = ((x_head * head - p) + x_head * tail + x_tail * head) + x_tail * tail + x * lo
+    s = p + err
+    return s, err - (s - p)
+
+
+def _fields(x):
+    """The FLOAT_FMT text of each entry of the 1-D float64 array ``x``, as (n, 4) `_WORD` fields.
+
+    See the kernel's notes above; a field's separator byte is left NUL.
+    """
+    _, quads, zeros, masks, suffixes, heads = _kernel_tables()
+    out = np.zeros((x.size, 4), dtype=_WORD)
+    a = np.abs(x)
+    head = np.signbit(x) * 100  # a zero is its head word: the sign and "0"
+    fast = a < _FAST_MAX  # False for NaN
+    idx = np.flatnonzero(fast & (a != 0.0))
+    a = a[idx]
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, e)
+    for attempt in range(2):
+        # log10 may miss E by one: then y lies outside [10^16, 10^17)
+        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+        redo = np.flatnonzero(low | high)
+        if attempt or not redo.size:
+            break
+        e[redo] += high[redo].astype(np.intp) - low[redo]
+        hi[redo], lo[redo] = _scaled(a[redo], e[redo])
+    floor = np.floor(lo)
+    frac = lo - floor
+    fallback = low | high | (np.abs(frac - 0.5) <= _TIE)
+    hi[fallback], floor[fallback], frac[fallback], e[fallback] = 1e16, 0.0, 0.0, 0
+    # hi >= 2^53 is an integer, and |lo| <= 8
+    m = hi.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = m == 10**17
+    m[carry] = 10**16
+    e += carry
+    first, rest = np.divmod(m, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    upper_hi, upper_lo = np.divmod(upper, 10**4)
+    lower_hi, lower_lo = np.divmod(lower, 10**4)
+    upper_zeros = np.where(upper_lo != 0, zeros[upper_lo], 4 + zeros[upper_hi])
+    lower_zeros = np.where(lower_lo != 0, zeros[lower_lo], 4 + zeros[lower_hi])
+    digits = 17 - lower_zeros - (lower == 0) * upper_zeros
+    fixed = (e >= -4) & (e < 17)
+    # digits written: the integer digits of a fixed-point value stay
+    keep = np.where(fixed & (e > 0), np.maximum(digits, e + 1), digits)
+    upper_word = (quads[upper_hi] | quads[upper_lo] << 32) & masks[8 - np.clip(keep - 1, 0, 8)]
+    lower_word = (quads[lower_hi] | quads[lower_lo] << 32) & masks[8 - np.clip(keep - 9, 0, 8)]
+    head[idx] += 20 * np.where(fixed & (e < 0), -e, 0) + 2 * first + ((~fixed | (e == 0)) & (digits > 1))
+    out[:, 0] = heads[head]
+    out[idx, 1] = upper_word
+    out[idx, 2] = lower_word
+    out[idx, 3] = suffixes[np.where(fixed, len(suffixes) - 1, e - _E_MIN)]
+    inner = np.flatnonzero(fixed & (e > 0))
+    if inner.size:
+        # from 10 up the point follows digit e, among the digit words; the
+        # last digit moves into the suffix word, which is empty
+        rows, point = idx[inner], e[inner]
+        digit_words = out[rows, 1:3].view(np.uint8)
+        body = np.zeros((inner.size, 24), dtype=np.uint8)
+        body[:, :16] = digit_words
+        np.copyto(body[:, 1:17], digit_words, where=np.arange(1, 17) > point[:, None])
+        body[np.arange(inner.size), point] = (keep[inner] > point + 1) * np.uint8(ord("."))
+        out[rows, 1:4] = body.view(_WORD)
+    text = out.view(np.uint8)
+    for i in itertools.chain(np.flatnonzero(~fast), idx[fallback]):
+        field = (FLOAT_FMT % x[i]).encode()
+        text[i] = 0
+        text[i, : len(field)] = np.frombuffer(field, dtype=np.uint8)
+    return out
 
 
 def scenario_json(resolved) -> str:
@@ -317,9 +484,13 @@ def _write_state(fh, state, scenario):
     entries = state.cells.reshape(n, d * d).view(float)
     width = len(coords) + entries.shape[1]
     if n * width <= BLOCK_FLOATS:
-        # no pool, so no copy of the text either
-        fh.writelines(_block_lines(header, coords, entries, 0, n))
+        # no pool, so no copy of the text either, and the table of one
+        # string of text at a time
+        rows = max(1, TEXT_FLOATS // width)
+        for lo in range(0, n, rows):
+            fh.writelines(_block_lines(header, coords, entries, lo, min(lo + rows, n)))
         return
+    _kernel_tables()  # built once here, for the workers to inherit
     rows = max(1, JOB_FLOATS // width)
     jobs = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     # the header is job 0's text, so nothing is buffered in fh when the

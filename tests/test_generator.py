@@ -664,7 +664,7 @@ class TestBranchGenerator:
     def test_refuses_dv_i_that_leaves_the_basis(self):
         # dV_I(q) = (2q - 2) sigma_z for q >= 0 and sigma_x below, H_q = 0: the
         # two channels do not commute, so the model is refused at once, with
-        # the channel named, before any q is read
+        # the pair named, before any q is read
         base = polynomial_cq_model(
             mass=1.0, potential_coeffs=[0.0], h_q=np.zeros((2, 2)), v_i_matrix=SIGMA_Z,
             v_i_profile=[0.0, -2.0, 1.0], d2_coeffs=[0.5], d0_coeffs=[1.0],
@@ -682,7 +682,7 @@ class TestBranchGenerator:
         with pytest.raises(
             ModelValidationError,
             match=r"^model is not diagonal in a common q-independent basis: "
-            r"channel 0 has off-diagonal 9\.219e-01$",
+            r"channel 0 and channel 1 do not commute$",
         ):
             diagonalize_model(model)
         assert read == []
@@ -692,20 +692,36 @@ class TestBranchGenerator:
             mass=1.0, potential_coeffs=[0.0], h_q=SIGMA_X, v_i_matrix=SIGMA_Z,
             v_i_profile=[0.0, 0.5], d2_coeffs=[0.5], d0_coeffs=[1.0],
         )
-        with pytest.raises(ModelValidationError, match=r"basis: h_q has off-diagonal "):
+        with pytest.raises(ModelValidationError, match=r"basis: h_q and channel 0 do not commute$"):
+            diagonalize_model(model)
+
+    def test_refusal_without_a_non_commuting_pair_names_the_matrix(self):
+        # H_q = h sigma_z and M = h sigma_z + eps sigma_x at h = 1e-3: in the
+        # basis of their combination H_q has an off-diagonal entry of about
+        # 3.35 eps, beyond 1e-10 * (1 + h), while their commutator, 2 h eps,
+        # is within 1e-10 * (1 + h)^2: no pair is named, the matrix is
+        h, eps = 1e-3, 1e-9
+        model = polynomial_cq_model(
+            mass=1.0, potential_coeffs=[0.0], h_q=h * SIGMA_Z, v_i_matrix=h * SIGMA_Z + eps * SIGMA_X,
+            v_i_profile=[0.0, 1.0], d2_coeffs=[0.5], d0_coeffs=[1.0],
+        )
+        with pytest.raises(
+            ModelValidationError,
+            match=r"^model is not diagonal in a common q-independent basis: "
+            r"h_q has off-diagonal 3\.352e-09$",
+        ):
             diagonalize_model(model)
 
     @pytest.mark.parametrize("extra", [np.zeros_like, np.ones_like])
     def test_refusal_names_the_channel(self, extra):
         # a sigma_x channel beside sigma_z is refused whatever its profile,
-        # even one that is 0 at every q: the rule reads no q.  Neither is
-        # diagonal in the eigenbasis of their combination, and H_q = 0 is, so
-        # channel 0 is the first named
+        # even one that is 0 at every q: the rule reads no q.  H_q = 0
+        # commutes with both, so the pair of channels is named
         model = self._fields(qubit_decoherence_model(lam=0.6, d0=1.0), extra)
         with pytest.raises(
             ModelValidationError,
             match=r"^model is not diagonal in a common q-independent basis: "
-            r"channel 0 has off-diagonal 9\.219e-01$",
+            r"channel 0 and channel 1 do not commute$",
         ):
             diagonalize_model(model)
 
@@ -766,7 +782,8 @@ class TestBranchGenerator:
     def test_tolerance_is_relative_to_the_matrix(self):
         # H_q = 100 sigma_z and M = 100 sigma_z + eps sigma_x: in the basis of
         # their combination each has an off-diagonal entry of about 1.7 eps,
-        # against a bound of 1e-10 * 101: eps = 1e-9 passes and 1e-7 does not
+        # against a bound of 1e-10 * 101: eps = 1e-9 passes and 1e-7 does not,
+        # with a commutator of 200 eps beyond 1e-10 * 101^2
         for eps, ok in ((1e-9, True), (1e-7, False)):
             model = polynomial_cq_model(
                 mass=1.0, potential_coeffs=[0.0], h_q=100.0 * SIGMA_Z,
@@ -776,7 +793,8 @@ class TestBranchGenerator:
             if ok:
                 diagonalize_model(model)
             else:
-                with pytest.raises(ModelValidationError, match=r"basis: h_q has off-diagonal"):
+                with pytest.raises(ModelValidationError,
+                                   match=r"basis: h_q and channel 0 do not commute$"):
                     diagonalize_model(model)
 
     def test_non_finite_profile_values_are_refused(self):

@@ -5,12 +5,16 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cqsim import grids, runner
+from cqsim import generator, grids, runner
 from cqsim import state as state_module
 from cqsim.cli import main
 from cqsim.grids import GridAxis, PhaseGrid
@@ -166,6 +170,100 @@ def test_write_table_writes_the_bytes_of_savetxt(tmp_path, monkeypatch, case):
     assert path.read_bytes() == want.getvalue().encode()
 
 
+def _bits(pattern):
+    """The float64 whose bits are the integer ``pattern``."""
+    return float(np.array(pattern, dtype=np.uint64).view(np.float64))
+
+
+def _steps(x, n):
+    """``x`` moved ``n`` doubles up (n > 0) or down."""
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, np.inf if n > 0 else -np.inf))
+    return x
+
+
+def _largest_below_decade(k):
+    """The largest double below 10^k, whose 17 digits may round up to 10^k."""
+    x = float(f"1e{k}")
+    return x if Fraction(x) < Fraction(10) ** k else _steps(x, -1)
+
+
+# the oracle's value families: with a random sign, each NaN payload, +-0,
+# subnormals, +-inf and the largest finite value among the bit patterns;
+# then decades and their neighbours, decades' lower neighbours whose
+# 17-digit rounding carries, exact ties (1e15 + 0.25 has 18 digits, the last
+# a 5), 17-digit integers and the %g switch points around 1e-4 and 1e17
+MAGNITUDES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bits),
+    st.integers(0, 2**52).map(_bits),  # zero, subnormals, the smallest normal
+    st.sampled_from([0.0, np.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.builds(lambda k, n: _steps(float(f"1e{k}"), n), st.integers(-330, 308), st.integers(-1, 1)),
+    st.integers(-323, 308).map(_largest_below_decade),
+    st.builds(lambda m, f: m + f, st.integers(10**15, 2**51 - 1), st.sampled_from([0.25, 0.5, 0.75])),
+    st.integers(10**16, 10**17).map(float),
+    st.builds(_steps, st.sampled_from([1e-4, 1e-5, 1e16, 1e17]), st.integers(-3, 3)),
+)
+VALUES = st.builds(lambda x, negative: -x if negative else x, MAGNITUDES, st.booleans())
+
+
+def _savetxt(table):
+    want = io.StringIO()
+    np.savetxt(want, table, fmt="%.17g", delimiter=",")
+    return want.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 7), st.sampled_from([1, 5, 4096]), st.data())
+def test_write_table_is_savetxt_for_any_float64(rows, columns, block, data):
+    # CPython's %.17g is the oracle; the bytes depend on no block size
+    values = data.draw(st.lists(VALUES, min_size=rows * columns, max_size=rows * columns))
+    table = np.array(values).reshape(rows, columns)
+    stream = io.StringIO()
+    saved = state_module.TEXT_FLOATS
+    state_module.TEXT_FLOATS = block
+    try:
+        state_module.write_table(stream, [], table)
+    finally:
+        state_module.TEXT_FLOATS = saved
+    assert stream.getvalue() == _savetxt(table)
+
+
+def test_write_table_is_savetxt_on_a_seeded_sweep():
+    # 2e5 bit patterns, every decade with two neighbours each side, and
+    # every power of 2: 17-digit rounding at each exponent
+    rng = np.random.default_rng(17)
+    decades = [_steps(float(f"1e{k}"), n) for k in range(-330, 309) for n in (-2, -1, 0, 1, 2)]
+    values = np.concatenate([
+        rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64),
+        decades, np.ldexp(1.0, np.arange(-1074, 1024)),
+    ])
+    table = np.resize(values, (len(values) // 9, 9))
+    stream = io.StringIO()
+    state_module.write_table(stream, [], table)
+    assert stream.getvalue() == _savetxt(table)
+
+
+FINITE_VALUES = VALUES.filter(np.isfinite)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2), st.data())
+def test_written_dumps_read_back_bit_for_bit(d, data):
+    # "reads back as the same float64": signed zeros and subnormals too
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 3), GridAxis("p", -0.5, 2.0, 4)))
+    n = 2 * 12 * d * d
+    values = np.array(data.draw(st.lists(FINITE_VALUES, min_size=n, max_size=n)))
+    state = HybridState(grid, values.view(complex).reshape(grid.shape + (d, d)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.txt")
+        save_state(state, path)
+        loaded = load_state(path)
+        with open(path) as fh:
+            parsed = state_from_text(fh.read())
+    assert loaded.grid == parsed.grid == grid
+    assert loaded.cells.tobytes() == parsed.cells.tobytes() == state.cells.tobytes()
+
+
 @pytest.mark.parametrize(
     "rho_q",
     [[[np.nan]], [[np.inf]], [[-1.0]], [[0.0]], [[0.5, np.nan], [np.nan, 0.5]]],
@@ -243,6 +341,16 @@ def test_cell_min_eigenvalues_are_the_whole_grid_expression_in_any_slabs(shape, 
     for rows in (1, 2, 3, 7):
         monkeypatch.setattr(grids, "SLAB_BYTES", rows * cells[0].nbytes)
         assert cell_min_eigenvalues(state).tobytes() == want
+
+
+def test_exactly_hermitian_cells_are_diagonalized_as_they_are():
+    # a record's cells are exactly Hermitian, so each is its own Hermitian
+    # part: hermitian=True skips that pass and keeps every bit
+    x = np.random.default_rng(12).normal(size=(7, 5, 4, 4))
+    cells = generator._hermitian_cells(x)
+    low, want = np.empty((7, 5)), np.empty((7, 5))
+    assert min_cell_eigenvalue(cells, out=low, hermitian=True) == min_cell_eigenvalue(cells, out=want)
+    assert low.tobytes() == want.tobytes()
 
 
 def test_cell_min_eigenvalues_hold_a_few_slabs(monkeypatch):
@@ -375,7 +483,7 @@ def test_pooled_dump_holds_a_few_jobs_text(tmp_path):
     jobs = -(-70 * 70 // (state_module.JOB_FLOATS // 130))
     job_text = path.stat().st_size / jobs  # 1.3 MB
     # the jobs that came back and wait to be written, each as text and in
-    # its pickle, and one being encoded to the file: 5.4-7.1 MB were
+    # its pickle, and one being encoded to the file: 4.2-5.4 MB were
     # measured, where blocks of BLOCK_FLOATS floats took 24.5-26.1 MB
     assert jobs == 10 and peak < 8 * job_text, (peak, job_text)
 

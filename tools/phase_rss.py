@@ -10,10 +10,10 @@ every millisecond.  One JSON line is printed per phase as it ends: the
 initial state (``gaussian_product_state``), each RK4 step (``_rk4``), each
 diagnostics record, each conversion of the coordinates to cells outside a
 record (``to_cells``: the final state's) and ``save_state``.  Each line
-holds the VmRSS at the phase's end and the largest sampled during it, in
-MB (10^6 bytes).  The run's own summary line comes before the last line,
-which holds ``ru_maxrss`` of this process and of its children (the pool's
-workers), in MB.  Linux only.
+holds the phase's wall seconds, and the VmRSS at its end and the largest
+sampled during it, in MB (10^6 bytes).  The run's own summary line comes
+before the last line, which holds ``ru_maxrss`` of this process and of its
+children (the pool's workers), in MB.  Linux only.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import resource
 import sys
 import tempfile
 import threading
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -80,13 +81,15 @@ def install(sampler):
             if nested and depth[0]:
                 return fn(*args, **kwargs)
             depth[0] += 1
+            start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
+                wall = time.perf_counter() - start
                 depth[0] -= 1
                 counts[name] = counts.get(name, 0) + 1
                 rss, peak = sampler.take()
-                print(json.dumps({"phase": name, "call": counts[name],
+                print(json.dumps({"phase": name, "call": counts[name], "wall_s": round(wall, 4),
                                   "rss_mb": round(rss, 1), "peak_mb": round(peak, 1)}),
                       flush=True)
 
