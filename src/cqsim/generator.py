@@ -59,8 +59,11 @@ and is bit-for-bit cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4).
 steps, which the caller decides.  A run allocates its two coordinate
 arrays once and swaps them at each step; its diagnostics records read
 them a slab at a time, so the only complex grid array of a run is its
-final state's.  A trace-drift abort reports the probability found in the
-outermost grid cells.
+final state's.  On a grid of more than `state.BLOCK_FLOATS` coordinates
+each record but the last runs in a forked child while the next step is
+taken (`pool._Child`), with the rows and aborts of an in-process run.  A
+trace-drift abort reports the probability found in the outermost grid
+cells.
 
 `branch_generator` provides an independent evolution route for models
 diagonal in a fixed basis: each matrix element varrho_ab is transported by
@@ -99,8 +102,10 @@ from .models import (
     profile_values,
     validate_model,
 )
+from .pool import _Child, _workers
 from .psd import spectral_norm
 from .state import (
+    BLOCK_FLOATS,
     LEAK_LIMIT,
     HybridState,
     cell_min_eigenvalues,
@@ -201,6 +206,11 @@ class EvolutionDiagnostics:
         self.mean_p.append(mean_p)
         self.var_p.append(var_p)
         self.coh_01.append(float(coh.sum() * volume))
+
+    def extend(self, other):
+        """Append the rows of ``other``."""
+        for name in self.COLUMNS:
+            getattr(self, name).extend(getattr(other, name))
 
     def table(self):
         return np.column_stack([getattr(self, name) for name in self.COLUMNS])
@@ -824,22 +834,70 @@ def _most_negative_cell(state):
     )
 
 
+def _check_record(diags, grid, x, t, trace_abort):
+    """Raise EvolutionError if the last row of ``diags`` (``x`` at ``t``) breaches an invariant.
+
+    The checks and messages of every record after t = 0: a non-finite
+    total trace, a trace drift from the t = 0 row beyond ``trace_abort``
+    and a cell eigenvalue below -`POSITIVITY_ABORT`.  Only a message forms
+    the Hermitian cells of ``x``.
+    """
+    if not np.isfinite(diags.trace[-1]):
+        raise EvolutionError("non-finite total trace encountered", diags)
+    drift = abs(diags.trace[-1] - diags.trace[0])
+    if drift > trace_abort:
+        state = HybridState(grid, _hermitian_cells(x))
+        raise EvolutionError(
+            f"trace drift {drift:.3e} exceeds {trace_abort:.1e} "
+            f"at t={t:g}, with probability {edge_mass(state):.3e} "
+            "in the outermost grid cells",
+            diags,
+        )
+    if diags.min_eig[-1] < -POSITIVITY_ABORT:
+        state = HybridState(grid, _hermitian_cells(x))
+        raise EvolutionError(
+            f"negativity {diags.min_eig[-1]:.3e} beyond {POSITIVITY_ABORT:.1e} "
+            f"at t={t:g}, {_most_negative_cell(state)}",
+            diags,
+        )
+
+
+def _record_row(t, grid, x):
+    """`EvolutionDiagnostics.record` of ``x`` at ``t``, alone: the job of a forked record."""
+    row = EvolutionDiagnostics.empty()
+    row.record(t, grid, x)
+    return row
+
+
 def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
     """The stepping loop of `evolve` and `evolve_measurement`.
 
     ``initial`` is a one-item list holding the initial state, which the
     loop takes out and converts to the real coordinates of its cells'
     Hermitian parts (`_real_coordinates`), the cells that the steps carry.
-    The t = 0 record reads those coordinates; when the caller kept no
-    reference either, the initial cells are freed before the first step.
-    The run then holds two coordinate arrays, allocated once: each step
-    reads one and writes the other (`_rk4`), and each record reads the
-    step's output a slab at a time (`EvolutionDiagnostics.record`).  The
-    final state's Hermitian cells are formed only after the spare array is
-    freed, and an abort forms them only for its message.  The run's kernel
-    (`_stepper`) goes with the loop's frame when it returns or raises, so
-    its operators do not stay resident beside the final state (nor in the
-    forked workers that dump it).
+    When there is a step to take, the initial state is let go before the
+    t = 0 record, which reads only the coordinates, so the initial cells
+    are freed then if the caller kept no reference either.  The run then
+    holds two coordinate arrays, allocated once: each step reads one and
+    writes the other (`_rk4`), and each record reads the step's output a
+    slab at a time (`EvolutionDiagnostics.record`).
+
+    On a grid of more than `BLOCK_FLOATS` coordinates, with a second CPU
+    (`pool._workers`), each record but the last is taken in a forked child
+    (`pool._Child`) while this process takes the next step into the other
+    array.  The child reads the array as it was at the fork; an abort's
+    message reads it here, so the record is settled -- its row appended,
+    then the checks of `_check_record` -- before anything could overwrite
+    that array: before the next record, before a step that writes into it
+    (stride > 1) and before the loop ends.  So the rows, and an abort's
+    message and rows, are those of the records taken in this process.  A
+    child still running when the loop raises is killed and reaped.
+
+    The final state's Hermitian cells are formed only after the spare
+    array is freed, and an abort forms them only for its message.  The
+    run's kernel (`_stepper`) goes with the loop's frame when it returns
+    or raises, so its operators do not stay resident beside the final
+    state (nor in the forked workers that dump it).
     """
     n_steps = _count("n_steps", n_steps, 0)
     stride = _count("stride", stride, 1)
@@ -848,35 +906,44 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
     rate_fn, height = _stepper(model, state, dt)
     x = _real_coordinates(state.cells)
     diags = EvolutionDiagnostics.empty()
-    diags.record(0.0, grid, x)
     if n_steps == 0:
+        diags.record(0.0, grid, x)
         return state, diags
     del state
-    initial_trace = diags.trace[0]
+    forked = x.size > BLOCK_FLOATS and _workers(2) > 1
     spare = np.empty(x.shape)
-    for step in range(1, n_steps + 1):
-        x, spare = _rk4(rate_fn, x, dt, height, spare), x
-        if step % stride and step != n_steps:
-            continue
-        diags.record(step * dt, grid, x)
-        if not np.isfinite(diags.trace[-1]):
-            raise EvolutionError("non-finite total trace encountered", diags)
-        drift = abs(diags.trace[-1] - initial_trace)
-        if drift > trace_abort:
-            state = HybridState(grid, _hermitian_cells(x))
-            raise EvolutionError(
-                f"trace drift {drift:.3e} exceeds {trace_abort:.1e} "
-                f"at t={step * dt:g}, with probability {edge_mass(state):.3e} "
-                "in the outermost grid cells",
-                diags,
-            )
-        if diags.min_eig[-1] < -POSITIVITY_ABORT:
-            state = HybridState(grid, _hermitian_cells(x))
-            raise EvolutionError(
-                f"negativity {diags.min_eig[-1]:.3e} beyond {POSITIVITY_ABORT:.1e} "
-                f"at t={step * dt:g}, {_most_negative_cell(state)}",
-                diags,
-            )
+    pending = None  # the record in a child: (the child, its step, the array it reads)
+
+    def settle():
+        nonlocal pending
+        (child, step, y), pending = pending, None
+        try:
+            row = child.result()
+        finally:
+            child.close()
+        diags.extend(row)
+        if step:
+            _check_record(diags, grid, y, step * dt, trace_abort)
+
+    try:
+        for step in range(n_steps + 1):
+            if step:
+                if pending and pending[2] is spare:
+                    settle()  # this step overwrites what an abort's message reads
+                x, spare = _rk4(rate_fn, x, dt, height, spare), x
+                if step % stride and step != n_steps:
+                    continue
+            if pending:
+                settle()
+            if forked and step < n_steps:
+                pending = _Child(_record_row, [(step * dt, grid, x)]), step, x
+                continue
+            diags.record(step * dt, grid, x)
+            if step:
+                _check_record(diags, grid, x, step * dt, trace_abort)
+    finally:
+        if pending:
+            pending[0].close()
     del spare, rate_fn
     return HybridState(grid, _hermitian_cells(x)), diags
 
@@ -897,11 +964,12 @@ def evolve(
     anything else raises ValueError, as does a ``trace_abort`` outside
     (0, LEAK_LIMIT], the cap on boundary leakage.  The steps carry the
     real coordinates of the cells' Hermitian parts, and the diagnostics
-    are those of the Hermitian parts, t = 0's included; ``state`` is not
-    referenced after its coordinates are formed and recorded.  A run holds
-    two coordinate arrays for its whole length, which its records read a
-    slab at a time; the final state's cells, exactly Hermitian for
-    n_steps >= 1, are formed after the spare array is freed.
+    are those of the Hermitian parts, t = 0's included; for n_steps >= 1
+    ``state`` is not referenced after its coordinates are formed.  A run
+    holds two coordinate arrays for its whole length, which its records
+    read a slab at a time (on a grid of more than a block, in a forked
+    child while the next step runs); the final state's cells, exactly
+    Hermitian for n_steps >= 1, are formed after the spare array is freed.
     """
     if not 0.0 < trace_abort <= LEAK_LIMIT:
         raise ValueError(

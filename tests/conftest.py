@@ -79,6 +79,15 @@ def in_child(fn, daemon=False):
     return value
 
 
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def on_one_cpu(fn):
     """fn() in a forked child pinned to one CPU of this process's affinity mask."""
     cpu = min(os.sched_getaffinity(0))

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import os
 import re
 import tracemalloc
 import weakref
@@ -39,6 +40,7 @@ from cqsim.models import (
     polynomial_cq_model,
     validate_model,
 )
+from cqsim.pool import ChildDied
 from cqsim.psd import schur_cp_check
 from cqsim.scenario import parse_scenario_file
 from cqsim.state import (
@@ -52,7 +54,15 @@ from cqsim.state import (
     total_trace,
 )
 
-from conftest import SIGMA_X, SIGMA_Z, free_diffusion_model, qubit_decoherence_model
+from conftest import (
+    SIGMA_X,
+    SIGMA_Z,
+    free_diffusion_model,
+    no_child_left,
+    on_one_cpu,
+    qubit_decoherence_model,
+    record_pids,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -2077,3 +2087,125 @@ class TestInPlaceKernel:
         # the initial cells are gone before the first of them
         assert len(alive) == 4 * 25
         assert not any(alive)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+class TestForkedRecords:
+    """Records of a grid above a block, each but the last in a forked child beside the next step."""
+
+    @staticmethod
+    def qubit_run(grid, n_steps, stride):
+        model = qubit_decoherence_model(lam=0.6, d0=1.0)
+        rho_q = np.array([[0.6, 0.3], [0.3, 0.4]])
+        state = gaussian_product_state(grid, (0, 0), (0.45, 0.45), rho_q=rho_q)
+        return evolve(model, state, 0.4 * cfl_limit(model, grid), n_steps, stride=stride)
+
+    @staticmethod
+    def leaking_run(stride):
+        grid = PhaseGrid((GridAxis("q", -2, 2, 21), GridAxis("p", -1.5, 1.5, 21)))
+        model = free_diffusion_model(d2=1.0)
+        state = gaussian_product_state(grid, (0, 0), (0.4, 0.4))
+        return evolve(model, state, 0.4 * cfl_limit(model, grid), 10, stride=stride)
+
+    @staticmethod
+    def negative_run(stride):
+        grid = PhaseGrid((GridAxis("z", -3.0, 3.0, 41),))
+        m = constant_measurement_model(SIGMA_Z, 0.7, h=0.5 * SIGMA_X, k_slope=0.1)
+        rho_q = np.array([[0.6, 0.3], [0.3, 0.4]])
+        state = gaussian_product_state(grid, (0.2,), (0.5,), rho_q=rho_q)
+        return evolve_measurement(m, state, 0.4 * measurement_cfl_limit(m, grid), 3,
+                                  stride=stride)
+
+    @staticmethod
+    def same_rows(a, b):
+        return all(getattr(a, name) == getattr(b, name) for name in a.COLUMNS)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_forked_records_have_the_in_process_bits(self, monkeypatch, small_grid, tmp_path,
+                                                     stride):
+        want_state, want = self.qubit_run(small_grid, 7, stride)
+        pids = record_pids(monkeypatch, generator.EvolutionDiagnostics, "record", tmp_path / "p")
+        monkeypatch.setattr(generator, "BLOCK_FLOATS", 0)
+        state, diags = self.qubit_run(small_grid, 7, stride)
+        assert len(diags.t) == len(want.t) == {1: 8, 3: 4}[stride]
+        assert self.same_rows(diags, want)
+        assert np.array_equal(state.cells, want_state.cells)
+        # the last record ran here, every other one in a child of its own
+        ran = pids()
+        assert len(ran) == len(want.t) and ran[-1] == os.getpid()
+        assert len(set(ran[:-1])) == len(ran) - 1 and os.getpid() not in ran[:-1]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_a_grid_of_one_block_records_in_process(self, monkeypatch, small_grid, tmp_path,
+                                                    spare):
+        # 41^2 cells at d = 2 are 6724 coordinates
+        pids = record_pids(monkeypatch, generator.EvolutionDiagnostics, "record", tmp_path / "p")
+        monkeypatch.setattr(generator, "BLOCK_FLOATS", 6724 - 1 + spare)
+        self.qubit_run(small_grid, 3, 1)
+        here = [pid == os.getpid() for pid in pids()]
+        assert here == [True] * 4 if spare else here == [False] * 3 + [True]
+
+    def test_one_cpu_records_in_process(self, monkeypatch, small_grid, tmp_path):
+        monkeypatch.setattr(generator, "BLOCK_FLOATS", 0)
+        pids = record_pids(monkeypatch, generator.EvolutionDiagnostics, "record", tmp_path / "p")
+        pinned, diags = on_one_cpu(lambda: (os.getpid(), self.qubit_run(small_grid, 3, 1)[1]))
+        assert pids() == [pinned] * 4
+        monkeypatch.undo()
+        assert self.same_rows(diags, self.qubit_run(small_grid, 3, 1)[1])
+
+    @pytest.mark.parametrize("run, kind, stride", [("leaking_run", "trace drift", 1),
+                                                   ("leaking_run", "trace drift", 2),
+                                                   ("negative_run", "negativity", 1)])
+    def test_aborts_have_the_in_process_message_and_rows(self, monkeypatch, run, kind, stride):
+        rk4, steps = generator._rk4, []
+
+        def counted(*args):
+            steps.append(1)
+            return rk4(*args)
+
+        monkeypatch.setattr(generator, "_rk4", counted)
+        with pytest.raises(EvolutionError, match=kind) as want:
+            getattr(self, run)(stride)
+        n = len(steps)
+        assert want.value.diagnostics.t[-1] == pytest.approx(n * want.value.diagnostics.t[1] / stride)
+        monkeypatch.setattr(generator, "BLOCK_FLOATS", 0)
+        with pytest.raises(EvolutionError, match=kind) as got:
+            getattr(self, run)(stride)
+        # the breaching record ran in its child while one more step was
+        # taken; at stride 2 the next step would have written its array
+        assert len(steps) == n + n + 1
+        assert str(got.value) == str(want.value)
+        assert self.same_rows(got.value.diagnostics, want.value.diagnostics)
+        assert no_child_left()
+
+    def test_a_failing_step_leaves_no_child(self, monkeypatch, small_grid):
+        monkeypatch.setattr(generator, "BLOCK_FLOATS", 0)
+        rk4, calls = generator._rk4, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("step 2 fails")
+            return rk4(*args)
+
+        monkeypatch.setattr(generator, "_rk4", failing)
+        with pytest.raises(RuntimeError, match="^step 2 fails$"):
+            self.qubit_run(small_grid, 4, 1)  # record 1 is running in its child
+        assert no_child_left()
+
+    def test_a_record_child_that_dies_is_named(self, monkeypatch, small_grid):
+        monkeypatch.setattr(generator, "BLOCK_FLOATS", 0)
+        parent = os.getpid()
+        record = generator.EvolutionDiagnostics.record
+
+        def dying(self, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return record(self, *args)
+
+        monkeypatch.setattr(generator.EvolutionDiagnostics, "record", dying)
+        with pytest.raises(ChildDied, match=r"^forked child \d+ exited with status 3 before "
+                                            r"sending a result$"):
+            self.qubit_run(small_grid, 2, 1)
+        assert no_child_left()

@@ -748,6 +748,45 @@ assert not pooled, pooled
     assert float(done.stdout) > 0.0
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_forked_work_loads_no_pool_module(tmp_path):
+    # the dump, compare and the records fork without multiprocessing
+    script = f"""
+import os, sys
+import numpy as np
+from cqsim import generator, runner, state
+from cqsim.cli import main
+from cqsim.grids import GridAxis, PhaseGrid
+from cqsim.models import polynomial_cq_model
+
+forks = []
+fork = os.fork
+def counted():
+    forks.append(1)
+    return fork()
+os.fork = counted
+for module in (generator, runner, state):
+    module.BLOCK_FLOATS = 0
+state.JOB_FLOATS = 400  # five jobs of the 21^2-row dump
+grid = PhaseGrid((GridAxis("q", -5.0, 5.0, 21), GridAxis("p", -5.0, 5.0, 21)))
+model = polynomial_cq_model(mass=1.0, potential_coeffs=[0.0], h_q=[[0.0]], d2_coeffs=[0.1])
+final, diags = generator.evolve(model, state.gaussian_product_state(grid, (0, 0), (0.6, 0.6)),
+                                1e-3, 2, stride=1)
+assert len(forks) == 2, forks  # records 0 and 1
+path = {str(tmp_path / "a.txt")!r}
+state.save_state(final, path)
+assert main(["compare", path, path]) == 0
+assert len(forks) == 2 + 2 + 2, forks  # two dump workers, then compare's two
+pooled = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
+assert not pooled, pooled
+"""
+    src = os.path.dirname(os.path.dirname(state_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) == 0.0
+
+
 def test_grid_invariants():
     with pytest.raises(ValueError, match="at least"):
         GridAxis("q", 0.0, 1.0, 2)

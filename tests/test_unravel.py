@@ -2,12 +2,14 @@ import dataclasses
 import inspect
 import os
 import re
+import signal
 
 import numpy as np
 import pytest
 
 from cqsim.grids import GridAxis, PhaseGrid
 from cqsim.models import MeasurementModel, constant_measurement_model
+from cqsim.pool import ChildDied, _map_chunks, _workers
 from cqsim.state import classical_marginal, total_trace
 from cqsim.unravel import (
     _CHUNK,
@@ -22,7 +24,15 @@ from cqsim.unravel import (
     trajectory_rng,
 )
 
-from conftest import PLUS, SIGMA_X, SIGMA_Z, in_child, on_one_cpu, overlap_rebin
+from conftest import (
+    PLUS,
+    SIGMA_X,
+    SIGMA_Z,
+    in_child,
+    no_child_left,
+    on_one_cpu,
+    overlap_rebin,
+)
 
 
 def test_eigenstate_is_collapse_fixed_point():
@@ -457,6 +467,52 @@ def test_daemonic_caller_integrates_in_process():
     # a daemonic process may not have children: the pool would refuse to start
     in_daemon = in_child(lambda: run_ensemble(**_POOL_CASE), daemon=True)
     _assert_same_ensemble(in_daemon, run_ensemble(**_POOL_CASE))
+
+
+def _pid_of(i):
+    return i, os.getpid()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_worker_w_takes_every_w_th_chunk_in_order():
+    workers = _workers(5)
+    results = list(_map_chunks(_pid_of, [(i,) for i in range(5)]))
+    assert [i for i, _ in results] == list(range(5))
+    pids = [pid for _, pid in results]
+    assert len(set(pids)) == workers and os.getpid() not in pids
+    assert all(pids[i] == pids[i % workers] for i in range(5))
+    assert no_child_left()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_a_killed_worker_is_named():
+    def job(i):
+        if i == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    results = _map_chunks(job, [(i,) for i in range(4)])
+    assert next(results) == 0
+    with pytest.raises(ChildDied, match=r"^forked child \d+ was killed by signal 9 \(SIGKILL\) "
+                                        r"before sending a result$"):
+        next(results)
+    assert no_child_left()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_an_unpicklable_result_is_named():
+    results = _map_chunks(lambda i: lambda: i, [(i,) for i in range(2)])
+    with pytest.raises(RuntimeError, match="^a forked job's result could not be pickled: "):
+        next(results)
+    assert no_child_left()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_a_closed_map_reaps_its_workers():
+    results = _map_chunks(_pid_of, [(i,) for i in range(6)])
+    assert next(results)[0] == 0
+    results.close()
+    assert no_child_left()
 
 
 def test_first_failing_chunk_raises_its_error():

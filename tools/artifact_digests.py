@@ -81,6 +81,8 @@ def main(argv=None):
     parser.add_argument("--reference", help="a grid_wide final_state.txt to compare with")
     args = parser.parse_args(argv)
     if args.work is not None:
+        if os.path.lexists(args.work):
+            parser.error(f"argument --work: {args.work} exists; name an absent directory")
         os.makedirs(args.work)
         digests(args.seed, args.work, args.reference)
     else:

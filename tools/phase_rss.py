@@ -11,9 +11,14 @@ initial state (``gaussian_product_state``), each RK4 step (``_rk4``), each
 diagnostics record, each conversion of the coordinates to cells outside a
 record (``to_cells``: the final state's) and ``save_state``.  Each line
 holds the phase's wall seconds, and the VmRSS at its end and the largest
-sampled during it, in MB (10^6 bytes).  The run's own summary line comes
-before the last line, which holds ``ru_maxrss`` of this process and of its
-children (the pool's workers), in MB.  Linux only.
+sampled during it, in MB (10^6 bytes).  Only this process prints.  A
+``record`` line says whether the record ran in a forked child
+(``forked``); if it did, the line comes when this process has its row,
+and its seconds are this process's wait for it.  A ``_rk4`` line says
+whether a forked record ran beside the step (``beside_record``).  The
+run's own summary line comes before the last line, which holds
+``ru_maxrss`` of this process and of its children (the forked workers and
+records), in MB.  Linux only.
 """
 
 from __future__ import annotations
@@ -75,11 +80,14 @@ def install(sampler):
     undo = []
     counts = {}
     depth = [0]  # inside a record, whose slabs are converted too
+    parent = os.getpid()
+    forked = []  # the records running in forked children
 
-    def phase(name, fn, nested=False):
+    def phase(name, fn, nested=False, **extra):
         def wrapped(*args, **kwargs):
-            if nested and depth[0]:
-                return fn(*args, **kwargs)
+            if os.getpid() != parent or (nested and depth[0]):
+                return fn(*args, **kwargs)  # a forked child prints nothing
+            beside = {"beside_record": bool(forked)} if name == "_rk4" else {}
             depth[0] += 1
             start = time.perf_counter()
             try:
@@ -90,22 +98,41 @@ def install(sampler):
                 counts[name] = counts.get(name, 0) + 1
                 rss, peak = sampler.take()
                 print(json.dumps({"phase": name, "call": counts[name], "wall_s": round(wall, 4),
-                                  "rss_mb": round(rss, 1), "peak_mb": round(peak, 1)}),
+                                  "rss_mb": round(rss, 1), "peak_mb": round(peak, 1),
+                                  **extra, **beside}),
                       flush=True)
 
         return wrapped
 
-    def patch(owner, attr, name, nested=False):
+    def patch(owner, attr, name, nested=False, **extra):
         original = getattr(owner, attr)
-        setattr(owner, attr, phase(name, original, nested))
+        setattr(owner, attr, phase(name, original, nested, **extra))
         undo.append(lambda: setattr(owner, attr, original))
+
+    child = generator._Child
+
+    class RecordChild(child):
+        """A forked record: its line comes when the parent has its row, timing the wait."""
+
+        def __init__(self, job, calls):
+            super().__init__(job, calls)
+            forked.append(self)
+
+        result = phase("record", child.result, forked=True)
+
+        def close(self):
+            if self in forked:
+                forked.remove(self)
+            super().close()
 
     sampler.take()
     patch(runner, "gaussian_product_state", "gaussian_product_state")
     patch(generator, "_rk4", "_rk4")
-    patch(generator.EvolutionDiagnostics, "record", "record")
+    patch(generator.EvolutionDiagnostics, "record", "record", forked=False)
     patch(generator, "_hermitian_cells", "to_cells", nested=True)
     patch(runner, "save_state", "save_state")
+    generator._Child = RecordChild
+    undo.append(lambda: setattr(generator, "_Child", child))
     return lambda: [fn() for fn in reversed(undo)]
 
 
