@@ -13,7 +13,7 @@ scenario-driven batch front end (`cli`).
 
 from .psd import CouplingTriple, CPReport, Verdict, is_psd, pseudo_inverse, schur_cp_check, tradeoff_verdict
 from .grids import GridAxis, PhaseGrid
-from .state import HybridState, classical_marginal, gaussian_product_state, quantum_marginal, total_trace
+from .state import HybridState, classical_marginal, gaussian_product_state, total_trace
 from .models import CQModel, MeasurementModel, ToyParams, polynomial_cq_model, constant_measurement_model
 from .generator import apply_generator, branch_generator, evolve, evolve_measurement, measurement_generator, step_rk4
 from .unravel import Trajectory, run_trajectory, run_ensemble, estimate_km_moments

@@ -19,12 +19,10 @@ Both grid equations evolve each cell's Hermitian part, in real
 coordinates.  The equation is linear and maps Hermitian cells to Hermitian
 cells, and its stencils and coefficients are real, so on the real vector
 space of Hermitian matrices it is real (the coherence-vector picture of a
-Lindbladian).  A cell's coordinates (`_real_coordinates`) are the d x d
-floats Re varrho_ij on and above the diagonal and Im varrho_ij below it:
-half the numbers of the complex cell, exact both ways for an exactly
-Hermitian cell.  The steps carry these coordinates; the diagnostics and
-the final state convert back to Hermitian cells (`_hermitian_cells`),
-which are so exactly Hermitian.
+Lindbladian).  The steps carry each cell's d x d real coordinates
+(`state._real_coordinates`), and a run's initial and final states hold
+them (`HybridState._from_coordinates`); the diagnostics read exactly
+Hermitian cells formed from them a slab at a time (`_hermitian_cells`).
 
 The kernel is stencil transport plus a per-cell superoperator.  With the
 coordinates viewed as fvec of shape (nq, np, d^2) (row-major in each cell),
@@ -57,13 +55,13 @@ window-sized bands: it sweeps the four stages together as a wavefront,
 and is bit-for-bit cells + (dt/6)(k1 + 2 k2 + 2 k3 + k4).
 `evolve` and `evolve_measurement` take a step dt and a whole number of
 steps, which the caller decides.  A run allocates its two coordinate
-arrays once and swaps them at each step; its diagnostics records read
-them a slab at a time, so the only complex grid array of a run is its
-final state's.  On a grid of more than `state.BLOCK_FLOATS` coordinates
-each record but the last runs in a forked child while the next step is
-taken (`pool._Child`), with the rows and aborts of an in-process run.  A
-trace-drift abort reports the probability found in the outermost grid
-cells.
+arrays once and swaps them at each step, and its diagnostics records
+read them a slab at a time; its final state holds the last coordinates,
+so a run forms no grid of complex cells.  On a grid of more than
+`state.BLOCK_FLOATS` coordinates each record but the last runs in a
+forked child while the next step is taken (`pool._Child`), with the rows
+and aborts of an in-process run.  A trace-drift abort reports the
+probability found in the outermost grid cells.
 
 `branch_generator` provides an independent evolution route for models
 diagonal in a fixed basis: each matrix element varrho_ab is transported by
@@ -108,6 +106,9 @@ from .state import (
     BLOCK_FLOATS,
     LEAK_LIMIT,
     HybridState,
+    _hermitian_cells,
+    _t,
+    _triangles,
     cell_min_eigenvalues,
     cell_traces,
     edge_mass,
@@ -351,7 +352,7 @@ def _request(build, model, state):
     """
     if not isinstance(state, _Band):
         kernel = build(model, state.grid)
-        x = _real_coordinates(state.cells)
+        x = state._coordinates()
         return _Band(state.grid, x, 0, kernel, slice(0, len(x)), np.empty(x.shape))
     nq, first, end = state.grid.shape[0], state.first, state.first + len(state.cells)
     lo, hi, _ = state.rows.indices(nq)
@@ -366,54 +367,6 @@ def _request(build, model, state):
 def _answer(state, band):
     """``band.out`` for a `_Band` ``state``; for a plain state, the Hermitian cells it holds."""
     return band.out if isinstance(state, _Band) else _hermitian_cells(band.out)
-
-
-def _triangles(d):
-    """(lower, diagonal): the masks of the entries of a d x d matrix below and on its diagonal."""
-    i, j = np.indices((d, d))
-    return i > j, i == j
-
-
-def _real_coordinates(cells):
-    """The real coordinates of the Hermitian parts of ``cells`` (..., d, d): floats of that shape.
-
-    A cell's coordinates are the real parts of H = (c + c^dagger)/2 on and
-    above the diagonal and its imaginary parts below it.  For an exactly
-    Hermitian cell each is the entry's own real or imaginary part, bit for
-    bit.  They are formed one slab of first-axis rows at a time, so no
-    grid-sized temporary exists.
-    """
-    lower, _ = _triangles(cells.shape[-1])
-    x = np.empty(cells.shape)
-    step = slab_rows(len(cells), cells[0].nbytes)
-    for lo in range(0, len(cells), step):
-        c, xs = cells[lo : lo + step], x[lo : lo + step]
-        # the real and imaginary parts of c + c^dagger
-        np.add(c.real, _t(c.real), out=xs)
-        np.subtract(c.imag, _t(c.imag), out=xs, where=lower)
-        xs *= 0.5
-    return x
-
-
-def _hermitian_cells(x):
-    """The Hermitian cells (..., d, d) of the real coordinates ``x``, one slab at a time.
-
-    The cells are exactly Hermitian, and no imaginary part is -0: a zero
-    comes back as +0, any other coordinate bit for bit.
-    """
-    lower, diagonal = _triangles(x.shape[-1])
-    upper = ~(lower | diagonal)
-    cells = np.empty(x.shape, dtype=complex)
-    step = slab_rows(len(x), cells[0].nbytes)
-    for lo in range(0, len(x), step):
-        re, im, xs = cells.real[lo : lo + step], cells.imag[lo : lo + step], x[lo : lo + step]
-        np.copyto(re, xs)
-        np.copyto(re, _t(xs), where=lower)
-        # y + 0.0 and 0.0 - y are y and -y, with a zero as +0
-        np.add(xs, 0.0, out=im, where=lower)
-        np.subtract(0.0, _t(xs), out=im, where=upper)
-        np.copyto(im, 0.0, where=diagonal)
-    return cells
 
 
 def _cq_kernel(model: CQModel, grid: PhaseGrid) -> _Kernel:
@@ -506,11 +459,6 @@ def _real_form(m):
     np.subtract(_t(im), im, out=out, where=lower)
     out *= 0.5
     return out.reshape(m.shape)
-
-
-def _t(a):
-    """Transpose of the trailing matrix axes (no conjugation)."""
-    return np.swapaxes(a, -1, -2)
 
 
 def _kron(a, b):
@@ -800,9 +748,9 @@ def step_rk4(model: CQModel, state: HybridState, dt: float) -> HybridState:
     and the stepped state's cells are exactly Hermitian.
     """
     rate_fn, height = _stepper(model, state, dt)
-    x = _real_coordinates(state.cells)
+    x = state._coordinates()
     x = _rk4(rate_fn, x, dt, height, np.empty(x.shape))
-    return HybridState(state.grid, _hermitian_cells(x))
+    return HybridState._from_coordinates(state.grid, x)
 
 
 def _count(name, value, least):
@@ -846,7 +794,7 @@ def _check_record(diags, grid, x, t, trace_abort):
         raise EvolutionError("non-finite total trace encountered", diags)
     drift = abs(diags.trace[-1] - diags.trace[0])
     if drift > trace_abort:
-        state = HybridState(grid, _hermitian_cells(x))
+        state = HybridState._from_coordinates(grid, x)
         raise EvolutionError(
             f"trace drift {drift:.3e} exceeds {trace_abort:.1e} "
             f"at t={t:g}, with probability {edge_mass(state):.3e} "
@@ -854,7 +802,7 @@ def _check_record(diags, grid, x, t, trace_abort):
             diags,
         )
     if diags.min_eig[-1] < -POSITIVITY_ABORT:
-        state = HybridState(grid, _hermitian_cells(x))
+        state = HybridState._from_coordinates(grid, x)
         raise EvolutionError(
             f"negativity {diags.min_eig[-1]:.3e} beyond {POSITIVITY_ABORT:.1e} "
             f"at t={t:g}, {_most_negative_cell(state)}",
@@ -873,14 +821,15 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
     """The stepping loop of `evolve` and `evolve_measurement`.
 
     ``initial`` is a one-item list holding the initial state, which the
-    loop takes out and converts to the real coordinates of its cells'
-    Hermitian parts (`_real_coordinates`), the cells that the steps carry.
-    When there is a step to take, the initial state is let go before the
-    t = 0 record, which reads only the coordinates, so the initial cells
-    are freed then if the caller kept no reference either.  The run then
-    holds two coordinate arrays, allocated once: each step reads one and
-    writes the other (`_rk4`), and each record reads the step's output a
-    slab at a time (`EvolutionDiagnostics.record`).
+    loop takes out.  When there is a step to take, the loop copies the
+    real coordinates of its cells' Hermitian parts
+    (`HybridState._coordinates`; a state built from cells converts them)
+    into the first of its own two arrays, and lets the state go before the
+    t = 0 record, which reads only the copy, so the state's coordinates are
+    freed then if the caller kept no reference either.  The run then holds
+    two coordinate arrays, allocated once: each step reads one and writes
+    the other (`_rk4`), and each record reads the step's output a slab at
+    a time (`EvolutionDiagnostics.record`).
 
     On a grid of more than `BLOCK_FLOATS` coordinates, with a second CPU
     (`pool._workers`), each record but the last is taken in a forked child
@@ -893,22 +842,22 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
     message and rows, are those of the records taken in this process.  A
     child still running when the loop raises is killed and reaped.
 
-    The final state's Hermitian cells are formed only after the spare
-    array is freed, and an abort forms them only for its message.  The
-    run's kernel (`_stepper`) goes with the loop's frame when it returns
-    or raises, so its operators do not stay resident beside the final
-    state (nor in the forked workers that dump it).
+    The final state holds the last coordinates, and the spare array is
+    freed before it returns; an abort forms Hermitian cells only for its
+    message.  The run's kernel (`_stepper`) goes with the loop's frame when
+    it returns or raises, so its operators do not stay resident beside the
+    final state (nor in the forked workers that dump it).
     """
     n_steps = _count("n_steps", n_steps, 0)
     stride = _count("stride", stride, 1)
     state = initial.pop()
     grid = state.grid
     rate_fn, height = _stepper(model, state, dt)
-    x = _real_coordinates(state.cells)
     diags = EvolutionDiagnostics.empty()
     if n_steps == 0:
-        diags.record(0.0, grid, x)
+        diags.record(0.0, grid, state._coordinates())
         return state, diags
+    x = state._coordinates(fresh=True)  # the steps write into the run's own arrays
     del state
     forked = x.size > BLOCK_FLOATS and _workers(2) > 1
     spare = np.empty(x.shape)
@@ -945,7 +894,7 @@ def _evolve_loop(model, initial, dt, n_steps, stride, trace_abort):
         if pending:
             pending[0].close()
     del spare, rate_fn
-    return HybridState(grid, _hermitian_cells(x)), diags
+    return HybridState._from_coordinates(grid, x), diags
 
 
 def evolve(
@@ -965,11 +914,12 @@ def evolve(
     (0, LEAK_LIMIT], the cap on boundary leakage.  The steps carry the
     real coordinates of the cells' Hermitian parts, and the diagnostics
     are those of the Hermitian parts, t = 0's included; for n_steps >= 1
-    ``state`` is not referenced after its coordinates are formed.  A run
+    ``state`` is not referenced after its coordinates are copied.  A run
     holds two coordinate arrays for its whole length, which its records
     read a slab at a time (on a grid of more than a block, in a forked
-    child while the next step runs); the final state's cells, exactly
-    Hermitian for n_steps >= 1, are formed after the spare array is freed.
+    child while the next step runs).  For n_steps >= 1 the final state
+    holds the last coordinates (`HybridState._from_coordinates`): its
+    cells, exactly Hermitian, are formed when read.
     """
     if not 0.0 < trace_abort <= LEAK_LIMIT:
         raise ValueError(

@@ -14,6 +14,17 @@ total trace, which diagnostics monitor during evolution.
 States are immutable snapshots: evolution produces new instances and cells
 may be read concurrently.
 
+A Hermitian cell is d x d real numbers, its coordinates
+(`_real_coordinates`): the floats Re varrho_ij on and above the diagonal
+and Im varrho_ij below it, half the numbers of the complex cell and exact
+both ways for an exactly Hermitian cell (`_hermitian_cells`).  The grid
+equations step these coordinates, and a state built from them
+(`HybridState._from_coordinates`) holds them instead of complex cells:
+`gaussian_product_state` forms its coordinates one slab of rows at a time,
+a grid run's final state is its last coordinates, and a dump of such a
+state forms the cells of one job's rows at a time.  Its ``cells`` are
+formed only when read.
+
 A state dump is text, a FLOAT_FMT table like every artifact table
 (`write_table`).  A numpy kernel (`_fields`) formats `TEXT_FLOATS` floats
 at a time with the bytes of CPython's ``%``, which formats the entries the
@@ -33,7 +44,6 @@ import itertools
 import json
 import operator
 import os
-from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
@@ -46,8 +56,6 @@ __all__ = [
     "total_trace",
     "classical_marginal",
     "edge_mass",
-    "quantum_marginal",
-    "purity_of_marginal",
     "coherence",
     "cell_min_eigenvalues",
     "min_cell_eigenvalue",
@@ -64,27 +72,73 @@ POSITIVITY_TOL = 1e-8
 LEAK_LIMIT = 1e-4
 
 
-@dataclass(frozen=True)
 class HybridState:
-    """Hybrid state: grid plus one complex Hermitian matrix per cell."""
+    """Hybrid state: grid plus one complex Hermitian matrix per cell.
 
-    grid: PhaseGrid
-    cells: np.ndarray  # shape grid.shape + (d, d)
+    ``HybridState(grid, cells)`` holds the cells given, of shape
+    grid.shape + (d, d).  A state built by `_from_coordinates` holds the
+    real coordinates of exactly Hermitian cells instead; its ``cells`` are
+    formed from them on first read, and kept.  The arrays a state holds
+    are not to be written: those it forms or takes over are read-only.
+    """
 
-    def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=complex)
-        expected = self.grid.shape
-        if cells.ndim != len(expected) + 2 or cells.shape[: len(expected)] != expected:
-            raise ValueError(
-                f"cells shape {cells.shape} does not match grid shape {expected} + (d, d)"
-            )
-        if cells.shape[-1] != cells.shape[-2]:
-            raise ValueError("cells must be square matrices")
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, grid: PhaseGrid, cells):
+        cells = np.asarray(cells, dtype=complex)
+        _check_cells_shape(grid, cells.shape)
+        self.__dict__.update(grid=grid, _cells=cells, _x=None)
+
+    @classmethod
+    def _from_coordinates(cls, grid, x):
+        """The state whose cells have the real coordinates ``x`` (`_real_coordinates`).
+
+        It keeps a read-only view of ``x``, which its caller must no longer
+        write.
+        """
+        x = np.asarray(x, dtype=float).view()
+        _check_cells_shape(grid, x.shape)
+        x.flags.writeable = False
+        state = cls.__new__(cls)
+        state.__dict__.update(grid=grid, _cells=None, _x=x)
+        return state
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a HybridState is immutable: cannot set {name!r}")
+
+    @property
+    def cells(self) -> np.ndarray:
+        """The cells, shape grid.shape + (d, d); formed from the coordinates on first read."""
+        if self._cells is None:
+            cells = _hermitian_cells(self._x)
+            cells.flags.writeable = False
+            self.__dict__["_cells"] = cells
+        return self._cells
+
+    def _coordinates(self, fresh=False) -> np.ndarray:
+        """The real coordinates of the cells' Hermitian parts (`_real_coordinates`).
+
+        The state's own read-only array when it holds them, else a new
+        array; with ``fresh``, always a new array.
+        """
+        if self._x is None:
+            return _real_coordinates(self._cells)
+        return self._x.copy() if fresh else self._x
+
+    def _row_cells(self):
+        """A function of (lo, hi): the cells of flat (row-major) cell indices lo..hi-1.
+
+        They are a view of the cells the state holds, or, from its
+        coordinates, the cells of those rows alone, so no grid of cells
+        is formed.
+        """
+        held = self._x if self._x is not None else self._cells
+        flat = held.reshape((-1,) + held.shape[-2:])
+        if self._x is None:
+            return lambda lo, hi: flat[lo:hi]
+        return lambda lo, hi: _hermitian_cells(flat[lo:hi])
 
     @property
     def hilbert_dim(self) -> int:
-        return self.cells.shape[-1]
+        return (self._x if self._x is not None else self._cells).shape[-1]
 
     @property
     def cell_volume(self) -> float:
@@ -99,6 +153,70 @@ class HybridState:
         if low < -POSITIVITY_TOL:
             raise ValueError(f"cell negativity {low:.3e} beyond {POSITIVITY_TOL:.1e}")
         return self
+
+
+def _check_cells_shape(grid, shape):
+    """A ValueError unless ``shape`` is grid.shape + (d, d)."""
+    expected = grid.shape
+    if len(shape) != len(expected) + 2 or shape[: len(expected)] != expected:
+        raise ValueError(f"cells shape {shape} does not match grid shape {expected} + (d, d)")
+    if shape[-1] != shape[-2]:
+        raise ValueError("cells must be square matrices")
+
+
+def _t(a):
+    """Transpose of the trailing matrix axes (no conjugation)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _triangles(d):
+    """(lower, diagonal): the masks of the entries of a d x d matrix below and on its diagonal."""
+    i, j = np.indices((d, d))
+    return i > j, i == j
+
+
+def _real_coordinates(cells, out=None):
+    """The real coordinates of the Hermitian parts of ``cells`` (..., d, d): floats of that shape.
+
+    A cell's coordinates are the real parts of H = (c + c^dagger)/2 on and
+    above the diagonal and its imaginary parts below it.  For an exactly
+    Hermitian cell each is the entry's own real or imaginary part, bit for
+    bit.  They are formed one slab of first-axis rows at a time, so no
+    grid-sized temporary exists, into ``out`` (a new array when None),
+    which is returned.
+    """
+    x = np.empty(cells.shape) if out is None else out
+    step = slab_rows(len(cells), cells[0].nbytes)
+    for lo in range(0, len(cells), step):
+        c, xs = cells[lo : lo + step], x[lo : lo + step]
+        # the real parts of c + c^dagger, then the imaginary parts below the
+        # diagonal, a row at a time
+        np.add(c.real, _t(c.real), out=xs)
+        for i in range(1, c.shape[-1]):
+            np.subtract(c.imag[..., i, :i], c.imag[..., :i, i], out=xs[..., i, :i])
+        xs *= 0.5
+    return x
+
+
+def _hermitian_cells(x):
+    """The Hermitian cells (..., d, d) of the real coordinates ``x``, one slab at a time.
+
+    The cells are exactly Hermitian, and no imaginary part is -0: a zero
+    comes back as +0, any other coordinate bit for bit.
+    """
+    lower, diagonal = _triangles(x.shape[-1])
+    upper = ~(lower | diagonal)
+    cells = np.empty(x.shape, dtype=complex)
+    step = slab_rows(len(x), cells[0].nbytes)
+    for lo in range(0, len(x), step):
+        re, im, xs = cells.real[lo : lo + step], cells.imag[lo : lo + step], x[lo : lo + step]
+        np.copyto(re, xs)
+        np.copyto(re, _t(xs), where=lower)
+        # y + 0.0 and 0.0 - y are y and -y, with a zero as +0
+        np.add(xs, 0.0, out=im, where=lower)
+        np.subtract(0.0, _t(xs), out=im, where=upper)
+        np.copyto(im, 0.0, where=diagonal)
+    return cells
 
 
 def total_trace(state: HybridState) -> float:
@@ -124,25 +242,14 @@ def edge_mass(state: HybridState) -> float:
     return float(dens[edge].sum() * state.cell_volume)
 
 
-def quantum_marginal(state: HybridState) -> np.ndarray:
-    """The d x d density matrix obtained by integrating out the grid."""
-    return _marginal(state.cells.sum(axis=tuple(range(state.grid.ndim))), state.cell_volume)
-
-
-def _marginal(cell_sum, cell_volume):
-    """The quantum marginal of cells whose sum over the grid is ``cell_sum``."""
-    rho = cell_sum * cell_volume
-    return 0.5 * (rho + rho.conj().T)
-
-
-def purity_of_marginal(state: HybridState) -> float:
-    """Tr(rho^2) of the trace-normalized quantum marginal, in [0, 1]."""
-    return marginal_purity(state.cells.sum(axis=tuple(range(state.grid.ndim))), state.cell_volume)
-
-
 def marginal_purity(cell_sum, cell_volume) -> float:
-    """`purity_of_marginal` of cells whose sum over the grid is ``cell_sum``."""
-    rho = _marginal(cell_sum, cell_volume)
+    """Tr(rho^2), in [0, 1], of the trace-normalized quantum marginal.
+
+    The marginal is the Hermitian part of ``cell_sum``, the cells summed
+    over the grid, times ``cell_volume``: the cells integrated out.
+    """
+    rho = cell_sum * cell_volume
+    rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if tr == 0.0:
         return 0.0
@@ -196,6 +303,16 @@ def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> Hybr
     total trace 1; other centers or widths, a ``rho_q`` that is not finite
     with a trace > 0, and a state with no positive total trace on the grid,
     are refused with a ValueError.
+
+    The state holds real coordinates (`HybridState._from_coordinates`):
+    those of the Hermitian parts of the cells weight * rho_q / total, where
+    total is the volume-weighted sum of the cells' real traces.  They are
+    formed one slab of first-axis rows at a time, in a slab-sized buffer
+    of complex cells, with each element's operations those of the
+    whole-grid expression, so no grid of complex cells exists.  Its cells
+    are exactly Hermitian: a ``rho_q`` that is not gives the cells of its
+    Hermitian part, normalized by the real traces of the cells of
+    ``rho_q`` itself.
     """
     centers, sigmas = np.asarray(centers, dtype=float), np.asarray(sigmas, dtype=float)
     if centers.shape != (grid.ndim,) or not np.all(np.isfinite(centers)):
@@ -212,12 +329,27 @@ def gaussian_product_state(grid: PhaseGrid, centers, sigmas, rho_q=None) -> Hybr
     if not (np.all(np.isfinite(rho_q)) and tr > 0.0):
         raise ValueError(f"rho_q must be finite with a trace > 0, got trace {tr}")
     rho_q = rho_q / tr
-    cells = weight[..., None, None] * rho_q
-    total = total_trace(HybridState(grid, cells))
+    _check_cells_shape(grid, grid.shape + rho_q.shape)
+    d = rho_q.shape[-1]
+    step = slab_rows(len(weight), weight[0].size * d * d * 16)
+    buf = np.empty((step,) + weight.shape[1:] + (d, d), dtype=complex)
+    # a trace reads its cell's diagonal alone, so only that is formed for it
+    diagonals = buf.reshape(buf.shape[:-2] + (d * d,))[..., :: d + 1]
+    traces = np.empty(grid.shape, dtype=complex)
+    for lo in range(0, len(weight), step):
+        w = weight[lo : lo + step, ..., None]
+        np.multiply(w, rho_q.diagonal(), out=diagonals[: len(w)])
+        traces[lo : lo + step] = cell_traces(buf[: len(w)])
+    total = float(traces.real.sum() * grid.cell_volume)
     if not total > 0.0:
         raise ValueError(f"cannot normalize state with total trace {total}")
-    cells /= total  # in place: the bits of cells / total, and one cells-sized array
-    return HybridState(grid, cells)
+    x = np.empty(grid.shape + (d, d))
+    for lo in range(0, len(weight), step):
+        w = weight[lo : lo + step, ..., None, None]
+        cells = np.multiply(w, rho_q, out=buf[: len(w)])
+        cells /= total
+        _real_coordinates(cells, out=x[lo : lo + step])
+    return HybridState._from_coordinates(grid, x)
 
 
 # -- columnar text serialization -------------------------------------------
@@ -465,7 +597,10 @@ def _write_state(fh, state, scenario):
     jobs are formatted by `_map_chunks`, in forked workers, and written in
     order.  No table larger than a block is built, and the main process
     holds the text of the jobs that have come back and wait their turn:
-    a few jobs' text, however large the dump.
+    a few jobs' text, however large the dump.  The cells of a state that
+    holds coordinates are formed one block's or job's rows at a time
+    (`HybridState._row_cells`), element for element those of the whole
+    grid, so the bytes are those of its ``cells``.
     """
     meta = {
         "axes": [
@@ -481,33 +616,37 @@ def _write_state(fh, state, scenario):
     header.append("# columns: " + ",".join(_state_columns(state.grid, d)))
     coords = [m.reshape(-1) for m in state.grid.meshes()]
     n = coords[0].size
-    entries = state.cells.reshape(n, d * d).view(float)
-    width = len(coords) + entries.shape[1]
+    cells = state._row_cells()
+    width = len(coords) + 2 * d * d
     if n * width <= BLOCK_FLOATS:
         # no pool, so no copy of the text either, and the table of one
         # string of text at a time
         rows = max(1, TEXT_FLOATS // width)
         for lo in range(0, n, rows):
-            fh.writelines(_block_lines(header, coords, entries, lo, min(lo + rows, n)))
+            fh.writelines(_block_lines(header, coords, cells, lo, min(lo + rows, n)))
         return
     _kernel_tables()  # built once here, for the workers to inherit
     rows = max(1, JOB_FLOATS // width)
     jobs = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
     # the header is job 0's text, so nothing is buffered in fh when the
     # pool forks
-    for text in _map_chunks(partial(_block_text, header, coords, entries), jobs):
+    for text in _map_chunks(partial(_block_text, header, coords, cells), jobs):
         fh.write(text)
 
 
-def _block_lines(header, coords, entries, lo, hi):
-    """The `_table_text` strings of dump rows lo..hi-1, after ``header`` at row 0."""
-    table = np.column_stack([c[lo:hi] for c in coords] + [entries[lo:hi]])
+def _block_lines(header, coords, cells, lo, hi):
+    """The `_table_text` strings of dump rows lo..hi-1, after ``header`` at row 0.
+
+    ``cells(lo, hi)`` gives the rows' cells (`HybridState._row_cells`).
+    """
+    entries = cells(lo, hi).reshape(hi - lo, -1).view(float)
+    table = np.column_stack([c[lo:hi] for c in coords] + [entries])
     return _table_text(header if lo == 0 else [], table)
 
 
-def _block_text(header, coords, entries, lo, hi):
+def _block_text(header, coords, cells, lo, hi):
     """The text of dump rows lo..hi-1, after ``header`` at row 0, as one string."""
-    return "".join(_block_lines(header, coords, entries, lo, hi))
+    return "".join(_block_lines(header, coords, cells, lo, hi))
 
 
 def _state_columns(grid, d):

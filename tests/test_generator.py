@@ -8,18 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cqsim import generator, grids, runner
+from cqsim import state as state_module
 from cqsim.generator import (
     EvolutionError,
     _Band,
     _cq_kernel,
-    _hermitian_cells,
     _measurement_kernel,
-    _real_coordinates,
     _real_form,
     apply_generator,
     branch_generator,
@@ -45,12 +45,14 @@ from cqsim.psd import schur_cp_check
 from cqsim.scenario import parse_scenario_file
 from cqsim.state import (
     HybridState,
+    _hermitian_cells,
+    _real_coordinates,
     classical_marginal,
     coherence,
     edge_mass,
     gaussian_product_state,
+    marginal_purity,
     min_cell_eigenvalue,
-    purity_of_marginal,
     total_trace,
 )
 
@@ -1251,8 +1253,8 @@ def whole_grid_record(t, state):
     mean_p = (w * pts).sum() / total if total > 0 else np.nan
     var_p = (w * (pts - mean_p) ** 2).sum() / total if total > 0 else np.nan
     coh = coherence(state, 0, 1).sum() * vol if state.hilbert_dim >= 2 else 0.0
-    row = (t, total_trace(state), min_cell_eigenvalue(state), purity_of_marginal(state),
-           mean_p, var_p, coh)
+    purity = marginal_purity(state.cells.sum(axis=tuple(range(grid.ndim))), vol)
+    row = (t, total_trace(state), min_cell_eigenvalue(state), purity, mean_p, var_p, coh)
     return np.array([row], dtype=float)
 
 
@@ -1693,51 +1695,75 @@ class TestInPlaceKernel:
         assert max(held) < bound, held
         assert abs(held[1] - held[0]) < row_bytes, held
 
-    def test_evolve_holds_two_coordinate_arrays(self, monkeypatch):
-        # a stride-1 run on 67 windows of three q rows: the steps alternate
-        # between two coordinate arrays and each record reads one a slab at
-        # a time, so no complex grid array exists before the final state's
-        rng = np.random.default_rng(29)
-        model = random_cq_model(rng, 8)
-        nq, row_bytes = 200, 41 * 64 * 8  # a q row of real coordinates
+    def test_evolve_holds_two_coordinate_arrays(self, monkeypatch, tmp_path):
+        # a stride-1 run of two steps through the runner, on 67 windows of
+        # three q rows, dumped in pooled jobs: the initial state is built as
+        # coordinates, the steps alternate between two coordinate arrays,
+        # each record reads one a slab at a time and the dump forms one
+        # job's cells at a time, so no grid of complex cells ever exists
+        nq, d = 200, 8
+        row_bytes = 41 * d * d * 8  # a q row of real coordinates
         slab_bytes = 3 * row_bytes
         band_bytes = slab_bytes + 2 * row_bytes
-        window_bytes = 3 * 2 * 64 * 64 * 8
+        window_bytes = 3 * 2 * d**4 * 8
+        grid_bytes = nq * row_bytes
         monkeypatch.setattr(grids, "SLAB_BYTES", slab_bytes)
-        grid = PhaseGrid((GridAxis("q", -3.0, 2.5, nq), GridAxis("p", -2.0, 3.0, 41)))
-        state = gaussian_product_state(grid, (-0.25, 0.5), (0.5, 0.5), rho_q=np.eye(8) / 8)
-        grid_bytes = state.cells.nbytes // 2
-        dt = 0.4 * cfl_limit(model, grid)
-        before = []
-        to_cells = generator._hermitian_cells
+        monkeypatch.setattr(state_module, "BLOCK_FLOATS", 1 << 12)
+        monkeypatch.setattr(state_module, "JOB_FLOATS", 1 << 13)
+        levels = [1.0 - 2.0 * i / (d - 1) for i in range(d)]
+        amps = np.cos(0.75 + 0.3 * np.arange(d))
+        amps /= np.linalg.norm(amps)
+        doc = {
+            "run": "evolve",
+            "model": {"mass": 1.0, "potential": [0.0, 0.0, 0.5], "h_q": np.diag(levels).tolist(),
+                      "v_i_matrix": np.diag(levels).tolist(), "v_i_profile": [0.0, 0.8],
+                      "d2": [0.25], "d0": [1.0]},
+            "grid": {"q_min": -3.0, "q_max": 2.5, "q_points": nq,
+                     "p_min": -2.0, "p_max": 3.0, "p_points": 41},
+            "initial": {"q0": -0.25, "p0": 0.5, "sigma_q": 0.5, "sigma_p": 0.5,
+                        "rho_q": np.outer(amps, amps).tolist()},
+            "numerics": {"t_final": 1.0, "safety": 0.4},
+            "output": {"stride": 1},
+        }
+        path = tmp_path / "evolve.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        scenario = parse_scenario_file(str(path))
+        # two steps of 0.4 of the CFL-style limit
+        doc["numerics"]["t_final"] = 0.8 * cfl_limit(scenario.model, scenario.grid)
+        path.write_text(yaml.safe_dump(doc))
+        scenario = parse_scenario_file(str(path))
+        seen = {}
+        build, save = runner.gaussian_product_state, runner.save_state
 
-        def spy(x):
-            if len(x) == nq:  # the final state's, not a record's slab
-                before.append(tracemalloc.get_traced_memory()[1] - base)
-            return to_cells(x)
+        def building(*args, **kwargs):
+            tracemalloc.reset_peak()
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            return build(*args, **kwargs)
 
-        monkeypatch.setattr(generator, "_hermitian_cells", spy)
+        def saving(*args, **kwargs):
+            save(*args, **kwargs)
+            seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["base"]
+
+        monkeypatch.setattr(runner, "gaussian_product_state", building)
+        monkeypatch.setattr(runner, "save_state", saving)
         tracemalloc.start()
         try:
-            base = tracemalloc.get_traced_memory()[0]
-            # the random model leaks 1.5e-6 of the trace in two steps of this coarse grid
-            final, diags = evolve(model, state, dt, 2, stride=1, trace_abort=1e-4)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            summary = runner.run_scenario(scenario, tmp_path / "out")
         finally:
             tracemalloc.stop()
-        assert len(diags.t) == 3 and len(before) == 1
+        assert summary["n_steps"] == 2
+        assert state_module.dump_floats(tmp_path / "out" / "final_state.txt") > 100 * (1 << 13)
         # test_step_holds_one_grid_array's step slack and kernel; a record's
         # grid-shaped traces, |varrho_01| and eigenvalues (32 bytes a cell)
-        # and a few slabs of complex cells
+        # and a few slabs of complex cells.  The Gaussian's slab buffer and
+        # the dump's waiting jobs (about 200 kB of text each) sit beside one
+        # coordinate array, the initial copy beside no band.  9.4 MB was
+        # measured; building the complex initial cells and converting, or
+        # forming the final cells before the dump, held 12.9 MB
         slack = 5 * band_bytes + 2 * slab_bytes + 8 * row_bytes
-        slack += 3 * 64 * 64 * 8 + window_bytes + nq * 8 * 8 + (1 << 14)
+        slack += 3 * d**4 * 8 + window_bytes + nq * 8 * 8 + (1 << 14)
         slack += 32 * nq * 41 + 8 * 2 * row_bytes
-        assert before[0] < 2 * grid_bytes + slack, (before, grid_bytes)
-        # the spare array and the kernel go before the final
-        # cells are formed (10.4 and 12.7 MB were measured, for 4.2 MB
-        # coordinate arrays)
-        final_bytes = grid_bytes + final.cells.nbytes + 32 * nq * 41 + 8 * row_bytes
-        assert peak < max(before[0], final_bytes), (peak, grid_bytes)
+        assert seen["peak"] < 2 * grid_bytes + slack, (seen["peak"], grid_bytes)
 
     @pytest.mark.parametrize("rows", [1, 3, 41])
     def test_rk4_writes_into_the_callers_buffer(self, rows, monkeypatch):
@@ -2068,7 +2094,7 @@ class TestInPlaceKernel:
 
         def tracked(*args, **kwargs):
             state = build(*args, **kwargs)
-            initial.append(weakref.ref(state.cells))
+            initial.append(weakref.ref(state))
             return state
 
         alive = []
@@ -2083,8 +2109,8 @@ class TestInPlaceKernel:
         path = SCENARIO_DIR / "evolve_qubit_decoherence.yaml"
         runner.run_scenario(parse_scenario_file(str(path)), tmp_path)
         # four rate evaluations per RK4 step (one window: the grid fits one
-        # slab): the steps read the initial cells' real coordinates, and
-        # the initial cells are gone before the first of them
+        # slab): the steps read a copy of the initial state's coordinates,
+        # and the initial state is gone before the first of them
         assert len(alive) == 4 * 25
         assert not any(alive)
 

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqsim import generator, grids, runner
+from cqsim import grids, runner
 from cqsim import state as state_module
 from cqsim.cli import main
 from cqsim.grids import GridAxis, PhaseGrid
@@ -25,9 +27,8 @@ from cqsim.state import (
     coherence,
     gaussian_product_state,
     load_state,
+    marginal_purity,
     min_cell_eigenvalue,
-    purity_of_marginal,
-    quantum_marginal,
     save_state,
     state_from_text,
     total_trace,
@@ -80,9 +81,16 @@ def test_quantum_marginal_hermitian_and_consistent(small_grid):
     )
     cells = cells + np.conj(np.swapaxes(cells, -1, -2))
     state = HybridState(small_grid, cells)
-    rho = quantum_marginal(state)
+    cell_sum = cells.sum(axis=(0, 1))
+    rho = cell_sum * state.cell_volume  # the quantum marginal
     assert np.abs(rho - rho.conj().T).max() < 1e-12
     assert np.trace(rho).real == pytest.approx(total_trace(state), rel=1e-12)
+    # the record's purity is that of the trace-normalized marginal, and
+    # the sum's anti-Hermitian roundoff does not enter it
+    want = np.trace(rho @ rho).real / np.trace(rho).real ** 2
+    assert marginal_purity(cell_sum, state.cell_volume) == pytest.approx(want, rel=1e-12)
+    skewed = cell_sum + 1e-3j * np.eye(3)
+    assert marginal_purity(skewed, state.cell_volume) == marginal_purity(cell_sum, state.cell_volume)
 
 
 def test_gaussian_centred_on_its_mean(small_grid):
@@ -95,7 +103,8 @@ def test_gaussian_centred_on_its_mean(small_grid):
 
 def test_purity_of_pure_product_state(small_grid):
     state = gaussian_product_state(small_grid, (0.0, 0.0), (0.7, 0.7), rho_q=np.outer(PLUS, PLUS))
-    assert purity_of_marginal(state) == pytest.approx(1.0, abs=1e-12)
+    purity = marginal_purity(state.cells.sum(axis=(0, 1)), state.cell_volume)
+    assert purity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherence_field(small_grid):
@@ -114,6 +123,16 @@ def test_truncated_gaussian_has_unit_trace(small_grid):
     assert total_trace(state) == pytest.approx(1.0, rel=1e-12)
 
 
+def whole_grid_gaussian_cells(grid, centers, sigmas, rho_q):
+    """The complex cells weight * rho_q / total, each operation on the whole grid."""
+    weight = np.ones(grid.shape)
+    for mesh, c, s in zip(grid.meshes(), centers, sigmas):
+        weight = weight * np.exp(-0.5 * ((mesh - c) / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
+    rho_q = np.asarray(rho_q, dtype=complex)
+    cells = weight[..., None, None] * (rho_q / np.trace(rho_q).real)
+    return cells / total_trace(HybridState(grid, cells))
+
+
 def test_building_a_state_holds_one_cells_array():
     grid = PhaseGrid((GridAxis("q", -3.0, 3.0, 61), GridAxis("p", -3.0, 3.0, 61)))
     centers, sigmas = (0.2, -0.1), (0.8, 0.9)
@@ -125,16 +144,76 @@ def test_building_a_state_holds_one_cells_array():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # the cells and a few grid-sized Gaussian factors and traces (a cells
-    # array is 128 of those at d = 8): the normalization divides in place
-    assert peak < state.cells.nbytes + 16 * grid.shape[0] * grid.shape[1] * 8, peak
-    # the bits of the division into a new array
-    weight = np.ones(grid.shape)
-    for mesh, c, s in zip(grid.meshes(), centers, sigmas):
-        weight = weight * np.exp(-0.5 * ((mesh - c) / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
-    cells = weight[..., None, None] * rho_q
-    want = cells / total_trace(HybridState(grid, cells))
+    # the coordinates, half a cells array, a slab of complex cells and a few
+    # grid-sized Gaussian factors and traces (a cells array is 128 of those
+    # at d = 8)
+    x = state._coordinates()
+    assert peak < x.nbytes + grids.SLAB_BYTES + 16 * grid.shape[0] * grid.shape[1] * 8, peak
+    want = whole_grid_gaussian_cells(grid, centers, sigmas, rho_q)
+    assert x.tobytes() == state_module._real_coordinates(want).tobytes()
+    # cells exactly Hermitian already, with no -0: they come back bit for bit
     assert state.cells.tobytes() == want.tobytes()
+
+
+def test_states_pickle_as_what_they_hold(small_grid):
+    coordinates = gaussian_product_state(small_grid, (0.0, 0.0), (0.7, 0.7),
+                                         rho_q=np.outer(PLUS, PLUS))
+    again = pickle.loads(pickle.dumps(coordinates))
+    assert again.grid == coordinates.grid and again._cells is None
+    assert again._coordinates().tobytes() == coordinates._coordinates().tobytes()
+    cells = HybridState(small_grid, coordinates.cells)
+    again = pickle.loads(pickle.dumps(cells))
+    assert again._x is None and again.cells.tobytes() == cells.cells.tobytes()
+    with pytest.raises(AttributeError, match="immutable"):
+        again.grid = small_grid
+
+
+def exactly_hermitian(rng, d):
+    """A random complex d x d matrix equal to its conjugate transpose bit for bit, trace > 0."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return a + a.conj().T + 3.0 * d * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("axes", [1, 2])
+def test_gaussian_coordinates_are_those_of_the_whole_grid_cells(monkeypatch, axes, rows, d):
+    # 13 x 11 cells, slabs of 1, 3 or all 13 q rows; the narrow p width
+    # underflows the outer weights to 0, whose products keep their signs
+    grid = PhaseGrid((GridAxis("q", -2.0, 2.5, 13), GridAxis("p", -3.0, 2.0, 11))[:axes])
+    centers, sigmas = (0.3, -0.2)[:axes], (0.7, 0.05)[:axes]
+    rho_q = exactly_hermitian(np.random.default_rng(10 * d + axes), d)
+    assert np.array_equal(rho_q, rho_q.conj().T)
+    cell_bytes = (11 if axes == 2 else 1) * d * d * 16  # a q row of complex cells
+    monkeypatch.setattr(grids, "SLAB_BYTES", (rows or 13) * cell_bytes)
+    state = gaussian_product_state(grid, centers, sigmas, rho_q=rho_q)
+    want = whole_grid_gaussian_cells(grid, centers, sigmas, rho_q)
+    if axes == 2:
+        assert (want == 0).any()
+    assert state._coordinates().tobytes() == state_module._real_coordinates(want).tobytes()
+    assert np.array_equal(state.cells, want)  # a -0 imaginary part comes back as +0
+
+
+def test_gaussian_of_a_rho_q_not_exactly_hermitian_holds_its_hermitian_part(small_grid):
+    # a library call may pass any finite rho_q with a trace > 0: the state
+    # holds the Hermitian parts of the cells weight * rho_q / total, and
+    # total is the volume-weighted sum of the real traces of those cells
+    rng = np.random.default_rng(4)
+    rho_q = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 6.0 * np.eye(3)
+    centers, sigmas = (0.1, -0.3), (0.7, 0.6)
+    state = gaussian_product_state(small_grid, centers, sigmas, rho_q=rho_q)
+    whole = whole_grid_gaussian_cells(small_grid, centers, sigmas, rho_q)
+    assert state._coordinates().tobytes() == state_module._real_coordinates(whole).tobytes()
+    cells = state.cells
+    assert np.array_equal(cells, cells.conj().swapaxes(-1, -2))
+    hermitian = gaussian_product_state(small_grid, centers, sigmas,
+                                       rho_q=0.5 * (rho_q + rho_q.conj().T))
+    assert np.allclose(cells, hermitian.cells, rtol=1e-14, atol=0.0)
+    assert total_trace(state) == pytest.approx(1.0, rel=1e-12)
+    # so it passes the Hermiticity check that the cells themselves fail
+    state.validate()
+    with pytest.raises(ValueError, match="cells not Hermitian"):
+        HybridState(small_grid, whole).validate()
 
 
 WRITE_TABLE_CASES = {
@@ -347,7 +426,7 @@ def test_exactly_hermitian_cells_are_diagonalized_as_they_are():
     # a record's cells are exactly Hermitian, so each is its own Hermitian
     # part: hermitian=True skips that pass and keeps every bit
     x = np.random.default_rng(12).normal(size=(7, 5, 4, 4))
-    cells = generator._hermitian_cells(x)
+    cells = state_module._hermitian_cells(x)
     low, want = np.empty((7, 5)), np.empty((7, 5))
     assert min_cell_eigenvalue(cells, out=low, hermitian=True) == min_cell_eigenvalue(cells, out=want)
     assert low.tobytes() == want.tobytes()
@@ -467,6 +546,51 @@ def test_state_written_in_blocks_is_the_whole_table(tmp_path, monkeypatch, case,
         assert len(pids()) == jobs and writer not in pids()
     else:
         assert pids() == [writer] * jobs
+
+
+# coordinates the dump kernel formats by its fast path and by its fallback:
+# signed zeros, subnormals, |x| >= 1e290, 17-digit ties and their neighbours
+SPECIAL_COORDINATES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e290, -1.7976931348623157e308,
+    1e15 + 0.25, -(1e15 + 0.5), _steps(1e15 + 0.5, 1), 1e16 + 2.0, 123456789012345680.0,
+    _largest_below_decade(17), 0.1, -1e-5,
+])
+
+
+def coordinate_dumps(tmp_path, monkeypatch, grid, x, pooled):
+    """(the dump of the state holding coordinates ``x``, that of the state of their cells)."""
+    want, got = tmp_path / "cells.txt", tmp_path / "coordinates.txt"
+    save_state(HybridState(grid, state_module._hermitian_cells(x)), want, scenario={"run": "evolve"})
+    if pooled:
+        # jobs of one or two rows, in forked workers
+        monkeypatch.setattr(state_module, "BLOCK_FLOATS", 0)
+        monkeypatch.setattr(state_module, "JOB_FLOATS", 3 * x[0, 0].size * 2)
+    state = HybridState._from_coordinates(grid, x)
+    save_state(state, got, scenario={"run": "evolve"})
+    assert state._cells is None  # no grid of cells was formed for the dump
+    return got.read_bytes(), want.read_bytes()
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_a_dump_from_coordinates_is_that_of_their_cells(tmp_path, monkeypatch, d, pooled):
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 5), GridAxis("p", -2.0, 2.0, 7)))
+    rng = np.random.default_rng(d)
+    x = rng.choice(SPECIAL_COORDINATES, size=grid.shape + (d, d))
+    x[::2] = rng.normal(size=x[::2].shape) * np.exp(rng.normal(size=x[::2].shape))
+    got, want = coordinate_dumps(tmp_path, monkeypatch, grid, x, pooled)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_a_dump_from_any_coordinates_is_that_of_their_cells(d, pooled, data):
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 3), GridAxis("p", -0.5, 2.0, 4)))
+    n = 12 * d * d
+    x = np.array(data.draw(st.lists(VALUES, min_size=n, max_size=n))).reshape(grid.shape + (d, d))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        got, want = coordinate_dumps(pathlib.Path(tmp), monkeypatch, grid, x, pooled)
+    assert got == want
 
 
 def test_pooled_dump_holds_a_few_jobs_text(tmp_path):

@@ -7,18 +7,20 @@ Writes the workload's scenario files for ``--seed`` (`write_scenarios` of
 scenario in this process, through `cqsim.cli.main`, from this checkout's
 ``src``.  A thread samples this process's VmRSS (``/proc/self/status``)
 every millisecond.  One JSON line is printed per phase as it ends: the
-initial state (``gaussian_product_state``), each RK4 step (``_rk4``), each
-diagnostics record, each conversion of the coordinates to cells outside a
-record (``to_cells``: the final state's) and ``save_state``.  Each line
-holds the phase's wall seconds, and the VmRSS at its end and the largest
-sampled during it, in MB (10^6 bytes).  Only this process prints.  A
-``record`` line says whether the record ran in a forked child
-(``forked``); if it did, the line comes when this process has its row,
-and its seconds are this process's wait for it.  A ``_rk4`` line says
-whether a forked record ran beside the step (``beside_record``).  The
-run's own summary line comes before the last line, which holds
-``ru_maxrss`` of this process and of its children (the forked workers and
-records), in MB.  Linux only.
+initial state's coordinates, built a slab of q rows at a time
+(``gaussian_product_state``), each RK4 step (``_rk4``), each diagnostics
+record and the dump of the final state, written from its coordinates a
+job's rows at a time (``save_state``).  An evolve run forms no grid of
+complex cells; a formation outside a record or a dump, such as an abort
+message's, prints a ``to_cells`` line.  Each line holds the phase's wall
+seconds, and the VmRSS at its end and the largest sampled during it, in
+MB (10^6 bytes).  Only this process prints.  A ``record`` line says
+whether the record ran in a forked child (``forked``); if it did, the
+line comes when this process has its row, and its seconds are this
+process's wait for it.  A ``_rk4`` line says whether a forked record ran
+beside the step (``beside_record``).  The run's own summary line comes
+before the last line, which holds ``ru_maxrss`` of this process and of
+its children (the forked workers and records), in MB.  Linux only.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from workloads import make_workload, write_scenarios  # noqa: E402
 
-from cqsim import cli, generator, runner  # noqa: E402
+from cqsim import cli, generator, runner, state  # noqa: E402
 
 
 def vm_rss_mb():
@@ -79,7 +81,7 @@ def install(sampler):
     """Wrap each phase's function so that its end prints a line; returns the undo."""
     undo = []
     counts = {}
-    depth = [0]  # inside a record, whose slabs are converted too
+    depth = [0]  # inside a phase: a record or a dump converts its own slabs
     parent = os.getpid()
     forked = []  # the records running in forked children
 
@@ -129,7 +131,7 @@ def install(sampler):
     patch(runner, "gaussian_product_state", "gaussian_product_state")
     patch(generator, "_rk4", "_rk4")
     patch(generator.EvolutionDiagnostics, "record", "record", forked=False)
-    patch(generator, "_hermitian_cells", "to_cells", nested=True)
+    patch(state, "_hermitian_cells", "to_cells", nested=True)
     patch(runner, "save_state", "save_state")
     generator._Child = RecordChild
     undo.append(lambda: setattr(generator, "_Child", child))
