@@ -17,7 +17,7 @@ from .state import HybridState, classical_marginal, gaussian_product_state, tota
 from .models import CQModel, MeasurementModel, ToyParams, polynomial_cq_model, constant_measurement_model
 from .generator import apply_generator, branch_generator, evolve, evolve_measurement, measurement_generator, step_rk4
 from .unravel import Trajectory, run_trajectory, run_ensemble, estimate_km_moments
-from .paths import BranchPair, ClassicalPath, anomalous_term, config_action, fv_action, om_action, sample_path
+from .paths import BranchPair, ClassicalPath, anomalous_term, config_action, fv_action, om_action
 from .zerodim import SourceTriple, free_propagators, moment_perturbative, moment_quadrature, vertex_factors, z_free
 
 __version__ = "0.1.0"

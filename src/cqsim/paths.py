@@ -59,7 +59,6 @@ __all__ = [
     "anomalous_term",
     "fv_action",
     "path_exponent",
-    "sample_path",
     "sample_path_ensemble",
     "config_action",
 ]
@@ -217,24 +216,6 @@ def _fv_sum(path, model, levels):
     la, lb = levels
     d0 = np.asarray(model.d0(path.q[..., :-1]), dtype=float)
     return np.sum(path.dt * 0.5 * d0 * (la - lb) ** 2, axis=-1)
-
-
-def sample_path(
-    model: CQModel,
-    q0: float,
-    p0: float,
-    n_steps: int,
-    dt: float,
-    pair: Optional[BranchPair] = None,
-    seed: int = 0,
-) -> ClassicalPath:
-    """Euler-Maruyama sample of the path measure implied by the OM weight.
-
-    p_{k+1} = p_k - force(q_k) dt + sqrt(D2(q_k) dt) xi_k and
-    q_{k+1} = q_k + (p_k/m) dt; deterministic per seed.
-    """
-    qs, ps = sample_path_ensemble(model, q0, p0, n_steps, dt, 1, pair, seed)
-    return ClassicalPath(dt=dt, q=qs[0], p=ps[0])
 
 
 def sample_path_ensemble(

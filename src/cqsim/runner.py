@@ -363,10 +363,12 @@ def compare_artifacts(path_a, path_b, metric="l1") -> float:
 
     Both files must be state dumps on identical grids (axis names, extents
     and point counts); the metric is over the classical probability
-    densities (l1 is volume-weighted).  Each dump is read by `load_state`
-    and reduced to its grid and marginal; dumps that together hold more
-    than `BLOCK_FLOATS` floats are read in two forked workers, which send
-    back only that.  An unknown ``metric`` is refused before either is read.
+    densities (l1 is volume-weighted).  Each dump is read by `load_state`,
+    whose numpy reader kernel gives the table ``np.loadtxt`` gives, bit for
+    bit, and reduced to its grid and marginal; dumps that together hold
+    more than `BLOCK_FLOATS` floats are read in two forked workers, which
+    send back only that.  An unknown ``metric`` is refused before either is
+    read.
     """
     if metric not in ("l1", "linf"):
         raise ValueError(f"unknown metric {metric!r} (use l1 or linf)")

@@ -36,6 +36,11 @@ floats, and written in order, so a dump's bytes depend on neither the
 number of workers, the job size nor the kernel's block size.  The main
 process then holds the text of a few jobs at a time, never that of the
 whole dump.
+
+A dump is read back by a second numpy kernel (`_read_table`), a block of
+whole lines at a time, into one preallocated table: bit for bit the table
+``np.loadtxt`` reads, with ``float()`` for the rare field it cannot decide
+and ``np.loadtxt`` itself for a dump with a field outside its grammar.
 """
 
 from __future__ import annotations
@@ -204,18 +209,19 @@ def _hermitian_cells(x):
     The cells are exactly Hermitian, and no imaginary part is -0: a zero
     comes back as +0, any other coordinate bit for bit.
     """
-    lower, diagonal = _triangles(x.shape[-1])
-    upper = ~(lower | diagonal)
     cells = np.empty(x.shape, dtype=complex)
     step = slab_rows(len(x), cells[0].nbytes)
     for lo in range(0, len(x), step):
         re, im, xs = cells.real[lo : lo + step], cells.imag[lo : lo + step], x[lo : lo + step]
         np.copyto(re, xs)
-        np.copyto(re, _t(xs), where=lower)
-        # y + 0.0 and 0.0 - y are y and -y, with a zero as +0
-        np.add(xs, 0.0, out=im, where=lower)
-        np.subtract(0.0, _t(xs), out=im, where=upper)
-        np.copyto(im, 0.0, where=diagonal)
+        # a row at a time: below the diagonal, the real parts above it and
+        # the imaginary parts y + 0.0; above it, 0.0 - y of those below
+        # (y itself and -y, with a zero as +0); on it, 0.0
+        for i in range(x.shape[-1]):
+            np.copyto(re[..., i, :i], xs[..., :i, i])
+            np.add(xs[..., i, :i], 0.0, out=im[..., i, :i])
+            im[..., i, i] = 0.0
+            np.subtract(0.0, xs[..., i + 1 :, i], out=im[..., i, i + 1 :])
     return cells
 
 
@@ -450,11 +456,29 @@ def _word(text: bytes):
 def _kernel_tables():
     """The kernel's lookup tables, built on its first call (not at import).
 
-    The scales and the (hi, head, tail, lo) of each 10^k, from exact
-    rationals: hi + lo is 10^k to about 2^-106, and head + tail is hi split
-    into halves of 26 bits; then four-digit words and their trailing zeros,
-    masks keeping a word's first 8 - j digits, exponent suffixes and head
-    words.
+    `_powers_of_ten`; then four-digit words and their trailing zeros, masks
+    keeping a word's first 8 - j digits, exponent suffixes and head words.
+    """
+    text = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), dtype=np.uint8).reshape(-1, 4)
+    quads = text.view("<u4")[:, 0].astype(_WORD)
+    nonzero = text[:, ::-1] != ord("0")
+    zeros = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), 4).astype(np.int8)
+    masks = np.array([_word(b"\xff" * (8 - j)) for j in range(9)], dtype=_WORD)
+    suffixes = np.array([_word(b"e%+03d" % e) for e in range(_E_MIN, 310)] + [0], dtype=_WORD)
+    # indexed by 100 sign + 20 p + 2 first digit + point, where p = -E for a
+    # fixed-point value below 1 ("0.", "0.0", ...) and 0 otherwise
+    heads = np.array([_word(sign + b"\0" * (5 - len(pre)) + pre + b"%d" % d + point)
+                      for sign in (b"\0", b"-") for pre in (b"", b"0.", b"0.0", b"0.00", b"0.000")
+                      for d in range(10) for point in (b"\0", b".")], dtype=_WORD)
+    return _powers_of_ten(), quads, zeros, masks, suffixes, heads
+
+
+@cache
+def _powers_of_ten():
+    """The scales and the (hi, head, tail, lo) of each 10^k, k in [_K_MIN, _K_MAX], built on first call.
+
+    From exact rationals: hi + lo is 10^k to about 2^-106, and head + tail
+    is hi split into halves of 26 bits.  The reader needs these alone.
     """
     split = 134217729.0  # 2^27 + 1
     columns = []
@@ -467,30 +491,29 @@ def _kernel_tables():
         t = split * hi
         head = t - (t - hi)
         columns.append((2.0**shift, hi, head, hi - head, (num * d - n * den) / (den * d)))
-    pow10 = tuple(np.array(column) for column in zip(*columns))
-    text = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)), dtype=np.uint8).reshape(-1, 4)
-    quads = text.view("<u4")[:, 0].astype(_WORD)
-    nonzero = text[:, ::-1] != ord("0")
-    zeros = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), 4).astype(np.int8)
-    masks = np.array([_word(b"\xff" * (8 - j)) for j in range(9)], dtype=_WORD)
-    suffixes = np.array([_word(b"e%+03d" % e) for e in range(_E_MIN, 310)] + [0], dtype=_WORD)
-    # indexed by 100 sign + 20 p + 2 first digit + point, where p = -E for a
-    # fixed-point value below 1 ("0.", "0.0", ...) and 0 otherwise
-    heads = np.array([_word(sign + b"\0" * (5 - len(pre)) + pre + b"%d" % d + point)
-                      for sign in (b"\0", b"-") for pre in (b"", b"0.", b"0.0", b"0.00", b"0.000")
-                      for d in range(10) for point in (b"\0", b".")], dtype=_WORD)
-    return pow10, quads, zeros, masks, suffixes, heads
+    return tuple(np.array(column) for column in zip(*columns))
 
 
-def _scaled(a, e):
-    """a 10^(16 - e) as a double-double (hi, lo): an exact product, then one rounded term."""
-    scale, hi, head, tail, lo = (np.take(t, 16 - _K_MIN - e) for t in _kernel_tables()[0])
+def _scaled(a, k, a_lo=None):
+    """(a + a_lo) 10^k as a double-double (hi, lo): an exact product, then rounded terms.
+
+    ``a_lo`` is a small correction to ``a`` (None: none), such as the
+    remainder of an integer that ``a`` rounds.
+    """
+    scale, hi, head, tail, lo = (np.take(t, k - _K_MIN) for t in _powers_of_ten())
     x = a * scale
+    if a_lo is not None:
+        a_lo = a_lo * scale * hi
+    del scale
     t = 134217729.0 * x
     x_head = t - (t - x)
+    del t
     x_tail = x - x_head
     p = x * hi
+    del hi
     err = ((x_head * head - p) + x_head * tail + x_tail * head) + x_tail * tail + x * lo
+    if a_lo is not None:
+        err += a_lo
     s = p + err
     return s, err - (s - p)
 
@@ -508,7 +531,7 @@ def _fields(x):
     idx = np.flatnonzero(fast & (a != 0.0))
     a = a[idx]
     e = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo = _scaled(a, e)
+    hi, lo = _scaled(a, 16 - e)
     for attempt in range(2):
         # log10 may miss E by one: then y lies outside [10^16, 10^17)
         low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
@@ -517,7 +540,7 @@ def _fields(x):
         if attempt or not redo.size:
             break
         e[redo] += high[redo].astype(np.intp) - low[redo]
-        hi[redo], lo[redo] = _scaled(a[redo], e[redo])
+        hi[redo], lo[redo] = _scaled(a[redo], 16 - e[redo])
     floor = np.floor(lo)
     frac = lo - floor
     fallback = low | high | (np.abs(frac - 0.5) <= _TIE)
@@ -561,6 +584,265 @@ def _fields(x):
         text[i] = 0
         text[i, : len(field)] = np.frombuffer(field, dtype=np.uint8)
     return out
+
+
+# -- the FLOAT_FMT reader ---------------------------------------------------
+#
+# `_read_table` reads a table's data rows without a Python float per entry,
+# in blocks of whole lines of about READ_BYTES each.  numpy finds a block's
+# ',' and '\n' delimiters, which must give every line the table's width, and
+# a field "0" or "-0" is written as it stands.  Every other field must be in
+# the grammar
+#
+#     [-] digit {digit} [. {digit}] [e (+|-) digit digit [digit]]
+#
+# with at most 24 characters before the exponent, whose digits, the point
+# dropped, value M < 10^19.  Three 8-byte words of those characters, read
+# from the block where the mantissa ends, hold them right-aligned: the bytes
+# before the mantissa are filled with '0', the point is found and shifted out,
+# and each word gives its 8 digits with SWAR arithmetic (Lemire, "Number
+# parsing at a gigabyte per second", Softw. Pract. Exp. 51, 1700 (2021)).
+# The field's value is M 10^k, k the exponent less the digits after the
+# point, which `_scaled` forms as a double-double (M's rounding to a double,
+# plus its exact remainder) with an error below 2^-100 of it; its rounding to
+# a double is then the correctly rounded value unless the remainder lies
+# within _TIE of the gap to a neighbour from half of it.  Those fields, and
+# those with k outside [-_K_READ, _K_READ] (all values below 1e-262 and some
+# from 1e281 up, near where the double-double's terms would underflow or the
+# gap to a neighbour overflow), go through float(): the correctly rounded
+# strtod that loadtxt calls too, so every field reads as loadtxt reads it.  A field outside the grammar
+# (a space, "+1", "1E5", "nan", ...) makes `_read_table` return None, and
+# its caller reads the whole table with loadtxt.
+
+# a block of table text: whole lines of about this many bytes, whose
+# fields' temporaries come to about 1 MB
+READ_BYTES = 1 << 17
+# |k| of a field read by the double-double: M 10^k stays within [1e-280, 1e299)
+_K_READ = 280
+# bytes before a block: a field's mantissa words start up to 24 bytes before it
+_PAD = 32
+# fields of a block read together, at most
+FIELD_BATCH = 1 << 13
+# words of bytes and shift counts, as numpy scalars
+_BYTES = 0x0101010101010101
+_ZEROS, _DOTS, _SIXES, _THREES = (np.uint64(c * _BYTES) for c in (0x30, 0x2E, 0x06, 0x33))
+_LOW7, _HIGH4 = np.uint64(0x7F * _BYTES), np.uint64(0xF0 * _BYTES)
+_PAIRS = np.uint64(0x000000FF000000FF)
+_U255 = np.uint64(255)
+# an "e" in byte 4 or byte 3 of a word
+_E, _E2, _E3 = np.uint64(ord("e") * _BYTES), np.uint64(0xFF << 32), np.uint64(0xFF << 24)
+_U4, _U8, _U16, _U32, _U56 = (np.uint64(s) for s in (4, 8, 16, 32, 56))
+
+
+def _read_table(readinto, rows, width):
+    """The (rows, width) table of the data rows that ``readinto`` reads, or None.
+
+    ``readinto(buffer)`` fills a writable buffer with the next bytes of the
+    rows and returns their count, 0 at the end.  None when any field is
+    outside the grammar of the reader's notes above, or the rows are not
+    ``rows`` lines of ``width`` fields.
+    """
+    _powers_of_ten(), _first_bytes()  # built before the blocks' temporaries
+    # A block's temporaries take about 1 MB of heap and give it back.  At
+    # each free, glibc returns a heap top beyond its trim threshold (128 kB
+    # at first) to the system, and the next block faults those pages in
+    # again.  Freeing a mapped chunk raises that threshold to twice the
+    # chunk (mallopt(3), M_MMAP_THRESHOLD), so 2 MB, allocated and freed
+    # untouched here, let the blocks reuse their heap.
+    np.empty(1 << 18)
+    size = max(READ_BYTES, 32 * width)  # the longest line of the grammar fits
+    buf = bytearray(_PAD + size + 1)  # and a newline closes a last line without one
+    view = memoryview(buf)
+    text = np.frombuffer(buf, dtype=np.uint8)
+    words = np.ndarray((len(buf) - 7,), dtype=_WORD, buffer=buf, strides=(1,))
+    table = np.empty((rows, width))
+    flat = table.reshape(-1)
+    done, end = 0, _PAD
+    while True:
+        got = readinto(view[end : _PAD + size])
+        if got:
+            end += got
+            cut = buf.rfind(b"\n", _PAD, end) + 1
+            if not cut:
+                continue
+        elif end == _PAD:
+            break
+        elif end == _PAD + size:
+            return None  # a line longer than any of the grammar
+        else:
+            buf[end] = ord("\n")  # the last line has none
+            end = cut = end + 1
+        fields = _read_block(text, words, cut, width, flat[done:])
+        if fields is None:
+            return None
+        done += fields
+        buf[_PAD : _PAD + end - cut] = buf[cut:end]
+        end = _PAD + end - cut
+    return table if done == flat.size else None
+
+
+def _read_block(text, words, cut, width, out):
+    """Read the lines text[_PAD:cut] into ``out``'s first entries; their count, or None.
+
+    ``words[i]`` is the `_WORD` of text[i:i + 8].
+    """
+    block = text[_PAD:cut]
+    # the bytes below '-' end fields, except an exponent's '+'; each must
+    # be a ',', or a '\n' after every width-th field
+    ends = np.flatnonzero(block < ord("-"))
+    enders = block[ends]
+    plus = enders == ord("+")
+    if plus.any():
+        ends, enders = ends[~plus], enders[~plus]
+    n = ends.size
+    newline = enders == ord("\n")
+    if (n % width or n > out.size or np.count_nonzero(newline) * width != n
+            or not newline[width - 1 :: width].all() or not (newline | (enders == ord(","))).all()):
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = _PAD
+    np.add(ends[:-1], _PAD + 1, out=starts[1:])
+    ends += _PAD
+    neg = text[starts] == ord("-")
+    zero = ends - starts == neg + 1
+    zero &= text[ends - 1] == ord("0")  # "0" or "-0", written as it stands
+    vals = out[:n]
+    vals.fill(0.0)
+    vals[np.flatnonzero(zero & neg)] = -0.0
+    rest = np.flatnonzero(~zero)
+    for lo in range(0, rest.size, FIELD_BATCH):
+        i = rest[lo : lo + FIELD_BATCH]
+        x = _read_fields(text, words, starts[i], ends[i], neg[i])
+        if x is None:
+            return None
+        vals[i] = np.where(neg[i], -x, x)
+    return n
+
+
+def _read_fields(text, words, starts, ends, neg):
+    """The absolute values of the fields text[starts:ends], or None if one is outside the grammar.
+
+    Each array is dropped once spent, so that a batch's temporaries stay
+    few.
+    """
+    # an exponent: "e", a sign and two or three digits end the field.  An
+    # "e" read before a short field's start leaves it no mantissa, which is
+    # refused, and a valid field before it holds none there
+    tail = words[ends - 8]
+    exp_len = np.where(tail & _E2 == _E2 & _E, 4, np.where(tail & _E3 == _E3 & _E, 5, 0))
+    sign = (tail >> (72 - 8 * exp_len).astype(np.uint64)) & _U255
+    minus = sign == ord("-")
+    size = ends - starts - exp_len - neg
+    if ((size < 1) | (size > 24) | ((exp_len > 0) & ~minus & (sign != ord("+")))).any():
+        return None  # the mantissa has 1-24 characters; a sign precedes the exponent digits
+    del sign
+    # four rows of words: the mantissa's three, right-aligned where it
+    # stops, and the exponent's; the bytes before the mantissa, and those
+    # before the exponent's digits (all of them without one), read as '0'
+    stop = ends - exp_len
+    w = np.empty((4, len(ends)), dtype=np.uint64)
+    for k in range(3):
+        w[k] = words[stop - (24 - 8 * k)]
+    del stop
+    w[3] = tail
+    del tail
+    lead = 24 - size  # bytes before the mantissa in its words
+    del size
+    first_bytes = _first_bytes()
+    fill = first_bytes.take(lead, axis=1)
+    mant = w[:3]
+    _replace(mant, _ZEROS, fill)
+    _replace(w[3], _ZEROS, first_bytes[2, 24 - np.maximum(exp_len - 2, 0)])
+    # the point: the top byte that is one, exact for one point; a second is
+    # left among the digits, which then fail their check
+    dots = _zero_bytes(mant ^ _DOTS).astype(float)
+    point = (np.frexp(dots[0] + dots[1] * 2.0**64 + dots[2] * 2.0**128)[1] - 8) >> 3
+    del dots
+    if ((point >= 0) & (point <= lead)).any():
+        return None  # no digit before the point
+    del lead
+    # the bytes before the point move one up, over it
+    up = mant << _U8
+    up[0] |= _ZEROS & _U255
+    up[1:] |= mant[:2] >> _U56
+    first_bytes.take(point + 1, axis=1, out=fill)
+    _replace(mant, up, fill)
+    del up, fill, mant
+    if _digit_check(w).any():
+        return None
+    v = _digit_values(w)
+    del w
+    if (v[0] >= 1000).any():
+        return None  # M >= 10^19
+    exp = v[3].astype(np.int64)
+    k = np.where(minus, -exp, exp)
+    k -= np.where(point >= 0, 23 - point, 0)
+    del minus, point, exp
+    m = v[0] * np.uint64(10**16)
+    m += v[1] * np.uint64(10**8)
+    m += v[2]
+    del v
+    slow = (k < -_K_READ) | (k > _K_READ)
+    np.clip(k, -_K_READ, _K_READ, out=k)
+    m_hi = m.astype(float)
+    m -= m_hi.astype(np.uint64)
+    x, r = _scaled(m_hi, k, m.view(np.int64).astype(float))
+    del m, m_hi, k
+    # the gap from x to its neighbour on r's side
+    gap = np.abs((x.view(np.int64) + np.where(r < 0.0, -1, 1)).view(float) - x)
+    slow |= np.abs(r) >= (0.5 - _TIE) * gap
+    for i in np.flatnonzero(slow):
+        x[i] = abs(float(text[starts[i] : ends[i]].tobytes()))
+    return x
+
+
+def _replace(w, new, mask):
+    """Give the bits ``mask`` of the words ``w`` those of ``new``, in place."""
+    new = w ^ new
+    new &= mask
+    w ^= new
+
+
+@cache
+def _first_bytes():
+    """Masks (3, 25): row k, column c, the bits of word k of three that lie in their first c bytes."""
+    return np.array([[(1 << min(max(8 * c - 64 * k, 0), 64)) - 1 for c in range(25)] for k in range(3)],
+                    dtype=np.uint64)
+
+
+def _zero_bytes(x):
+    """The high bit of each zero byte of the words ``x``, exactly; ``x`` is spent."""
+    low = x & _LOW7
+    low += _LOW7
+    x |= low
+    x |= _LOW7
+    return np.invert(x, out=x)
+
+
+def _digit_check(w):
+    """Nonzero where a byte of the words ``w`` is not an ASCII digit."""
+    t = w + _SIXES
+    t &= _HIGH4
+    t >>= _U4
+    t |= w & _HIGH4
+    t ^= _THREES
+    return t
+
+
+def _digit_values(w):
+    """The 8-digit numbers of the digit words ``w``, the first digit in the lowest byte; ``w`` is spent."""
+    w -= _ZEROS
+    t = w >> _U8
+    w *= np.uint64(10)
+    w += t
+    np.right_shift(w, _U16, out=t)
+    t &= _PAIRS
+    t *= np.uint64(1 + (10000 << 32))
+    w &= _PAIRS
+    w *= np.uint64(100 + (1000000 << 32))
+    w += t
+    w >>= _U32
+    return w
 
 
 def scenario_json(resolved) -> str:
@@ -658,15 +940,29 @@ def _state_columns(grid, d):
 def load_state(path) -> HybridState:
     """Read the state dump in the file ``path``; refuses what `state_from_text` refuses.
 
-    The table is parsed from the file itself, so neither its text nor its
-    lines are held beside it; they are read back only to name the file
-    line of a refused entry.
+    The reader kernel (`_read_table`) reads the data rows from the file in
+    binary blocks of about READ_BYTES, straight into the table, so neither
+    the dump's text nor its lines are held beside the table.  When a field
+    is outside the kernel's grammar, ``np.loadtxt`` reads the whole table
+    from the file instead; both give the table bit for bit, so every value
+    and every refusal is loadtxt's.  The lines are read back only to name
+    the file line of a refused entry.
     """
     with open(path) as fh:
         grid, d = _state_header(fh.readline().splitlines())
-        # loadtxt warns on input without data rows; those fail the row count
-        has_data = any(map(_is_data, fh))
-    table = np.loadtxt(path, delimiter=",", ndmin=2) if has_data else None
+    table = None
+    with open(path, "rb") as fh:
+        while (line := fh.readline()).startswith(b"#") and _one_line(line):
+            pass
+        if not line.startswith(b"#"):
+            fh.seek(-len(line), os.SEEK_CUR)
+            table = _read_table(fh.readinto, *_table_shape(grid, d))
+    if table is None:
+        with open(path) as fh:
+            fh.readline()
+            # loadtxt warns on input without data rows; those fail the row count
+            has_data = any(map(_is_data, fh))
+        table = np.loadtxt(path, delimiter=",", ndmin=2) if has_data else None
     return _checked_state(grid, d, table, lambda: _file_lines(path))
 
 
@@ -681,7 +977,8 @@ def dump_floats(path) -> int:
             grid, d = _state_header(fh.readline().splitlines())
     except (OSError, ValueError):
         return 0
-    return int(np.prod(grid.shape)) * (grid.ndim + 2 * d * d)
+    rows, width = _table_shape(grid, d)
+    return rows * width
 
 
 def state_from_text(text: str) -> HybridState:
@@ -690,13 +987,54 @@ def state_from_text(text: str) -> HybridState:
     Beside the header and the table's shape, every number must be finite
     and every row's coordinates must be its cell's grid point exactly (a
     FLOAT_FMT dump reads back bit for bit), so a row out of place fails.
+    The data rows are read as `load_state` reads them: by the reader
+    kernel (`_read_table`), from ASCII slices of ``text`` of about
+    READ_BYTES, so neither a copy of the text nor a list of its lines is
+    made; or, for a text that is not ASCII or has a field outside the
+    kernel's grammar, by ``np.loadtxt`` from the list of its lines.  The
+    table is loadtxt's either way, bit for bit.
     """
+    end = text.find("\n")
+    grid, d = _state_header(text[: end if end >= 0 else None].splitlines())
+    start = 0
+    while text.startswith("#", start):
+        end = text.find("\n", start) + 1
+        if not (end and _one_line(text[start:end])):
+            break
+        start = end
+    table = None
+    if text.isascii() and not text.startswith("#", start):
+        table = _read_table(_string_reader(text, start), *_table_shape(grid, d))
+    if table is not None:
+        return _checked_state(grid, d, table, text.splitlines)
     # loadtxt reads the list of lines; an io.StringIO(text) copy would hold
     # four bytes per character of a dump that can run to tens of megabytes
     lines = text.splitlines()
-    grid, d = _state_header(lines)
     table = np.loadtxt(lines, delimiter=",", ndmin=2) if any(map(_is_data, lines)) else None
     return _checked_state(grid, d, table, lambda: lines)
+
+
+def _one_line(line):
+    """Whether ``line`` (str or bytes) is one line, ended by a newline."""
+    return line.endswith(b"\n" if isinstance(line, bytes) else "\n") and len(line.splitlines()) == 1
+
+
+def _string_reader(text, start):
+    """A ``readinto`` of the ASCII ``text`` from index ``start``, for `_read_table`."""
+
+    def readinto(buf):
+        nonlocal start
+        chunk = text[start : start + len(buf)].encode("ascii")
+        buf[: len(chunk)] = chunk
+        start += len(chunk)
+        return len(chunk)
+
+    return readinto
+
+
+def _table_shape(grid, d):
+    """(rows, columns) of the table of a dump of ``grid`` with hilbert_dim ``d``."""
+    return int(np.prod(grid.shape)), grid.ndim + 2 * d * d
 
 
 def _state_header(lines):

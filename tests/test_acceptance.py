@@ -17,7 +17,7 @@ from scipy import stats
 from cqsim.generator import apply_generator, branch_generator, cfl_limit, evolve, evolve_measurement, measurement_cfl_limit
 from cqsim.grids import GridAxis, PhaseGrid
 from cqsim.models import constant_measurement_model, polynomial_cq_model
-from cqsim.paths import ClassicalPath, anomalous_term, config_action, om_action, sample_path
+from cqsim.paths import ClassicalPath, anomalous_term, config_action, om_action, sample_path_ensemble
 from cqsim.psd import CouplingTriple, Verdict, schur_cp_check, tradeoff_verdict
 from cqsim.runner import run_scenario
 from cqsim.scenario import parse_scenario_file
@@ -237,8 +237,8 @@ def test_criterion_09_path_weight_duality():
         dt, n_steps = 0.01, 60
         worst = 0.0
         for seed in range(500):
-            path = sample_path(model, 0.2, -0.1, n_steps, dt, seed=seed)
-            q, p = path.q, path.p
+            qs, ps = sample_path_ensemble(model, 0.2, -0.1, n_steps, dt, 1, seed=seed)
+            q, p = qs[0], ps[0]
             means = p[:-1] - model.dpotential(q[:-1]) * dt
             sds = np.sqrt(model.d2(q[:-1]) * dt)
             oracle = stats.norm.logpdf(p[1:], loc=means, scale=sds)

@@ -21,7 +21,6 @@ from cqsim.paths import (
     fv_action,
     om_action,
     path_exponent,
-    sample_path,
     sample_path_ensemble,
 )
 from cqsim.scenario import parse_scenario_file
@@ -38,6 +37,12 @@ def harmonic_model(d2_coeffs=(0.4,), mass=1.0, spring=0.5):
     return polynomial_cq_model(
         mass=mass, potential_coeffs=[0.0, 0.0, 0.5 * spring], h_q=[[0.0]], d2_coeffs=list(d2_coeffs)
     )
+
+
+def first_path(model, q0, p0, n_steps, dt, pair=None, seed=0):
+    """Row 0 of a one-path `sample_path_ensemble`, as a ClassicalPath."""
+    qs, ps = sample_path_ensemble(model, q0, p0, n_steps, dt, 1, pair, seed)
+    return ClassicalPath(dt=dt, q=qs[0], p=ps[0])
 
 
 def em_step_logpdf(model, q, p, p_next, dt, pair=None):
@@ -76,7 +81,7 @@ class TestOmAction:
 
     def test_nonpositive_diffusion_refused(self):
         model = harmonic_model(d2_coeffs=[0.0])
-        path = sample_path(harmonic_model(), 0.0, 0.0, 10, 0.01, seed=1)
+        path = first_path(harmonic_model(), 0.0, 0.0, 10, 0.01, seed=1)
         with pytest.raises(PathRejectedError, match="D2"):
             om_action(path, model)
 
@@ -84,7 +89,7 @@ class TestOmAction:
     @given(st.integers(0, 100_000))
     def test_nonnegative(self, seed):
         model = harmonic_model(d2_coeffs=[0.3, 0.02])
-        path = sample_path(model, 0.1, -0.3, 40, 0.01, seed=seed)
+        path = first_path(model, 0.1, -0.3, 40, 0.01, seed=seed)
         assert om_action(path, model) >= 0.0
 
 
@@ -96,7 +101,7 @@ class TestWeightDensityDuality:
         model = harmonic_model(d2_coeffs=d2_coeffs)
         dt, n_steps = 0.01, 120
         for seed in range(30):
-            path = sample_path(model, 0.2, 0.1, n_steps, dt, seed=seed)
+            path = first_path(model, 0.2, 0.1, n_steps, dt, seed=seed)
             q, p = path.q, path.p
             for k in range(n_steps):
                 step_path = ClassicalPath(dt=dt, q=q[k : k + 2], p=p[k : k + 2])
@@ -108,8 +113,8 @@ class TestWeightDensityDuality:
         # same-length paths: the density ratio is the action difference
         model = harmonic_model(d2_coeffs=(0.5, 0.1))
         dt, n_steps = 0.01, 80
-        a = sample_path(model, 0.0, 0.0, n_steps, dt, seed=100)
-        b = sample_path(model, 0.0, 0.0, n_steps, dt, seed=200)
+        a = first_path(model, 0.0, 0.0, n_steps, dt, seed=100)
+        b = first_path(model, 0.0, 0.0, n_steps, dt, seed=200)
 
         def log_density(path):
             return sum(
@@ -126,12 +131,12 @@ class TestWeightDensityDuality:
 class TestAnomalousTerm:
     def test_constant_unity_diffusion_vanishes(self):
         model = free_diffusion_model(d2=1.0)
-        path = sample_path(model, 0.0, 0.0, 25, 0.01, seed=2)
+        path = first_path(model, 0.0, 0.0, 25, 0.01, seed=2)
         assert anomalous_term(path, model) == 0.0
 
     def test_constant_diffusion_counts_steps(self):
         model = free_diffusion_model(d2=0.7)
-        path = sample_path(model, 0.0, 0.0, 25, 0.01, seed=2)
+        path = first_path(model, 0.0, 0.0, 25, 0.01, seed=2)
         assert anomalous_term(path, model) == pytest.approx(25 * 0.5 * np.log(0.7), rel=1e-12)
 
     def test_reweighting_to_q_dependent_diffusion(self):
@@ -271,7 +276,7 @@ class TestFeynmanVernon:
 
     def test_equal_branches_vanish(self):
         model = self.qubit_model()
-        path = sample_path(model, 0.3, 0.0, 30, 0.01, pair=BranchPair(0, 0), seed=6)
+        path = first_path(model, 0.3, 0.0, 30, 0.01, pair=BranchPair(0, 0), seed=6)
         assert fv_action(path, model, BranchPair(0, 0)) == 0.0
         assert fv_action(path, model, BranchPair(1, 1)) == 0.0
 
@@ -301,7 +306,7 @@ class TestFeynmanVernon:
             d2_coeffs=[0.25 / d0], d0_coeffs=[d0],
         )
         n_steps, dt = 50, 0.01
-        path = sample_path(model, 0.0, 0.0, n_steps, dt, pair=BranchPair(0, 1), seed=3)
+        path = first_path(model, 0.0, 0.0, n_steps, dt, pair=BranchPair(0, 1), seed=3)
         assert fv_action(path, model, BranchPair(0, 1)) == pytest.approx(
             n_steps * dt * 2.0 * d0 * lam**2, rel=1e-12
         )
@@ -365,7 +370,7 @@ class TestBranchLabels:
         model = self.linear_qubit_model()
         pair = BranchPair(0, 0)
         dt, n_steps = 0.01, 100
-        path = sample_path(model, -2.5, 2.5, n_steps, dt, pair=pair, seed=4)
+        path = first_path(model, -2.5, 2.5, n_steps, dt, pair=pair, seed=4)
         assert path.q[0] < -1.6 and path.q[-1] > -1.5
         weight_exp = -(om_action(path, model, pair) + anomalous_term(path, model))
         oracle = sum(
@@ -484,7 +489,7 @@ class TestConfigAction:
 
     def test_rejects_phase_space_path(self):
         model = harmonic_model()
-        path = sample_path(model, 0.0, 0.0, 10, 0.01, seed=0)
+        path = first_path(model, 0.0, 0.0, 10, 0.01, seed=0)
         with pytest.raises(ValueError, match="q-only"):
             config_action(path, model)
 
@@ -518,7 +523,7 @@ class TestSaturatedFactorization:
 
         dt = 0.01
         pair = BranchPair(0, 1)
-        path = sample_path(model, 0.1, 0.0, 60, dt, pair=pair, seed=9)
+        path = first_path(model, 0.1, 0.0, 60, dt, pair=pair, seed=9)
         total = om_action(path, model, pair) + fv_action(path, model, pair)
         q_pre = path.q[:-1]
         residual = (path.p[1:] - path.p[:-1]) / dt + model.dpotential(q_pre)
@@ -537,7 +542,7 @@ class TestSaturatedFactorization:
 
         dt = 0.01
         pair = BranchPair(0, 1)
-        path = sample_path(model, 0.1, 0.0, 60, dt, pair=pair, seed=9)
+        path = first_path(model, 0.1, 0.0, 60, dt, pair=pair, seed=9)
         total = om_action(path, model, pair) + fv_action(path, model, pair)
         q_pre = path.q[:-1]
         residual = (path.p[1:] - path.p[:-1]) / dt + model.dpotential(q_pre)
@@ -556,7 +561,7 @@ def test_fv_nonnegative(seed):
         d2_coeffs=[0.6], d0_coeffs=[0.5],
     )
     pair = BranchPair(0, 1)
-    path = sample_path(model, 0.2, 0.0, 30, 0.01, pair=pair, seed=seed)
+    path = first_path(model, 0.2, 0.0, 30, 0.01, pair=pair, seed=seed)
     assert fv_action(path, model, pair) >= 0.0
 
 

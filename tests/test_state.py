@@ -649,6 +649,195 @@ def test_load_state_holds_one_table(tmp_path):
     assert peak < 1.5 * table_bytes
 
 
+def test_state_from_text_holds_one_table(tmp_path):
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 101), GridAxis("p", -1.0, 1.0, 101)))
+    state = gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5), rho_q=np.full((4, 4), 0.25))
+    text = saved_text(tmp_path, state)
+    table_bytes = grid.shape[0] * grid.shape[1] * (2 + 2 * 16) * 8
+    assert len(text) > table_bytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = state_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert loaded.cells.tobytes() == state.cells.tobytes()
+    # beyond the caller's string: no copy of it, no list of its lines
+    assert peak < 1.5 * table_bytes
+
+
+# -- the reader kernel: loadtxt's numbers, refusals and messages ---------------
+
+
+def _kernel_table(fields, width=1):
+    """The reader kernel's table of ``fields``, ``width`` to a line, or None where it refuses them."""
+    text = "".join(",".join(fields[i : i + width]) + "\n" for i in range(0, len(fields), width))
+    return state_module._read_table(state_module._string_reader(text, 0), len(fields) // width, width)
+
+
+def _assert_reads_as_float(fields, width=1):
+    table = _kernel_table(fields, width)
+    assert table is not None, fields
+    want = np.array([float(field) for field in fields])
+    assert table.tobytes() == want.tobytes(), fields
+
+
+# the extremes: +-0, subnormals, the normal range's ends, values by the
+# kernel's range ends (1e-261 and 1e280) and the writer's own fallback range
+# from 1e290
+READER_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                1e-300, 1.0000000000000001e-261, 9.9999999999999999e279, 1e280, 1e290,
+                -1.2345678901234567e295, 1.7976931348623157e308, -1.7976931348623157e308, 0.1,
+                0.00012345678901234567, 1.2345678901234567e16, 1.2345678901234567e17]
+
+
+def test_the_reader_reads_written_extremes_as_float():
+    _assert_reads_as_float(["%.17g" % x for x in READER_EDGES])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 5]), st.data())
+def test_the_reader_reads_any_written_float_as_float(width, data):
+    values = data.draw(st.lists(FINITE_VALUES, min_size=1, max_size=12)) * width
+    _assert_reads_as_float(["%.17g" % x for x in values], width)
+
+
+def _grammar_field(negative, digits, integer, point, exponent, exp_digits):
+    """A field of the reader's grammar: ``integer`` of ``digits`` before the point."""
+    field = ("-" if negative else "") + digits[:integer]
+    if point or integer < len(digits):
+        field += "." + digits[integer:]
+    if exponent is not None:
+        field += "e" + ("-" if exponent < 0 else "+") + str(abs(exponent)).zfill(exp_digits)
+    return field
+
+
+GRAMMAR_FIELDS = st.builds(
+    lambda negative, digits, cut, point, exponent, exp_digits: _grammar_field(
+        negative, digits, 1 + cut % len(digits), point, exponent, exp_digits),
+    st.booleans(),
+    st.text("0123456789", min_size=1, max_size=19),
+    st.integers(0, 18),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(-330, 310)),
+    st.sampled_from([2, 3]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(GRAMMAR_FIELDS, min_size=1, max_size=20))
+def test_the_reader_reads_its_grammar_as_float(fields):
+    _assert_reads_as_float(fields)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        # exact midpoints between doubles, which float() rounds to even
+        "9007199254740993", "9007199254740995", "-18014398509481986", "4503599627370496.5",
+        "0.9999999999999999444",
+        # near midpoints, and a 19-digit integer and fraction
+        "9007199254740993.000", "9007199254740992.999", "1234567890123456789", "0.1234567890123456789",
+        # leading zeros, a trailing point, three-digit exponents, k outside the table
+        "000123.4500", "5.", "7e+005", "2.4703282292062327e-324", "2.4703282292062328e-324",
+        "1e-400", "1e+400", "0.0e-999", "-00", "-0.000",
+    ],
+)
+def test_the_reader_reads_ties_and_ranges_as_float(field):
+    _assert_reads_as_float([field])
+
+
+def _outcome(read):
+    """The cells' bytes that ``read()`` gives, or the message of its ValueError."""
+    try:
+        return read().cells.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["1E5", "+1", " 0.5", "0.5 ", "nan", "inf", "-inf", "1.2.3", "1e5", "5e+5", "1.5e+0005", "",
+     "-", ".", ".5", "1_0", "0x10", "1e+05e+05", "12345678901234567890", "0.00000000000000000000001"],
+)
+def test_fields_outside_the_grammar_read_as_loadtxt_reads_them(tmp_path, monkeypatch, field):
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 9), GridAxis("p", -1.0, 1.0, 9)))
+    text = _set_entry(5, 2, field)(saved_text(tmp_path, gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5))))
+    assert _kernel_table([field]) is None
+    path = tmp_path / "edited.txt"
+    path.write_text(text)
+    outcomes = []
+    for kernel in (True, False):
+        if not kernel:
+            monkeypatch.setattr(state_module, "_read_table", lambda *args: None)
+        outcomes.append((_outcome(lambda: state_from_text(text)), _outcome(lambda: load_state(path)),
+                         _cli(["compare", str(path), str(path)])))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == outcomes[0][1]
+
+
+@pytest.mark.parametrize("ending", ["", "\r\n", "\n\n"], ids=["no-newline", "crlf", "blank-line"])
+def test_line_endings_read_as_loadtxt_reads_them(tmp_path, monkeypatch, ending):
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 5), GridAxis("p", -1.0, 1.0, 4)))
+    text = saved_text(tmp_path, gaussian_product_state(grid, (0.0, 0.0), (0.5, 0.5)))
+    text = text[:-1] + ending
+    path = tmp_path / "edited.txt"
+    path.write_bytes(text.encode())
+    outcomes = []
+    for kernel in (True, False):
+        if not kernel:
+            monkeypatch.setattr(state_module, "_read_table", lambda *args: None)
+        outcomes.append((_outcome(lambda: state_from_text(text)), _outcome(lambda: load_state(path))))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("block", [64, 1000, 1 << 17])
+@pytest.mark.parametrize("batch", [1, 7, 1 << 13])
+def test_the_reader_reads_a_dump_in_any_blocks_as_loadtxt(tmp_path, monkeypatch, block, batch):
+    grid = PhaseGrid((GridAxis("q", -1.0, 1.0, 13), GridAxis("p", -1.0, 1.0, 11)))
+    rng = np.random.default_rng(block + batch)
+    x = rng.standard_normal(grid.shape + (3, 3)) * 10.0 ** rng.integers(-30, 30, grid.shape + (3, 3))
+    x[rng.random(x.shape) < 0.3] = 0.0
+    state = HybridState._from_coordinates(grid, x)
+    path = tmp_path / "state.txt"
+    save_state(state, path)
+    monkeypatch.setattr(state_module, "READ_BYTES", block)
+    monkeypatch.setattr(state_module, "FIELD_BATCH", batch)
+    want = np.loadtxt(path, delimiter=",", ndmin=2)[:, 2:].tobytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read by loadtxt, not the kernel")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert load_state(path).cells.tobytes() == want == state.cells.tobytes()
+    assert state_from_text(path.read_text()).cells.tobytes() == want
+
+
+def _masked_hermitian_cells(x):
+    """`state._hermitian_cells` as masked (``where=``) ufuncs: its bit-for-bit reference."""
+    lower, diagonal = state_module._triangles(x.shape[-1])
+    cells = np.empty(x.shape, dtype=complex)
+    np.copyto(cells.real, x)
+    np.copyto(cells.real, np.swapaxes(x, -1, -2), where=lower)
+    np.add(x, 0.0, out=cells.imag, where=lower)
+    np.subtract(0.0, np.swapaxes(x, -1, -2), out=cells.imag, where=~(lower | diagonal))
+    np.copyto(cells.imag, 0.0, where=diagonal)
+    return cells
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_hermitian_cells_are_those_of_the_masked_form(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((9, 7, d, d))
+    x[rng.random(x.shape) < 0.25] = 0.0
+    x[rng.random(x.shape) < 0.25] = -0.0
+    cells = state_module._hermitian_cells(x)
+    assert cells.tobytes() == _masked_hermitian_cells(x).tobytes()
+    # no imaginary zero is -0
+    assert not np.signbit(cells.imag[cells.imag == 0.0]).any()
+
+
 def reference_state_text(state, scenario=None):
     """The per-entry "{:.17g}" writer that `_write_state`'s blocks replaced: the format
     reference."""

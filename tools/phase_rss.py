@@ -1,6 +1,6 @@
 """Resident memory of one in-process ``cqsim run``, phase by phase.
 
-    python3 tools/phase_rss.py --workload grid_wide --seed 7 [--work DIR]
+    python3 tools/phase_rss.py --workload grid_wide --seed 7 [--work DIR] [--compare]
 
 Writes the workload's scenario files for ``--seed`` (`write_scenarios` of
 ``perfbench/workloads.py``) and runs its first ``run`` invocation's
@@ -20,7 +20,12 @@ line comes when this process has its row, and its seconds are this
 process's wait for it.  A ``_rk4`` line says whether a forked record ran
 beside the step (``beside_record``).  The run's own summary line comes
 before the last line, which holds ``ru_maxrss`` of this process and of
-its children (the forked workers and records), in MB.  Linux only.
+its children (the forked workers and records), in MB.  With ``--compare``,
+``python -m cqsim compare`` of the run's final state against itself then
+runs in a fresh process, as a workload's ``compare`` invocation does, and
+one more line gives its exit code, wall seconds and ``ru_maxrss`` (from
+``wait4``, so its forked workers count), in MB.  A small launcher process
+starts it, so that this process's memory does not count.  Linux only.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import argparse
 import json
 import os
 import resource
+import subprocess
 import sys
 import tempfile
 import threading
@@ -138,28 +144,58 @@ def install(sampler):
     return lambda: [fn() for fn in reversed(undo)]
 
 
+# Runs its command line and prints its exit code, wall seconds and wait4
+# ru_maxrss (KiB).  A child forked from this process would count this
+# process's memory in its ru_maxrss, so a small launcher starts it.
+_LAUNCHER = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+"""
+
+
+def compare(state_path):
+    """(exit code, wall seconds, ru_maxrss in MB) of ``cqsim compare`` of a dump against itself."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    args = [sys.executable, "-m", "cqsim", "compare", state_path, state_path, "--metric", "l1"]
+    launched = subprocess.run([sys.executable, "-c", _LAUNCHER] + args, env=env, check=True,
+                              capture_output=True, text=True)
+    code, wall, maxrss = launched.stdout.split()
+    return int(code), float(wall), int(maxrss) * 1024 / 1e6
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, help="a perfbench workload name")
     parser.add_argument("--seed", type=int, required=True, help="the workload's seed")
     parser.add_argument("--work", help="a directory to run in, kept afterwards")
+    parser.add_argument("--compare", action="store_true",
+                        help="then time `cqsim compare` of the final state against itself")
     args = parser.parse_args(argv)
     workload = make_workload(args.workload, args.seed)
     scenario = next(inv.scenario for inv in workload.invocations if inv.kind != "compare")
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or tmp
         path = write_scenarios(workload, work)[scenario]
+        out = os.path.join(work, "out")
         sampler = Sampler()
         undo = install(sampler)
         try:
-            code = cli.main(["run", path, "--out", os.path.join(work, "out")])
+            code = cli.main(["run", path, "--out", out])
         finally:
             undo()
             sampler.stop()
-    maxrss = {who: resource.getrusage(getattr(resource, who)).ru_maxrss * 1024 / 1e6
-              for who in ("RUSAGE_SELF", "RUSAGE_CHILDREN")}
-    print(json.dumps({"exit": code, "ru_maxrss_mb": round(maxrss["RUSAGE_SELF"], 1),
-                      "children_ru_maxrss_mb": round(maxrss["RUSAGE_CHILDREN"], 1)}))
+        maxrss = {who: resource.getrusage(getattr(resource, who)).ru_maxrss * 1024 / 1e6
+                  for who in ("RUSAGE_SELF", "RUSAGE_CHILDREN")}
+        print(json.dumps({"exit": code, "ru_maxrss_mb": round(maxrss["RUSAGE_SELF"], 1),
+                          "children_ru_maxrss_mb": round(maxrss["RUSAGE_CHILDREN"], 1)}), flush=True)
+        if args.compare and code == 0:
+            code, wall, rss = compare(os.path.join(out, "final_state.txt"))
+            print(json.dumps({"phase": "compare", "exit": code, "wall_s": round(wall, 4),
+                              "ru_maxrss_mb": round(rss, 1)}))
     return code
 
 
